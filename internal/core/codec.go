@@ -242,11 +242,20 @@ func (c *varCodec) writeSlot(leaf uint64, slot int, k, v []byte) error {
 	return nil
 }
 
+// zeroValue pads values shorter than the slot (Config.ValueSize <= 4096).
+var zeroValue [4096]byte
+
+// writeValue stores value into the slot's fixed-size value field, truncated
+// or zero-padded to valSize, and persists the field. It writes in place: the
+// value and then the zero tail, no staging buffer.
 func (c *varCodec) writeValue(leaf uint64, slot int, value []byte) {
-	buf := make([]byte, c.valSize)
-	copy(buf, value)
-	c.pool.WriteBytes(c.lay.valOff(leaf, slot), buf)
-	c.pool.Persist(c.lay.valOff(leaf, slot), uint64(len(buf)))
+	off := c.lay.valOff(leaf, slot)
+	if len(value) > c.valSize {
+		value = value[:c.valSize]
+	}
+	c.pool.WriteBytes(off, value)
+	c.pool.WriteBytes(off+uint64(len(value)), zeroValue[:c.valSize-len(value)])
+	c.pool.Persist(off, uint64(c.valSize))
 }
 
 // moveSlot copies the previous slot's key pointer and length instead of

@@ -185,3 +185,33 @@ func TestCVarRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCVarUpdateZeroAlloc pins the in-place value write: an update of a
+// variable-key tree stages the key's pointer and writes the value straight
+// into the slot, so it allocates nothing — with a full-size value and with a
+// short one whose tail is zero-padded.
+func TestCVarUpdateZeroAlloc(t *testing.T) {
+	tr := newCVarTree(t, Config{ValueSize: 16})
+	const n = 500
+	for i := 0; i < n; i++ {
+		if err := tr.Insert(strKey(i), []byte("0123456789abcdef")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := strKey(n / 2)
+	for _, val := range [][]byte{[]byte("fedcba9876543210"), []byte("short")} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if ok, err := tr.Update(key, val); err != nil || !ok {
+				t.Fatalf("update: %v %v", ok, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Update with a %d-byte value: %.1f allocs/op, want 0", len(val), allocs)
+		}
+		got, ok := tr.Find(key)
+		want := append(append([]byte(nil), val...), make([]byte, 16-len(val))...)
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("after update value = %q, want %q", got, want)
+		}
+	}
+}

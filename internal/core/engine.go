@@ -270,7 +270,7 @@ func (e *engine[K, V]) findInLeaf(leaf uint64, key K) (int, uint64, bool) {
 		if e.st {
 			e.Probes.KeyProbes += probes
 		}
-		e.Ops.noteSearch(0, 0, 0, probes)
+		e.Ops.noteSearch(leaf, 0, 0, 0, probes)
 		return slot, bm, slot >= 0
 	}
 	var hdr [MaxLeafCap + 16]byte
@@ -301,7 +301,7 @@ func (e *engine[K, V]) findInLeaf(leaf uint64, key K) (int, uint64, bool) {
 	if e.st {
 		e.Probes.KeyProbes += hits
 	}
-	e.Ops.noteSearch(compares, hits, falsePos, hits)
+	e.Ops.noteSearch(leaf, compares, hits, falsePos, hits)
 	return slot, bm, slot >= 0
 }
 
@@ -377,7 +377,7 @@ func (e *engine[K, V]) findLeafRef(key K) *leafRef {
 		if ok {
 			return ref
 		}
-		e.abortc(htm.AbortDescend, nil, attempt)
+		e.abortc(htm.AbortDescend, nil, attempt, 0)
 	}
 }
 
@@ -400,19 +400,19 @@ func (e *engine[K, V]) findT(key K, sp *trace.Span) (V, bool) {
 		sp.Enter(trace.PhaseDescend)
 		n, ver, _, ref, ok := e.descend(key)
 		if !ok {
-			e.abortc(htm.AbortDescend, sp, attempt)
+			e.abortc(htm.AbortDescend, sp, attempt, 0)
 			continue
 		}
 		if ref == nil {
 			return zero, false // empty tree
 		}
 		if !e.cc.tryRLockLeaf(ref) {
-			e.abortc(htm.AbortLeafLock, sp, attempt)
+			e.abortc(htm.AbortLeafLock, sp, attempt, ref.off)
 			continue
 		}
 		if !e.cc.validate(&n.lock, ver) {
 			e.cc.rUnlockLeaf(ref)
-			e.abortc(htm.AbortPostLock, sp, attempt)
+			e.abortc(htm.AbortPostLock, sp, attempt, ref.off)
 			continue
 		}
 		sp.Enter(trace.PhaseLeaf)
@@ -451,7 +451,7 @@ func (e *engine[K, V]) insertT(key K, value V, sp *trace.Span) error {
 		sp.Enter(trace.PhaseDescend)
 		n, ver, _, ref, ok := e.descend(key)
 		if !ok {
-			e.abortc(htm.AbortDescend, sp, attempt)
+			e.abortc(htm.AbortDescend, sp, attempt, 0)
 			continue
 		}
 		if ref == nil {
@@ -462,12 +462,12 @@ func (e *engine[K, V]) insertT(key K, value V, sp *trace.Span) error {
 			continue
 		}
 		if !e.lockLeafCC(ref, fb) {
-			e.abortc(htm.AbortLeafLock, sp, attempt)
+			e.abortc(htm.AbortLeafLock, sp, attempt, ref.off)
 			continue
 		}
 		if ref.dead.Load() || !e.cc.validate(&n.lock, ver) {
 			e.cc.unlockLeaf(ref)
-			e.abortc(htm.AbortPostLock, sp, attempt)
+			e.abortc(htm.AbortPostLock, sp, attempt, ref.off)
 			continue
 		}
 		sp.Enter(trace.PhaseLeaf)
@@ -687,19 +687,19 @@ func (e *engine[K, V]) updateT(key K, value V, sp *trace.Span) (bool, error) {
 		sp.Enter(trace.PhaseDescend)
 		n, ver, _, ref, ok := e.descend(key)
 		if !ok {
-			e.abortc(htm.AbortDescend, sp, attempt)
+			e.abortc(htm.AbortDescend, sp, attempt, 0)
 			continue
 		}
 		if ref == nil {
 			return false, nil
 		}
 		if !e.lockLeafCC(ref, fb) {
-			e.abortc(htm.AbortLeafLock, sp, attempt)
+			e.abortc(htm.AbortLeafLock, sp, attempt, ref.off)
 			continue
 		}
 		if ref.dead.Load() || !e.cc.validate(&n.lock, ver) {
 			e.cc.unlockLeaf(ref)
-			e.abortc(htm.AbortPostLock, sp, attempt)
+			e.abortc(htm.AbortPostLock, sp, attempt, ref.off)
 			continue
 		}
 		sp.Enter(trace.PhaseLeaf)
@@ -777,19 +777,19 @@ func (e *engine[K, V]) deleteT(key K, sp *trace.Span) (bool, error) {
 		sp.Enter(trace.PhaseDescend)
 		n, ver, _, ref, ok := e.descend(key)
 		if !ok {
-			e.abortc(htm.AbortDescend, sp, attempt)
+			e.abortc(htm.AbortDescend, sp, attempt, 0)
 			continue
 		}
 		if ref == nil {
 			return false, nil
 		}
 		if !e.lockLeafCC(ref, fb) {
-			e.abortc(htm.AbortLeafLock, sp, attempt)
+			e.abortc(htm.AbortLeafLock, sp, attempt, ref.off)
 			continue
 		}
 		if ref.dead.Load() || !e.cc.validate(&n.lock, ver) {
 			e.cc.unlockLeaf(ref)
-			e.abortc(htm.AbortPostLock, sp, attempt)
+			e.abortc(htm.AbortPostLock, sp, attempt, ref.off)
 			continue
 		}
 		sp.Enter(trace.PhaseLeaf)
@@ -1108,7 +1108,7 @@ func (e *engine[K, V]) scanSeek(from K, fn func(K, V) bool, sp *trace.Span) {
 			return true
 		}()
 		if !ok {
-			e.abortc(htm.AbortIter, sp, attempt)
+			e.abortc(htm.AbortIter, sp, attempt, 0)
 			attempt++
 			continue
 		}

@@ -274,7 +274,7 @@ func (it *Iter[K, V]) seek(target *K, rightmost bool) bool {
 	for attempt := 0; ; attempt++ {
 		n, ver, ref, lb, ub, ok := e.descendIter(target, rightmost)
 		if !ok {
-			e.abortc(htm.AbortIter, sp, attempt)
+			e.abortc(htm.AbortIter, sp, attempt, 0)
 			continue
 		}
 		if ref == nil {
@@ -283,12 +283,12 @@ func (it *Iter[K, V]) seek(target *K, rightmost bool) bool {
 			return false // empty tree
 		}
 		if !e.cc.tryRLockLeaf(ref) {
-			e.abortc(htm.AbortLeafLock, sp, attempt)
+			e.abortc(htm.AbortLeafLock, sp, attempt, ref.off)
 			continue
 		}
 		if !e.cc.validate(&n.lock, ver) {
 			e.cc.rUnlockLeaf(ref)
-			e.abortc(htm.AbortPostLock, sp, attempt)
+			e.abortc(htm.AbortPostLock, sp, attempt, ref.off)
 			continue
 		}
 		// ver and content form a consistent pair: writers bump ref.ver

@@ -8,7 +8,9 @@ import (
 
 // OpStats counts the tree events behind the paper's cost arguments, with
 // atomic fields so the concurrent variants can share one instance across
-// goroutines and a metrics endpoint can read it during operation. It
+// goroutines and a metrics endpoint can read it during operation. The
+// per-search counters are striped by the offset of the leaf searched, so
+// goroutines searching different leaves do not share a counter line. It
 // complements the older non-atomic ProbeStats (kept for the single-threaded
 // Figure 4 experiment, which resets it between runs).
 //
@@ -20,33 +22,33 @@ import (
 // probability per compare is 1/256 ≈ 0.39%, which is what keeps the expected
 // number of in-leaf key probes at ~1.
 type OpStats struct {
-	Searches         atomic.Uint64 // completed in-leaf searches
-	KeyProbes        atomic.Uint64 // keys dereferenced and compared (any variant)
-	FPCompares       atomic.Uint64 // fingerprint byte-compares on valid slots
-	FPHits           atomic.Uint64 // fingerprint matches (forced key probes)
-	FPFalsePositives atomic.Uint64 // fingerprint matched, key differed
-	LeafSplits       atomic.Uint64 // completed leaf splits
-	InnerRebuilds    atomic.Uint64 // DRAM inner-node reconstructions (recovery)
-	RecoveryLeaves   atomic.Uint64 // persistent leaves scanned during recovery
-	RecoveryGroups   atomic.Uint64 // leaf groups walked during recovery
-	RecoveryNanos    atomic.Uint64 // wall-clock ns of the last inner rebuild
+	Searches         obs.StripedCounter // completed in-leaf searches
+	KeyProbes        obs.StripedCounter // keys dereferenced and compared (any variant)
+	FPCompares       obs.StripedCounter // fingerprint byte-compares on valid slots
+	FPHits           obs.StripedCounter // fingerprint matches (forced key probes)
+	FPFalsePositives obs.StripedCounter // fingerprint matched, key differed
+	LeafSplits       atomic.Uint64      // completed leaf splits
+	InnerRebuilds    atomic.Uint64      // DRAM inner-node reconstructions (recovery)
+	RecoveryLeaves   atomic.Uint64      // persistent leaves scanned during recovery
+	RecoveryGroups   atomic.Uint64      // leaf groups walked during recovery
+	RecoveryNanos    atomic.Uint64      // wall-clock ns of the last inner rebuild
 }
 
-// noteSearch batches one search's local counts into the shared atomics: one
-// atomic add per non-zero counter instead of one per slot visited.
-func (o *OpStats) noteSearch(compares, hits, falsePos, probes uint64) {
-	o.Searches.Add(1)
+// noteSearch batches one search of leaf into the shared counters: one atomic
+// add per non-zero counter instead of one per slot visited, on leaf's stripe.
+func (o *OpStats) noteSearch(leaf, compares, hits, falsePos, probes uint64) {
+	o.Searches.Add(leaf, 1)
 	if probes != 0 {
-		o.KeyProbes.Add(probes)
+		o.KeyProbes.Add(leaf, probes)
 	}
 	if compares != 0 {
-		o.FPCompares.Add(compares)
+		o.FPCompares.Add(leaf, compares)
 	}
 	if hits != 0 {
-		o.FPHits.Add(hits)
+		o.FPHits.Add(leaf, hits)
 	}
 	if falsePos != 0 {
-		o.FPFalsePositives.Add(falsePos)
+		o.FPFalsePositives.Add(leaf, falsePos)
 	}
 }
 

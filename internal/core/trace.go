@@ -25,10 +25,12 @@ func (e *engine[K, V]) Tracer() *trace.Tracer { return e.tr }
 // parks the goroutine instead of spinning — the TSX retry budget followed by
 // the fallback wait. With an adaptive controller installed the budget and
 // park cap are the controller's live values; otherwise the fixed
-// htm.Backoff schedule applies.
-func (e *engine[K, V]) abortc(c htm.AbortCause, sp *trace.Span, attempt int) {
+// htm.Backoff schedule applies. leaf is the offset of the leaf the conflict
+// was observed on (0 when the descent failed before reaching one); it only
+// selects the counter stripe.
+func (e *engine[K, V]) abortc(c htm.AbortCause, sp *trace.Span, attempt int, leaf uint64) {
 	e.pool.PanicIfCrashed()
-	e.Stats.NoteAbort(c)
+	e.Stats.NoteAbort(c, leaf)
 	sp.Abort(c)
 	if e.ctrl != nil {
 		e.ctrl.OnAbort(c, attempt)

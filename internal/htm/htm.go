@@ -21,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fptree/internal/obs"
 )
 
 // VersionLock is a word combining a lock bit with a version counter, the core
@@ -138,27 +140,31 @@ func (c AbortCause) String() string {
 	}
 }
 
-// Stats counts emulated-HTM events.
+// Stats counts emulated-HTM events. The abort counters are striped by a key
+// the caller supplies — the offset of the leaf the aborted operation was
+// working on — so goroutines aborting on different leaves do not share a
+// counter line.
 type Stats struct {
-	Aborts    atomic.Uint64 // validation failures (conflict aborts)
-	Restarts  atomic.Uint64 // full operation restarts
-	Fallbacks atomic.Uint64 // times the global fallback lock was taken
+	Aborts    obs.StripedCounter // validation failures (conflict aborts)
+	Restarts  obs.StripedCounter // full operation restarts
+	Fallbacks atomic.Uint64      // times the global fallback lock was taken
 
 	// ByCause breaks Aborts down by AbortCause; the per-cause counters sum
 	// to Aborts (NoteAbort maintains both).
-	ByCause [NumAbortCauses]atomic.Uint64
+	ByCause [NumAbortCauses]obs.StripedCounter
 }
 
 // NoteAbort records one conflict abort plus the operation restart it forces,
-// tagged with its cause. It is the counting path behind the engine's
-// abort-and-retry loops; Aborts == sum(ByCause) holds by construction.
-func (s *Stats) NoteAbort(c AbortCause) {
+// tagged with its cause, on key's stripe. It is the counting path behind the
+// engine's abort-and-retry loops; Aborts == sum(ByCause) holds by
+// construction.
+func (s *Stats) NoteAbort(c AbortCause, key uint64) {
 	if c >= NumAbortCauses {
 		c = AbortOther
 	}
-	s.Aborts.Add(1)
-	s.Restarts.Add(1)
-	s.ByCause[c].Add(1)
+	s.Aborts.Add(key, 1)
+	s.Restarts.Add(key, 1)
+	s.ByCause[c].Add(key, 1)
 }
 
 // SpecMutex emulates the TBB speculative spin mutex the paper uses as the
@@ -248,7 +254,7 @@ func (g *Guard) Abort() {
 	if g.m.ForceAbort != nil {
 		cause = AbortForced
 	}
-	g.m.Stats.NoteAbort(cause)
+	g.m.Stats.NoteAbort(cause, 0)
 	if g.fallback {
 		g.m.serial.Store(false)
 		g.m.mu.Unlock()

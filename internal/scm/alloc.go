@@ -3,29 +3,44 @@ package scm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
-// Arena header layout. Everything the allocator needs survives in SCM; the
-// only volatile state is a mutex. All multi-step transitions are covered by
-// a persistent intent record so that recovery can roll every allocation or
-// deallocation forward or back (Section 2 of the paper, "Memory leaks").
+// Arena header layout, format version 2. Everything the allocator needs
+// survives in SCM; the only volatile state is its locks. The first page holds
+// the arena-wide words; it is followed by numStripes allocator stripes of one
+// page each. A stripe is a complete allocator of its own — one checksummed
+// intent record on a line of its own plus a free-list head per size class —
+// so operations on different stripes share nothing but the bump pointer.
+// Every multi-step transition is covered by the intent record of the stripe
+// it runs on, so recovery can roll every allocation or deallocation forward
+// or back (Section 2 of the paper, "Memory leaks").
 const (
-	headerMagic  = 0xF97B_EE00_5C11_0001
-	headerSize   = 4096
-	offMagic     = 0
-	offVersion   = 8
-	offState     = 16 // formatted flag
-	offBump      = 24 // bump pointer: next never-allocated offset
-	offRoot      = 32 // application root PPtr (16 bytes)
-	offIntentOp  = 48 // 0 = none, 1 = alloc, 2 = free
-	offIntentRef = 56 // offset of the caller's persistent pointer
-	offIntentSz  = 64 // requested size
-	offIntentBlk = 72 // staged block offset
-	offArenaID   = 80 // persistent arena identity (PPtrs embed it)
-	offIntentSum = 88 // checksum over (op, ref, sz, blk): torn-stage detector
-	offClean     = 96 // clean-shutdown marker: 1 = Close completed (file-backed)
-	offFreeHeads = 256
-	numClasses   = (headerSize - offFreeHeads) / 8 // 480 classes → max 30 KiB reusable blocks
+	headerMagic   = 0xF97B_EE00_5C11_0001
+	formatVersion = 2
+
+	offMagic   = 0
+	offVersion = 8
+	offState   = 16 // formatted flag
+	offBump    = 24 // bump pointer: next never-allocated offset
+	offRoot    = 32 // application root PPtr (16 bytes)
+	offArenaID = 80 // persistent arena identity (PPtrs embed it)
+	offClean   = 96 // clean-shutdown marker: 1 = Close completed (file-backed)
+
+	offStripes = 4096 // first stripe; stripe s starts at offStripes + s*stripeSize
+	stripeSize = 4096
+	numStripes = 8
+	headerSize = offStripes + numStripes*stripeSize
+
+	// Within a stripe: the intent record, then the class heads.
+	recOp        = 0  // 0 = none, 1 = alloc, 2 = free
+	recRef       = 8  // offset of the caller's persistent pointer
+	recSz        = 16 // requested size
+	recBlk       = 24 // block in transit
+	recSum       = 32 // checksum over (op, ref, sz, blk): torn-stage detector
+	recSize      = 40
+	stripeHeads  = 256
+	numClasses   = (stripeSize - stripeHeads) / 8 // 480 classes → max 30 KiB reusable blocks
 	maxClassSize = numClasses * LineSize
 
 	intentNone  = 0
@@ -35,17 +50,124 @@ const (
 
 // allocState is the volatile half of the allocator.
 type allocState struct {
-	mu         sync.Mutex
-	largeFrees uint64 // blocks too large for a free list, dropped (documented leak)
+	// stripes[s] serialises the operations that run on stripe s: its intent
+	// record and its free lists.
+	stripes [numStripes]struct {
+		mu sync.Mutex
+		_  [LineSize - 8]byte
+	}
+	// bumpMu covers "stage the block at the bump pointer, advance it": the
+	// one step operations on different stripes share.
+	bumpMu     sync.Mutex
+	largeFrees atomic.Uint64 // blocks too large for a free list, dropped (documented leak)
 }
 
-// intentSum mixes the four intent words into a checksum. The record spans two
-// cache lines, so a torn crash during the staging persist can commit any
-// per-line word prefix — in particular the op word alone, which would
-// otherwise resurrect the *previous* operation's staged block and roll back
-// memory the application still owns. Recovery discards any record whose
-// stored sum does not match; completion rewrites the sum over op=none so a
-// torn op-only commit of a later stage can never validate against leftovers.
+func stripeOff(s int) uint64 { return offStripes + uint64(s)*stripeSize }
+
+func headOff(s, c int) uint64 { return stripeOff(s) + stripeHeads + uint64(c)*8 }
+
+// stripeHint is the stripe an operation on refOff tries first. It is a pure
+// function of refOff, so a replayed seed walks the stripes the same way.
+func stripeHint(refOff uint64) int {
+	h := refOff / PPtrSize * 0x9E3779B97F4A7C15
+	return int(h>>32) % numStripes
+}
+
+// lockStripe locks the stripe an operation on refOff runs on. It walks the
+// stripes from refOff's hint with TryLock, so it never parks while another
+// stripe is free. With c >= 0 (an allocation of class c) it prefers a stripe
+// whose class-c list is non-empty and returns that list's head, so the bump
+// pointer only advances when no stripe it could lock can supply the class.
+// A stripe it finds busy is skipped, not waited for; Alloc comes back for
+// those with lockSupplier before it reports the arena full. It waits only
+// when every stripe is busy.
+//
+// Reading a head is a charged access, and every access panics once another
+// goroutine's crash fail-point has fired. The locks taken here are released
+// on that path too, because Recover takes every stripe lock.
+func (p *Pool) lockStripe(refOff uint64, c int) (int, uint64) {
+	hint := stripeHint(refOff)
+	st := &p.alloc.stripes
+	// Stripes this call has locked: an empty one kept as fallback, the one
+	// being examined, and of those the one it hands to the caller.
+	spare, cur, ret := -1, -1, -1
+	defer func() {
+		for _, l := range [...]int{spare, cur} {
+			if l >= 0 && l != ret {
+				st[l].mu.Unlock()
+			}
+		}
+	}()
+	for i := 0; i < numStripes; i++ {
+		s := (hint + i) % numStripes
+		if !st[s].mu.TryLock() {
+			continue
+		}
+		cur = s
+		if c < 0 {
+			ret = s
+			return s, 0
+		}
+		if head := p.ReadU64(headOff(s, c)); head != 0 {
+			ret = s
+			return s, head
+		}
+		if spare < 0 {
+			spare = s
+		} else {
+			st[s].mu.Unlock()
+		}
+		cur = -1
+	}
+	if spare >= 0 {
+		ret = spare
+		return spare, 0
+	}
+	st[hint].mu.Lock()
+	cur = hint
+	var head uint64
+	if c >= 0 {
+		head = p.ReadU64(headOff(hint, c))
+	}
+	ret = hint
+	return hint, head
+}
+
+// lockSupplier is Alloc's last resort before it reports the arena full: it
+// waits for each stripe in turn and returns, locked, the first whose class-c
+// list is non-empty, or -1 if there is none. It holds one lock at a time, so
+// two callers cannot deadlock, and like lockStripe it holds none if a read
+// panics.
+func (p *Pool) lockSupplier(refOff uint64, c int) (int, uint64) {
+	hint := stripeHint(refOff)
+	st := &p.alloc.stripes
+	cur, ret := -1, -1
+	defer func() {
+		if cur >= 0 && cur != ret {
+			st[cur].mu.Unlock()
+		}
+	}()
+	for i := 0; i < numStripes; i++ {
+		s := (hint + i) % numStripes
+		st[s].mu.Lock()
+		cur = s
+		if head := p.ReadU64(headOff(s, c)); head != 0 {
+			ret = s
+			return s, head
+		}
+		st[s].mu.Unlock()
+		cur = -1
+	}
+	return -1, 0
+}
+
+// intentSum mixes the four intent words into a checksum. A torn crash during
+// the staging persist can commit any word prefix of the record's line — in
+// particular the op word alone, which would otherwise resurrect the
+// *previous* operation's block and roll back memory the application still
+// owns. Recovery discards any record whose stored sum does not match;
+// retiring a record rewrites the sum over op=none so a torn op-only commit
+// of a later stage can never validate against leftovers.
 func intentSum(op, ref, sz, blk uint64) uint64 {
 	x := op ^ 0x9E3779B97F4A7C15
 	for _, v := range [...]uint64{ref, sz, blk} {
@@ -56,41 +178,34 @@ func intentSum(op, ref, sz, blk uint64) uint64 {
 	return x
 }
 
-// stageIntent durably records a full intent. One persist: both header lines.
-func (p *Pool) stageIntent(op, refOff, size, blk uint64) {
-	p.WriteU64(offIntentOp, op)
-	p.WriteU64(offIntentRef, refOff)
-	p.WriteU64(offIntentSz, size)
-	p.WriteU64(offIntentBlk, blk)
-	p.WriteU64(offIntentSum, intentSum(op, refOff, size, blk))
-	p.Persist(offIntentOp, offIntentSum+8-offIntentOp)
+// stageIntent durably records a full intent, block included, on stripe s.
+// The record is one line, so this is one flush. The caller holds the stripe
+// lock and has read blk from the stripe's list head or, under bumpMu, from
+// the bump pointer, and changes neither before this returns: a crash that
+// tears the record fails its checksum, and nothing has happened yet.
+func (p *Pool) stageIntent(s int, op, refOff, size, blk uint64) {
+	rec := stripeOff(s)
+	p.WriteU64(rec+recOp, op)
+	p.WriteU64(rec+recRef, refOff)
+	p.WriteU64(rec+recSz, size)
+	p.WriteU64(rec+recBlk, blk)
+	p.WriteU64(rec+recSum, intentSum(op, refOff, size, blk))
+	p.Persist(rec, recSize)
 }
 
-// stageIntentBlk updates the staged block of the current intent. blk and sum
-// share a line, so this is a single-line persist; a torn commit of blk
-// without sum fails validation, which is correct — at this point the free
-// list or bump pointer has not durably changed yet.
-func (p *Pool) stageIntentBlk(blk uint64) {
-	op := p.ReadU64(offIntentOp)
-	ref := p.ReadU64(offIntentRef)
-	sz := p.ReadU64(offIntentSz)
-	p.WriteU64(offIntentBlk, blk)
-	p.WriteU64(offIntentSum, intentSum(op, ref, sz, blk))
-	p.Persist(offIntentBlk, offIntentSum+8-offIntentBlk)
-}
-
-// clearIntent durably retires the current intent, re-binding the checksum to
-// op=none so the retired record can never be mistaken for a live one.
-func (p *Pool) clearIntent() {
-	p.WriteU64(offIntentOp, intentNone)
-	p.WriteU64(offIntentSum, intentSum(intentNone,
-		p.ReadU64(offIntentRef), p.ReadU64(offIntentSz), p.ReadU64(offIntentBlk)))
-	p.Persist(offIntentOp, offIntentSum+8-offIntentOp)
+// retireIntent durably retires stripe s's intent (refOff, size, blk),
+// re-binding the checksum to op=none so the retired record can never be
+// mistaken for a live one.
+func (p *Pool) retireIntent(s int, refOff, size, blk uint64) {
+	rec := stripeOff(s)
+	p.WriteU64(rec+recOp, intentNone)
+	p.WriteU64(rec+recSum, intentSum(intentNone, refOff, size, blk))
+	p.Persist(rec, recSize)
 }
 
 func (p *Pool) formatHeader() {
 	p.WriteU64(offMagic, headerMagic)
-	p.WriteU64(offVersion, 1)
+	p.WriteU64(offVersion, formatVersion)
 	p.WriteU64(offBump, headerSize)
 	p.WriteU64(offArenaID, p.id)
 	p.WriteU64(offState, 1)
@@ -156,16 +271,34 @@ func (p *Pool) Alloc(refOff uint64, size uint64) (PPtr, error) {
 	if size == 0 {
 		return PPtr{}, fmt.Errorf("scm: zero-size allocation")
 	}
-	p.alloc.mu.Lock()
-	defer p.alloc.mu.Unlock()
+	c := sizeClass(size)
+	s, head := p.lockStripe(refOff, c)
+	ptr, err := p.allocOn(s, c, head, refOff, size)
+	if err == ErrOutOfMemory && c >= 0 {
+		// The bump pointer is exhausted, but lockStripe skipped the stripes
+		// it found busy, and one of them may hold a free block of the class.
+		if s, head := p.lockSupplier(refOff, c); s >= 0 {
+			return p.allocOn(s, c, head, refOff, size)
+		}
+	}
+	return ptr, err
+}
 
-	// Stage the intent.
-	p.stageIntent(intentAlloc, refOff, size, 0)
+// allocOn runs an allocation on stripe s, which the caller has locked, and
+// unlocks it. head is the head of the stripe's class-c list, or 0 to carve
+// the block off the bump pointer.
+func (p *Pool) allocOn(s, c int, head, refOff, size uint64) (PPtr, error) {
+	defer p.alloc.stripes[s].mu.Unlock()
 
-	blk, err := p.carve(size)
-	if err != nil {
-		p.clearIntent()
+	blk := head
+	if head != 0 {
+		p.stageIntent(s, intentAlloc, refOff, size, head)
+		p.WriteU64(headOff(s, c), p.ReadU64(head)) // free blocks store the next pointer in word 0
+		p.Persist(headOff(s, c), 8)
+	} else if b, err := p.bump(s, refOff, size); err != nil {
 		return PPtr{}, err
+	} else {
+		blk = b
 	}
 
 	// Zero the block so reused memory never leaks stale contents, then
@@ -175,7 +308,7 @@ func (p *Pool) Alloc(refOff uint64, size uint64) (PPtr, error) {
 	p.WritePPtr(refOff, ptr)
 	p.Persist(refOff, PPtrSize)
 
-	p.clearIntent()
+	p.retireIntent(s, refOff, size, blk)
 	p.stats.Allocs.Add(1)
 	return ptr, nil
 }
@@ -184,30 +317,21 @@ func roundedSize(size uint64) uint64 {
 	return (size + LineSize - 1) / LineSize * LineSize
 }
 
-// carve obtains a block from the free list of the right class, or by bumping
-// the high-water mark. The staged block offset is persisted before any list
-// mutation so recovery can always locate the in-limbo block.
-func (p *Pool) carve(size uint64) (uint64, error) {
-	c := sizeClass(size)
-	if c >= 0 {
-		headOff := uint64(offFreeHeads + c*8)
-		if head := p.ReadU64(headOff); head != 0 {
-			p.stageIntentBlk(head)
-			next := p.ReadU64(head) // free blocks store the next pointer in word 0
-			p.WriteU64(headOff, next)
-			p.Persist(headOff, 8)
-			return head, nil
-		}
-	}
+// bump carves a block off the high-water mark for an allocation running on
+// stripe s. Staging and advancing happen under bumpMu, so no two stripes
+// ever stage the same block; an arena that is full stages nothing.
+func (p *Pool) bump(s int, refOff, size uint64) (uint64, error) {
+	p.alloc.bumpMu.Lock()
+	defer p.alloc.bumpMu.Unlock()
 	rs := roundedSize(size)
-	bump := p.ReadU64(offBump)
-	if bump+rs > uint64(len(p.mem)) {
+	blk := p.ReadU64(offBump)
+	if blk+rs > uint64(len(p.mem)) {
 		return 0, ErrOutOfMemory
 	}
-	p.stageIntentBlk(bump)
-	p.WriteU64(offBump, bump+rs)
+	p.stageIntent(s, intentAlloc, refOff, size, blk)
+	p.WriteU64(offBump, blk+rs)
 	p.Persist(offBump, 8)
-	return bump, nil
+	return blk, nil
 }
 
 var zeroBuf [4096]byte
@@ -229,118 +353,109 @@ func (p *Pool) zero(off, size uint64) {
 // the allocator and durably nulls that pointer. size must be the size passed
 // to Alloc. Like Alloc, the operation is made crash-atomic by the intent
 // record: after recovery the pointer is either intact (free rolled back
-// cleanly, still owned) or null with the block on the free list.
+// cleanly, still owned) or null with the block on a free list.
 func (p *Pool) Free(refOff uint64, size uint64) {
-	p.alloc.mu.Lock()
-	defer p.alloc.mu.Unlock()
-
-	blk := p.ReadPPtr(refOff)
-	if blk.IsNull() {
+	ref := p.ReadPPtr(refOff)
+	if ref.IsNull() {
 		return
 	}
-	p.stageIntent(intentFree, refOff, size, blk.Offset)
+	blk := ref.Offset
+	s, _ := p.lockStripe(refOff, -1)
+	defer p.alloc.stripes[s].mu.Unlock()
 
-	p.push(blk.Offset, size)
-
+	p.stageIntent(s, intentFree, refOff, size, blk)
+	p.push(s, blk, size)
 	p.WritePPtr(refOff, PPtr{})
 	p.Persist(refOff, PPtrSize)
-	p.clearIntent()
+	p.retireIntent(s, refOff, size, blk)
 	p.stats.Frees.Add(1)
 }
 
-// push links blk onto the free list for size's class. Idempotent: if blk is
-// already the head (a crashed free being replayed), it does nothing.
-func (p *Pool) push(blk, size uint64) {
+// push links blk onto stripe s's free list for size's class. Idempotent: if
+// blk is already the head (a crashed free being replayed), it does nothing.
+func (p *Pool) push(s int, blk, size uint64) {
 	c := sizeClass(size)
 	if c < 0 {
-		p.alloc.largeFrees++
+		p.alloc.largeFrees.Add(1)
 		return
 	}
-	headOff := uint64(offFreeHeads + c*8)
-	head := p.ReadU64(headOff)
+	head := p.ReadU64(headOff(s, c))
 	if head == blk {
 		return
 	}
 	p.WriteU64(blk, head)
 	p.Persist(blk, 8)
-	p.WriteU64(headOff, blk)
-	p.Persist(headOff, 8)
+	p.WriteU64(headOff(s, c), blk)
+	p.Persist(headOff(s, c), 8)
 }
 
-// Recover completes or rolls back whatever allocator operation was in flight
-// when the crash hit. It must run before any data-structure recovery touches
-// the arena. The decision table follows Section 2 of the paper: the intent
-// record plus the caller's persistent pointer together determine how far the
-// operation progressed.
+// Recover completes or rolls back whatever allocator operations were in
+// flight when the crash hit — at most one per stripe. It must run before any
+// data-structure recovery touches the arena. The decision table follows
+// Section 2 of the paper and is applied to each stripe on its own: the
+// stripe's intent record plus the caller's persistent pointer together
+// determine how far the operation progressed. Stripes cannot disagree about
+// a block: a block is staged from one stripe's list or, under bumpMu, from
+// the bump pointer, and callers never run two operations on one refOff.
 func (p *Pool) Recover() {
-	p.alloc.mu.Lock()
-	defer p.alloc.mu.Unlock()
+	for s := range p.alloc.stripes {
+		p.recoverStripe(s)
+	}
+}
 
-	op := p.ReadU64(offIntentOp)
+func (p *Pool) recoverStripe(s int) {
+	p.alloc.stripes[s].mu.Lock()
+	defer p.alloc.stripes[s].mu.Unlock() // a crash injected into recovery unwinds through here
+
+	rec := stripeOff(s)
+	op := p.ReadU64(rec + recOp)
 	if op == intentNone {
 		return
 	}
-	refOff := p.ReadU64(offIntentRef)
-	size := p.ReadU64(offIntentSz)
-	blk := p.ReadU64(offIntentBlk)
-	if p.ReadU64(offIntentSum) != intentSum(op, refOff, size, blk) {
-		// Torn staging persist: some words of the record are from an older,
-		// already-retired operation. The crash hit before any list or bump
-		// mutation, so the correct recovery is to do nothing at all —
-		// rolling back the stale blk would push live memory onto the free
-		// list (double ownership).
-		p.clearIntent()
-		return
+	refOff := p.ReadU64(rec + recRef)
+	size := p.ReadU64(rec + recSz)
+	blk := p.ReadU64(rec + recBlk)
+	if p.ReadU64(rec+recSum) == intentSum(op, refOff, size, blk) {
+		switch op {
+		case intentAlloc:
+			p.recoverAlloc(s, refOff, size, blk)
+		case intentFree:
+			p.recoverFree(s, refOff, size, blk)
+		}
 	}
-	switch op {
-	case intentAlloc:
-		p.recoverAlloc(refOff, size, blk)
-	case intentFree:
-		p.recoverFree(refOff, size, blk)
-	}
-	p.clearIntent()
+	// A record that fails its checksum is a torn staging persist: some of its
+	// words are from an older, already-retired operation. The crash hit
+	// before any list or bump mutation, so the correct recovery is to do
+	// nothing at all — rolling back the stale blk would push live memory
+	// onto the free list (double ownership).
+	p.retireIntent(s, refOff, size, blk)
 }
 
-func (p *Pool) recoverAlloc(refOff, size, blk uint64) {
-	if blk == 0 {
-		return // crashed before a block was staged: nothing happened
-	}
-	if ref := p.ReadPPtr(refOff); ref.Offset == blk {
+func (p *Pool) recoverAlloc(s int, refOff, size, blk uint64) {
+	if p.ReadPPtr(refOff).Offset == blk {
 		return // pointer published: allocation completed
 	}
-	c := sizeClass(size)
 	if p.ReadU64(offBump) == blk {
 		return // bump path crashed before advancing: block never existed
 	}
-	if c >= 0 {
-		headOff := uint64(offFreeHeads + c*8)
-		if p.ReadU64(headOff) == blk {
-			return // free-list pop never became durable: block still free
-		}
-	}
-	// Block is in limbo: popped (or bumped) but never delivered. Roll back.
-	p.push(blk, size)
+	// The block is in limbo — popped or bumped but never delivered — or its
+	// pop never became durable and it still heads the list, which push
+	// recognises. Roll back.
+	p.push(s, blk, size)
 }
 
-func (p *Pool) recoverFree(refOff, size, blk uint64) {
-	if blk == 0 {
-		return
-	}
-	if ref := p.ReadPPtr(refOff); ref.IsNull() {
+func (p *Pool) recoverFree(s int, refOff, size, blk uint64) {
+	if p.ReadPPtr(refOff).IsNull() {
 		return // pointer already nulled: free completed
 	}
-	p.push(blk, size) // idempotent replay of the list insertion
+	p.push(s, blk, size) // idempotent replay of the list insertion
 	p.WritePPtr(refOff, PPtr{})
 	p.Persist(refOff, PPtrSize)
 }
 
 // LargeFrees reports how many freed blocks were too large for the free-list
 // classes and were therefore dropped rather than reused.
-func (p *Pool) LargeFrees() uint64 {
-	p.alloc.mu.Lock()
-	defer p.alloc.mu.Unlock()
-	return p.alloc.largeFrees
-}
+func (p *Pool) LargeFrees() uint64 { return p.alloc.largeFrees.Load() }
 
 // AllocatedBytes returns the high-water mark of SCM consumption: all bytes
 // ever carved out of the arena (free-listed blocks still count, matching how

@@ -75,7 +75,7 @@ func OpenFile(path string, capacity int64, cfg LatencyConfig) (p *Pool, recovere
 			f.Close()
 			return nil, false, err
 		}
-	} else if size < headerSize || size%LineSize != 0 {
+	} else if size < LineSize || size%LineSize != 0 {
 		f.Close()
 		return nil, false, fmt.Errorf("scm: %s: not an arena image (size %d)", path, size)
 	}

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fptree/internal/obs"
 )
 
 // LatencyMode selects how the emulator charges SCM media latency.
@@ -61,12 +63,20 @@ const cacheWays = 8
 // SCM. It decides which accesses hit DRAM-speed cache and which pay the SCM
 // media latency, mirroring how the paper's emulation platform exposes latency
 // only on cache misses.
+//
+// A hit only reads the set's tags (atomic loads, no lock), so goroutines
+// hitting the cache share its lines read-only; a miss or an evict changes
+// the set under that set's lock. A hit check that races a replacement in the
+// same set sees the tag either before or after it, as a real lookup would.
 type cacheSim struct {
 	sets     int
 	disabled bool
-	locks    [64]sync.Mutex // striped by set index
-	tags     []uint64       // sets × cacheWays entries; 0 = empty
-	clock    []uint8        // round-robin replacement cursor per set
+	tags     []atomic.Uint64 // sets × cacheWays entries; 0 = empty
+	clock    []uint8         // round-robin replacement cursor per set, under the set's lock
+	locks    [64]struct {    // striped by set index, a line each
+		sync.Mutex
+		_ [56]byte
+	}
 }
 
 func newCacheSim(capacity int64) *cacheSim {
@@ -86,9 +96,26 @@ func newCacheSim(capacity int64) *cacheSim {
 	}
 	return &cacheSim{
 		sets:  sets,
-		tags:  make([]uint64, sets*cacheWays),
+		tags:  make([]atomic.Uint64, sets*cacheWays),
 		clock: make([]uint8, sets),
 	}
+}
+
+// find returns the way of set holding line, or -1.
+func (c *cacheSim) find(set int, line uint64) int {
+	ways := c.tags[set*cacheWays : set*cacheWays+cacheWays]
+	for w := range ways {
+		if ways[w].Load() == line {
+			return w
+		}
+	}
+	return -1
+}
+
+func (c *cacheSim) lockSet(set int) *sync.Mutex {
+	lk := &c.locks[set&(len(c.locks)-1)].Mutex
+	lk.Lock()
+	return lk
 }
 
 // touch simulates an access to the line containing off and reports whether it
@@ -99,18 +126,15 @@ func (c *cacheSim) touch(off uint64) bool {
 	}
 	line := off/LineSize + 1 // +1 so tag 0 means "empty way"
 	set := int(line) & (c.sets - 1)
-	lk := &c.locks[set&(len(c.locks)-1)]
-	lk.Lock()
-	base := set * cacheWays
-	for w := 0; w < cacheWays; w++ {
-		if c.tags[base+w] == line {
-			lk.Unlock()
-			return false
-		}
+	if c.find(set, line) >= 0 {
+		return false
 	}
-	victim := int(c.clock[set]) % cacheWays
-	c.clock[set]++
-	c.tags[base+victim] = line
+	lk := c.lockSet(set)
+	if c.find(set, line) < 0 { // else another goroutine's miss just brought it in
+		victim := int(c.clock[set]) % cacheWays
+		c.clock[set]++
+		c.tags[set*cacheWays+victim].Store(line)
+	}
 	lk.Unlock()
 	return true
 }
@@ -123,13 +147,9 @@ func (c *cacheSim) evict(off uint64) {
 	}
 	line := off/LineSize + 1
 	set := int(line) & (c.sets - 1)
-	lk := &c.locks[set&(len(c.locks)-1)]
-	lk.Lock()
-	base := set * cacheWays
-	for w := 0; w < cacheWays; w++ {
-		if c.tags[base+w] == line {
-			c.tags[base+w] = 0
-		}
+	lk := c.lockSet(set)
+	if w := c.find(set, line); w >= 0 {
+		c.tags[set*cacheWays+w].Store(0)
 	}
 	lk.Unlock()
 }
@@ -140,7 +160,7 @@ func (c *cacheSim) reset() {
 		return
 	}
 	for i := range c.tags {
-		c.tags[i] = 0
+		c.tags[i].Store(0)
 	}
 }
 
@@ -156,27 +176,30 @@ func spin(d time.Duration) {
 	}
 }
 
-// Stats aggregates emulator activity counters. All fields are updated
-// atomically and may be read while the pool is in use.
+// Stats aggregates emulator activity counters. The counters every load,
+// store and persist adds to are striped by the address the counted access
+// touched (statKey), so goroutines working on different parts of the arena do
+// not share a counter line. The ones added to once per allocator operation or
+// per file sync are plain atomics. All may be read while the pool is in use.
 type Stats struct {
-	Reads        atomic.Uint64 // SCM load operations (any size)
-	Writes       atomic.Uint64 // SCM store operations (any size)
-	ReadHits     atomic.Uint64 // line accesses served by the simulated cache
-	ReadMisses   atomic.Uint64 // loads/stores that missed the simulated cache
-	Flushes      atomic.Uint64 // cache-line write-backs (CLFLUSH equivalents)
-	Fences       atomic.Uint64 // memory fences
-	Allocs       atomic.Uint64 // persistent allocations
-	Frees        atomic.Uint64 // persistent deallocations
-	BytesFlushed atomic.Uint64 // payload bytes made durable
-	Syncs        atomic.Uint64 // arena-file syncs (msync/fdatasync equivalents)
-	SyncNanos    atomic.Uint64 // wall-clock nanoseconds spent in arena-file syncs
+	Reads        obs.StripedCounter // SCM load operations (any size)
+	Writes       obs.StripedCounter // SCM store operations (any size)
+	ReadHits     obs.StripedCounter // line accesses served by the simulated cache
+	ReadMisses   obs.StripedCounter // loads/stores that missed the simulated cache
+	Flushes      obs.StripedCounter // cache-line write-backs (CLFLUSH equivalents)
+	Fences       obs.StripedCounter // memory fences
+	BytesFlushed obs.StripedCounter // payload bytes made durable
+	Allocs       atomic.Uint64      // persistent allocations
+	Frees        atomic.Uint64      // persistent deallocations
+	Syncs        atomic.Uint64      // arena-file syncs (msync/fdatasync equivalents)
+	SyncNanos    atomic.Uint64      // wall-clock nanoseconds spent in arena-file syncs
 }
 
-// FlushFence returns the current cumulative flush and fence counts in two
-// atomic loads. It is the span hook the tracing layer snapshots at phase
-// boundaries to attribute persist/fence costs to an operation: the delta
-// between two FlushFence calls is exact when one goroutine runs and an
-// upper bound (all goroutines' activity) under concurrency.
+// FlushFence returns the current cumulative flush and fence counts. It is
+// the span hook the tracing layer snapshots at phase boundaries to attribute
+// persist/fence costs to an operation: the delta between two FlushFence calls
+// is exact when one goroutine runs and an upper bound (all goroutines'
+// activity) under concurrency.
 func (s *Stats) FlushFence() (flushes, fences uint64) {
 	return s.Flushes.Load(), s.Fences.Load()
 }

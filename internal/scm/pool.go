@@ -17,18 +17,26 @@ import (
 //
 // Concurrency contract: like real memory, the pool does not serialize data
 // accesses — callers must ensure that two goroutines never touch the same
-// 8-byte word concurrently unless both only read (the trees guarantee this
-// with leaf locks). Dirty-line bookkeeping, the cache simulator, the
+// 8-byte word concurrently unless both only read, and that a line is not
+// written while another goroutine persists it (a write-back copies the whole
+// line); the trees guarantee both with leaf locks and line-aligned log
+// records. The same holds for the pointer cells passed to Alloc and Free,
+// which run concurrently on different allocator stripes and write and
+// persist the caller's cell. Dirty-line bookkeeping, the cache simulator, the
 // allocator, and all counters are internally synchronized. Crash, Recover and
 // Save require quiescence (no in-flight operations).
 type Pool struct {
+	// Read-mostly fields: fixed at construction (cfg also by SetLatency, the
+	// fail-points when a test arms them, crashed when one fires) and read by
+	// every access. They are kept apart from the fields accesses write so two
+	// goroutines loading from one pool share these lines without bouncing
+	// them.
 	id      uint64
 	cfg     LatencyConfig
 	mem     []byte          // cache view: what loads observe
 	durable []byte          // durable view: what survives a crash
 	dirty   []atomic.Uint64 // bitmap over lines: 1 = cache view ahead of durable
 	cache   *cacheSim
-	stats   Stats
 
 	// back is non-nil for file-backed pools (OpenFile): the durable view is
 	// then the arena file itself (an mmap on supporting platforms), so it
@@ -38,12 +46,6 @@ type Pool struct {
 	back     *fileBacking
 	wasClean bool
 
-	alloc allocState // persistent allocator bookkeeping (volatile part)
-
-	// latDebt is the accumulated un-slept media latency in LatencySleep mode,
-	// in nanoseconds; see LatencySleep for the batching contract.
-	latDebt atomic.Int64
-
 	// failFlushes < 0 disables injection; otherwise it is decremented on each
 	// Persist and the crash fires when it reaches zero. failFences is the
 	// same fail-point at fence granularity: it counts explicit Fence calls
@@ -51,6 +53,15 @@ type Pool struct {
 	failFlushes atomic.Int64
 	failFences  atomic.Int64
 	crashed     atomic.Bool
+
+	_ [LineSize]byte // written fields start on a line of their own
+
+	// latDebt is the accumulated un-slept media latency in LatencySleep mode,
+	// in nanoseconds; see LatencySleep for the batching contract.
+	latDebt atomic.Int64
+
+	alloc allocState // persistent allocator bookkeeping (volatile part)
+	stats Stats
 }
 
 // ErrInjectedCrash is the panic value raised by an injected crash fail-point.
@@ -122,6 +133,14 @@ func (p *Pool) SetLatency(mode LatencyMode, read, write time.Duration) {
 
 // --- loads and stores ---------------------------------------------------
 
+// statKey selects the counter stripe for an access to line l: the index of
+// the 4 KiB region holding it (the unit of one dirty-bitmap word). A
+// goroutine's consecutive accesses mostly stay inside one region — a leaf, a
+// key block — so the counter line it adds to stays in its core's cache.
+// Keyed by the line itself, every change of line fetched a counter line the
+// other core had written last, which cost more than the access.
+func statKey(l uint64) uint64 { return l / 64 }
+
 func (p *Pool) onAccess(off, size uint64, write bool) {
 	if p.crashed.Load() {
 		// The machine is "powered off": after an injected crash nothing may
@@ -129,25 +148,33 @@ func (p *Pool) onAccess(off, size uint64, write bool) {
 		// every worker, as a real power failure would.
 		panic(ErrInjectedCrash)
 	}
-	if write {
-		p.stats.Writes.Add(1)
-	} else {
-		p.stats.Reads.Add(1)
-	}
 	first := off / LineSize
 	last := (off + size - 1) / LineSize
+	key := statKey(first)
+	if write {
+		p.stats.Writes.Add(key, 1)
+	} else {
+		p.stats.Reads.Add(key, 1)
+	}
+	var hits, misses uint64
 	for l := first; l <= last; l++ {
 		if p.cache.touch(l * LineSize) {
-			p.stats.ReadMisses.Add(1)
+			misses++
 			if p.cfg.Mode != LatencyCount {
 				p.charge(p.cfg.ReadLatency)
 			}
 		} else {
-			p.stats.ReadHits.Add(1)
+			hits++
 		}
 		if write {
 			p.dirty[l/64].Or(1 << (l % 64))
 		}
+	}
+	if hits != 0 {
+		p.stats.ReadHits.Add(key, hits)
+	}
+	if misses != 0 {
+		p.stats.ReadMisses.Add(key, misses)
 	}
 }
 
@@ -280,14 +307,14 @@ func (p *Pool) Persist(off, size uint64) {
 		p.flushLine(l)
 	}
 	p.maybeInjectFenceCrash()
-	p.stats.Fences.Add(1)
-	p.stats.BytesFlushed.Add(size)
+	p.stats.Fences.Add(statKey(first), 1)
+	p.stats.BytesFlushed.Add(statKey(first), size)
 }
 
 // Fence orders prior flushes without flushing anything itself.
 func (p *Pool) Fence() {
 	p.maybeInjectFenceCrash()
-	p.stats.Fences.Add(1)
+	p.stats.Fences.Add(0, 1)
 }
 
 func (p *Pool) flushLine(l uint64) {
@@ -300,7 +327,7 @@ func (p *Pool) flushLine(l uint64) {
 	copy(p.durable[off:off+LineSize], p.mem[off:off+LineSize])
 	word.And(^mask)
 	p.cache.evict(off)
-	p.stats.Flushes.Add(1)
+	p.stats.Flushes.Add(statKey(l), 1)
 	if p.cfg.Mode != LatencyCount {
 		p.charge(p.cfg.WriteLatency)
 	}
@@ -452,7 +479,7 @@ func (p *Pool) Clone() *Pool {
 	for i := range p.dirty {
 		q.dirty[i].Store(p.dirty[i].Load())
 	}
-	q.alloc.largeFrees = p.alloc.largeFrees
+	q.alloc.largeFrees.Store(p.alloc.largeFrees.Load())
 	q.crashed.Store(p.crashed.Load())
 	q.failFlushes.Store(-1)
 	q.failFences.Store(-1)
@@ -514,11 +541,19 @@ func syncDir(dir string) error {
 }
 
 // validateImage sanity-checks the durable view as an arena image: magic,
-// formatted flag, and a bump pointer inside the arena. A truncated or torn
-// image file fails here instead of surfacing as corruption later.
+// format version, a complete header, the formatted flag, and a bump pointer
+// inside the arena. A truncated or torn image file, or one written by a build
+// with another header layout, fails here instead of surfacing as corruption
+// later. The caller has checked that the image holds at least one line.
 func (p *Pool) validateImage(path string) error {
 	if got := binary.LittleEndian.Uint64(p.durable[offMagic:]); got != headerMagic {
 		return fmt.Errorf("scm: %s: bad magic %#x", path, got)
+	}
+	if v := binary.LittleEndian.Uint64(p.durable[offVersion:]); v != formatVersion {
+		return fmt.Errorf("scm: %s: arena format v%d, this build reads v%d", path, v, formatVersion)
+	}
+	if len(p.durable) < headerSize {
+		return fmt.Errorf("scm: %s: image of %d bytes is shorter than the arena header (truncated image?)", path, len(p.durable))
 	}
 	if binary.LittleEndian.Uint64(p.durable[offState:]) != 1 {
 		return fmt.Errorf("scm: %s: arena header never finished formatting", path)
@@ -539,7 +574,7 @@ func Load(path string, cfg LatencyConfig) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < headerSize || len(data)%LineSize != 0 {
+	if len(data) < LineSize || len(data)%LineSize != 0 {
 		return nil, fmt.Errorf("scm: %s: not an arena image (size %d)", path, len(data))
 	}
 	p := newPoolRaw(data, cfg)

@@ -9,27 +9,38 @@ import (
 	"fptree/internal/obs"
 )
 
+// addToCounter adds n to the Stats field v, which must be one of the two
+// counter types Stats is built from; key picks the stripe of a striped one.
+func addToCounter(t *testing.T, name string, v reflect.Value, key, n uint64) {
+	t.Helper()
+	switch c := v.Addr().Interface().(type) {
+	case *obs.StripedCounter:
+		c.Add(key, n)
+	case *atomic.Uint64:
+		c.Add(n)
+	default:
+		t.Fatalf("Stats.%s is %v; every Stats field must be an obs.StripedCounter or an atomic.Uint64", name, v.Type())
+	}
+}
+
 // TestStatsSnapshotCoversEveryCounter guards against counter drift: any
-// atomic.Uint64 field added to Stats must also be copied by Snapshot and
-// differenced by Sub. It sets each counter to a distinct value via reflection
-// and checks the snapshot field of the same name carries it, so a field
-// forgotten in Snapshot (stuck at zero) or in Sub (delta equals the absolute
-// value) fails with the field's name.
+// counter field added to Stats must also be copied by Snapshot and
+// differenced by Sub. It raises each counter to a distinct value via
+// reflection (a striped one spread over two stripes) and checks the snapshot
+// field of the same name carries the sum, so a field forgotten in Snapshot
+// (stuck at zero) or in Sub (delta equals the absolute value) fails with the
+// field's name.
 func TestStatsSnapshotCoversEveryCounter(t *testing.T) {
 	var s Stats
 	sv := reflect.ValueOf(&s).Elem()
 	st := sv.Type()
-	atomicU64 := reflect.TypeOf(atomic.Uint64{})
 
 	names := make([]string, 0, st.NumField())
 	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
-		if f.Type != atomicU64 {
-			t.Fatalf("Stats.%s is %v; every Stats field must be an atomic.Uint64 counter", f.Name, f.Type)
-		}
-		names = append(names, f.Name)
-		counter := sv.Field(i).Addr().Interface().(*atomic.Uint64)
-		counter.Store(uint64(100 + i))
+		name := st.Field(i).Name
+		names = append(names, name)
+		addToCounter(t, name, sv.Field(i), uint64(i), 100)
+		addToCounter(t, name, sv.Field(i), uint64(i)+1, uint64(i))
 	}
 
 	snap := s.Snapshot()
@@ -50,7 +61,7 @@ func TestStatsSnapshotCoversEveryCounter(t *testing.T) {
 	// Sub must difference every field: bump each live counter by a distinct
 	// amount and check the delta field-by-field.
 	for i := 0; i < st.NumField(); i++ {
-		sv.Field(i).Addr().Interface().(*atomic.Uint64).Add(uint64(1 + i))
+		addToCounter(t, names[i], sv.Field(i), uint64(2*i), uint64(1+i))
 	}
 	delta := s.Snapshot().Sub(snap)
 	deltaV := reflect.ValueOf(delta)
@@ -68,7 +79,7 @@ func TestStatsRegisterMetricsCoversEveryCounter(t *testing.T) {
 	var s Stats
 	sv := reflect.ValueOf(&s).Elem()
 	for i := 0; i < sv.NumField(); i++ {
-		sv.Field(i).Addr().Interface().(*atomic.Uint64).Store(uint64(7 + i))
+		addToCounter(t, sv.Type().Field(i).Name, sv.Field(i), uint64(i), uint64(7+i))
 	}
 	reg := obs.NewRegistry()
 	s.RegisterMetrics(reg, "scm")
