@@ -226,46 +226,48 @@ func (c *varCodec) slotValue(leaf uint64, s int) []byte {
 	return c.pool.ReadBytes(c.lay.valOff(leaf, s), uint64(c.valSize))
 }
 
-// writeSlot performs lines 12-18 of Algorithm 14: persist the key length,
-// allocate and fill the key block (the allocator durably publishes it in the
-// slot's pointer cell, so a crash can never leak it), then persist the value.
+// writeSlot performs lines 12-18 of Algorithm 14 with each line flushed once:
+// the key length and the value are staged and persisted together, then the
+// allocator fills the key block with the key's bytes, makes it durable and
+// durably publishes it in the slot's pointer cell (so a crash can never leak
+// it, and a published pointer never refers to unwritten bytes). Alg. 14
+// persists the value after the allocation; staging it before is
+// crash-equivalent, because the slot stays invisible until the bitmap commit
+// and the only thing recovery reads from an invalid slot — the length the
+// leak scan frees the key block by — is durable before the pointer is, as in
+// the paper.
 func (c *varCodec) writeSlot(leaf uint64, slot int, k, v []byte) error {
 	c.pool.WriteU64(c.lay.klenOff(leaf, slot), uint64(len(k)))
-	c.pool.Persist(c.lay.klenOff(leaf, slot), 8)
-	pk, err := c.pool.Alloc(c.lay.pkeyOff(leaf, slot), uint64(len(k)))
-	if err != nil {
-		return err
-	}
-	c.pool.WriteBytes(pk.Offset, k)
-	c.pool.Persist(pk.Offset, uint64(len(k)))
-	c.writeValue(leaf, slot, v)
-	return nil
+	c.stageValue(leaf, slot, v)
+	c.pool.Persist(c.lay.klenOff(leaf, slot), 8+uint64(c.valSize))
+	_, err := c.pool.AllocInit(c.lay.pkeyOff(leaf, slot), uint64(len(k)), k)
+	return err
 }
 
 // zeroValue pads values shorter than the slot (Config.ValueSize <= 4096).
 var zeroValue [4096]byte
 
-// writeValue stores value into the slot's fixed-size value field, truncated
-// or zero-padded to valSize, and persists the field. It writes in place: the
+// stageValue stores value into the slot's fixed-size value field, truncated
+// or zero-padded to valSize, without persisting it. It writes in place: the
 // value and then the zero tail, no staging buffer.
-func (c *varCodec) writeValue(leaf uint64, slot int, value []byte) {
+func (c *varCodec) stageValue(leaf uint64, slot int, value []byte) {
 	off := c.lay.valOff(leaf, slot)
 	if len(value) > c.valSize {
 		value = value[:c.valSize]
 	}
 	c.pool.WriteBytes(off, value)
 	c.pool.WriteBytes(off+uint64(len(value)), zeroValue[:c.valSize-len(value)])
-	c.pool.Persist(off, uint64(c.valSize))
 }
 
 // moveSlot copies the previous slot's key pointer and length instead of
-// re-allocating the key (Algorithm 16): after the bitmap flip the key briefly
-// has two owners, which afterUpdate repairs.
+// re-allocating the key (Algorithm 16), stages the new value beside them and
+// persists the slot once: after the bitmap flip the key briefly has two
+// owners, which afterUpdate repairs.
 func (c *varCodec) moveSlot(leaf uint64, slot, prev int, k, v []byte) {
 	c.pool.WritePPtr(c.lay.pkeyOff(leaf, slot), c.slotPKey(leaf, prev))
 	c.pool.WriteU64(c.lay.klenOff(leaf, slot), c.slotKLen(leaf, prev))
-	c.pool.Persist(c.lay.pkeyOff(leaf, slot), scm.PPtrSize+8)
-	c.writeValue(leaf, slot, v)
+	c.stageValue(leaf, slot, v)
+	c.pool.Persist(c.lay.slotOff(leaf, slot), scm.PPtrSize+8+uint64(c.valSize))
 }
 
 // afterUpdate resets the old slot's reference so the key has exactly one
@@ -289,17 +291,25 @@ func (c *varCodec) afterSplitBitmaps(leaf, newLeaf uint64) {
 	c.resetInvalidPKeys(newLeaf)
 }
 
+// resetInvalidPKeys writes every null first and then persists the slot array
+// once — the lines of one leaf are flushed once each, not once per moved
+// slot. The nulls are independent of each other and recovery redoes the whole
+// pass from the split micro-log, so which of them a crash keeps is immaterial.
 func (c *varCodec) resetInvalidPKeys(leaf uint64) {
 	bm := c.pool.ReadU64(leaf + c.lay.offBitmap)
+	first, end := uint64(0), uint64(0) // the nulled cells span [first, end)
 	for s := 0; s < c.lay.cap; s++ {
-		if bm&(1<<s) != 0 {
+		if bm&(1<<s) != 0 || c.slotPKey(leaf, s).IsNull() {
 			continue
 		}
-		if !c.slotPKey(leaf, s).IsNull() {
-			c.pool.WritePPtr(c.lay.pkeyOff(leaf, s), scm.PPtr{})
-			c.pool.Persist(c.lay.pkeyOff(leaf, s), scm.PPtrSize)
+		off := c.lay.pkeyOff(leaf, s)
+		c.pool.WritePPtr(off, scm.PPtr{})
+		if end == 0 {
+			first = off
 		}
+		end = off + scm.PPtrSize
 	}
+	c.pool.Persist(first, end-first)
 }
 
 // leakAction is one repair the Algorithm 17 leak scan detected in a leaf:
@@ -309,6 +319,15 @@ type leakAction struct {
 	slot int
 	free bool
 }
+
+// sameKeyBlock reports whether two slot pointers reference one key block. It
+// compares the offsets only: a PPtr store is two words, and a torn crash while
+// afterUpdate nulls the old slot's pointer can keep the zero ArenaID without
+// the zero Offset, leaving {0, X} beside the live slot's {arena, X}. Compared
+// whole, the leak scan took that key for unshared and freed the live block.
+// All blocks of a leaf's keys are in the leaf's arena, so the offset
+// identifies the block.
+func sameKeyBlock(a, b scm.PPtr) bool { return a.Offset == b.Offset }
 
 // scanLeaks is the detection half of Algorithm 17: for every invalid slot
 // with a non-null key pointer, decide between the update-crash case (another
@@ -327,7 +346,7 @@ func (c *varCodec) scanLeaks(leaf uint64) []leakAction {
 		}
 		shared := false
 		for v := 0; v < c.lay.cap; v++ {
-			if bm&(1<<v) != 0 && c.slotPKey(leaf, v) == pk {
+			if bm&(1<<v) != 0 && sameKeyBlock(c.slotPKey(leaf, v), pk) {
 				shared = true
 				break
 			}
@@ -386,7 +405,7 @@ func (c *varCodec) scanLeaf(leaf uint64) ([]byte, int, []leakAction) {
 		}
 		shared := false
 		for v := 0; v < c.lay.cap; v++ {
-			if bm&(1<<v) != 0 && pk(v) == p {
+			if bm&(1<<v) != 0 && sameKeyBlock(pk(v), p) {
 				shared = true
 				break
 			}

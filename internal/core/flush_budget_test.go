@@ -1,0 +1,275 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"fptree/internal/crashtest"
+	"fptree/internal/scm"
+)
+
+// TestLeafLayoutAlignment pins what "flush every slot line once" rests on:
+// the slot array starts on a multiple of the slot alignment, so no fixed slot
+// and — for slot sizes that are a multiple of 32 — no var pkey|klen pair
+// crosses a cache line and every pkey cell is 16-byte aligned (the condition
+// scm.WritePPtr names for the two words to share a line). It also pins the
+// leaf sizes: rounding offKV up did not grow any leaf.
+func TestLeafLayoutAlignment(t *testing.T) {
+	sameLine := func(off, n uint64) bool { return off/scm.LineSize == (off+n-1)/scm.LineSize }
+	for _, v := range []Variant{VariantFPTree, VariantPTree} {
+		for leafCap := 1; leafCap <= MaxLeafCap; leafCap++ {
+			if fl := newFixedLayoutV(leafCap, v); fl.hasFP {
+				for s := 0; s < leafCap; s++ {
+					if off := fl.keyOff(0, s); off%16 != 0 || !sameLine(off, 16) || fl.valOff(0, s) != off+8 {
+						t.Errorf("fixed cap %d slot %d at %d crosses a line", leafCap, s, off)
+					}
+				}
+			}
+			for _, valSize := range []int{8, 40} { // slot sizes 32 and 64
+				vl := newVarLayoutV(leafCap, valSize, v)
+				for s := 0; s < leafCap; s++ {
+					off := vl.pkeyOff(0, s)
+					if off%16 != 0 || !sameLine(off, scm.PPtrSize+8) || vl.klenOff(0, s) != off+scm.PPtrSize {
+						t.Errorf("var cap %d value %d slot %d: pkey|klen at %d unaligned or across a line", leafCap, valSize, s, off)
+					}
+					if vl.slotSize == 32 && !sameLine(off, 32) {
+						t.Errorf("var cap %d slot %d at %d: a 32-byte slot crosses a line", leafCap, s, off)
+					}
+				}
+			}
+		}
+	}
+	fl, vl, kv := newFixedLayoutV(56, VariantFPTree), newVarLayoutV(56, 8, VariantFPTree), newVarLayoutV(56, 122, VariantFPTree)
+	if fl.offKV != 96 || vl.offKV != 96 || kv.offKV != 96 {
+		t.Errorf("offKV at LeafCap 56: fixed %d, var %d, var/122 %d, want 96", fl.offKV, vl.offKV, kv.offKV)
+	}
+	if fl.size != 1024 || vl.size != 1920 || kv.size != 8640 {
+		t.Errorf("leaf sizes at LeafCap 56: fixed %d, var %d, var/122 %d, want 1024, 1920 and 8640", fl.size, vl.size, kv.size)
+	}
+}
+
+// distinctFP returns n keys made by mk whose fingerprints differ pairwise, so
+// a leaf search never probes a second slot and the counts below are exact.
+func distinctFP[K any](n int, mk func(int) K, fp func(K) byte) []K {
+	var seen [256]bool
+	keys := make([]K, 0, n)
+	for i := 0; len(keys) < n; i++ {
+		if k := mk(i); !seen[fp(k)] {
+			seen[fp(k)] = true
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestVarFlushBudget pins the write path's cost model in count mode, at the
+// benchmark's geometry (LeafCap 56, 16-byte keys, 8-byte values) and away
+// from splits and leaf deletes: an insert flushes 7 lines (slot staging,
+// five in the allocator including the key's bytes, header commit), an update
+// 3 (slot, header, old pointer), a delete 6 (header, five in the allocator),
+// and a find on a cold cache misses on 3 (header, slot, key block).
+func TestVarFlushBudget(t *testing.T) {
+	pool := scm.NewPool(4<<20, scm.LatencyConfig{})
+	tr, err := CCreateVar(pool, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := distinctFP(24, func(i int) []byte { return []byte(fmt.Sprintf("budget-key-%05d", i)) }, hash1Bytes)
+	if err := tr.Insert(keys[0], []byte("v0000000")); err != nil { // creates the leaf
+		t.Fatal(err)
+	}
+	check := func(op string, key []byte, maxFlushes, maxMisses uint64, fn func()) {
+		t.Helper()
+		st := pool.Stats()
+		f0, n0 := st.FlushFence()
+		m0 := st.ReadMisses.Load()
+		fn()
+		f1, n1 := st.FlushFence()
+		if f1-f0 > maxFlushes || n1-n0 > maxFlushes {
+			t.Errorf("%s %q: %d flushes, %d fences, budget %d", op, key, f1-f0, n1-n0, maxFlushes)
+		}
+		if m := st.ReadMisses.Load() - m0; maxMisses > 0 && m > maxMisses {
+			t.Errorf("%s %q: %d misses, budget %d", op, key, m, maxMisses)
+		}
+	}
+	for _, k := range keys[1:] {
+		check("Insert", k, 7, 0, func() {
+			if err := tr.Insert(k, []byte("v1111111")); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, k := range keys {
+		check("Update", k, 3, 0, func() {
+			if ok, err := tr.Update(k, []byte("v2222222")); !ok || err != nil {
+				t.Fatalf("Update(%q) = %v, %v", k, ok, err)
+			}
+		})
+	}
+	for _, k := range keys {
+		pool.Crash() // nothing is dirty between operations: this only empties the simulated cache
+		check("Find", k, 0, 3, func() {
+			if v, ok := tr.Find(k); !ok || !bytes.Equal(v, []byte("v2222222")) {
+				t.Fatalf("Find(%q) = %q, %v", k, v, ok)
+			}
+		})
+	}
+	for _, k := range keys[1:] { // keys[0] stays: emptying the leaf would unlink it
+		check("Delete", k, 6, 0, func() {
+			if ok, err := tr.Delete(k); !ok || err != nil {
+				t.Fatalf("Delete(%q) = %v, %v", k, ok, err)
+			}
+		})
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFixedFindTwoMisses is the paper's headline: a fixed-key lookup costs
+// two SCM misses, the header line and the slot's line, whichever slot holds
+// the key.
+func TestFixedFindTwoMisses(t *testing.T) {
+	pool := scm.NewPool(4<<20, scm.LatencyConfig{})
+	tr, err := CCreate(pool, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := distinctFP(56, func(i int) uint64 { return uint64(i) + 1 }, hash1)
+	for _, k := range keys { // the first free slot is taken: key i lands in slot i
+		if err := tr.Insert(k, k*3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := tr.Height(); h != 1 {
+		t.Fatalf("height %d: the 56 keys must share one leaf", h)
+	}
+	for slot, k := range keys {
+		pool.Crash() // cold cache, nothing dirty to lose
+		m0 := pool.Stats().ReadMisses.Load()
+		if v, ok := tr.Find(k); !ok || v != k*3 {
+			t.Fatalf("Find(%d) = %d, %v", k, v, ok)
+		}
+		if m := pool.Stats().ReadMisses.Load() - m0; m != 2 {
+			t.Errorf("slot %d: cold Find cost %d misses, want 2", slot, m)
+		}
+	}
+}
+
+// TestTornAfterUpdateKeepsLiveKey pins a data-loss bug: a torn crash while
+// afterUpdate nulls the old slot's key pointer can commit the pointer's
+// ArenaID word without its Offset word, leaving {0, X} in the invalid slot
+// beside {arena, X} in the live one. The leak scan compared whole PPtrs,
+// took the key for unshared and freed the live slot's key block. It sweeps
+// every crash point of the update, 64 torn seeds and every source slot of a
+// leaf, with line-aligned (32-byte) and unaligned (40-byte) slots.
+func TestTornAfterUpdateKeepsLiveKey(t *testing.T) {
+	for _, cfg := range []Config{{LeafCap: 56, ValueSize: 8}, {LeafCap: 16, ValueSize: 16}} {
+		nKeys := cfg.LeafCap - 1 // one slot stays free for the update
+		base := scm.NewPool(128<<10, scm.LatencyConfig{CacheBytes: -1})
+		tr, err := CreateVar(base, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < nKeys; i++ { // key i lands in slot i
+			if err := tr.Insert(strKey(i), []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		failures := 0
+		for src := 0; src < nKeys; src++ {
+			for step := int64(1); ; step++ {
+				crashedPool := base.Clone()
+				tr, err := OpenVar(crashedPool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				crashedPool.FailAfterFlushes(step)
+				crashed, err := crashtest.Crashes(func() error {
+					_, err := tr.Update(strKey(src), []byte("new"))
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !crashed {
+					break
+				}
+				for seed := int64(0); seed < 64; seed++ {
+					pool := crashedPool.Clone() // dirty lines included
+					pool.CrashTornSeed(seed)
+					if err := checkAfterTornUpdate(pool, nKeys, src); err != nil {
+						failures++
+						t.Errorf("%+v, source slot %d, step %d, seed %d: %v", cfg, src, step, seed, err)
+					}
+				}
+			}
+			if failures > 10 {
+				t.Fatal("too many failures")
+			}
+		}
+	}
+}
+
+// checkAfterTornUpdate recovers the tree and checks that every key survived,
+// before and after an insert that would reuse a wrongly freed key block.
+func checkAfterTornUpdate(pool *scm.Pool, nKeys, src int) error {
+	tr, err := OpenVar(pool)
+	if err != nil {
+		return err
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		return err
+	}
+	if err := tr.Insert(strKey(nKeys), []byte("old")); err != nil {
+		return err
+	}
+	for i := 0; i <= nKeys; i++ {
+		v, ok := tr.Find(strKey(i))
+		if !ok {
+			return fmt.Errorf("key %d lost", i)
+		}
+		if old, upd := bytes.HasPrefix(v, []byte("old")), bytes.HasPrefix(v, []byte("new")); !old && !(upd && i == src) {
+			return fmt.Errorf("key %d = %q", i, v)
+		}
+	}
+	return tr.CheckInvariants()
+}
+
+// TestOldLayoutRefused hand-builds the metadata block of a layout-1 tree
+// (slot array at byte 88 of the leaf) and checks that every open path refuses
+// it and names both versions, instead of reading its slots 8 bytes off.
+func TestOldLayoutRefused(t *testing.T) {
+	const magicV1 = 0xF97B_0000_4EAF_0001
+	const want = "tree has leaf layout v1, this build reads v2"
+	for _, kind := range []uint64{keyKindFixed, keyKindVar} {
+		pool := scm.NewPool(1<<20, scm.LatencyConfig{})
+		root, err := pool.AllocRoot(metaSize(DefaultNumLogs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off, v := range map[uint64]uint64{
+			mOffMagic: magicV1, mOffStatus: 1, mOffKeyKind: kind, mOffLeafCap: 56,
+			mOffValueSize: 8, mOffNumLogs: DefaultNumLogs,
+		} {
+			pool.WriteU64(root.Offset+off, v)
+		}
+		pool.Persist(root.Offset, mOffLogs)
+		if !HasTree(pool) {
+			t.Error("HasTree = false for a layout-1 tree: memkv would try to create over it")
+		}
+		opens := map[string]func() error{
+			"Open":     func() error { _, err := Open(pool); return err },
+			"COpen":    func() error { _, err := COpen(pool); return err },
+			"OpenVar":  func() error { _, err := OpenVar(pool); return err },
+			"COpenVar": func() error { _, err := COpenVar(pool); return err },
+		}
+		for name, open := range opens {
+			if err := open(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("key kind %d: %s of a layout-1 tree: %v, want %q", kind, name, err, want)
+			}
+		}
+	}
+}

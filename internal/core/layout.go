@@ -115,11 +115,23 @@ func (c *Config) normalize() error {
 //
 // FPTree variant (fingerprints, interleaved slots):
 //
-//	fingerprints[m] | bitmap u64 | lock u8 | pad | next PPtr | m × (key u64, value u64)
+//	fingerprints[m] | bitmap u64 | lock u8 | pad | next PPtr | pad to 16 | m × (key u64, value u64)
 //
-// With m = 56 the fingerprint array plus the bitmap fill exactly the first
-// cache line, so a Find touches one line for the filter and one line for the
-// matching key-value — the paper's "two SCM cache misses per lookup".
+// With m = 56:
+//
+//	  0  fingerprints[56]
+//	 56  bitmap          — last word of line 0
+//	 64  lock + pad
+//	 72  next PPtr
+//	 88  pad
+//	 96  slot 0 (key, value), slot s at 96 + 16·s
+//	992  end, rounded up to 1024
+//
+// The fingerprint array plus the bitmap fill exactly the first cache line,
+// and the slot array starts on a multiple of the 16-byte slot size, so no
+// slot straddles two lines: a Find touches one line for the filter and one
+// line for the matching key-value — the paper's "two SCM cache misses per
+// lookup" — and an insert flushes one slot line.
 //
 // PTree variant (no fingerprints, separate arrays):
 //
@@ -135,21 +147,23 @@ type fixedLayout struct {
 	size      uint64
 }
 
+func roundUp(n, to uint64) uint64 { return (n + to - 1) / to * to }
+
 func newFixedLayoutV(leafCap int, v Variant) fixedLayout {
 	l := fixedLayout{cap: leafCap, hasFP: v == VariantFPTree}
 	if l.hasFP {
-		l.offBitmap = uint64((leafCap + 7) / 8 * 8)
+		l.offBitmap = roundUp(uint64(leafCap), 8)
 	}
 	l.offLock = l.offBitmap + 8
 	l.offNext = l.offLock + 8 // keep the PPtr 8-aligned
-	l.offKV = l.offNext + scm.PPtrSize
+	l.offKV = roundUp(l.offNext+scm.PPtrSize, 16)
 	if l.hasFP {
 		l.size = l.offKV + uint64(leafCap)*16
 	} else {
 		l.offVals = l.offKV + uint64(leafCap)*8
 		l.size = l.offVals + uint64(leafCap)*8
 	}
-	l.size = (l.size + scm.LineSize - 1) / scm.LineSize * scm.LineSize
+	l.size = roundUp(l.size, scm.LineSize)
 	return l
 }
 
@@ -171,8 +185,16 @@ func (l fixedLayout) valOff(leaf uint64, slot int) uint64 {
 // pointer to the key (allocated separately, as in Appendix C), the key
 // length, and an inline value of ValueSize bytes:
 //
-//	fingerprints[m] | bitmap u64 | lock u8 | pad | next PPtr |
+//	fingerprints[m] | bitmap u64 | lock u8 | pad | next PPtr | pad to 32 |
 //	m × (pkey PPtr, klen u64, value [ValueSize]byte)
+//
+// With m = 56 the header is the fixed layout's (slots from byte 96); a slot
+// is 32 bytes with 8-byte values (leaf 1888 → 1920) and 152 bytes with
+// kvserver's 122-byte values (leaf 8608 → 8640). The slot array starts on a
+// multiple of 32, so whenever the slot size is a multiple of 32 every slot's
+// pkey is 16-byte aligned and its pkey|klen pair — for 32-byte slots the
+// whole slot — sits in one line: staging a slot dirties one line and one
+// persist flushes it. Other slot sizes keep the pair 8-byte aligned only.
 type varLayout struct {
 	cap       int
 	valSize   int
@@ -187,14 +209,14 @@ type varLayout struct {
 
 func newVarLayoutV(leafCap, valueSize int, v Variant) varLayout {
 	l := varLayout{cap: leafCap, valSize: valueSize, hasFP: v == VariantFPTree}
-	l.slotSize = scm.PPtrSize + 8 + uint64((valueSize+7)/8*8)
+	l.slotSize = scm.PPtrSize + 8 + roundUp(uint64(valueSize), 8)
 	if l.hasFP {
-		l.offBitmap = uint64((leafCap + 7) / 8 * 8)
+		l.offBitmap = roundUp(uint64(leafCap), 8)
 	}
 	l.offLock = l.offBitmap + 8
 	l.offNext = l.offLock + 8
-	l.offKV = l.offNext + scm.PPtrSize
-	l.size = (l.offKV + uint64(leafCap)*l.slotSize + scm.LineSize - 1) / scm.LineSize * scm.LineSize
+	l.offKV = roundUp(l.offNext+scm.PPtrSize, 32)
+	l.size = roundUp(l.offKV+uint64(leafCap)*l.slotSize, scm.LineSize)
 	return l
 }
 

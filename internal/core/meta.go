@@ -12,7 +12,7 @@ import (
 //
 // Layout (offsets relative to the block):
 //
-//	  0  magic      u64
+//	  0  magic      u64   metaMagicBase | leaf-layout version
 //	  8  status     u64   1 once initialization finished (Algorithm 9, line 1)
 //	 56  variant    u64   0 FPTree, 1 PTree
 //	 16  keyKind    u64   0 fixed-size keys, 1 variable-size keys
@@ -30,8 +30,16 @@ import (
 //
 // Each micro-log occupies its own cache line, which the paper requires so
 // that back-to-back writes to one log can be persisted together.
+//
+// The magic's low 16 bits are the leaf-layout version. Version 1 started the
+// slot array right behind the next pointer (byte 88 at LeafCap 56); version 2
+// rounds that offset up to the slot alignment (layout.go). There is one
+// reader: a tree of another version is refused at open.
 const (
-	metaMagic       = 0xF97B_0000_4EAF_0001
+	metaMagicBase   = 0xF97B_0000_4EAF_0000
+	metaVersionMask = 0xFFFF
+	layoutVersion   = 2
+	metaMagic       = metaMagicBase | layoutVersion
 	mOffMagic       = 0
 	mOffStatus      = 8
 	mOffKeyKind     = 16
@@ -87,14 +95,30 @@ func createMeta(pool *scm.Pool, keyKind uint64, cfg Config) (meta, error) {
 // required before the root pointer may be trusted), so callers with a freshly
 // reopened arena — e.g. memkv deciding between Create and Open on a -data
 // file — can use it directly.
+//
+// A tree written with another leaf-layout version counts: the caller's Open
+// then fails with checkMagic's error, instead of a Create failing on a
+// non-empty arena.
 func HasTree(pool *scm.Pool) bool {
 	pool.Recover()
 	root := pool.Root()
 	if root.IsNull() {
 		return false
 	}
-	return pool.ReadU64(root.Offset+mOffMagic) == metaMagic &&
+	return pool.ReadU64(root.Offset+mOffMagic)&^metaVersionMask == metaMagicBase &&
 		pool.ReadU64(root.Offset+mOffStatus) == 1
+}
+
+// checkMagic accepts exactly this build's metadata magic and names both
+// versions when the block belongs to a tree with another leaf layout.
+func checkMagic(got uint64) error {
+	switch {
+	case got == metaMagic:
+		return nil
+	case got&^metaVersionMask == metaMagicBase:
+		return fmt.Errorf("fptree: tree has leaf layout v%d, this build reads v%d", got&metaVersionMask, layoutVersion)
+	}
+	return fmt.Errorf("fptree: bad metadata magic %#x", got)
 }
 
 // openMeta locates an existing metadata block through the arena root and
@@ -105,8 +129,8 @@ func openMeta(pool *scm.Pool, wantKind uint64) (meta, Config, error) {
 		return meta{}, Config{}, fmt.Errorf("fptree: arena has no tree (null root)")
 	}
 	m := meta{pool: pool, base: root.Offset}
-	if got := pool.ReadU64(m.base + mOffMagic); got != metaMagic {
-		return meta{}, Config{}, fmt.Errorf("fptree: bad metadata magic %#x", got)
+	if err := checkMagic(pool.ReadU64(m.base + mOffMagic)); err != nil {
+		return meta{}, Config{}, err
 	}
 	if pool.ReadU64(m.base+mOffStatus) != 1 {
 		return meta{}, Config{}, fmt.Errorf("fptree: tree initialization never completed")

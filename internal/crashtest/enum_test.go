@@ -149,14 +149,23 @@ func enumerateVar(t *testing.T, rig *varRig, ops []VarOp, opts Options) int {
 	return total
 }
 
-// enumPasses is the crash-kind × torn grid each tree runs through.
+// enumPasses is the crash-kind × torn grid each tree runs through. The torn
+// pass runs once per base seed: which words of a dirty line a torn crash
+// keeps is a draw per crash point, and one base seed left the torn
+// afterUpdate bug (core.TestTornAfterUpdateKeepsLiveKey) undrawn at every
+// point. tornSeed mixes the base into each point's seed, so the bases are
+// decorrelated, and a failing Point still prints the derived seed it replays
+// from.
 var enumPasses = []struct {
 	name string
 	opts Options
 }{
 	{"persist", Options{Persists: true}},
 	{"fence", Options{Fences: true}},
-	{"torn", Options{Persists: true, Torn: true, Seed: 42}},
+	{"torn-42", Options{Persists: true, Torn: true, Seed: 42}},
+	{"torn-977", Options{Persists: true, Torn: true, Seed: 977}},
+	{"torn-31337", Options{Persists: true, Torn: true, Seed: 31337}},
+	{"torn-5eed1", Options{Persists: true, Torn: true, Seed: 0x5EED1}},
 }
 
 func TestCrashEnumerationFixed(t *testing.T) {

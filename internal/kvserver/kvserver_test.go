@@ -113,6 +113,41 @@ func TestStoresOversizedValueError(t *testing.T) {
 	}
 }
 
+// TestOpenStoreRefusesOldLeafLayout rewrites a store's tree-metadata magic to
+// the layout-1 value (slot array at byte 88 of the leaf; core.TestOldLayoutRefused
+// hand-builds the whole block) and checks that the store open paths pass on
+// the engine's refusal, which names both layout versions.
+func TestOpenStoreRefusesOldLeafLayout(t *testing.T) {
+	const magicV1 = 0xF97B_0000_4EAF_0001
+	const want = "tree has leaf layout v1, this build reads v2"
+	for name, tc := range map[string]struct {
+		create func(*scm.Pool) (Store, error)
+		open   func(*scm.Pool, int) (Store, error)
+	}{
+		"FPTreeC": {NewFPTreeCStore, OpenFPTreeCStore},
+		"FPTree":  {NewFPTreeStore, OpenFPTreeStore},
+		"PTree":   {NewPTreeStore, OpenPTreeStore},
+	} {
+		p := pool()
+		st, err := tc.create(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Set([]byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tc.open(p, 2); err != nil {
+			t.Fatalf("%s: reopening a current store: %v", name, err)
+		}
+		magicOff := p.Root().Offset // the magic is the metadata block's first word
+		p.WriteU64(magicOff, magicV1)
+		p.Persist(magicOff, 8)
+		if _, err := tc.open(p, 2); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: open of a layout-1 store: %v, want %q", name, err, want)
+		}
+	}
+}
+
 func TestServerProtocol(t *testing.T) {
 	store, err := NewFPTreeCStore(pool())
 	if err != nil {

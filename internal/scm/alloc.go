@@ -260,34 +260,45 @@ func sizeClass(size uint64) int {
 
 func classBytes(c int) uint64 { return uint64(c+1) * LineSize }
 
-// Alloc carves out a zeroed block of at least size bytes, 64-byte aligned,
-// and durably writes its address into the caller's persistent pointer at
-// refOff before returning. If a crash interrupts the allocation, Recover
-// either completes it (the pointer holds the block) or rolls it back (the
-// pointer is untouched and the block returns to the free list) — the block
-// can never leak, because responsibility is split between the allocator and
-// the pointer owned by the calling data structure.
-func (p *Pool) Alloc(refOff uint64, size uint64) (PPtr, error) {
+// AllocInit carves out a block of at least size bytes, 64-byte aligned, fills
+// it with init followed by zeros, makes those contents durable, and only then
+// durably writes the block's address into the caller's persistent pointer at
+// refOff. The order is "contents durable → pointer published → intent
+// retired": a published pointer never refers to bytes the caller has yet to
+// write, and the block is flushed once — not zeroed and flushed by the
+// allocator and then written and flushed again by the caller. If a crash
+// interrupts the allocation, Recover either completes it (the pointer holds
+// the block) or rolls it back (the pointer is untouched and the block
+// returns to the free list) — the block can never leak, because
+// responsibility is split between the allocator and the pointer owned by the
+// calling data structure. len(init) must not exceed size.
+func (p *Pool) AllocInit(refOff, size uint64, init []byte) (PPtr, error) {
 	if size == 0 {
 		return PPtr{}, fmt.Errorf("scm: zero-size allocation")
 	}
+	if uint64(len(init)) > size {
+		return PPtr{}, fmt.Errorf("scm: %d initial bytes for a %d-byte allocation", len(init), size)
+	}
 	c := sizeClass(size)
 	s, head := p.lockStripe(refOff, c)
-	ptr, err := p.allocOn(s, c, head, refOff, size)
+	ptr, err := p.allocOn(s, c, head, refOff, size, init)
 	if err == ErrOutOfMemory && c >= 0 {
 		// The bump pointer is exhausted, but lockStripe skipped the stripes
 		// it found busy, and one of them may hold a free block of the class.
 		if s, head := p.lockSupplier(refOff, c); s >= 0 {
-			return p.allocOn(s, c, head, refOff, size)
+			return p.allocOn(s, c, head, refOff, size, init)
 		}
 	}
 	return ptr, err
 }
 
+// Alloc is AllocInit with no initial contents: the block is all zeros.
+func (p *Pool) Alloc(refOff, size uint64) (PPtr, error) { return p.AllocInit(refOff, size, nil) }
+
 // allocOn runs an allocation on stripe s, which the caller has locked, and
 // unlocks it. head is the head of the stripe's class-c list, or 0 to carve
 // the block off the bump pointer.
-func (p *Pool) allocOn(s, c int, head, refOff, size uint64) (PPtr, error) {
+func (p *Pool) allocOn(s, c int, head, refOff, size uint64, init []byte) (PPtr, error) {
 	defer p.alloc.stripes[s].mu.Unlock()
 
 	blk := head
@@ -301,9 +312,10 @@ func (p *Pool) allocOn(s, c int, head, refOff, size uint64) (PPtr, error) {
 		blk = b
 	}
 
-	// Zero the block so reused memory never leaks stale contents, then
-	// publish it through the caller's persistent pointer.
-	p.zero(blk, roundedSize(size))
+	// Fill the whole block — init, then zeros, so reused memory never leaks
+	// stale contents — with one persist, then publish it through the caller's
+	// persistent pointer.
+	p.fill(blk, roundedSize(size), init)
 	ptr := PPtr{ArenaID: p.id, Offset: blk}
 	p.WritePPtr(refOff, ptr)
 	p.Persist(refOff, PPtrSize)
@@ -336,17 +348,14 @@ func (p *Pool) bump(s int, refOff, size uint64) (uint64, error) {
 
 var zeroBuf [4096]byte
 
-func (p *Pool) zero(off, size uint64) {
-	for size > 0 {
-		n := size
-		if n > uint64(len(zeroBuf)) {
-			n = uint64(len(zeroBuf))
-		}
-		p.WriteBytes(off, zeroBuf[:n])
-		p.Persist(off, n)
-		off += n
-		size -= n
+// fill writes init and a zero tail over [off, off+size) and persists the
+// range once.
+func (p *Pool) fill(off, size uint64, init []byte) {
+	p.WriteBytes(off, init)
+	for o := off + uint64(len(init)); o < off+size; o += uint64(len(zeroBuf)) {
+		p.WriteBytes(o, zeroBuf[:min(uint64(len(zeroBuf)), off+size-o)])
 	}
+	p.Persist(off, size)
 }
 
 // Free returns the block referenced by the persistent pointer at refOff to

@@ -6,6 +6,7 @@ package scm_test
 // helper tests.
 
 import (
+	"bytes"
 	"testing"
 
 	"fptree/internal/crashtest"
@@ -52,24 +53,29 @@ func allocVerify(t *testing.T, p *scm.Pool, base uint64, size uint64) func(pt cr
 }
 
 func TestAllocCrashAtEveryFlushNeverLeaks(t *testing.T) {
-	// After every possible crash point inside Alloc — before each flush and
-	// at each fence — recovery must leave the arena in a state where the
-	// block is either owned by the ref cell or back on the free list.
-	for _, opts := range []crashtest.Options{{Persists: true}, {Fences: true}} {
+	// After every possible crash point inside AllocInit — before each flush,
+	// at each fence, and with torn lines — recovery must leave the arena in a
+	// state where the block is either owned by the ref cell or back on the
+	// free list, and a ref cell that holds the block must find the caller's
+	// bytes and a zero tail in it, never what the block held before.
+	contents := bytes.Repeat([]byte("key"), 40)
+	want := append(append([]byte(nil), contents...), make([]byte, 192-len(contents))...)
+	for _, opts := range []crashtest.Options{{Persists: true}, {Fences: true}, {Persists: true, Torn: true, Seed: 42}} {
 		p := newCrashPool(t)
 		base := refCells(t, p)
 		refOff := base
-		// Pre-populate one free-listed block so both carve paths are exercised.
+		// Pre-populate one free-listed block, full of stale bytes, so both
+		// carve paths are exercised.
 		warm := base + 16
-		if _, err := p.Alloc(warm, 192); err != nil {
+		if _, err := p.AllocInit(warm, 192, bytes.Repeat([]byte{0xFF}, 192)); err != nil {
 			t.Fatal(err)
 		}
 		p.Free(warm, 192)
 
 		verify := allocVerify(t, p, base, 192)
-		crashtest.Enumerate(t, p, opts,
+		n := crashtest.Enumerate(t, p, opts,
 			func() error {
-				_, err := p.Alloc(refOff, 192)
+				_, err := p.AllocInit(refOff, 192, contents)
 				return err
 			},
 			func(pt crashtest.Point) error {
@@ -77,12 +83,18 @@ func TestAllocCrashAtEveryFlushNeverLeaks(t *testing.T) {
 					return err
 				}
 				if ref := p.ReadPPtr(refOff); !ref.IsNull() {
+					if got := p.ReadBytes(ref.Offset, 192); !bytes.Equal(got, want) {
+						t.Fatalf("%v: published block %#x holds %q", pt, ref.Offset, got)
+					}
 					// Completed before the crash point mattered: free it so
 					// the next iteration starts from the same state.
 					p.Free(refOff, 192)
 				}
 				return nil
 			})
+		if n < 5 {
+			t.Fatalf("%+v: only %d crash points", opts, n)
+		}
 	}
 }
 

@@ -281,10 +281,15 @@ func (p *Pool) ReadPPtr(off uint64) PPtr {
 	return PPtr{ArenaID: p.ReadU64(off), Offset: p.ReadU64(off + 8)}
 }
 
-// WritePPtr stores a persistent pointer. The two words straddle at most one
-// cache line because allocator-minted PPtr fields are 16-byte aligned; the
-// store itself is not p-atomic, callers that need atomic visibility must use
-// an 8-byte commit word, as the tree bitmaps do.
+// WritePPtr stores a persistent pointer as two 8-byte words; the store is not
+// p-atomic, and callers that need atomic visibility must use an 8-byte commit
+// word, as the tree bitmaps do. The two words share a cache line when off is
+// 16-byte aligned. The pool does not check that: the owner of the cell
+// guarantees it by layout. The arena root, the trees' metadata blocks and
+// micro-logs, and internal/core's leaf key-pointer cells whenever the slot
+// size is a multiple of 16 (32-byte slots for 8-byte values; core's layout
+// test pins it) are laid out that way. A cell that is only 8-byte aligned may
+// straddle two lines, so a crash can keep either word without the other.
 func (p *Pool) WritePPtr(off uint64, v PPtr) {
 	p.WriteU64(off, v.ArenaID)
 	p.WriteU64(off+8, v.Offset)

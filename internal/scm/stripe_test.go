@@ -1,6 +1,7 @@
 package scm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -567,7 +568,8 @@ func TestStripeChurnDoesNotGrow(t *testing.T) {
 // TestAllocFlushBudget pins the persist cost of the folded protocol for a
 // one-line block: stage, list head or bump pointer, the block's line, the
 // caller's pointer, retire — five flushes and five fences per Alloc and per
-// Free.
+// Free. AllocInit costs the same five with the caller's bytes in the block
+// and durable; Alloc followed by the caller's own write and persist is six.
 func TestAllocFlushBudget(t *testing.T) {
 	sc := newStripeCells(t, 1<<20, 1)
 	p := sc.p
@@ -578,19 +580,51 @@ func TestAllocFlushBudget(t *testing.T) {
 		f1, n1 := p.Stats().FlushFence()
 		return f1 - f0, n1 - n0
 	}
+	contents := []byte("sixteen byte key")
+	var blk PPtr
 	alloc := func() {
-		if _, err := p.Alloc(cell, testBlk); err != nil {
+		var err error
+		if blk, err = p.Alloc(cell, testBlk); err != nil {
 			t.Fatal(err)
 		}
+	}
+	allocInit := func() {
+		var err error
+		if blk, err = p.AllocInit(cell, testBlk, contents); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocThenWrite := func() {
+		alloc()
+		p.WriteBytes(blk.Offset, contents)
+		p.Persist(blk.Offset, uint64(len(contents)))
 	}
 	free := func() { p.Free(cell, testBlk) }
 	for _, step := range []struct {
 		name string
 		fn   func()
-	}{{"Alloc (bump)", alloc}, {"Free", free}, {"Alloc (free list)", alloc}, {"Free again", free}} {
-		if flushes, fences := cost(step.fn); flushes != 5 || fences != 5 {
-			t.Errorf("%s: %d flushes, %d fences, want 5 and 5", step.name, flushes, fences)
+		want uint64
+	}{
+		{"Alloc (bump)", alloc, 5}, {"Free", free, 5}, {"Alloc (free list)", alloc, 5}, {"Free again", free, 5},
+		{"AllocInit (free list)", allocInit, 5}, {"Free after AllocInit", free, 5},
+		{"Alloc + write + persist", allocThenWrite, 6},
+	} {
+		if flushes, fences := cost(step.fn); flushes != step.want || fences != step.want {
+			t.Errorf("%s: %d flushes, %d fences, want %d of each", step.name, flushes, fences, step.want)
 		}
+	}
+
+	// AllocInit's contents and zero tail are durable when it returns, over a
+	// reused block that held other bytes.
+	free()
+	allocInit()
+	p.Crash()
+	want := append(append([]byte(nil), contents...), make([]byte, testBlk-len(contents))...)
+	if got := p.ReadBytes(blk.Offset, testBlk); !bytes.Equal(got, want) {
+		t.Errorf("block after AllocInit and a crash = %q, want the contents and a zero tail", got)
+	}
+	if _, err := p.AllocInit(cell, 8, contents); err == nil {
+		t.Error("AllocInit accepted more initial bytes than the block's size")
 	}
 }
 

@@ -222,14 +222,6 @@ func BenchmarkPoolParallel(b *testing.B) {
 // sharing the pool costs. Every goroutine runs b.N ops; ops/s is the total.
 func BenchmarkWriteMixGoroutines(b *testing.B) {
 	const keys = 200000
-	key := func(buf *[16]byte, id uint64) []byte {
-		x := id * 0x9E3779B97F4A7C15 // scatter ids over the key space
-		for i := range buf {
-			buf[i] = "0123456789abcdef"[x>>60]
-			x <<= 4
-		}
-		return buf[:]
-	}
 	build := func(b *testing.B) *CVarTree {
 		tree, err := CreateConcurrentVar(Options{PoolSize: 128 << 20})
 		if err != nil {
@@ -237,7 +229,7 @@ func BenchmarkWriteMixGoroutines(b *testing.B) {
 		}
 		var buf [16]byte
 		for id := uint64(0); id < keys; id++ {
-			if err := tree.Insert(key(&buf, id), []byte("12345678")); err != nil {
+			if err := tree.Insert(scatteredKey(&buf, id), []byte("12345678")); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -254,23 +246,23 @@ func BenchmarkWriteMixGoroutines(b *testing.B) {
 		for i := 0; i < n; i++ {
 			switch r := rng.Intn(100); {
 			case r < 30:
-				if err := tree.Insert(key(&buf, head), val); err != nil {
+				if err := tree.Insert(scatteredKey(&buf, head), val); err != nil {
 					return err
 				}
 				head += 2
 			case r < 60 && head-tail > 2:
-				if ok, err := tree.Delete(key(&buf, tail)); err != nil || !ok {
+				if ok, err := tree.Delete(scatteredKey(&buf, tail)); err != nil || !ok {
 					return fmt.Errorf("delete id %d: %v %v", tail, ok, err)
 				}
 				tail += 2
 			case r < 80:
 				id := tail + 2*uint64(rng.Int63n(int64(head-tail)/2))
-				if ok, err := tree.Update(key(&buf, id), val); err != nil || !ok {
+				if ok, err := tree.Update(scatteredKey(&buf, id), val); err != nil || !ok {
 					return fmt.Errorf("update id %d: %v %v", id, ok, err)
 				}
 			default:
 				id := tail + 2*uint64(rng.Int63n(int64(head-tail)/2))
-				if _, ok := tree.Find(key(&buf, id)); !ok {
+				if _, ok := tree.Find(scatteredKey(&buf, id)); !ok {
 					return fmt.Errorf("find id %d: missing", id)
 				}
 			}
@@ -301,4 +293,104 @@ func BenchmarkWriteMixGoroutines(b *testing.B) {
 			b.ReportMetric(float64(c.goroutines*b.N)/b.Elapsed().Seconds(), "ops/s")
 		})
 	}
+}
+
+// scatteredKey writes id's 16-hex-digit key into buf, ids scattered over the
+// key space.
+func scatteredKey(buf *[16]byte, id uint64) []byte {
+	x := id * 0x9E3779B97F4A7C15
+	for i := range buf {
+		buf[i] = "0123456789abcdef"[x>>60]
+		x <<= 4
+	}
+	return buf[:]
+}
+
+// BenchmarkOpCounts is the per-operation count table of EXPERIMENTS.md
+// ("Flush every line once"): in count mode, on the repository benchmark's
+// idx-write tree (CVarTree, 300k x 16 B keys, 8 B values, 4 MiB simulated
+// cache) and idx-read tree (CTree, 1M keys), what one Insert, Update, Delete
+// and Find costs in line flushes, fences and simulated-cache misses, splits
+// and leaf deletes included. The counts repeat exactly for a -benchtime Nx.
+//
+//	go test -run '^$' -bench OpCounts -benchtime 30000x .
+func BenchmarkOpCounts(b *testing.B) {
+	run := func(b *testing.B, pool *scm.Pool, op func()) {
+		st := pool.Stats()
+		f0, n0 := st.FlushFence()
+		m0 := st.ReadMisses.Load()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+		b.StopTimer()
+		f1, n1 := st.FlushFence()
+		b.ReportMetric(float64(f1-f0)/float64(b.N), "flushes/op")
+		b.ReportMetric(float64(n1-n0)/float64(b.N), "fences/op")
+		b.ReportMetric(float64(st.ReadMisses.Load()-m0)/float64(b.N), "misses/op")
+	}
+	const varKeys, fixedKeys = 300000, 1000000
+	vt, err := CreateConcurrentVar(Options{PoolSize: 128 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf [16]byte
+	val := []byte("12345678")
+	for id := uint64(0); id < varKeys; id++ {
+		if err := vt.Insert(scatteredKey(&buf, id), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	next := uint64(varKeys) // ids below next and not yet deleted are live
+	rng := rand.New(rand.NewSource(1))
+	b.Run("var-insert", func(b *testing.B) {
+		run(b, vt.Pool(), func() {
+			if err := vt.Insert(scatteredKey(&buf, next), val); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		})
+	})
+	b.Run("var-update", func(b *testing.B) {
+		run(b, vt.Pool(), func() {
+			if ok, err := vt.Update(scatteredKey(&buf, varKeys/2+uint64(rng.Intn(varKeys/2))), val); !ok || err != nil {
+				b.Fatal(ok, err)
+			}
+		})
+	})
+	b.Run("var-find", func(b *testing.B) {
+		run(b, vt.Pool(), func() {
+			if _, ok := vt.Find(scatteredKey(&buf, varKeys/2+uint64(rng.Intn(varKeys/2)))); !ok {
+				b.Fatal("missing")
+			}
+		})
+	})
+	victim := uint64(0)
+	b.Run("var-delete", func(b *testing.B) {
+		if b.N > varKeys/2 {
+			b.Skip("more deletes than victims")
+		}
+		run(b, vt.Pool(), func() {
+			if ok, err := vt.Delete(scatteredKey(&buf, victim)); !ok || err != nil {
+				b.Fatal(ok, err)
+			}
+			victim++
+		})
+	})
+	ft, err := CreateConcurrent(Options{PoolSize: 128 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := uint64(0); k < fixedKeys; k++ {
+		if err := ft.Insert(k*0x9E3779B97F4A7C15, k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("fixed-find", func(b *testing.B) {
+		run(b, ft.Pool(), func() {
+			if _, ok := ft.Find(uint64(rng.Intn(fixedKeys)) * 0x9E3779B97F4A7C15); !ok {
+				b.Fatal("missing")
+			}
+		})
+	})
 }
