@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fptree/internal/scm"
 )
 
 func TestPublicAPITree(t *testing.T) {
@@ -172,8 +174,14 @@ func TestPublicAPIPTreeVariant(t *testing.T) {
 	}
 }
 
+// TestPublicAPILatencyEmulation checks that Options.Latency reaches the
+// emulator by what the emulator counted, not by a wall-clock ratio (which a
+// slow host or -race bends): with emulation on, every miss is charged the
+// configured read latency and the busy-waiting Finds cannot have finished
+// faster than that sum; with it off, nothing is charged.
 func TestPublicAPILatencyEmulation(t *testing.T) {
-	mk := func(ns time.Duration) time.Duration {
+	const finds = 2000
+	run := func(ns time.Duration) (charged, elapsed time.Duration) {
 		tree, err := Create(Options{
 			PoolSize: 32 << 20,
 			Latency:  LatencyProfile{Emulate: ns > 0, Read: ns, Write: ns, CacheBytes: -1},
@@ -181,19 +189,33 @@ func TestPublicAPILatencyEmulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := uint64(1); k <= 2000; k++ {
+		for k := uint64(1); k <= finds; k++ {
 			tree.Insert(k, k) //nolint:errcheck
 		}
+		stats := tree.Pool().Stats()
+		misses := stats.ReadMisses.Load()
 		start := time.Now()
-		for k := uint64(1); k <= 2000; k++ {
+		for k := uint64(1); k <= finds; k++ {
 			tree.Find(k)
 		}
-		return time.Since(start)
+		elapsed = time.Since(start)
+		misses = stats.ReadMisses.Load() - misses
+		if cfg := tree.Pool().Config(); cfg.Mode != scm.LatencyCount {
+			charged = time.Duration(misses) * cfg.ReadLatency
+		}
+		return charged, elapsed
 	}
-	fast := mk(0)
-	slow := mk(2 * time.Microsecond)
-	if slow < fast*3 {
-		t.Fatalf("latency emulation had no effect: fast=%v slow=%v", fast, slow)
+	if charged, _ := run(0); charged != 0 {
+		t.Fatalf("emulation off, yet %v of read latency was charged", charged)
+	}
+	const ns = 2 * time.Microsecond
+	charged, elapsed := run(ns)
+	// No cache: a Find misses on the leaf header and on the key it probes.
+	if charged < finds*2*ns {
+		t.Fatalf("charged %v for %d finds, want at least two %v misses each", charged, finds, ns)
+	}
+	if elapsed < charged {
+		t.Fatalf("finds took %v, less than the %v of latency charged to them", elapsed, charged)
 	}
 }
 

@@ -242,11 +242,11 @@ func measureFPProbes(m, n int) float64 {
 	for _, k := range keys {
 		t.Insert(k, k) //nolint:errcheck
 	}
-	t.Probes = core.ProbeStats{}
+	searches, probes := t.Ops.Searches.Load(), t.Ops.KeyProbes.Load()
 	for _, k := range keys {
 		t.Find(k)
 	}
-	return t.Probes.AvgProbes()
+	return float64(t.Ops.KeyProbes.Load()-probes) / float64(t.Ops.Searches.Load()-searches)
 }
 
 func measureNVProbes(m, n int) float64 {

@@ -38,9 +38,9 @@ type leafRef struct {
 	lk   htm.RWSpin
 	dead atomic.Bool
 	// ver counts completed exclusive sections on this leaf. The concurrent
-	// controller bumps it before releasing the write lock, so an iterator that
-	// cached the leaf's content under the shared lock can later prove the
-	// cache is still current (see Iter.leafLive) without re-reading SCM.
+	// controller bumps it before releasing the write lock, so a range cursor
+	// that cached the leaf's content under the shared lock can later prove the
+	// cache is still current (see leafCursor.live) without re-reading SCM.
 	ver atomic.Uint64
 }
 

@@ -77,8 +77,8 @@ type codec[K, V any] interface {
 	ownerToken(leaf uint64, s int) (scm.PPtr, bool)
 
 	// nextAfter returns the smallest key greater than k, or ok=false when no
-	// such key exists (fixed u64 overflow). Used by the concurrent scan to
-	// hop past a separator upper bound.
+	// such key exists (fixed u64 overflow). Range reads use it to step past
+	// a separator upper bound or the last key they handed out.
 	nextAfter(k K) (K, bool)
 	// keyDRAMBytes estimates the DRAM cost of holding k in an inner node.
 	keyDRAMBytes(k K) uint64

@@ -11,9 +11,9 @@ import "fptree/internal/htm"
 // nodes) and leaf spinlocks, matching the paper's TSX-with-fallback scheme.
 type concurrency interface {
 	// concurrent reports whether real synchronization is in effect. The
-	// engine uses it to gate single-threaded-only behavior (probe counters,
-	// leaf groups, eager empty-leaf unlinking) — not for lock elision, which
-	// the controller itself handles.
+	// engine uses it to gate single-threaded-only behavior (leaf groups,
+	// eager empty-leaf unlinking, the next-pointer step of range reads) — not
+	// for lock elision, which the controller itself handles.
 	concurrent() bool
 
 	// Inner-node version locks (htm.VersionLock discipline).
@@ -64,7 +64,7 @@ func (occCC) tryLockLeaf(r *leafRef) bool                { return r.lk.TryLock()
 func (occCC) lockLeaf(r *leafRef)                        { r.lk.Lock() }
 
 // unlockLeaf bumps the leaf's modification version BEFORE releasing the
-// exclusive lock. The order matters: an iterator validates "version
+// exclusive lock. The order matters: a range cursor validates "version
 // unchanged" after caching content read under the shared lock, and the
 // shared lock cannot be held while a writer holds the exclusive one — so an
 // unchanged version proves the cached content is still current. Bumping

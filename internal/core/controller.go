@@ -1,6 +1,10 @@
 package core
 
-import "fptree/internal/htm"
+import (
+	"runtime"
+
+	"fptree/internal/htm"
+)
 
 // SetController installs an adaptive concurrency controller on the tree; nil
 // (the default) keeps the fixed htm.Backoff budget. Like SetTracer, the
@@ -63,18 +67,28 @@ func (e *engine[K, V]) releaseFallback(held *bool) {
 	}
 }
 
-// lockLeafCC acquires the leaf write lock for one write attempt. On the
-// optimistic path a held lock is a conflict: fail fast, abort, re-descend.
-// A fallback writer is already serialized behind the controller's global
-// lock, so it blocks for the leaf instead — the try/abort/re-descend cycle
-// is exactly the stampede the fallback exists to stop, and waiting costs
-// nothing it wasn't already paying. Blocking trades no correctness: the
-// post-lock validation (ref.dead, inner version) still runs, so a leaf that
-// split or died while we waited sends the writer back around the loop.
-func (e *engine[K, V]) lockLeafCC(ref *leafRef, fb bool) bool {
-	if fb {
-		e.cc.lockLeaf(ref)
-		return true
+// lockLeafCC takes the leaf lock for one attempt of acquireLeaf: shared for a
+// reader (fb == nil), exclusive for a writer. On the optimistic path a held
+// lock is a conflict: fail fast, abort, re-descend. A fallback writer (*fb)
+// is already serialized behind the controller's global lock, so it waits for
+// the leaf instead — the try/abort/re-descend cycle is exactly the stampede
+// the fallback exists to stop, and waiting costs nothing it wasn't already
+// paying. Waiting trades no correctness: the post-lock validation (ref.dead,
+// inner version) still runs, so a leaf that split while we waited sends the
+// writer back around the loop. A leaf that died while we waited stays locked
+// forever, so the wait gives up on it and reports the conflict.
+func (e *engine[K, V]) lockLeafCC(ref *leafRef, fb *bool) bool {
+	switch {
+	case fb == nil:
+		return e.cc.tryRLockLeaf(ref)
+	case !*fb:
+		return e.cc.tryLockLeaf(ref)
 	}
-	return e.cc.tryLockLeaf(ref)
+	for !e.cc.tryLockLeaf(ref) {
+		if ref.dead.Load() {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
 }

@@ -54,17 +54,7 @@ func (t *CTree) Scan(from uint64, fn func(KV) bool) {
 
 // ScanN returns up to n pairs with key >= from (nil when n <= 0). The result
 // is pre-sized to min(n, Len()), so a large n does not over-allocate.
-func (t *CTree) ScanN(from uint64, n int) []KV {
-	out := make([]KV, 0, scanNCap(n, t.Len()))
-	if n <= 0 {
-		return nil
-	}
-	t.Scan(from, func(kv KV) bool {
-		out = append(out, kv)
-		return len(out) < n
-	})
-	return out
-}
+func (t *CTree) ScanN(from uint64, n int) []KV { return scanN(t.engine, from, n, newKV) }
 
 // Iterator returns a resumable ascending iterator over [start, end); end == 0
 // means unbounded. Safe to advance while other goroutines mutate the tree:

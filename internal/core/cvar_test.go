@@ -84,6 +84,68 @@ func TestCVarScan(t *testing.T) {
 	}
 }
 
+// TestCVarConcurrentScanWhileWriting is TestCTreeConcurrentScanWhileWriting's
+// guarantee on the var tree, with the writers inside the scanned range: odd
+// keys churn (their inserts split the leaves under the scan, their deletes
+// empty and unlink them) while even keys are stable, and every scan must
+// return strictly ascending keys containing exactly the stable keys of the
+// range it covered.
+func TestCVarConcurrentScanWhileWriting(t *testing.T) {
+	tr := newCVarTree(t, Config{LeafCap: 4, InnerFanout: 4, NumLogs: 8, ValueSize: 8})
+	const n = 1200
+	for i := 0; i < n; i += 2 {
+		if err := tr.Insert(strKey(i), val8(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Each writer owns every other odd key: Upsert is update-then-
+				// insert, so two writers upserting one key could both insert it.
+				k := strKey(rng.Intn(n/4)*4 + 2*w + 1)
+				if rng.Intn(2) == 0 {
+					tr.Upsert(k, val8(1)) //nolint:errcheck
+				} else {
+					tr.Delete(k) //nolint:errcheck
+				}
+			}
+		}(w)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		from := rng.Intn(n - 200)
+		got := tr.ScanN(strKey(from), 100)
+		if len(got) != 100 {
+			t.Fatalf("round %d: scan returned %d pairs", round, len(got))
+		}
+		want := (from + 1) / 2 * 2 // first stable key >= from
+		for i, kv := range got {
+			if bytes.Compare(kv.Key, strKey(from)) < 0 || (i > 0 && bytes.Compare(got[i-1].Key, kv.Key) >= 0) {
+				t.Fatalf("round %d: scan[%d] = %q after %q, from %q", round, i, kv.Key, got[max(i-1, 0)].Key, strKey(from))
+			}
+			switch {
+			case bytes.Equal(kv.Key, strKey(want)):
+				want += 2
+			case bytes.Compare(kv.Key, strKey(want)) > 0:
+				t.Fatalf("round %d: scan skipped stable key %q (saw %q)", round, strKey(want), kv.Key)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestCVarConcurrentMixedStripes(t *testing.T) {
 	tr := newCVarTree(t, Config{LeafCap: 8, InnerFanout: 4, NumLogs: 8, ValueSize: 8})
 	const workers = 6

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -26,8 +25,7 @@ import (
 //
 // The DRAM inner structure is always the concurrent cInner node: with the
 // no-op controller every validation succeeds on the first try, so the
-// single-threaded trees pay only an atomic load per hop, and the four former
-// forks cannot drift again.
+// single-threaded trees pay only an atomic load per hop.
 type engine[K, V any] struct {
 	pool *scm.Pool
 	cfg  Config
@@ -49,15 +47,11 @@ type engine[K, V any] struct {
 
 	// mut counts mutating operations on the single-threaded engines, where
 	// leaf handles carry no usable version (the no-op controller never bumps
-	// them). Iterators snapshot it to detect that anything at all changed
-	// between steps and fall back to a re-seek from the cursor. Plain int:
+	// them). Range cursors snapshot it to detect that anything at all changed
+	// between steps and fall back to a re-seek from their last key. Plain int:
 	// the single-threaded trees are not safe for concurrent use by contract.
 	mut uint64
 
-	// Probes tracks in-leaf search work for the Figure 4 experiment. The
-	// fields are plain integers and only maintained by the single-threaded
-	// controller (tests reset them between runs).
-	Probes ProbeStats
 	// Ops counts in-leaf search and structure-modification events (atomic, so
 	// shared across goroutines and metric scrapes).
 	Ops OpStats
@@ -245,14 +239,10 @@ func (e *engine[K, V]) commitSlot(leaf uint64, slot int, key K, bm uint64) {
 
 // findInLeaf is the fingerprint-filtered leaf search of Section 4.2. The
 // fingerprint array and the validity bitmap are read in ONE batched header
-// load (the forks used to re-read the bitmap word separately on every
-// probe); only keys whose fingerprint matches are dereferenced. It returns
+// load; only keys whose fingerprint matches are dereferenced. It returns
 // the slot, the bitmap it observed (so callers do not re-read it), and
 // whether the key was found.
 func (e *engine[K, V]) findInLeaf(leaf uint64, key K) (int, uint64, bool) {
-	if e.st {
-		e.Probes.Searches++
-	}
 	if !e.sh.hasFP {
 		// PTree variant: plain linear scan over the valid keys.
 		bm := e.leafBitmap(leaf)
@@ -267,9 +257,6 @@ func (e *engine[K, V]) findInLeaf(leaf uint64, key K) (int, uint64, bool) {
 				break
 			}
 		}
-		if e.st {
-			e.Probes.KeyProbes += probes
-		}
 		e.Ops.noteSearch(leaf, 0, 0, 0, probes)
 		return slot, bm, slot >= 0
 	}
@@ -278,9 +265,6 @@ func (e *engine[K, V]) findInLeaf(leaf uint64, key K) (int, uint64, bool) {
 	e.pool.ReadInto(leaf, h)
 	bm := binary.LittleEndian.Uint64(h[e.sh.offBitmap:])
 	fp := e.cdc.fingerprint(key)
-	if e.st {
-		e.Probes.FPScans += uint64(e.sh.cap)
-	}
 	slot := -1
 	var compares, hits, falsePos uint64
 	for s := 0; s < e.sh.cap; s++ {
@@ -297,9 +281,6 @@ func (e *engine[K, V]) findInLeaf(leaf uint64, key K) (int, uint64, bool) {
 			break
 		}
 		falsePos++
-	}
-	if e.st {
-		e.Probes.KeyProbes += hits
 	}
 	e.Ops.noteSearch(leaf, compares, hits, falsePos, hits)
 	return slot, bm, slot >= 0
@@ -320,60 +301,156 @@ func (e *engine[K, V]) insertIntoLeaf(leaf, bm uint64, key K, value V) error {
 
 // --- optimistic descent -------------------------------------------------------
 
-// descend walks to the leaf covering key (Figure 6: the traversal is the
-// HTM-transaction part; with the no-op controller it degenerates to a plain
-// B-tree descent). On success it returns the version snapshot of the leaf
-// parent, the child index and the leaf handle; ok=false means a conflict was
-// observed and the caller must restart. ref==nil means the tree is empty.
-func (e *engine[K, V]) descend(key K) (n *cInner[K], ver uint64, idx int, ref *leafRef, ok bool) {
+// bound is an optional key: a window edge or a separator picked up during a
+// descent. ok=false means "unbounded".
+type bound[K any] struct {
+	key K
+	ok  bool
+}
+
+// separators are the innermost separators a descent passed on either side:
+// every key of the reached leaf lies in (lb, ub]. A separator is the max key
+// its left subtree held when it was created, so descending to lb lands
+// exactly one leaf to the left and descending to the successor of ub one
+// leaf to the right — the two steps every range read and the leaf-delete
+// neighbor hunt are made of. Deeper separators are tighter by construction,
+// so each level simply overwrites the one above.
+type separators[K any] struct{ lb, ub bound[K] }
+
+// note records the separators around child i of n. It returns false on a
+// torn read (nil key), which the caller treats as a failed validation.
+func (s *separators[K]) note(n *cInner[K], i int) bool {
+	if i > 0 {
+		kp := n.keys[i-1].Load()
+		if kp == nil {
+			return false
+		}
+		s.lb = bound[K]{*kp, true}
+	}
+	if i < int(n.cnt.Load())-1 {
+		kp := n.keys[i].Load()
+		if kp == nil {
+			return false
+		}
+		s.ub = bound[K]{*kp, true}
+	}
+	return true
+}
+
+// descend is the engine's one walk through the inner nodes (Figure 6: the
+// traversal is the HTM-transaction part; with the no-op controller it
+// degenerates to a plain B-tree descent). It goes to the leaf covering
+// *target, or with a nil target to the leftmost (rightmost=false) or
+// rightmost leaf. A non-nil sep receives the separators around the reached
+// leaf; point operations pass nil and pay one predictable branch per level.
+// On success it returns the leaf parent with its version snapshot and the
+// leaf handle; ok=false means a conflict was observed and the caller must
+// restart. ref==nil means the tree is empty.
+func (e *engine[K, V]) descend(target *K, rightmost bool, sep *separators[K]) (n *cInner[K], ver uint64, ref *leafRef, ok bool) {
 	av := e.cc.readBegin(&e.anchor)
 	n = e.root.Load()
 	ver = e.cc.readBegin(&n.lock)
 	if !e.cc.validate(&e.anchor, av) {
-		return nil, 0, 0, nil, false
+		return nil, 0, nil, false
+	}
+	if sep != nil {
+		*sep = separators[K]{}
 	}
 	for {
-		i, sok := n.search(key, e.cdc.less)
-		if !sok || !e.cc.validate(&n.lock, ver) {
-			return nil, 0, 0, nil, false
+		i := 0
+		if target != nil {
+			var sok bool
+			if i, sok = n.search(*target, e.cdc.less); !sok {
+				return nil, 0, nil, false
+			}
+		} else if rightmost {
+			i = max(int(n.cnt.Load())-1, 0)
+		}
+		if sep != nil && !sep.note(n, i) {
+			return nil, 0, nil, false
+		}
+		if !e.cc.validate(&n.lock, ver) {
+			return nil, 0, nil, false
 		}
 		if n.leafParent {
 			if n.cnt.Load() == 0 {
-				return n, ver, 0, nil, true // empty tree
+				return n, ver, nil, true // empty tree
 			}
 			r := n.leaves[i].Load()
 			if r == nil || !e.cc.validate(&n.lock, ver) {
-				return nil, 0, 0, nil, false
+				return nil, 0, nil, false
 			}
-			return n, ver, i, r, true
+			return n, ver, r, true
 		}
 		child := n.kids[i].Load()
 		if child == nil || !e.cc.validate(&n.lock, ver) {
-			return nil, 0, 0, nil, false
+			return nil, 0, nil, false
 		}
 		cver := e.cc.readBegin(&child.lock)
 		if !e.cc.validate(&n.lock, ver) {
-			return nil, 0, 0, nil, false
+			return nil, 0, nil, false
 		}
 		n, ver = child, cver
 	}
 }
 
-// noteMutation invalidates resting single-threaded iterators (conservative:
-// an Update/Delete that ends up a no-op still bumps, which only costs those
-// iterators one redundant re-seek).
+// acquireLeaf is the search-lock-validate prologue every operation shares
+// (Figure 6): descend optimistically, lock the reached leaf, and revalidate
+// the leaf parent, retrying with a cause-tagged abort until all three
+// succeed. fb selects the lock: nil takes the shared lock (readers never
+// look at the fallback lock); a writer passes its fallback flag and gets the
+// exclusive lock, entering the global fallback once its retry budget is
+// spent (the caller releases it when the operation completes). The span is
+// in PhaseDescend while this runs and in PhaseLeaf when it returns a locked
+// leaf. It returns the leaf parent and the leaf handle; a nil handle means
+// the tree is empty, and the node is then the empty root.
+func (e *engine[K, V]) acquireLeaf(target *K, rightmost bool, sep *separators[K], fb *bool, sp *trace.Span) (*cInner[K], *leafRef) {
+	for attempt := 0; ; attempt++ {
+		if fb != nil {
+			e.maybeFallback(attempt, fb)
+		}
+		sp.Enter(trace.PhaseDescend)
+		n, ver, ref, ok := e.descend(target, rightmost, sep)
+		if !ok {
+			e.abortc(htm.AbortDescend, sp, attempt, 0)
+			continue
+		}
+		if ref == nil {
+			return n, nil
+		}
+		if !e.lockLeafCC(ref, fb) {
+			e.abortc(htm.AbortLeafLock, sp, attempt, ref.off)
+			continue
+		}
+		if ref.dead.Load() || !e.cc.validate(&n.lock, ver) {
+			if fb == nil {
+				e.cc.rUnlockLeaf(ref)
+			} else {
+				e.cc.unlockLeaf(ref)
+			}
+			e.abortc(htm.AbortPostLock, sp, attempt, ref.off)
+			continue
+		}
+		sp.Enter(trace.PhaseLeaf)
+		return n, ref
+	}
+}
+
+// noteMutation invalidates resting single-threaded range cursors
+// (conservative: an Update/Delete that ends up a no-op still bumps, which
+// only costs those cursors one redundant re-seek).
 func (e *engine[K, V]) noteMutation() {
 	if e.st {
 		e.mut++
 	}
 }
 
-// findLeafRef retries descend until it succeeds and returns the leaf handle
-// (nil for an empty tree). Used by invariant checks and the single-threaded
-// scan, where the no-op controller guarantees the first try succeeds.
+// findLeafRef retries descend until it succeeds and returns the handle of
+// the leaf covering key (nil for an empty tree), without locking it. Used by
+// the invariant checks.
 func (e *engine[K, V]) findLeafRef(key K) *leafRef {
 	for attempt := 0; ; attempt++ {
-		_, _, _, ref, ok := e.descend(key)
+		_, _, ref, ok := e.descend(&key, false, nil)
 		if ok {
 			return ref
 		}
@@ -394,36 +471,17 @@ func (e *engine[K, V]) Find(key K) (V, bool) {
 	return v, found
 }
 
-func (e *engine[K, V]) findT(key K, sp *trace.Span) (V, bool) {
-	var zero V
-	for attempt := 0; ; attempt++ {
-		sp.Enter(trace.PhaseDescend)
-		n, ver, _, ref, ok := e.descend(key)
-		if !ok {
-			e.abortc(htm.AbortDescend, sp, attempt, 0)
-			continue
-		}
-		if ref == nil {
-			return zero, false // empty tree
-		}
-		if !e.cc.tryRLockLeaf(ref) {
-			e.abortc(htm.AbortLeafLock, sp, attempt, ref.off)
-			continue
-		}
-		if !e.cc.validate(&n.lock, ver) {
-			e.cc.rUnlockLeaf(ref)
-			e.abortc(htm.AbortPostLock, sp, attempt, ref.off)
-			continue
-		}
-		sp.Enter(trace.PhaseLeaf)
-		s, _, found := e.findInLeaf(ref.off, key)
-		var v V
-		if found {
-			v = e.cdc.slotValue(ref.off, s)
-		}
-		e.cc.rUnlockLeaf(ref)
-		return v, found
+func (e *engine[K, V]) findT(key K, sp *trace.Span) (v V, found bool) {
+	_, ref := e.acquireLeaf(&key, false, nil, nil, sp)
+	if ref == nil {
+		return v, false // empty tree
 	}
+	s, _, found := e.findInLeaf(ref.off, key)
+	if found {
+		v = e.cdc.slotValue(ref.off, s)
+	}
+	e.cc.rUnlockLeaf(ref)
+	return v, found
 }
 
 // Insert adds a key-value pair (Algorithm 2 / 14). Keys are assumed unique,
@@ -446,64 +504,46 @@ func (e *engine[K, V]) insertT(key K, value V, sp *trace.Span) error {
 	e.noteMutation()
 	fb := false
 	defer e.releaseFallback(&fb)
-	for attempt := 0; ; attempt++ {
-		e.maybeFallback(attempt, &fb)
-		sp.Enter(trace.PhaseDescend)
-		n, ver, _, ref, ok := e.descend(key)
-		if !ok {
-			e.abortc(htm.AbortDescend, sp, attempt, 0)
-			continue
-		}
-		if ref == nil {
-			sp.Enter(trace.PhaseSMO)
-			if err := e.firstLeaf(n); err != nil {
-				return err
-			}
-			continue
-		}
-		if !e.lockLeafCC(ref, fb) {
-			e.abortc(htm.AbortLeafLock, sp, attempt, ref.off)
-			continue
-		}
-		if ref.dead.Load() || !e.cc.validate(&n.lock, ver) {
-			e.cc.unlockLeaf(ref)
-			e.abortc(htm.AbortPostLock, sp, attempt, ref.off)
-			continue
-		}
-		sp.Enter(trace.PhaseLeaf)
-		bm := e.leafBitmap(ref.off)
-		if bm != e.fullBitmap() {
-			err := e.insertIntoLeaf(ref.off, bm, key, value)
-			e.cc.unlockLeaf(ref)
-			if err != nil {
-				return err
-			}
-			e.size.Add(1)
-			return nil
-		}
-		// Split: persistent part first (outside any inner lock), then the
-		// parent update in a pessimistic SMO descent.
+	n, ref := e.acquireLeaf(&key, false, nil, &fb, sp)
+	for ref == nil {
 		sp.Enter(trace.PhaseSMO)
-		splitKey, newRef, err := e.splitLeaf(ref)
-		if err != nil {
-			e.cc.unlockLeaf(ref)
+		if err := e.firstLeaf(n); err != nil {
 			return err
 		}
-		e.insertSMO(splitKey, ref, newRef)
-		target := ref
-		if e.cdc.less(splitKey, key) {
-			target = newRef
-		}
-		sp.Enter(trace.PhaseLeaf)
-		err = e.insertIntoLeaf(target.off, e.leafBitmap(target.off), key, value)
+		n, ref = e.acquireLeaf(&key, false, nil, &fb, sp)
+	}
+	bm := e.leafBitmap(ref.off)
+	if bm != e.fullBitmap() {
+		err := e.insertIntoLeaf(ref.off, bm, key, value)
 		e.cc.unlockLeaf(ref)
-		e.cc.unlockLeaf(newRef)
 		if err != nil {
 			return err
 		}
 		e.size.Add(1)
 		return nil
 	}
+	// Split: persistent part first (outside any inner lock), then the
+	// parent update in a pessimistic SMO descent.
+	sp.Enter(trace.PhaseSMO)
+	splitKey, newRef, err := e.splitLeaf(ref)
+	if err != nil {
+		e.cc.unlockLeaf(ref)
+		return err
+	}
+	e.insertSMO(splitKey, ref, newRef)
+	target := ref
+	if e.cdc.less(splitKey, key) {
+		target = newRef
+	}
+	sp.Enter(trace.PhaseLeaf)
+	err = e.insertIntoLeaf(target.off, e.leafBitmap(target.off), key, value)
+	e.cc.unlockLeaf(ref)
+	e.cc.unlockLeaf(newRef)
+	if err != nil {
+		return err
+	}
+	e.size.Add(1)
+	return nil
 }
 
 // firstLeaf materializes the head leaf of an empty tree under the root lock.
@@ -597,8 +637,7 @@ func (e *engine[K, V]) completeSplit(leaf, newLeaf uint64) K {
 // findSplitKey picks the median key of a full leaf: the returned splitKey is
 // the greatest key that stays in the left (original) leaf, and the returned
 // bitmap marks the slots that move to the new right leaf. Scratch is
-// function-local so concurrent splits do not share state (the old
-// single-threaded forks reused per-tree buffers; not worth a type split).
+// function-local so concurrent splits do not share state.
 func (e *engine[K, V]) findSplitKey(leaf uint64) (K, uint64) {
 	m := e.sh.cap
 	keys := make([]K, m)
@@ -682,59 +721,41 @@ func (e *engine[K, V]) updateT(key K, value V, sp *trace.Span) (bool, error) {
 	e.noteMutation()
 	fb := false
 	defer e.releaseFallback(&fb)
-	for attempt := 0; ; attempt++ {
-		e.maybeFallback(attempt, &fb)
-		sp.Enter(trace.PhaseDescend)
-		n, ver, _, ref, ok := e.descend(key)
-		if !ok {
-			e.abortc(htm.AbortDescend, sp, attempt, 0)
-			continue
-		}
-		if ref == nil {
-			return false, nil
-		}
-		if !e.lockLeafCC(ref, fb) {
-			e.abortc(htm.AbortLeafLock, sp, attempt, ref.off)
-			continue
-		}
-		if ref.dead.Load() || !e.cc.validate(&n.lock, ver) {
+	_, ref := e.acquireLeaf(&key, false, nil, &fb, sp)
+	if ref == nil {
+		return false, nil
+	}
+	prev, bm, found := e.findInLeaf(ref.off, key)
+	if !found {
+		e.cc.unlockLeaf(ref)
+		return false, nil
+	}
+	target := ref
+	var newRef *leafRef
+	if bm == e.fullBitmap() {
+		sp.Enter(trace.PhaseSMO)
+		splitKey, nr, err := e.splitLeaf(ref)
+		if err != nil {
 			e.cc.unlockLeaf(ref)
-			e.abortc(htm.AbortPostLock, sp, attempt, ref.off)
-			continue
+			return false, err
+		}
+		newRef = nr
+		e.insertSMO(splitKey, ref, newRef)
+		if e.cdc.less(splitKey, key) {
+			target = newRef
 		}
 		sp.Enter(trace.PhaseLeaf)
-		prev, bm, found := e.findInLeaf(ref.off, key)
-		if !found {
-			e.cc.unlockLeaf(ref)
-			return false, nil
-		}
-		target := ref
-		var newRef *leafRef
-		if bm == e.fullBitmap() {
-			sp.Enter(trace.PhaseSMO)
-			splitKey, nr, err := e.splitLeaf(ref)
-			if err != nil {
-				e.cc.unlockLeaf(ref)
-				return false, err
-			}
-			newRef = nr
-			e.insertSMO(splitKey, ref, newRef)
-			if e.cdc.less(splitKey, key) {
-				target = newRef
-			}
-			sp.Enter(trace.PhaseLeaf)
-			prev, bm, _ = e.findInLeaf(target.off, key)
-		}
-		slot := bits.TrailingZeros64(^bm)
-		e.cdc.moveSlot(target.off, slot, prev, key, value)
-		e.commitSlot(target.off, slot, key, bm&^(1<<prev)|(1<<slot))
-		e.cdc.afterUpdate(target.off, prev)
-		e.cc.unlockLeaf(ref)
-		if newRef != nil {
-			e.cc.unlockLeaf(newRef)
-		}
-		return true, nil
+		prev, bm, _ = e.findInLeaf(target.off, key)
 	}
+	slot := bits.TrailingZeros64(^bm)
+	e.cdc.moveSlot(target.off, slot, prev, key, value)
+	e.commitSlot(target.off, slot, key, bm&^(1<<prev)|(1<<slot))
+	e.cdc.afterUpdate(target.off, prev)
+	e.cc.unlockLeaf(ref)
+	if newRef != nil {
+		e.cc.unlockLeaf(newRef)
+	}
+	return true, nil
 }
 
 // Upsert inserts the pair or updates it in place when the key exists. One
@@ -753,13 +774,13 @@ func (e *engine[K, V]) Upsert(key K, value V) error {
 
 // Delete removes key (Algorithm 5 / 15): the bitmap flip hides the slot,
 // then per-slot key storage is released. Removing a leaf's last key unlinks
-// and deallocates the leaf under a delete micro-log. (The old fixed-key fork
-// skipped the bitmap flip on the last-key path; flipping first costs one
-// flush but keeps one code path, and recovery prunes empty leaves either
-// way.) The single-threaded controller always finds the left neighbor; the
-// concurrent one only takes it when it is adjacent in the same parent (or
-// the leaf is the list head) — the cross-subtree neighbor hunt is not worth
-// its locks, so the empty leaf stays linked and recovery reclaims it.
+// and deallocates the leaf under a delete micro-log. The bitmap is flipped
+// on the last-key path too: it costs one flush but keeps one code path, and
+// recovery prunes empty leaves either way. The single-threaded controller
+// always finds the left neighbor; the concurrent one only takes it when it
+// is adjacent in the same parent (or the leaf is the list head) — the
+// cross-subtree neighbor hunt is not worth its locks, so the empty leaf
+// stays linked and recovery reclaims it.
 func (e *engine[K, V]) Delete(key K) (bool, error) {
 	sp := e.tr.Start(trace.OpDelete)
 	ok, err := e.deleteT(key, sp)
@@ -772,47 +793,29 @@ func (e *engine[K, V]) deleteT(key K, sp *trace.Span) (bool, error) {
 	e.noteMutation()
 	fb := false
 	defer e.releaseFallback(&fb)
-	for attempt := 0; ; attempt++ {
-		e.maybeFallback(attempt, &fb)
-		sp.Enter(trace.PhaseDescend)
-		n, ver, _, ref, ok := e.descend(key)
-		if !ok {
-			e.abortc(htm.AbortDescend, sp, attempt, 0)
-			continue
-		}
-		if ref == nil {
-			return false, nil
-		}
-		if !e.lockLeafCC(ref, fb) {
-			e.abortc(htm.AbortLeafLock, sp, attempt, ref.off)
-			continue
-		}
-		if ref.dead.Load() || !e.cc.validate(&n.lock, ver) {
-			e.cc.unlockLeaf(ref)
-			e.abortc(htm.AbortPostLock, sp, attempt, ref.off)
-			continue
-		}
-		sp.Enter(trace.PhaseLeaf)
-		slot, bm, found := e.findInLeaf(ref.off, key)
-		if !found {
-			e.cc.unlockLeaf(ref)
-			return false, nil
-		}
-		rest := bm &^ (1 << slot)
-		e.persistLeafHeader(ref.off, rest)
-		e.cdc.releaseSlotKey(ref.off, slot)
-		if rest == 0 {
-			// Last key: try to remove the whole leaf.
-			sp.Enter(trace.PhaseSMO)
-			if !e.deleteSMO(key, ref) {
-				e.cc.unlockLeaf(ref) // leaf stays empty but linked
-			}
-		} else {
-			e.cc.unlockLeaf(ref)
-		}
-		e.size.Add(-1)
-		return true, nil
+	_, ref := e.acquireLeaf(&key, false, nil, &fb, sp)
+	if ref == nil {
+		return false, nil
 	}
+	slot, bm, found := e.findInLeaf(ref.off, key)
+	if !found {
+		e.cc.unlockLeaf(ref)
+		return false, nil
+	}
+	rest := bm &^ (1 << slot)
+	e.persistLeafHeader(ref.off, rest)
+	e.cdc.releaseSlotKey(ref.off, slot)
+	if rest == 0 {
+		// Last key: try to remove the whole leaf.
+		sp.Enter(trace.PhaseSMO)
+		if !e.deleteSMO(key, ref) {
+			e.cc.unlockLeaf(ref) // leaf stays empty but linked
+		}
+	} else {
+		e.cc.unlockLeaf(ref)
+	}
+	e.size.Add(-1)
+	return true, nil
 }
 
 // deleteSMO removes the locked, empty leaf from the tree: pessimistic
@@ -872,10 +875,14 @@ func (e *engine[K, V]) deleteSMO(key K, ref *leafRef) bool {
 				return false
 			}
 		case e.st:
-			// Single-threaded: the left neighbor lives in another subtree.
-			// Hunt it down the rightmost spine of the nearest left sibling
-			// (free of locks here) so empty leaves never linger.
-			prevRef = e.prevLeafRef(key)
+			// Single-threaded: the left neighbor lives in another subtree,
+			// one descent to the leaf's left separator away (free of locks
+			// here), so empty leaves never linger.
+			var sep separators[K]
+			e.descend(&key, false, &sep)
+			if sep.lb.ok {
+				_, _, prevRef, _ = e.descend(&sep.lb.key, false, nil)
+			}
 		}
 		if prevRef == nil {
 			bail() // leftmost in parent and not list head: leave it linked
@@ -928,36 +935,6 @@ func (e *engine[K, V]) deleteSMO(key K, ref *leafRef) bool {
 	return true
 }
 
-// prevLeafRef finds the left neighbor of the leaf covering key by descending
-// the rightmost spine of the nearest left sibling subtree. Single-threaded
-// only (no locks are taken); returns nil when the leaf is the list head.
-func (e *engine[K, V]) prevLeafRef(key K) *leafRef {
-	var cand *cInner[K]
-	candIdx := 0
-	n := e.root.Load()
-	for {
-		i, _ := n.search(key, e.cdc.less)
-		if i > 0 {
-			cand, candIdx = n, i
-		}
-		if n.leafParent {
-			break
-		}
-		n = n.kids[i].Load()
-	}
-	if cand == nil {
-		return nil
-	}
-	if cand.leafParent {
-		return cand.leaves[candIdx-1].Load()
-	}
-	n = cand.kids[candIdx-1].Load()
-	for !n.leafParent {
-		n = n.kids[int(n.cnt.Load())-1].Load()
-	}
-	return n.leaves[int(n.cnt.Load())-1].Load()
-}
-
 // unlinkLeaf removes leaf from the persistent list under a delete micro-log
 // and releases its storage (Algorithm 6). prev is ignored when leaf is the
 // list head. ref may be nil during recovery (no live handle exists yet).
@@ -992,196 +969,6 @@ func (e *engine[K, V]) releaseLeaf(log mlog) {
 		return
 	}
 	e.pool.Free(log.aOff(), e.sh.size)
-}
-
-// --- scans --------------------------------------------------------------------
-
-// scan visits live pairs with key >= from in ascending key order until fn
-// returns false. Leaves are unsorted, so each visited leaf is sorted in DRAM
-// before emission. The single-threaded engine chases the persistent next
-// pointers (Figure 2); the concurrent one must not (a concurrently
-// deallocated leaf could be reused under the reader), so it seeks leaf by
-// leaf through the inner nodes, using the separators as upper bounds.
-func (e *engine[K, V]) scan(from K, fn func(K, V) bool) {
-	sp := e.tr.Start(trace.OpScan)
-	if e.st {
-		e.scanChase(from, fn, sp)
-	} else {
-		e.scanSeek(from, fn, sp)
-	}
-	sp.Finish()
-	e.opDone()
-}
-
-type kvPair[K, V any] struct {
-	k K
-	v V
-}
-
-// sortPairs orders a leaf batch ascending. slices.SortFunc compiles to a
-// monomorphic sort (sort.Slice reflects on every swap and allocates its
-// closure header per leaf — measurable on scan-heavy workloads).
-func (e *engine[K, V]) sortPairs(batch []kvPair[K, V]) {
-	less := e.cdc.less
-	slices.SortFunc(batch, func(a, b kvPair[K, V]) int {
-		switch {
-		case less(a.k, b.k):
-			return -1
-		case less(b.k, a.k):
-			return 1
-		}
-		return 0
-	})
-}
-
-func (e *engine[K, V]) scanChase(from K, fn func(K, V) bool, sp *trace.Span) {
-	sp.Enter(trace.PhaseDescend)
-	ref := e.findLeafRef(from)
-	if ref == nil {
-		return
-	}
-	sp.Enter(trace.PhaseLeaf)
-	leaf := ref.off
-	batch := make([]kvPair[K, V], 0, e.sh.cap)
-	for {
-		bm := e.leafBitmap(leaf)
-		batch = batch[:0]
-		for s := 0; s < e.sh.cap; s++ {
-			if bm&(1<<s) == 0 {
-				continue
-			}
-			k := e.cdc.slotKey(leaf, s)
-			if !e.cdc.less(k, from) {
-				batch = append(batch, kvPair[K, V]{k, e.cdc.slotValue(leaf, s)})
-			}
-		}
-		e.sortPairs(batch)
-		for _, kv := range batch {
-			if !fn(kv.k, kv.v) {
-				return
-			}
-		}
-		next := e.leafNext(leaf)
-		if next.IsNull() {
-			return
-		}
-		leaf = next.Offset
-	}
-}
-
-func (e *engine[K, V]) scanSeek(from K, fn func(K, V) bool, sp *trace.Span) {
-	cur := from
-	batch := make([]kvPair[K, V], 0, e.sh.cap)
-	attempt := 0 // consecutive aborts at the current position; resets per leaf
-	for {
-		batch = batch[:0]
-		var ub K
-		haveUB := false
-		sp.Enter(trace.PhaseDescend)
-		ok := func() bool {
-			n, ver, _, ref, dok := e.descendUB(cur, &ub, &haveUB)
-			if !dok {
-				return false
-			}
-			if ref == nil {
-				return true // empty tree
-			}
-			if !e.cc.tryRLockLeaf(ref) {
-				return false
-			}
-			if !e.cc.validate(&n.lock, ver) {
-				e.cc.rUnlockLeaf(ref)
-				return false
-			}
-			sp.Enter(trace.PhaseLeaf)
-			bm := e.leafBitmap(ref.off)
-			for s := 0; s < e.sh.cap; s++ {
-				if bm&(1<<s) == 0 {
-					continue
-				}
-				k := e.cdc.slotKey(ref.off, s)
-				if !e.cdc.less(k, cur) {
-					batch = append(batch, kvPair[K, V]{k, e.cdc.slotValue(ref.off, s)})
-				}
-			}
-			e.cc.rUnlockLeaf(ref)
-			return true
-		}()
-		if !ok {
-			e.abortc(htm.AbortIter, sp, attempt, 0)
-			attempt++
-			continue
-		}
-		attempt = 0
-		e.sortPairs(batch)
-		for _, kv := range batch {
-			if !fn(kv.k, kv.v) {
-				return
-			}
-		}
-		if !haveUB {
-			return // rightmost leaf done
-		}
-		// Seek to the smallest key strictly greater than the separator. (The
-		// old fixed fork used MaxUint64 as an in-band "no bound" sentinel and
-		// ub+1, which wrapped for keys at the top of the range; haveUB +
-		// nextAfter handles both codecs without a sentinel.)
-		next, nok := e.cdc.nextAfter(ub)
-		if !nok {
-			return
-		}
-		cur = next
-	}
-}
-
-// descendUB is descend plus tracking of the tightest right-hand separator on
-// the path: the reached leaf covers no key greater than *ub (when *haveUB).
-func (e *engine[K, V]) descendUB(key K, ub *K, haveUB *bool) (n *cInner[K], ver uint64, idx int, ref *leafRef, ok bool) {
-	av := e.cc.readBegin(&e.anchor)
-	n = e.root.Load()
-	ver = e.cc.readBegin(&n.lock)
-	if !e.cc.validate(&e.anchor, av) {
-		return nil, 0, 0, nil, false
-	}
-	*haveUB = false
-	for {
-		i, sok := n.search(key, e.cdc.less)
-		if !sok {
-			return nil, 0, 0, nil, false
-		}
-		if i < int(n.cnt.Load())-1 {
-			kp := n.keys[i].Load()
-			if kp == nil {
-				return nil, 0, 0, nil, false
-			}
-			if !*haveUB || e.cdc.less(*kp, *ub) {
-				*ub = *kp
-				*haveUB = true
-			}
-		}
-		if !e.cc.validate(&n.lock, ver) {
-			return nil, 0, 0, nil, false
-		}
-		if n.leafParent {
-			if n.cnt.Load() == 0 {
-				return n, ver, 0, nil, true
-			}
-			r := n.leaves[i].Load()
-			if r == nil || !e.cc.validate(&n.lock, ver) {
-				return nil, 0, 0, nil, false
-			}
-			return n, ver, i, r, true
-		}
-		child := n.kids[i].Load()
-		if child == nil || !e.cc.validate(&n.lock, ver) {
-			return nil, 0, 0, nil, false
-		}
-		cver := e.cc.readBegin(&child.lock)
-		if !e.cc.validate(&n.lock, ver) {
-			return nil, 0, 0, nil, false
-		}
-		n, ver = child, cver
-	}
 }
 
 // --- recovery -----------------------------------------------------------------
@@ -1324,9 +1111,8 @@ func (e *engine[K, V]) sanitizeFreeLeaves() {
 }
 
 // leafMaxKey returns the greatest valid key in the leaf and the number of
-// valid slots, used when rebuilding inner nodes. (The fixed fork compared
-// against a zero max and the var fork against nil; "first valid slot wins"
-// covers both without a sentinel.)
+// valid slots, used when rebuilding inner nodes. "First valid slot wins"
+// serves both codecs without a sentinel for "no max yet".
 func (e *engine[K, V]) leafMaxKey(leaf uint64) (K, int) {
 	bm := e.leafBitmap(leaf)
 	var maxK K
@@ -1345,9 +1131,7 @@ func (e *engine[K, V]) leafMaxKey(leaf uint64) (K, int) {
 
 // buildInner bulk-builds the DRAM part from the recovered leaf list, packing
 // nodes to at most ~90% so the first inserts do not immediately split every
-// node. (The forks disagreed: the single-threaded builder packed nodes full.
-// 90% wins — full nodes made every post-recovery insert path split first.)
-// It is the sequential form of buildInnerW (recovery.go), which can fill the
+// node. It is the sequential form of buildInnerW (recovery.go), which can fill the
 // leaf-parent level with several workers.
 func buildInner[K any](leaves []uint64, maxKeys []K, maxKids int) *cInner[K] {
 	return buildInnerW(leaves, maxKeys, maxKids, 1)

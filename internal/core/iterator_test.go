@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -123,6 +125,131 @@ func eqStr(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestScanMatchesIteratorFixed: Scan, ScanN and Iterator are three consumers
+// of one cursor and must return the identical sequence for the same window on
+// both fixed facades — including from the key at the top of the key space,
+// which has no successor to resume from.
+func TestScanMatchesIteratorFixed(t *testing.T) {
+	type tree interface {
+		fixedIterTree
+		Scan(from uint64, fn func(KV) bool)
+		ScanN(from uint64, n int) []KV
+	}
+	for _, concurrent := range []bool{false, true} {
+		tr := newFixedIterTree(t, concurrent).(tree)
+		rng := rand.New(rand.NewSource(11))
+		keys := []uint64{math.MaxUint64, math.MaxUint64 - 1, 1}
+		for i := 0; i < 300; i++ {
+			keys = append(keys, rng.Uint64()>>uint(rng.Intn(40))|2)
+		}
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		for _, k := range keys {
+			if err := tr.Insert(k, k*10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		froms := []uint64{0, 1, 2, keys[len(keys)/2], keys[len(keys)/2] + 1, math.MaxUint64 - 1, math.MaxUint64}
+		for _, from := range froms {
+			i, _ := slices.BinarySearch(keys, from)
+			want := keys[i:]
+			var scanned []uint64
+			tr.Scan(from, func(kv KV) bool {
+				if kv.Value != kv.Key*10 {
+					t.Fatalf("scan: key %d carries value %d", kv.Key, kv.Value)
+				}
+				scanned = append(scanned, kv.Key)
+				return true
+			})
+			if !eqU64(scanned, want) {
+				t.Fatalf("concurrent=%v Scan(%d) = %d keys, want %d", concurrent, from, len(scanned), len(want))
+			}
+			if got := collectFixed(t, tr.Iterator(from, 0)); !eqU64(got, want) {
+				t.Fatalf("concurrent=%v Iterator(%d,0) = %d keys, want %d", concurrent, from, len(got), len(want))
+			}
+			for _, n := range []int{-1, 0, 1, 9, 100, len(keys) + 5} {
+				got := tr.ScanN(from, n)
+				if n <= 0 {
+					if got != nil {
+						t.Fatalf("ScanN(%d,%d) = %v, want nil", from, n, got)
+					}
+					continue
+				}
+				if len(got) != min(n, len(want)) || cap(got) > min(n, tr.Len()) {
+					t.Fatalf("concurrent=%v ScanN(%d,%d): len %d cap %d, want len %d", concurrent, from, n, len(got), cap(got), min(n, len(want)))
+				}
+				for j, kv := range got {
+					if kv.Key != want[j] || kv.Value != kv.Key*10 {
+						t.Fatalf("concurrent=%v ScanN(%d,%d)[%d] = %v, want key %d", concurrent, from, n, j, kv, want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScanMatchesIteratorVar is the var-key run, with 0xFF… keys at the top
+// of the key space.
+func TestScanMatchesIteratorVar(t *testing.T) {
+	type tree interface {
+		varIterTree
+		Scan(from []byte, fn func(VarKV) bool)
+		ScanN(from []byte, n int) []VarKV
+	}
+	for _, concurrent := range []bool{false, true} {
+		tr := newVarIterTree(t, concurrent).(tree)
+		rng := rand.New(rand.NewSource(12))
+		keys := []string{"\xff", "\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff", "\x00"}
+		for i := 0; i < 300; i++ {
+			k := make([]byte, 1+rng.Intn(5))
+			for j := range k {
+				k[j] = "az\x00\xff"[rng.Intn(4)]
+			}
+			keys = append(keys, string(k))
+		}
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		for _, k := range keys {
+			if err := tr.Insert([]byte(k), []byte(k + "padding!")[:8]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		top := keys[len(keys)-1]
+		for _, from := range []string{"\x00", "a", keys[len(keys)/2], keys[len(keys)/2] + "\x00", "\xff", top, top + "\x00"} {
+			i, _ := slices.BinarySearch(keys, from)
+			want := keys[i:]
+			var scanned []string
+			tr.Scan([]byte(from), func(kv VarKV) bool {
+				scanned = append(scanned, string(kv.Key))
+				return true
+			})
+			if !eqStr(scanned, want) {
+				t.Fatalf("concurrent=%v Scan(%q) = %d keys, want %d", concurrent, from, len(scanned), len(want))
+			}
+			if got := collectVar(t, tr.Iterator([]byte(from), nil)); !eqStr(got, want) {
+				t.Fatalf("concurrent=%v Iterator(%q,nil) = %d keys, want %d", concurrent, from, len(got), len(want))
+			}
+			for _, n := range []int{-1, 0, 1, 9, len(keys) + 5} {
+				got := tr.ScanN([]byte(from), n)
+				if n <= 0 {
+					if got != nil {
+						t.Fatalf("ScanN(%q,%d) = %v, want nil", from, n, got)
+					}
+					continue
+				}
+				if len(got) != min(n, len(want)) {
+					t.Fatalf("concurrent=%v ScanN(%q,%d) = %d pairs, want %d", concurrent, from, n, len(got), min(n, len(want)))
+				}
+				for j, kv := range got {
+					if string(kv.Key) != want[j] || !bytes.Equal(kv.Value, []byte(want[j] + "padding!")[:8]) {
+						t.Fatalf("concurrent=%v ScanN(%q,%d)[%d] = %q", concurrent, from, n, j, kv.Key)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestIteratorDomainsFixed covers the edge windows of the issue checklist on

@@ -255,20 +255,3 @@ func hash1Bytes(key []byte) byte {
 	}
 	return byte(h ^ h>>8 ^ h>>16 ^ h>>24)
 }
-
-// ProbeStats counts in-leaf search work for the Figure 4 reproduction: how
-// many candidate keys a successful lookup actually had to compare after the
-// fingerprint filter.
-type ProbeStats struct {
-	Searches  uint64 // completed leaf searches
-	KeyProbes uint64 // keys dereferenced and compared
-	FPScans   uint64 // fingerprint bytes inspected
-}
-
-// AvgProbes returns the measured expected number of in-leaf key probes.
-func (s ProbeStats) AvgProbes() float64 {
-	if s.Searches == 0 {
-		return 0
-	}
-	return float64(s.KeyProbes) / float64(s.Searches)
-}

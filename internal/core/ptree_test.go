@@ -96,13 +96,13 @@ func TestPTreeProbesLinear(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tr.Probes = ProbeStats{}
-		for _, k := range keys {
-			if _, ok := tr.Find(k); !ok {
-				t.Fatal("missing key")
+		return avgProbes(&tr.Ops, func() {
+			for _, k := range keys {
+				if _, ok := tr.Find(k); !ok {
+					t.Fatal("missing key")
+				}
 			}
-		}
-		return tr.Probes.AvgProbes()
+		})
 	}
 	pt := mk(VariantPTree)
 	fp := mk(VariantFPTree)

@@ -10,9 +10,9 @@ import (
 // atomic fields so the concurrent variants can share one instance across
 // goroutines and a metrics endpoint can read it during operation. The
 // per-search counters are striped by the offset of the leaf searched, so
-// goroutines searching different leaves do not share a counter line. It
-// complements the older non-atomic ProbeStats (kept for the single-threaded
-// Figure 4 experiment, which resets it between runs).
+// goroutines searching different leaves do not share a counter line. It is
+// the one source for the Figure 4 probe counts (read as deltas) and for the
+// exported search metrics.
 //
 // Fingerprint accounting follows Section 4.2: every valid slot costs one
 // byte-compare against the search key's fingerprint (FPCompares); a matching

@@ -10,7 +10,9 @@ import (
 // leaf groups (Section 5, variant 1). Keys and values are 8-byte integers.
 //
 // The tree is not safe for concurrent use; CTree is the Selective
-// Concurrency variant. Both are facades over the same generic engine — Tree
+// Concurrency variant. Read-only calls (Find, Scan/ScanN, iterators) may be
+// shared between goroutines while no writer runs: they write no
+// unsynchronized state. Both are facades over the same generic engine — Tree
 // pairs the fixed-key codec with the no-op concurrency controller.
 type Tree struct {
 	*engine[uint64, uint64]
@@ -21,6 +23,8 @@ type KV struct {
 	Key   uint64
 	Value uint64
 }
+
+func newKV(k, v uint64) KV { return KV{k, v} }
 
 // MemoryStats reports a tree's memory footprint split by medium, for the
 // Figure 8 experiment.
@@ -62,17 +66,7 @@ func (t *Tree) Scan(from uint64, fn func(KV) bool) {
 
 // ScanN returns up to n pairs with key >= from (nil when n <= 0). The result
 // is pre-sized to min(n, Len()), so a large n does not over-allocate.
-func (t *Tree) ScanN(from uint64, n int) []KV {
-	out := make([]KV, 0, scanNCap(n, t.Len()))
-	if n <= 0 {
-		return nil
-	}
-	t.Scan(from, func(kv KV) bool {
-		out = append(out, kv)
-		return len(out) < n
-	})
-	return out
-}
+func (t *Tree) ScanN(from uint64, n int) []KV { return scanN(t.engine, from, n, newKV) }
 
 // Iterator returns a resumable ascending iterator over the window
 // [start, end); end == 0 means unbounded. The iterator is created positioned

@@ -636,6 +636,14 @@ func TestQuickRecoveryEquivalence(t *testing.T) {
 	}
 }
 
+// avgProbes runs fn and returns the in-leaf key probes per search it cost,
+// read as deltas of the tree's shared counters.
+func avgProbes(ops *OpStats, fn func()) float64 {
+	searches, probes := ops.Searches.Load(), ops.KeyProbes.Load()
+	fn()
+	return float64(ops.KeyProbes.Load()-probes) / float64(ops.Searches.Load()-searches)
+}
+
 func TestProbeStatsNearOne(t *testing.T) {
 	// The Figure 4 claim: with m=56 entries and 256 fingerprint values, a
 	// successful search probes ~1.1 keys on average.
@@ -649,13 +657,13 @@ func TestProbeStatsNearOne(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr.Probes = ProbeStats{}
-	for _, k := range keys {
-		if _, ok := tr.Find(k); !ok {
-			t.Fatalf("key %d missing", k)
+	avg := avgProbes(&tr.Ops, func() {
+		for _, k := range keys {
+			if _, ok := tr.Find(k); !ok {
+				t.Fatalf("key %d missing", k)
+			}
 		}
-	}
-	avg := tr.Probes.AvgProbes()
+	})
 	if avg < 1.0 || avg > 1.35 {
 		t.Fatalf("avg in-leaf probes = %.3f, want ≈1.1", avg)
 	}

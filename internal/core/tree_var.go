@@ -24,6 +24,8 @@ type VarKV struct {
 	Value []byte
 }
 
+func newVarKV(k, v []byte) VarKV { return VarKV{k, v} }
+
 // CreateVar formats a new single-threaded variable-size-key FPTree.
 func CreateVar(pool *scm.Pool, cfg Config) (*VarTree, error) {
 	e, err := createEngine(pool, cfg, keyKindVar, varCodecOf, nopCC{})
@@ -52,17 +54,7 @@ func (t *VarTree) Scan(from []byte, fn func(VarKV) bool) {
 
 // ScanN returns up to n pairs with key >= from (nil when n <= 0). The result
 // is pre-sized to min(n, Len()), so a large n does not over-allocate.
-func (t *VarTree) ScanN(from []byte, n int) []VarKV {
-	out := make([]VarKV, 0, scanNCap(n, t.Len()))
-	if n <= 0 {
-		return nil
-	}
-	t.Scan(from, func(kv VarKV) bool {
-		out = append(out, kv)
-		return len(out) < n
-	})
-	return out
-}
+func (t *VarTree) ScanN(from []byte, n int) []VarKV { return scanN(t.engine, from, n, newVarKV) }
 
 // Iterator returns a resumable ascending iterator over [start, end) in
 // bytewise key order; a nil edge means unbounded. The iterator is created

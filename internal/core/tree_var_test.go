@@ -366,13 +366,14 @@ func TestVarProbeStatsNearOne(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr.Probes = ProbeStats{}
-	for _, k := range keys {
-		if _, ok := tr.Find(k); !ok {
-			t.Fatalf("key %q missing", k)
+	avg := avgProbes(&tr.Ops, func() {
+		for _, k := range keys {
+			if _, ok := tr.Find(k); !ok {
+				t.Fatalf("key %q missing", k)
+			}
 		}
-	}
-	if avg := tr.Probes.AvgProbes(); avg < 1.0 || avg > 1.35 {
+	})
+	if avg < 1.0 || avg > 1.35 {
 		t.Fatalf("avg probes = %.3f", avg)
 	}
 }

@@ -189,8 +189,9 @@ func (c *AdaptiveController) AbortEWMA() float64 {
 func (c *AdaptiveController) FallbackHeld() bool { return c.fbHeld.Load() != 0 }
 
 // OnOp records one completed operation and, at window boundaries, re-evaluates
-// the budget. Called once per public tree operation (find, insert, update,
-// delete, one per iterator seek).
+// the budget. Called once per point operation (find, insert, update, upsert,
+// delete) and once per leaf a scan or an iterator seeks to, so every range
+// read weighs in by the leaves it acquired, like the aborts it can suffer.
 func (c *AdaptiveController) OnOp() {
 	if c.ops.Add(1) < uint64(c.cfg.AdaptEvery) {
 		return
@@ -233,7 +234,7 @@ func (c *AdaptiveController) OnAbort(cause AbortCause, attempt int) {
 // unclassified aborts carry no locality information.
 func isConflictCause(cause AbortCause) bool {
 	switch cause {
-	case AbortDescend, AbortLeafLock, AbortPostLock, AbortIter:
+	case AbortDescend, AbortLeafLock, AbortPostLock:
 		return true
 	}
 	return false

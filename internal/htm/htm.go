@@ -108,8 +108,6 @@ const (
 	// AbortPostLock: the leaf parent changed between taking the leaf lock
 	// and the final validation, or the leaf died underneath the operation.
 	AbortPostLock
-	// AbortIter: an iterator or scan re-seek observed a conflict.
-	AbortIter
 	// AbortForced: a ForceAbort schedule fired (the emulation hook for the
 	// spurious/capacity aborts real TSX suffers).
 	AbortForced
@@ -131,8 +129,6 @@ func (c AbortCause) String() string {
 		return "leaf_lock"
 	case AbortPostLock:
 		return "post_lock"
-	case AbortIter:
-		return "iter"
 	case AbortForced:
 		return "forced"
 	default:

@@ -116,18 +116,16 @@ func (c *CTree) mutate(key uint64, fn func() error) error {
 	c.mu.RLock()
 	if len(c.t.plns) != 0 {
 		_, _, l := c.t.findLeaf(key, nil)
+		m := c.locks.lock(l)
+		// The count is only read under the leaf lock: a concurrent appender
+		// may be filling the leaf.
 		if c.t.leafCount(l) < c.t.leafCap {
-			m := c.locks.lock(l)
-			// Re-check under the leaf lock: a concurrent appender may have
-			// filled the leaf.
-			if _, _, l2 := c.t.findLeaf(key, nil); l2 == l && c.t.leafCount(l) < c.t.leafCap {
-				err := fn()
-				m.Unlock()
-				c.mu.RUnlock()
-				return err
-			}
+			err := fn()
 			m.Unlock()
+			c.mu.RUnlock()
+			return err
 		}
+		m.Unlock()
 	}
 	c.mu.RUnlock()
 	// Slow path: exclusive structure lock (split / first leaf / rebuild).
@@ -237,16 +235,14 @@ func (c *CVarTree) mutate(key []byte, fn func() error) error {
 	c.mu.RLock()
 	if len(c.t.plns) != 0 {
 		_, _, l := c.t.findLeaf(0, key)
+		m := c.locks.lock(l)
 		if c.t.leafCount(l) < c.t.leafCap {
-			m := c.locks.lock(l)
-			if _, _, l2 := c.t.findLeaf(0, key); l2 == l && c.t.leafCount(l) < c.t.leafCap {
-				err := fn()
-				m.Unlock()
-				c.mu.RUnlock()
-				return err
-			}
+			err := fn()
 			m.Unlock()
+			c.mu.RUnlock()
+			return err
 		}
+		m.Unlock()
 	}
 	c.mu.RUnlock()
 	c.mu.Lock()

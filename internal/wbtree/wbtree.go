@@ -29,6 +29,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"fptree/internal/scm"
 )
@@ -83,12 +84,12 @@ func (c *Config) normalize() error {
 
 // Tree is the fixed-size-key wBTree. Not safe for concurrent use.
 type Tree struct {
-	base
+	*base
 }
 
 // VarTree is the variable-size-key wBTree.
 type VarTree struct {
-	base
+	*base
 }
 
 // base carries everything shared between the two key modes.
@@ -100,9 +101,10 @@ type base struct {
 	meta     uint64
 	size     int
 
-	// Probes counts in-node key probes for the Figure 4 comparison.
-	Searches  uint64
-	KeyProbes uint64
+	// Probe counters for the Figure 4 comparison (atomic: callers run finds
+	// in parallel under a read lock).
+	Searches  atomic.Uint64
+	KeyProbes atomic.Uint64
 }
 
 func (b *base) entrySize() uint64 {
@@ -129,7 +131,7 @@ func New(pool *scm.Pool, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{base: *b}, nil
+	return &Tree{base: b}, nil
 }
 
 // NewVar formats a variable-size-key wBTree in the pool.
@@ -138,7 +140,7 @@ func NewVar(pool *scm.Pool, cfg Config) (*VarTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VarTree{base: *b}, nil
+	return &VarTree{base: b}, nil
 }
 
 func create(pool *scm.Pool, cfg Config, mode int) (*base, error) {
@@ -169,7 +171,7 @@ func Open(pool *scm.Pool) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{base: *b}, nil
+	return &Tree{base: b}, nil
 }
 
 // OpenVar recovers a variable-size-key wBTree.
@@ -178,7 +180,7 @@ func OpenVar(pool *scm.Pool) (*VarTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VarTree{base: *b}, nil
+	return &VarTree{base: b}, nil
 }
 
 func open(pool *scm.Pool, mode int) (*base, error) {
@@ -250,7 +252,7 @@ func (b *base) entryKeyVar(n uint64, e int) []byte {
 // cmpKey three-way-compares entry e's key with the probe key (exactly one of
 // fk/vk is used depending on the mode).
 func (b *base) cmpKey(n uint64, e int, fk uint64, vk []byte) int {
-	b.KeyProbes++
+	b.KeyProbes.Add(1)
 	if b.entryIsInf(n, e) {
 		return 1 // the infinity separator is greater than any probe key
 	}
@@ -363,7 +365,7 @@ func (b *base) writeSlots(n uint64, order []int) {
 // Figure 4.
 func (b *base) search(n uint64, fk uint64, vk []byte) (order []int, rank int, exact bool) {
 	order = b.sortedEntries(n)
-	b.Searches++
+	b.Searches.Add(1)
 	lo, hi := 0, len(order)
 	for lo < hi {
 		mid := (lo + hi) / 2

@@ -411,7 +411,8 @@ func TestProbesLogarithmic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr.Searches, tr.KeyProbes = 0, 0
+	tr.Searches.Store(0)
+	tr.KeyProbes.Store(0)
 	for _, k := range keys {
 		if _, ok := tr.Find(k); !ok {
 			t.Fatal("missing key")
@@ -420,7 +421,7 @@ func TestProbesLogarithmic(t *testing.T) {
 	// Probes counted across all levels; per successful lookup with leaf 63
 	// and two or three inner levels, expect roughly 3*log2(63) ≈ 12-20,
 	// clearly logarithmic rather than linear (≈32 for the leaf alone).
-	avg := float64(tr.KeyProbes) / float64(tr.Searches)
+	avg := float64(tr.KeyProbes.Load()) / float64(tr.Searches.Load())
 	if avg > 25 {
 		t.Fatalf("avg probes/search = %.1f, not logarithmic", avg)
 	}
