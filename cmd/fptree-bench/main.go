@@ -1,66 +1,38 @@
 // Command fptree-bench regenerates the tables and figures of the FPTree
-// paper's evaluation (Section 6 and Appendix A). Each -exp value corresponds
-// to one table or figure; see DESIGN.md for the experiment index.
+// paper's evaluation (Section 6 and Appendix A) as text tables comparing the
+// FPTree against NV-Tree, wBTree and STXTree. How fast, small and correct
+// this repository is at a commit is a different question with a different
+// program: `go run ./benchmark` (see benchmark/README.md).
 //
 // Usage:
 //
 //	fptree-bench -exp fig7 [-warm N] [-ops N] [-scale paper]
 //	fptree-bench -exp all
-//	fptree-bench -stats
+//	fptree-bench -recovery [-recovery-keys N,..] [-recovery-workers N,..] [-recovery-var] [-recovery-file]
+//	fptree-bench -ycsb [-ycsb-records N] [-ycsb-threads N] [-ops N]
 //
-// -stats prints a metric-level validation report instead of timings: per-phase
-// flushes/op, fences/op, fingerprint false-positive rate and HTM abort ratio,
-// derived from the internal/obs counter registry. Given alone it runs only the
-// report; combined with an explicit -exp it runs after the experiments.
-//
-// -json <path> writes a machine-readable summary of the standard
-// single-threaded workload suite (ops/sec, p50/p99 latency, flushes/op,
-// fences/op per workload) for regression tracking; see BENCH_baseline.json at
-// the repository root for the committed baseline. Like -stats, -json given
-// without -exp runs only the JSON suite. Adding -trace attaches a
-// 1-in-N sampling span tracer (N from -trace-sample) to each tree and emits
-// the per-phase latency/flush/fence attribution of every workload into the
-// report's "phases" fields.
+// Each -exp value is one table or figure; bench.Experiments is the list and
+// DESIGN.md indexes it. An unknown id exits 2 naming the valid ones.
 //
 // -recovery runs the recovery-time experiment instead (see RECOVERY.md and
 // the recovery section of EXPERIMENTS.md): for each -recovery-keys size it
 // bulk loads a tree, simulates a restart, and times core.Open at each
-// -recovery-workers count under the emulated SCM latency. With -json the
-// measurements are written as the report's "recovery" records. Adding
+// -recovery-workers count under 250 ns of emulated SCM latency. Adding
 // -recovery-file builds each tree in a real arena file and reopens the file
 // cold for every measurement, so each data point is a true process restart
 // (arena open, mmap, recovery scan) rather than an emulated Crash.
 //
-// -ycsb runs the YCSB-style workload suite (A-F) on the concurrent FPTree:
-// scrambled-zipfian, latest and uniform key choosers, read/update/insert/
-// scan/read-modify-write mixes, -ycsb-threads client goroutines. Scans drive
-// the resumable Iterator and verify every value. With -json the per-workload
-// results land in the standard report schema (tagged with thread count and
-// key distribution), so -check-json and the regression tooling apply.
-//
-// -mc runs the memcached shard-scaling suite instead: the Section 6.4 server
-// over loopback TCP with its keyspace hash-partitioned across -mc-shards
-// FPTreeC shards, measured at each -mc-clients connection count. Reports
-// SET/GET throughput, tail latency and the fleet HTM/OCC abort ratio per
-// point; with -json the records land in the standard schema tagged with
-// shards/clients/htm_abort_ratio.
-//
-// -contention runs the contention sweep: a read/update mix on the concurrent
-// FPTree at each -contention-goroutines count under uniform and zipfian-hot
-// key distributions, each point measured twice — fixed retry budget vs. the
-// adaptive controller (see CONCURRENCY.md). Reports throughput, tail latency,
-// the abort ratio, and the controller's fallback entries and final budget;
-// with -json the records land in the standard schema tagged with
-// cc_mode/fallback_entries/retry_budget. BENCH_contention.json at the
-// repository root is the committed A/B record.
-//
-// -check-json <path> validates an existing -json document against the report
-// schema and exits; CI's recovery-smoke job runs it over fresh output.
+// -ycsb runs the YCSB-style workload suite (A-F) on the concurrent FPTree
+// instead: scrambled-zipfian, latest and uniform key choosers, read/update/
+// insert/scan/read-modify-write mixes, -ycsb-threads client goroutines.
+// Scans drive the resumable Iterator and verify every value; a mismatch
+// fails the run.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -69,208 +41,95 @@ import (
 	"fptree/internal/bench"
 )
 
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
 // parseIntList parses a comma-separated list of positive ints ("1,2,4").
-func parseIntList(flagName, s string) []int {
+func parseIntList(flagName, s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "-%s: bad value %q in %q\n", flagName, f, s)
-			os.Exit(2)
+			return nil, fmt.Errorf("-%s: bad value %q in %q", flagName, f, s)
 		}
 		out = append(out, n)
 	}
-	return out
+	return out, nil
 }
 
-func main() {
-	var (
-		exp        = flag.String("exp", "all", "experiment: tab1|fig4|fig7|fig7var|fig7rec|fig8|fig9|fig10|fig11|fig12|fig13|fig14|ablation-fp|ablation-groups|ablation-sp|all")
-		warm       = flag.Int("warm", 100000, "warm-up keys")
-		ops        = flag.Int("ops", 50000, "measured operations")
-		scale      = flag.String("scale", "small", "small | paper (paper: 50M/50M — hours of runtime)")
-		threads    = flag.String("threads", "", "comma-free max thread count for fig9-11 (default NumCPU*2)")
-		stats      = flag.Bool("stats", false, "print per-phase metric deltas (flushes/op, fences/op, FP-rate, abort ratio)")
-		jsonOut    = flag.String("json", "", "write machine-readable workload results (ops/sec, p50/p99, flushes/op, fences/op) to this path")
-		recovery   = flag.Bool("recovery", false, "run the recovery-time experiment (recovery time vs tree size per worker count)")
-		recKeys    = flag.String("recovery-keys", "100000,1000000", "comma-separated tree sizes for -recovery")
-		recWorkers = flag.String("recovery-workers", "1,2", "comma-separated recovery worker counts for -recovery")
-		recLatency = flag.Int("recovery-latency", 250, "emulated SCM latency in ns for -recovery")
-		recVar     = flag.Bool("recovery-var", false, "also measure the variable-size-key tree in -recovery")
-		recFile    = flag.Bool("recovery-file", false, "run -recovery over file-backed arenas: each measurement reopens a real arena file cold (true restart, including the mmap)")
-		checkJSON  = flag.String("check-json", "", "validate an existing -json report at this path and exit")
-		traceOn    = flag.Bool("trace", false, "attach a sampling span tracer to the -json suite and emit per-phase attribution (descend/leaf/smo ns, flushes, fences) into the report")
-		traceEvery = flag.Int("trace-sample", 64, "1-in-N span sampling rate for -trace")
-		mc         = flag.Bool("mc", false, "run the memcached shard-scaling suite: SET/GET throughput over loopback TCP per (shards, clients) point")
-		mcStore    = flag.String("mc-store", "fptree", "shard engine for -mc: fptree (locked) | fptreec (concurrent)")
-		mcShards   = flag.String("mc-shards", "1,2,4", "comma-separated fleet widths for -mc")
-		mcClients  = flag.String("mc-clients", "64", "comma-separated benchmark connection counts for -mc")
-		mcLatency  = flag.Int("mc-latency", 85, "emulated SCM latency in ns for -mc (sleep mode; 0 = off)")
-		ycsb       = flag.Bool("ycsb", false, "run the YCSB-style workload suite (A-F) on the concurrent FPTree instead of the experiments")
-		ycsbWork   = flag.String("ycsb-workloads", "A,B,C,D,E,F", "comma-separated YCSB workloads for -ycsb")
-		ycsbRec    = flag.Int("ycsb-records", 50000, "preloaded records per -ycsb workload")
-		ycsbThr    = flag.Int("ycsb-threads", 1, "client goroutines for -ycsb")
-		ycsbScan   = flag.Int("ycsb-scan", 100, "max scan length for -ycsb workload E")
-		ycsbSeed   = flag.Int64("ycsb-seed", 1, "base RNG seed for -ycsb")
-		cont       = flag.Bool("contention", false, "run the contention sweep: fixed vs adaptive concurrency control per (distribution, goroutines) point")
-		contGos    = flag.String("contention-goroutines", "1,2,4,8", "comma-separated goroutine counts for -contention")
-		contDists  = flag.String("contention-dists", "uniform,zipfian", "comma-separated key distributions for -contention (uniform | zipfian)")
-		contRec    = flag.Int("contention-records", 50000, "preloaded sequential keys per -contention point")
-		contUpd    = flag.Int("contention-update", 50, "update percentage of the -contention mix (rest are finds)")
-		contLat    = flag.Int("contention-latency", 1000, "emulated SCM latency in ns for -contention (sleep mode; 0 = off)")
-		contTrials = flag.Int("contention-trials", 3, "trials per -contention point; the median trial by throughput is reported")
-		contSeed   = flag.Int64("contention-seed", 1, "base RNG seed for -contention")
-	)
-	flag.Parse()
-
-	if *checkJSON != "" {
-		data, err := os.ReadFile(*checkJSON)
-		if err == nil {
-			err = bench.ValidateReport(data)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "check-json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid bench report\n", *checkJSON)
-		return
+// run is main with its inputs and outputs as parameters; it returns the exit
+// code: 0 done, 1 an experiment failed, 2 bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	var ids []string
+	for _, e := range bench.Experiments {
+		ids = append(ids, e.ID)
 	}
-	expSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "exp" {
-			expSet = true
-		}
-	})
-
+	fs := flag.NewFlagSet("fptree-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp        = fs.String("exp", "all", "experiment: "+strings.Join(ids, "|")+"|all")
+		warm       = fs.Int("warm", 100000, "warm-up keys")
+		ops        = fs.Int("ops", 50000, "measured operations")
+		scale      = fs.String("scale", "small", "small | paper (paper: 50M/50M — hours of runtime)")
+		threads    = fs.Int("threads", runtime.NumCPU()*2, "max thread count of the fig9-11 sweeps")
+		recovery   = fs.Bool("recovery", false, "run the recovery-time experiment (recovery time vs tree size per worker count) instead of -exp")
+		recKeys    = fs.String("recovery-keys", "100000,1000000", "comma-separated tree sizes for -recovery")
+		recWorkers = fs.String("recovery-workers", "1,2", "comma-separated recovery worker counts for -recovery")
+		recVar     = fs.Bool("recovery-var", false, "also measure the variable-size-key tree in -recovery")
+		recFile    = fs.Bool("recovery-file", false, "run -recovery over file-backed arenas: each measurement reopens a real arena file cold (true restart, including the mmap)")
+		ycsb       = fs.Bool("ycsb", false, "run the YCSB-style workload suite (A-F) on the concurrent FPTree instead of -exp")
+		ycsbRec    = fs.Int("ycsb-records", 50000, "preloaded records per -ycsb workload")
+		ycsbThr    = fs.Int("ycsb-threads", 1, "client goroutines for -ycsb")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	sc := bench.Scale{Warm: *warm, Ops: *ops}
 	if *scale == "paper" {
 		sc = bench.Scale{Warm: 50_000_000, Ops: 50_000_000}
 	}
-	maxThreads := runtime.NumCPU() * 2
-	if *threads != "" {
-		fmt.Sscanf(*threads, "%d", &maxThreads) //nolint:errcheck
-	}
-	threadSweep := []int{1}
-	for t := 2; t <= maxThreads; t *= 2 {
-		threadSweep = append(threadSweep, t)
-	}
 
-	w := os.Stdout
-	run := func(name string, fn func() error) {
-		fmt.Fprintf(w, "\n===== %s =====\n", name)
+	// section prints one `===== name =====` block and returns its exit code.
+	section := func(name string, fn func() error) int {
+		fmt.Fprintf(stdout, "\n===== %s =====\n", name)
 		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			return 1
 		}
-	}
-
-	if *stats {
-		run("stats", func() error { return bench.StatsReport(w, sc) })
+		return 0
 	}
 	if *recovery {
-		cfg := bench.RecoveryConfig{
-			Sizes:      parseIntList("recovery-keys", *recKeys),
-			Workers:    parseIntList("recovery-workers", *recWorkers),
-			LatencyNS:  *recLatency,
-			Var:        *recVar,
-			JSONPath:   *jsonOut,
-			FileBacked: *recFile,
+		cfg := bench.RecoveryConfig{Var: *recVar, FileBacked: *recFile}
+		var err error
+		if cfg.Sizes, err = parseIntList("recovery-keys", *recKeys); err == nil {
+			cfg.Workers, err = parseIntList("recovery-workers", *recWorkers)
 		}
-		run("recovery", func() error { return bench.RecoveryBench(w, cfg) })
-	} else if *mc {
-		cfg := bench.MCShardConfig{
-			Store:     *mcStore,
-			Shards:    parseIntList("mc-shards", *mcShards),
-			Clients:   parseIntList("mc-clients", *mcClients),
-			Ops:       *ops,
-			LatencyNS: *mcLatency,
-			JSONPath:  *jsonOut,
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		run("mc", func() error { return bench.MCShardBench(w, cfg) })
-	} else if *ycsb {
-		cfg := bench.YCSBConfig{
-			Workloads: strings.Split(*ycsbWork, ","),
-			Records:   *ycsbRec,
-			Ops:       *ops,
-			Threads:   *ycsbThr,
-			ScanLen:   *ycsbScan,
-			Seed:      *ycsbSeed,
-			JSONPath:  *jsonOut,
+		return section("recovery", func() error { _, err := bench.RecoveryBench(stdout, cfg); return err })
+	}
+	if *ycsb {
+		cfg := bench.YCSBConfig{Records: *ycsbRec, Ops: *ops, Threads: *ycsbThr}
+		return section("ycsb", func() error { _, err := bench.YCSBBench(stdout, cfg); return err })
+	}
+	matched := false
+	for _, e := range bench.Experiments {
+		if *exp != "all" && *exp != e.ID {
+			continue
 		}
-		run("ycsb", func() error { return bench.YCSBBench(w, cfg) })
-	} else if *cont {
-		cfg := bench.ContentionConfig{
-			Goroutines: parseIntList("contention-goroutines", *contGos),
-			Dists:      strings.Split(*contDists, ","),
-			Records:    *contRec,
-			Ops:        *ops,
-			UpdatePct:  *contUpd,
-			LatencyNS:  *contLat,
-			Trials:     *contTrials,
-			Seed:       *contSeed,
-			JSONPath:   *jsonOut,
+		matched = true
+		if code := section(e.ID, func() error { return e.Run(stdout, sc, *threads) }); code != 0 {
+			return code
 		}
-		run("contention", func() error { return bench.ContentionBench(w, cfg) })
-	} else if *jsonOut != "" {
-		every := 0
-		if *traceOn {
-			every = *traceEvery
+	}
+	if !matched {
+		fmt.Fprintf(stderr, "fptree-bench: unknown experiment %q; valid -exp values:\n", *exp)
+		for _, e := range bench.Experiments {
+			fmt.Fprintf(stderr, "  %-16s %s\n", e.ID, e.Title)
 		}
-		run("json", func() error { return bench.JSONBench(w, *jsonOut, sc, every) })
+		fmt.Fprintf(stderr, "  %-16s every experiment above, in that order\n", "all")
+		return 2
 	}
-	if (*stats || *recovery || *ycsb || *mc || *cont || *jsonOut != "") && !expSet {
-		return
-	}
-
-	all := *exp == "all"
-	if all || *exp == "tab1" {
-		run("tab1", func() error { return bench.Table1NodeSizes(w, sc) })
-	}
-	if all || *exp == "fig4" {
-		run("fig4", func() error { return bench.Fig4Probes(w, sc.Warm) })
-	}
-	if all || *exp == "fig7" {
-		run("fig7", func() error { return bench.Fig7Fixed(w, sc, bench.Latencies, bench.FixedKinds) })
-	}
-	if all || *exp == "fig7var" {
-		run("fig7var", func() error { return bench.Fig7Var(w, sc, bench.Latencies, bench.FixedKinds) })
-	}
-	if all || *exp == "fig7rec" {
-		sizes := []int{sc.Warm / 10, sc.Warm, sc.Warm * 4}
-		run("fig7rec", func() error { return bench.Fig7Recovery(w, sizes, []int{90, 650}) })
-	}
-	if all || *exp == "fig8" {
-		run("fig8", func() error { return bench.Fig8Memory(w, sc.Warm) })
-	}
-	if all || *exp == "fig9" {
-		run("fig9", func() error { return bench.Fig9Concurrency(w, sc, threadSweep, 85, false) })
-		run("fig9var", func() error { return bench.Fig9Concurrency(w, sc, threadSweep, 85, true) })
-	}
-	if all || *exp == "fig10" {
-		// Two sockets: the paper doubles the thread range; on this host the
-		// sweep simply extends beyond physical cores.
-		ext := append(append([]int{}, threadSweep...), maxThreads*2)
-		run("fig10", func() error { return bench.Fig9Concurrency(w, sc, ext, 85, false) })
-	}
-	if all || *exp == "fig11" {
-		run("fig11", func() error { return bench.Fig9Concurrency(w, sc, threadSweep, 145, false) })
-	}
-	if all || *exp == "fig12" {
-		run("fig12", func() error { return bench.Fig12TATP(w, sc.Warm, sc.Ops, 8, []int{160, 450, 650}) })
-	}
-	if all || *exp == "fig13" {
-		run("fig13", func() error { return bench.Fig13Memcached(w, 8, sc.Ops, []int{85, 145}) })
-	}
-	if all || *exp == "fig14" {
-		run("fig14", func() error { return bench.Fig14Payload(w, sc) })
-	}
-	if all || *exp == "ablation-fp" {
-		run("ablation-fp", func() error { return bench.AblationFingerprints(w, sc) })
-	}
-	if all || *exp == "ablation-groups" {
-		run("ablation-groups", func() error { return bench.AblationGroups(w, sc) })
-	}
-	if all || *exp == "ablation-sp" {
-		run("ablation-sp", func() error { return bench.AblationSelectivePersistence(w, sc) })
-	}
+	return 0
 }

@@ -4,11 +4,7 @@
 //
 // Usage:
 //
-//	tatp -index fptree -subscribers 100000 -txns 200000 -latency 160
-//
-// With -stats it instead prints per-phase metric deltas for the FPTree
-// dictionary index (flushes/op, fences/op, fingerprint false-positive rate)
-// from the internal/obs counter registry — counters, not timings.
+//	tatp -subscribers 100000 -txns 200000 -latency 160
 package main
 
 import (
@@ -25,17 +21,9 @@ func main() {
 		txns        = flag.Int("txns", 100000, "transactions to run")
 		clients     = flag.Int("clients", 8, "client goroutines")
 		latency     = flag.Int("latency", 160, "emulated SCM latency in ns")
-		stats       = flag.Bool("stats", false, "print per-phase metric deltas for the FPTree index instead of timings")
 	)
 	flag.Parse()
 
-	if *stats {
-		if err := bench.TATPStatsReport(os.Stdout, *subscribers, *txns, *clients, *latency); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := bench.Fig12TATP(os.Stdout, *subscribers, *txns, *clients, []int{*latency}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

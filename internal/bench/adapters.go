@@ -15,21 +15,21 @@ import (
 	"fptree/internal/wbtree"
 )
 
-// FixedTree is the uniform adapter over all fixed-size-key trees.
-type FixedTree interface {
-	Insert(k, v uint64) error
-	Find(k uint64) (uint64, bool)
-	Update(k, v uint64) (bool, error)
-	Delete(k uint64) (bool, error)
+// Tree is the uniform adapter over every tree under test: the four base
+// operations of the paper's Figure 7, for one key and value representation.
+type Tree[K, V any] interface {
+	Insert(k K, v V) error
+	Find(k K) (V, bool)
+	Update(k K, v V) (bool, error)
+	Delete(k K) (bool, error)
 }
 
-// VarTree is the uniform adapter over all variable-size-key trees.
-type VarTree interface {
-	Insert(k []byte, v []byte) error
-	Find(k []byte) ([]byte, bool)
-	Update(k, v []byte) (bool, error)
-	Delete(k []byte) (bool, error)
-}
+// FixedTree is Tree over the 8-byte keys and values of the fixed-key trees;
+// VarTree is Tree over the string keys and byte payloads of the var-key ones.
+type (
+	FixedTree = Tree[uint64, uint64]
+	VarTree   = Tree[[]byte, []byte]
+)
 
 // Instance couples a tree with its pool and recovery procedure.
 type Instance struct {
@@ -185,39 +185,30 @@ func NewVar(kind Kind, poolSizeMB int, valueSize int, lat scm.LatencyConfig) (*I
 	return nil, fmt.Errorf("bench: unknown var kind %q", kind)
 }
 
-// CFixedTree is the adapter over the concurrent fixed-key trees.
-type CFixedTree interface {
-	FixedTree
-}
-
 // NewConcurrentFixed builds a concurrent fixed-key tree (Figures 9-11).
-func NewConcurrentFixed(kind Kind, poolSizeMB int, lat scm.LatencyConfig) (string, FixedTree, *scm.Pool, error) {
+func NewConcurrentFixed(kind Kind, poolSizeMB int, lat scm.LatencyConfig) (string, FixedTree, error) {
 	switch kind {
 	case KindFPTreeC:
-		pool := poolMB(poolSizeMB, lat)
-		t, err := core.CCreate(pool, core.Config{LeafCap: 56, InnerFanout: 128}) // Table 1: FPTreeC 128/64
-		return "FPTreeC", t, pool, err
+		t, err := core.CCreate(poolMB(poolSizeMB, lat), core.Config{LeafCap: 56, InnerFanout: 128}) // Table 1: FPTreeC 128/64
+		return "FPTreeC", t, err
 	case KindNVTreeC:
-		pool := poolMB(poolSizeMB, lat)
-		t, err := nvtree.CNew(pool, nvtree.Config{LeafCap: 32, InnerCap: 128})
-		return "NV-TreeC", t, pool, err
+		t, err := nvtree.CNew(poolMB(poolSizeMB, lat), nvtree.Config{LeafCap: 32, InnerCap: 128})
+		return "NV-TreeC", t, err
 	}
-	return "", nil, nil, fmt.Errorf("bench: unknown concurrent kind %q", kind)
+	return "", nil, fmt.Errorf("bench: unknown concurrent kind %q", kind)
 }
 
 // NewConcurrentVar builds a concurrent variable-size-key tree.
-func NewConcurrentVar(kind Kind, poolSizeMB int, valueSize int, lat scm.LatencyConfig) (string, VarTree, *scm.Pool, error) {
+func NewConcurrentVar(kind Kind, poolSizeMB int, valueSize int, lat scm.LatencyConfig) (string, VarTree, error) {
 	switch kind {
 	case KindFPTreeC:
-		pool := poolMB(poolSizeMB, lat)
-		t, err := core.CCreateVar(pool, core.Config{LeafCap: 56, InnerFanout: 64, ValueSize: valueSize})
-		return "FPTreeCVar", t, pool, err
+		t, err := core.CCreateVar(poolMB(poolSizeMB, lat), core.Config{LeafCap: 56, InnerFanout: 64, ValueSize: valueSize})
+		return "FPTreeCVar", t, err
 	case KindNVTreeC:
-		pool := poolMB(poolSizeMB, lat)
-		t, err := nvtree.CNewVar(pool, nvtree.Config{LeafCap: 32, InnerCap: 128, ValueSize: valueSize})
-		return "NV-TreeCVar", nvCVar{t}, pool, err
+		t, err := nvtree.CNewVar(poolMB(poolSizeMB, lat), nvtree.Config{LeafCap: 32, InnerCap: 128, ValueSize: valueSize})
+		return "NV-TreeCVar", nvCVar{t}, err
 	}
-	return "", nil, nil, fmt.Errorf("bench: unknown concurrent kind %q", kind)
+	return "", nil, fmt.Errorf("bench: unknown concurrent kind %q", kind)
 }
 
 // --- thin adapters ------------------------------------------------------------

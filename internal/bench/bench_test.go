@@ -2,66 +2,104 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// The harness tests run every experiment at a tiny scale: they verify that
-// each table generator runs end-to-end and emits the expected row structure.
-
+// The smoke test is one table: every entry of Experiments runs end to end
+// through the same Run the CLI calls, at a tiny scale with a two-thread
+// sweep, and must print the rows and headers listed for it here.
 var tiny = Scale{Warm: 2000, Ops: 1000}
 
-func TestFig7FixedRuns(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig7Fixed(&buf, tiny, []int{0}, FixedKinds); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, name := range []string{"FPTree", "PTree", "NV-Tree", "wBTree", "STXTree"} {
-		if !strings.Contains(out, name) {
-			t.Fatalf("missing row for %s:\n%s", name, out)
+var smokeWant = map[string][]string{
+	"tab1":            {"inner", "Find(ns)"},
+	"fig4":            {"FP(analytic)"},
+	"fig7":            {"FPTree", "PTree", "NV-Tree", "wBTree", "STXTree"},
+	"fig7var":         {"FPTreeVar", "PTreeVar", "NV-TreeVar", "wBTreeVar", "STXTreeVar"},
+	"fig7rec":         {"recovery(ms)", "STXTree"},
+	"fig8":            {"FPTree", "DRAM", "# variable-size keys"},
+	"fig9":            {"FPTreeC ", "NV-TreeC ", "fixed keys, SCM 85ns", "Mixed"},
+	"fig9var":         {"FPTreeCVar", "NV-TreeCVar", "variable-size keys, SCM 85ns"},
+	"fig10":           {"FPTreeC ", "NV-TreeC ", "       4 Find"},
+	"fig11":           {"FPTreeC ", "SCM 145ns"},
+	"fig12":           {"restart(ms)", "STXTree"},
+	"fig13":           {"HashMap", "FPTreeC"},
+	"fig14":           {"payload", "FPTreeVar", "     112 "},
+	"ablation-fp":     {"with-FP", "speedup"},
+	"ablation-groups": {"no-groups", "speedup"},
+	"ablation-sp":     {"all-SCM", "speedup"},
+}
+
+func smoke(t *testing.T, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		i := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.ID == id })
+		if i < 0 {
+			t.Fatalf("no experiment %q in the table", id)
+		}
+		var buf bytes.Buffer
+		if err := Experiments[i].Run(&buf, tiny, 2); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, want := range smokeWant[id] {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("%s: output lacks %q:\n%s", id, want, buf.String())
+			}
 		}
 	}
 }
 
-func TestFig7VarRuns(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig7Var(&buf, tiny, []int{0}, FixedKinds); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "FPTreeVar") {
-		t.Fatalf("missing FPTreeVar row:\n%s", buf.String())
-	}
-}
+// One entry point per figure family, under the names the tests have always
+// had; together they cover the table, which TestExperimentTable pins.
+func TestTable1Runs(t *testing.T)          { smoke(t, "tab1") }
+func TestFig4ProbesRuns(t *testing.T)      { smoke(t, "fig4") }
+func TestFig7FixedRuns(t *testing.T)       { smoke(t, "fig7") }
+func TestFig7VarRuns(t *testing.T)         { smoke(t, "fig7var") }
+func TestFig7RecoveryRuns(t *testing.T)    { smoke(t, "fig7rec") }
+func TestFig8MemoryRuns(t *testing.T)      { smoke(t, "fig8") }
+func TestFig9ConcurrencyRuns(t *testing.T) { smoke(t, "fig9", "fig9var", "fig10", "fig11") }
+func TestFig12TATPRuns(t *testing.T)       { smoke(t, "fig12") }
+func TestFig13MemcachedRuns(t *testing.T)  { smoke(t, "fig13") }
+func TestFig14PayloadRuns(t *testing.T)    { smoke(t, "fig14") }
+func TestAblationsRun(t *testing.T)        { smoke(t, "ablation-fp", "ablation-groups", "ablation-sp") }
 
-func TestFig7RecoveryRuns(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig7Recovery(&buf, []int{2000}, []int{0}); err != nil {
+// TestExperimentTable pins the table against its two mirrors: the smoke
+// expectations above and the experiment index in DESIGN.md, whose `-exp <id>`
+// cells must name exactly the table's ids.
+func TestExperimentTable(t *testing.T) {
+	ids := map[string]bool{}
+	for _, e := range Experiments {
+		if ids[e.ID] || e.ID == "all" || e.Title == "" || e.Run == nil {
+			t.Errorf("bad or duplicate table entry %q", e.ID)
+		}
+		ids[e.ID] = true
+		if len(smokeWant[e.ID]) == 0 {
+			t.Errorf("experiment %q has no smoke expectations", e.ID)
+		}
+	}
+	if len(smokeWant) != len(ids) {
+		t.Errorf("smokeWant has %d entries, the table %d", len(smokeWant), len(ids))
+	}
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "recovery(ms)") {
-		t.Fatal("missing header")
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("`-exp ([a-z][a-z0-9-]*)`").FindAllSubmatch(design, -1) {
+		documented[string(m[1])] = true
 	}
-}
-
-func TestFig8MemoryRuns(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig8Memory(&buf, 5000); err != nil {
-		t.Fatal(err)
+	for id := range ids {
+		if !documented[id] {
+			t.Errorf("DESIGN.md's experiment index has no `-exp %s`", id)
+		}
 	}
-	out := buf.String()
-	if !strings.Contains(out, "FPTree") || !strings.Contains(out, "DRAM") {
-		t.Fatalf("unexpected output:\n%s", out)
-	}
-}
-
-func TestFig4ProbesRuns(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig4Probes(&buf, 4000); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "FP(analytic)") {
-		t.Fatal("missing header")
+	for id := range documented {
+		if !ids[id] && id != "all" {
+			t.Errorf("DESIGN.md documents `-exp %s`, which is not in the table", id)
+		}
 	}
 }
 
@@ -73,73 +111,6 @@ func TestFig4AnalyticFormula(t *testing.T) {
 	}
 	if e := expectedFPProbes(256, 256); e < 1.2 || e > 1.6 {
 		t.Fatalf("E[T] at m=256: %f", e)
-	}
-}
-
-func TestFig9ConcurrencyRuns(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig9Concurrency(&buf, tiny, []int{1, 2}, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "FPTreeC") || !strings.Contains(out, "NV-TreeC") {
-		t.Fatalf("missing rows:\n%s", out)
-	}
-}
-
-func TestFig12TATPRuns(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig12TATP(&buf, 2000, 4000, 2, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "restart(ms)") {
-		t.Fatal("missing header")
-	}
-}
-
-func TestFig13MemcachedRuns(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig13Memcached(&buf, 2, 400, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "HashMap") {
-		t.Fatal("missing HashMap row")
-	}
-}
-
-func TestFig14PayloadRuns(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig14Payload(&buf, Scale{Warm: 500, Ops: 300}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "payload") {
-		t.Fatal("missing header")
-	}
-}
-
-func TestTable1Runs(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Table1NodeSizes(&buf, Scale{Warm: 1000, Ops: 500}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "inner") {
-		t.Fatal("missing header")
-	}
-}
-
-func TestAblationsRun(t *testing.T) {
-	var buf bytes.Buffer
-	if err := AblationFingerprints(&buf, Scale{Warm: 1000, Ops: 500}); err != nil {
-		t.Fatal(err)
-	}
-	if err := AblationGroups(&buf, Scale{Warm: 1000, Ops: 500}); err != nil {
-		t.Fatal(err)
-	}
-	if err := AblationSelectivePersistence(&buf, Scale{Warm: 1000, Ops: 500}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "speedup") {
-		t.Fatal("missing ablation output")
 	}
 }
 

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -19,134 +18,65 @@ func Fig9Concurrency(w io.Writer, sc Scale, threads []int, latNS int, varKeys bo
 	}
 	fmt.Fprintf(w, "# Figures 9-11: concurrent throughput, %s, SCM %dns\n", title, latNS)
 	fmt.Fprintf(w, "%-12s %8s %-8s %14s %10s\n", "tree", "threads", "op", "Mops/s", "speedup")
+	lat := LatencyNS(latNS, true)
+	warm, extra, mixed := genKeys(sc.Warm, 21), genKeys(sc.Ops, 22), genKeys(sc.Ops, 23)
+	if varKeys {
+		return concurrencyTable(w, threads, sc.Ops, keys16All(warm), keys16All(extra), keys16All(mixed), []byte("valuedat"),
+			func(kind Kind) (string, VarTree, error) {
+				return NewConcurrentVar(kind, poolForScale(sc, true), 8, lat)
+			})
+	}
+	return concurrencyTable(w, threads, sc.Ops, warm, extra, mixed, 1,
+		func(kind Kind) (string, FixedTree, error) {
+			return NewConcurrentFixed(kind, poolForScale(sc, false), lat)
+		})
+}
+
+// concurrencyTable builds a fresh tree per (kind, thread count), loads warm
+// and prints throughput and speedup over the first thread count for the base
+// operations and the 50/50 Insert/Find mix (inserting from mixed): n ops
+// each, on th goroutines over disjoint key stripes.
+func concurrencyTable[K, V any](w io.Writer, threads []int, n int, warm, extra, mixed []K, val V,
+	build func(Kind) (string, Tree[K, V], error)) error {
+	mops := func(d time.Duration) float64 { return float64(n) / d.Seconds() / 1e6 }
 	for _, kind := range []Kind{KindFPTreeC, KindNVTreeC} {
 		base := map[string]float64{}
 		for _, th := range threads {
-			rows, err := runConcurrent(kind, sc, th, latNS, varKeys)
+			name, t, err := build(kind)
 			if err != nil {
 				return err
 			}
-			for _, r := range rows {
-				if th == threads[0] {
-					base[r.op] = r.mops
+			if err := load(t, warm, val); err != nil {
+				return err
+			}
+			r, err := baseOps(t, th, n, warm, extra, val)
+			if err != nil {
+				return fmt.Errorf("%s, %d threads: %w", name, th, err)
+			}
+			find, insert := finds(t, warm), inserts(t, mixed, val)
+			mix, err := timed(th, n, nil, func(g, i int) error {
+				if i%2 == 0 {
+					return insert(g, i)
 				}
-				sp := r.mops / base[r.op] * float64(threads[0])
-				fmt.Fprintf(w, "%-12s %8d %-8s %14.3f %9.2fx\n", r.name, th, r.op, r.mops, sp)
+				return find(g, i)
+			})
+			if err != nil {
+				return fmt.Errorf("%s, %d threads: %w", name, th, err)
+			}
+			for _, row := range []struct {
+				op   string
+				mops float64
+			}{
+				{"Find", mops(r.find)}, {"Insert", mops(r.insert)}, {"Update", mops(r.update)},
+				{"Delete", mops(r.delete)}, {"Mixed", mops(mix)},
+			} {
+				if th == threads[0] {
+					base[row.op] = row.mops
+				}
+				sp := row.mops / base[row.op] * float64(threads[0])
+				fmt.Fprintf(w, "%-12s %8d %-8s %14.3f %9.2fx\n", name, th, row.op, row.mops, sp)
 			}
 		}
 	}
 	return nil
-}
-
-type concRow struct {
-	name string
-	op   string
-	mops float64
-}
-
-// runConcurrent warms the tree and measures each operation type with th
-// goroutines over disjoint key stripes.
-func runConcurrent(kind Kind, sc Scale, th, latNS int, varKeys bool) ([]concRow, error) {
-	lat := LatencyNS(latNS, true)
-	var name string
-	var ft FixedTree
-	var vt VarTree
-	var err error
-	if varKeys {
-		name, vt, _, err = NewConcurrentVar(kind, poolForScale(sc)*4, 8, lat)
-	} else {
-		name, ft, _, err = NewConcurrentFixed(kind, poolForScale(sc)*2, lat)
-	}
-	if err != nil {
-		return nil, err
-	}
-	warm := genKeys(sc.Warm, 21)
-	extra := genKeys(sc.Ops, 22)
-	val := []byte("valuedat")
-	insertOne := func(k uint64, v uint64) error {
-		if varKeys {
-			return vt.Insert(keys16(k), val)
-		}
-		return ft.Insert(k, v)
-	}
-	for _, k := range warm {
-		if err := insertOne(k, k); err != nil {
-			return nil, err
-		}
-	}
-
-	parallel := func(n int, fn func(i int)) float64 {
-		var wg sync.WaitGroup
-		chunk := n / th
-		if chunk == 0 {
-			chunk = 1
-		}
-		start := time.Now()
-		for t := 0; t < th; t++ {
-			lo := t * chunk
-			hi := lo + chunk
-			if t == th-1 {
-				hi = n
-			}
-			if lo >= n {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		return float64(n) / time.Since(start).Seconds() / 1e6
-	}
-
-	var rows []concRow
-	rows = append(rows, concRow{name, "Find", parallel(sc.Ops, func(i int) {
-		if varKeys {
-			vt.Find(keys16(warm[i%len(warm)]))
-		} else {
-			ft.Find(warm[i%len(warm)])
-		}
-	})})
-	rows = append(rows, concRow{name, "Insert", parallel(sc.Ops, func(i int) {
-		if varKeys {
-			vt.Insert(keys16(extra[i]), val) //nolint:errcheck
-		} else {
-			ft.Insert(extra[i], 1) //nolint:errcheck
-		}
-	})})
-	rows = append(rows, concRow{name, "Update", parallel(sc.Ops, func(i int) {
-		if varKeys {
-			vt.Update(keys16(warm[i%len(warm)]), val) //nolint:errcheck
-		} else {
-			ft.Update(warm[i%len(warm)], 2) //nolint:errcheck
-		}
-	})})
-	rows = append(rows, concRow{name, "Delete", parallel(sc.Ops, func(i int) {
-		if varKeys {
-			vt.Delete(keys16(extra[i])) //nolint:errcheck
-		} else {
-			ft.Delete(extra[i]) //nolint:errcheck
-		}
-	})})
-	mixed := genKeys(sc.Ops, 23)
-	rows = append(rows, concRow{name, "Mixed", parallel(sc.Ops, func(i int) {
-		if i%2 == 0 {
-			if varKeys {
-				vt.Insert(keys16(mixed[i]), val) //nolint:errcheck
-			} else {
-				ft.Insert(mixed[i], 1) //nolint:errcheck
-			}
-		} else {
-			if varKeys {
-				vt.Find(keys16(warm[i%len(warm)]))
-			} else {
-				ft.Find(warm[i%len(warm)])
-			}
-		}
-	})})
-	return rows, nil
 }

@@ -37,13 +37,13 @@ func (l *lockedIdx) Find(k uint64) (uint64, bool) {
 // tatpIndex builds the dictionary index of the given kind for Figure 12.
 // The NV-Tree uses the paper's special database configuration (leaf 1024,
 // inner 8) to survive the sequential-subscriber-id load.
-func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func() (tatp.Index, error), *scm.Pool, error) {
+func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func() (tatp.Index, error), error) {
 	switch kind {
 	case KindFPTree:
 		pool := poolMB(poolMBs, lat)
 		t, err := core.Create(pool, core.Config{LeafCap: 56, InnerFanout: 4096, GroupSize: 8})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		rec := func() (tatp.Index, error) {
 			pool.Crash()
@@ -53,12 +53,12 @@ func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func(
 			}
 			return &lockedIdx{t: nt}, nil
 		}
-		return &lockedIdx{t: t}, rec, pool, nil
+		return &lockedIdx{t: t}, rec, nil
 	case KindPTree:
 		pool := poolMB(poolMBs, lat)
 		t, err := core.Create(pool, core.Config{Variant: core.VariantPTree, LeafCap: 32, InnerFanout: 4096})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		rec := func() (tatp.Index, error) {
 			pool.Crash()
@@ -68,12 +68,12 @@ func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func(
 			}
 			return &lockedIdx{t: nt}, nil
 		}
-		return &lockedIdx{t: t}, rec, pool, nil
+		return &lockedIdx{t: t}, rec, nil
 	case KindNVTree:
 		pool := poolMB(poolMBs, lat)
 		t, err := nvtree.New(pool, nvtree.Config{LeafCap: 1024, InnerCap: 8})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		rec := func() (tatp.Index, error) {
 			pool.Crash()
@@ -83,12 +83,12 @@ func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func(
 			}
 			return &lockedIdx{t: nvIdx{nt}}, nil
 		}
-		return &lockedIdx{t: nvIdx{t}}, rec, pool, nil
+		return &lockedIdx{t: nvIdx{t}}, rec, nil
 	case KindWBTree:
 		pool := poolMB(poolMBs, lat)
 		t, err := wbtree.New(pool, wbtree.Config{InnerCap: 32, LeafCap: 63})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		rec := func() (tatp.Index, error) {
 			pool.Crash()
@@ -98,7 +98,7 @@ func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func(
 			}
 			return &lockedIdx{t: wbIdx{nt}}, nil
 		}
-		return &lockedIdx{t: wbIdx{t}}, rec, pool, nil
+		return &lockedIdx{t: wbIdx{t}}, rec, nil
 	case KindSTXTree:
 		t := stx.NewUint64()
 		rec := func() (tatp.Index, error) {
@@ -106,9 +106,9 @@ func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func(
 			nt := stx.NewUint64()
 			return &lockedIdx{t: stxIdx{nt, true}}, nil
 		}
-		return &lockedIdx{t: stxIdx{t, false}}, rec, nil, nil
+		return &lockedIdx{t: stxIdx{t, false}}, rec, nil
 	}
-	return nil, nil, nil, fmt.Errorf("bench: no TATP index for kind %q", kind)
+	return nil, nil, fmt.Errorf("bench: no TATP index for kind %q", kind)
 }
 
 type nvIdx struct{ t *nvtree.Tree }
@@ -137,7 +137,7 @@ func Fig12TATP(w io.Writer, subscribers, txns, clients int, latencies []int) err
 	for _, lat := range latencies {
 		for _, kind := range []Kind{KindFPTree, KindPTree, KindNVTree, KindWBTree, KindSTXTree} {
 			latCfg := LatencyNS(lat, true)
-			idx, recoverIdx, idxPool, err := tatpIndex(kind, 64+subscribers/2000, latCfg)
+			idx, recoverIdx, err := tatpIndex(kind, 64+subscribers/2000, latCfg)
 			if err != nil {
 				return err
 			}
@@ -149,7 +149,6 @@ func Fig12TATP(w io.Writer, subscribers, txns, clients int, latencies []int) err
 			tps := db.RunReadOnly(clients, txns)
 			// Restart: crash both arenas and measure recovery (index rebuild
 			// + column sanity scan). The STXTree restart re-inserts all ids.
-			_ = idxPool
 			restart, err := db.Restart(func() (tatp.Index, error) {
 				nidx, err := recoverIdx()
 				if err != nil {
@@ -215,9 +214,6 @@ func Fig13Memcached(w io.Writer, clients, ops int, latencies []int) error {
 				return err
 			}
 			fmt.Fprintf(w, "%-10s %8d %12.0f %12.0f\n", m.name, lat, res.SetOps, res.GetOps)
-			if m.name == "HashMap" {
-				continue
-			}
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"fptree/internal/core"
@@ -20,12 +21,96 @@ type Scale struct {
 	Ops  int // operations measured
 }
 
+// Experiment is one table or figure of the paper's evaluation, regenerated
+// as a text table by `fptree-bench -exp <ID>`.
+type Experiment struct {
+	ID    string
+	Title string
+	// Run prints the table to w at scale sc; maxThreads bounds the thread
+	// sweep of the concurrency figures.
+	Run func(w io.Writer, sc Scale, maxThreads int) error
+}
+
+// Experiments is the one list of what fptree-bench can regenerate, in the
+// order `-exp all` prints it. The CLI's loop and usage string, the smoke test
+// and the DESIGN.md index check all iterate it.
+var Experiments = []Experiment{
+	{"tab1", "Table 1: FPTree node-size sweep", func(w io.Writer, sc Scale, _ int) error {
+		return Table1NodeSizes(w, sc)
+	}},
+	{"fig4", "Figure 4: expected in-leaf key probes", func(w io.Writer, sc Scale, _ int) error {
+		return Fig4Probes(w, sc.Warm)
+	}},
+	{"fig7", "Figure 7a-d: base operations vs SCM latency, fixed keys", func(w io.Writer, sc Scale, _ int) error {
+		return Fig7Fixed(w, sc, Latencies, FixedKinds)
+	}},
+	{"fig7var", "Figure 7g-j: base operations vs SCM latency, 16-byte string keys", func(w io.Writer, sc Scale, _ int) error {
+		return Fig7Var(w, sc, Latencies, FixedKinds)
+	}},
+	{"fig7rec", "Figure 7e-f: recovery time vs tree size", func(w io.Writer, sc Scale, _ int) error {
+		return Fig7Recovery(w, []int{sc.Warm / 10, sc.Warm, sc.Warm * 4}, []int{90, 650})
+	}},
+	{"fig8", "Figure 8: SCM and DRAM consumption", func(w io.Writer, sc Scale, _ int) error {
+		return Fig8Memory(w, sc.Warm)
+	}},
+	{"fig9", "Figure 9: concurrent scaling at 85 ns, fixed keys", func(w io.Writer, sc Scale, maxThreads int) error {
+		return Fig9Concurrency(w, sc, threadSweep(maxThreads), 85, false)
+	}},
+	{"fig9var", "Figure 9: concurrent scaling at 85 ns, 16-byte string keys", func(w io.Writer, sc Scale, maxThreads int) error {
+		return Fig9Concurrency(w, sc, threadSweep(maxThreads), 85, true)
+	}},
+	// Two sockets: the paper doubles the thread range; on this host the
+	// sweep simply extends beyond physical cores.
+	{"fig10", "Figure 10: concurrent scaling, wider thread sweep", func(w io.Writer, sc Scale, maxThreads int) error {
+		return Fig9Concurrency(w, sc, append(threadSweep(maxThreads), maxThreads*2), 85, false)
+	}},
+	{"fig11", "Figure 11: concurrent scaling at 145 ns", func(w io.Writer, sc Scale, maxThreads int) error {
+		return Fig9Concurrency(w, sc, threadSweep(maxThreads), 145, false)
+	}},
+	{"fig12", "Figure 12: TATP throughput and restart time", func(w io.Writer, sc Scale, _ int) error {
+		return Fig12TATP(w, sc.Warm, sc.Ops, 8, []int{160, 450, 650})
+	}},
+	{"fig13", "Figure 13: memcached SET/GET throughput", func(w io.Writer, sc Scale, _ int) error {
+		return Fig13Memcached(w, 8, sc.Ops, []int{85, 145})
+	}},
+	{"fig14", "Figure 14: payload-size impact, string keys", func(w io.Writer, sc Scale, _ int) error {
+		return Fig14Payload(w, sc)
+	}},
+	{"ablation-fp", "Ablation: fingerprints on/off", func(w io.Writer, sc Scale, _ int) error {
+		return AblationFingerprints(w, sc)
+	}},
+	{"ablation-groups", "Ablation: leaf groups on/off", func(w io.Writer, sc Scale, _ int) error {
+		return AblationGroups(w, sc)
+	}},
+	{"ablation-sp", "Ablation: selective persistence vs all-SCM", func(w io.Writer, sc Scale, _ int) error {
+		return AblationSelectivePersistence(w, sc)
+	}},
+}
+
+// threadSweep is 1, 2, 4, ... up to maxThreads.
+func threadSweep(maxThreads int) []int {
+	sweep := []int{1}
+	for t := 2; t <= maxThreads; t *= 2 {
+		sweep = append(sweep, t)
+	}
+	return sweep
+}
+
 // Latencies is the paper's emulated SCM read-latency sweep (Figure 7).
 var Latencies = []int{90, 250, 450, 650}
 
 // keys16 renders a fixed-size key as the paper's 16-byte string keys.
 func keys16(k uint64) []byte {
 	return []byte(fmt.Sprintf("k%015d", k%1e15))
+}
+
+// keys16All renders every key once, so no timed loop pays for formatting.
+func keys16All(keys []uint64) [][]byte {
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		out[i] = keys16(k)
+	}
+	return out
 }
 
 func genKeys(n int, seed int64) []uint64 {
@@ -45,39 +130,128 @@ func genKeys(n int, seed int64) []uint64 {
 	return keys
 }
 
-func avgPerOp(n int, fn func(i int)) time.Duration {
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		fn(i)
+// poolForScale sizes arenas generously for the workload, in MiB: 256 bytes a
+// key over a small floor (a pool costs its size to zero, and every figure
+// makes one per row). Var-key trees get four times the room: every key is
+// its own allocator block and Figure 14's payloads widen the leaf slots.
+func poolForScale(sc Scale, varKeys bool) int {
+	mb := 8 + (sc.Warm+sc.Ops)/4000
+	if varKeys {
+		mb *= 4
 	}
-	return time.Since(start) / time.Duration(n)
+	return mb
 }
 
-// Fig7Fixed reproduces Figure 7a-d: single-threaded Find/Insert/Update/
-// Delete average time per operation across SCM latencies, fixed-size keys.
-func Fig7Fixed(w io.Writer, sc Scale, latencies []int, kinds []Kind) error {
-	fmt.Fprintf(w, "# Figure 7a-d: single-threaded base operations, fixed keys (8B)\n")
-	fmt.Fprintf(w, "# warm=%d ops=%d; avg time/op in ns\n", sc.Warm, sc.Ops)
-	fmt.Fprintf(w, "%-10s %8s %10s %10s %10s %10s\n", "tree", "lat(ns)", "Find", "Insert", "Update", "Delete")
-	warm := genKeys(sc.Warm, 1)
-	extra := genKeys(sc.Ops, 2)
+// timed is the harness's one measuring loop. It runs fn(t, i) for every i in
+// [0, n), split into contiguous stripes over th goroutines (t is the stripe's
+// index, for per-goroutine state), and returns the wall time of the whole
+// batch. A stripe stops at its first error and timed reports the lowest
+// stripe's. With a non-nil lat (len n) each op's own duration lands in
+// lat[i].
+func timed(th, n int, lat []time.Duration, fn func(t, i int) error) (time.Duration, error) {
+	chunk := max(n/th, 1)
+	errs := make([]error, th)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for t := 0; t < th && t*chunk < n; t++ {
+		lo, hi := t*chunk, (t+1)*chunk
+		if t == th-1 {
+			hi = n
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				var t0 time.Time
+				if lat != nil {
+					t0 = time.Now()
+				}
+				if err := fn(t, i); err != nil {
+					errs[t] = err
+					return
+				}
+				if lat != nil {
+					lat[i] = time.Since(t0)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	for _, err := range errs {
+		if err != nil {
+			return elapsed, err
+		}
+	}
+	return elapsed, nil
+}
+
+// load inserts every key with the same value, untimed.
+func load[K, V any](t Tree[K, V], keys []K, val V) error {
+	for _, k := range keys {
+		if err := t.Insert(k, val); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finds and inserts are the timed bodies the figures share: Find keys[i]
+// (wrapping around a warm set smaller than the batch) and Insert keys[i].
+func finds[K, V any](t Tree[K, V], keys []K) func(_, i int) error {
+	return func(_, i int) error { t.Find(keys[i%len(keys)]); return nil }
+}
+
+func inserts[K, V any](t Tree[K, V], keys []K, val V) func(_, i int) error {
+	return func(_, i int) error { return t.Insert(keys[i], val) }
+}
+
+// opTimes is the wall time of one batch of each base operation.
+type opTimes struct{ find, insert, update, delete time.Duration }
+
+// baseOps is the one Find/Insert/Update/Delete block behind Figures 7, 9-11
+// and 14: on a tree already holding warm it times n Finds and n Updates over
+// warm and n Inserts, then n Deletes, of extra (len >= n), each batch on th
+// goroutines.
+func baseOps[K, V any](t Tree[K, V], th, n int, warm, extra []K, val V) (r opTimes, err error) {
+	for _, b := range []struct {
+		d  *time.Duration
+		fn func(_, i int) error
+	}{
+		{&r.find, finds(t, warm)},
+		{&r.insert, inserts(t, extra, val)},
+		{&r.update, func(_, i int) error { _, err := t.Update(warm[i%len(warm)], val); return err }},
+		{&r.delete, func(_, i int) error { _, err := t.Delete(extra[i]); return err }},
+	} {
+		if *b.d, err = timed(th, n, nil, b.fn); err != nil {
+			return r, err
+		}
+	}
+	return r, nil
+}
+
+// sweepBaseOps prints one row of per-op averages (ns) for every kind at
+// every value of the swept parameter (SCM latency in Figure 7, payload size
+// in Figure 14): build makes the tree and its value, sweepBaseOps warms and
+// measures it single-threaded.
+func sweepBaseOps[K, V any](w io.Writer, nameWidth int, sc Scale, kinds []Kind, params []int, warm, extra []K,
+	build func(kind Kind, param int) (name string, t Tree[K, V], val V, err error)) error {
+	per := func(d time.Duration) int64 { return (d / time.Duration(sc.Ops)).Nanoseconds() }
 	for _, kind := range kinds {
-		for _, lat := range latencies {
-			inst, err := NewFixed(kind, poolForScale(sc), LatencyNS(lat, true))
+		for _, param := range params {
+			name, t, val, err := build(kind, param)
 			if err != nil {
 				return err
 			}
-			t := inst.Fixed
-			for _, k := range warm {
-				if err := t.Insert(k, k); err != nil {
-					return err
-				}
+			if err := load(t, warm, val); err != nil {
+				return err
 			}
-			find := avgPerOp(sc.Ops, func(i int) { t.Find(warm[i%len(warm)]) })
-			ins := avgPerOp(sc.Ops, func(i int) { t.Insert(extra[i], uint64(i)) })          //nolint:errcheck
-			upd := avgPerOp(sc.Ops, func(i int) { t.Update(warm[i%len(warm)], uint64(i)) }) //nolint:errcheck
-			del := avgPerOp(sc.Ops, func(i int) { t.Delete(extra[i]) })                     //nolint:errcheck
-			fmt.Fprintf(w, "%-10s %8d %10d %10d %10d %10d\n", inst.Name, lat, find.Nanoseconds(), ins.Nanoseconds(), upd.Nanoseconds(), del.Nanoseconds())
+			r, err := baseOps(t, 1, sc.Ops, warm, extra, val)
+			if err != nil {
+				return fmt.Errorf("%s at %d: %w", name, param, err)
+			}
+			fmt.Fprintf(w, "%-*s %8d %10d %10d %10d %10d\n", nameWidth, name, param,
+				per(r.find), per(r.insert), per(r.update), per(r.delete))
 			if kind == KindSTXTree {
 				break // DRAM-only: latency-independent
 			}
@@ -86,36 +260,42 @@ func Fig7Fixed(w io.Writer, sc Scale, latencies []int, kinds []Kind) error {
 	return nil
 }
 
+// Fig7Fixed reproduces Figure 7a-d: single-threaded Find/Insert/Update/
+// Delete average time per operation across SCM latencies, fixed-size keys.
+func Fig7Fixed(w io.Writer, sc Scale, latencies []int, kinds []Kind) error {
+	fmt.Fprintf(w, "# Figure 7a-d: single-threaded base operations, fixed keys (8B)\n")
+	fmt.Fprintf(w, "# warm=%d ops=%d; avg time/op in ns\n", sc.Warm, sc.Ops)
+	fmt.Fprintf(w, "%-10s %8s %10s %10s %10s %10s\n", "tree", "lat(ns)", "Find", "Insert", "Update", "Delete")
+	return sweepBaseOps(w, 10, sc, kinds, latencies, genKeys(sc.Warm, 1), genKeys(sc.Ops, 2),
+		func(kind Kind, lat int) (string, FixedTree, uint64, error) {
+			inst, err := NewFixed(kind, poolForScale(sc, false), LatencyNS(lat, true))
+			if err != nil {
+				return "", nil, 0, err
+			}
+			return inst.Name, inst.Fixed, 1, nil
+		})
+}
+
+// varBaseOps is sweepBaseOps over the var-key trees with 16-byte string
+// keys; cfg maps the swept parameter to the payload size and SCM latency.
+func varBaseOps(w io.Writer, sc Scale, kinds []Kind, params []int, warmSeed, extraSeed int64,
+	cfg func(param int) (payload, latNS int)) error {
+	return sweepBaseOps(w, 12, sc, kinds, params, keys16All(genKeys(sc.Warm, warmSeed)), keys16All(genKeys(sc.Ops, extraSeed)),
+		func(kind Kind, param int) (string, VarTree, []byte, error) {
+			payload, latNS := cfg(param)
+			inst, err := NewVar(kind, poolForScale(sc, true), payload, LatencyNS(latNS, true))
+			if err != nil {
+				return "", nil, nil, err
+			}
+			return inst.Name, inst.Var, make([]byte, payload), nil
+		})
+}
+
 // Fig7Var reproduces Figure 7g-j with 16-byte string keys.
 func Fig7Var(w io.Writer, sc Scale, latencies []int, kinds []Kind) error {
 	fmt.Fprintf(w, "# Figure 7g-j: single-threaded base operations, variable-size keys (16B strings)\n")
 	fmt.Fprintf(w, "%-12s %8s %10s %10s %10s %10s\n", "tree", "lat(ns)", "Find", "Insert", "Update", "Delete")
-	warm := genKeys(sc.Warm, 3)
-	extra := genKeys(sc.Ops, 4)
-	val := []byte("valuedat")
-	for _, kind := range kinds {
-		for _, lat := range latencies {
-			inst, err := NewVar(kind, poolForScale(sc)*2, 8, LatencyNS(lat, true))
-			if err != nil {
-				return err
-			}
-			t := inst.Var
-			for _, k := range warm {
-				if err := t.Insert(keys16(k), val); err != nil {
-					return err
-				}
-			}
-			find := avgPerOp(sc.Ops, func(i int) { t.Find(keys16(warm[i%len(warm)])) })
-			ins := avgPerOp(sc.Ops, func(i int) { t.Insert(keys16(extra[i]), val) })          //nolint:errcheck
-			upd := avgPerOp(sc.Ops, func(i int) { t.Update(keys16(warm[i%len(warm)]), val) }) //nolint:errcheck
-			del := avgPerOp(sc.Ops, func(i int) { t.Delete(keys16(extra[i])) })               //nolint:errcheck
-			fmt.Fprintf(w, "%-12s %8d %10d %10d %10d %10d\n", inst.Name, lat, find.Nanoseconds(), ins.Nanoseconds(), upd.Nanoseconds(), del.Nanoseconds())
-			if kind == KindSTXTree {
-				break
-			}
-		}
-	}
-	return nil
+	return varBaseOps(w, sc, kinds, latencies, 3, 4, func(lat int) (int, int) { return 8, lat })
 }
 
 // Fig7Recovery reproduces Figure 7e-f: recovery time versus tree size at two
@@ -213,12 +393,19 @@ func Fig8Memory(w io.Writer, n int) error {
 func Fig4Probes(w io.Writer, n int) error {
 	fmt.Fprintf(w, "# Figure 4: expected in-leaf key probes per successful search\n")
 	fmt.Fprintf(w, "%-8s %12s %12s %12s %12s %12s\n", "m", "FP(analytic)", "FP(meas)", "NV(analytic)", "NV(meas)", "wB(analytic)")
+	keys := genKeys(n, 7)
 	for _, m := range []int{4, 8, 16, 32, 56} {
 		fpA := expectedFPProbes(m, 256)
 		nvA := float64(m+1) / 2
 		wbA := math.Log2(float64(m))
-		fpM := measureFPProbes(m, n)
-		nvM := measureNVProbes(m, n)
+		fpM, err := measureFPProbes(m, keys)
+		if err != nil {
+			return err
+		}
+		nvM, err := measureNVProbes(m, keys)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "%-8d %12.2f %12.2f %12.2f %12.2f %12.2f\n", m, fpA, fpM, nvA, nvM, wbA)
 	}
 	return nil
@@ -232,39 +419,37 @@ func expectedFPProbes(m, n int) float64 {
 	return 0.5 * (1 + mm/(nm*(1-math.Pow((nm-1)/nm, mm))))
 }
 
-func measureFPProbes(m, n int) float64 {
-	pool := scm.NewPool(128<<20, scm.LatencyConfig{CacheBytes: -1})
+func measureFPProbes(m int, keys []uint64) (float64, error) {
+	pool := poolMB(poolForScale(Scale{Warm: len(keys)}, false), scm.LatencyConfig{CacheBytes: -1})
 	t, err := core.Create(pool, core.Config{LeafCap: m, InnerFanout: 256, GroupSize: 8})
 	if err != nil {
-		return math.NaN()
+		return 0, err
 	}
-	keys := genKeys(n, 7)
-	for _, k := range keys {
-		t.Insert(k, k) //nolint:errcheck
+	if err := load(t, keys, 1); err != nil {
+		return 0, err
 	}
 	searches, probes := t.Ops.Searches.Load(), t.Ops.KeyProbes.Load()
 	for _, k := range keys {
 		t.Find(k)
 	}
-	return float64(t.Ops.KeyProbes.Load()-probes) / float64(t.Ops.Searches.Load()-searches)
+	return float64(t.Ops.KeyProbes.Load()-probes) / float64(t.Ops.Searches.Load()-searches), nil
 }
 
-func measureNVProbes(m, n int) float64 {
-	pool := scm.NewPool(256<<20, scm.LatencyConfig{CacheBytes: -1})
+func measureNVProbes(m int, keys []uint64) (float64, error) {
+	pool := poolMB(poolForScale(Scale{Warm: len(keys)}, false), scm.LatencyConfig{CacheBytes: -1})
 	t, err := nvtree.New(pool, nvtree.Config{LeafCap: m, InnerCap: 128})
 	if err != nil {
-		return math.NaN()
+		return 0, err
 	}
-	keys := genKeys(n, 7)
-	for _, k := range keys {
-		t.Insert(k, k) //nolint:errcheck
+	if err := load(t, keys, 1); err != nil {
+		return 0, err
 	}
 	t.Searches.Store(0)
 	t.KeyProbes.Store(0)
 	for _, k := range keys {
 		t.Find(k)
 	}
-	return float64(t.KeyProbes.Load()) / float64(t.Searches.Load())
+	return float64(t.KeyProbes.Load()) / float64(t.Searches.Load()), nil
 }
 
 // Table1NodeSizes reproduces the preliminary node-size tuning experiment.
@@ -275,20 +460,32 @@ func Table1NodeSizes(w io.Writer, sc Scale) error {
 	extra := genKeys(sc.Ops, 9)
 	for _, inner := range []int{64, 512, 4096} {
 		for _, leaf := range []int{16, 32, 56, 64} {
-			pool := scm.NewPool(int64(poolForScale(sc))<<20, LatencyNS(250, true))
-			t, err := core.Create(pool, core.Config{LeafCap: leaf, InnerFanout: inner, GroupSize: 8})
+			t, err := core.Create(poolMB(poolForScale(sc, false), LatencyNS(250, true)),
+				core.Config{LeafCap: leaf, InnerFanout: inner, GroupSize: 8})
 			if err != nil {
 				return err
 			}
-			for _, k := range warm {
-				t.Insert(k, k) //nolint:errcheck
+			find, err := warmAndTime(t, warm, sc.Ops, finds(t, warm))
+			if err != nil {
+				return err
 			}
-			find := avgPerOp(sc.Ops, func(i int) { t.Find(warm[i%len(warm)]) })
-			ins := avgPerOp(sc.Ops, func(i int) { t.Insert(extra[i], 1) }) //nolint:errcheck
-			fmt.Fprintf(w, "%-8d %-8d %12d %12d\n", inner, leaf, find.Nanoseconds(), ins.Nanoseconds())
+			ins, err := timed(1, sc.Ops, nil, inserts(t, extra, 1))
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "%-8d %-8d %12d %12d\n", inner, leaf, find.Nanoseconds()/int64(sc.Ops), ins.Nanoseconds()/int64(sc.Ops))
 		}
 	}
 	return nil
+}
+
+// warmAndTime loads warm into t and returns the wall time of n
+// single-threaded runs of fn.
+func warmAndTime(t FixedTree, warm []uint64, n int, fn func(_, i int) error) (time.Duration, error) {
+	if err := load(t, warm, 1); err != nil {
+		return 0, err
+	}
+	return timed(1, n, nil, fn)
 }
 
 // Fig14Payload reproduces Appendix A: payload-size impact on the
@@ -296,29 +493,14 @@ func Table1NodeSizes(w io.Writer, sc Scale) error {
 func Fig14Payload(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "# Figure 14 (Appendix A): payload size impact, var keys, SCM 360ns\n")
 	fmt.Fprintf(w, "%-12s %8s %10s %10s %10s %10s\n", "tree", "payload", "Find", "Insert", "Update", "Delete")
-	warm := genKeys(sc.Warm, 10)
-	extra := genKeys(sc.Ops, 11)
-	for _, kind := range []Kind{KindFPTree, KindPTree, KindNVTree, KindWBTree} {
-		for _, payload := range []int{8, 48, 112} {
-			inst, err := NewVar(kind, poolForScale(sc)*4, payload, LatencyNS(360, true))
-			if err != nil {
-				return err
-			}
-			t := inst.Var
-			val := make([]byte, payload)
-			for _, k := range warm {
-				if err := t.Insert(keys16(k), val); err != nil {
-					return err
-				}
-			}
-			find := avgPerOp(sc.Ops, func(i int) { t.Find(keys16(warm[i%len(warm)])) })
-			ins := avgPerOp(sc.Ops, func(i int) { t.Insert(keys16(extra[i]), val) })          //nolint:errcheck
-			upd := avgPerOp(sc.Ops, func(i int) { t.Update(keys16(warm[i%len(warm)]), val) }) //nolint:errcheck
-			del := avgPerOp(sc.Ops, func(i int) { t.Delete(keys16(extra[i])) })               //nolint:errcheck
-			fmt.Fprintf(w, "%-12s %8d %10d %10d %10d %10d\n", inst.Name, payload, find.Nanoseconds(), ins.Nanoseconds(), upd.Nanoseconds(), del.Nanoseconds())
-		}
-	}
-	return nil
+	return varBaseOps(w, sc, []Kind{KindFPTree, KindPTree, KindNVTree, KindWBTree}, []int{8, 48, 112}, 10, 11,
+		func(payload int) (int, int) { return payload, 360 })
+}
+
+// printAblation prints one ablation row: the two batch times as ns/op and
+// how many times faster the design under test (on) is than the ablated one.
+func printAblation(w io.Writer, lat, n int, on, off time.Duration) {
+	fmt.Fprintf(w, "%-8d %14d %14d %7.2fx\n", lat, on.Nanoseconds()/int64(n), off.Nanoseconds()/int64(n), float64(off)/float64(on))
 }
 
 // AblationFingerprints isolates the fingerprints' contribution: FPTree vs
@@ -328,24 +510,18 @@ func AblationFingerprints(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "%-8s %14s %14s %8s\n", "lat(ns)", "with-FP", "without-FP", "speedup")
 	warm := genKeys(sc.Warm, 12)
 	for _, lat := range []int{90, 650} {
-		res := map[bool]time.Duration{}
-		for _, withFP := range []bool{true, false} {
-			pool := scm.NewPool(int64(poolForScale(sc))<<20, LatencyNS(lat, true))
-			cfg := core.Config{LeafCap: 56, InnerFanout: 4096, GroupSize: 8}
-			if !withFP {
-				cfg.Variant = core.VariantPTree
-			}
-			t, err := core.Create(pool, cfg)
+		var res [2]time.Duration
+		for i, variant := range []core.Variant{core.VariantFPTree, core.VariantPTree} {
+			t, err := core.Create(poolMB(poolForScale(sc, false), LatencyNS(lat, true)),
+				core.Config{Variant: variant, LeafCap: 56, InnerFanout: 4096, GroupSize: 8})
 			if err != nil {
 				return err
 			}
-			for _, k := range warm {
-				t.Insert(k, k) //nolint:errcheck
+			if res[i], err = warmAndTime(t, warm, sc.Ops, finds(t, warm)); err != nil {
+				return err
 			}
-			res[withFP] = avgPerOp(sc.Ops, func(i int) { t.Find(warm[i%len(warm)]) })
 		}
-		fmt.Fprintf(w, "%-8d %14d %14d %7.2fx\n", lat, res[true].Nanoseconds(), res[false].Nanoseconds(),
-			float64(res[false])/float64(res[true]))
+		printAblation(w, lat, sc.Ops, res[0], res[1])
 	}
 	return nil
 }
@@ -357,24 +533,18 @@ func AblationGroups(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "%-8s %14s %14s %8s\n", "lat(ns)", "groups", "no-groups", "speedup")
 	keys := genKeys(sc.Warm+sc.Ops, 13)
 	for _, lat := range []int{90, 650} {
-		res := map[bool]time.Duration{}
-		for _, groups := range []bool{true, false} {
-			pool := scm.NewPool(int64(poolForScale(sc))<<20, LatencyNS(lat, true))
-			cfg := core.Config{LeafCap: 56, InnerFanout: 4096}
-			if groups {
-				cfg.GroupSize = 8
-			}
-			t, err := core.Create(pool, cfg)
+		var res [2]time.Duration
+		for i, groupSize := range []int{8, 0} {
+			t, err := core.Create(poolMB(poolForScale(sc, false), LatencyNS(lat, true)),
+				core.Config{LeafCap: 56, InnerFanout: 4096, GroupSize: groupSize})
 			if err != nil {
 				return err
 			}
-			for _, k := range keys[:sc.Warm] {
-				t.Insert(k, k) //nolint:errcheck
+			if res[i], err = warmAndTime(t, keys[:sc.Warm], sc.Ops, inserts(t, keys[sc.Warm:], 1)); err != nil {
+				return err
 			}
-			res[groups] = avgPerOp(sc.Ops, func(i int) { t.Insert(keys[sc.Warm+i], 1) }) //nolint:errcheck
 		}
-		fmt.Fprintf(w, "%-8d %14d %14d %7.2fx\n", lat, res[true].Nanoseconds(), res[false].Nanoseconds(),
-			float64(res[false])/float64(res[true]))
+		printAblation(w, lat, sc.Ops, res[0], res[1])
 	}
 	return nil
 }
@@ -387,27 +557,17 @@ func AblationSelectivePersistence(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "%-8s %14s %14s %8s\n", "lat(ns)", "hybrid", "all-SCM", "speedup")
 	warm := genKeys(sc.Warm, 14)
 	for _, lat := range []int{90, 650} {
-		inst1, err := NewFixed(KindFPTree, poolForScale(sc), LatencyNS(lat, true))
-		if err != nil {
-			return err
+		var res [2]time.Duration
+		for i, kind := range []Kind{KindFPTree, KindWBTree} {
+			inst, err := NewFixed(kind, poolForScale(sc, false), LatencyNS(lat, true))
+			if err != nil {
+				return err
+			}
+			if res[i], err = warmAndTime(inst.Fixed, warm, sc.Ops, finds(inst.Fixed, warm)); err != nil {
+				return err
+			}
 		}
-		inst2, err := NewFixed(KindWBTree, poolForScale(sc), LatencyNS(lat, true))
-		if err != nil {
-			return err
-		}
-		for _, k := range warm {
-			inst1.Fixed.Insert(k, k) //nolint:errcheck
-			inst2.Fixed.Insert(k, k) //nolint:errcheck
-		}
-		d1 := avgPerOp(sc.Ops, func(i int) { inst1.Fixed.Find(warm[i%len(warm)]) })
-		d2 := avgPerOp(sc.Ops, func(i int) { inst2.Fixed.Find(warm[i%len(warm)]) })
-		fmt.Fprintf(w, "%-8d %14d %14d %7.2fx\n", lat, d1.Nanoseconds(), d2.Nanoseconds(), float64(d2)/float64(d1))
+		printAblation(w, lat, sc.Ops, res[0], res[1])
 	}
 	return nil
-}
-
-// poolForScale sizes arenas generously for the workload.
-func poolForScale(sc Scale) int {
-	mb := 32 + (sc.Warm+sc.Ops)/4000
-	return mb
 }

@@ -22,43 +22,38 @@ import (
 	"fptree/internal/scm"
 )
 
-// JSONRecoveryResult is one recovery-time measurement: one tree, one size,
-// one worker count.
-type JSONRecoveryResult struct {
-	Tree          string  `json:"tree"`       // FPTree | FPTreeVar
-	Keys          int     `json:"keys"`       // live pairs in the recovered tree
-	Workers       int     `json:"workers"`    // RecoveryOptions.Workers
-	LatencyNS     int     `json:"latency_ns"` // emulated SCM read/write latency
-	RecoveryMS    float64 `json:"recovery_ms"`
-	RebuildMS     float64 `json:"rebuild_ms"` // leaf scan + inner rebuild portion
-	LeavesScanned uint64  `json:"leaves_scanned"`
-	GroupsScanned uint64  `json:"groups_scanned"`
-	SpeedupVs1    float64 `json:"speedup_vs_1"` // recovery_ms(workers=1) / recovery_ms
-	FileBacked    bool    `json:"file_backed,omitempty"`
+// RecoveryResult is one recovery-time measurement: one tree, one size, one
+// worker count.
+type RecoveryResult struct {
+	Tree          string  // FPTree | FPTreeVar
+	Keys          int     // live pairs in the recovered tree
+	Workers       int     // RecoveryOptions.Workers
+	RecoveryMS    float64 // the whole core.Open
+	RebuildMS     float64 // leaf scan + inner rebuild portion
+	LeavesScanned uint64
+	SpeedupVs1    float64 // RecoveryMS(workers=1) / RecoveryMS
+	FileBacked    bool
 }
 
 // RecoveryConfig parameterizes RecoveryBench.
 type RecoveryConfig struct {
-	Sizes     []int  // tree sizes in keys; defaults to {100000, 1000000}
-	Workers   []int  // worker counts; 1 is always included as the baseline
-	LatencyNS int    // emulated SCM latency; defaults to 250 (reads and writes)
-	Var       bool   // also measure the variable-size-key tree
-	JSONPath  string // when non-empty, write a JSONReport with Recovery records
-	// FileBacked builds each tree in an arena file (scm.OpenFile), closes it,
-	// and reopens the file cold for every measurement — a true process
-	// restart including the arena mmap, not just the emulated Crash.
+	Sizes   []int // tree sizes in keys; defaults to {100000, 1000000}
+	Workers []int // worker counts; 1 is always included as the baseline
+	Var     bool  // also measure the variable-size-key tree
+	// FileBacked builds each tree in an arena file (scm.OpenFile) in a
+	// temporary directory, closes it, and reopens the file cold for every
+	// measurement — a true process restart including the arena mmap, not just
+	// the emulated Crash.
 	FileBacked bool
-	// Dir is where FileBacked arena files live; empty means a fresh temp
-	// directory, removed when the bench finishes.
-	Dir string
 }
+
+// recoveryLatency is the emulated SCM read and write latency recovery runs
+// under.
+const recoveryLatency = 250 * time.Nanosecond
 
 func (c *RecoveryConfig) normalize() {
 	if len(c.Sizes) == 0 {
 		c.Sizes = []int{100000, 1000000}
-	}
-	if c.LatencyNS == 0 {
-		c.LatencyNS = 250
 	}
 	seen := map[int]bool{1: true}
 	ws := []int{1}
@@ -86,61 +81,44 @@ func recoveryPoolMB(n int, varKeys bool) int {
 	return 64 + n*perKey>>20
 }
 
-// RecoveryBench runs the recovery-time experiment and streams one summary
-// line per measurement to w.
-func RecoveryBench(w io.Writer, cfg RecoveryConfig) error {
+// RecoveryBench runs the recovery-time experiment, streams one summary line
+// per measurement to w and returns the measurements: for each size, the
+// fixed-key tree at every worker count, then (with cfg.Var) the var-key tree.
+func RecoveryBench(w io.Writer, cfg RecoveryConfig) ([]RecoveryResult, error) {
 	cfg.normalize()
-	if cfg.FileBacked && cfg.Dir == "" {
-		dir, err := os.MkdirTemp("", "fptree-recovery-")
-		if err != nil {
-			return err
+	dir := ""
+	if cfg.FileBacked {
+		var err error
+		if dir, err = os.MkdirTemp("", "fptree-recovery-"); err != nil {
+			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		cfg.Dir = dir
 	}
-	var results []JSONRecoveryResult
+	keyKinds := []bool{false}
+	if cfg.Var {
+		keyKinds = append(keyKinds, true)
+	}
+	var results []RecoveryResult
 	for _, size := range cfg.Sizes {
-		rs, err := measureRecoveryFixed(w, size, cfg)
-		if err != nil {
-			return err
-		}
-		results = append(results, rs...)
-		if cfg.Var {
-			rs, err := measureRecoveryVar(w, size, cfg)
+		for _, varKeys := range keyKinds {
+			rs, err := measureRecovery(w, size, varKeys, cfg.Workers, dir)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			results = append(results, rs...)
 		}
 	}
-	if cfg.JSONPath != "" {
-		rep := newJSONReport(0)
-		rep.Recovery = results
-		if err := writeJSONReport(rep, cfg.JSONPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %d recovery results to %s\n", len(results), cfg.JSONPath)
-	}
-	return nil
-}
-
-func noteRecovery(w io.Writer, r JSONRecoveryResult) {
-	mode := ""
-	if r.FileBacked {
-		mode = "  [arena file]"
-	}
-	fmt.Fprintf(w, "%-9s %9d keys  workers=%-2d  recovery %8.1f ms  rebuild %8.1f ms  %8d leaves  %.2fx%s\n",
-		r.Tree, r.Keys, r.Workers, r.RecoveryMS, r.RebuildMS, r.LeavesScanned, r.SpeedupVs1, mode)
+	return results, nil
 }
 
 // timeRecovery simulates a restart of pool and times one recovery at the
 // given worker count. open must run the codec-appropriate core.Open*.
-func timeRecovery(pool *scm.Pool, lat time.Duration, open func() (*core.OpStats, int, error)) (time.Duration, *core.OpStats, int, error) {
+func timeRecovery(pool *scm.Pool, open func() (*core.OpStats, int, error)) (time.Duration, *core.OpStats, int, error) {
 	// A restart: unflushed lines are lost (none here — a quiescent tree is
 	// fully flushed) and the CPU cache is cold. Recovery itself runs under
 	// the emulated SCM latency; everything around it does not.
 	pool.Crash()
-	pool.SetLatency(scm.LatencySleep, lat, lat)
+	pool.SetLatency(scm.LatencySleep, recoveryLatency, recoveryLatency)
 	start := time.Now()
 	ops, n, err := open()
 	dt := time.Since(start)
@@ -153,30 +131,28 @@ func timeRecovery(pool *scm.Pool, lat time.Duration, open func() (*core.OpStats,
 // mode closes the loaded arena after the bulk load and reopens the file cold
 // per measurement, so every data point includes a real arena-file open.
 type recoveryArena struct {
-	cfg  RecoveryConfig
 	pool *scm.Pool // the loaded tree's pool; nil once closed in file mode
-	path string
+	path string    // the arena file; empty in in-memory mode
 }
 
-func newRecoveryArena(cfg RecoveryConfig, name string, sizeMB int) (*recoveryArena, error) {
-	a := &recoveryArena{cfg: cfg}
-	if !cfg.FileBacked {
-		a.pool = scm.NewPool(int64(sizeMB)<<20, scm.LatencyConfig{})
-		return a, nil
+// newRecoveryArena makes the arena the tree is loaded into: in memory when
+// dir is empty, else the file dir/name.
+func newRecoveryArena(dir, name string, sizeMB int) (*recoveryArena, error) {
+	if dir == "" {
+		return &recoveryArena{pool: poolMB(sizeMB, scm.LatencyConfig{})}, nil
 	}
-	a.path = filepath.Join(cfg.Dir, name)
-	pool, _, err := scm.OpenFile(a.path, int64(sizeMB)<<20, scm.LatencyConfig{})
+	path := filepath.Join(dir, name)
+	pool, _, err := scm.OpenFile(path, int64(sizeMB)<<20, scm.LatencyConfig{})
 	if err != nil {
 		return nil, err
 	}
-	a.pool = pool
-	return a, nil
+	return &recoveryArena{pool: pool, path: path}, nil
 }
 
 // forMeasurement returns the pool to recover plus a release function to call
 // when the measurement is done.
 func (a *recoveryArena) forMeasurement() (*scm.Pool, func(), error) {
-	if !a.cfg.FileBacked {
+	if a.path == "" {
 		return a.pool, func() {}, nil
 	}
 	if a.pool != nil { // first measurement: close the arena the load built
@@ -192,83 +168,68 @@ func (a *recoveryArena) forMeasurement() (*scm.Pool, func(), error) {
 	return p, func() { p.Close() }, nil //nolint:errcheck
 }
 
-func measureRecoveryFixed(w io.Writer, size int, cfg RecoveryConfig) ([]JSONRecoveryResult, error) {
-	arena, err := newRecoveryArena(cfg, fmt.Sprintf("fixed-%d.dat", size), recoveryPoolMB(size, false))
-	if err != nil {
-		return nil, err
-	}
-	tr, err := core.Create(arena.pool, core.Config{LeafCap: 56, InnerFanout: 128, GroupSize: 8})
-	if err != nil {
-		return nil, err
-	}
-	kvs := make([]core.KV, size)
-	for i := range kvs {
-		kvs[i] = core.KV{Key: uint64(i)*2 + 1, Value: uint64(i)}
-	}
-	if err := tr.BulkLoad(kvs, 0); err != nil {
-		return nil, err
-	}
-	lat := time.Duration(cfg.LatencyNS) * time.Nanosecond
-	var out []JSONRecoveryResult
-	var base float64
-	for _, workers := range cfg.Workers {
-		pool, release, err := arena.forMeasurement()
+// recoveryTree bulk loads size keys into a fresh tree on pool and returns the
+// tree's name and the codec-appropriate reopen.
+func recoveryTree(pool *scm.Pool, size int, varKeys bool) (string, func(*scm.Pool, int) (*core.OpStats, int, error), error) {
+	cfg := core.Config{LeafCap: 56, InnerFanout: 128, GroupSize: 8}
+	if !varKeys {
+		tr, err := core.Create(pool, cfg)
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
-		dt, ops, n, err := timeRecovery(pool, lat, func() (*core.OpStats, int, error) {
+		kvs := make([]core.KV, size)
+		for i := range kvs {
+			kvs[i] = core.KV{Key: uint64(i)*2 + 1, Value: uint64(i)}
+		}
+		return "FPTree", func(pool *scm.Pool, workers int) (*core.OpStats, int, error) {
 			t, err := core.Open(pool, core.RecoveryOptions{Workers: workers})
 			if err != nil {
 				return nil, 0, err
 			}
 			return &t.Ops, t.Len(), nil
-		})
-		release()
-		if err != nil {
-			return nil, err
-		}
-		if n != size {
-			return nil, fmt.Errorf("bench: recovered %d keys, want %d", n, size)
-		}
-		r := recoveryResult("FPTree", size, workers, cfg, dt, ops, &base)
-		noteRecovery(w, r)
-		out = append(out, r)
+		}, tr.BulkLoad(kvs, 0)
 	}
-	return out, nil
-}
-
-func measureRecoveryVar(w io.Writer, size int, cfg RecoveryConfig) ([]JSONRecoveryResult, error) {
-	arena, err := newRecoveryArena(cfg, fmt.Sprintf("var-%d.dat", size), recoveryPoolMB(size, true))
+	cfg.ValueSize = 8
+	tr, err := core.CreateVar(pool, cfg)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	tr, err := core.CreateVar(arena.pool, core.Config{LeafCap: 56, InnerFanout: 128, GroupSize: 8, ValueSize: 8})
-	if err != nil {
-		return nil, err
-	}
-	val := []byte("valuedat")
 	kvs := make([]core.VarKV, size)
 	for i := range kvs {
-		kvs[i] = core.VarKV{Key: keys16(uint64(i)), Value: val}
+		kvs[i] = core.VarKV{Key: keys16(uint64(i)), Value: []byte("valuedat")}
 	}
-	if err := tr.BulkLoad(kvs, 0); err != nil {
+	return "FPTreeVar", func(pool *scm.Pool, workers int) (*core.OpStats, int, error) {
+		t, err := core.OpenVar(pool, core.RecoveryOptions{Workers: workers})
+		if err != nil {
+			return nil, 0, err
+		}
+		return &t.Ops, t.Len(), nil
+	}, tr.BulkLoad(kvs, 0)
+}
+
+// measureRecovery loads one tree of size keys and times its recovery at
+// every configured worker count, printing one line per measurement.
+func measureRecovery(w io.Writer, size int, varKeys bool, workerCounts []int, dir string) ([]RecoveryResult, error) {
+	file := fmt.Sprintf("fixed-%d.dat", size)
+	if varKeys {
+		file = fmt.Sprintf("var-%d.dat", size)
+	}
+	arena, err := newRecoveryArena(dir, file, recoveryPoolMB(size, varKeys))
+	if err != nil {
 		return nil, err
 	}
-	lat := time.Duration(cfg.LatencyNS) * time.Nanosecond
-	var out []JSONRecoveryResult
-	var base float64
-	for _, workers := range cfg.Workers {
+	name, open, err := recoveryTree(arena.pool, size, varKeys)
+	if err != nil {
+		return nil, err
+	}
+	var out []RecoveryResult
+	var base float64 // the workers=1 time, for the speedup column
+	for _, workers := range workerCounts {
 		pool, release, err := arena.forMeasurement()
 		if err != nil {
 			return nil, err
 		}
-		dt, ops, n, err := timeRecovery(pool, lat, func() (*core.OpStats, int, error) {
-			t, err := core.OpenVar(pool, core.RecoveryOptions{Workers: workers})
-			if err != nil {
-				return nil, 0, err
-			}
-			return &t.Ops, t.Len(), nil
-		})
+		dt, ops, n, err := timeRecovery(pool, func() (*core.OpStats, int, error) { return open(pool, workers) })
 		release()
 		if err != nil {
 			return nil, err
@@ -276,34 +237,27 @@ func measureRecoveryVar(w io.Writer, size int, cfg RecoveryConfig) ([]JSONRecove
 		if n != size {
 			return nil, fmt.Errorf("bench: recovered %d keys, want %d", n, size)
 		}
-		r := recoveryResult("FPTreeVar", size, workers, cfg, dt, ops, &base)
-		noteRecovery(w, r)
+		ms := float64(dt.Nanoseconds()) / 1e6
+		if workers == 1 {
+			base = ms
+		}
+		r := RecoveryResult{
+			Tree:          name,
+			Keys:          size,
+			Workers:       workers,
+			RecoveryMS:    ms,
+			RebuildMS:     float64(ops.RecoveryNanos.Load()) / 1e6,
+			LeavesScanned: ops.RecoveryLeaves.Load(),
+			SpeedupVs1:    base / ms,
+			FileBacked:    dir != "",
+		}
+		mode := ""
+		if r.FileBacked {
+			mode = "  [arena file]"
+		}
+		fmt.Fprintf(w, "%-9s %9d keys  workers=%-2d  recovery %8.1f ms  rebuild %8.1f ms  %8d leaves  %.2fx%s\n",
+			r.Tree, r.Keys, r.Workers, r.RecoveryMS, r.RebuildMS, r.LeavesScanned, r.SpeedupVs1, mode)
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// recoveryResult assembles one record; base carries the workers=1 time
-// across the worker sweep for the speedup column.
-func recoveryResult(tree string, size, workers int, cfg RecoveryConfig, dt time.Duration, ops *core.OpStats, base *float64) JSONRecoveryResult {
-	ms := float64(dt.Nanoseconds()) / 1e6
-	if workers == 1 {
-		*base = ms
-	}
-	speedup := 1.0
-	if ms > 0 && *base > 0 {
-		speedup = *base / ms
-	}
-	return JSONRecoveryResult{
-		Tree:          tree,
-		Keys:          size,
-		Workers:       workers,
-		LatencyNS:     cfg.LatencyNS,
-		RecoveryMS:    ms,
-		RebuildMS:     float64(ops.RecoveryNanos.Load()) / 1e6,
-		LeavesScanned: ops.RecoveryLeaves.Load(),
-		GroupsScanned: ops.RecoveryGroups.Load(),
-		SpeedupVs1:    speedup,
-		FileBacked:    cfg.FileBacked,
-	}
 }

@@ -5,22 +5,19 @@ package bench
 // core workloads: A 50/50 read/update, B 95/5 read/update, C read-only,
 // D read-latest with inserts, E short range scans with inserts, F
 // read-modify-write — under scrambled-zipfian, latest or uniform key
-// choosers. Results reuse the -json report schema (one JSONWorkloadResult
-// per workload, tagged with the thread count and key distribution), so the
-// regression-tracking and -check-json tooling applies unchanged.
+// choosers. Workload E's scans verify every value they read, so a torn or
+// stale pair fails the run.
 
 import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"fptree/internal/core"
-	"fptree/internal/obs"
 	"fptree/internal/scm"
 )
 
@@ -31,8 +28,21 @@ type YCSBConfig struct {
 	Ops       int      // measured operations per workload
 	Threads   int      // concurrent client goroutines
 	ScanLen   int      // max entries per scan (workload E)
-	Seed      int64    // base RNG seed
-	JSONPath  string   // optional -json output path
+}
+
+// ycsbSeed is the base RNG seed; goroutine t derives its own from it.
+const ycsbSeed = 1
+
+// YCSBResult is one workload's measurement.
+type YCSBResult struct {
+	Tree      string // FPTreeC
+	Workload  string // ycsb-a .. ycsb-f
+	Ops       int
+	OpsPerSec float64
+	P50NS     int64
+	P99NS     int64
+	Threads   int
+	KeyDist   string // zipfian | latest | uniform
 }
 
 // ycsbMix is one workload's operation percentages (summing to 100) and
@@ -126,11 +136,11 @@ func mixFor(w string) (ycsbMix, error) {
 }
 
 // YCSBBench runs the configured workloads, each on a freshly loaded
-// concurrent FPTree, printing one summary line per workload to w and, when
-// cfg.JSONPath is set, writing the results as a -json report.
-func YCSBBench(w io.Writer, cfg YCSBConfig) error {
+// concurrent FPTree, printing one summary line per workload to w and
+// returning the results in the order run.
+func YCSBBench(w io.Writer, cfg YCSBConfig) ([]YCSBResult, error) {
 	if cfg.Records <= 0 || cfg.Ops <= 0 {
-		return fmt.Errorf("bench: YCSB needs positive records and ops")
+		return nil, fmt.Errorf("bench: YCSB needs positive records and ops")
 	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
@@ -141,132 +151,89 @@ func YCSBBench(w io.Writer, cfg YCSBConfig) error {
 	if len(cfg.Workloads) == 0 {
 		cfg.Workloads = []string{"A", "B", "C", "D", "E", "F"}
 	}
-	rep := newJSONReport(cfg.Records)
+	var results []YCSBResult
 	for _, name := range cfg.Workloads {
 		mix, err := mixFor(strings.ToUpper(strings.TrimSpace(name)))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := ycsbRun(mix, cfg)
 		if err != nil {
-			return fmt.Errorf("bench: ycsb-%s: %v", strings.ToLower(mix.name), err)
+			return nil, fmt.Errorf("bench: ycsb-%s: %v", strings.ToLower(mix.name), err)
 		}
-		rep.Results = append(rep.Results, res)
+		results = append(results, res)
 		fmt.Fprintf(w, "%-10s %-8s %9.0f ops/s  p50 %6dns  p99 %7dns  %d threads  %s\n",
 			res.Tree, res.Workload, res.OpsPerSec, res.P50NS, res.P99NS, res.Threads, res.KeyDist)
 	}
-	if cfg.JSONPath != "" {
-		if err := writeJSONReport(rep, cfg.JSONPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %d workload results to %s\n", len(rep.Results), cfg.JSONPath)
-	}
-	return nil
+	return results, nil
 }
 
 // ycsbRun loads one tree and drives one workload mix to completion.
-func ycsbRun(mix ycsbMix, cfg YCSBConfig) (JSONWorkloadResult, error) {
-	pool := scm.NewPool(int64(poolForScale(Scale{Warm: cfg.Records, Ops: cfg.Ops}))<<20, scm.LatencyConfig{})
+func ycsbRun(mix ycsbMix, cfg YCSBConfig) (YCSBResult, error) {
+	pool := poolMB(poolForScale(Scale{Warm: cfg.Records, Ops: cfg.Ops}, false), scm.LatencyConfig{})
 	tr, err := core.CCreate(pool, core.Config{LeafCap: 56, InnerFanout: 128})
 	if err != nil {
-		return JSONWorkloadResult{}, err
+		return YCSBResult{}, err
 	}
-	reg := obs.NewRegistry()
-	pool.RegisterMetrics(reg, "scm")
-
 	var count atomic.Uint64
 	for i := uint64(0); i < uint64(cfg.Records); i++ {
 		k := ycsbKey(i)
 		if err := tr.Insert(k, ycsbVal(k)); err != nil {
-			return JSONWorkloadResult{}, err
+			return YCSBResult{}, err
 		}
 	}
 	count.Store(uint64(cfg.Records))
 
 	// The zipf domain covers the preload plus every insert the run can
-	// issue, so late inserts remain reachable by the choosers.
+	// issue, so late inserts remain reachable by the choosers. Each client
+	// goroutine owns a chooser and an op die (rand.Zipf is not goroutine-safe).
 	maxRecords := uint64(cfg.Records+cfg.Ops) - 1
-
-	opsPerThread := cfg.Ops / cfg.Threads
-	if opsPerThread < 1 {
-		opsPerThread = 1
+	choose := make([]*ycsbChooser, cfg.Threads)
+	die := make([]*rand.Rand, cfg.Threads)
+	for t := range choose {
+		seed := ycsbSeed + int64(t)*7919
+		choose[t] = newYCSBChooser(seed, mix.dist, maxRecords, &count)
+		die[t] = rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
 	}
-	totalOps := opsPerThread * cfg.Threads
 
-	lats := make([][]time.Duration, cfg.Threads)
-	errs := make([]error, cfg.Threads)
-	var wg sync.WaitGroup
-	before := reg.Snapshot()
-	start := time.Now()
-	for t := 0; t < cfg.Threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			seed := cfg.Seed + int64(t)*7919
-			choose := newYCSBChooser(seed, mix.dist, maxRecords, &count)
-			opRng := rand.New(rand.NewSource(seed ^ 0x5DEECE66D))
-			lat := make([]time.Duration, opsPerThread)
-			for i := 0; i < opsPerThread; i++ {
-				die := opRng.Intn(100)
-				t0 := time.Now()
-				var err error
-				switch {
-				case die < mix.read:
-					k := ycsbKey(choose.pick())
-					tr.Find(k)
-				case die < mix.read+mix.update:
-					k := ycsbKey(choose.pick())
-					_, err = tr.Update(k, ycsbVal(k))
-				case die < mix.read+mix.update+mix.insert:
-					idx := count.Add(1) - 1
-					k := ycsbKey(idx)
-					err = tr.Insert(k, ycsbVal(k))
-				case die < mix.read+mix.update+mix.insert+mix.scan:
-					n := 1 + opRng.Intn(cfg.ScanLen)
-					err = ycsbScan(tr, ycsbKey(choose.pick()), n)
-				default: // read-modify-write
-					k := ycsbKey(choose.pick())
-					if old, ok := tr.Find(k); ok {
-						_, err = tr.Update(k, old+1)
-					}
-				}
-				lat[i] = time.Since(t0)
-				if err != nil {
-					errs[t] = err
-					return
-				}
+	lat := make([]time.Duration, cfg.Ops)
+	total, err := timed(cfg.Threads, cfg.Ops, lat, func(t, _ int) error {
+		switch d := die[t].Intn(100); {
+		case d < mix.read:
+			tr.Find(ycsbKey(choose[t].pick()))
+		case d < mix.read+mix.update:
+			k := ycsbKey(choose[t].pick())
+			_, err := tr.Update(k, ycsbVal(k))
+			return err
+		case d < mix.read+mix.update+mix.insert:
+			k := ycsbKey(count.Add(1) - 1)
+			return tr.Insert(k, ycsbVal(k))
+		case d < mix.read+mix.update+mix.insert+mix.scan:
+			n := 1 + die[t].Intn(cfg.ScanLen)
+			return ycsbScan(tr, ycsbKey(choose[t].pick()), n)
+		default: // read-modify-write
+			k := ycsbKey(choose[t].pick())
+			if old, ok := tr.Find(k); ok {
+				_, err := tr.Update(k, old+1)
+				return err
 			}
-			lats[t] = lat
-		}(t)
-	}
-	wg.Wait()
-	total := time.Since(start)
-	d := reg.Snapshot().Sub(before)
-	for _, err := range errs {
-		if err != nil {
-			return JSONWorkloadResult{}, err
 		}
+		return nil
+	})
+	if err != nil {
+		return YCSBResult{}, err
 	}
-
-	merged := make([]time.Duration, 0, totalOps)
-	for _, lat := range lats {
-		merged = append(merged, lat...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	pct := func(p float64) int64 {
-		return merged[int(p*float64(len(merged)-1))].Nanoseconds()
-	}
-	return JSONWorkloadResult{
-		Tree:         "FPTreeC",
-		Workload:     "ycsb-" + strings.ToLower(mix.name),
-		Ops:          totalOps,
-		OpsPerSec:    float64(totalOps) / total.Seconds(),
-		P50NS:        pct(0.50),
-		P99NS:        pct(0.99),
-		FlushesPerOp: d.PerOp("scm_flushes_total", totalOps),
-		FencesPerOp:  d.PerOp("scm_fences_total", totalOps),
-		Threads:      cfg.Threads,
-		KeyDist:      mix.dist,
+	slices.Sort(lat)
+	pct := func(p float64) int64 { return lat[int(p*float64(len(lat)-1))].Nanoseconds() }
+	return YCSBResult{
+		Tree:      "FPTreeC",
+		Workload:  "ycsb-" + strings.ToLower(mix.name),
+		Ops:       cfg.Ops,
+		OpsPerSec: float64(cfg.Ops) / total.Seconds(),
+		P50NS:     pct(0.50),
+		P99NS:     pct(0.99),
+		Threads:   cfg.Threads,
+		KeyDist:   mix.dist,
 	}, nil
 }
 
