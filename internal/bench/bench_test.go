@@ -144,12 +144,12 @@ func TestAdaptersRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := uint64(1); k <= 200; k++ {
-			if err := inst.Var.Insert(keys16(k), []byte("12345678")); err != nil {
+			if err := inst.Var.Insert(keyN(paperKeyLen, k), []byte("12345678")); err != nil {
 				t.Fatalf("%s: %v", inst.Name, err)
 			}
 		}
 		for k := uint64(1); k <= 200; k++ {
-			if _, ok := inst.Var.Find(keys16(k)); !ok {
+			if _, ok := inst.Var.Find(keyN(paperKeyLen, k)); !ok {
 				t.Fatalf("%s: var find(%d) failed", inst.Name, k)
 			}
 		}

@@ -17,16 +17,28 @@ func Fig9Concurrency(w io.Writer, sc Scale, threads []int, latNS int, varKeys bo
 		title = "variable-size keys"
 	}
 	fmt.Fprintf(w, "# Figures 9-11: concurrent throughput, %s, SCM %dns\n", title, latNS)
-	fmt.Fprintf(w, "%-12s %8s %-8s %14s %10s\n", "tree", "threads", "op", "Mops/s", "speedup")
+	if varKeys {
+		pointerKeyNote(w, "FPTreeCVar", "FPTreeCVar")
+	}
+	fmt.Fprintf(w, "%-14s %8s %-8s %14s %10s\n", "tree", "threads", "op", "Mops/s", "speedup")
 	lat := LatencyNS(latNS, true)
 	warm, extra, mixed := genKeys(sc.Warm, 21), genKeys(sc.Ops, 22), genKeys(sc.Ops, 23)
+	kinds := []Kind{KindFPTreeC, KindNVTreeC}
 	if varKeys {
-		return concurrencyTable(w, threads, sc.Ops, keys16All(warm), keys16All(extra), keys16All(mixed), []byte("valuedat"),
-			func(kind Kind) (string, VarTree, error) {
-				return NewConcurrentVar(kind, poolForScale(sc, true), 8, lat)
-			})
+		for _, run := range varKeyRuns(kinds, KindFPTreeC) {
+			err := concurrencyTable(w, threads, sc.Ops, run.kinds,
+				keysN(run.keyLen, warm), keysN(run.keyLen, extra), keysN(run.keyLen, mixed), []byte("valuedat"),
+				func(kind Kind) (string, VarTree, error) {
+					name, t, err := NewConcurrentVar(kind, poolForScale(sc, true), 8, lat)
+					return name + run.suffix, t, err
+				})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return concurrencyTable(w, threads, sc.Ops, warm, extra, mixed, 1,
+	return concurrencyTable(w, threads, sc.Ops, kinds, warm, extra, mixed, 1,
 		func(kind Kind) (string, FixedTree, error) {
 			return NewConcurrentFixed(kind, poolForScale(sc, false), lat)
 		})
@@ -36,10 +48,10 @@ func Fig9Concurrency(w io.Writer, sc Scale, threads []int, latNS int, varKeys bo
 // and prints throughput and speedup over the first thread count for the base
 // operations and the 50/50 Insert/Find mix (inserting from mixed): n ops
 // each, on th goroutines over disjoint key stripes.
-func concurrencyTable[K, V any](w io.Writer, threads []int, n int, warm, extra, mixed []K, val V,
+func concurrencyTable[K, V any](w io.Writer, threads []int, n int, kinds []Kind, warm, extra, mixed []K, val V,
 	build func(Kind) (string, Tree[K, V], error)) error {
 	mops := func(d time.Duration) float64 { return float64(n) / d.Seconds() / 1e6 }
-	for _, kind := range []Kind{KindFPTreeC, KindNVTreeC} {
+	for _, kind := range kinds {
 		base := map[string]float64{}
 		for _, th := range threads {
 			name, t, err := build(kind)
@@ -74,7 +86,7 @@ func concurrencyTable[K, V any](w io.Writer, threads []int, n int, warm, extra, 
 					base[row.op] = row.mops
 				}
 				sp := row.mops / base[row.op] * float64(threads[0])
-				fmt.Fprintf(w, "%-12s %8d %-8s %14.3f %9.2fx\n", name, th, row.op, row.mops, sp)
+				fmt.Fprintf(w, "%-14s %8d %-8s %14.3f %9.2fx\n", name, th, row.op, row.mops, sp)
 			}
 		}
 	}

@@ -196,7 +196,7 @@ func recoveryTree(pool *scm.Pool, size int, varKeys bool) (string, func(*scm.Poo
 	}
 	kvs := make([]core.VarKV, size)
 	for i := range kvs {
-		kvs[i] = core.VarKV{Key: keys16(uint64(i)), Value: []byte("valuedat")}
+		kvs[i] = core.VarKV{Key: keyN(paperKeyLen, uint64(i)), Value: []byte("valuedat")}
 	}
 	return "FPTreeVar", func(pool *scm.Pool, workers int) (*core.OpStats, int, error) {
 		t, err := core.OpenVar(pool, core.RecoveryOptions{Workers: workers})

@@ -24,9 +24,11 @@ type leafShape struct {
 // The engine never touches a slot except through this interface.
 //
 // Fixed codec: inline u64 key + u64 value per slot, nothing to allocate or
-// leak. Var codec: each slot holds a persistent pointer to a separately
-// allocated key block plus an inline value, so insert/update/delete/split all
-// have extra ownership steps (the no-op methods below on the fixed codec).
+// leak. Var codec: each slot holds a 16-byte key cell, the key length and an
+// inline value. A key that fits the cell lives in it and costs what a fixed
+// key costs; a longer key lives in a separately allocated key block the cell
+// points to, so insert/update/delete/split all have extra ownership steps
+// (the no-op methods below on the fixed codec, and on inline slots).
 type codec[K, V any] interface {
 	shape() leafShape
 	less(a, b K) bool
@@ -41,34 +43,32 @@ type codec[K, V any] interface {
 	// writeSlot persists the key and value payload of a free slot. It does
 	// NOT touch the fingerprint or bitmap — engine.commitSlot owns those.
 	writeSlot(leaf uint64, slot int, k K, v V) error
-	// moveSlot restages an existing slot's key with a new value into a free
-	// slot (update path). The var codec copies the key's persistent pointer
-	// instead of re-allocating (Algorithm 16).
+	// moveSlot restages an existing slot's key k with a new value into a free
+	// slot (update path). The var codec copies a key block's persistent
+	// pointer instead of re-allocating (Algorithm 16).
 	moveSlot(leaf uint64, slot, prev int, k K, v V)
-	// afterUpdate runs after the bitmap commit of an update; the var codec
-	// nulls the old slot's key pointer so the key keeps exactly one owner.
-	afterUpdate(leaf uint64, prev int)
-	// releaseSlotKey frees per-slot key storage after a delete's bitmap flip.
-	releaseSlotKey(leaf uint64, slot int)
+	// afterUpdate runs after the bitmap commit of an update of k; the var
+	// codec nulls the old slot's key pointer so the key block keeps exactly
+	// one owner.
+	afterUpdate(leaf uint64, prev int, k K)
+	// releaseSlotKey frees the storage slot holds for k after a delete's
+	// bitmap flip.
+	releaseSlotKey(leaf uint64, slot int, k K)
 	// afterSplitBitmaps restores per-slot ownership invariants once the two
 	// halves' complementary bitmaps are durable (var: null the invalid
 	// slots' key pointers in both halves).
 	afterSplitBitmaps(leaf, newLeaf uint64)
-	// scanLeaks is the detection half of the Algorithm 17 per-leaf recovery
-	// scan: it reads the leaf and reports the repairs needed, without
-	// touching SCM. Read-only so parallel recovery workers may run it
-	// concurrently; the engine applies the actions sequentially afterwards.
-	scanLeaks(leaf uint64) []leakAction
-	// applyLeaks performs the durable repairs scanLeaks detected, in slot
+	// scanLeaf is the one-stop per-leaf recovery read: the live max key, the
+	// live count, and the repairs the Algorithm 17 leak scan calls for,
+	// computed from a single batched read of the leaf image (one emulator
+	// crossing instead of one per slot — the recovery scan visits every slot
+	// anyway, so per-slot accessors only add overhead). It writes nothing, so
+	// recovery workers run it in parallel; the engine applies the repairs
+	// sequentially afterwards.
+	scanLeaf(leaf uint64) (K, int, []leakAction)
+	// applyLeaks performs the durable repairs scanLeaf detected, in slot
 	// order.
 	applyLeaks(leaf uint64, acts []leakAction)
-	// scanLeaf is the one-stop per-leaf recovery read: the live max key, the
-	// live count, and the scanLeaks repairs, computed from a single batched
-	// read of the leaf image (one emulator crossing instead of one per slot
-	// — the recovery scan visits every slot anyway, so per-slot accessors
-	// only add overhead). Read-only, so recovery workers run it in parallel;
-	// it must detect exactly the repairs scanLeaks would.
-	scanLeaf(leaf uint64) (K, int, []leakAction)
 
 	// checkInvalidSlot / ownerToken support CheckInvariants: codec-specific
 	// invariants of invalid slots, and a token identifying shared key
@@ -135,10 +135,9 @@ func (c *fixedCodec) moveSlot(leaf uint64, slot, prev int, k, v uint64) {
 	c.writeSlot(leaf, slot, k, v) //nolint:errcheck // fixed writeSlot cannot fail
 }
 
-func (c *fixedCodec) afterUpdate(uint64, int)            {}
-func (c *fixedCodec) releaseSlotKey(uint64, int)         {}
+func (c *fixedCodec) afterUpdate(uint64, int, uint64)    {}
+func (c *fixedCodec) releaseSlotKey(uint64, int, uint64) {}
 func (c *fixedCodec) afterSplitBitmaps(uint64, uint64)   {}
-func (c *fixedCodec) scanLeaks(uint64) []leakAction      { return nil }
 func (c *fixedCodec) applyLeaks(uint64, []leakAction)    {}
 func (c *fixedCodec) checkInvalidSlot(uint64, int) error { return nil }
 
@@ -175,6 +174,44 @@ func (c *fixedCodec) keyDRAMBytes(uint64) uint64 { return 8 }
 
 // --- variable-size keys ------------------------------------------------------
 
+// inlineKeyMax is the longest key that lives in the slot itself. A slot's
+// 16-byte key cell holds either the key's bytes, zero-padded (klen <=
+// inlineKeyMax), or the persistent pointer to a separately allocated key
+// block (klen > inlineKeyMax, Appendix C). klen is the only discriminator, so
+// the write paths below never let a crash pair a pointer-length klen with
+// inline bytes in the cell: recovery would free whatever those bytes point at.
+const inlineKeyMax = scm.PPtrSize
+
+// keyCell is a slot's key cell and length word as read from SCM: 24
+// contiguous bytes, one pool access.
+type keyCell struct {
+	raw  [scm.PPtrSize]byte
+	klen uint64
+}
+
+func parseKeyCell(b []byte) (h keyCell) {
+	copy(h.raw[:], b)
+	h.klen = binary.LittleEndian.Uint64(b[scm.PPtrSize:])
+	return h
+}
+
+func (h *keyCell) inline() bool { return h.klen <= inlineKeyMax }
+
+// inlineKey returns the key bytes of an inline cell (aliasing h).
+func (h *keyCell) inlineKey() []byte { return h.raw[:h.klen] }
+
+// pkey decodes the cell of a pointer slot.
+func (h *keyCell) pkey() scm.PPtr {
+	return scm.PPtr{
+		ArenaID: binary.LittleEndian.Uint64(h.raw[:]),
+		Offset:  binary.LittleEndian.Uint64(h.raw[8:]),
+	}
+}
+
+// ownsBlock reports whether the cell references a key block: a pointer slot
+// whose pointer is not null.
+func (h *keyCell) ownsBlock() bool { return !h.inline() && !h.pkey().IsNull() }
+
 type varCodec struct {
 	pool    *scm.Pool
 	lay     varLayout
@@ -199,49 +236,99 @@ func (c *varCodec) validateKey(k []byte) error {
 	return nil
 }
 
-func (c *varCodec) slotPKey(leaf uint64, s int) scm.PPtr {
-	return c.pool.ReadPPtr(c.lay.pkeyOff(leaf, s))
+func (c *varCodec) slotCell(leaf uint64, s int) keyCell {
+	var b [scm.PPtrSize + 8]byte
+	c.pool.ReadInto(c.lay.slotOff(leaf, s), b[:])
+	return parseKeyCell(b[:])
 }
 
-func (c *varCodec) slotKLen(leaf uint64, s int) uint64 {
-	return c.pool.ReadU64(c.lay.klenOff(leaf, s))
-}
-
-// slotKey dereferences the slot's key pointer — the extra SCM cache miss
-// that makes fingerprints so valuable for string keys.
+// slotKey returns the slot's key: out of the slot line for an inline key,
+// through the key pointer otherwise — the extra SCM cache miss that makes
+// fingerprints so valuable for string keys.
 func (c *varCodec) slotKey(leaf uint64, s int) []byte {
-	pk := c.slotPKey(leaf, s)
-	return c.pool.ReadBytes(pk.Offset, c.slotKLen(leaf, s))
+	h := c.slotCell(leaf, s)
+	if h.inline() {
+		return bytes.Clone(h.inlineKey())
+	}
+	return c.pool.ReadBytes(h.pkey().Offset, h.klen)
 }
 
 func (c *varCodec) slotKeyEquals(leaf uint64, s int, k []byte) bool {
-	if c.slotKLen(leaf, s) != uint64(len(k)) {
+	h := c.slotCell(leaf, s)
+	if h.klen != uint64(len(k)) {
 		return false
 	}
-	pk := c.slotPKey(leaf, s)
-	return c.pool.EqualBytes(pk.Offset, k)
+	if h.inline() {
+		return string(h.inlineKey()) == string(k)
+	}
+	return c.pool.EqualBytes(h.pkey().Offset, k)
 }
 
 func (c *varCodec) slotValue(leaf uint64, s int) []byte {
 	return c.pool.ReadBytes(c.lay.valOff(leaf, s), uint64(c.valSize))
 }
 
-// writeSlot performs lines 12-18 of Algorithm 14 with each line flushed once:
-// the key length and the value are staged and persisted together, then the
-// allocator fills the key block with the key's bytes, makes it durable and
-// durably publishes it in the slot's pointer cell (so a crash can never leak
-// it, and a published pointer never refers to unwritten bytes). Alg. 14
-// persists the value after the allocation; staging it before is
-// crash-equivalent, because the slot stays invisible until the bitmap commit
-// and the only thing recovery reads from an invalid slot — the length the
-// leak scan frees the key block by — is durable before the pointer is, as in
-// the paper.
+// writeSlot stages a free slot. A key of at most inlineKeyMax bytes goes into
+// the slot itself (stageInline). A longer key performs lines 12-18 of
+// Algorithm 14 with each line flushed once: the key length and the value are
+// staged and persisted together, then the allocator fills the key block with
+// the key's bytes, makes it durable and durably publishes it in the slot's
+// pointer cell (so a crash can never leak it, and a published pointer never
+// refers to unwritten bytes). Alg. 14 persists the value after the
+// allocation; staging it before is crash-equivalent, because the slot stays
+// invisible until the bitmap commit and the only thing recovery reads from an
+// invalid slot — the length the leak scan frees the key block by — is durable
+// before the pointer is, as in the paper.
 func (c *varCodec) writeSlot(leaf uint64, slot int, k, v []byte) error {
+	if len(k) <= inlineKeyMax {
+		c.stageInline(leaf, slot, k, v)
+		return nil
+	}
+	c.nullStaleInlineCell(leaf, slot)
 	c.pool.WriteU64(c.lay.klenOff(leaf, slot), uint64(len(k)))
 	c.stageValue(leaf, slot, v)
 	c.pool.Persist(c.lay.klenOff(leaf, slot), 8+uint64(c.valSize))
 	_, err := c.pool.AllocInit(c.lay.pkeyOff(leaf, slot), uint64(len(k)), k)
 	return err
+}
+
+// stageInline writes an inline key, its length and the value into a free slot
+// and persists them together: one flush for a slot that sits in one line. The
+// exception is a slot that last held a pointer key. Its durable klen still has
+// pointer length, and a torn crash may keep any word-prefix of a dirty line
+// (and, where the slot straddles, of each line independently), so writing the
+// cell beside it could leave key bytes under a pointer-length klen. There the
+// new klen is made durable first and the cell follows — one extra persist,
+// paid only when a slot changes representation.
+func (c *varCodec) stageInline(leaf uint64, slot int, k, v []byte) {
+	var cell [inlineKeyMax]byte
+	copy(cell[:], k)
+	off, klenOff := c.lay.slotOff(leaf, slot), c.lay.klenOff(leaf, slot)
+	if c.pool.ReadU64(klenOff) > inlineKeyMax {
+		c.pool.WriteU64(klenOff, uint64(len(k)))
+		c.stageValue(leaf, slot, v)
+		c.pool.Persist(klenOff, 8+uint64(c.valSize))
+		c.pool.WriteBytes(off, cell[:])
+		c.pool.Persist(off, inlineKeyMax)
+		return
+	}
+	c.pool.WriteBytes(off, cell[:])
+	c.pool.WriteU64(klenOff, uint64(len(k)))
+	c.stageValue(leaf, slot, v)
+	c.pool.Persist(off, inlineKeyMax+8+uint64(c.valSize))
+}
+
+// nullStaleInlineCell prepares a free slot for a pointer key: if the slot
+// last held an inline key, its cell still carries those bytes, and they must
+// be gone durably before a pointer-length klen may become durable beside
+// them. While the old inline klen stands, recovery ignores the cell, so the
+// null itself can tear freely. Never-used and pointer slots already hold a
+// null cell and cost nothing.
+func (c *varCodec) nullStaleInlineCell(leaf uint64, slot int) {
+	if h := c.slotCell(leaf, slot); h.inline() && h.raw != [scm.PPtrSize]byte{} {
+		c.pool.WritePPtr(c.lay.pkeyOff(leaf, slot), scm.PPtr{})
+		c.pool.Persist(c.lay.pkeyOff(leaf, slot), scm.PPtrSize)
+	}
 }
 
 // zeroValue pads values shorter than the slot (Config.ValueSize <= 4096).
@@ -259,28 +346,40 @@ func (c *varCodec) stageValue(leaf uint64, slot int, value []byte) {
 	c.pool.WriteBytes(off+uint64(len(value)), zeroValue[:c.valSize-len(value)])
 }
 
-// moveSlot copies the previous slot's key pointer and length instead of
-// re-allocating the key (Algorithm 16), stages the new value beside them and
-// persists the slot once: after the bitmap flip the key briefly has two
-// owners, which afterUpdate repairs.
+// moveSlot restages the key of slot prev, which is k, beside a new value. An
+// inline key is simply written again. A pointer key is not re-allocated: the
+// previous slot's pointer and length are copied (Algorithm 16), the new value
+// is staged beside them and the slot is persisted once; after the bitmap flip
+// the key briefly has two owners, which afterUpdate repairs.
 func (c *varCodec) moveSlot(leaf uint64, slot, prev int, k, v []byte) {
-	c.pool.WritePPtr(c.lay.pkeyOff(leaf, slot), c.slotPKey(leaf, prev))
-	c.pool.WriteU64(c.lay.klenOff(leaf, slot), c.slotKLen(leaf, prev))
+	if len(k) <= inlineKeyMax {
+		c.stageInline(leaf, slot, k, v)
+		return
+	}
+	c.nullStaleInlineCell(leaf, slot)
+	c.pool.WritePPtr(c.lay.pkeyOff(leaf, slot), c.pool.ReadPPtr(c.lay.pkeyOff(leaf, prev)))
+	c.pool.WriteU64(c.lay.klenOff(leaf, slot), uint64(len(k)))
 	c.stageValue(leaf, slot, v)
 	c.pool.Persist(c.lay.slotOff(leaf, slot), scm.PPtrSize+8+uint64(c.valSize))
 }
 
-// afterUpdate resets the old slot's reference so the key has exactly one
-// owner again (Algorithm 16, line 16).
-func (c *varCodec) afterUpdate(leaf uint64, prev int) {
+// afterUpdate resets the old slot's reference so a key block has exactly one
+// owner again (Algorithm 16, line 16). An inline key has no block to share.
+func (c *varCodec) afterUpdate(leaf uint64, prev int, k []byte) {
+	if len(k) <= inlineKeyMax {
+		return
+	}
 	c.pool.WritePPtr(c.lay.pkeyOff(leaf, prev), scm.PPtr{})
 	c.pool.Persist(c.lay.pkeyOff(leaf, prev), scm.PPtrSize)
 }
 
-// releaseSlotKey deallocates the key block through the slot's pointer cell
-// (which nulls it durably).
-func (c *varCodec) releaseSlotKey(leaf uint64, slot int) {
-	c.pool.Free(c.lay.pkeyOff(leaf, slot), c.slotKLen(leaf, slot))
+// releaseSlotKey deallocates k's key block through the slot's pointer cell
+// (which nulls it durably). An inline key dies with the bitmap flip.
+func (c *varCodec) releaseSlotKey(leaf uint64, slot int, k []byte) {
+	if len(k) <= inlineKeyMax {
+		return
+	}
+	c.pool.Free(c.lay.pkeyOff(leaf, slot), uint64(len(k)))
 }
 
 // afterSplitBitmaps nulls the invalid slots' key pointers in both halves so
@@ -295,11 +394,16 @@ func (c *varCodec) afterSplitBitmaps(leaf, newLeaf uint64) {
 // once — the lines of one leaf are flushed once each, not once per moved
 // slot. The nulls are independent of each other and recovery redoes the whole
 // pass from the split micro-log, so which of them a crash keeps is immaterial.
+// Inline slots are left as they are: the copy in the other half is a copy of
+// bytes, not a second reference.
 func (c *varCodec) resetInvalidPKeys(leaf uint64) {
 	bm := c.pool.ReadU64(leaf + c.lay.offBitmap)
 	first, end := uint64(0), uint64(0) // the nulled cells span [first, end)
 	for s := 0; s < c.lay.cap; s++ {
-		if bm&(1<<s) != 0 || c.slotPKey(leaf, s).IsNull() {
+		if bm&(1<<s) != 0 {
+			continue
+		}
+		if h := c.slotCell(leaf, s); !h.ownsBlock() {
 			continue
 		}
 		off := c.lay.pkeyOff(leaf, s)
@@ -329,40 +433,13 @@ type leakAction struct {
 // identifies the block.
 func sameKeyBlock(a, b scm.PPtr) bool { return a.Offset == b.Offset }
 
-// scanLeaks is the detection half of Algorithm 17: for every invalid slot
-// with a non-null key pointer, decide between the update-crash case (another
-// valid slot in the same leaf references the same key: reset the pointer)
-// and the insert/delete-crash case (no other reference: deallocate the key).
-func (c *varCodec) scanLeaks(leaf uint64) []leakAction {
-	bm := c.pool.ReadU64(leaf + c.lay.offBitmap)
-	var acts []leakAction
-	for s := 0; s < c.lay.cap; s++ {
-		if bm&(1<<s) != 0 {
-			continue
-		}
-		pk := c.slotPKey(leaf, s)
-		if pk.IsNull() {
-			continue
-		}
-		shared := false
-		for v := 0; v < c.lay.cap; v++ {
-			if bm&(1<<v) != 0 && sameKeyBlock(c.slotPKey(leaf, v), pk) {
-				shared = true
-				break
-			}
-		}
-		acts = append(acts, leakAction{slot: s, free: !shared})
-	}
-	return acts
-}
-
 // applyLeaks performs the repairs in slot order, matching the write sequence
 // the pre-split reclaimLeaks emitted (a reset is a durable pointer null, a
 // free goes through the slot's pointer cell, which also nulls it).
 func (c *varCodec) applyLeaks(leaf uint64, acts []leakAction) {
 	for _, a := range acts {
 		if a.free {
-			c.pool.Free(c.lay.pkeyOff(leaf, a.slot), c.slotKLen(leaf, a.slot))
+			c.pool.Free(c.lay.pkeyOff(leaf, a.slot), c.pool.ReadU64(c.lay.klenOff(leaf, a.slot)))
 		} else {
 			c.pool.WritePPtr(c.lay.pkeyOff(leaf, a.slot), scm.PPtr{})
 			c.pool.Persist(c.lay.pkeyOff(leaf, a.slot), scm.PPtrSize)
@@ -370,60 +447,65 @@ func (c *varCodec) applyLeaks(leaf uint64, acts []leakAction) {
 	}
 }
 
-// scanLeaf reads the leaf image once, chases each valid slot's key pointer
-// for the max-key comparison (the pointer dereferences are the latency that
-// parallel recovery overlaps), and runs the scanLeaks detection on the
-// buffered slot pointers.
+// scanLeaf reads the leaf image once. Inline keys are compared where they lie
+// in the image; each valid pointer slot's key block is chased for the max-key
+// comparison (the dereferences are the latency that parallel recovery
+// overlaps). Leak detection is Algorithm 17 over the buffered cells: an
+// invalid slot that still references a key block either shares it with a
+// valid slot of the same leaf (crashed update: reset the pointer) or owns it
+// alone (crashed insert or delete: deallocate the key). Invalid inline slots
+// own nothing and are skipped.
 func (c *varCodec) scanLeaf(leaf uint64) ([]byte, int, []leakAction) {
 	buf := c.pool.ReadBytes(leaf, c.lay.size)
 	bm := binary.LittleEndian.Uint64(buf[c.lay.offBitmap:])
-	pk := func(s int) scm.PPtr {
-		off := c.lay.pkeyOff(0, s)
-		return scm.PPtr{
-			ArenaID: binary.LittleEndian.Uint64(buf[off:]),
-			Offset:  binary.LittleEndian.Uint64(buf[off+8:]),
-		}
-	}
-	klen := func(s int) uint64 {
-		return binary.LittleEndian.Uint64(buf[c.lay.klenOff(0, s):])
-	}
+	cell := func(s int) keyCell { return parseKeyCell(buf[c.lay.slotOff(0, s):]) }
 	var maxK []byte
+	maxInline := false // maxK aliases buf
 	n := 0
 	var acts []leakAction
 	for s := 0; s < c.lay.cap; s++ {
+		h := cell(s)
 		if bm&(1<<s) != 0 {
-			k := c.pool.ReadBytes(pk(s).Offset, klen(s))
+			var k []byte
+			if h.inline() {
+				k = buf[c.lay.slotOff(0, s):][:h.klen]
+			} else {
+				k = c.pool.ReadBytes(h.pkey().Offset, h.klen)
+			}
 			n++
 			if n == 1 || bytes.Compare(maxK, k) < 0 {
-				maxK = k
+				maxK, maxInline = k, h.inline()
 			}
 			continue
 		}
-		p := pk(s)
-		if p.IsNull() {
+		if !h.ownsBlock() {
 			continue
 		}
 		shared := false
-		for v := 0; v < c.lay.cap; v++ {
-			if bm&(1<<v) != 0 && sameKeyBlock(pk(v), p) {
-				shared = true
-				break
+		for v := 0; v < c.lay.cap && !shared; v++ {
+			if bm&(1<<v) != 0 {
+				hv := cell(v)
+				shared = !hv.inline() && sameKeyBlock(hv.pkey(), h.pkey())
 			}
 		}
 		acts = append(acts, leakAction{slot: s, free: !shared})
+	}
+	if maxInline {
+		maxK = bytes.Clone(maxK) // the separator must not pin the leaf image
 	}
 	return maxK, n, acts
 }
 
 func (c *varCodec) checkInvalidSlot(leaf uint64, s int) error {
-	if !c.slotPKey(leaf, s).IsNull() {
+	if h := c.slotCell(leaf, s); h.ownsBlock() {
 		return fmt.Errorf("leaf %#x slot %d: invalid slot owns a key pointer", leaf, s)
 	}
 	return nil
 }
 
 func (c *varCodec) ownerToken(leaf uint64, s int) (scm.PPtr, bool) {
-	return c.slotPKey(leaf, s), true
+	h := c.slotCell(leaf, s)
+	return h.pkey(), !h.inline()
 }
 
 func (c *varCodec) nextAfter(k []byte) ([]byte, bool) {

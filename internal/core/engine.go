@@ -750,7 +750,7 @@ func (e *engine[K, V]) updateT(key K, value V, sp *trace.Span) (bool, error) {
 	slot := bits.TrailingZeros64(^bm)
 	e.cdc.moveSlot(target.off, slot, prev, key, value)
 	e.commitSlot(target.off, slot, key, bm&^(1<<prev)|(1<<slot))
-	e.cdc.afterUpdate(target.off, prev)
+	e.cdc.afterUpdate(target.off, prev, key)
 	e.cc.unlockLeaf(ref)
 	if newRef != nil {
 		e.cc.unlockLeaf(newRef)
@@ -804,7 +804,7 @@ func (e *engine[K, V]) deleteT(key K, sp *trace.Span) (bool, error) {
 	}
 	rest := bm &^ (1 << slot)
 	e.persistLeafHeader(ref.off, rest)
-	e.cdc.releaseSlotKey(ref.off, slot)
+	e.cdc.releaseSlotKey(ref.off, slot, key)
 	if rest == 0 {
 		// Last key: try to remove the whole leaf.
 		sp.Enter(trace.PhaseSMO)
@@ -1086,7 +1086,8 @@ func (e *engine[K, V]) collectLeaves() (leaves []uint64, maxKeys []K, size int) 
 // applies the repairs immediately (the sequential recovery shape; the
 // parallel path scans up front and applies later, in the same order).
 func (e *engine[K, V]) reclaimLeaf(leaf uint64) {
-	e.cdc.applyLeaks(leaf, e.cdc.scanLeaks(leaf))
+	_, _, leaks := e.cdc.scanLeaf(leaf)
+	e.cdc.applyLeaks(leaf, leaks)
 }
 
 // sanitizeFreeLeaves restores, at the end of recovery, the invariant that a

@@ -65,66 +65,86 @@ func distinctFP[K any](n int, mk func(int) K, fp func(K) byte) []K {
 }
 
 // TestVarFlushBudget pins the write path's cost model in count mode, at the
-// benchmark's geometry (LeafCap 56, 16-byte keys, 8-byte values) and away
-// from splits and leaf deletes: an insert flushes 7 lines (slot staging,
-// five in the allocator including the key's bytes, header commit), an update
-// 3 (slot, header, old pointer), a delete 6 (header, five in the allocator),
-// and a find on a cold cache misses on 3 (header, slot, key block).
+// benchmark's geometry (LeafCap 56, 8-byte values) and away from splits and
+// leaf deletes, for both key representations. A key that fits the slot's cell
+// (16 bytes, what the benchmark uses) costs what a fixed key costs: an insert
+// flushes 2 lines (slot, header commit), an update 2, a delete 1 (header),
+// and a find on a cold cache misses on 2 (header, slot). A key behind a
+// pointer (24 bytes) keeps Appendix C's costs: an insert flushes 7 lines
+// (slot staging, five in the allocator including the key's bytes, header
+// commit), an update 3 (slot, header, old pointer), a delete 6 (header, five
+// in the allocator), and a cold find misses on 3 (header, slot, key block).
 func TestVarFlushBudget(t *testing.T) {
-	pool := scm.NewPool(4<<20, scm.LatencyConfig{})
-	tr, err := CCreateVar(pool, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := distinctFP(24, func(i int) []byte { return []byte(fmt.Sprintf("budget-key-%05d", i)) }, hash1Bytes)
-	if err := tr.Insert(keys[0], []byte("v0000000")); err != nil { // creates the leaf
-		t.Fatal(err)
-	}
-	check := func(op string, key []byte, maxFlushes, maxMisses uint64, fn func()) {
-		t.Helper()
-		st := pool.Stats()
-		f0, n0 := st.FlushFence()
-		m0 := st.ReadMisses.Load()
-		fn()
-		f1, n1 := st.FlushFence()
-		if f1-f0 > maxFlushes || n1-n0 > maxFlushes {
-			t.Errorf("%s %q: %d flushes, %d fences, budget %d", op, key, f1-f0, n1-n0, maxFlushes)
-		}
-		if m := st.ReadMisses.Load() - m0; maxMisses > 0 && m > maxMisses {
-			t.Errorf("%s %q: %d misses, budget %d", op, key, m, maxMisses)
-		}
-	}
-	for _, k := range keys[1:] {
-		check("Insert", k, 7, 0, func() {
-			if err := tr.Insert(k, []byte("v1111111")); err != nil {
+	for _, row := range []struct {
+		name                         string
+		format                       string
+		insert, update, delete, find uint64
+	}{
+		{"inline", "budget-key-%05d", 2, 2, 1, 2},
+		{"pointer", "budget-pointer-key-%05d", 7, 3, 6, 3},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			pool := scm.NewPool(4<<20, scm.LatencyConfig{})
+			tr, err := CCreateVar(pool, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := distinctFP(24, func(i int) []byte { return []byte(fmt.Sprintf(row.format, i)) }, hash1Bytes)
+			if inline := len(keys[0]) <= inlineKeyMax; inline != (row.name == "inline") {
+				t.Fatalf("%q is %d bytes", keys[0], len(keys[0]))
+			}
+			if err := tr.Insert(keys[0], []byte("v0000000")); err != nil { // creates the leaf
+				t.Fatal(err)
+			}
+			// check runs fn and holds it to maxFlushes flushes and fences and,
+			// when misses is non-zero, to exactly that many read misses.
+			check := func(op string, key []byte, maxFlushes, misses uint64, fn func()) {
+				t.Helper()
+				st := pool.Stats()
+				f0, n0 := st.FlushFence()
+				m0 := st.ReadMisses.Load()
+				fn()
+				f1, n1 := st.FlushFence()
+				if f1-f0 > maxFlushes || n1-n0 > maxFlushes {
+					t.Errorf("%s %q: %d flushes, %d fences, budget %d", op, key, f1-f0, n1-n0, maxFlushes)
+				}
+				if m := st.ReadMisses.Load() - m0; misses > 0 && m != misses {
+					t.Errorf("%s %q: %d misses, want %d", op, key, m, misses)
+				}
+			}
+			for _, k := range keys[1:] {
+				check("Insert", k, row.insert, 0, func() {
+					if err := tr.Insert(k, []byte("v1111111")); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			for _, k := range keys {
+				check("Update", k, row.update, 0, func() {
+					if ok, err := tr.Update(k, []byte("v2222222")); !ok || err != nil {
+						t.Fatalf("Update(%q) = %v, %v", k, ok, err)
+					}
+				})
+			}
+			for _, k := range keys {
+				pool.Crash() // nothing is dirty between operations: this only empties the simulated cache
+				check("Find", k, 0, row.find, func() {
+					if v, ok := tr.Find(k); !ok || !bytes.Equal(v, []byte("v2222222")) {
+						t.Fatalf("Find(%q) = %q, %v", k, v, ok)
+					}
+				})
+			}
+			for _, k := range keys[1:] { // keys[0] stays: emptying the leaf would unlink it
+				check("Delete", k, row.delete, 0, func() {
+					if ok, err := tr.Delete(k); !ok || err != nil {
+						t.Fatalf("Delete(%q) = %v, %v", k, ok, err)
+					}
+				})
+			}
+			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-	for _, k := range keys {
-		check("Update", k, 3, 0, func() {
-			if ok, err := tr.Update(k, []byte("v2222222")); !ok || err != nil {
-				t.Fatalf("Update(%q) = %v, %v", k, ok, err)
-			}
-		})
-	}
-	for _, k := range keys {
-		pool.Crash() // nothing is dirty between operations: this only empties the simulated cache
-		check("Find", k, 0, 3, func() {
-			if v, ok := tr.Find(k); !ok || !bytes.Equal(v, []byte("v2222222")) {
-				t.Fatalf("Find(%q) = %q, %v", k, v, ok)
-			}
-		})
-	}
-	for _, k := range keys[1:] { // keys[0] stays: emptying the leaf would unlink it
-		check("Delete", k, 6, 0, func() {
-			if ok, err := tr.Delete(k); !ok || err != nil {
-				t.Fatalf("Delete(%q) = %v, %v", k, ok, err)
-			}
-		})
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -238,37 +258,40 @@ func checkAfterTornUpdate(pool *scm.Pool, nKeys, src int) error {
 	return tr.CheckInvariants()
 }
 
-// TestOldLayoutRefused hand-builds the metadata block of a layout-1 tree
-// (slot array at byte 88 of the leaf) and checks that every open path refuses
-// it and names both versions, instead of reading its slots 8 bytes off.
+// TestOldLayoutRefused hand-builds the metadata block of a tree with an older
+// leaf layout — v1 (slot array at byte 88 of the leaf) and v2 (every var key
+// behind a pointer, whatever its length) — and checks that every open path
+// refuses it and names both versions, instead of reading its slots 8 bytes
+// off or its short keys' pointers as key bytes.
 func TestOldLayoutRefused(t *testing.T) {
-	const magicV1 = 0xF97B_0000_4EAF_0001
-	const want = "tree has leaf layout v1, this build reads v2"
-	for _, kind := range []uint64{keyKindFixed, keyKindVar} {
-		pool := scm.NewPool(1<<20, scm.LatencyConfig{})
-		root, err := pool.AllocRoot(metaSize(DefaultNumLogs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for off, v := range map[uint64]uint64{
-			mOffMagic: magicV1, mOffStatus: 1, mOffKeyKind: kind, mOffLeafCap: 56,
-			mOffValueSize: 8, mOffNumLogs: DefaultNumLogs,
-		} {
-			pool.WriteU64(root.Offset+off, v)
-		}
-		pool.Persist(root.Offset, mOffLogs)
-		if !HasTree(pool) {
-			t.Error("HasTree = false for a layout-1 tree: memkv would try to create over it")
-		}
-		opens := map[string]func() error{
-			"Open":     func() error { _, err := Open(pool); return err },
-			"COpen":    func() error { _, err := COpen(pool); return err },
-			"OpenVar":  func() error { _, err := OpenVar(pool); return err },
-			"COpenVar": func() error { _, err := COpenVar(pool); return err },
-		}
-		for name, open := range opens {
-			if err := open(); err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("key kind %d: %s of a layout-1 tree: %v, want %q", kind, name, err, want)
+	for old := uint64(1); old < layoutVersion; old++ {
+		want := fmt.Sprintf("tree has leaf layout v%d, this build reads v%d", old, layoutVersion)
+		for _, kind := range []uint64{keyKindFixed, keyKindVar} {
+			pool := scm.NewPool(1<<20, scm.LatencyConfig{})
+			root, err := pool.AllocRoot(metaSize(DefaultNumLogs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off, v := range map[uint64]uint64{
+				mOffMagic: metaMagicBase | old, mOffStatus: 1, mOffKeyKind: kind, mOffLeafCap: 56,
+				mOffValueSize: 8, mOffNumLogs: DefaultNumLogs,
+			} {
+				pool.WriteU64(root.Offset+off, v)
+			}
+			pool.Persist(root.Offset, mOffLogs)
+			if !HasTree(pool) {
+				t.Errorf("HasTree = false for a layout-%d tree: memkv would try to create over it", old)
+			}
+			opens := map[string]func() error{
+				"Open":     func() error { _, err := Open(pool); return err },
+				"COpen":    func() error { _, err := COpen(pool); return err },
+				"OpenVar":  func() error { _, err := OpenVar(pool); return err },
+				"COpenVar": func() error { _, err := COpenVar(pool); return err },
+			}
+			for name, open := range opens {
+				if err := open(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("key kind %d: %s of a layout-%d tree: %v, want %q", kind, name, old, err, want)
+				}
 			}
 		}
 	}

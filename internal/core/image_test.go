@@ -144,7 +144,7 @@ func TestImageRoundTripVar(t *testing.T) {
 			oracle := make(map[string]string)
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < n; i++ {
-				k := fmt.Sprintf("key-%04d", rng.Intn(250))
+				k := string(strKey(rng.Intn(250)))
 				v := fmt.Sprintf("val-%04d", rng.Intn(1000))
 				switch rng.Intn(4) {
 				case 0:

@@ -8,7 +8,8 @@
 // FPTree (Selective Concurrency), and the variable-size-key versions of both.
 // Here all four are one generic engine (engine.go) parameterized along two
 // axes: a key codec (codec.go — fixed 8-byte keys inline in the leaf, or
-// variable-size keys behind persistent key-block pointers per Appendix C)
+// variable-size keys, in the slot up to 16 bytes and behind persistent
+// key-block pointers per Appendix C beyond that)
 // and a concurrency controller (concurrency.go — single-threaded, or
 // version-lock optimistic descent with fine-grained leaf locks). The
 // exported types Tree, CTree, VarTree and CVarTree (tree.go, ctree.go,
@@ -39,10 +40,7 @@ import (
 const MaxLeafCap = 64
 
 // Errors shared by all tree variants.
-var (
-	ErrClosed     = errors.New("fptree: tree is closed")
-	ErrKeyTooLong = errors.New("fptree: key exceeds configured maximum")
-)
+var ErrClosed = errors.New("fptree: tree is closed")
 
 // Variant selects between the paper's single-threaded persistent trees that
 // share this package's leaf machinery.
@@ -181,12 +179,13 @@ func (l fixedLayout) valOff(leaf uint64, slot int) uint64 {
 	return leaf + l.offVals + uint64(slot)*8
 }
 
-// varLayout describes a variable-size-key leaf. Each slot stores a persistent
-// pointer to the key (allocated separately, as in Appendix C), the key
-// length, and an inline value of ValueSize bytes:
+// varLayout describes a variable-size-key leaf. Each slot stores a 16-byte
+// key cell, the key length, and an inline value of ValueSize bytes. The cell
+// holds the key itself, zero-padded, when klen <= 16, and otherwise a
+// persistent pointer to the key (allocated separately, as in Appendix C):
 //
 //	fingerprints[m] | bitmap u64 | lock u8 | pad | next PPtr | pad to 32 |
-//	m × (pkey PPtr, klen u64, value [ValueSize]byte)
+//	m × (pkey PPtr or key [16]byte, klen u64, value [ValueSize]byte)
 //
 // With m = 56 the header is the fixed layout's (slots from byte 96); a slot
 // is 32 bytes with 8-byte values (leaf 1888 → 1920) and 152 bytes with

@@ -33,12 +33,15 @@ import (
 //
 // The magic's low 16 bits are the leaf-layout version. Version 1 started the
 // slot array right behind the next pointer (byte 88 at LeafCap 56); version 2
-// rounds that offset up to the slot alignment (layout.go). There is one
-// reader: a tree of another version is refused at open.
+// rounds that offset up to the slot alignment (layout.go); version 3 keeps
+// the geometry and stores variable-size keys of at most 16 bytes in the slot's
+// key cell, where a version-2 tree holds a pointer whatever the length — its
+// short keys would be read as their own pointers' bytes. There is one reader:
+// a tree of another version is refused at open.
 const (
 	metaMagicBase   = 0xF97B_0000_4EAF_0000
 	metaVersionMask = 0xFFFF
-	layoutVersion   = 2
+	layoutVersion   = 3
 	metaMagic       = metaMagicBase | layoutVersion
 	mOffMagic       = 0
 	mOffStatus      = 8

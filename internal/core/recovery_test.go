@@ -160,7 +160,7 @@ func varCrashTrace(t *testing.T, pool *scm.Pool, cfg Config, concurrent bool, se
 	rng := rand.New(rand.NewSource(seed))
 	runWithCrash(t, pool, failAt, func() {
 		for i := 0; i < 1000; i++ {
-			k := []byte(fmt.Sprintf("key-%04d", rng.Intn(250)))
+			k := strKey(rng.Intn(250))
 			v := []byte(fmt.Sprintf("val-%04d", rng.Intn(1000)))
 			switch rng.Intn(4) {
 			case 0:
@@ -404,7 +404,7 @@ func TestBulkLoadCrashRecoveryBothCodecs(t *testing.T) {
 		kvs := make([]VarKV, n)
 		for i := range kvs {
 			kvs[i] = VarKV{
-				Key:   []byte(fmt.Sprintf("key-%05d", i)),
+				Key:   strKey(i),
 				Value: []byte(fmt.Sprintf("val-%04d", i)),
 			}
 		}

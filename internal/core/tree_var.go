@@ -5,12 +5,13 @@ import (
 )
 
 // VarTree is the single-threaded variable-size-key FPTree (Appendix C).
-// Keys are byte strings stored in separately allocated SCM blocks; each leaf
-// slot holds a persistent pointer to its key, the key length, and an inline
-// value of Config.ValueSize bytes. Every insert allocates the key through
-// the leak-prevention allocator interface (the slot's own pointer cell is
-// the owner), and recovery runs the Algorithm 17 scan that reclaims keys
-// orphaned by a crash.
+// Keys are byte strings; each leaf slot holds a 16-byte key cell, the key
+// length, and an inline value of Config.ValueSize bytes. A key of at most 16
+// bytes is stored in the cell. A longer key is stored in a separately
+// allocated SCM block and the cell holds the persistent pointer to it: its
+// insert allocates the key through the leak-prevention allocator interface
+// (the slot's own pointer cell is the owner), and recovery runs the
+// Algorithm 17 scan that reclaims keys orphaned by a crash.
 //
 // VarTree is a facade over the same generic engine as Tree — it pairs the
 // variable-key codec with the no-op concurrency controller.

@@ -19,7 +19,14 @@ func newVarTree(t *testing.T, cfg Config) *VarTree {
 	return tr
 }
 
-func strKey(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
+// strKey renders key i in numeric order with a length that depends on i: 12
+// and 16 bytes (stored in the slot), 17 and 40 (behind a key pointer). Every
+// suite built on it mixes both representations inside one leaf, on both sides
+// of the boundary and exactly on it.
+func strKey(i int) []byte {
+	k := fmt.Sprintf("key-%08d", i)
+	return []byte(k + [...]string{"", "-16b", "-17by", "-a-key-block-behind-a-pointer"}[i%4])
+}
 
 var varConfigs = []struct {
 	name string

@@ -3,12 +3,14 @@
 //
 // It offers three layers, each usable on its own:
 //
-//   - Crash-point enumeration (Enumerate, EveryPersist, EveryFence): run a
+//   - Crash-point enumeration (Enumerate, EveryPersist, EveryFence, Tears): run a
 //     mutating operation repeatedly, crashing it at the 1st, 2nd, ... Nth
 //     persistence primitive — optionally with torn cache lines — recovering
 //     after each crash and handing control to a caller-supplied checker.
 //     Every failure report carries the crash Point (kind, step, torn seed)
-//     needed to reproduce it deterministically.
+//     needed to reproduce it deterministically. Tears is the exhaustive
+//     form for one operation: every word-prefix combination of the lines
+//     dirty at every persist, not one draw.
 //
 //   - Differential replay (oracle.go): generated operation traces applied in
 //     lockstep to a tree and a plain map oracle, with full-content diffs
@@ -174,4 +176,62 @@ func EveryPersist(tb testing.TB, pool *scm.Pool, op func() error, afterCrash fun
 func EveryFence(tb testing.TB, pool *scm.Pool, op func() error, afterCrash func(pt Point) error) int {
 	tb.Helper()
 	return Enumerate(tb, pool, Options{Fences: true}, op, afterCrash)
+}
+
+// maxTornLines bounds the dirty lines Tears enumerates at one crash point:
+// every line takes any of 9 word-prefixes independently, so three lines are
+// 729 images. Since every slot line is flushed once, the trees' operations
+// dirty at most that many between two persists.
+const maxTornLines = 3
+
+// Tears enumerates every torn image a crash inside one operation can leave,
+// where Enumerate's Torn option draws one per crash point. For step 1, 2, ...
+// it clones the quiescent pool base, lets prepare open the structure on the
+// clone and return the operation, and crashes the operation immediately
+// before its step-th Persist. Each line dirty at that moment may have any
+// prefix of its eight words durable, each independently of the others: check
+// is handed one clone per combination (scm.Pool.CrashWords) and runs recovery
+// and its verification on it. The enumeration ends with the first step the
+// operation completes without reaching. Returns the number of images checked.
+func Tears(tb testing.TB, base *scm.Pool, prepare func(*scm.Pool) (op func() error, err error), check func(img *scm.Pool) error) int {
+	tb.Helper()
+	images := 0
+	for step := int64(1); ; step++ {
+		crashed := base.Clone()
+		op, err := prepare(crashed)
+		if err != nil {
+			tb.Fatalf("crashtest: prepare: %v", err)
+		}
+		crashed.FailAfterFlushes(step)
+		died, err := Crashes(op)
+		if err != nil {
+			tb.Fatalf("crashtest: op failed at persist step %d: %v", step, err)
+		}
+		if !died {
+			return images
+		}
+		var lines []uint64
+		crashed.Clone().CrashWords(func(l uint64) int { lines = append(lines, l); return 0 })
+		if len(lines) > maxTornLines {
+			tb.Fatalf("crashtest: %d lines dirty at persist step %d, exhaustive tearing covers %d", len(lines), step, maxTornLines)
+		}
+		keep := make([]int, len(lines)) // odometer over the per-line prefixes
+		for more := true; more; {
+			img := crashed.Clone()
+			i := 0
+			img.CrashWords(func(uint64) int { i++; return keep[i-1] })
+			images++
+			if err := check(img); err != nil {
+				tb.Fatalf("crashtest: crash@persist[%d], lines %v keeping %v words: %v", step, lines, keep, err)
+			}
+			more = false
+			for j := range keep {
+				if keep[j]++; keep[j] <= scm.LineSize/8 {
+					more = true
+					break
+				}
+				keep[j] = 0
+			}
+		}
+	}
 }

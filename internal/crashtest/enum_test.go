@@ -11,7 +11,6 @@ package crashtest
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 )
 
@@ -32,11 +31,11 @@ func fixedWorkload(seed int64, inserts, trace int, keySpace uint64) []FixedOp {
 func varWorkload(seed int64, inserts, trace int, keySpace uint64) []VarOp {
 	ops := make([]VarOp, 0, inserts+trace+int(keySpace))
 	for k := uint64(1); k <= uint64(inserts); k++ {
-		ops = append(ops, VarOp{Kind: OpInsert, K: []byte(strconv.FormatUint(k, 10)), V: pack8(k * 7)})
+		ops = append(ops, VarOp{Kind: OpInsert, K: VarKey(k), V: pack8(k * 7)})
 	}
 	ops = append(ops, GenVar(seed, trace, keySpace, varValLen)...)
 	for k := uint64(1); k <= keySpace; k++ {
-		ops = append(ops, VarOp{Kind: OpDelete, K: []byte(strconv.FormatUint(k, 10))})
+		ops = append(ops, VarOp{Kind: OpDelete, K: VarKey(k)})
 	}
 	return ops
 }

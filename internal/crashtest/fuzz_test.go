@@ -8,7 +8,6 @@ package crashtest
 // run `go test -fuzz FuzzTreeOpsFixed ./internal/crashtest` to dig.
 
 import (
-	"strconv"
 	"testing"
 
 	"fptree/internal/core"
@@ -154,7 +153,7 @@ func FuzzTreeOpsVar(f *testing.F) {
 				tree, check = tr, tr.CheckInvariants
 				continue
 			}
-			k := []byte(strconv.FormatUint(op.k, 10))
+			k := VarKey(op.k)
 			touched[string(k)] = true
 			vop := VarOp{Kind: op.kind, K: k, V: pack8(op.v)}
 			if err := ReplayVar(tree, oracle, []VarOp{vop}); err != nil {

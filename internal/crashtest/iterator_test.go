@@ -20,6 +20,7 @@ package crashtest
 // reproduce the reconciled oracle exactly.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -143,7 +144,7 @@ func TestIteratorDifferentialVar(t *testing.T) {
 		return sorted
 	}
 	mutate := func() {
-		k := []byte(strconv.FormatUint(rng.Uint64()%keySpace+1, 10))
+		k := VarKey(rng.Uint64()%keySpace + 1)
 		v := pack8(rng.Uint64())
 		var err error
 		switch _, exists := oracle[string(k)]; {
@@ -169,10 +170,10 @@ func TestIteratorDifferentialVar(t *testing.T) {
 	for s := 0; s < sessions; s++ {
 		var lo, hi []byte
 		if rng.Intn(5) > 0 {
-			lo = []byte(strconv.FormatUint(rng.Uint64()%(keySpace+20), 10))
+			lo = VarKey(rng.Uint64() % (keySpace + 20))
 		}
 		if rng.Intn(3) > 0 {
-			hi = []byte(strconv.FormatUint(rng.Uint64()%(keySpace+20), 10))
+			hi = VarKey(rng.Uint64() % (keySpace + 20))
 		}
 		reverse := rng.Intn(2) == 1
 		var it VarIter
@@ -298,16 +299,19 @@ func TestIteratorConcurrentFixed(t *testing.T) {
 	t.Logf("fixed occ: %d sessions, %d keys emitted", sessions, emitted)
 }
 
-// varKey renders a key with fixed width so bytewise order matches numeric
-// order, keeping the stable-key subsequence contiguous in iteration order.
-func varKey(k uint64) []byte { return []byte(fmt.Sprintf("%04d", k)) }
+// varKey renders a key with a fixed-width number in front so bytewise order
+// matches numeric order, keeping the stable-key subsequence contiguous in
+// iteration order, and — like VarKey — pads it to 4, 16, 17 or 40 bytes by
+// number, so leaves under the concurrent iterators hold keys in the slot and
+// keys behind pointers side by side.
+func varKey(k uint64) []byte { return padVarKey([]byte(fmt.Sprintf("%04d", k)), k) }
 
 func varKeyNum(k []byte) (uint64, bool) {
-	if len(k) != 4 {
+	if len(k) < 4 {
 		return 0, false
 	}
-	n, err := strconv.ParseUint(string(k), 10, 64)
-	return n, err == nil
+	n, err := strconv.ParseUint(string(k[:4]), 10, 64)
+	return n, err == nil && bytes.Equal(k, varKey(n))
 }
 
 func TestIteratorConcurrentVar(t *testing.T) {

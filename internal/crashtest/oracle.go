@@ -100,10 +100,32 @@ func GenFixed(seed int64, n int, keySpace uint64) []FixedOp {
 	return ops
 }
 
-// GenVar builds a reproducible mixed trace over the decimal-string keys of
-// [1, keySpace] (their varying lengths exercise the var-key paths) with
-// values of exactly valLen bytes — sized to the trees' configured inline
-// value so contents compare byte-for-byte.
+// VarKey renders key number k for the var-key suites. The FPTree stores a
+// key of at most 16 bytes in the leaf slot itself and a longer one behind a
+// key pointer, with the length as the only discriminator, so the length
+// depends on k: the bare decimal (1-3 bytes for the suites' key spaces),
+// exactly 16 bytes, 17, and 40. Neighbouring numbers land in one leaf with
+// different representations, and a slot freed by one is reused by another —
+// delete-long then insert-short, delete-short then insert-long, and the same
+// through Update. The decimal prefix is followed by a non-digit, so distinct
+// numbers give distinct keys.
+func VarKey(k uint64) []byte { return padVarKey(strconv.AppendUint(nil, k, 10), k) }
+
+// padVarKey gives key number k's rendering the length k selects: as it is,
+// or padded behind a ':' to 16, 17 or 40 bytes.
+func padVarKey(key []byte, k uint64) []byte {
+	if want := [...]int{0, 16, 17, 40}[k%4]; want > 0 {
+		key = append(key, ':')
+		for len(key) < want {
+			key = append(key, 'a'+byte(len(key)%26))
+		}
+	}
+	return key
+}
+
+// GenVar builds a reproducible mixed trace over the keys VarKey gives the
+// numbers of [1, keySpace] with values of exactly valLen bytes — sized to the
+// trees' configured inline value so contents compare byte-for-byte.
 func GenVar(seed int64, n int, keySpace uint64, valLen int) []VarOp {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]VarOp, n)
@@ -112,7 +134,7 @@ func GenVar(seed int64, n int, keySpace uint64, valLen int) []VarOp {
 		rng.Read(v)
 		ops[i] = VarOp{
 			Kind: OpKind(rng.Intn(int(opKinds))),
-			K:    []byte(strconv.FormatUint(rng.Uint64()%keySpace+1, 10)),
+			K:    VarKey(rng.Uint64()%keySpace + 1),
 			V:    v,
 		}
 	}

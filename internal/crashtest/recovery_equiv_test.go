@@ -139,7 +139,7 @@ func TestParallelRecoveryEquivEnumFixed(t *testing.T) {
 func TestParallelRecoveryEquivEnumVar(t *testing.T) {
 	for _, pass := range enumPasses {
 		t.Run(pass.name, func(t *testing.T) {
-			rig := fptreeVarRig(t, core.VariantFPTree)
+			rig := fptreeVarRig(t, core.VariantFPTree, false)
 			ops := varWorkload(4, 16, 30, 24)
 			n := enumerateVarEquiv(t, rig, ops, pass.opts)
 			if n < 32 {

@@ -179,18 +179,33 @@ func pack8(v uint64) []byte {
 	return b
 }
 
-func fptreeVarRig(tb testing.TB, variant core.Variant) *varRig {
+// coreVarTree is what the rigs use of core.VarTree and core.CVarTree: one
+// engine and one key codec under the single-threaded and the concurrent
+// controller.
+type coreVarTree interface {
+	Var
+	CheckInvariants() error
+	ScanN(from []byte, n int) []core.VarKV
+}
+
+func fptreeVarRig(tb testing.TB, variant core.Variant, concurrent bool) *varRig {
 	tb.Helper()
 	cfg := core.Config{Variant: variant, LeafCap: 8, InnerFanout: 4, ValueSize: varValLen}
-	if variant == core.VariantFPTree {
+	create := func(p *scm.Pool) (coreVarTree, error) { return core.CreateVar(p, cfg) }
+	open := func(p *scm.Pool) (coreVarTree, error) { return core.OpenVar(p) }
+	name := "fptree-var"
+	switch {
+	case concurrent:
+		name = "fptree-cvar"
+		create = func(p *scm.Pool) (coreVarTree, error) { return core.CCreateVar(p, cfg) }
+		open = func(p *scm.Pool) (coreVarTree, error) { return core.COpenVar(p) }
+	case variant == core.VariantPTree:
+		name = "ptree-var"
+	default:
 		cfg.GroupSize = 4
 	}
-	name := "fptree-var"
-	if variant == core.VariantPTree {
-		name = "ptree-var"
-	}
 	rig := &varRig{name: name, leafCap: cfg.LeafCap, pool: newTestPool()}
-	set := func(tr *core.VarTree) {
+	set := func(tr coreVarTree) {
 		rig.tree = tr
 		rig.check = tr.CheckInvariants
 		rig.scan = func(from []byte, n int) []VarKV {
@@ -202,13 +217,13 @@ func fptreeVarRig(tb testing.TB, variant core.Variant) *varRig {
 			return out
 		}
 	}
-	tr, err := core.CreateVar(rig.pool, cfg)
+	tr, err := create(rig.pool)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	set(tr)
 	rig.reopen = func() error {
-		tr, err := core.OpenVar(rig.pool)
+		tr, err := open(rig.pool)
 		if err != nil {
 			return err
 		}
@@ -310,8 +325,9 @@ func varRigs() []struct {
 		name string
 		mk   func(testing.TB) *varRig
 	}{
-		{"fptree", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantFPTree) }},
-		{"ptree", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantPTree) }},
+		{"fptree", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantFPTree, false) }},
+		{"fptreec", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantFPTree, true) }},
+		{"ptree", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantPTree, false) }},
 		{"nvtree", func(tb testing.TB) *varRig { return nvtreeVarRig(tb) }},
 		{"wbtree", func(tb testing.TB) *varRig { return wbtreeVarRig(tb) }},
 	}

@@ -114,12 +114,14 @@ func TestStoresOversizedValueError(t *testing.T) {
 }
 
 // TestOpenStoreRefusesOldLeafLayout rewrites a store's tree-metadata magic to
-// the layout-1 value (slot array at byte 88 of the leaf; core.TestOldLayoutRefused
-// hand-builds the whole block) and checks that the store open paths pass on
-// the engine's refusal, which names both layout versions.
+// the layout-2 value (every key behind a pointer, however short — what a
+// -data file written before inline keys holds; core.TestOldLayoutRefused
+// hand-builds the whole block for every old version) and checks that the
+// store open paths pass on the engine's refusal, which names both layout
+// versions.
 func TestOpenStoreRefusesOldLeafLayout(t *testing.T) {
-	const magicV1 = 0xF97B_0000_4EAF_0001
-	const want = "tree has leaf layout v1, this build reads v2"
+	const magicV2 = 0xF97B_0000_4EAF_0002
+	const want = "tree has leaf layout v2, this build reads v3"
 	for name, tc := range map[string]struct {
 		create func(*scm.Pool) (Store, error)
 		open   func(*scm.Pool, int) (Store, error)
@@ -140,10 +142,10 @@ func TestOpenStoreRefusesOldLeafLayout(t *testing.T) {
 			t.Fatalf("%s: reopening a current store: %v", name, err)
 		}
 		magicOff := p.Root().Offset // the magic is the metadata block's first word
-		p.WriteU64(magicOff, magicV1)
+		p.WriteU64(magicOff, magicV2)
 		p.Persist(magicOff, 8)
 		if _, err := tc.open(p, 2); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: open of a layout-1 store: %v, want %q", name, err, want)
+			t.Errorf("%s: open of a layout-2 store: %v, want %q", name, err, want)
 		}
 	}
 }

@@ -466,6 +466,22 @@ func (p *Pool) recoverFree(s int, refOff, size, blk uint64) {
 // classes and were therefore dropped rather than reused.
 func (p *Pool) LargeFrees() uint64 { return p.alloc.largeFrees.Load() }
 
+// FreeListBytes returns the bytes sitting on the stripes' free lists:
+// AllocatedBytes minus this is what the application's pointers own, so a
+// crash test can check that recovery leaked nothing. It walks every list and
+// requires quiescence.
+func (p *Pool) FreeListBytes() uint64 {
+	var n uint64
+	for s := 0; s < numStripes; s++ {
+		for c := 0; c < numClasses; c++ {
+			for blk := p.ReadU64(headOff(s, c)); blk != 0; blk = p.ReadU64(blk) {
+				n += classBytes(c)
+			}
+		}
+	}
+	return n
+}
+
 // AllocatedBytes returns the high-water mark of SCM consumption: all bytes
 // ever carved out of the arena (free-listed blocks still count, matching how
 // the paper reports SCM footprint of a loaded tree).

@@ -410,6 +410,20 @@ func (p *Pool) PanicIfCrashed() {
 // then run recovery (allocator RecoverAlloc plus data-structure recovery)
 // before using the pool again.
 func (p *Pool) Crash() {
+	p.CrashWords(func(uint64) int { return 0 })
+}
+
+// CrashWords is the one crash every other form is expressed through. It
+// behaves like Crash but, before reverting a dirty line, commits the line's
+// first keep(line) 8-byte words, where line is the line's index (offset /
+// LineSize): 0 drops the line whole, LineSize/8 writes it back whole. This
+// models the hardware guarantee floor the paper assumes: stores become
+// durable in word units, in unspecified order, unless explicitly flushed.
+// Dirty lines are visited in address order, once each, so a caller can
+// enumerate every torn image a crash may leave: learn the dirty lines from a
+// first call on a Clone, then replay one prefix choice per line on further
+// clones.
+func (p *Pool) CrashWords(keep func(line uint64) int) {
 	for w := range p.dirty {
 		bits := p.dirty[w].Load()
 		if bits == 0 {
@@ -419,7 +433,10 @@ func (p *Pool) Crash() {
 			if bits&(1<<b) == 0 {
 				continue
 			}
-			off := (uint64(w)*64 + uint64(b)) * LineSize
+			line := uint64(w)*64 + uint64(b)
+			off := line * LineSize
+			n := uint64(keep(line)) * 8
+			copy(p.durable[off:off+n], p.mem[off:off+n])
 			copy(p.mem[off:off+LineSize], p.durable[off:off+LineSize])
 		}
 		p.dirty[w].Store(0)
@@ -435,35 +452,18 @@ func (p *Pool) CrashTornSeed(seed int64) {
 	p.CrashTorn(rand.New(rand.NewSource(seed)))
 }
 
-// CrashTorn behaves like Crash but, before reverting, commits a random prefix
-// of 8-byte words of each dirty line with probability ½ per line. This models
-// the hardware guarantee floor the paper assumes: stores become durable in
-// word units, in unspecified order, unless explicitly flushed. Recovery code
-// must tolerate any such state. Dirty lines are visited in address order, so
-// the outcome is a pure function of (rng stream, dirty state) — see
-// CrashTornSeed for the reproducible-seed variant.
+// CrashTorn is CrashWords with a random choice per dirty line: with
+// probability ½ the line is dropped, otherwise a random proper prefix of its
+// words is committed. Recovery code must tolerate any such state. The outcome
+// is a pure function of (rng stream, dirty state) — see CrashTornSeed for the
+// reproducible-seed variant.
 func (p *Pool) CrashTorn(rng *rand.Rand) {
-	for w := range p.dirty {
-		bits := p.dirty[w].Load()
-		if bits == 0 {
-			continue
+	p.CrashWords(func(uint64) int {
+		if rng.Intn(2) != 0 {
+			return 0
 		}
-		for b := 0; b < 64; b++ {
-			if bits&(1<<b) == 0 {
-				continue
-			}
-			off := (uint64(w)*64 + uint64(b)) * LineSize
-			if rng.Intn(2) == 0 {
-				// Persist a random prefix of words, tear the rest.
-				words := rng.Intn(LineSize / 8)
-				copy(p.durable[off:off+uint64(words*8)], p.mem[off:off+uint64(words*8)])
-			}
-			copy(p.mem[off:off+LineSize], p.durable[off:off+LineSize])
-		}
-		p.dirty[w].Store(0)
-	}
-	p.cache.reset()
-	p.crashed.Store(false)
+		return rng.Intn(LineSize / 8)
+	})
 }
 
 // Clone returns an independent deep copy of the arena: cache and durable

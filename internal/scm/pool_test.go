@@ -283,6 +283,38 @@ func TestCrashTornPreservesWordAtomicity(t *testing.T) {
 	}
 }
 
+// TestCrashWordsCommitsChosenPrefix pins the deterministic crash the torn
+// enumerations are built on: dirty lines are offered in address order, once
+// each, and exactly the chosen word-prefix of each becomes durable.
+func TestCrashWordsCommitsChosenPrefix(t *testing.T) {
+	p := newTestPool(t)
+	base := uint64(headerSize)
+	dirty := []uint64{base / LineSize, base/LineSize + 2, base/LineSize + 3}
+	for _, l := range dirty {
+		for i := uint64(0); i < 8; i++ {
+			p.WriteU64(l*LineSize+i*8, 0x2222222222222222)
+		}
+	}
+	keep := map[uint64]int{dirty[0]: 0, dirty[1]: 3, dirty[2]: 8}
+	var seen []uint64
+	p.CrashWords(func(l uint64) int { seen = append(seen, l); return keep[l] })
+	if len(seen) != 3 || seen[0] != dirty[0] || seen[1] != dirty[1] || seen[2] != dirty[2] {
+		t.Fatalf("dirty lines offered: %v, want %v", seen, dirty)
+	}
+	for _, l := range dirty {
+		for i := 0; i < 8; i++ {
+			want := uint64(0)
+			if i < keep[l] {
+				want = 0x2222222222222222
+			}
+			if v := p.ReadU64(l*LineSize + uint64(i)*8); v != want {
+				t.Errorf("line %d word %d = %#x, want %#x", l, i, v, want)
+			}
+		}
+	}
+	p.CrashWords(func(uint64) int { t.Error("a second crash found a dirty line"); return 0 })
+}
+
 func TestStatsCountFlushesAndMisses(t *testing.T) {
 	p := NewPool(1<<20, LatencyConfig{CacheBytes: -1}) // cache disabled: all accesses miss
 	before := p.Stats().Snapshot()
