@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"fptree/internal/kvserver"
+	"fptree/internal/obs"
 )
 
 func main() {
@@ -39,7 +40,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request I/O deadline (0 = none)")
 		serverStats = flag.Bool("server-stats", false, "print the per-run delta of the server's `stats` counters after the run")
 		sweep       = flag.String("sweep", "", "comma-separated client counts; run the benchmark once per count and print a scaling table (overrides -clients)")
-		shardDist   = flag.Bool("shard-dist", false, "print the per-shard key distribution (`stats shards`) after the run; requires a sharded server")
+		shardDist   = flag.Bool("shard-dist", false, "print the per-shard key distribution (`stats shards`) after the run")
 	)
 	flag.Parse()
 
@@ -70,7 +71,7 @@ func runOnce(addr string, clients, ops, size int, timeout time.Duration, serverS
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	report := func(name string, rate float64, done uint64, lat kvserver.HistogramSnapshot) {
+	report := func(name string, rate float64, done uint64, lat obs.HistogramSnapshot) {
 		fmt.Printf("%s: %.0f ops/s (%d completed)  p50=%v p95=%v p99=%v max=%v\n",
 			name, rate, done, lat.P50, lat.P95, lat.P99, lat.Max)
 	}

@@ -19,10 +19,13 @@
 // shard trees behind a router: each shard owns its own SCM arena — with -data
 // the files are named <data>.shard0 … <data>.shard(N-1) — its own allocator
 // and its own concurrency domain, so clients on different shards share no
-// synchronization. The shard count is part of the on-disk layout: reopen a
-// sharded data path with the same -shards value (a narrower reopen fails
-// loudly). Recovery after a crash runs all shards in parallel. `stats`
-// reports fleet-wide totals; `stats shards` breaks them out per shard.
+// synchronization. One shard (the default) is a fleet of one on the same
+// path: its arena is <data> itself and no router sits in front of it. The
+// shard count is part of the on-disk layout: a data path is reopened with the
+// -shards value it was written with, and any other value is refused by name
+// before anything is created. Recovery after a crash runs all shards in
+// parallel. `stats` reports fleet-wide totals; `stats shards` breaks them out
+// per shard.
 //
 // With -metrics-addr the server also exposes an observability HTTP endpoint:
 // /metrics (Prometheus text exposition of the server, tree, HTM and SCM
@@ -44,6 +47,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -58,7 +62,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:11211", "listen address")
-		store        = flag.String("store", "fptreec", "fptreec | fptree | ptree | nvtreec | hashmap")
+		store        = flag.String("store", "fptreec", strings.Join(engineNames(), " | "))
 		data         = flag.String("data", "", "arena file path; empty = in-memory arena (state lost on exit)")
 		shards       = flag.Int("shards", 1, "hash-partition the keyspace over N independent shard trees, one arena per shard (<data>.shard<i>); must match the on-disk layout on reopen")
 		latency      = flag.Int("latency", 0, "emulated SCM latency in ns (0 = off)")
@@ -98,25 +102,25 @@ func main() {
 		}
 	}
 
-	if *store == "hashmap" && *data != "" {
-		fmt.Fprintln(os.Stderr, "memkv: the hashmap store is transient and cannot use -data")
+	engine, ok := kvserver.EngineByName(*store)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "memkv: unknown -store %q (want %s)\n", *store, strings.Join(engineNames(), ", "))
+		os.Exit(2)
+	}
+	if engine.Open == nil && *data != "" {
+		fmt.Fprintf(os.Stderr, "memkv: the %s store is transient and cannot use -data\n", *store)
 		os.Exit(2)
 	}
 	if *shards < 1 {
 		fmt.Fprintf(os.Stderr, "memkv: -shards %d < 1\n", *shards)
 		os.Exit(2)
 	}
-
-	var (
-		st    kvserver.Store
-		pools []*scm.Pool
-		err   error
-	)
-	if *shards == 1 {
-		st, pools, err = openSingle(*store, *data, int64(*poolMB)<<20, lat, *recWorkers)
-	} else {
-		st, pools, err = openSharded(*store, *data, *shards, int64(*poolMB)<<20, lat, *recWorkers)
+	layout := *data // how the banners name the arena files
+	if *shards > 1 {
+		layout = fmt.Sprintf("%s across %d shards", *data, *shards)
 	}
+
+	st, pools, err := openFleet(engine, *data, layout, *shards, int64(*poolMB)<<20, lat, *recWorkers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -148,7 +152,7 @@ func main() {
 		// Flush/fence attribution needs one Stats behind all sampled ops, so
 		// it is only wired for the single-arena layout; sharded spans carry
 		// phase timings without persistence-cost attribution.
-		if len(pools) == 1 && pools[0] != nil {
+		if len(pools) == 1 {
 			tcfg.Costs = pools[0].Stats()
 		}
 		tracer = trace.New(tcfg)
@@ -186,10 +190,10 @@ func main() {
 				"cache-line flushes per tree search over the trailing 30s",
 				"scm_flushes_total", "fptree_searches_total", 30*time.Second)
 		}
-		if ss, ok := st.(*kvserver.ShardedStore); ok && *store != "hashmap" {
+		if n := st.NumShards(); n > 1 {
 			// Per-shard contention ratios over the labeled series the router
 			// registers, so a hot shard is visible as its own gauge.
-			for i := 0; i < ss.NumShards(); i++ {
+			for i := 0; i < n; i++ {
 				lbl := obs.ShardLabel(i)
 				num := obs.Series("htm_aborts_total", lbl)
 				den := obs.Series("fptree_searches_total", lbl)
@@ -227,12 +231,7 @@ func main() {
 		}
 	}
 
-	fileBacked := false
-	for _, p := range pools {
-		if p != nil && p.FileBacked() {
-			fileBacked = true
-		}
-	}
+	fileBacked := *data != ""
 	stopSync := make(chan struct{})
 	if *syncEvery > 0 && fileBacked {
 		go func() {
@@ -261,10 +260,8 @@ func main() {
 	if fileBacked {
 		if err := scm.ClosePools(pools); err != nil {
 			fmt.Fprintf(os.Stderr, "memkv: closing arena: %v\n", err)
-		} else if len(pools) == 1 {
-			fmt.Printf("memkv: arena %s closed cleanly\n", *data)
 		} else {
-			fmt.Printf("memkv: %d shard arenas of %s closed cleanly\n", len(pools), *data)
+			fmt.Printf("memkv: arena %s closed cleanly\n", layout)
 		}
 	}
 	if *dumpStats {
@@ -272,163 +269,80 @@ func main() {
 	}
 }
 
-// newStore constructs a fresh store of the given kind over pool (nil for
-// hashmap).
-func newStore(kind string, pool *scm.Pool) (kvserver.Store, error) {
-	switch kind {
-	case "fptreec":
-		return kvserver.NewFPTreeCStore(pool)
-	case "fptree":
-		return kvserver.NewFPTreeStore(pool)
-	case "ptree":
-		return kvserver.NewPTreeStore(pool)
-	case "nvtreec":
-		return kvserver.NewNVTreeCStore(pool)
-	case "hashmap":
-		return kvserver.NewHashMapStore(), nil
-	default:
-		return nil, fmt.Errorf("unknown store %q", kind)
+func engineNames() []string {
+	names := make([]string, len(kvserver.Engines))
+	for i, e := range kvserver.Engines {
+		names[i] = e.Name
 	}
+	return names
 }
 
-// openStore recovers a store of the given kind from an arena that already
-// holds a tree.
-func openStore(kind string, pool *scm.Pool, workers int) (kvserver.Store, error) {
-	switch kind {
-	case "fptreec":
-		return kvserver.OpenFPTreeCStore(pool, workers)
-	case "fptree":
-		return kvserver.OpenFPTreeStore(pool, workers)
-	case "ptree":
-		return kvserver.OpenPTreeStore(pool, workers)
-	case "nvtreec":
-		return kvserver.OpenNVTreeCStore(pool)
-	default:
-		return nil, fmt.Errorf("unknown store %q", kind)
-	}
-}
-
-// openSingle is the classic one-tree layout: one arena (file-backed with
-// -data), one store.
-func openSingle(kind, data string, poolBytes int64, lat scm.LatencyConfig, workers int) (kvserver.Store, []*scm.Pool, error) {
-	var (
-		pool      *scm.Pool
-		recovered bool
-		err       error
-	)
-	if data != "" {
-		pool, recovered, err = scm.OpenFile(data, poolBytes, lat)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else if kind != "hashmap" {
-		pool = scm.NewPool(poolBytes, lat)
-	}
-
-	var st kvserver.Store
-	if recovered && core.HasTree(pool) {
-		st, err = openStore(kind, pool, workers)
-	} else {
-		st, err = newStore(kind, pool)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if recovered {
-		shutdown := "crash"
-		if pool.WasCleanShutdown() {
-			shutdown = "clean"
-		}
-		if c, ok := st.(kvserver.Checker); ok {
-			if err := c.CheckInvariants(); err != nil {
-				return nil, nil, fmt.Errorf("memkv: recovered tree failed invariant check: %w", err)
-			}
-			fmt.Printf("memkv: recovered %d keys from %s (%s shutdown, invariants ok)\n",
-				c.Len(), data, shutdown)
-		}
-	} else if data != "" {
-		fmt.Printf("memkv: created arena %s\n", data)
-	}
-	if pool == nil {
-		return st, nil, nil
-	}
-	return st, []*scm.Pool{pool}, nil
-}
-
-// openSharded builds the hash-partitioned fleet: n arenas (files
-// <data>.shard<i> with -data), one store per arena, all shard recoveries
-// running in parallel, behind a ShardedStore router.
-func openSharded(kind, data string, n int, poolBytes int64, lat scm.LatencyConfig, workers int) (kvserver.Store, []*scm.Pool, error) {
-	capEach := poolBytes / int64(n)
+// openFleet is the one open path: n arenas (file-backed with -data, where
+// the on-disk layout must agree with n), one store per arena created or
+// recovered with all recoveries running in parallel, and the router in front
+// when there is more than one. It returns the pools that exist, nil for an
+// engine that takes none.
+func openFleet(e kvserver.Engine, data, layout string, n int, poolBytes int64, lat scm.LatencyConfig, workers int) (kvserver.Store, []*scm.Pool, error) {
 	var (
 		pools     []*scm.Pool
-		recovered []bool
+		recovered = make([]bool, n)
 		err       error
 	)
 	switch {
 	case data != "":
-		pools, recovered, err = scm.OpenFileShards(data, n, capEach, lat)
+		pools, recovered, err = scm.OpenFileShards(data, n, poolBytes/int64(n), lat)
 		if err != nil {
 			return nil, nil, err
 		}
-	case kind != "hashmap":
+	case e.Open != nil: // a transient engine takes no arena
 		pools = make([]*scm.Pool, n)
 		for i := range pools {
-			pools[i] = scm.NewPool(capEach, lat)
+			pools[i] = scm.NewPool(poolBytes/int64(n), lat)
 		}
-		recovered = make([]bool, n)
-	default:
-		recovered = make([]bool, n)
 	}
 
 	stores, err := kvserver.BuildShardStores(n, func(i int) (kvserver.Store, error) {
+		if pools == nil {
+			return e.Create(nil)
+		}
 		if recovered[i] && core.HasTree(pools[i]) {
-			return openStore(kind, pools[i], workers)
+			return e.Open(pools[i], workers)
 		}
-		var p *scm.Pool
-		if pools != nil {
-			p = pools[i]
-		}
-		return newStore(kind, p)
+		return e.Create(pools[i])
 	})
 	if err != nil {
 		scm.ClosePools(pools) //nolint:errcheck — surfacing the build error
 		return nil, nil, err
 	}
-	router, err := kvserver.NewShardedStore(stores, pools)
-	if err != nil {
-		return nil, nil, err
+	st := stores[0]
+	if n > 1 {
+		if st, err = kvserver.NewShardedStore(stores, pools); err != nil {
+			return nil, nil, err
+		}
 	}
 
-	anyRecovered := false
-	shutdown := "clean"
+	anyRecovered, shutdown := false, "clean"
 	for i, r := range recovered {
-		if !r {
-			continue
-		}
-		anyRecovered = true
-		if !pools[i].WasCleanShutdown() {
-			shutdown = "crash"
+		if r {
+			anyRecovered = true
+			if !pools[i].WasCleanShutdown() {
+				shutdown = "crash"
+			}
 		}
 	}
-	if anyRecovered {
-		if err := router.CheckInvariants(); err != nil {
+	switch {
+	case anyRecovered:
+		if err := st.CheckInvariants(); err != nil {
 			return nil, nil, fmt.Errorf("memkv: recovered tree failed invariant check: %w", err)
 		}
+		fmt.Printf("memkv: recovered %d keys from %s (%s shutdown, invariants ok)\n", st.Len(), layout, shutdown)
 		for i, r := range recovered {
-			if !r {
-				continue
-			}
-			if c, ok := stores[i].(kvserver.Checker); ok {
-				fmt.Printf("memkv: shard %d/%d recovered %d keys from %s\n",
-					i, n, c.Len(), scm.ShardPath(data, i))
+			if r {
+				fmt.Printf("memkv:   shard %d/%d: %d keys\n", i, n, stores[i].Len())
 			}
 		}
-		fmt.Printf("memkv: recovered %d keys from %s across %d shards (%s shutdown, invariants ok)\n",
-			router.Len(), data, n, shutdown)
-	} else if data != "" {
-		fmt.Printf("memkv: created arena %s across %d shards\n", data, n)
+	case data != "":
+		fmt.Printf("memkv: created arena %s\n", layout)
 	}
-	return router, pools, nil
+	return st, pools, nil
 }

@@ -316,33 +316,50 @@ func TestMemkvShardedKillRestart(t *testing.T) {
 	}
 }
 
-// TestMemkvShardMismatchFails pins the layout guard: reopening a sharded
-// data path with a narrower -shards must fail instead of silently stranding
-// the extra shards' keys.
+// TestMemkvShardMismatchFails pins the layout guard: reopening a data path
+// with another -shards value than it was written with must fail by name, in
+// either direction, instead of silently stranding keys — a narrower fleet
+// drops the extra shards' keys, and a fleet of one beside shard files (or a
+// fleet beside a bare arena) would serve an empty store.
 func TestMemkvShardMismatchFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the server binary")
 	}
-	dir := t.TempDir()
-	bin := buildMemkv(t, dir)
-	arena := filepath.Join(dir, "memkv.dat")
+	bin := buildMemkv(t, t.TempDir())
+	for _, tc := range []struct {
+		name   string
+		wrote  []string // -shards of the run that creates the data path
+		reopen []string
+		want   string
+	}{
+		{"4 to 2", []string{"-shards", "4"}, []string{"-shards", "2"}, "sharded wider than 2"},
+		{"4 to default", []string{"-shards", "4"}, nil, "sharded wider than 1"},
+		{"1 to 2", nil, []string{"-shards", "2"}, "holds an unsharded arena"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			arena := filepath.Join(dir, "memkv.dat")
+			base := []string{"-addr", "127.0.0.1:0", "-store", "fptreec", "-data", arena, "-pool", "64", "-stats=false"}
 
-	p1 := startMemkv(t, bin, "-addr", "127.0.0.1:0", "-store", "fptreec",
-		"-data", arena, "-shards", "4", "-pool", "64", "-stats=false")
-	p1.waitLine(t, "created arena")
-	if err := p1.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	p1.cmd.Wait() //nolint:errcheck
+			p1 := startMemkv(t, bin, append(base, tc.wrote...)...)
+			p1.waitLine(t, "created arena")
+			if err := p1.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			p1.cmd.Wait() //nolint:errcheck
+			files, _ := os.ReadDir(dir)
 
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-store", "fptreec",
-		"-data", arena, "-shards", "2", "-pool", "64")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("narrower reopen succeeded:\n%s", out)
-	}
-	if !strings.Contains(string(out), "sharded wider") {
-		t.Fatalf("unexpected error output: %s", out)
+			out, err := exec.Command(bin, append(base, tc.reopen...)...).CombinedOutput()
+			if err == nil {
+				t.Fatalf("mismatched reopen succeeded:\n%s", out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Fatalf("error output %q does not name the mismatch (%q)", out, tc.want)
+			}
+			if after, _ := os.ReadDir(dir); len(after) != len(files) {
+				t.Fatalf("the refused reopen left %d files where there were %d", len(after), len(files))
+			}
+		})
 	}
 }
 

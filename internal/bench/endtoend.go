@@ -177,30 +177,17 @@ func Fig12TATP(w io.Writer, subscribers, txns, clients int, latencies []int) err
 func Fig13Memcached(w io.Writer, clients, ops int, latencies []int) error {
 	fmt.Fprintf(w, "# Figure 13: memcached over loopback, %d clients, %d ops per phase\n", clients, ops)
 	fmt.Fprintf(w, "%-10s %8s %12s %12s\n", "store", "lat(ns)", "SET/s", "GET/s")
-	type mk struct {
-		name string
-		make func(lat scm.LatencyConfig) (kvserver.Store, error)
-	}
-	stores := []mk{
-		{"FPTreeC", func(l scm.LatencyConfig) (kvserver.Store, error) {
-			return kvserver.NewFPTreeCStore(poolMB(64+ops/1000, l))
-		}},
-		{"FPTree", func(l scm.LatencyConfig) (kvserver.Store, error) {
-			return kvserver.NewFPTreeStore(poolMB(64+ops/1000, l))
-		}},
-		{"PTree", func(l scm.LatencyConfig) (kvserver.Store, error) {
-			return kvserver.NewPTreeStore(poolMB(64+ops/1000, l))
-		}},
-		{"NV-TreeC", func(l scm.LatencyConfig) (kvserver.Store, error) {
-			return kvserver.NewNVTreeCStore(poolMB(128+ops/500, l))
-		}},
-		{"HashMap", func(l scm.LatencyConfig) (kvserver.Store, error) {
-			return kvserver.NewHashMapStore(), nil
-		}},
-	}
 	for _, lat := range latencies {
-		for _, m := range stores {
-			store, err := m.make(LatencyNS(lat, true))
+		for _, e := range kvserver.Engines {
+			var pool *scm.Pool
+			if e.Open != nil { // a transient engine takes no arena
+				mb := 64 + ops/1000
+				if e.Name == "nvtreec" {
+					mb *= 2 // append-only leaves and rebuilds take the room
+				}
+				pool = poolMB(mb, LatencyNS(lat, true))
+			}
+			store, err := e.Create(pool)
 			if err != nil {
 				return err
 			}
@@ -213,7 +200,7 @@ func Fig13Memcached(w io.Writer, clients, ops int, latencies []int) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%-10s %8d %12.0f %12.0f\n", m.name, lat, res.SetOps, res.GetOps)
+			fmt.Fprintf(w, "%-10s %8d %12.0f %12.0f\n", store.Name(), lat, res.SetOps, res.GetOps)
 		}
 	}
 	return nil

@@ -175,8 +175,11 @@ func killOneChildEnv(t *testing.T, path string, start, minAcks int, extraEnv []s
 	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
+	// Drain before Wait: Wait closes the pipe, and acks the reader had not
+	// reached yet would be lost — the child then looks further behind than
+	// the mask window covers.
+	<-done
 	cmd.Wait() //nolint:errcheck — the child was killed, a non-nil error is expected
-	<-done     // drain any acks that were in flight when the kill landed
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -26,7 +26,8 @@ func (s *Stats) RegisterMetrics(reg *obs.Registry, prefix string) {
 // gauges operators watch to see the controller react to contention, plus the
 // fallback-entry and adaptation counters the contention sweep records.
 func (c *AdaptiveController) RegisterMetrics(reg *obs.Registry, prefix string) {
-	reg.GaugeFunc(prefix+"_adaptive_budget",
+	// Across a fleet the budget to alarm on is the most contended shard's.
+	reg.MinGaugeFunc(prefix+"_adaptive_budget",
 		"live optimistic retry budget (writers enter the fallback lock past it)",
 		func() float64 { return float64(c.Budget()) })
 	reg.GaugeFunc(prefix+"_adaptive_backoff_cap_ns",

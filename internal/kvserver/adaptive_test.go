@@ -19,7 +19,7 @@ func TestAttachAdaptiveSharded(t *testing.T) {
 		t.Fatalf("attached %d controllers, want 4", len(ctrls))
 	}
 	for i, c := range ctrls {
-		if got := ss.Shard(i).(controllerGetter).Controller(); got != c {
+		if got := ss.Shard(i).(*treeStore).t.Controller(); got != c {
 			t.Fatalf("shard %d: controller not installed", i)
 		}
 		if cfg := c.Config(); cfg.Floor != 3 || cfg.Ceiling != 9 {
@@ -33,7 +33,8 @@ func TestAttachAdaptiveSharded(t *testing.T) {
 	if got := AttachAdaptive(hm, htm.AdaptiveConfig{}); got != nil {
 		t.Fatalf("hashmap store accepted %d controllers", len(got))
 	}
-	lk, err := NewFPTreeStore(pool())
+	fp, _ := EngineByName("fptree")
+	lk, err := fp.Create(pool())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestAttachAdaptiveSingle(t *testing.T) {
 	if len(ctrls) != 1 {
 		t.Fatalf("attached %d controllers, want 1", len(ctrls))
 	}
-	if got := st.(controllerGetter).Controller(); got != ctrls[0] {
+	if got := st.(*treeStore).t.Controller(); got != ctrls[0] {
 		t.Fatal("controller not installed on the tree")
 	}
 }

@@ -20,8 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fptree/internal/core"
-	"fptree/internal/nvtree"
 	"fptree/internal/obs"
 	"fptree/internal/obs/trace"
 	"fptree/internal/scm"
@@ -29,267 +27,6 @@ import (
 
 // Version is reported by the memcached `version` command.
 const Version = "fptree-memkv/1.1"
-
-// Store is the pluggable storage engine behind the server.
-type Store interface {
-	Set(key, value []byte) error
-	Get(key []byte) ([]byte, bool)
-	Delete(key []byte) (bool, error)
-	Name() string
-}
-
-// MaxValueSize bounds stored values (they are stored inline in the trees'
-// fixed-size value slots with a 2-byte length prefix).
-const MaxValueSize = 120
-
-const slotSize = MaxValueSize + 2
-
-// ErrValueTooLarge is returned by Store.Set when the value does not fit in
-// the trees' inline value slots.
-var ErrValueTooLarge = errors.New("kvserver: value exceeds MaxValueSize")
-
-func encodeVal(v []byte) ([]byte, error) {
-	if len(v) > MaxValueSize {
-		return nil, ErrValueTooLarge
-	}
-	buf := make([]byte, slotSize)
-	buf[0] = byte(len(v))
-	buf[1] = byte(len(v) >> 8)
-	copy(buf[2:], v)
-	return buf, nil
-}
-
-func decodeVal(buf []byte) []byte {
-	if len(buf) < 2 {
-		return nil
-	}
-	n := int(buf[0]) | int(buf[1])<<8
-	if n > len(buf)-2 {
-		n = len(buf) - 2
-	}
-	return buf[2 : 2+n]
-}
-
-// --- stores -----------------------------------------------------------------
-
-// Checker is the optional store interface for post-recovery validation:
-// stores backed by a persistent tree report their size and can verify the
-// tree's structural invariants. The transient hash map does not implement it.
-type Checker interface {
-	Len() int
-	CheckInvariants() error
-}
-
-// NewFPTreeCStore backs the cache with the concurrent FPTree.
-func NewFPTreeCStore(pool *scm.Pool) (Store, error) {
-	t, err := core.CCreateVar(pool, core.Config{LeafCap: 56, InnerFanout: 64, ValueSize: slotSize})
-	if err != nil {
-		return nil, err
-	}
-	return cvarStore{t}, nil
-}
-
-// OpenFPTreeCStore recovers a concurrent-FPTree store from an arena that
-// already holds one (a reopened -data file); workers tunes the parallel
-// recovery leaf scan.
-func OpenFPTreeCStore(pool *scm.Pool, workers int) (Store, error) {
-	t, err := core.COpenVar(pool, core.RecoveryOptions{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return cvarStore{t}, nil
-}
-
-type cvarStore struct{ t *core.CVarTree }
-
-func (s cvarStore) Set(k, v []byte) error {
-	buf, err := encodeVal(v)
-	if err != nil {
-		return err
-	}
-	return s.t.Upsert(k, buf)
-}
-func (s cvarStore) Get(k []byte) ([]byte, bool) {
-	v, ok := s.t.Find(k)
-	if !ok {
-		return nil, false
-	}
-	return decodeVal(v), true
-}
-func (s cvarStore) Delete(k []byte) (bool, error)         { return s.t.Delete(k) }
-func (s cvarStore) Name() string                          { return "FPTreeC" }
-func (s cvarStore) Len() int                              { return s.t.Len() }
-func (s cvarStore) CheckInvariants() error                { return s.t.CheckInvariants() }
-func (s cvarStore) RegisterMetrics(reg *obs.Registry)     { s.t.RegisterMetrics(reg) }
-func (s cvarStore) SetTracer(tr *trace.Tracer)            { s.t.SetTracer(tr) }
-func (s *lockedVarStore) RegisterMetrics(r *obs.Registry) { s.t.RegisterMetrics(r) }
-func (s *lockedVarStore) SetTracer(tr *trace.Tracer)      { s.t.SetTracer(tr) }
-
-// NewFPTreeStore backs the cache with the single-threaded FPTree behind a
-// global lock (the paper's non-concurrent configuration).
-func NewFPTreeStore(pool *scm.Pool) (Store, error) {
-	t, err := core.CreateVar(pool, core.Config{LeafCap: 56, InnerFanout: 2048, GroupSize: 8, ValueSize: slotSize})
-	if err != nil {
-		return nil, err
-	}
-	return &lockedVarStore{t: t, name: "FPTree"}, nil
-}
-
-// NewPTreeStore backs the cache with the single-threaded PTree.
-func NewPTreeStore(pool *scm.Pool) (Store, error) {
-	t, err := core.CreateVar(pool, core.Config{Variant: core.VariantPTree, LeafCap: 32, InnerFanout: 256, ValueSize: slotSize})
-	if err != nil {
-		return nil, err
-	}
-	return &lockedVarStore{t: t, name: "PTree"}, nil
-}
-
-// OpenFPTreeStore recovers a single-threaded FPTree store from an arena that
-// already holds one. The tree's variant and layout come from the persistent
-// metadata, not from the constructor's defaults.
-func OpenFPTreeStore(pool *scm.Pool, workers int) (Store, error) {
-	return openLockedVarStore(pool, workers, "FPTree")
-}
-
-// OpenPTreeStore recovers a single-threaded PTree store.
-func OpenPTreeStore(pool *scm.Pool, workers int) (Store, error) {
-	return openLockedVarStore(pool, workers, "PTree")
-}
-
-func openLockedVarStore(pool *scm.Pool, workers int, name string) (Store, error) {
-	t, err := core.OpenVar(pool, core.RecoveryOptions{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return &lockedVarStore{t: t, name: name}, nil
-}
-
-type lockedVarStore struct {
-	mu   sync.Mutex
-	t    *core.VarTree
-	name string
-}
-
-func (s *lockedVarStore) Set(k, v []byte) error {
-	buf, err := encodeVal(v)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t.Upsert(k, buf)
-}
-
-func (s *lockedVarStore) Get(k []byte) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.t.Find(k)
-	if !ok {
-		return nil, false
-	}
-	return decodeVal(v), true
-}
-
-func (s *lockedVarStore) Delete(k []byte) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t.Delete(k)
-}
-
-func (s *lockedVarStore) Name() string { return s.name }
-
-func (s *lockedVarStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t.Len()
-}
-
-func (s *lockedVarStore) CheckInvariants() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t.CheckInvariants()
-}
-
-// NewNVTreeCStore backs the cache with the concurrent NV-Tree.
-func NewNVTreeCStore(pool *scm.Pool) (Store, error) {
-	t, err := nvtree.CNewVar(pool, nvtree.Config{LeafCap: 32, InnerCap: 128, ValueSize: slotSize})
-	if err != nil {
-		return nil, err
-	}
-	return nvStore{t}, nil
-}
-
-// OpenNVTreeCStore recovers a concurrent NV-Tree store from an arena that
-// already holds one.
-func OpenNVTreeCStore(pool *scm.Pool) (Store, error) {
-	t, err := nvtree.COpenVar(pool, 128)
-	if err != nil {
-		return nil, err
-	}
-	return nvStore{t}, nil
-}
-
-type nvStore struct{ t *nvtree.CVarTree }
-
-func (s nvStore) Set(k, v []byte) error {
-	buf, err := encodeVal(v)
-	if err != nil {
-		return err
-	}
-	return s.t.Upsert(k, buf)
-}
-func (s nvStore) Get(k []byte) ([]byte, bool) {
-	v, ok := s.t.Find(k)
-	if !ok {
-		return nil, false
-	}
-	return decodeVal(v), true
-}
-func (s nvStore) Delete(k []byte) (bool, error) { return s.t.Delete(k) }
-func (s nvStore) Name() string                  { return "NV-TreeC" }
-func (s nvStore) Len() int                      { return s.t.Len() }
-func (s nvStore) CheckInvariants() error        { return s.t.CheckInvariants() }
-
-// NewHashMapStore is vanilla memcached's transient hash table. It enforces
-// the same MaxValueSize contract as the tree stores so every engine is
-// interchangeable behind the protocol.
-func NewHashMapStore() Store {
-	return &mapStore{m: map[string][]byte{}}
-}
-
-type mapStore struct {
-	mu sync.RWMutex
-	m  map[string][]byte
-}
-
-func (s *mapStore) Set(k, v []byte) error {
-	if len(v) > MaxValueSize {
-		return ErrValueTooLarge
-	}
-	s.mu.Lock()
-	s.m[string(k)] = append([]byte(nil), v...)
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *mapStore) Get(k []byte) ([]byte, bool) {
-	s.mu.RLock()
-	v, ok := s.m[string(k)]
-	s.mu.RUnlock()
-	return v, ok
-}
-
-func (s *mapStore) Delete(k []byte) (bool, error) {
-	s.mu.Lock()
-	_, ok := s.m[string(k)]
-	delete(s.m, string(k))
-	s.mu.Unlock()
-	return ok, nil
-}
-
-func (s *mapStore) Name() string { return "HashMap" }
-
-// --- server -------------------------------------------------------------------
 
 // Config tunes the server's lifecycle and resource limits. The zero value
 // means: no per-command deadlines, unlimited connections, 500ms drain on
@@ -307,23 +44,19 @@ type Config struct {
 	// DrainTimeout is the grace period Close gives in-flight commands before
 	// force-closing their connections. 0 means 500ms.
 	DrainTimeout time.Duration
-	// Pool, when set, adds the SCM emulator counters (scm_* lines) to the
-	// `stats` command output.
-	Pool *scm.Pool
-	// Pools lists every SCM pool behind a sharded store; `stats` reports the
-	// scm_* counters summed across them and /metrics exposes both the
-	// aggregate and per-shard labeled series. When empty, Pool (if any) is
-	// used alone. Setting both is equivalent to Pools alone.
+	// Pools lists the SCM pool behind each shard of the store, in shard order
+	// (one pool for an unsharded store). `stats` reports their scm_* counters
+	// as fleet totals, `stats shards` per shard, and /metrics exposes both.
 	Pools []*scm.Pool
 	// Events, when set, receives noteworthy server events (rejected
 	// connections, store errors, slow requests) for the /debug/events
 	// endpoint.
 	Events *obs.EventRing
 	// Tracer, when set, samples request spans (parse/store/reply phases)
-	// and is handed down to the storage engine when it supports SetTracer,
-	// so one sampled request shows both the server-side and tree-side
-	// attribution. Server spans carry time only; the engine spans own the
-	// flush/fence attribution (no double counting).
+	// and is handed down to the storage engine, so one sampled request shows
+	// both the server-side and tree-side attribution. Server spans carry
+	// time only; the engine spans own the flush/fence attribution (no double
+	// counting).
 	Tracer *trace.Tracer
 	// SlowOpThreshold, when >0, counts and event-logs every request that
 	// takes at least this long — always on, independent of trace sampling,
@@ -340,6 +73,10 @@ type Server struct {
 	cfg     Config
 	ln      net.Listener
 	metrics Metrics
+	// pools is the registry behind the scm_* lines of `stats` and `stats
+	// shards`: cfg.Pools registered by the same fleet rule as on /metrics, so
+	// the protocol and the endpoint cannot disagree.
+	pools   *obs.Registry
 	wg      sync.WaitGroup
 	closing atomic.Bool
 
@@ -359,19 +96,15 @@ func ServeConfig(addr string, store Store, cfg Config) (*Server, string, error) 
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = defaultDrainTimeout
 	}
-	if len(cfg.Pools) == 0 && cfg.Pool != nil {
-		cfg.Pools = []*scm.Pool{cfg.Pool}
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
-	s := &Server{store: store, cfg: cfg, ln: ln, conns: map[net.Conn]struct{}{}}
+	s := &Server{store: store, cfg: cfg, ln: ln, pools: obs.NewRegistry(), conns: map[net.Conn]struct{}{}}
 	s.metrics.start = time.Now()
+	scm.RegisterPoolsMetrics(s.pools, "scm", cfg.Pools)
 	if cfg.Tracer != nil {
-		if ts, ok := store.(interface{ SetTracer(*trace.Tracer) }); ok {
-			ts.SetTracer(cfg.Tracer)
-		}
+		store.SetTracer(cfg.Tracer)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -382,17 +115,12 @@ func ServeConfig(addr string, store Store, cfg Config) (*Server, string, error) 
 func (s *Server) Metrics() *Metrics { return &s.metrics }
 
 // RegisterMetrics exposes the server's counters and histograms on reg
-// ("memkv" prefix), along with the SCM pool counters ("scm") when the server
-// was configured with one and the storage engine's own tree counters
-// ("fptree"/"htm") when the engine provides them.
+// ("memkv" prefix), along with the SCM pool counters ("scm") of the
+// configured pools and the storage engine's own counters ("fptree"/"htm").
 func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	s.metrics.RegisterMetrics(reg, "memkv")
-	if len(s.cfg.Pools) > 0 {
-		scm.RegisterPoolsMetrics(reg, "scm", s.cfg.Pools)
-	}
-	if ms, ok := s.store.(interface{ RegisterMetrics(*obs.Registry) }); ok {
-		ms.RegisterMetrics(reg)
-	}
+	scm.RegisterPoolsMetrics(reg, "scm", s.cfg.Pools)
+	s.store.RegisterMetrics(reg)
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.RegisterMetrics(reg, "trace")
 	}
@@ -452,32 +180,42 @@ func (s *Server) DumpStats(w io.Writer) {
 func (s *Server) writeStats(w io.Writer, eol string) {
 	fmt.Fprintf(w, "STAT version %s%s", Version, eol)
 	fmt.Fprintf(w, "STAT engine %s%s", s.store.Name(), eol)
-	if ss, ok := s.store.(ShardStatser); ok {
-		fmt.Fprintf(w, "STAT shards %d%s", ss.NumShards(), eol)
-	}
+	fmt.Fprintf(w, "STAT shards %d%s", s.store.NumShards(), eol)
 	s.metrics.writeTo(w, eol)
 	if len(s.cfg.Pools) > 0 {
-		// One scm_* block regardless of shard count: counters summed across
-		// every shard pool (`stats shards` breaks them out per shard).
-		var size int64
-		var ps scm.StatsSnapshot
-		for _, p := range s.cfg.Pools {
-			size += p.Size()
-			ps = ps.Add(p.Stats().Snapshot())
+		// One scm_* block whatever the shard count: the fleet totals
+		// (`stats shards` breaks them out per shard).
+		writePoolStats(w, s.pools.Snapshot(), "", "", eol)
+	}
+}
+
+// writeShardStats renders the `stats shards` per-shard lines; an unsharded
+// store answers as a fleet of one.
+func (s *Server) writeShardStats(w io.Writer, eol string) {
+	n := s.store.NumShards()
+	fmt.Fprintf(w, "STAT shards %d%s", n, eol)
+	snap := s.pools.Snapshot()
+	for i := 0; i < n; i++ {
+		sh := s.store.Shard(i)
+		pfx := fmt.Sprintf("shard%d_", i)
+		fmt.Fprintf(w, "STAT %sengine %s%s", pfx, sh.Name(), eol)
+		fmt.Fprintf(w, "STAT %slen %d%s", pfx, sh.Len(), eol)
+		if i < len(s.cfg.Pools) {
+			writePoolStats(w, snap, pfx, obs.ShardLabel(i), eol)
 		}
-		stat := func(k string, v interface{}) { fmt.Fprintf(w, "STAT %s %v%s", k, v, eol) }
-		stat("scm_pool_bytes", size)
-		stat("scm_reads", ps.Reads)
-		stat("scm_writes", ps.Writes)
-		stat("scm_read_hits", ps.ReadHits)
-		stat("scm_read_misses", ps.ReadMisses)
-		stat("scm_flushes", ps.Flushes)
-		stat("scm_fences", ps.Fences)
-		stat("scm_allocs", ps.Allocs)
-		stat("scm_frees", ps.Frees)
-		stat("scm_bytes_flushed", ps.BytesFlushed)
-		stat("scm_syncs", ps.Syncs)
-		stat("scm_sync_nanos", ps.SyncNanos)
+	}
+}
+
+// writePoolStats renders the scm_* STAT lines from a snapshot of s.pools:
+// the capacity, then one line per counter of scm's own table. shard picks a
+// shard's series; "" picks the fleet totals.
+func writePoolStats(w io.Writer, snap obs.Snapshot, pfx string, shard obs.Labels, eol string) {
+	stat := func(name, series string) {
+		fmt.Fprintf(w, "STAT %sscm_%s %d%s", pfx, name, uint64(snap[obs.Series("scm_"+series, shard)]), eol)
+	}
+	stat("pool_bytes", "pool_size_bytes")
+	for _, name := range scm.StatNames() {
+		stat(name, name+"_total")
 	}
 }
 
@@ -668,16 +406,7 @@ func (s *Server) handle(conn net.Conn) {
 			m.CmdStats.Add(1)
 			b := getReplyBuf()
 			if len(fields) == 2 && fields[1] == "shards" {
-				ss, ok := s.store.(ShardStatser)
-				if !ok {
-					m.ProtocolErrors.Add(1)
-					b.WriteString("ERROR\r\n")
-					if !enqueue(b) {
-						return
-					}
-					continue
-				}
-				writeShardStats(b, ss, "\r\n")
+				s.writeShardStats(b, "\r\n")
 			} else {
 				s.writeStats(b, "\r\n")
 			}

@@ -18,25 +18,18 @@ import (
 // and zeroing big arenas dominates test runtime on slow machines.
 func pool() *scm.Pool { return scm.NewPool(16<<20, scm.LatencyConfig{}) }
 
+// allStores formats one fresh store per row of the engine table.
 func allStores(t *testing.T) []Store {
 	t.Helper()
-	fpc, err := NewFPTreeCStore(pool())
-	if err != nil {
-		t.Fatal(err)
+	var stores []Store
+	for _, e := range Engines {
+		st, err := e.Create(pool())
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		stores = append(stores, st)
 	}
-	fp, err := NewFPTreeStore(pool())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := NewPTreeStore(pool())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nv, err := NewNVTreeCStore(pool())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Store{fpc, fp, pt, nv, NewHashMapStore()}
+	return stores
 }
 
 func TestStoresSetGet(t *testing.T) {
@@ -122,30 +115,26 @@ func TestStoresOversizedValueError(t *testing.T) {
 func TestOpenStoreRefusesOldLeafLayout(t *testing.T) {
 	const magicV2 = 0xF97B_0000_4EAF_0002
 	const want = "tree has leaf layout v2, this build reads v3"
-	for name, tc := range map[string]struct {
-		create func(*scm.Pool) (Store, error)
-		open   func(*scm.Pool, int) (Store, error)
-	}{
-		"FPTreeC": {NewFPTreeCStore, OpenFPTreeCStore},
-		"FPTree":  {NewFPTreeStore, OpenFPTreeStore},
-		"PTree":   {NewPTreeStore, OpenPTreeStore},
-	} {
+	for _, e := range Engines {
+		if e.Open == nil || e.Name == "nvtreec" { // only the core trees carry this metadata block
+			continue
+		}
 		p := pool()
-		st, err := tc.create(p)
+		st, err := e.Create(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Set([]byte("k"), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tc.open(p, 2); err != nil {
-			t.Fatalf("%s: reopening a current store: %v", name, err)
+		if _, err := e.Open(p, 2); err != nil {
+			t.Fatalf("%s: reopening a current store: %v", e.Name, err)
 		}
 		magicOff := p.Root().Offset // the magic is the metadata block's first word
 		p.WriteU64(magicOff, magicV2)
 		p.Persist(magicOff, 8)
-		if _, err := tc.open(p, 2); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: open of a layout-2 store: %v, want %q", name, err, want)
+		if _, err := e.Open(p, 2); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: open of a layout-2 store: %v, want %q", e.Name, err, want)
 		}
 	}
 }
@@ -595,7 +584,7 @@ func TestStatsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, addr, err := ServeConfig("127.0.0.1:0", store, Config{Pool: p})
+	srv, addr, err := ServeConfig("127.0.0.1:0", store, Config{Pools: []*scm.Pool{p}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +613,7 @@ func TestStatsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := c.stats()
+	stats, err := c.statsCmd("stats")
 	if err != nil {
 		t.Fatal(err)
 	}

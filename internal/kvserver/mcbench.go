@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fptree/internal/obs"
 )
 
 // BenchResult reports one mc-benchmark run.
@@ -20,8 +22,8 @@ type BenchResult struct {
 	GetOps       float64 // GET requests per second (completed ops only)
 	SetCompleted uint64  // SET requests that finished successfully
 	GetCompleted uint64  // GET requests that finished successfully
-	SetLatency   HistogramSnapshot
-	GetLatency   HistogramSnapshot
+	SetLatency   obs.HistogramSnapshot
+	GetLatency   obs.HistogramSnapshot
 }
 
 // RunMCBenchmark is the in-process equivalent of the paper's mc-benchmark:
@@ -53,7 +55,7 @@ func RunMCBenchmarkTimeout(addr string, clients, ops, valueSize int, ioTimeout t
 	// connections take one extra so nothing is dropped), runs them, and
 	// computes the rate from the ops that actually completed — a goroutine
 	// that errors mid-phase stops contributing instead of being counted.
-	phase := func(hist *Histogram, op func(c *mcConn, i int) error) (float64, uint64, error) {
+	phase := func(hist *obs.Histogram, op func(c *mcConn, i int) error) (float64, uint64, error) {
 		var wg sync.WaitGroup
 		var completed atomic.Uint64
 		errs := make(chan error, clients)
@@ -89,7 +91,7 @@ func RunMCBenchmarkTimeout(addr string, clients, ops, valueSize int, ioTimeout t
 	}
 
 	var res BenchResult
-	var setHist, getHist Histogram
+	var setHist, getHist obs.Histogram
 	rate, done, err := phase(&setHist, func(c *mcConn, i int) error {
 		return c.set(fmt.Sprintf("memtier-%08d", i), val)
 	})
@@ -112,26 +114,24 @@ func RunMCBenchmarkTimeout(addr string, clients, ops, valueSize int, ioTimeout t
 // FetchServerStats dials addr and returns the server's `stats` output as a
 // name → value map.
 func FetchServerStats(addr string, timeout time.Duration) (map[string]string, error) {
-	c, err := dialMC(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.close()
-	c.timeout = timeout
-	return c.stats()
+	return fetchStats(addr, timeout, "stats")
 }
 
 // FetchShardStats dials addr and returns the server's `stats shards` output
-// (the per-shard verbose form a sharded server answers) as a name → value
-// map. It fails against an unsharded server.
+// (the per-shard verbose form; an unsharded server answers as one shard) as a
+// name → value map.
 func FetchShardStats(addr string, timeout time.Duration) (map[string]string, error) {
+	return fetchStats(addr, timeout, "stats shards")
+}
+
+func fetchStats(addr string, timeout time.Duration, cmd string) (map[string]string, error) {
 	c, err := dialMC(addr)
 	if err != nil {
 		return nil, err
 	}
 	defer c.close()
 	c.timeout = timeout
-	return c.statsCmd("stats shards")
+	return c.statsCmd(cmd)
 }
 
 // ShardLens extracts the per-shard key counts (shard<i>_len) from a `stats
@@ -305,10 +305,6 @@ func (c *mcConn) version() (string, error) {
 
 // stats issues the memcached stats command and returns the STAT lines as a
 // name → value map.
-func (c *mcConn) stats() (map[string]string, error) {
-	return c.statsCmd("stats")
-}
-
 // statsCmd issues a stats-family command ("stats", "stats shards") and
 // returns the STAT lines as a name → value map.
 func (c *mcConn) statsCmd(cmd string) (map[string]string, error) {
@@ -328,7 +324,7 @@ func (c *mcConn) statsCmd(cmd string) (map[string]string, error) {
 			return out, nil
 		}
 		if line == "ERROR" {
-			return nil, fmt.Errorf("%s: server answered ERROR (not a sharded server?)", cmd)
+			return nil, fmt.Errorf("%s: server answered ERROR", cmd)
 		}
 		// Values may contain spaces (e.g. engine "FPTreeC[4 shards]"), so
 		// split into exactly three fields and keep the rest verbatim.

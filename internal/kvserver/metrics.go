@@ -9,15 +9,6 @@ import (
 	"fptree/internal/obs"
 )
 
-// Histogram is the lock-free power-of-two latency histogram. The
-// implementation originated in this package and was generalized into
-// internal/obs so every subsystem shares it; the alias keeps the kvserver
-// API unchanged.
-type Histogram = obs.Histogram
-
-// HistogramSnapshot is a point-in-time summary of a Histogram.
-type HistogramSnapshot = obs.HistogramSnapshot
-
 // Metrics aggregates the server's per-operation counters, byte counters,
 // connection gauges and latency histograms. All fields are updated atomically
 // and may be read while the server is running; the `stats` protocol command
@@ -47,9 +38,49 @@ type Metrics struct {
 	TotalConnections    atomic.Uint64
 	RejectedConnections atomic.Uint64
 
-	GetLatency    Histogram
-	SetLatency    Histogram
-	DeleteLatency Histogram
+	GetLatency    obs.Histogram
+	SetLatency    obs.Histogram
+	DeleteLatency obs.Histogram
+}
+
+// counter is one row of the table both renderings of Metrics read: the STAT
+// name of the `stats` command and the registry series suffix with its help.
+type counter struct {
+	stat, series, help string
+	src                *atomic.Uint64
+}
+
+// counters lists every counter of m once (the drift test pins the struct's
+// fields against it).
+func (m *Metrics) counters() []counter {
+	return []counter{
+		{"total_connections", "connections_total", "connections accepted", &m.TotalConnections},
+		{"rejected_connections", "connections_rejected_total", "connections refused at MaxConns", &m.RejectedConnections},
+		{"cmd_get", "cmd_get_total", "get keys processed", &m.CmdGet},
+		{"cmd_set", "cmd_set_total", "set commands processed", &m.CmdSet},
+		{"cmd_delete", "cmd_delete_total", "delete commands processed", &m.CmdDelete},
+		{"cmd_stats", "cmd_stats_total", "stats commands processed", &m.CmdStats},
+		{"cmd_version", "cmd_version_total", "version commands processed", &m.CmdVersion},
+		{"get_hits", "get_hits_total", "get keys found", &m.GetHits},
+		{"get_misses", "get_misses_total", "get keys not found", &m.GetMisses},
+		{"delete_hits", "delete_hits_total", "delete keys found", &m.DeleteHits},
+		{"delete_misses", "delete_misses_total", "delete keys not found", &m.DeleteMisses},
+		{"store_errors", "store_errors_total", "engine-level Set/Delete failures", &m.StoreErrors},
+		{"protocol_errors", "protocol_errors_total", "malformed commands, bad framing, unknown verbs", &m.ProtocolErrors},
+		{"slow_ops", "slow_ops_total", "requests over the slow-op threshold", &m.SlowOps},
+		{"bytes_read", "bytes_read_total", "raw bytes read from clients", &m.BytesRead},
+		{"bytes_written", "bytes_written_total", "raw bytes written to clients", &m.BytesWritten},
+	}
+}
+
+// latency is one per-command latency histogram, by command name.
+type latency struct {
+	cmd string
+	h   *obs.Histogram
+}
+
+func (m *Metrics) latencies() []latency {
+	return []latency{{"get", &m.GetLatency}, {"set", &m.SetLatency}, {"delete", &m.DeleteLatency}}
 }
 
 // writeTo renders the metrics as "STAT <name> <value>" lines terminated by
@@ -60,24 +91,12 @@ func (m *Metrics) writeTo(w io.Writer, eol string) {
 		stat("uptime", int64(time.Since(m.start).Seconds()))
 	}
 	stat("curr_connections", m.CurrConnections.Load())
-	stat("total_connections", m.TotalConnections.Load())
-	stat("rejected_connections", m.RejectedConnections.Load())
-	stat("cmd_get", m.CmdGet.Load())
-	stat("cmd_set", m.CmdSet.Load())
-	stat("cmd_delete", m.CmdDelete.Load())
-	stat("cmd_stats", m.CmdStats.Load())
-	stat("cmd_version", m.CmdVersion.Load())
-	stat("get_hits", m.GetHits.Load())
-	stat("get_misses", m.GetMisses.Load())
-	stat("delete_hits", m.DeleteHits.Load())
-	stat("delete_misses", m.DeleteMisses.Load())
-	stat("store_errors", m.StoreErrors.Load())
-	stat("protocol_errors", m.ProtocolErrors.Load())
-	stat("slow_ops", m.SlowOps.Load())
-	stat("bytes_read", m.BytesRead.Load())
-	stat("bytes_written", m.BytesWritten.Load())
-	hist := func(name string, h *Histogram) {
-		s := h.Snapshot()
+	for _, c := range m.counters() {
+		stat(c.stat, c.src.Load())
+	}
+	for _, l := range m.latencies() {
+		s := l.h.Snapshot()
+		name := l.cmd + "_latency"
 		stat(name+"_count", s.Count)
 		stat(name+"_mean_us", microseconds(s.Mean))
 		stat(name+"_p50_us", microseconds(s.P50))
@@ -85,9 +104,6 @@ func (m *Metrics) writeTo(w io.Writer, eol string) {
 		stat(name+"_p99_us", microseconds(s.P99))
 		stat(name+"_max_us", microseconds(s.Max))
 	}
-	hist("get_latency", &m.GetLatency)
-	hist("set_latency", &m.SetLatency)
-	hist("delete_latency", &m.DeleteLatency)
 }
 
 func microseconds(d time.Duration) string {
@@ -104,30 +120,14 @@ func microseconds(d time.Duration) string {
 // for the connection counts, and the three latency histograms (rendered as
 // full Prometheus histograms by the /metrics endpoint).
 func (m *Metrics) RegisterMetrics(reg *obs.Registry, prefix string) {
-	counter := func(suffix, help string, c *atomic.Uint64) {
-		reg.CounterFunc(prefix+"_"+suffix, help, c.Load)
+	for _, c := range m.counters() {
+		reg.CounterFunc(prefix+"_"+c.series, c.help, c.src.Load)
 	}
-	counter("cmd_get_total", "get keys processed", &m.CmdGet)
-	counter("cmd_set_total", "set commands processed", &m.CmdSet)
-	counter("cmd_delete_total", "delete commands processed", &m.CmdDelete)
-	counter("cmd_stats_total", "stats commands processed", &m.CmdStats)
-	counter("cmd_version_total", "version commands processed", &m.CmdVersion)
-	counter("get_hits_total", "get keys found", &m.GetHits)
-	counter("get_misses_total", "get keys not found", &m.GetMisses)
-	counter("delete_hits_total", "delete keys found", &m.DeleteHits)
-	counter("delete_misses_total", "delete keys not found", &m.DeleteMisses)
-	counter("store_errors_total", "engine-level Set/Delete failures", &m.StoreErrors)
-	counter("protocol_errors_total", "malformed commands, bad framing, unknown verbs", &m.ProtocolErrors)
-	counter("slow_ops_total", "requests over the slow-op threshold", &m.SlowOps)
-	counter("bytes_read_total", "raw bytes read from clients", &m.BytesRead)
-	counter("bytes_written_total", "raw bytes written to clients", &m.BytesWritten)
-	counter("connections_total", "connections accepted", &m.TotalConnections)
-	counter("connections_rejected_total", "connections refused at MaxConns", &m.RejectedConnections)
 	reg.GaugeFunc(prefix+"_curr_connections", "open client connections",
 		func() float64 { return float64(m.CurrConnections.Load()) })
-	reg.RegisterHistogram(prefix+"_get_latency_seconds", "get command latency", &m.GetLatency)
-	reg.RegisterHistogram(prefix+"_set_latency_seconds", "set command latency", &m.SetLatency)
-	reg.RegisterHistogram(prefix+"_delete_latency_seconds", "delete command latency", &m.DeleteLatency)
+	for _, l := range m.latencies() {
+		reg.RegisterHistogram(prefix+"_"+l.cmd+"_latency_seconds", l.cmd+" command latency", l.h)
+	}
 }
 
 // countingReader/countingWriter meter the raw bytes moving through a

@@ -23,7 +23,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := obs.NewEventRing(64)
-	srv, addr, err := ServeConfig("127.0.0.1:0", store, Config{Pool: pool, Events: ring})
+	srv, addr, err := ServeConfig("127.0.0.1:0", store, Config{Pools: []*scm.Pool{pool}, Events: ring})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,51 +6,37 @@ package kvserver
 // concurrent clients touching different shards share no synchronization at
 // all — the contention Brown's HTM-template work shows dominating
 // single-structure scaling simply has no object to form on. The router
-// itself satisfies Store (and Checker, Syncer, the metrics and tracing
-// hooks), so the protocol layer composes with it unchanged.
+// itself is a Store, so the protocol layer composes with it unchanged.
 
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sync"
 
-	"fptree/internal/core"
 	"fptree/internal/htm"
 	"fptree/internal/obs"
 	"fptree/internal/obs/trace"
 	"fptree/internal/scm"
 )
 
-// Syncer is the optional store interface for stores whose durable state can
-// be made power-fail durable on demand; the sharded router fans Sync out to
-// every shard pool so the memkv -sync ticker (and the shutdown path) cover
-// the whole fleet.
-type Syncer interface {
-	Sync() error
-}
-
 // ShardedStore routes each key to one of N shard stores by consistent hash.
 type ShardedStore struct {
 	shards []Store
-	pools  []*scm.Pool // len == len(shards); entries may be nil (e.g. hashmap shards)
 }
 
-// NewShardedStore builds a router over the given shard stores. pools[i] is
-// the SCM pool behind shards[i] (nil for poolless stores); it powers the
-// Sync/Close fan-out and the per-shard stats lines. pools may be nil when no
-// shard has one.
+// NewShardedStore builds a router over the given shard stores. pools, when
+// not nil, is the SCM pool behind each shard and must pair up with shards;
+// the router itself does not keep it — whoever owns the pools syncs and
+// closes them (scm.SyncPools, scm.ClosePools) and hands them to the server
+// as Config.Pools for the scm_* stats.
 func NewShardedStore(shards []Store, pools []*scm.Pool) (*ShardedStore, error) {
 	if len(shards) < 1 {
 		return nil, fmt.Errorf("kvserver: sharded store needs at least 1 shard")
 	}
-	if pools == nil {
-		pools = make([]*scm.Pool, len(shards))
-	}
-	if len(pools) != len(shards) {
+	if pools != nil && len(pools) != len(shards) {
 		return nil, fmt.Errorf("kvserver: %d shards but %d pools", len(shards), len(pools))
 	}
-	return &ShardedStore{shards: shards, pools: pools}, nil
+	return &ShardedStore{shards: shards}, nil
 }
 
 // ShardFor returns the shard index serving key. The mapping is a consistent
@@ -106,14 +92,11 @@ func (s *ShardedStore) Name() string {
 	return fmt.Sprintf("%s[%d shards]", s.shards[0].Name(), len(s.shards))
 }
 
-// Len sums the shard sizes (Checker). Shards that do not implement Checker
-// contribute zero.
+// Len sums the shard sizes.
 func (s *ShardedStore) Len() int {
 	total := 0
 	for _, sh := range s.shards {
-		if c, ok := sh.(Checker); ok {
-			total += c.Len()
-		}
+		total += sh.Len()
 	}
 	return total
 }
@@ -125,17 +108,13 @@ func (s *ShardedStore) CheckInvariants() error {
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
 	for i, sh := range s.shards {
-		c, ok := sh.(Checker)
-		if !ok {
-			continue
-		}
 		wg.Add(1)
-		go func(i int, c Checker) {
+		go func(i int, sh Store) {
 			defer wg.Done()
-			if err := c.CheckInvariants(); err != nil {
+			if err := sh.CheckInvariants(); err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			}
-		}(i, c)
+		}(i, sh)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -146,163 +125,47 @@ func (s *ShardedStore) CheckInvariants() error {
 	return nil
 }
 
-// Sync makes every shard pool power-fail durable. All shards are synced even
-// if one fails; the first error wins.
-func (s *ShardedStore) Sync() error {
-	return scm.SyncPools(s.pools)
-}
-
-// Close closes every shard pool (clean-shutdown marker + sync + release).
-func (s *ShardedStore) Close() error {
-	return scm.ClosePools(s.pools)
-}
-
-// SetTracer hands the tracer to every shard that supports it.
+// SetTracer hands the tracer to every shard.
 func (s *ShardedStore) SetTracer(tr *trace.Tracer) {
 	for _, sh := range s.shards {
-		if ts, ok := sh.(interface{ SetTracer(*trace.Tracer) }); ok {
-			ts.SetTracer(tr)
-		}
+		sh.SetTracer(tr)
 	}
 }
 
-// engineStats is the optional store interface tree-backed shard stores
-// implement so the router can aggregate their engine counters.
-type engineStats interface {
-	opStats() *core.OpStats
-	htmStats() *htm.Stats
+// SetController reports false: the router has no retry loop of its own, and
+// each shard, being its own contention domain, takes its own controller
+// (AttachAdaptive).
+func (s *ShardedStore) SetController(*htm.AdaptiveController) bool { return false }
+
+// AttachAdaptive installs one adaptive controller per shard of st (an
+// unsharded store being a fleet of one) and returns the controllers that
+// took. Each shard is its own occCC domain, so each gets its own
+// htm.AdaptiveController: an abort storm on one hot shard shrinks that
+// shard's retry budget without costing the calm shards any optimism. A
+// controller is kept only where it steers a retry loop, so the returned
+// slice length is the number of live controllers. Call before the store
+// serves traffic and before metrics registration.
+func AttachAdaptive(st Store, cfg htm.AdaptiveConfig) []*htm.AdaptiveController {
+	var out []*htm.AdaptiveController
+	for i := 0; i < st.NumShards(); i++ {
+		if c := htm.NewAdaptiveController(cfg); st.Shard(i).SetController(c) {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
-func (s cvarStore) opStats() *core.OpStats       { return &s.t.Ops }
-func (s cvarStore) htmStats() *htm.Stats         { return &s.t.Stats }
-func (s *lockedVarStore) opStats() *core.OpStats { return &s.t.Ops }
-func (s *lockedVarStore) htmStats() *htm.Stats   { return &s.t.Stats }
-
-// RegisterMetrics exposes the fleet on reg: the shard trees' operation and
-// HTM counters summed under the canonical unlabeled names (so dashboards and
-// the window_* ratio gauges read the same series regardless of shard count),
-// per-shard labeled series for the counters contention diagnosis needs
-// (searches, aborts, restarts, fallbacks), and a memkv_shard_len gauge per
-// shard for key-distribution monitoring.
+// RegisterMetrics exposes the fleet on reg: every shard registers through
+// its shard view, so each of its series is there as {shard="i"} and the
+// registry keeps the fleet value under the unlabeled name a lone store would
+// use — dashboards and the window_* ratio gauges read the same series
+// whatever the shard count. A memkv_shard_len gauge per shard shows the key
+// distribution.
 func (s *ShardedStore) RegisterMetrics(reg *obs.Registry) {
-	ops := make([]*core.OpStats, 0, len(s.shards))
-	hts := make([]*htm.Stats, 0, len(s.shards))
-	for _, sh := range s.shards {
-		es, ok := sh.(engineStats)
-		if !ok {
-			// Mixed or non-tree fleet: fall back to each shard's own
-			// registration if it has one (names would collide across shards,
-			// so only uniform tree fleets get aggregation).
-			return
-		}
-		ops = append(ops, es.opStats())
-		hts = append(hts, es.htmStats())
-	}
-	sum := func(fns []func() uint64) func() uint64 {
-		return func() uint64 {
-			var t uint64
-			for _, fn := range fns {
-				t += fn()
-			}
-			return t
-		}
-	}
-	collect := func(get func(int) func() uint64) []func() uint64 {
-		fns := make([]func() uint64, len(ops))
-		for i := range ops {
-			fns[i] = get(i)
-		}
-		return fns
-	}
-	agg := " (summed across shards)"
-	reg.CounterFunc("fptree_searches_total", "completed in-leaf searches"+agg,
-		sum(collect(func(i int) func() uint64 { return ops[i].Searches.Load })))
-	reg.CounterFunc("fptree_key_probes_total", "keys dereferenced and compared during in-leaf searches"+agg,
-		sum(collect(func(i int) func() uint64 { return ops[i].KeyProbes.Load })))
-	reg.CounterFunc("fptree_fingerprint_compares_total", "fingerprint byte-compares against valid slots"+agg,
-		sum(collect(func(i int) func() uint64 { return ops[i].FPCompares.Load })))
-	reg.CounterFunc("fptree_fingerprint_hits_total", "fingerprint matches that forced a key dereference"+agg,
-		sum(collect(func(i int) func() uint64 { return ops[i].FPHits.Load })))
-	reg.CounterFunc("fptree_fingerprint_false_positives_total", "fingerprint matches on a differing key"+agg,
-		sum(collect(func(i int) func() uint64 { return ops[i].FPFalsePositives.Load })))
-	reg.CounterFunc("fptree_leaf_splits_total", "completed leaf splits"+agg,
-		sum(collect(func(i int) func() uint64 { return ops[i].LeafSplits.Load })))
-	reg.CounterFunc("fptree_inner_rebuilds_total", "DRAM inner-node reconstructions during recovery"+agg,
-		sum(collect(func(i int) func() uint64 { return ops[i].InnerRebuilds.Load })))
-	reg.CounterFunc("fptree_recovery_leaves_scanned_total", "persistent leaves scanned while rebuilding inner nodes"+agg,
-		sum(collect(func(i int) func() uint64 { return ops[i].RecoveryLeaves.Load })))
-	reg.CounterFunc("htm_aborts_total", "optimistic validation failures"+agg,
-		sum(collect(func(i int) func() uint64 { return hts[i].Aborts.Load })))
-	reg.CounterFunc("htm_restarts_total", "full operation restarts after an abort"+agg,
-		sum(collect(func(i int) func() uint64 { return hts[i].Restarts.Load })))
-	reg.CounterFunc("htm_fallbacks_total", "times the global fallback lock serialized a section"+agg,
-		sum(collect(func(i int) func() uint64 { return hts[i].Fallbacks.Load })))
-	for c := htm.AbortCause(0); c < htm.NumAbortCauses; c++ {
-		c := c
-		reg.CounterFunc("htm_aborts_"+c.String()+"_total",
-			"conflict aborts attributed to the "+c.String()+" protocol step"+agg,
-			sum(collect(func(i int) func() uint64 { return hts[i].ByCause[c].Load })))
-	}
-	for i := range s.shards {
-		i := i
-		lbl := obs.ShardLabel(i)
-		reg.CounterFuncL("fptree_searches_total", lbl, "completed in-leaf searches", ops[i].Searches.Load)
-		reg.CounterFuncL("fptree_leaf_splits_total", lbl, "completed leaf splits", ops[i].LeafSplits.Load)
-		reg.CounterFuncL("htm_aborts_total", lbl, "optimistic validation failures", hts[i].Aborts.Load)
-		reg.CounterFuncL("htm_restarts_total", lbl, "full operation restarts after an abort", hts[i].Restarts.Load)
-		reg.CounterFuncL("htm_fallbacks_total", lbl, "times the global fallback lock serialized a section", hts[i].Fallbacks.Load)
-		if c, ok := s.shards[i].(Checker); ok {
-			reg.GaugeFuncL("memkv_shard_len", lbl, "live keys resident in this shard",
-				func() float64 { return float64(c.Len()) })
-		}
-	}
-	s.registerControllerMetrics(reg)
-}
-
-// ShardStat is the per-shard view behind the `stats shards` verbose form.
-type ShardStat struct {
-	Engine string
-	Len    int
-	Pool   *scm.Pool // nil when the shard has no SCM pool
-}
-
-// ShardStatser is the optional store interface the server uses to answer
-// `stats shards`.
-type ShardStatser interface {
-	NumShards() int
-	ShardStat(i int) ShardStat
-}
-
-// ShardStat returns the stats view of shard i.
-func (s *ShardedStore) ShardStat(i int) ShardStat {
-	st := ShardStat{Engine: s.shards[i].Name(), Pool: s.pools[i]}
-	if c, ok := s.shards[i].(Checker); ok {
-		st.Len = c.Len()
-	}
-	return st
-}
-
-// writeShardStats renders the `stats shards` per-shard lines.
-func writeShardStats(w io.Writer, ss ShardStatser, eol string) {
-	n := ss.NumShards()
-	fmt.Fprintf(w, "STAT shards %d%s", n, eol)
-	for i := 0; i < n; i++ {
-		st := ss.ShardStat(i)
-		pfx := fmt.Sprintf("shard%d_", i)
-		fmt.Fprintf(w, "STAT %sengine %s%s", pfx, st.Engine, eol)
-		fmt.Fprintf(w, "STAT %slen %d%s", pfx, st.Len, eol)
-		if st.Pool == nil {
-			continue
-		}
-		ps := st.Pool.Stats().Snapshot()
-		stat := func(k string, v interface{}) { fmt.Fprintf(w, "STAT %s%s %v%s", pfx, k, v, eol) }
-		stat("scm_pool_bytes", st.Pool.Size())
-		stat("scm_reads", ps.Reads)
-		stat("scm_writes", ps.Writes)
-		stat("scm_flushes", ps.Flushes)
-		stat("scm_fences", ps.Fences)
-		stat("scm_allocs", ps.Allocs)
-		stat("scm_syncs", ps.Syncs)
+	for i, sh := range s.shards {
+		sh.RegisterMetrics(reg.Shard(i))
+		reg.GaugeFuncL("memkv_shard_len", obs.ShardLabel(i), "live keys resident in this shard",
+			func() float64 { return float64(sh.Len()) })
 	}
 }
 

@@ -8,13 +8,20 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"fptree/internal/obs"
 	"fptree/internal/scm"
 )
 
 func newShardedFPTreeC(t *testing.T, n int) *ShardedStore {
+	t.Helper()
+	ss, _ := newShardedFPTreeCPools(t, n)
+	return ss
+}
+
+// newShardedFPTreeCPools also returns the pool behind each shard, for the
+// tests that serve the fleet with Config.Pools.
+func newShardedFPTreeCPools(t *testing.T, n int) (*ShardedStore, []*scm.Pool) {
 	t.Helper()
 	pools := make([]*scm.Pool, n)
 	stores := make([]Store, n)
@@ -30,7 +37,7 @@ func newShardedFPTreeC(t *testing.T, n int) *ShardedStore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ss
+	return ss, pools
 }
 
 // TestShardForStable pins the key→shard mapping: it must be a pure function
@@ -107,7 +114,7 @@ func TestShardedStoreDifferential(t *testing.T) {
 	}
 }
 
-func openShardedFromFiles(t *testing.T, path string, n int) (*ShardedStore, []bool) {
+func openShardedFromFiles(t *testing.T, path string, n int) (*ShardedStore, []*scm.Pool, []bool) {
 	t.Helper()
 	pools, recovered, err := scm.OpenFileShards(path, n, 16<<20, scm.LatencyConfig{})
 	if err != nil {
@@ -126,7 +133,7 @@ func openShardedFromFiles(t *testing.T, path string, n int) (*ShardedStore, []bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ss, recovered
+	return ss, pools, recovered
 }
 
 // TestShardedRestartRecoversAllShards persists keys across a fleet of shard
@@ -136,7 +143,7 @@ func TestShardedRestartRecoversAllShards(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data")
 	const n = 4
 
-	ss, recovered := openShardedFromFiles(t, path, n)
+	ss, pools, recovered := openShardedFromFiles(t, path, n)
 	for _, r := range recovered {
 		if r {
 			t.Fatal("fresh files reported recovered")
@@ -148,7 +155,7 @@ func TestShardedRestartRecoversAllShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ss.Close(); err != nil {
+	if err := scm.ClosePools(pools); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -157,8 +164,7 @@ func TestShardedRestartRecoversAllShards(t *testing.T) {
 		}
 	}
 
-	ss2, recovered2 := openShardedFromFiles(t, path, n)
-	defer ss2.Close()
+	ss2, pools2, recovered2 := openShardedFromFiles(t, path, n)
 	for i, r := range recovered2 {
 		if !r {
 			t.Fatalf("shard %d did not recover", i)
@@ -180,7 +186,7 @@ func TestShardedRestartRecoversAllShards(t *testing.T) {
 
 	// Reopening narrower than the on-disk fleet must fail loudly, not
 	// silently strand the keys of the dropped shards.
-	if err := ss2.Close(); err != nil {
+	if err := scm.ClosePools(pools2); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := scm.OpenFileShards(path, n/2, 16<<20, scm.LatencyConfig{}); err == nil {
@@ -188,62 +194,14 @@ func TestShardedRestartRecoversAllShards(t *testing.T) {
 	}
 }
 
-// TestShardedSyncFanOut pins the -sync ticker contract: one router Sync must
-// reach every shard pool.
-func TestShardedSyncFanOut(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "data")
-	const n = 3
-	ss, _ := openShardedFromFiles(t, path, n)
-	defer ss.Close()
-	before := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		before[i] = ss.ShardStat(i).Pool.Stats().Syncs.Load()
-	}
-	if err := ss.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if got := ss.ShardStat(i).Pool.Stats().Syncs.Load(); got != before[i]+1 {
-			t.Fatalf("shard %d syncs = %d, want %d", i, got, before[i]+1)
-		}
-	}
-}
-
-// TestShardedCloseMarksClean: router Close must write the clean-shutdown
-// marker on every shard file, so the next open of each shard skips crash
-// recovery (the memkv shutdown path relies on this fan-out).
-func TestShardedCloseMarksClean(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "data")
-	const n = 3
-	ss, _ := openShardedFromFiles(t, path, n)
-	if err := ss.Set([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Close(); err != nil {
-		t.Fatal(err)
-	}
-	pools, _, err := scm.OpenFileShards(path, n, 16<<20, scm.LatencyConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scm.ClosePools(pools)
-	for i, p := range pools {
-		if !p.WasCleanShutdown() {
-			t.Fatalf("shard %d reopened dirty after Close", i)
-		}
-	}
-}
-
 // TestShardedServerStats drives `stats` and `stats shards` over TCP against a
 // sharded server: the flat form reports the fleet width and pool counters
 // summed across shards; the verbose form breaks them out per shard.
 func TestShardedServerStats(t *testing.T) {
-	ss := newShardedFPTreeC(t, 4)
-	pools := make([]*scm.Pool, ss.NumShards())
+	ss, pools := newShardedFPTreeCPools(t, 4)
 	var wantBytes int64
-	for i := range pools {
-		pools[i] = ss.ShardStat(i).Pool
-		wantBytes += pools[i].Size()
+	for _, p := range pools {
+		wantBytes += p.Size()
 	}
 	srv, addr, err := ServeConfig("127.0.0.1:0", ss, Config{Pools: pools})
 	if err != nil {
@@ -263,7 +221,7 @@ func TestShardedServerStats(t *testing.T) {
 		}
 	}
 
-	stats, err := c.stats()
+	stats, err := c.statsCmd("stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +284,14 @@ func TestShardedServerStats(t *testing.T) {
 			t.Fatalf("shard %d is empty; %d keys should spread over 4 shards", i, keys)
 		}
 		lenSum += n
-		if per[pfx+"scm_writes"] == "" || per[pfx+"scm_writes"] == "0" {
-			t.Fatalf("%sscm_writes = %q", pfx, per[pfx+"scm_writes"])
+		// Every scm line of `stats` is there per shard too, from one table.
+		for _, name := range scm.StatNames() {
+			if _, ok := per[pfx+"scm_"+name]; !ok || stats["scm_"+name] == "" {
+				t.Fatalf("scm_%s: per shard %q, fleet %q", name, per[pfx+"scm_"+name], stats["scm_"+name])
+			}
+		}
+		if per[pfx+"scm_writes"] == "0" || per[pfx+"scm_pool_bytes"] != fmt.Sprint(pools[i].Size()) {
+			t.Fatalf("%sscm_writes = %q, %sscm_pool_bytes = %q", pfx, per[pfx+"scm_writes"], pfx, per[pfx+"scm_pool_bytes"])
 		}
 	}
 	if lenSum != keys {
@@ -335,24 +299,58 @@ func TestShardedServerStats(t *testing.T) {
 	}
 }
 
-// TestStatsShardsOnUnshardedServer: the verbose form is an ERROR on a plain
-// store, and the connection stays usable.
+// TestStatsShardsOnUnshardedServer: an unsharded store answers the verbose
+// form as a fleet of one — the same lines, for shard 0 — and `stats` reports
+// its width as 1.
 func TestStatsShardsOnUnshardedServer(t *testing.T) {
-	srv, addr, err := Serve("127.0.0.1:0", NewHashMapStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, r := dialRaw(t, addr)
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	fmt.Fprintf(conn, "stats shards\r\nversion\r\n")
-	line, err := r.ReadString('\n')
-	if err != nil || !strings.HasPrefix(line, "ERROR") {
-		t.Fatalf("stats shards on unsharded = %q,%v", line, err)
-	}
-	if line, err = r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "VERSION ") {
-		t.Fatalf("connection unusable after stats shards error: %q,%v", line, err)
+	for _, e := range Engines {
+		t.Run(e.Name, func(t *testing.T) {
+			var p *scm.Pool // a transient engine takes none
+			var pools []*scm.Pool
+			if e.Open != nil {
+				p = pool()
+				pools = []*scm.Pool{p}
+			}
+			st, err := e.Create(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, addr, err := ServeConfig("127.0.0.1:0", st, Config{Pools: pools})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := dialMC(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.close()
+			if err := c.set("k", "v"); err != nil {
+				t.Fatal(err)
+			}
+			flat, err := c.statsCmd("stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			per, err := c.statsCmd("stats shards")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if flat["shards"] != "1" || per["shards"] != "1" {
+				t.Fatalf("shards = %q in stats, %q in stats shards", flat["shards"], per["shards"])
+			}
+			if per["shard0_engine"] != st.Name() || per["shard0_len"] != "1" {
+				t.Fatalf("shard0_engine = %q, shard0_len = %q", per["shard0_engine"], per["shard0_len"])
+			}
+			if got, want := len(ShardLens(per)), 1; got != want {
+				t.Fatalf("ShardLens sees %d shards", got)
+			}
+			// One pool: the shard's scm lines are the fleet's.
+			_, hasPool := per["shard0_scm_pool_bytes"]
+			if hasPool != (pools != nil) || per["shard0_scm_pool_bytes"] != flat["scm_pool_bytes"] {
+				t.Fatalf("shard0_scm_pool_bytes = %q, scm_pool_bytes = %q", per["shard0_scm_pool_bytes"], flat["scm_pool_bytes"])
+			}
+		})
 	}
 }
 
@@ -360,11 +358,7 @@ func TestStatsShardsOnUnshardedServer(t *testing.T) {
 // unlabeled tree/HTM counters (summed) plus per-shard labeled series, and
 // the resulting exposition parses.
 func TestShardedMetricsRegistry(t *testing.T) {
-	ss := newShardedFPTreeC(t, 4)
-	pools := make([]*scm.Pool, ss.NumShards())
-	for i := range pools {
-		pools[i] = ss.ShardStat(i).Pool
-	}
+	ss, pools := newShardedFPTreeCPools(t, 4)
 	srv, addr, err := ServeConfig("127.0.0.1:0", ss, Config{Pools: pools})
 	if err != nil {
 		t.Fatal(err)

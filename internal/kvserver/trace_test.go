@@ -6,6 +6,7 @@ import (
 
 	"fptree/internal/obs"
 	"fptree/internal/obs/trace"
+	"fptree/internal/scm"
 )
 
 // TestSlowOpAndTracing drives the server with an always-firing slow-op
@@ -22,7 +23,7 @@ func TestSlowOpAndTracing(t *testing.T) {
 	ring := obs.NewEventRing(64)
 	tr := trace.New(trace.Config{SampleEvery: 1, Costs: p.Stats(), Events: ring})
 	srv, addr, err := ServeConfig("127.0.0.1:0", store, Config{
-		Pool:            p,
+		Pools:           []*scm.Pool{p},
 		Events:          ring,
 		Tracer:          tr,
 		SlowOpThreshold: time.Nanosecond,

@@ -89,6 +89,9 @@ func (c *CTree) Pool() *scm.Pool { return c.t.Pool() }
 func (c *CTree) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// The concurrent writers count in c.size, past the base's own counter,
+	// which is what the check compares with the live entries.
+	c.t.size = int(c.size.Load())
 	return c.t.CheckInvariants()
 }
 
@@ -211,6 +214,9 @@ func (c *CVarTree) Pool() *scm.Pool { return c.t.Pool() }
 func (c *CVarTree) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// The concurrent writers count in c.size, past the base's own counter,
+	// which is what the check compares with the live entries.
+	c.t.size = int(c.size.Load())
 	return c.t.CheckInvariants()
 }
 

@@ -412,3 +412,31 @@ func TestConcurrentRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentCheckInvariantsLive pins the size the concurrent facades
+// check against: they count in their own atomic, so CheckInvariants on a
+// tree that has taken writes (not only on a just-recovered one) must compare
+// that count, not the base's untouched one, with the live entries.
+func TestConcurrentCheckInvariantsLive(t *testing.T) {
+	pool := scm.NewPool(16<<20, scm.LatencyConfig{CacheBytes: -1})
+	ct, err := CNewVar(pool, Config{LeafCap: 16, InnerCap: 16, ValueSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := ct.Upsert([]byte(fmt.Sprintf("k%03d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		if found, err := ct.Delete([]byte(fmt.Sprintf("k%03d", i))); err != nil || !found {
+			t.Fatalf("delete k%03d = %v,%v", i, found, err)
+		}
+	}
+	if err := ct.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if ct.Len() != 150 {
+		t.Fatalf("Len = %d, want 150", ct.Len())
+	}
+}

@@ -1,70 +1,19 @@
 package obs
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// Label is one name="value" pair attached to a metric series. Labeled series
-// let several instances of the same logical metric coexist in one registry —
-// the sharded kvserver registers e.g. fptree_searches_total{shard="2"} per
-// shard next to the unlabeled aggregate — while Prometheus still sees a
-// single metric family.
-type Label struct {
-	Name  string
-	Value string
-}
+// Labels is a rendered label set (`{shard="2"}`); "" is the empty set.
+// Labeled series let several instances of the same logical metric coexist in
+// one registry while Prometheus still sees a single metric family. The one
+// label in this repository is the shard: a fleet's per-shard series come from
+// Registry.Shard, which also derives the family's unlabeled value, and
+// GaugeFuncL is for a per-shard series that has no such aggregate
+// (memkv_shard_len, the per-shard window_* ratios).
+type Labels string
 
-// Labels is an ordered label set. Order is preserved as given (it is part of
-// the series identity), so register the same labels in the same order
-// everywhere.
-type Labels []Label
-
-// ShardLabel is the conventional label set for per-shard series.
+// ShardLabel is the label set of shard i's series.
 func ShardLabel(shard int) Labels {
-	return Labels{{Name: "shard", Value: fmt.Sprintf("%d", shard)}}
-}
-
-// validLabelName enforces the Prometheus label-name charset
-// [a-zA-Z_][a-zA-Z0-9_]* (no colons, unlike metric names).
-func validLabelName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		alpha := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
-		if !alpha && (i == 0 || r < '0' || r > '9') {
-			return false
-		}
-	}
-	return true
-}
-
-var labelValueEscaper = strings.NewReplacer("\\", "\\\\", "\"", "\\\"", "\n", "\\n")
-
-// render formats the label set in exposition form: `{a="b",c="d"}`, or ""
-// for an empty set. Panics on an invalid label name — labels are wired at
-// startup, exactly like metric names.
-func (ls Labels) render() string {
-	if len(ls) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range ls {
-		if !validLabelName(l.Name) {
-			panic(fmt.Sprintf("obs: invalid label name %q", l.Name))
-		}
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		b.WriteString(labelValueEscaper.Replace(l.Value))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
+	return Labels(fmt.Sprintf(`{shard="%d"}`, shard))
 }
 
 // Series returns the full series key of name with the given labels — the key
@@ -72,34 +21,12 @@ func (ls Labels) render() string {
 // Prometheus exposition (e.g. `htm_aborts_total{shard="0"}`). With empty
 // labels it is just name.
 func Series(name string, ls Labels) string {
-	return name + ls.render()
+	return name + string(ls)
 }
 
-// CounterL creates, registers and returns a counter under name with the
-// given label set.
-func (r *Registry) CounterL(name string, labels Labels, help string) *Counter {
-	c := &Counter{}
-	r.CounterFuncL(name, labels, help, c.Load)
-	return c
-}
-
-// CounterFuncL registers a labeled counter whose value is read through fn.
-// All series of one family (same name, different labels) share the family's
+// GaugeFuncL registers a labeled gauge whose value is read through fn. All
+// series of one family (same name, different labels) share the family's
 // HELP/TYPE header in the exposition; the first registration's help wins.
-func (r *Registry) CounterFuncL(name string, labels Labels, help string, fn func() uint64) {
-	r.register(&metric{name: name, labels: labels.render(), help: help, kind: KindCounter,
-		read: func() float64 { return float64(fn()) }})
-}
-
-// GaugeL creates, registers and returns a gauge under name with the given
-// label set.
-func (r *Registry) GaugeL(name string, labels Labels, help string) *Gauge {
-	g := &Gauge{}
-	r.GaugeFuncL(name, labels, help, func() float64 { return float64(g.Load()) })
-	return g
-}
-
-// GaugeFuncL registers a labeled gauge whose value is read through fn.
 func (r *Registry) GaugeFuncL(name string, labels Labels, help string, fn func() float64) {
-	r.register(&metric{name: name, labels: labels.render(), help: help, kind: KindGauge, read: fn})
+	r.register(&metric{name: name, labels: string(labels), help: help, kind: KindGauge, read: fn})
 }

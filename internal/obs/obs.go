@@ -14,6 +14,12 @@
 //
 // Metrics are registered once at setup time and read concurrently while the
 // instrumented code runs; all counter updates are atomic.
+//
+// A fleet of shards has one rule for its numbers, and it lives here: each
+// shard registers through its own view of the registry (Registry.Shard) with
+// the code that would register a lone instance, which yields one {shard="i"}
+// series per shard plus the unlabeled fleet value the registry derives from
+// them. No subsystem adds its shards up itself.
 package obs
 
 import (
@@ -71,16 +77,42 @@ type metric struct {
 	kind   Kind
 	read   func() float64 // counters and gauges
 	hist   *Histogram     // histograms only
+
+	// A family aggregate is the unlabeled series the registry derives from
+	// the series registered through shard views: members lists them, and min
+	// says the fleet value is their minimum rather than their sum.
+	members []*metric
+	min     bool
 }
 
 // series is the full identity of the metric: name plus rendered labels. It
 // is the Snapshot key and the sample name in the Prometheus exposition.
 func (m *metric) series() string { return m.name + m.labels }
 
+// fleet is the read function of a family aggregate.
+func (m *metric) fleet() float64 {
+	v := m.members[0].read()
+	for _, s := range m.members[1:] {
+		if x := s.read(); !m.min {
+			v += x
+		} else if x < v {
+			v = x
+		}
+	}
+	return v
+}
+
 // Registry holds named metrics in registration order. Registration typically
 // happens once at startup; reads (Snapshot, WritePrometheus) are safe while
-// the instrumented code runs.
+// the instrumented code runs. A Registry value is the root or a shard view of
+// it (Shard): both share one set of series.
 type Registry struct {
+	*seriesSet
+	scope string // rendered shard label of a view, "" for the root
+}
+
+// seriesSet is the state a root registry and its shard views share.
+type seriesSet struct {
 	mu     sync.RWMutex
 	order  []*metric
 	byName map[string]*metric
@@ -88,7 +120,19 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: map[string]*metric{}}
+	return &Registry{seriesSet: &seriesSet{byName: map[string]*metric{}}}
+}
+
+// Shard returns the view of r that shard i of a fleet registers through: the
+// code that registers X on a plain registry registers X{shard="i"} on the
+// view, and the registry keeps the unlabeled X as the fleet value — the sum
+// of the shard series, or their minimum for a MinGaugeFunc gauge. Reads
+// through a view see the whole registry.
+func (r *Registry) Shard(i int) *Registry {
+	if r.scope != "" {
+		panic("obs: shard view of a shard view")
+	}
+	return &Registry{seriesSet: r.seriesSet, scope: string(ShardLabel(i))}
 }
 
 // validName enforces the Prometheus metric-name charset
@@ -110,11 +154,33 @@ func (r *Registry) register(m *metric) {
 	if !validName(m.name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", m.name))
 	}
-	if m.labels != "" && m.kind == KindHistogram {
+	if r.scope != "" && m.labels != "" {
+		panic(fmt.Sprintf("obs: metric %q: labeled series under a shard view are not supported", m.name))
+	}
+	if (m.labels != "" || r.scope != "") && m.kind == KindHistogram {
 		panic(fmt.Sprintf("obs: metric %q: labeled histograms are not supported", m.name))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.scope != "" {
+		// The aggregate is created with the family's first shard series and
+		// ahead of it, so the unlabeled sample leads the family.
+		agg := r.byName[m.name]
+		if agg == nil {
+			agg = &metric{name: m.name, help: m.help, kind: m.kind, min: m.min}
+			agg.read = agg.fleet
+			r.add(agg)
+		} else if agg.members == nil {
+			panic(fmt.Sprintf("obs: metric %q registered both plainly and through a shard view", m.name))
+		}
+		m.labels = r.scope
+		agg.members = append(agg.members, m)
+	}
+	r.add(m)
+}
+
+// add appends m; the caller holds r.mu.
+func (r *Registry) add(m *metric) {
 	key := m.series()
 	if _, dup := r.byName[key]; dup {
 		panic(fmt.Sprintf("obs: metric %q registered twice", key))
@@ -147,6 +213,12 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // GaugeFunc registers a gauge whose value is read through fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&metric{name: name, help: help, kind: KindGauge, read: fn})
+}
+
+// MinGaugeFunc is GaugeFunc for a gauge whose fleet value is the minimum of
+// the shard values, not their sum (see Shard).
+func (r *Registry) MinGaugeFunc(name, help string, fn func() float64) {
+	r.register(&metric{name: name, help: help, kind: KindGauge, read: fn, min: true})
 }
 
 // Histogram creates, registers and returns a new histogram.

@@ -164,3 +164,101 @@ func TestEventRingConcurrentRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestShardViewAggregates pins the one fleet rule: whatever registers on a
+// plain registry under X registers X{shard="i"} through shard view i, and the
+// registry derives the unlabeled X — the sum, or the minimum for a gauge
+// registered with MinGaugeFunc — ahead of its members.
+func TestShardViewAggregates(t *testing.T) {
+	reg := NewRegistry()
+	budgets := []float64{7, 3, 5}
+	var ops [3]*Counter
+	for i := range ops {
+		v := reg.Shard(i)
+		ops[i] = v.Counter("fleet_ops_total", "ops")
+		v.GaugeFunc("fleet_bytes", "bytes", func() float64 { return float64(10 * (i + 1)) })
+		v.MinGaugeFunc("fleet_budget", "budget", func() float64 { return budgets[i] })
+	}
+	plain := reg.Counter("plain_total", "not part of any fleet")
+	plain.Add(2)
+
+	// The scrape is race-clean while the shards count, and once they have
+	// finished the unlabeled counter is exactly the sum of its members.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				ops[(g+i)%3].Inc()
+				if i%100 == 0 {
+					reg.Snapshot()
+				}
+			}
+		}(g)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+
+	snap := reg.Snapshot()
+	var sum float64
+	for i := range ops {
+		sum += snap[Series("fleet_ops_total", ShardLabel(i))]
+	}
+	if got := snap["fleet_ops_total"]; got != 4000 || got != sum {
+		t.Fatalf("fleet_ops_total = %v, members sum to %v, want 4000", got, sum)
+	}
+	if got := snap["fleet_bytes"]; got != 60 {
+		t.Fatalf("fleet_bytes = %v, want the sum 60", got)
+	}
+	if got := snap["fleet_budget"]; got != 3 {
+		t.Fatalf("fleet_budget = %v, want the minimum 3", got)
+	}
+	if got := snap["plain_total"]; got != 2 {
+		t.Fatalf("plain_total = %v", got)
+	}
+	// A view reads the whole registry.
+	if got := reg.Shard(1).Snapshot()["fleet_ops_total"]; got != 4000 {
+		t.Fatalf("snapshot through a view: fleet_ops_total = %v", got)
+	}
+
+	b.Reset()
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateExposition(strings.NewReader(b.String())); err != nil {
+		t.Fatalf("%v\n%s", err, b.String())
+	}
+	// Each family is one block under one header, the unlabeled sample first.
+	want := "# TYPE fleet_ops_total counter\nfleet_ops_total 4000\n" +
+		"fleet_ops_total{shard=\"0\"} "
+	if !strings.Contains(b.String(), want) {
+		t.Fatalf("family is not led by its unlabeled sample:\n%s", b.String())
+	}
+	block := b.String()[strings.Index(b.String(), "# HELP fleet_ops_total"):]
+	block = block[:strings.Index(block, "# HELP fleet_bytes")]
+	if got := strings.Count(block, "fleet_ops_total"); got != 2+4 {
+		t.Fatalf("fleet_ops_total block holds %d mentions, want header x2 + 4 samples:\n%s", got, block)
+	}
+}
+
+// TestShardViewRefusals: a duplicate still panics through a view, a name
+// cannot be both a plain series and a fleet family, and histograms and
+// nested views are refused.
+func TestShardViewRefusals(t *testing.T) {
+	reg := NewRegistry()
+	reg.Shard(0).Counter("fleet_total", "x")
+	reg.Shard(1).Counter("fleet_total", "x")
+	mustPanic(t, func() { reg.Shard(1).Counter("fleet_total", "x") })
+	mustPanic(t, func() { reg.Counter("fleet_total", "x") })
+	reg.Counter("plain_total", "x")
+	mustPanic(t, func() { reg.Shard(0).Counter("plain_total", "x") })
+	mustPanic(t, func() { reg.Shard(0).Histogram("fleet_seconds", "x") })
+	mustPanic(t, func() {
+		reg.Shard(0).GaugeFuncL("fleet_labeled", ShardLabel(2), "x", func() float64 { return 0 })
+	})
+	mustPanic(t, func() { reg.Shard(0).Shard(1) })
+}

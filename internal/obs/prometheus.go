@@ -13,33 +13,33 @@ import (
 // exposition format (version 0.0.4): a # HELP and # TYPE line per family
 // followed by its samples. Counters keep the name they were registered with
 // (the convention is a _total suffix); histograms expand into cumulative
-// _bucket{le="..."} series in seconds plus _sum and _count.
+// _bucket{le="..."} series in seconds plus _sum and _count. Families appear
+// in the order their first series was registered, and all series of one
+// family (labeled variants of the same name) are written together under its
+// header, the first registration's help text winning.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	bw := bufio.NewWriter(w)
-	announced := map[string]bool{} // family -> HELP/TYPE emitted
+	families := map[string][]*metric{}
+	var names []string
 	for _, m := range r.order {
-		// All series of one family (labeled variants of the same name) share
-		// a single HELP/TYPE header; the first registration announces it.
-		if !announced[m.name] {
-			announced[m.name] = true
-			help := strings.NewReplacer("\\", "\\\\", "\n", "\\n").Replace(m.help)
-			fmt.Fprintf(bw, "# HELP %s %s\n", m.name, help)
-			switch m.kind {
-			case KindCounter:
-				fmt.Fprintf(bw, "# TYPE %s counter\n", m.name)
-			case KindGauge:
-				fmt.Fprintf(bw, "# TYPE %s gauge\n", m.name)
-			case KindHistogram:
-				fmt.Fprintf(bw, "# TYPE %s histogram\n", m.name)
-			}
+		if families[m.name] == nil {
+			names = append(names, m.name)
 		}
-		switch m.kind {
-		case KindCounter, KindGauge:
-			fmt.Fprintf(bw, "%s %s\n", m.series(), formatValue(m.read()))
-		case KindHistogram:
-			writeHistogram(bw, m.name, m.hist.Snapshot())
+		families[m.name] = append(families[m.name], m)
+	}
+	for _, name := range names {
+		first := families[name][0]
+		help := strings.NewReplacer("\\", "\\\\", "\n", "\\n").Replace(first.help)
+		fmt.Fprintf(bw, "# HELP %s %s\n", name, help)
+		fmt.Fprintf(bw, "# TYPE %s %s\n", name, [...]string{"counter", "gauge", "histogram"}[first.kind])
+		for _, m := range families[name] {
+			if m.kind == KindHistogram {
+				writeHistogram(bw, m.name, m.hist.Snapshot())
+			} else {
+				fmt.Fprintf(bw, "%s %s\n", m.series(), formatValue(m.read()))
+			}
 		}
 	}
 	return bw.Flush()

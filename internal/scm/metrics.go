@@ -3,13 +3,14 @@ package scm
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"fptree/internal/obs"
 )
 
-// statsEntries enumerates the counters of s in registration order; the single
-// table keeps single-pool, multi-pool and labeled registration in sync (the
-// drift test pins Stats fields against registered names).
+// statsEntries enumerates the counters of s in registration order: the one
+// table behind the registry series and the STAT lines of the memcached
+// `stats` command (the drift test pins Stats fields against both).
 func statsEntries(s *Stats) []struct {
 	suffix string
 	help   string
@@ -34,6 +35,18 @@ func statsEntries(s *Stats) []struct {
 	}
 }
 
+// StatNames lists the counters under their memcached STAT names, in table
+// order: the registry suffix without "_total" ("reads", "sync_nanos").
+func StatNames() []string {
+	var probe Stats
+	entries := statsEntries(&probe)
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = strings.TrimSuffix(e.suffix, "_total")
+	}
+	return names
+}
+
 // RegisterMetrics exposes the counters in s on reg under the given name
 // prefix (e.g. "scm"). The registered metrics read the live atomics, so a
 // snapshot of reg observes exactly what s.Snapshot would.
@@ -55,57 +68,13 @@ func (p *Pool) RegisterMetrics(reg *obs.Registry, prefix string) {
 		func() float64 { return float64(binary.LittleEndian.Uint64(p.mem[offBump:])) })
 }
 
-// RegisterPoolsMetrics registers the pools' counters summed across the fleet
-// under the same names Pool.RegisterMetrics would use for one pool — so the
-// sharded server exposes one scm_flushes_total regardless of shard count —
-// plus per-shard labeled series (`scm_flushes_total{shard="2"}`) for the
-// counters and capacity gauges of every individual pool.
+// RegisterPoolsMetrics exposes a fleet of pools on reg: each pool registers
+// through its shard view exactly what Pool.RegisterMetrics gives a lone pool,
+// so every series is there per shard (`scm_flushes_total{shard="2"}`) and the
+// registry derives the unlabeled fleet total under the same name, whatever
+// the shard count.
 func RegisterPoolsMetrics(reg *obs.Registry, prefix string, pools []*Pool) {
-	if len(pools) == 1 {
-		pools[0].RegisterMetrics(reg, prefix)
-		return
-	}
-	// Aggregates first, so the unlabeled sample leads its family.
-	var probe Stats
-	for i, e := range statsEntries(&probe) {
-		srcs := make([]interface{ Load() uint64 }, len(pools))
-		for j, p := range pools {
-			srcs[j] = statsEntries(&p.stats)[i].src
-		}
-		reg.CounterFunc(fmt.Sprintf("%s_%s", prefix, e.suffix), e.help+" (summed across shards)",
-			func() uint64 {
-				var sum uint64
-				for _, s := range srcs {
-					sum += s.Load()
-				}
-				return sum
-			})
-	}
-	reg.GaugeFunc(prefix+"_pool_size_bytes", "arena capacity in bytes (summed across shards)",
-		func() float64 {
-			var sum float64
-			for _, p := range pools {
-				sum += float64(len(p.mem))
-			}
-			return sum
-		})
-	reg.GaugeFunc(prefix+"_pool_allocated_bytes", "bytes claimed by the bump allocators (summed across shards)",
-		func() float64 {
-			var sum float64
-			for _, p := range pools {
-				sum += float64(binary.LittleEndian.Uint64(p.mem[offBump:]))
-			}
-			return sum
-		})
 	for i, p := range pools {
-		p := p
-		lbl := obs.ShardLabel(i)
-		for _, e := range statsEntries(&p.stats) {
-			reg.CounterFuncL(fmt.Sprintf("%s_%s", prefix, e.suffix), lbl, e.help, e.src.Load)
-		}
-		reg.GaugeFuncL(prefix+"_pool_size_bytes", lbl, "arena capacity in bytes",
-			func() float64 { return float64(len(p.mem)) })
-		reg.GaugeFuncL(prefix+"_pool_allocated_bytes", lbl, "bytes claimed by the bump allocator",
-			func() float64 { return float64(binary.LittleEndian.Uint64(p.mem[offBump:])) })
+		p.RegisterMetrics(reg.Shard(i), prefix)
 	}
 }

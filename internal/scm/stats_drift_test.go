@@ -72,9 +72,9 @@ func TestStatsSnapshotCoversEveryCounter(t *testing.T) {
 	}
 }
 
-// TestStatsRegisterMetricsCoversEveryCounter checks the obs registration stays
-// in sync with the Stats struct the same way: one registry series per counter,
-// reading the live value.
+// TestStatsRegisterMetricsCoversEveryCounter checks the obs registration and
+// the STAT names stay in sync with the Stats struct the same way: one registry
+// series and one STAT name per counter, reading the live value.
 func TestStatsRegisterMetricsCoversEveryCounter(t *testing.T) {
 	var s Stats
 	sv := reflect.ValueOf(&s).Elem()
@@ -86,6 +86,16 @@ func TestStatsRegisterMetricsCoversEveryCounter(t *testing.T) {
 	snap := reg.Snapshot()
 	if got, want := len(reg.Names()), sv.NumField(); got != want {
 		t.Fatalf("registered %d series for %d counters: %v", got, want, reg.Names())
+	}
+	// The STAT names of the memcached `stats` command come from the same
+	// table: one per counter, each the series suffix without "_total".
+	if got, want := len(StatNames()), sv.NumField(); got != want {
+		t.Fatalf("%d STAT names for %d counters: %v", got, want, StatNames())
+	}
+	for _, name := range StatNames() {
+		if _, ok := snap["scm_"+name+"_total"]; !ok {
+			t.Errorf("STAT name %q has no scm_%s_total series", name, name)
+		}
 	}
 	total := 0.0
 	for _, name := range reg.Names() {
