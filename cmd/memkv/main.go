@@ -51,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"fptree/internal/core"
 	"fptree/internal/htm"
 	"fptree/internal/kvserver"
 	"fptree/internal/obs"
@@ -305,7 +304,7 @@ func openFleet(e kvserver.Engine, data, layout string, n int, poolBytes int64, l
 		if pools == nil {
 			return e.Create(nil)
 		}
-		if recovered[i] && core.HasTree(pools[i]) {
+		if recovered[i] && e.HasImage(pools[i]) {
 			return e.Open(pools[i], workers)
 		}
 		return e.Create(pools[i])

@@ -169,14 +169,22 @@ func dialMemkv(t *testing.T, addr string) *bufio.ReadWriter {
 //  3. a fresh memkv on the same -data file recovers, reports a crash
 //     shutdown with intact invariants, and serves every acknowledged key;
 //  4. after a graceful SIGTERM the next start reports a clean shutdown.
-func TestMemkvKillRestart(t *testing.T) {
+func TestMemkvKillRestart(t *testing.T) { killRestart(t, "fptreec") }
+
+// TestMemkvKillRestartNVTree is the same scenario on the NV-Tree baseline,
+// whose arena image core.HasTree does not know: memkv asks the engine's own
+// HasImage whether to create or to open, so the restarts recover instead of
+// trying to format an arena that already holds a tree.
+func TestMemkvKillRestartNVTree(t *testing.T) { killRestart(t, "nvtreec") }
+
+func killRestart(t *testing.T, store string) {
 	if testing.Short() {
 		t.Skip("builds and kills real server processes")
 	}
 	dir := t.TempDir()
 	bin := buildMemkv(t, dir)
 	arena := filepath.Join(dir, "memkv.dat")
-	args := []string{"-addr", "127.0.0.1:0", "-store", "fptreec", "-data", arena, "-pool", "64", "-stats=false"}
+	args := []string{"-addr", "127.0.0.1:0", "-store", store, "-data", arena, "-pool", "64", "-stats=false"}
 
 	p1 := startMemkv(t, bin, args...)
 	p1.waitLine(t, "created arena")

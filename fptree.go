@@ -45,8 +45,11 @@ type Options struct {
 	// single-threaded trees (default 8; set to -1 to disable). Ignored by
 	// the concurrent trees.
 	GroupSize int
-	// ValueSize is the inline value size for variable-size-key trees
-	// (default 8).
+	// ValueSize is the largest inline value a variable-size-key tree
+	// stores, in bytes (default 8). A value comes back from Find, Scan and
+	// the iterators at the length it was stored with, and a short value
+	// costs only the SCM lines its own bytes reach; a value longer than
+	// ValueSize is truncated to it.
 	ValueSize int
 	// PTree selects the fingerprint-less PTree variant (single-threaded
 	// trees only).

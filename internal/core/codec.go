@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"fptree/internal/scm"
 )
@@ -24,11 +25,13 @@ type leafShape struct {
 // The engine never touches a slot except through this interface.
 //
 // Fixed codec: inline u64 key + u64 value per slot, nothing to allocate or
-// leak. Var codec: each slot holds a 16-byte key cell, the key length and an
-// inline value. A key that fits the cell lives in it and costs what a fixed
-// key costs; a longer key lives in a separately allocated key block the cell
-// points to, so insert/update/delete/split all have extra ownership steps
-// (the no-op methods below on the fixed codec, and on inline slots).
+// leak. Var codec: each slot holds a 16-byte key cell, the length word (key
+// and value length) and an inline value, read, written and flushed only as
+// far as the value's own bytes reach. A key that fits the cell lives in it
+// and costs what a fixed key costs; a longer key lives in a separately
+// allocated key block the cell points to, so insert/update/delete/split all
+// have extra ownership steps (the no-op methods below on the fixed codec, and
+// on inline slots).
 type codec[K, V any] interface {
 	shape() leafShape
 	less(a, b K) bool
@@ -60,11 +63,10 @@ type codec[K, V any] interface {
 	afterSplitBitmaps(leaf, newLeaf uint64)
 	// scanLeaf is the one-stop per-leaf recovery read: the live max key, the
 	// live count, and the repairs the Algorithm 17 leak scan calls for,
-	// computed from a single batched read of the leaf image (one emulator
-	// crossing instead of one per slot — the recovery scan visits every slot
-	// anyway, so per-slot accessors only add overhead). It writes nothing, so
-	// recovery workers run it in parallel; the engine applies the repairs
-	// sequentially afterwards.
+	// computed from one pass over the leaf's header and key cells, buffered
+	// (the recovery scan visits every slot anyway, so per-slot accessors only
+	// add overhead). It writes nothing, so recovery workers run it in
+	// parallel; the engine applies the repairs sequentially afterwards.
 	scanLeaf(leaf uint64) (K, int, []leakAction)
 	// applyLeaks performs the durable repairs scanLeaf detected, in slot
 	// order.
@@ -182,18 +184,30 @@ func (c *fixedCodec) keyDRAMBytes(uint64) uint64 { return 8 }
 // inline bytes in the cell: recovery would free whatever those bytes point at.
 const inlineKeyMax = scm.PPtrSize
 
-// keyCell is a slot's key cell and length word as read from SCM: 24
-// contiguous bytes, one pool access.
+// cellSize is a slot's key cell plus its length word: what every reader of a
+// key, and the whole of recovery, needs of a slot.
+const cellSize = scm.PPtrSize + 8
+
+// keyCell is a slot's key cell and length word as read from SCM: cellSize
+// contiguous bytes, one pool access. The length word is klen in its low half
+// and vlen, the length of the value stored behind it, in its high half: one
+// aligned word, so the two tear as a unit and every rule stated for a durable
+// klen holds for the word's low half.
 type keyCell struct {
 	raw  [scm.PPtrSize]byte
 	klen uint64
+	vlen uint64
 }
 
 func parseKeyCell(b []byte) (h keyCell) {
 	copy(h.raw[:], b)
-	h.klen = binary.LittleEndian.Uint64(b[scm.PPtrSize:])
+	w := binary.LittleEndian.Uint64(b[scm.PPtrSize:])
+	h.klen, h.vlen = uint64(uint32(w)), w>>32
 	return h
 }
+
+// lenWord packs the length word parseKeyCell decodes.
+func lenWord(klen, vlen int) uint64 { return uint64(klen) | uint64(vlen)<<32 }
 
 func (h *keyCell) inline() bool { return h.klen <= inlineKeyMax }
 
@@ -233,11 +247,14 @@ func (c *varCodec) validateKey(k []byte) error {
 	if len(k) == 0 {
 		return fmt.Errorf("fptree: empty key")
 	}
+	if uint64(len(k)) > math.MaxUint32 {
+		return fmt.Errorf("fptree: key of %d bytes exceeds the slot's 32-bit key length", len(k))
+	}
 	return nil
 }
 
 func (c *varCodec) slotCell(leaf uint64, s int) keyCell {
-	var b [scm.PPtrSize + 8]byte
+	var b [cellSize]byte
 	c.pool.ReadInto(c.lay.slotOff(leaf, s), b[:])
 	return parseKeyCell(b[:])
 }
@@ -264,13 +281,25 @@ func (c *varCodec) slotKeyEquals(leaf uint64, s int, k []byte) bool {
 	return c.pool.EqualBytes(h.pkey().Offset, k)
 }
 
+// slotValue returns the slot's value at the length it was stored with. A slot
+// no larger than a line is read whole, length word and value in one pool
+// access (a 32-byte slot costs what reading its 8-byte value alone would);
+// a larger one is read as far as vlen says, after the length word, which
+// shares its line(s) with the key the caller has just compared.
 func (c *varCodec) slotValue(leaf uint64, s int) []byte {
-	return c.pool.ReadBytes(c.lay.valOff(leaf, s), uint64(c.valSize))
+	if c.lay.slotSize <= scm.LineSize {
+		var b [scm.LineSize]byte
+		c.pool.ReadInto(c.lay.slotOff(leaf, s), b[:c.lay.slotSize])
+		h := parseKeyCell(b[:])
+		return bytes.Clone(b[cellSize:][:h.vlen])
+	}
+	h := c.slotCell(leaf, s)
+	return c.pool.ReadBytes(c.lay.valOff(leaf, s), h.vlen)
 }
 
 // writeSlot stages a free slot. A key of at most inlineKeyMax bytes goes into
 // the slot itself (stageInline). A longer key performs lines 12-18 of
-// Algorithm 14 with each line flushed once: the key length and the value are
+// Algorithm 14 with each line flushed once: the length word and the value are
 // staged and persisted together, then the allocator fills the key block with
 // the key's bytes, makes it durable and durably publishes it in the slot's
 // pointer cell (so a crash can never leak it, and a published pointer never
@@ -285,15 +314,15 @@ func (c *varCodec) writeSlot(leaf uint64, slot int, k, v []byte) error {
 		return nil
 	}
 	c.nullStaleInlineCell(leaf, slot)
-	c.pool.WriteU64(c.lay.klenOff(leaf, slot), uint64(len(k)))
-	c.stageValue(leaf, slot, v)
-	c.pool.Persist(c.lay.klenOff(leaf, slot), 8+uint64(c.valSize))
+	n := c.stageValue(leaf, slot, len(k), v)
+	c.pool.Persist(c.lay.klenOff(leaf, slot), 8+n)
 	_, err := c.pool.AllocInit(c.lay.pkeyOff(leaf, slot), uint64(len(k)), k)
 	return err
 }
 
-// stageInline writes an inline key, its length and the value into a free slot
-// and persists them together: one flush for a slot that sits in one line. The
+// stageInline writes an inline key, the length word and the value into a free
+// slot and persists them together, through the value's last byte: one flush
+// for a slot, or a value, that ends in the line the slot starts in. The
 // exception is a slot that last held a pointer key. Its durable klen still has
 // pointer length, and a torn crash may keep any word-prefix of a dirty line
 // (and, where the slot straddles, of each line independently), so writing the
@@ -303,19 +332,17 @@ func (c *varCodec) writeSlot(leaf uint64, slot int, k, v []byte) error {
 func (c *varCodec) stageInline(leaf uint64, slot int, k, v []byte) {
 	var cell [inlineKeyMax]byte
 	copy(cell[:], k)
-	off, klenOff := c.lay.slotOff(leaf, slot), c.lay.klenOff(leaf, slot)
-	if c.pool.ReadU64(klenOff) > inlineKeyMax {
-		c.pool.WriteU64(klenOff, uint64(len(k)))
-		c.stageValue(leaf, slot, v)
-		c.pool.Persist(klenOff, 8+uint64(c.valSize))
+	off := c.lay.slotOff(leaf, slot)
+	if h := c.slotCell(leaf, slot); !h.inline() {
+		n := c.stageValue(leaf, slot, len(k), v)
+		c.pool.Persist(c.lay.klenOff(leaf, slot), 8+n)
 		c.pool.WriteBytes(off, cell[:])
 		c.pool.Persist(off, inlineKeyMax)
 		return
 	}
 	c.pool.WriteBytes(off, cell[:])
-	c.pool.WriteU64(klenOff, uint64(len(k)))
-	c.stageValue(leaf, slot, v)
-	c.pool.Persist(off, inlineKeyMax+8+uint64(c.valSize))
+	n := c.stageValue(leaf, slot, len(k), v)
+	c.pool.Persist(off, cellSize+n)
 }
 
 // nullStaleInlineCell prepares a free slot for a pointer key: if the slot
@@ -331,19 +358,20 @@ func (c *varCodec) nullStaleInlineCell(leaf uint64, slot int) {
 	}
 }
 
-// zeroValue pads values shorter than the slot (Config.ValueSize <= 4096).
-var zeroValue [4096]byte
-
-// stageValue stores value into the slot's fixed-size value field, truncated
-// or zero-padded to valSize, without persisting it. It writes in place: the
-// value and then the zero tail, no staging buffer.
-func (c *varCodec) stageValue(leaf uint64, slot int, value []byte) {
-	off := c.lay.valOff(leaf, slot)
+// stageValue stores the slot's length word and value (truncated to the value
+// field's valSize bytes) without persisting them, and returns the value's
+// stored length: the caller's persist ends there. Nothing is written behind
+// the value. Whatever an earlier, longer value left in the rest of the field
+// is unreachable, because every read is bounded by the vlen staged here, and
+// the bitmap commit that makes the slot visible comes after the persist that
+// covers both.
+func (c *varCodec) stageValue(leaf uint64, slot int, klen int, value []byte) uint64 {
 	if len(value) > c.valSize {
 		value = value[:c.valSize]
 	}
-	c.pool.WriteBytes(off, value)
-	c.pool.WriteBytes(off+uint64(len(value)), zeroValue[:c.valSize-len(value)])
+	c.pool.WriteU64(c.lay.klenOff(leaf, slot), lenWord(klen, len(value)))
+	c.pool.WriteBytes(c.lay.valOff(leaf, slot), value)
+	return uint64(len(value))
 }
 
 // moveSlot restages the key of slot prev, which is k, beside a new value. An
@@ -358,9 +386,8 @@ func (c *varCodec) moveSlot(leaf uint64, slot, prev int, k, v []byte) {
 	}
 	c.nullStaleInlineCell(leaf, slot)
 	c.pool.WritePPtr(c.lay.pkeyOff(leaf, slot), c.pool.ReadPPtr(c.lay.pkeyOff(leaf, prev)))
-	c.pool.WriteU64(c.lay.klenOff(leaf, slot), uint64(len(k)))
-	c.stageValue(leaf, slot, v)
-	c.pool.Persist(c.lay.slotOff(leaf, slot), scm.PPtrSize+8+uint64(c.valSize))
+	n := c.stageValue(leaf, slot, len(k), v)
+	c.pool.Persist(c.lay.slotOff(leaf, slot), cellSize+n)
 }
 
 // afterUpdate resets the old slot's reference so a key block has exactly one
@@ -439,7 +466,7 @@ func sameKeyBlock(a, b scm.PPtr) bool { return a.Offset == b.Offset }
 func (c *varCodec) applyLeaks(leaf uint64, acts []leakAction) {
 	for _, a := range acts {
 		if a.free {
-			c.pool.Free(c.lay.pkeyOff(leaf, a.slot), c.pool.ReadU64(c.lay.klenOff(leaf, a.slot)))
+			c.pool.Free(c.lay.pkeyOff(leaf, a.slot), c.slotCell(leaf, a.slot).klen)
 		} else {
 			c.pool.WritePPtr(c.lay.pkeyOff(leaf, a.slot), scm.PPtr{})
 			c.pool.Persist(c.lay.pkeyOff(leaf, a.slot), scm.PPtrSize)
@@ -447,28 +474,46 @@ func (c *varCodec) applyLeaks(leaf uint64, acts []leakAction) {
 	}
 }
 
-// scanLeaf reads the leaf image once. Inline keys are compared where they lie
-// in the image; each valid pointer slot's key block is chased for the max-key
-// comparison (the dereferences are the latency that parallel recovery
-// overlaps). Leak detection is Algorithm 17 over the buffered cells: an
-// invalid slot that still references a key block either shares it with a
-// valid slot of the same leaf (crashed update: reset the pointer) or owns it
-// alone (crashed insert or delete: deallocate the key). Invalid inline slots
-// own nothing and are skipped.
+// scanLeaf reads what recovery needs of a leaf and no more: the header, and
+// of each slot the key cell and length word — never a value. Where a slot is
+// no larger than a line those cells lie on every line of the slot array, so
+// the leaf is read in one access; where it is larger (kvserver's 152-byte
+// slot) the header and then each slot's cell are read on their own, and the
+// lines that hold only value bytes — 64 of an 8640-byte leaf's 135 — are never
+// touched. Inline keys are compared where they lie in the buffered cells;
+// each valid pointer slot's key block is chased for the max-key comparison
+// (the dereferences are the latency that parallel recovery overlaps). Leak
+// detection is Algorithm 17 over the buffered cells: an invalid slot that
+// still references a key block either shares it with a valid slot of the same
+// leaf (crashed update: reset the pointer) or owns it alone (crashed insert or
+// delete: deallocate the key). Invalid inline slots own nothing and are
+// skipped.
 func (c *varCodec) scanLeaf(leaf uint64) ([]byte, int, []leakAction) {
-	buf := c.pool.ReadBytes(leaf, c.lay.size)
-	bm := binary.LittleEndian.Uint64(buf[c.lay.offBitmap:])
-	cell := func(s int) keyCell { return parseKeyCell(buf[c.lay.slotOff(0, s):]) }
+	var hdr, cells []byte // slot s's cell starts at cells[s*stride]
+	stride := c.lay.slotSize
+	if stride <= scm.LineSize {
+		hdr = c.pool.ReadBytes(leaf, c.lay.size)
+		cells = hdr[c.lay.offKV:]
+	} else {
+		hdr = c.pool.ReadBytes(leaf, c.lay.offKV)
+		stride = cellSize
+		cells = make([]byte, uint64(c.lay.cap)*stride)
+		for s := 0; s < c.lay.cap; s++ {
+			c.pool.ReadInto(c.lay.slotOff(leaf, s), cells[uint64(s)*stride:][:cellSize])
+		}
+	}
+	bm := binary.LittleEndian.Uint64(hdr[c.lay.offBitmap:])
+	at := func(s int) []byte { return cells[uint64(s)*stride:] } // slot s's cell|word
 	var maxK []byte
-	maxInline := false // maxK aliases buf
+	maxInline := false // maxK aliases cells
 	n := 0
 	var acts []leakAction
 	for s := 0; s < c.lay.cap; s++ {
-		h := cell(s)
+		h := parseKeyCell(at(s))
 		if bm&(1<<s) != 0 {
 			var k []byte
 			if h.inline() {
-				k = buf[c.lay.slotOff(0, s):][:h.klen]
+				k = at(s)[:h.klen]
 			} else {
 				k = c.pool.ReadBytes(h.pkey().Offset, h.klen)
 			}
@@ -484,14 +529,14 @@ func (c *varCodec) scanLeaf(leaf uint64) ([]byte, int, []leakAction) {
 		shared := false
 		for v := 0; v < c.lay.cap && !shared; v++ {
 			if bm&(1<<v) != 0 {
-				hv := cell(v)
+				hv := parseKeyCell(at(v))
 				shared = !hv.inline() && sameKeyBlock(hv.pkey(), h.pkey())
 			}
 		}
 		acts = append(acts, leakAction{slot: s, free: !shared})
 	}
 	if maxInline {
-		maxK = bytes.Clone(maxK) // the separator must not pin the leaf image
+		maxK = bytes.Clone(maxK) // the separator must not pin the buffered cells
 	}
 	return maxK, n, acts
 }

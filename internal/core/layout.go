@@ -68,8 +68,10 @@ type Config struct {
 	// out of groups of GroupSize leaves (Section 4.3). 0 disables groups
 	// (the concurrent variant never uses them).
 	GroupSize int
-	// ValueSize is the inline payload size in bytes for variable-size-key
-	// trees (Appendix A's payload sweep). Fixed-key trees always store
+	// ValueSize is the size in bytes of the inline value field of
+	// variable-size-key trees (Appendix A's payload sweep): the longest value
+	// a slot holds. A shorter value is stored, flushed and read back at its
+	// own length; a longer one is truncated. Fixed-key trees always store
 	// 8-byte values. 0 means 8.
 	ValueSize int
 	// NumLogs is the number of split and delete micro-logs pre-allocated for
@@ -180,12 +182,15 @@ func (l fixedLayout) valOff(leaf uint64, slot int) uint64 {
 }
 
 // varLayout describes a variable-size-key leaf. Each slot stores a 16-byte
-// key cell, the key length, and an inline value of ValueSize bytes. The cell
-// holds the key itself, zero-padded, when klen <= 16, and otherwise a
-// persistent pointer to the key (allocated separately, as in Appendix C):
+// key cell, the length word, and an inline value field of ValueSize bytes.
+// The cell holds the key itself, zero-padded, when klen <= 16, and otherwise
+// a persistent pointer to the key (allocated separately, as in Appendix C).
+// The length word is klen (low 32 bits) | vlen (high 32 bits): the field's
+// first vlen bytes are the value, and nothing reads, writes or flushes the
+// rest of it.
 //
 //	fingerprints[m] | bitmap u64 | lock u8 | pad | next PPtr | pad to 32 |
-//	m × (pkey PPtr or key [16]byte, klen u64, value [ValueSize]byte)
+//	m × (pkey PPtr or key [16]byte, klen u32 | vlen u32, value [ValueSize]byte)
 //
 // With m = 56 the header is the fixed layout's (slots from byte 96); a slot
 // is 32 bytes with 8-byte values (leaf 1888 → 1920) and 152 bytes with

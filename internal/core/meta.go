@@ -36,12 +36,15 @@ import (
 // rounds that offset up to the slot alignment (layout.go); version 3 keeps
 // the geometry and stores variable-size keys of at most 16 bytes in the slot's
 // key cell, where a version-2 tree holds a pointer whatever the length — its
-// short keys would be read as their own pointers' bytes. There is one reader:
-// a tree of another version is refused at open.
+// short keys would be read as their own pointers' bytes; version 4 keeps the
+// geometry again and puts the value's length in the high half of a var slot's
+// length word, where a version-3 tree holds zero and pads the value to the
+// field — its values would all be read as empty. There is one reader: a tree
+// of another version is refused at open.
 const (
 	metaMagicBase   = 0xF97B_0000_4EAF_0000
 	metaVersionMask = 0xFFFF
-	layoutVersion   = 3
+	layoutVersion   = 4
 	metaMagic       = metaMagicBase | layoutVersion
 	mOffMagic       = 0
 	mOffStatus      = 8

@@ -161,7 +161,11 @@ func varCrashTrace(t *testing.T, pool *scm.Pool, cfg Config, concurrent bool, se
 	runWithCrash(t, pool, failAt, func() {
 		for i := 0; i < 1000; i++ {
 			k := strKey(rng.Intn(250))
-			v := []byte(fmt.Sprintf("val-%04d", rng.Intn(1000)))
+			n := rng.Intn(1000)
+			v := []byte(fmt.Sprintf("val-%04d", n))
+			if cfg.ValueSize > len(v) { // a wide field takes values of mixed lengths
+				v = bytes.Repeat(v, cfg.ValueSize/len(v)+1)[:[...]int{0, 3, 34, cfg.ValueSize}[n%4]]
+			}
 			switch rng.Intn(4) {
 			case 0:
 				tr.Delete(k) //nolint:errcheck
@@ -260,6 +264,8 @@ func TestParallelRecoveryEquivalenceVar(t *testing.T) {
 		{"groups4", Config{LeafCap: 8, InnerFanout: 4, GroupSize: 4}, false},
 		{"nogroups", Config{LeafCap: 8, InnerFanout: 4}, false},
 		{"concurrent", Config{LeafCap: 8, InnerFanout: 4}, true},
+		// kvserver's slot: the scan reads key cells only, slot by slot.
+		{"kv122", Config{LeafCap: 8, InnerFanout: 4, ValueSize: 122}, true},
 	}
 	for _, tc := range cases {
 		for _, failAt := range recoveryFailPoints {
@@ -446,4 +452,45 @@ func TestBulkLoadCrashRecoveryBothCodecs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRecoveryScanLines pins what the recovery scan reads of a leaf, as
+// misses on a cold cache. A leaf whose slots are no larger than a line is read
+// whole: 30 lines for the benchmark's 1920-byte leaf (32-byte slots). Of
+// kvserver's 8640-byte leaf (152-byte slots) the scan reads the two header
+// lines and each slot's 24-byte key cell and length word, 71 lines of the
+// leaf's 135: the 64 that hold nothing but value bytes are never touched,
+// however long the values stored there.
+func TestRecoveryScanLines(t *testing.T) {
+	for _, tc := range []struct {
+		valSize           int
+		leafBytes, misses uint64
+	}{{8, 1920, 30}, {122, 8640, 71}} {
+		pool := scm.NewPool(4<<20, scm.LatencyConfig{})
+		tr, err := CCreateVar(pool, Config{LeafCap: 56, ValueSize: tc.valSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var maxKey []byte
+		for i := 0; i < 56; i++ { // one full leaf of the benchmark's 16-byte keys, values filling the field
+			k := []byte(fmt.Sprintf("scan-key-%07d", i))
+			if err := tr.Insert(k, bytes.Repeat([]byte{'v'}, tc.valSize)); err != nil {
+				t.Fatal(err)
+			}
+			maxKey = k
+		}
+		if tr.Height() != 1 || tr.sh.size != tc.leafBytes {
+			t.Fatalf("value field %d: height %d, leaf of %d bytes, want one leaf of %d", tc.valSize, tr.Height(), tr.sh.size, tc.leafBytes)
+		}
+		leaf := tr.m.headLeaf().Offset
+		pool.Crash() // nothing is dirty: this only empties the simulated cache
+		m0 := pool.Stats().ReadMisses.Load()
+		k, n, leaks := tr.cdc.scanLeaf(leaf)
+		if m := pool.Stats().ReadMisses.Load() - m0; m != tc.misses {
+			t.Errorf("value field %d: scanLeaf of a %d-byte leaf cost %d misses, want %d", tc.valSize, tc.leafBytes, m, tc.misses)
+		}
+		if !bytes.Equal(k, maxKey) || n != 56 || len(leaks) != 0 {
+			t.Errorf("value field %d: scanLeaf = %q, %d live, %d repairs, want %q, 56, 0", tc.valSize, k, n, len(leaks), maxKey)
+		}
+	}
 }

@@ -5,8 +5,9 @@ import (
 )
 
 // VarTree is the single-threaded variable-size-key FPTree (Appendix C).
-// Keys are byte strings; each leaf slot holds a 16-byte key cell, the key
-// length, and an inline value of Config.ValueSize bytes. A key of at most 16
+// Keys are byte strings; each leaf slot holds a 16-byte key cell, the key and
+// value lengths, and an inline value of up to Config.ValueSize bytes, returned
+// at the length it was stored with. A key of at most 16
 // bytes is stored in the cell. A longer key is stored in a separately
 // allocated SCM block and the cell holds the persistent pointer to it: its
 // insert allocates the key through the leak-prevention allocator interface

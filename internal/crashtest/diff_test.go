@@ -26,7 +26,7 @@ func TestDifferentialVar(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(200); seed < 202; seed++ {
 				rig := tc.mk(t)
-				RunDifferentialVar(t, rig.tree, rig.scan, seed, 2000, 89, 200, varValLen)
+				RunDifferentialVar(t, rig.tree, rig.scan, seed, 2000, 89, 200, rig.valSize)
 				if err := rig.check(); err != nil {
 					t.Fatalf("seed %d: invariants after differential run: %v", seed, err)
 				}

@@ -10,6 +10,7 @@ package crashtest
 // and the recovery paths behind each.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -28,12 +29,16 @@ func fixedWorkload(seed int64, inserts, trace int, keySpace uint64) []FixedOp {
 	return ops
 }
 
-func varWorkload(seed int64, inserts, trace int, keySpace uint64) []VarOp {
+// varWorkload is fixedWorkload over VarKey's keys, for a tree whose value
+// field is valSize bytes wide: 8-byte values at the harness's width, VarValue's
+// mix of lengths in a wider one.
+func varWorkload(seed int64, inserts, trace int, keySpace uint64, valSize int) []VarOp {
 	ops := make([]VarOp, 0, inserts+trace+int(keySpace))
 	for k := uint64(1); k <= uint64(inserts); k++ {
-		ops = append(ops, VarOp{Kind: OpInsert, K: VarKey(k), V: pack8(k * 7)})
+		v := bytes.Repeat(pack8(k*7), (valSize+7)/8)[:valSize]
+		ops = append(ops, VarOp{Kind: OpInsert, K: VarKey(k), V: VarValue(v)})
 	}
-	ops = append(ops, GenVar(seed, trace, keySpace, varValLen)...)
+	ops = append(ops, GenVar(seed, trace, keySpace, valSize)...)
 	for k := uint64(1); k <= keySpace; k++ {
 		ops = append(ops, VarOp{Kind: OpDelete, K: VarKey(k)})
 	}
@@ -191,7 +196,7 @@ func TestCrashEnumerationVar(t *testing.T) {
 			for _, pass := range enumPasses {
 				t.Run(pass.name, func(t *testing.T) {
 					rig := tc.mk(t)
-					ops := varWorkload(2, 24, 40, 32)
+					ops := varWorkload(2, 24, 40, 32, rig.valSize)
 					n := enumerateVar(t, rig, ops, pass.opts)
 					if n < 48 {
 						t.Fatalf("only %d crash points exercised — fail-point wiring broken?", n)

@@ -3,11 +3,13 @@ package crashtest
 // Native fuzz targets funnelling into the differential checker. The input
 // byte stream decodes into (op, key, value) triples — including a
 // crash-and-recover opcode — applied in lockstep to the FPTree and PTree
-// variants (fixed keys) or the var-key FPTree, against the map oracle.
+// variants (fixed keys) or to two var-key FPTrees (8-byte values, and values of
+// mixed lengths in kvserver's 122-byte field), against the map oracle.
 // Seed corpora live in testdata/fuzz/. CI smoke-runs each target briefly;
 // run `go test -fuzz FuzzTreeOpsFixed ./internal/crashtest` to dig.
 
 import (
+	"bytes"
 	"testing"
 
 	"fptree/internal/core"
@@ -131,44 +133,48 @@ func FuzzTreeOpsFixed(f *testing.F) {
 func FuzzTreeOpsVar(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pool := scm.NewPool(fuzzPoolBytes, scm.LatencyConfig{CacheBytes: -1})
-		tr, err := core.CreateVar(pool, core.Config{LeafCap: 8, InnerFanout: 4, ValueSize: varValLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tree Var = tr
-		check := tr.CheckInvariants
-		oracle := map[string][]byte{}
-		touched := map[string]bool{}
-		for _, op := range decodeFuzz(data) {
-			if op.crash {
-				pool.Crash()
-				tr, err := core.OpenVar(pool)
-				if err != nil {
-					t.Fatalf("recovery: %v", err)
-				}
-				if err := tr.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				tree, check = tr, tr.CheckInvariants
-				continue
-			}
-			k := VarKey(op.k)
-			touched[string(k)] = true
-			vop := VarOp{Kind: op.kind, K: k, V: pack8(op.v)}
-			if err := ReplayVar(tree, oracle, []VarOp{vop}); err != nil {
+		// The value byte fills the field and, in the wide one, also selects
+		// the length the value is stored at (VarValue).
+		for _, valSize := range []int{varValLen, kvValSize} {
+			pool := scm.NewPool(fuzzPoolBytes, scm.LatencyConfig{CacheBytes: -1})
+			tr, err := core.CreateVar(pool, core.Config{LeafCap: 8, InnerFanout: 4, ValueSize: valSize})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		probe := make([]string, 0, len(touched))
-		for k := range touched {
-			probe = append(probe, k)
-		}
-		if err := DiffVar(tree, oracle, probe, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := check(); err != nil {
-			t.Fatal(err)
+			var tree Var = tr
+			check := tr.CheckInvariants
+			oracle := map[string][]byte{}
+			touched := map[string]bool{}
+			for _, op := range decodeFuzz(data) {
+				if op.crash {
+					pool.Crash()
+					tr, err := core.OpenVar(pool)
+					if err != nil {
+						t.Fatalf("value field %d: recovery: %v", valSize, err)
+					}
+					if err := tr.CheckInvariants(); err != nil {
+						t.Fatalf("value field %d: %v", valSize, err)
+					}
+					tree, check = tr, tr.CheckInvariants
+					continue
+				}
+				k := VarKey(op.k)
+				touched[string(k)] = true
+				v := VarValue(bytes.Repeat([]byte{byte(op.v)}, valSize))
+				if err := ReplayVar(tree, oracle, []VarOp{{Kind: op.kind, K: k, V: v}}); err != nil {
+					t.Fatalf("value field %d: %v", valSize, err)
+				}
+			}
+			probe := make([]string, 0, len(touched))
+			for k := range touched {
+				probe = append(probe, k)
+			}
+			if err := DiffVar(tree, oracle, probe, nil); err != nil {
+				t.Fatalf("value field %d: %v", valSize, err)
+			}
+			if err := check(); err != nil {
+				t.Fatalf("value field %d: %v", valSize, err)
+			}
 		}
 	})
 }

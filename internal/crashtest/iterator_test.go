@@ -499,9 +499,9 @@ func TestIteratorCrashEnumerationVar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ops := varWorkload(6, 20, 36, 28)
+			ops := varWorkload(6, 20, 36, 28, varValLen)
 			if testing.Short() {
-				ops = varWorkload(6, 14, 20, 18)
+				ops = varWorkload(6, 14, 20, 18, varValLen)
 			}
 			probe := probeUniverseVar(ops)
 			oracle := map[string][]byte{}

@@ -15,25 +15,29 @@ import (
 	"strconv"
 	"testing"
 
-	"fptree/internal/core"
 	"fptree/internal/kvserver"
 	"fptree/internal/scm"
 )
 
 const killShardCount = 4
 
+// fptreeC is the engine row by whose HasImage both kill -9 children decide
+// between create and open, as memkv does.
+var fptreeC, _ = kvserver.EngineByName("fptreec")
+
 // openShardedFleet opens (or creates) the shard arenas under path and builds
-// the router over one FPTreeC store per shard.
+// the router over one FPTreeC store per shard, deciding between the two as
+// memkv does: by the engine row's HasImage.
 func openShardedFleet(path string, shards int) (*kvserver.ShardedStore, []*scm.Pool, error) {
 	pools, recovered, err := scm.OpenFileShards(path, shards, 16<<20, scm.LatencyConfig{CacheBytes: -1})
 	if err != nil {
 		return nil, nil, err
 	}
 	stores, err := kvserver.BuildShardStores(shards, func(i int) (kvserver.Store, error) {
-		if recovered[i] && core.HasTree(pools[i]) {
-			return kvserver.OpenFPTreeCStore(pools[i], 2)
+		if recovered[i] && fptreeC.HasImage(pools[i]) {
+			return fptreeC.Open(pools[i], 2)
 		}
-		return kvserver.NewFPTreeCStore(pools[i])
+		return fptreeC.Create(pools[i])
 	})
 	if err != nil {
 		scm.ClosePools(pools)

@@ -58,7 +58,7 @@ func killChildMain() {
 		os.Exit(1)
 	}
 	var tr *core.CVarTree
-	if recovered && core.HasTree(pool) {
+	if recovered && fptreeC.HasImage(pool) {
 		tr, err = core.COpenVar(pool, core.RecoveryOptions{Workers: 2})
 	} else {
 		tr, err = core.CCreateVar(pool, core.Config{LeafCap: 8, InnerFanout: 8, ValueSize: 12})

@@ -123,9 +123,23 @@ func padVarKey(key []byte, k uint64) []byte {
 	return key
 }
 
+// VarValue cuts v, drawn at the width of a tree's value field, to the length
+// its first byte selects. At the 8 bytes every tree of the harness can hold it
+// is v itself. In a wider field — the FPTree stores each value at its own
+// length — it is empty, 3 bytes, 34 (the benchmark's 32-byte value behind
+// kvserver's 2-byte frame) or the whole field, so a slot's successive owners,
+// and an update's old and new value, differ in length in both directions.
+func VarValue(v []byte) []byte {
+	if len(v) <= 8 {
+		return v
+	}
+	return v[:[...]int{0, 3, min(34, len(v)), len(v)}[v[0]%4]]
+}
+
 // GenVar builds a reproducible mixed trace over the keys VarKey gives the
-// numbers of [1, keySpace] with values of exactly valLen bytes — sized to the
-// trees' configured inline value so contents compare byte-for-byte.
+// numbers of [1, keySpace] with the values VarValue makes of valLen random
+// bytes, valLen being the trees' configured inline value size, so contents
+// compare byte-for-byte.
 func GenVar(seed int64, n int, keySpace uint64, valLen int) []VarOp {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]VarOp, n)
@@ -135,7 +149,7 @@ func GenVar(seed int64, n int, keySpace uint64, valLen int) []VarOp {
 		ops[i] = VarOp{
 			Kind: OpKind(rng.Intn(int(opKinds))),
 			K:    VarKey(rng.Uint64()%keySpace + 1),
-			V:    v,
+			V:    VarValue(v),
 		}
 	}
 	return ops

@@ -136,16 +136,26 @@ func TestParallelRecoveryEquivEnumFixed(t *testing.T) {
 	}
 }
 
+// TestParallelRecoveryEquivEnumVar runs the 8-byte-value rig through every
+// pass, and kvserver's 122-byte field with values of mixed lengths — where the
+// scan reads each slot's key cell on its own and skips the value lines —
+// through the first clean and the first torn one.
 func TestParallelRecoveryEquivEnumVar(t *testing.T) {
-	for _, pass := range enumPasses {
-		t.Run(pass.name, func(t *testing.T) {
-			rig := fptreeVarRig(t, core.VariantFPTree, false)
-			ops := varWorkload(4, 16, 30, 24)
-			n := enumerateVarEquiv(t, rig, ops, pass.opts)
+	run := func(name string, valSize int, opts Options) {
+		t.Run(name, func(t *testing.T) {
+			rig := fptreeVarRig(t, core.VariantFPTree, false, valSize)
+			ops := varWorkload(4, 16, 30, 24, valSize)
+			n := enumerateVarEquiv(t, rig, ops, opts)
 			if n < 32 {
 				t.Fatalf("only %d crash points exercised — fail-point wiring broken?", n)
 			}
-			t.Logf("%s/%s: %d crash points, parallel == sequential at each", rig.name, pass.name, n)
+			t.Logf("%s/%s: %d crash points, parallel == sequential at each", rig.name, name, n)
 		})
+	}
+	for _, pass := range enumPasses {
+		run(pass.name, varValLen, pass.opts)
+	}
+	for _, pass := range []int{0, 2} {
+		run("kv-"+enumPasses[pass].name, kvValSize, enumPasses[pass].opts)
 	}
 }

@@ -9,6 +9,7 @@ package crashtest
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"fptree/internal/core"
@@ -37,10 +38,12 @@ type fixedRig struct {
 	scan    FixedScan
 }
 
-// varRig is the variable-size-key counterpart.
+// varRig is the variable-size-key counterpart. valSize is the width of the
+// tree's value field, which the workloads size their values by.
 type varRig struct {
 	name    string
 	leafCap int
+	valSize int
 	pool    *scm.Pool
 	tree    Var
 	reopen  func() error
@@ -168,10 +171,16 @@ func fixedRigs() []struct {
 	}
 }
 
-// All harness var values are exactly 8 bytes: it matches the trees'
-// configured inline ValueSize (so contents round-trip byte-for-byte) and
-// packs into the wBTree's uint64 payload.
+// Harness var values are exactly 8 bytes wherever the NV-Tree and the wBTree
+// take part: it matches the trees' configured inline ValueSize (so contents
+// round-trip byte-for-byte) and packs into the wBTree's uint64 payload.
 const varValLen = 8
+
+// kvValSize is the value field of kvserver's trees (a 120-byte value behind
+// its 2-byte frame; the 152-byte slot that straddles lines whatever its
+// start). The FPTree rigs built at this width are handed values of mixed
+// lengths (VarValue).
+const kvValSize = 122
 
 func pack8(v uint64) []byte {
 	b := make([]byte, 8)
@@ -188,9 +197,9 @@ type coreVarTree interface {
 	ScanN(from []byte, n int) []core.VarKV
 }
 
-func fptreeVarRig(tb testing.TB, variant core.Variant, concurrent bool) *varRig {
+func fptreeVarRig(tb testing.TB, variant core.Variant, concurrent bool, valSize int) *varRig {
 	tb.Helper()
-	cfg := core.Config{Variant: variant, LeafCap: 8, InnerFanout: 4, ValueSize: varValLen}
+	cfg := core.Config{Variant: variant, LeafCap: 8, InnerFanout: 4, ValueSize: valSize}
 	create := func(p *scm.Pool) (coreVarTree, error) { return core.CreateVar(p, cfg) }
 	open := func(p *scm.Pool) (coreVarTree, error) { return core.OpenVar(p) }
 	name := "fptree-var"
@@ -204,7 +213,10 @@ func fptreeVarRig(tb testing.TB, variant core.Variant, concurrent bool) *varRig 
 	default:
 		cfg.GroupSize = 4
 	}
-	rig := &varRig{name: name, leafCap: cfg.LeafCap, pool: newTestPool()}
+	if valSize != varValLen {
+		name = fmt.Sprintf("%s-val%d", name, valSize)
+	}
+	rig := &varRig{name: name, leafCap: cfg.LeafCap, valSize: valSize, pool: newTestPool()}
 	set := func(tr coreVarTree) {
 		rig.tree = tr
 		rig.check = tr.CheckInvariants
@@ -235,7 +247,7 @@ func fptreeVarRig(tb testing.TB, variant core.Variant, concurrent bool) *varRig 
 
 func nvtreeVarRig(tb testing.TB) *varRig {
 	tb.Helper()
-	rig := &varRig{name: "nvtree-var", leafCap: 8, pool: newTestPool()}
+	rig := &varRig{name: "nvtree-var", leafCap: 8, valSize: varValLen, pool: newTestPool()}
 	set := func(tr *nvtree.VarTree) {
 		rig.tree = tr
 		rig.check = tr.CheckInvariants
@@ -288,7 +300,7 @@ func (w wbVarAdapter) Delete(k []byte) (bool, error) { return w.t.Delete(k) }
 
 func wbtreeVarRig(tb testing.TB) *varRig {
 	tb.Helper()
-	rig := &varRig{name: "wbtree-var", leafCap: 4, pool: newTestPool()}
+	rig := &varRig{name: "wbtree-var", leafCap: 4, valSize: varValLen, pool: newTestPool()}
 	set := func(tr *wbtree.VarTree) {
 		rig.tree = wbVarAdapter{tr}
 		rig.check = tr.CheckInvariants
@@ -325,9 +337,10 @@ func varRigs() []struct {
 		name string
 		mk   func(testing.TB) *varRig
 	}{
-		{"fptree", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantFPTree, false) }},
-		{"fptreec", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantFPTree, true) }},
-		{"ptree", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantPTree, false) }},
+		{"fptree", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantFPTree, false, varValLen) }},
+		{"fptreec", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantFPTree, true, varValLen) }},
+		{"fptreec-kv", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantFPTree, true, kvValSize) }},
+		{"ptree", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantPTree, false, varValLen) }},
 		{"nvtree", func(tb testing.TB) *varRig { return nvtreeVarRig(tb) }},
 		{"wbtree", func(tb testing.TB) *varRig { return wbtreeVarRig(tb) }},
 	}

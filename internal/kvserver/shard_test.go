@@ -40,6 +40,42 @@ func newShardedFPTreeCPools(t *testing.T, n int) (*ShardedStore, []*scm.Pool) {
 	return ss, pools
 }
 
+// TestStoreSetZeroAlloc pins the served write path's allocation count (the
+// counterpart of core.TestCVarUpdateZeroAlloc one layer up): an overwriting
+// SET through the router frames its value in a pooled buffer and the engine
+// writes the frame straight into the slot, so nothing is allocated — with the
+// benchmark's 32-byte value and with one that fills the slot. A GET allocates
+// exactly the value it returns.
+func TestStoreSetZeroAlloc(t *testing.T) {
+	ss := newShardedFPTreeC(t, 2)
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%012d", i))
+		if err := ss.Set(keys[i], []byte("first")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, val := range [][]byte{bytes.Repeat([]byte("v"), 32), bytes.Repeat([]byte("w"), MaxValueSize)} {
+		i := 0
+		if allocs := testing.AllocsPerRun(500, func() {
+			if err := ss.Set(keys[i%len(keys)], val); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); allocs != 0 {
+			t.Errorf("Set of a %d-byte value: %.2f allocs/op, want 0", len(val), allocs)
+		}
+		if allocs := testing.AllocsPerRun(500, func() {
+			if v, ok := ss.Get(keys[i%len(keys)]); !ok || !bytes.Equal(v, val) {
+				t.Fatalf("Get = %q, %v", v, ok)
+			}
+			i++
+		}); allocs != 1 {
+			t.Errorf("Get of a %d-byte value: %.2f allocs/op, want 1", len(val), allocs)
+		}
+	}
+}
+
 // TestShardForStable pins the key→shard mapping: it must be a pure function
 // of (key, shard count) — no process state — because the per-shard arena
 // files persist the partition across restarts. A drift here would strand

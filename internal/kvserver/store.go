@@ -54,7 +54,7 @@ type Checker interface {
 }
 
 // MaxValueSize bounds stored values (they are stored inline in the trees'
-// fixed-size value slots with a 2-byte length prefix).
+// value slots behind a 2-byte length prefix).
 const MaxValueSize = 120
 
 const slotSize = MaxValueSize + 2
@@ -63,17 +63,14 @@ const slotSize = MaxValueSize + 2
 // the trees' inline value slots.
 var ErrValueTooLarge = errors.New("kvserver: value exceeds MaxValueSize")
 
-func encodeVal(v []byte) ([]byte, error) {
-	if len(v) > MaxValueSize {
-		return nil, ErrValueTooLarge
-	}
-	buf := make([]byte, slotSize)
-	buf[0] = byte(len(v))
-	buf[1] = byte(len(v) >> 8)
-	copy(buf[2:], v)
-	return buf, nil
-}
+// framePool recycles the buffers Set frames values in: the engine copies the
+// frame into its slot and keeps nothing of it, so an overwriting SET
+// allocates nothing.
+var framePool = sync.Pool{New: func() any { return new([slotSize]byte) }}
 
+// decodeVal strips the frame. The FPTree engines return a frame at the
+// length it was stored with; the NV-Tree pads it to the slot, so the prefix
+// stays the authority on the value's length for every engine.
 func decodeVal(buf []byte) []byte {
 	if len(buf) < 2 {
 		return nil
@@ -111,7 +108,7 @@ func (nvTree) SetController(*htm.AdaptiveController) {}
 func (nvTree) Controller() *htm.AdaptiveController   { return nil }
 
 // treeStore is the one adapter between the Store contract and a persistent
-// tree: it frames values into the tree's fixed-size slot and, for the
+// tree: it frames values for the tree's value slot and, for the
 // single-threaded engines, serialises every call behind a global lock (the
 // paper's non-concurrent configuration).
 type treeStore struct {
@@ -120,16 +117,23 @@ type treeStore struct {
 	mu   *sync.Mutex // nil when the engine synchronises itself
 }
 
+// Set hands the engine the frame at the value's own length — prefix plus
+// value, not the whole slot — so the engine stages, flushes and later reads
+// only the lines those bytes reach.
 func (s *treeStore) Set(k, v []byte) error {
-	buf, err := encodeVal(v)
-	if err != nil {
-		return err
+	if len(v) > MaxValueSize {
+		return ErrValueTooLarge
 	}
+	frame := framePool.Get().(*[slotSize]byte)
+	defer framePool.Put(frame)
+	frame[0] = byte(len(v))
+	frame[1] = byte(len(v) >> 8)
+	copy(frame[2:], v)
 	if s.mu != nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	return s.t.Upsert(k, buf)
+	return s.t.Upsert(k, frame[:2+len(v)])
 }
 
 func (s *treeStore) Get(k []byte) ([]byte, bool) {
@@ -199,11 +203,15 @@ type Engine struct {
 	// tunes the parallel recovery leaf scan where the engine has one. Nil
 	// for an engine with no persistent form.
 	Open func(pool *scm.Pool, workers int) (Store, error)
+	// HasImage reports whether a reopened arena already holds a store of
+	// this engine's family — Open it — or is still blank — Create on it. It
+	// runs allocator recovery first. Nil exactly when Open is.
+	HasImage func(pool *scm.Pool) bool
 }
 
 // treeEngine builds the row of a tree engine: its constructors wrapped in
 // the adapter, the lock present unless the tree is concurrent.
-func treeEngine[T tree](key, name string, concurrent bool,
+func treeEngine[T tree](key, name string, concurrent bool, hasImage func(*scm.Pool) bool,
 	create func(*scm.Pool) (T, error), open func(*scm.Pool, int) (T, error)) Engine {
 	adapt := func(t T, err error) (Store, error) {
 		if err != nil {
@@ -215,7 +223,7 @@ func treeEngine[T tree](key, name string, concurrent bool,
 		}
 		return s, nil
 	}
-	return Engine{Name: key, Concurrent: concurrent,
+	return Engine{Name: key, Concurrent: concurrent, HasImage: hasImage,
 		Create: func(p *scm.Pool) (Store, error) { return adapt(create(p)) },
 		Open:   func(p *scm.Pool, workers int) (Store, error) { return adapt(open(p, workers)) },
 	}
@@ -231,7 +239,7 @@ func openVar(p *scm.Pool, workers int) (*core.VarTree, error) {
 	return core.OpenVar(p, core.RecoveryOptions{Workers: workers})
 }
 
-var fptreeC = treeEngine("fptreec", "FPTreeC", true,
+var fptreeC = treeEngine("fptreec", "FPTreeC", true, core.HasTree,
 	func(p *scm.Pool) (*core.CVarTree, error) {
 		return core.CCreateVar(p, core.Config{LeafCap: 56, InnerFanout: 64, ValueSize: slotSize})
 	},
@@ -244,11 +252,11 @@ var fptreeC = treeEngine("fptreec", "FPTreeC", true,
 // other list of engines.
 var Engines = []Engine{
 	fptreeC,
-	treeEngine("fptree", "FPTree", false,
+	treeEngine("fptree", "FPTree", false, core.HasTree,
 		createVar(core.Config{LeafCap: 56, InnerFanout: 2048, GroupSize: 8, ValueSize: slotSize}), openVar),
-	treeEngine("ptree", "PTree", false,
+	treeEngine("ptree", "PTree", false, core.HasTree,
 		createVar(core.Config{Variant: core.VariantPTree, LeafCap: 32, InnerFanout: 256, ValueSize: slotSize}), openVar),
-	treeEngine("nvtreec", "NV-TreeC", true,
+	treeEngine("nvtreec", "NV-TreeC", true, nvtree.HasTree,
 		func(p *scm.Pool) (nvTree, error) {
 			t, err := nvtree.CNewVar(p, nvtree.Config{LeafCap: 32, InnerCap: 128, ValueSize: slotSize})
 			return nvTree{t}, err

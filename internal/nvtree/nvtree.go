@@ -232,6 +232,16 @@ func create(pool *scm.Pool, cfg Config, mode int) (*base, error) {
 	return b, nil
 }
 
+// HasTree reports whether the pool's arena already holds an NV-Tree's
+// metadata block, as core.HasTree does for the FPTree family: it runs
+// allocator recovery first, so a caller with a freshly reopened arena (memkv
+// deciding between create and open on a -data file) can use it directly.
+func HasTree(pool *scm.Pool) bool {
+	pool.Recover()
+	root := pool.Root()
+	return !root.IsNull() && pool.ReadU64(root.Offset+mOffMagic) == metaMagic
+}
+
 // Open recovers a fixed-size-key NV-Tree: micro-log replay, then the full
 // inner-node rebuild from the leaf list.
 func Open(pool *scm.Pool, innerCap int) (*Tree, error) {

@@ -1,6 +1,7 @@
 package fptree
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -8,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"fptree/internal/kvserver"
+	"fptree/internal/obs"
 	"fptree/internal/scm"
 )
 
@@ -310,15 +313,21 @@ func scatteredKey(buf *[16]byte, id uint64) []byte {
 // ("Flush every line once"): in count mode, on the repository benchmark's
 // idx-write tree (CVarTree, 300k x 16 B keys, 8 B values, 4 MiB simulated
 // cache) and idx-read tree (CTree, 1M keys), what one Insert, Update, Delete
-// and Find costs in line flushes, fences and simulated-cache misses, splits
-// and leaf deletes included. The counts repeat exactly for a -benchtime Nx.
+// and Find costs in line flushes, fences, simulated-cache misses and pool
+// accesses (loads), splits and leaf deletes included. The kv rows are the
+// served path's tree, which the repository benchmark's traced pass cannot
+// show from the SET side (its tree-level target upserts whole 122-byte
+// slots): kvserver's store (LeafCap 56, 122-byte value field) holding 100k of
+// the same keys with the benchmark's 32-byte values, through the adapter's
+// 2-byte frame — an overwriting SET, a GET, and what the recovery scan misses
+// on per leaf. The counts repeat exactly for a -benchtime Nx.
 //
 //	go test -run '^$' -bench OpCounts -benchtime 30000x .
 func BenchmarkOpCounts(b *testing.B) {
 	run := func(b *testing.B, pool *scm.Pool, op func()) {
 		st := pool.Stats()
 		f0, n0 := st.FlushFence()
-		m0 := st.ReadMisses.Load()
+		m0, r0 := st.ReadMisses.Load(), st.Reads.Load()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			op()
@@ -328,6 +337,7 @@ func BenchmarkOpCounts(b *testing.B) {
 		b.ReportMetric(float64(f1-f0)/float64(b.N), "flushes/op")
 		b.ReportMetric(float64(n1-n0)/float64(b.N), "fences/op")
 		b.ReportMetric(float64(st.ReadMisses.Load()-m0)/float64(b.N), "misses/op")
+		b.ReportMetric(float64(st.Reads.Load()-r0)/float64(b.N), "loads/op")
 	}
 	const varKeys, fixedKeys = 300000, 1000000
 	vt, err := CreateConcurrentVar(Options{PoolSize: 128 << 20})
@@ -376,6 +386,45 @@ func BenchmarkOpCounts(b *testing.B) {
 			}
 			victim++
 		})
+	})
+	const kvKeys = 100000
+	kvPool := scm.NewPool(128<<20, scm.LatencyConfig{})
+	kv, err := kvserver.NewFPTreeCStore(kvPool)
+	if err != nil {
+		b.Fatal(err)
+	}
+	val32 := bytes.Repeat([]byte("v"), 32)
+	for id := uint64(0); id < kvKeys; id++ {
+		if err := kv.Set(scatteredKey(&buf, id), val32); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("kv-set", func(b *testing.B) {
+		run(b, kvPool, func() {
+			if err := kv.Set(scatteredKey(&buf, uint64(rng.Intn(kvKeys))), val32); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
+	b.Run("kv-get", func(b *testing.B) {
+		run(b, kvPool, func() {
+			if _, ok := kv.Get(scatteredKey(&buf, uint64(rng.Intn(kvKeys)))); !ok {
+				b.Fatal("missing")
+			}
+		})
+	})
+	// One recovery whatever b.N: the misses of reopening the store on a cold
+	// cache, over the leaves its scan visited.
+	b.Run("kv-scan", func(b *testing.B) {
+		kvPool.Crash() // nothing is dirty: this only empties the simulated cache
+		m0 := kvPool.Stats().ReadMisses.Load()
+		if kv, err = kvserver.OpenFPTreeCStore(kvPool, 1); err != nil {
+			b.Fatal(err)
+		}
+		misses := kvPool.Stats().ReadMisses.Load() - m0
+		reg := obs.NewRegistry()
+		kv.RegisterMetrics(reg)
+		b.ReportMetric(float64(misses)/reg.Snapshot()["fptree_recovery_leaves_scanned_total"], "misses/leaf")
 	})
 	ft, err := CreateConcurrent(Options{PoolSize: 128 << 20})
 	if err != nil {
