@@ -36,6 +36,11 @@
 // attribution). -slow-op D counts and event-logs every request slower than D
 // regardless of sampling.
 //
+// Every shard of a concurrent tree store runs under a retry controller (a
+// budget of optimistic attempts, then the shard's fallback lock); there is no
+// flag for it, and htm_adaptive_budget, htm_adaptive_abort_ewma and
+// htm_fallbacks_total show what it is doing.
+//
 // On SIGINT/SIGTERM the server drains in-flight commands (bounded by -drain)
 // and, unless -stats=false, dumps the final stats — per-op counters, latency
 // histogram summaries and the SCM emulator counters — to stdout.
@@ -51,7 +56,6 @@ import (
 	"syscall"
 	"time"
 
-	"fptree/internal/htm"
 	"fptree/internal/kvserver"
 	"fptree/internal/obs"
 	"fptree/internal/obs/trace"
@@ -78,9 +82,6 @@ func main() {
 		traceSample  = flag.Int("trace-sample", 0, "trace 1 in N requests with phase/flush/abort attribution on /debug/traces (0 = tracing off)")
 		slowOp       = flag.Duration("slow-op", 0, "count + event-log any request slower than this, even with tracing off (0 = off)")
 		windowEvery  = flag.Duration("window", time.Second, "snapshot interval for the windowed window_* gauges")
-		adaptive     = flag.Bool("adaptive", false, "adaptive HTM concurrency: per-shard controllers track the live abort ratio, adjusting retry budgets and fallback entry (concurrent tree stores only)")
-		adaptFloor   = flag.Int("adaptive-floor", 0, "minimum optimistic retry budget for -adaptive (0 = default)")
-		adaptCeiling = flag.Int("adaptive-ceiling", 0, "maximum optimistic retry budget for -adaptive (0 = default)")
 	)
 	flag.Parse()
 
@@ -123,18 +124,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	if *adaptive {
-		acfg := htm.AdaptiveConfig{Floor: *adaptFloor, Ceiling: *adaptCeiling}
-		ctrls := kvserver.AttachAdaptive(st, acfg)
-		if len(ctrls) == 0 {
-			fmt.Fprintf(os.Stderr, "memkv: -adaptive needs a concurrent tree store (have %q)\n", *store)
-			os.Exit(2)
-		}
-		cfg := ctrls[0].Config()
-		fmt.Printf("memkv: adaptive concurrency on %d shard(s), retry budget [%d,%d]\n",
-			len(ctrls), cfg.Floor, cfg.Ceiling)
 	}
 
 	var ring *obs.EventRing

@@ -12,11 +12,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"fptree/internal/htm"
 )
 
 // buildMemkv compiles the binary under test once per test run.
@@ -385,5 +388,27 @@ func TestMemkvHashmapRejectsData(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "cannot use -data") {
 		t.Fatalf("unexpected error output: %s", out)
+	}
+}
+
+// TestRetryPolicyHasNoSwitch pins the surface of the one retry policy so it
+// cannot grow back unnoticed: the controller's configuration is the four
+// fields something sets, and memkv has no flag that turns the controller on
+// or off or tunes it. A new field has to edit this test and say who sets it.
+func TestRetryPolicyHasNoSwitch(t *testing.T) {
+	var fields []string
+	for ct, i := reflect.TypeOf(htm.AdaptiveConfig{}), 0; i < ct.NumField(); i++ {
+		fields = append(fields, ct.Field(i).Name)
+	}
+	if want := []string{"Floor", "Ceiling", "AdaptEvery", "AlwaysFallback"}; !reflect.DeepEqual(fields, want) {
+		t.Errorf("htm.AdaptiveConfig fields = %v, want exactly %v", fields, want)
+	}
+
+	usage, _ := exec.Command(buildMemkv(t, t.TempDir()), "-h").CombinedOutput() // -h exits 2 by flag's convention
+	if !strings.Contains(string(usage), "  -shards") {
+		t.Fatalf("memkv -h did not print its flags:\n%s", usage)
+	}
+	if strings.Contains(string(usage), "  -adaptive") {
+		t.Errorf("memkv has a controller flag again:\n%s", usage)
 	}
 }

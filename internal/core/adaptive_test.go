@@ -8,17 +8,38 @@ import (
 	"time"
 
 	"fptree/internal/htm"
+	"fptree/internal/obs"
+	"fptree/internal/obs/trace"
+	"fptree/internal/scm"
 )
 
-// TestAdaptiveControllerAttach: the facade promotes SetController/Controller,
-// single-threaded trees ignore it, and metrics registration picks up the
-// controller series.
+// TestAdaptiveControllerAttach: every concurrent tree is born with a
+// controller at the default bounds, SetController (promoted by the facade)
+// replaces it, and single-threaded trees have none and ignore one.
 func TestAdaptiveControllerAttach(t *testing.T) {
 	ct := newCTree(t, Config{LeafCap: 8, InnerFanout: 4})
+	own := ct.Controller()
+	if own == nil {
+		t.Fatal("concurrent tree was created without a controller")
+	}
+	if cfg := own.Config(); cfg.Floor != htm.DefaultAdaptiveFloor || cfg.Ceiling != htm.DefaultAdaptiveCeiling {
+		t.Fatalf("default controller bounds = [%d,%d]", cfg.Floor, cfg.Ceiling)
+	}
 	c := htm.NewAdaptiveController(htm.AdaptiveConfig{})
 	ct.SetController(c)
 	if ct.Controller() != c {
-		t.Fatal("controller not installed on concurrent tree")
+		t.Fatal("SetController did not replace the tree's own controller")
+	}
+	ct.SetController(nil)
+	if ct.Controller() != c {
+		t.Fatal("SetController(nil) left a concurrent tree without a controller")
+	}
+	re, err := COpen(ct.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Controller() == nil {
+		t.Fatal("recovered concurrent tree has no controller")
 	}
 	st, err := Create(newPool(16), Config{LeafCap: 8, InnerFanout: 4})
 	if err != nil {
@@ -27,6 +48,124 @@ func TestAdaptiveControllerAttach(t *testing.T) {
 	st.SetController(c)
 	if st.Controller() != nil {
 		t.Fatal("single-threaded tree accepted a controller")
+	}
+}
+
+// TestDefaultTreeFallsBackUnderContention: a plain concurrent tree, nobody
+// calling SetController, runs the paper's scheme — writers hammering one hot
+// leaf exhaust the live retry budget and serialise behind the fallback lock.
+// The entry is visible where operators look: htm_fallbacks_total (the one
+// fallback counter), the controller's gauges, and the span of the operation
+// that took the lock. A few µs of emulated flush latency hold the leaf lock
+// long enough to conflict, as in the contention sweep.
+func TestDefaultTreeFallsBackUnderContention(t *testing.T) {
+	pool := scm.NewPool(16<<20, scm.LatencyConfig{Mode: scm.LatencySpin, WriteLatency: 5 * time.Microsecond})
+	tr, err := CCreateVar(pool, Config{LeafCap: 8, InnerFanout: 4, ValueSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := trace.New(trace.Config{SampleEvery: 1})
+	tr.SetTracer(tracer)
+	reg := obs.NewRegistry()
+	tr.RegisterMetrics(reg)
+	for i := 0; i < 8; i++ {
+		if err := tr.Insert(strKey(i), val8(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Each writer stops at the first fallback entry anyone makes, so the
+	// spans that made one are still among the tracer's most recent.
+	deadline := time.Now().Add(60 * time.Second)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := uint64(1); tr.Stats.Fallbacks.Load() == 0 && time.Now().Before(deadline); i++ {
+				if _, err := tr.Update(strKey(w%2), val8(i)); err != nil {
+					t.Errorf("update: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	snap := reg.Snapshot()
+	if snap["htm_fallbacks_total"] == 0 {
+		t.Fatalf("no fallback entry in 60s of 4 writers on one leaf (aborts %v, budget %v)",
+			snap["htm_aborts_total"], snap["htm_adaptive_budget"])
+	}
+	if _, ok := snap["htm_adaptive_budget"]; !ok {
+		t.Fatal("htm_adaptive_budget not exported by a tree nobody attached a controller to")
+	}
+	var traced uint32
+	spans, _, _ := tracer.Spans()
+	for _, sp := range spans {
+		traced += sp.Fallbacks
+	}
+	if float64(traced) != snap["htm_fallbacks_total"] {
+		t.Fatalf("the last %d spans report %d fallbacks, htm_fallbacks_total = %v with every op sampled",
+			len(spans), traced, snap["htm_fallbacks_total"])
+	}
+}
+
+// TestWaiterDiesWithCrashedLockHolder pins the crash check in the engine's
+// blocking waits: a goroutine parked behind a lock whose holder died at an
+// injected crash (and so never releases it) must end with the crash, not spin
+// on. AlwaysFallback makes every writer a blocking one; since every concurrent
+// tree has a controller, any tree's writers can become one.
+func TestWaiterDiesWithCrashedLockHolder(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		keys   int          // keys present before the crash
+		victim func(*CTree) // dies holding a lock, at its first flush
+		waiter func(*CTree) // then needs that lock
+	}{
+		// The victim dies inside its leaf critical section; the waiter is a
+		// fallback writer, which blocks on the leaf lock instead of aborting.
+		{"fallback-writer-on-leaf-lock", 8,
+			func(tr *CTree) { _, _ = tr.Update(3, 1) },
+			func(tr *CTree) { _, _ = tr.Update(3, 2) }},
+		// firstLeaf holds the anchor and the root lock across its Alloc; a
+		// descent waits in readBegin on the anchor, a second firstLeaf in
+		// lockNode on it.
+		{"descent-on-anchor", 0,
+			func(tr *CTree) { _ = tr.Insert(1, 1) },
+			func(tr *CTree) { tr.Find(1) }},
+		{"first-leaf-on-anchor", 0,
+			func(tr *CTree) { _ = tr.Insert(1, 1) },
+			func(tr *CTree) { _ = tr.firstLeaf(tr.root.Load()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := newCTree(t, Config{LeafCap: 8, InnerFanout: 4})
+			tr.SetController(htm.NewAdaptiveController(htm.AdaptiveConfig{AlwaysFallback: true}))
+			for k := 1; k <= tc.keys; k++ {
+				if err := tr.Insert(uint64(k), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crashOf := func(op func(*CTree)) (r any) {
+				defer func() { r = recover() }()
+				op(tr)
+				return nil
+			}
+			tr.Pool().FailAfterFlushes(1)
+			if r := crashOf(tc.victim); r != scm.ErrInjectedCrash {
+				t.Fatalf("victim ended with %v, want the injected crash", r)
+			}
+			done := make(chan any, 1)
+			go func() { done <- crashOf(tc.waiter) }()
+			select {
+			case r := <-done:
+				if r != scm.ErrInjectedCrash {
+					t.Fatalf("waiter ended with %v, want scm.ErrInjectedCrash", r)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("waiter is still spinning on a lock whose holder died in the crash")
+			}
+		})
 	}
 }
 
@@ -55,84 +194,135 @@ func TestAdaptiveOpsFeedController(t *testing.T) {
 }
 
 // TestReaderConcurrentWithFallbackWriter is the race-enabled linearizability
-// check for Brown's refinement: with AlwaysFallback forcing every write
-// through the global fallback lock, optimistic readers must keep completing
-// (they validate leaf versions against the writer's publication point instead
-// of stalling on the lock) and every reader must observe a monotonically
-// non-decreasing register — each update commits its leaf-version bump before
-// the leaf lock is released, so no reader can see an older value after a
-// newer one.
+// check for Brown's refinement, where fast and fallback paths coexist. Under
+// AlwaysFallback every write goes through the global fallback lock; under a
+// fixed budget of one (Floor == Ceiling == 1) a writer's second retry does, so
+// optimistic writers, fallback writers and readers interleave on the same
+// leaves. Either way optimistic readers must keep completing (they validate
+// leaf versions against the writer's publication point instead of stalling
+// on the lock) and every key must read as a register that never goes back:
+// a writer's values for a key only grow, and each update commits its
+// leaf-version bump before the leaf lock is released, so no reader can see a
+// writer's older value after its newer one.
 func TestReaderConcurrentWithFallbackWriter(t *testing.T) {
-	ct := newCTree(t, Config{LeafCap: 8, InnerFanout: 4})
-	c := htm.NewAdaptiveController(htm.AdaptiveConfig{AlwaysFallback: true})
-	ct.SetController(c)
+	for _, tc := range []struct {
+		name    string
+		cfg     htm.AdaptiveConfig
+		writers int
+	}{
+		{"always-fallback", htm.AdaptiveConfig{AlwaysFallback: true}, 1},
+		{"budget-one", htm.AdaptiveConfig{Floor: 1, Ceiling: 1}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) { readersBesideFallbackWriters(t, tc.cfg, tc.writers) })
+	}
+}
 
-	const hot = uint64(500)
-	// Populate the hot key's neighborhood so reads traverse real inner nodes.
+func readersBesideFallbackWriters(t *testing.T, cfg htm.AdaptiveConfig, writers int) {
+	ct := newCTree(t, Config{LeafCap: 8, InnerFanout: 4})
+	ct.SetController(htm.NewAdaptiveController(cfg))
+
+	// Every writer and reader works on the same few keys of one leaf, amid
+	// enough neighbours that reads traverse real inner nodes. A value is
+	// seq*writers + writer, so a reader can tell whose write it saw.
+	hot := []uint64{500, 501, 502}
 	for i := uint64(1); i <= 1000; i++ {
 		if err := ct.Insert(i, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// A little flush latency holds each leaf lock long enough for the other
+	// writers to run out of a budget of one.
+	ct.Pool().SetLatency(scm.LatencySpin, 0, 2*time.Microsecond)
 
-	// The writer keeps cycling through the fallback lock until every reader
-	// has banked readsEach overlapping reads (at least minWrites updates
-	// either way), so the test cannot pass without genuine reader progress
-	// alongside an active fallback writer — and cannot flake on a scheduler
-	// that briefly starves the readers, as a fixed write count can on one CPU.
+	// The writers keep going until every reader has banked readsEach
+	// overlapping reads, at least minWrites updates were made and, where the
+	// budget decides, at least one of them took the fallback lock — so the
+	// test cannot pass without genuine reader progress beside active
+	// fallback writers, and cannot flake on a scheduler that briefly starves
+	// someone, as fixed counts can on one CPU.
 	const minWrites = 2000
 	const readers = 4
 	const readsEach = 50
 	var written atomic.Uint64
-	var done atomic.Int32
-	var wg sync.WaitGroup
+	var stop atomic.Bool
+	var readersDone atomic.Int32
+	var rg, wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer done.Add(1)
-			var last uint64
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			defer readersDone.Add(1)
+			last := make([][]uint64, len(hot)) // [key][writer] -> highest seq seen
+			for i := range last {
+				last[i] = make([]uint64, writers)
+			}
 			for reads := 0; reads < readsEach; {
 				if written.Load() == 0 {
-					// Only count reads that overlap the writer's fallback
-					// sections.
+					// Only count reads that overlap the writers.
 					runtime.Gosched()
 					continue
 				}
-				v, ok := ct.Find(hot)
+				k := (r + reads) % len(hot)
+				v, ok := ct.Find(hot[k])
 				if !ok {
 					t.Error("hot key vanished")
 					return
 				}
-				if v < last {
-					t.Errorf("non-monotonic read: %d after %d", v, last)
+				w, seq := v%uint64(writers), v/uint64(writers)
+				if seq < last[k][w] {
+					t.Errorf("key %d went back: writer %d's seq %d after its %d", hot[k], w, seq, last[k][w])
 					return
 				}
-				last = v
+				last[k][w] = seq
 				reads++
 			}
-		}()
+		}(r)
+	}
+	finals := make([][]uint64, writers) // [writer][key] -> last value written
+	for w := 0; w < writers; w++ {
+		finals[w] = make([]uint64, len(hot))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for seq := uint64(1); !stop.Load(); seq++ {
+				k := int(seq) % len(hot)
+				v := seq*uint64(writers) + uint64(w)
+				if ok, err := ct.Update(hot[k], v); err != nil || !ok {
+					t.Errorf("writer %d update %d: ok=%v err=%v", w, seq, ok, err)
+					return
+				}
+				finals[w][k] = v
+				written.Add(1)
+			}
+		}(w)
 	}
 	deadline := time.Now().Add(60 * time.Second)
-	for written.Load() < minWrites || int(done.Load()) < readers {
-		i := written.Load() + 1
-		ok, err := ct.Update(hot, i)
-		if err != nil || !ok {
-			t.Fatalf("update %d: ok=%v err=%v", i, ok, err)
+	for written.Load() < minWrites || int(readersDone.Load()) < readers || ct.Stats.Fallbacks.Load() == 0 {
+		if t.Failed() {
+			break
 		}
-		written.Store(i)
 		if time.Now().After(deadline) {
-			t.Fatalf("readers starved: %d/%d done after %d writes", done.Load(), readers, i)
+			t.Errorf("after %d writes: %d/%d readers done, %d fallback entries", written.Load(), readersDone.Load(), readers, ct.Stats.Fallbacks.Load())
+			break
 		}
+		time.Sleep(time.Millisecond)
 	}
+	stop.Store(true)
 	wg.Wait()
-
-	writes := written.Load()
-	if got := c.Stats.FallbackEntries.Load(); got < writes {
-		t.Fatalf("FallbackEntries = %d, want >= %d (AlwaysFallback)", got, writes)
+	rg.Wait()
+	if t.Failed() {
+		return
 	}
-	if v, ok := ct.Find(hot); !ok || v != writes {
-		t.Fatalf("final value = %d,%v, want %d", v, ok, writes)
+
+	writes, fallbacks := written.Load(), ct.Stats.Fallbacks.Load()
+	if cfg.AlwaysFallback && fallbacks < writes {
+		t.Fatalf("fallback entries = %d, want >= %d (AlwaysFallback)", fallbacks, writes)
+	}
+	for k, key := range hot {
+		v, ok := ct.Find(key)
+		if !ok || finals[v%uint64(writers)][k] != v {
+			t.Fatalf("final value of key %d = %d,%v: not the last write of the writer it names", key, v, ok)
+		}
 	}
 }
 

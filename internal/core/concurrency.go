@@ -1,6 +1,11 @@
 package core
 
-import "fptree/internal/htm"
+import (
+	"runtime"
+
+	"fptree/internal/htm"
+	"fptree/internal/scm"
+)
 
 // concurrency is the engine's synchronization template (Selective Concurrency,
 // paper §4.2; cf. Brown's HTM-template factoring). The engine always runs the
@@ -50,12 +55,33 @@ func (nopCC) unlockLeaf(*leafRef)                    {}
 // occCC is the concurrent controller: speculative validated descent over
 // per-node version locks plus fine-grained leaf spinlocks, the software
 // analogue of the paper's HTM sections with fallback.
-type occCC struct{}
+//
+// It knows the pool because a goroutine that dies at an injected crash never
+// releases what it holds (firstLeaf holds the anchor and the root across its
+// Alloc; an SMO holds inner nodes across a pool read that panics once another
+// goroutine has crashed), so the two waits on a node lock must die with it.
+type occCC struct{ pool *scm.Pool }
 
-func (occCC) concurrent() bool                           { return true }
-func (occCC) readBegin(l *htm.VersionLock) uint64        { return l.ReadBegin() }
+func (occCC) concurrent() bool { return true }
+
+func (c occCC) readBegin(l *htm.VersionLock) uint64 {
+	for {
+		if ver, ok := l.TryReadBegin(); ok {
+			return ver
+		}
+		c.pool.PanicIfCrashed()
+		runtime.Gosched()
+	}
+}
+
+func (c occCC) lockNode(l *htm.VersionLock) {
+	for !l.TryLock() {
+		c.pool.PanicIfCrashed()
+		runtime.Gosched()
+	}
+}
+
 func (occCC) validate(l *htm.VersionLock, v uint64) bool { return l.ReadValidate(v) }
-func (occCC) lockNode(l *htm.VersionLock)                { l.Lock() }
 func (occCC) unlockNode(l *htm.VersionLock)              { l.Unlock() }
 func (occCC) unlockNodeNoBump(l *htm.VersionLock)        { l.UnlockNoBump() }
 func (occCC) tryRLockLeaf(r *leafRef) bool               { return r.lk.TryRLock() }

@@ -4,33 +4,33 @@ import (
 	"runtime"
 
 	"fptree/internal/htm"
+	"fptree/internal/obs/trace"
 )
 
-// SetController installs an adaptive concurrency controller on the tree; nil
-// (the default) keeps the fixed htm.Backoff budget. Like SetTracer, the
-// facades promote this method and kvserver discovers it through an optional
-// interface, so any concurrent store can be steered without constructor
-// plumbing. Single-threaded trees ignore it: the nop controller never aborts,
-// so there is no signal to adapt on.
+// SetController replaces the controller newEngine gave a concurrent tree (the
+// default htm.AdaptiveConfig) with c — a test's fast-window or fixed-budget
+// (Floor == Ceiling) configuration. The facades promote this method.
+// Single-threaded trees never abort, have no controller and ignore it; a nil
+// c is ignored too, since nothing else paces a concurrent tree's retries.
 //
-// Call before the tree serves traffic: the field is read without
-// synchronization on every operation.
+// Call before the tree serves traffic and before RegisterMetrics: the field
+// is read without synchronization, and the gauges bind to the controller of
+// the time.
 func (e *engine[K, V]) SetController(c *htm.AdaptiveController) {
-	if e.st {
+	if e.st || c == nil {
 		return
 	}
 	e.ctrl = c
 }
 
-// Controller returns the installed adaptive controller (nil when the fixed
-// budget is in effect).
+// Controller returns the tree's controller (nil on a single-threaded tree).
 func (e *engine[K, V]) Controller() *htm.AdaptiveController { return e.ctrl }
 
 // opDone reports one completed public operation to the controller — the
 // denominator of the abort ratio it steers on, and the clock that paces its
 // adaptation windows.
 func (e *engine[K, V]) opDone() {
-	if e.ctrl != nil {
+	if !e.st {
 		e.ctrl.OnOp()
 	}
 }
@@ -49,14 +49,14 @@ func (e *engine[K, V]) opDone() {
 // publication point (unlockLeaf bumps the version before releasing the leaf
 // lock), so a reader overlapping a fallback writer either sees a consistent
 // pre-image or aborts and retries, and never stalls on the global lock.
-func (e *engine[K, V]) maybeFallback(attempt int, held *bool) {
-	if *held || e.ctrl == nil {
+func (e *engine[K, V]) maybeFallback(attempt int, held *bool, sp *trace.Span) {
+	if *held || e.st || !e.ctrl.ShouldFallback(attempt) {
 		return
 	}
-	if e.ctrl.ShouldFallback(attempt) {
-		e.ctrl.EnterFallback()
-		*held = true
-	}
+	e.ctrl.EnterFallback()
+	*held = true
+	e.Stats.Fallbacks.Add(1)
+	sp.Fallback()
 }
 
 // releaseFallback releases the fallback lock if this operation entered it.
@@ -76,7 +76,9 @@ func (e *engine[K, V]) releaseFallback(held *bool) {
 // paying. Waiting trades no correctness: the post-lock validation (ref.dead,
 // inner version) still runs, so a leaf that split while we waited sends the
 // writer back around the loop. A leaf that died while we waited stays locked
-// forever, so the wait gives up on it and reports the conflict.
+// forever, so the wait gives up on it and reports the conflict; so does the
+// leaf of a writer that died in its critical section at an injected crash,
+// which is why the wait makes the check every retry loop must make.
 func (e *engine[K, V]) lockLeafCC(ref *leafRef, fb *bool) bool {
 	switch {
 	case fb == nil:
@@ -88,6 +90,7 @@ func (e *engine[K, V]) lockLeafCC(ref *leafRef, fb *bool) bool {
 		if ref.dead.Load() {
 			return false
 		}
+		e.pool.PanicIfCrashed()
 		runtime.Gosched()
 	}
 	return true

@@ -23,7 +23,7 @@ type CTree struct {
 
 // CCreate formats a new concurrent FPTree in the pool.
 func CCreate(pool *scm.Pool, cfg Config) (*CTree, error) {
-	e, err := createEngine(pool, cfg, keyKindFixed, fixedCodecOf, occCC{})
+	e, err := createEngine(pool, cfg, keyKindFixed, fixedCodecOf, occCC{pool})
 	if err != nil {
 		return nil, err
 	}
@@ -36,7 +36,7 @@ func CCreate(pool *scm.Pool, cfg Config) (*CTree, error) {
 // handles), per Algorithm 9. An optional RecoveryOptions parallelizes the
 // leaf scan.
 func COpen(pool *scm.Pool, opts ...RecoveryOptions) (*CTree, error) {
-	e, err := openEngine(pool, keyKindFixed, fixedCodecOf, occCC{}, recoveryOpts(opts))
+	e, err := openEngine(pool, keyKindFixed, fixedCodecOf, occCC{pool}, recoveryOpts(opts))
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ type CVarTree struct {
 
 // CCreateVar formats a new concurrent variable-size-key FPTree.
 func CCreateVar(pool *scm.Pool, cfg Config) (*CVarTree, error) {
-	e, err := createEngine(pool, cfg, keyKindVar, varCodecOf, occCC{})
+	e, err := createEngine(pool, cfg, keyKindVar, varCodecOf, occCC{pool})
 	if err != nil {
 		return nil, err
 	}
@@ -25,7 +25,7 @@ func CCreateVar(pool *scm.Pool, cfg Config) (*CVarTree, error) {
 // the Algorithm 17 leak scan). An optional RecoveryOptions parallelizes the
 // leaf scan.
 func COpenVar(pool *scm.Pool, opts ...RecoveryOptions) (*CVarTree, error) {
-	e, err := openEngine(pool, keyKindVar, varCodecOf, occCC{}, recoveryOpts(opts))
+	e, err := openEngine(pool, keyKindVar, varCodecOf, occCC{pool}, recoveryOpts(opts))
 	if err != nil {
 		return nil, err
 	}

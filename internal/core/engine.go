@@ -63,9 +63,9 @@ type engine[K, V any] struct {
 	// disables tracing. See SetTracer (trace.go).
 	tr *trace.Tracer
 
-	// ctrl adapts the retry budget and fallback entry to the live abort
-	// ratio; nil (default) keeps the fixed htm.Backoff schedule. See
-	// SetController (controller.go).
+	// ctrl paces aborted retries and adapts the retry budget and fallback
+	// entry to the live abort ratio. Every concurrent engine has one; the
+	// single-threaded engines never abort and keep nil. See controller.go.
 	ctrl *htm.AdaptiveController
 
 	size atomic.Int64
@@ -81,6 +81,9 @@ func newEngine[K, V any](pool *scm.Pool, cfg Config, m meta, cdc codec[K, V], cc
 		e.deleteQ <- i
 	}
 	e.root.Store(newCInner[K](e.maxKids(), true))
+	if !e.st {
+		e.ctrl = htm.NewAdaptiveController(htm.AdaptiveConfig{})
+	}
 	return e
 }
 
@@ -189,9 +192,7 @@ func (e *engine[K, V]) RegisterMetrics(reg *obs.Registry) {
 	e.Ops.RegisterMetrics(reg, "fptree")
 	if !e.st {
 		e.Stats.RegisterMetrics(reg, "htm")
-		if e.ctrl != nil {
-			e.ctrl.RegisterMetrics(reg, "htm")
-		}
+		e.ctrl.RegisterMetrics(reg, "htm")
 	}
 }
 
@@ -407,7 +408,7 @@ func (e *engine[K, V]) descend(target *K, rightmost bool, sep *separators[K]) (n
 func (e *engine[K, V]) acquireLeaf(target *K, rightmost bool, sep *separators[K], fb *bool, sp *trace.Span) (*cInner[K], *leafRef) {
 	for attempt := 0; ; attempt++ {
 		if fb != nil {
-			e.maybeFallback(attempt, fb)
+			e.maybeFallback(attempt, fb, sp)
 		}
 		sp.Enter(trace.PhaseDescend)
 		n, ver, ref, ok := e.descend(target, rightmost, sep)

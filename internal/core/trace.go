@@ -7,9 +7,9 @@ import (
 
 // SetTracer installs tr as the engine's operation tracer; nil (the default)
 // disables tracing, leaving exactly one predictable nil-check branch per
-// instrumentation site. The facades promote this method, and kvserver
-// discovers it through an optional interface, so any store backed by a tree
-// can be traced without new constructor plumbing.
+// instrumentation site. The facades promote this method, and kvserver.Store
+// carries it, so any store backed by a tree can be traced without new
+// constructor plumbing.
 //
 // Call before the tree serves traffic: the field is read without
 // synchronization on every operation.
@@ -21,20 +21,15 @@ func (e *engine[K, V]) Tracer() *trace.Tracer { return e.tr }
 // abortc records one optimistic-validation failure: the crash-injection
 // check every retry loop must make, the cause-tagged htm counters, and the
 // (possibly nil) span of the operation that must now restart. attempt is the
-// operation's abort count so far; it paces the retry so a long-held conflict
-// parks the goroutine instead of spinning — the TSX retry budget followed by
-// the fallback wait. With an adaptive controller installed the budget and
-// park cap are the controller's live values; otherwise the fixed
-// htm.Backoff schedule applies. leaf is the offset of the leaf the conflict
-// was observed on (0 when the descent failed before reaching one); it only
-// selects the counter stripe.
+// operation's abort count so far; the controller paces the retry with it, so
+// a long-held conflict parks the goroutine instead of spinning — the TSX
+// retry budget followed by the fallback wait, both at the controller's live
+// values. leaf is the offset of the leaf the conflict was observed on (0 when
+// the descent failed before reaching one); it only selects the counter
+// stripe. Only concurrent engines abort, and they always have a controller.
 func (e *engine[K, V]) abortc(c htm.AbortCause, sp *trace.Span, attempt int, leaf uint64) {
 	e.pool.PanicIfCrashed()
 	e.Stats.NoteAbort(c, leaf)
 	sp.Abort(c)
-	if e.ctrl != nil {
-		e.ctrl.OnAbort(c, attempt)
-	} else {
-		htm.Backoff(attempt)
-	}
+	e.ctrl.OnAbort(attempt)
 }

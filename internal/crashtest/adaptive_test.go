@@ -27,13 +27,10 @@ func crashUnderController(t *testing.T, cfg htm.AdaptiveConfig) {
 	ctrl := htm.NewAdaptiveController(cfg)
 	tr.SetController(ctrl)
 
-	stats := ConcurrentHistory(t, tr, ConcurrentOptions{
-		Workers: 4, OpsPerWorker: 800, Seed: 11,
-	})
-	if stats.Increments == 0 {
+	if n := ConcurrentHistory(t, tr, ConcurrentOptions{Workers: 4, OpsPerWorker: 800, Seed: 11}); n == 0 {
 		t.Fatal("workload performed no shared increments")
 	}
-	if cfg.AlwaysFallback && ctrl.Stats.FallbackEntries.Load() == 0 {
+	if cfg.AlwaysFallback && tr.Stats.Fallbacks.Load() == 0 {
 		t.Fatal("AlwaysFallback controller never entered the fallback lock")
 	}
 

@@ -16,19 +16,6 @@ type ConcurrentOptions struct {
 	OpsPerWorker int // operations each performs (default 2000)
 	Seed         int64
 	SharedKeys   int // contended read-modify-write counter slots (default 4)
-	MaxRetries   int // SpecMutex abort budget before fallback (default htm.DefaultMaxRetries)
-	// ForceAbort, when non-nil, is installed as the SpecMutex abort schedule
-	// so the mix of optimistic and fallback executions is under test control
-	// (e.g. func(a int) bool { return a < 3 } kills every section's first
-	// three optimistic attempts).
-	ForceAbort func(attempt int) bool
-}
-
-// ConcurrentStats reports what the speculative machinery did during a run —
-// tests assert on it to prove the intended schedule actually executed.
-type ConcurrentStats struct {
-	Aborts, Restarts, Fallbacks uint64
-	Increments                  uint64 // committed shared-counter increments
 }
 
 // histMult packs a shared slot's counter as value = seq*histMult + slot, so
@@ -39,13 +26,15 @@ const histMult = 1 << 20
 // ConcurrentHistory drives a mixed workload against a thread-safe tree:
 // each worker mutates a private key range (verified afterwards against its
 // local model — any cross-worker interference or torn write breaks exact
-// equality) and increments shared counter slots under an htm.SpecMutex with
-// the requested forced-abort schedule, taking a per-slot version lock for
-// the read-modify-write. Readers run the optimistic version-lock protocol
-// and fail on torn values. After the run, every slot's value must equal its
-// committed increment count exactly — a lost update leaves it short, a
-// doubled one leaves it long.
-func ConcurrentHistory(tb testing.TB, t Fixed, opts ConcurrentOptions) ConcurrentStats {
+// equality) and increments shared counter slots, taking a per-slot version
+// lock for the read-modify-write. Readers run the optimistic version-lock
+// protocol and fail on torn values. After the run, every slot's value must
+// equal its committed increment count exactly — a lost update leaves it
+// short, a doubled one leaves it long. How the tree's own retries and
+// fallback entries mix is the tree's controller's business (SetController).
+// It returns the number of committed shared increments, so a caller can tell
+// the contended part of the workload ran.
+func ConcurrentHistory(tb testing.TB, t Fixed, opts ConcurrentOptions) (increments uint64) {
 	tb.Helper()
 	if opts.Workers <= 0 {
 		opts.Workers = 4
@@ -56,7 +45,6 @@ func ConcurrentHistory(tb testing.TB, t Fixed, opts ConcurrentOptions) Concurren
 	if opts.SharedKeys <= 0 {
 		opts.SharedKeys = 4
 	}
-	mu := &htm.SpecMutex{MaxRetries: opts.MaxRetries, ForceAbort: opts.ForceAbort}
 	locks := make([]htm.VersionLock, opts.SharedKeys)
 	started := make([]atomic.Uint64, opts.SharedKeys)
 	committed := make([]atomic.Uint64, opts.SharedKeys)
@@ -73,39 +61,24 @@ func ConcurrentHistory(tb testing.TB, t Fixed, opts ConcurrentOptions) Concurren
 	increment := func(slot int) error {
 		k := sharedKey(slot)
 		started[slot].Add(1)
-		g := mu.Acquire()
-		for {
-			lk := &locks[slot]
-			lk.Lock()
-			if g.MustAbort() {
-				// Forced abort: the emulated transaction dies before its
-				// writes become visible; release the slot untouched first
-				// (Abort may block waiting out a fallback holder).
-				lk.UnlockNoBump()
-				g.Abort()
-				continue
-			}
-			v, ok := t.Find(k)
-			if !ok {
-				lk.UnlockNoBump()
-				g.Release()
-				return fmt.Errorf("shared slot %d vanished", slot)
-			}
-			if v%histMult != uint64(slot) {
-				lk.UnlockNoBump()
-				g.Release()
-				return fmt.Errorf("torn RMW read on slot %d: value %#x", slot, v)
-			}
-			if _, err := t.Update(k, v+histMult); err != nil {
-				lk.UnlockNoBump()
-				g.Release()
-				return fmt.Errorf("slot %d update: %v", slot, err)
-			}
-			lk.Unlock()
-			g.Release()
-			committed[slot].Add(1)
-			return nil
+		lk := &locks[slot]
+		lk.Lock()
+		v, ok := t.Find(k)
+		if !ok {
+			lk.UnlockNoBump()
+			return fmt.Errorf("shared slot %d vanished", slot)
 		}
+		if v%histMult != uint64(slot) {
+			lk.UnlockNoBump()
+			return fmt.Errorf("torn RMW read on slot %d: value %#x", slot, v)
+		}
+		if _, err := t.Update(k, v+histMult); err != nil {
+			lk.UnlockNoBump()
+			return fmt.Errorf("slot %d update: %v", slot, err)
+		}
+		lk.Unlock()
+		committed[slot].Add(1)
+		return nil
 	}
 
 	readShared := func(slot int) error {
@@ -191,10 +164,9 @@ func ConcurrentHistory(tb testing.TB, t Fixed, opts ConcurrentOptions) Concurren
 		tb.Fatalf("concurrent(seed=%d): %v", opts.Seed, err)
 	}
 
-	var stats ConcurrentStats
 	for slot := 0; slot < opts.SharedKeys; slot++ {
 		n := committed[slot].Load()
-		stats.Increments += n
+		increments += n
 		want := n*histMult + uint64(slot)
 		if v, ok := t.Find(sharedKey(slot)); !ok || v != want {
 			tb.Fatalf("concurrent(seed=%d): slot %d final value %#x,%v want %#x (%d committed increments — lost or doubled update)",
@@ -208,8 +180,5 @@ func ConcurrentHistory(tb testing.TB, t Fixed, opts ConcurrentOptions) Concurren
 			}
 		}
 	}
-	stats.Aborts = mu.Stats.Aborts.Load()
-	stats.Restarts = mu.Stats.Restarts.Load()
-	stats.Fallbacks = mu.Stats.Fallbacks.Load()
-	return stats
+	return increments
 }

@@ -1,10 +1,9 @@
 package crashtest
 
-// Concurrent-history checks against the concurrent FPTree (optimistic
+// Concurrent-history check against the concurrent FPTree (optimistic
 // version-lock descent, the software stand-in for the paper's HTM leaf
-// protection) under three SpecMutex schedules: free-running, forced early
-// aborts, and always-abort (every section driven onto the fallback lock).
-// Run with -race in CI.
+// protection) under its default controller; adaptive_test.go repeats it under
+// a fast-window and an AlwaysFallback controller. Run with -race in CI.
 
 import (
 	"testing"
@@ -23,39 +22,7 @@ func newCTree(tb testing.TB) *core.CTree {
 }
 
 func TestConcurrentHistoryOptimistic(t *testing.T) {
-	stats := ConcurrentHistory(t, newCTree(t), ConcurrentOptions{
-		Workers: 4, OpsPerWorker: 1500, Seed: 1,
-	})
-	if stats.Increments == 0 {
+	if n := ConcurrentHistory(t, newCTree(t), ConcurrentOptions{Workers: 4, OpsPerWorker: 1500, Seed: 1}); n == 0 {
 		t.Fatal("workload performed no shared increments")
 	}
-	t.Logf("optimistic: %+v", stats)
-}
-
-func TestConcurrentHistoryForcedAborts(t *testing.T) {
-	stats := ConcurrentHistory(t, newCTree(t), ConcurrentOptions{
-		Workers: 4, OpsPerWorker: 800, Seed: 2, MaxRetries: 4,
-		ForceAbort: func(attempt int) bool { return attempt < 2 },
-	})
-	if stats.Aborts == 0 {
-		t.Fatal("forced-abort schedule never fired")
-	}
-	if stats.Increments == 0 {
-		t.Fatal("workload performed no shared increments")
-	}
-	t.Logf("forced aborts: %+v", stats)
-}
-
-func TestConcurrentHistoryAlwaysFallback(t *testing.T) {
-	stats := ConcurrentHistory(t, newCTree(t), ConcurrentOptions{
-		Workers: 4, OpsPerWorker: 400, Seed: 3, MaxRetries: 2,
-		ForceAbort: func(int) bool { return true },
-	})
-	if stats.Fallbacks == 0 {
-		t.Fatal("always-abort schedule never drove a section onto the fallback lock")
-	}
-	if stats.Increments == 0 {
-		t.Fatal("workload performed no shared increments")
-	}
-	t.Logf("always-fallback: %+v", stats)
 }

@@ -16,9 +16,9 @@
 //     lockstep to a tree and a plain map oracle, with full-content diffs
 //     after every batch.
 //
-//   - Concurrent-history checking (concurrent.go): mixed workloads under
-//     htm.SpecMutex with forced abort schedules, verified against per-slot
-//     commit counts so lost updates and torn reads cannot hide.
+//   - Concurrent-history checking (concurrent.go): mixed workloads over
+//     private ranges and version-locked shared counters, verified against
+//     per-slot commit counts so lost updates and torn reads cannot hide.
 //
 // The package deliberately depends only on scm, htm and the standard
 // library, so the tree packages' own tests (including internal test files of

@@ -21,17 +21,16 @@ import (
 // (additive increase, multiplicative decrease) between a configured floor and
 // ceiling, with a hysteresis band so a steady ratio never oscillates:
 //
-//	EWMA > High  -> budget halves toward Floor, backoff cap doubles
+//	EWMA > 0.5   -> budget halves toward Floor, backoff cap doubles
 //	               (sustained conflicts: give up optimism sooner, park longer)
-//	EWMA < Low   -> budget +1 toward Ceiling, backoff cap halves
+//	EWMA < 0.05  -> budget +1 toward Ceiling, backoff cap halves
 //	               (contention drained: restore optimism)
 //	otherwise    -> no change
 //
-// Only conflict-cause aborts (descend, leaf_lock, post_lock, iter) steer the
-// budget. Forced aborts model TSX's spurious/capacity aborts: retrying those
-// less optimistically would not help, so they count toward the totals but not
-// toward the steering signal — the same reason Brown's template sends
-// capacity aborts straight to the fallback instead of spending retries.
+// Every abort the protocol produces (descend, leaf_lock, post_lock) is a
+// conflict — someone else is here — so every abort steers the budget. The
+// emulation has nothing like TSX's capacity or spurious aborts, which would
+// recur however few retries were allowed.
 //
 // Writers whose attempt count exceeds the live budget enter the fallback
 // mutex. Brown's key refinement is preserved by construction: optimistic
@@ -45,25 +44,10 @@ import (
 // selects the defaults documented on each field.
 type AdaptiveConfig struct {
 	// Floor and Ceiling bound the retry budget (optimistic attempts before a
-	// writer enters the fallback lock). Defaults 2 and 16; the fixed-budget
-	// DefaultMaxRetries sits between them.
+	// writer enters the fallback lock). Defaults 2 and 16; DefaultMaxRetries
+	// sits between them. Floor == Ceiling is a fixed budget.
 	Floor   int
 	Ceiling int
-
-	// BackoffFloor and BackoffCeiling bound the exponential-backoff park cap
-	// applied past the budget. Defaults 16µs and 256µs (the fixed Backoff
-	// caps at 64µs).
-	BackoffFloor   time.Duration
-	BackoffCeiling time.Duration
-
-	// Low and High are the EWMA hysteresis thresholds, in conflict aborts per
-	// completed operation. Below Low the budget grows; above High it shrinks;
-	// between them it holds. Defaults 0.05 and 0.5.
-	Low  float64
-	High float64
-
-	// Alpha is the EWMA weight of the newest window sample. Default 0.4.
-	Alpha float64
 
 	// AdaptEvery is the adaptation period in completed operations. Counting
 	// operations instead of wall time keeps adaptation deterministic under
@@ -84,11 +68,11 @@ const (
 )
 
 const (
-	defaultBackoffFloor   = 16 * time.Microsecond
-	defaultBackoffCeiling = 256 * time.Microsecond
-	defaultEWMALow        = 0.05
-	defaultEWMAHigh       = 0.5
-	defaultEWMAAlpha      = 0.4
+	backoffFloor   = 16 * time.Microsecond // bounds of the park cap applied past the budget
+	backoffCeiling = 256 * time.Microsecond
+	ewmaLow        = 0.05 // aborts per completed op below which the budget grows
+	ewmaHigh       = 0.5  // ... and above which it shrinks; between them it holds
+	ewmaAlpha      = 0.4  // weight of the newest window sample
 )
 
 func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
@@ -101,27 +85,6 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if c.Ceiling < c.Floor {
 		c.Ceiling = c.Floor
 	}
-	if c.BackoffFloor <= 0 {
-		c.BackoffFloor = defaultBackoffFloor
-	}
-	if c.BackoffCeiling <= 0 {
-		c.BackoffCeiling = defaultBackoffCeiling
-	}
-	if c.BackoffCeiling < c.BackoffFloor {
-		c.BackoffCeiling = c.BackoffFloor
-	}
-	if c.Low <= 0 {
-		c.Low = defaultEWMALow
-	}
-	if c.High <= 0 {
-		c.High = defaultEWMAHigh
-	}
-	if c.High < c.Low {
-		c.High = c.Low
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = defaultEWMAAlpha
-	}
 	if c.AdaptEvery <= 0 {
 		c.AdaptEvery = DefaultAdaptEvery
 	}
@@ -131,16 +94,15 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 // AdaptiveStats counts controller events; all fields are safe to read while
 // the controller is live.
 type AdaptiveStats struct {
-	Adaptations     atomic.Uint64 // adaptation windows evaluated
-	BudgetCuts      atomic.Uint64 // windows that shrank the budget
-	BudgetRaises    atomic.Uint64 // windows that grew the budget
-	FallbackEntries atomic.Uint64 // writer entries into the fallback lock
+	Adaptations  atomic.Uint64 // adaptation windows evaluated
+	BudgetCuts   atomic.Uint64 // windows that shrank the budget
+	BudgetRaises atomic.Uint64 // windows that grew the budget
 }
 
 // AdaptiveController owns the live retry budget, backoff cap, and fallback
 // lock for one tree. All methods are safe for concurrent use; the controller
-// adds two atomic increments to the completed-op path and nothing to the
-// conflict-free read path beyond them.
+// adds one shared atomic increment to every completed operation (OnOp) and
+// nothing else to an operation that does not abort.
 type AdaptiveController struct {
 	cfg AdaptiveConfig
 
@@ -149,7 +111,7 @@ type AdaptiveController struct {
 	ewma   atomic.Uint64 // float64 bits of the conflict-abort-ratio EWMA
 
 	ops       atomic.Uint64 // completed ops in the current window
-	conflicts atomic.Uint64 // conflict-cause aborts in the current window
+	conflicts atomic.Uint64 // aborts in the current window
 	adapting  atomic.Bool   // single-flight latch for window evaluation
 
 	fbMu   sync.Mutex   // the global fallback lock (writers only)
@@ -163,7 +125,7 @@ type AdaptiveController struct {
 func NewAdaptiveController(cfg AdaptiveConfig) *AdaptiveController {
 	c := &AdaptiveController{cfg: cfg.withDefaults()}
 	c.budget.Store(int64(c.cfg.Ceiling))
-	c.capNS.Store(int64(c.cfg.BackoffFloor))
+	c.capNS.Store(int64(backoffFloor))
 	return c
 }
 
@@ -184,10 +146,6 @@ func (c *AdaptiveController) AbortEWMA() float64 {
 	return math.Float64frombits(c.ewma.Load())
 }
 
-// FallbackHeld reports whether a fallback writer is currently inside the
-// global lock.
-func (c *AdaptiveController) FallbackHeld() bool { return c.fbHeld.Load() != 0 }
-
 // OnOp records one completed operation and, at window boundaries, re-evaluates
 // the budget. Called once per point operation (find, insert, update, upsert,
 // delete) and once per leaf a scan or an iterator seeks to, so every range
@@ -205,13 +163,13 @@ func (c *AdaptiveController) OnOp() {
 	c.adapting.Store(false)
 }
 
-// OnAbort records one abort and paces the retry, replacing the fixed Backoff
-// when a controller is attached: within the live budget it yields, past it it
-// parks with exponentially growing sleeps capped at the live backoff cap.
-func (c *AdaptiveController) OnAbort(cause AbortCause, attempt int) {
-	if isConflictCause(cause) {
-		c.conflicts.Add(1)
-	}
+// OnAbort records one abort and paces the retry: within the live budget it
+// yields, past it it parks with exponentially growing sleeps capped at the
+// live backoff cap — the scheduling analogue of waiting on the fallback path,
+// so one long-held leaf lock (a writer paying emulated SCM latency inside its
+// critical section) cannot farm thousands of counted aborts per conflict.
+func (c *AdaptiveController) OnAbort(attempt int) {
+	c.conflicts.Add(1)
 	budget := int(c.budget.Load())
 	if attempt < budget {
 		runtime.Gosched()
@@ -228,18 +186,6 @@ func (c *AdaptiveController) OnAbort(cause AbortCause, attempt int) {
 	time.Sleep(d)
 }
 
-// isConflictCause reports whether a cause represents a genuine data conflict
-// (the signal the budget steers on). Forced aborts emulate TSX
-// spurious/capacity aborts — shrinking the budget cannot avoid them — and
-// unclassified aborts carry no locality information.
-func isConflictCause(cause AbortCause) bool {
-	switch cause {
-	case AbortDescend, AbortLeafLock, AbortPostLock:
-		return true
-	}
-	return false
-}
-
 // ShouldFallback reports whether a writer at the given attempt number should
 // stop retrying optimistically and take the fallback lock.
 func (c *AdaptiveController) ShouldFallback(attempt int) bool {
@@ -252,7 +198,6 @@ func (c *AdaptiveController) ShouldFallback(attempt int) bool {
 func (c *AdaptiveController) EnterFallback() {
 	c.fbMu.Lock()
 	c.fbHeld.Store(1)
-	c.Stats.FallbackEntries.Add(1)
 }
 
 // ExitFallback releases the global fallback lock.
@@ -267,12 +212,12 @@ func (c *AdaptiveController) adapt(ops, conflicts uint64) {
 		return
 	}
 	sample := float64(conflicts) / float64(ops)
-	e := c.cfg.Alpha*sample + (1-c.cfg.Alpha)*c.AbortEWMA()
+	e := ewmaAlpha*sample + (1-ewmaAlpha)*c.AbortEWMA()
 	c.ewma.Store(math.Float64bits(e))
 	c.Stats.Adaptations.Add(1)
 
 	switch {
-	case e > c.cfg.High:
+	case e > ewmaHigh:
 		// Sustained conflicts: halve the budget toward the floor so writers
 		// reach the fallback lock sooner, and park losers longer.
 		b := int(c.budget.Load()) / 2
@@ -283,11 +228,11 @@ func (c *AdaptiveController) adapt(ops, conflicts uint64) {
 			c.Stats.BudgetCuts.Add(1)
 		}
 		cap := 2 * time.Duration(c.capNS.Load())
-		if cap > c.cfg.BackoffCeiling {
-			cap = c.cfg.BackoffCeiling
+		if cap > backoffCeiling {
+			cap = backoffCeiling
 		}
 		c.capNS.Store(int64(cap))
-	case e < c.cfg.Low:
+	case e < ewmaLow:
 		// Contention drained: restore optimism one attempt at a time.
 		b := int(c.budget.Load()) + 1
 		if b > c.cfg.Ceiling {
@@ -297,8 +242,8 @@ func (c *AdaptiveController) adapt(ops, conflicts uint64) {
 			c.Stats.BudgetRaises.Add(1)
 		}
 		cap := time.Duration(c.capNS.Load()) / 2
-		if cap < c.cfg.BackoffFloor {
-			cap = c.cfg.BackoffFloor
+		if cap < backoffFloor {
+			cap = backoffFloor
 		}
 		c.capNS.Store(int64(cap))
 	}

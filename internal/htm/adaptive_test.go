@@ -7,13 +7,12 @@ import (
 )
 
 // feedWindow drives one full adaptation window through the controller: ops
-// completed operations, each preceded by abortsPerOp conflict aborts of the
-// given cause. Synchronous and single-goroutine, so adaptation is
-// deterministic.
-func feedWindow(c *AdaptiveController, ops, abortsPerOp int, cause AbortCause) {
+// completed operations, each preceded by abortsPerOp aborts. Synchronous and
+// single-goroutine, so adaptation is deterministic.
+func feedWindow(c *AdaptiveController, ops, abortsPerOp int) {
 	for i := 0; i < ops; i++ {
 		for a := 0; a < abortsPerOp; a++ {
-			c.OnAbort(cause, 0) // attempt 0: yields, never sleeps
+			c.OnAbort(0) // attempt 0: yields, never sleeps
 		}
 		c.OnOp()
 	}
@@ -31,11 +30,8 @@ func TestAdaptiveDefaults(t *testing.T) {
 	if got := c.Budget(); got != cfg.Ceiling {
 		t.Fatalf("initial budget = %d, want ceiling %d", got, cfg.Ceiling)
 	}
-	if got := c.BackoffCap(); got != cfg.BackoffFloor {
-		t.Fatalf("initial backoff cap = %v, want floor %v", got, cfg.BackoffFloor)
-	}
-	if cfg.Low >= cfg.High {
-		t.Fatalf("hysteresis band inverted: Low=%v High=%v", cfg.Low, cfg.High)
+	if got := c.BackoffCap(); got != backoffFloor {
+		t.Fatalf("initial backoff cap = %v, want floor %v", got, backoffFloor)
 	}
 }
 
@@ -47,26 +43,26 @@ func TestAdaptiveRampUp(t *testing.T) {
 	c := NewAdaptiveController(cfg)
 	cfg = c.Config()
 	for round := 0; round < 12; round++ {
-		feedWindow(c, cfg.AdaptEvery, 2, AbortLeafLock) // ratio 2.0 >> High
+		feedWindow(c, cfg.AdaptEvery, 2) // ratio 2.0 >> High
 		b := c.Budget()
 		if b < cfg.Floor || b > cfg.Ceiling {
 			t.Fatalf("round %d: budget %d out of [%d,%d]", round, b, cfg.Floor, cfg.Ceiling)
 		}
-		if cap := c.BackoffCap(); cap < cfg.BackoffFloor || cap > cfg.BackoffCeiling {
-			t.Fatalf("round %d: backoff cap %v out of [%v,%v]", round, cap, cfg.BackoffFloor, cfg.BackoffCeiling)
+		if cap := c.BackoffCap(); cap < backoffFloor || cap > backoffCeiling {
+			t.Fatalf("round %d: backoff cap %v out of [%v,%v]", round, cap, backoffFloor, backoffCeiling)
 		}
 	}
 	if got := c.Budget(); got != cfg.Floor {
 		t.Fatalf("budget after sustained conflicts = %d, want floor %d", got, cfg.Floor)
 	}
-	if got := c.BackoffCap(); got != cfg.BackoffCeiling {
-		t.Fatalf("backoff cap after sustained conflicts = %v, want ceiling %v", got, cfg.BackoffCeiling)
+	if got := c.BackoffCap(); got != backoffCeiling {
+		t.Fatalf("backoff cap after sustained conflicts = %v, want ceiling %v", got, backoffCeiling)
 	}
 	if c.Stats.BudgetCuts.Load() == 0 {
 		t.Fatal("no budget cuts recorded")
 	}
 	// At the floor, further conflict windows must not move it (no underflow).
-	feedWindow(c, cfg.AdaptEvery, 2, AbortDescend)
+	feedWindow(c, cfg.AdaptEvery, 2)
 	if got := c.Budget(); got != cfg.Floor {
 		t.Fatalf("budget left the floor under continued conflicts: %d", got)
 	}
@@ -79,7 +75,7 @@ func TestAdaptiveDrain(t *testing.T) {
 	c := NewAdaptiveController(cfg)
 	cfg = c.Config()
 	for round := 0; round < 12; round++ {
-		feedWindow(c, cfg.AdaptEvery, 2, AbortLeafLock)
+		feedWindow(c, cfg.AdaptEvery, 2)
 	}
 	if c.Budget() != cfg.Floor {
 		t.Fatalf("precondition: budget %d != floor", c.Budget())
@@ -87,13 +83,13 @@ func TestAdaptiveDrain(t *testing.T) {
 	// EWMA must decay below Low, then the budget climbs +1 per window; give
 	// it decay windows plus one window per budget step.
 	for round := 0; round < 40 && c.Budget() < cfg.Ceiling; round++ {
-		feedWindow(c, cfg.AdaptEvery, 0, AbortOther) // ratio 0
+		feedWindow(c, cfg.AdaptEvery, 0) // ratio 0
 	}
 	if got := c.Budget(); got != cfg.Ceiling {
 		t.Fatalf("budget after drain = %d, want ceiling %d", got, cfg.Ceiling)
 	}
-	if got := c.BackoffCap(); got != cfg.BackoffFloor {
-		t.Fatalf("backoff cap after drain = %v, want floor %v", got, cfg.BackoffFloor)
+	if got := c.BackoffCap(); got != backoffFloor {
+		t.Fatalf("backoff cap after drain = %v, want floor %v", got, backoffFloor)
 	}
 	if c.Stats.BudgetRaises.Load() == 0 {
 		t.Fatal("no budget raises recorded")
@@ -108,15 +104,15 @@ func TestAdaptiveBurst(t *testing.T) {
 	c := NewAdaptiveController(cfg)
 	cfg = c.Config()
 	for round := 0; round < 4; round++ {
-		feedWindow(c, cfg.AdaptEvery, 0, AbortOther)
+		feedWindow(c, cfg.AdaptEvery, 0)
 	}
-	feedWindow(c, cfg.AdaptEvery, 3, AbortPostLock) // the burst
+	feedWindow(c, cfg.AdaptEvery, 3) // the burst
 	dip := c.Budget()
 	if dip < cfg.Floor || dip > cfg.Ceiling {
 		t.Fatalf("budget %d out of bounds after burst", dip)
 	}
 	for round := 0; round < 40 && c.Budget() < cfg.Ceiling; round++ {
-		feedWindow(c, cfg.AdaptEvery, 0, AbortOther)
+		feedWindow(c, cfg.AdaptEvery, 0)
 	}
 	if got := c.Budget(); got != cfg.Ceiling {
 		t.Fatalf("budget did not recover after burst: %d", got)
@@ -127,14 +123,14 @@ func TestAdaptiveBurst(t *testing.T) {
 // leave the budget unchanged window after window — the band exists precisely
 // so the controller cannot flap between raise and cut on a constant signal.
 func TestAdaptiveNoOscillation(t *testing.T) {
-	cfg := AdaptiveConfig{Floor: 2, Ceiling: 16, AdaptEvery: 100, Low: 0.05, High: 0.5}
+	cfg := AdaptiveConfig{Floor: 2, Ceiling: 16, AdaptEvery: 100}
 	c := NewAdaptiveController(cfg)
 	cfg = c.Config()
-	// Ratio 0.2 sits inside (Low, High): 20 conflicts per 100-op window.
+	// Ratio 0.2 sits inside (ewmaLow, ewmaHigh): 20 conflicts per 100-op window.
 	warm := func() {
 		for i := 0; i < cfg.AdaptEvery; i++ {
 			if i < 20 {
-				c.OnAbort(AbortLeafLock, 0)
+				c.OnAbort(0)
 			}
 			c.OnOp()
 		}
@@ -147,24 +143,6 @@ func TestAdaptiveNoOscillation(t *testing.T) {
 		if got := c.Budget(); got != ref {
 			t.Fatalf("round %d: budget oscillated %d -> %d on a steady in-band ratio", round, ref, got)
 		}
-	}
-}
-
-// TestAdaptiveForcedAbortsDoNotSteer: forced (spurious/capacity-analogue)
-// aborts must not shrink the budget — only conflict causes carry a signal the
-// budget can act on.
-func TestAdaptiveForcedAbortsDoNotSteer(t *testing.T) {
-	cfg := AdaptiveConfig{Floor: 2, Ceiling: 16, AdaptEvery: 64}
-	c := NewAdaptiveController(cfg)
-	cfg = c.Config()
-	for round := 0; round < 10; round++ {
-		feedWindow(c, cfg.AdaptEvery, 3, AbortForced)
-	}
-	if got := c.Budget(); got != cfg.Ceiling {
-		t.Fatalf("forced aborts moved the budget: %d", got)
-	}
-	if got := c.AbortEWMA(); got != 0 {
-		t.Fatalf("forced aborts leaked into the conflict EWMA: %v", got)
 	}
 }
 
@@ -183,7 +161,7 @@ func TestAdaptiveShouldFallback(t *testing.T) {
 }
 
 // TestAdaptiveFallbackMutualExclusion: Enter/ExitFallback is a real mutex and
-// the held gauge plus entry counter track it.
+// the held gauge tracks it.
 func TestAdaptiveFallbackMutualExclusion(t *testing.T) {
 	c := NewAdaptiveController(AdaptiveConfig{})
 	const goroutines, rounds = 4, 200
@@ -201,8 +179,8 @@ func TestAdaptiveFallbackMutualExclusion(t *testing.T) {
 				if inside > max {
 					max = inside
 				}
-				if !c.FallbackHeld() {
-					t.Error("FallbackHeld false inside the critical section")
+				if c.fbHeld.Load() != 1 {
+					t.Error("fallback-held gauge is 0 inside the critical section")
 				}
 				inside--
 				mu.Unlock()
@@ -214,22 +192,26 @@ func TestAdaptiveFallbackMutualExclusion(t *testing.T) {
 	if max != 1 {
 		t.Fatalf("fallback admitted %d holders at once", max)
 	}
-	if got := c.Stats.FallbackEntries.Load(); got != goroutines*rounds {
-		t.Fatalf("FallbackEntries = %d, want %d", got, goroutines*rounds)
-	}
-	if c.FallbackHeld() {
-		t.Fatal("FallbackHeld stuck after release")
+	if c.fbHeld.Load() != 0 {
+		t.Fatal("fallback-held gauge stuck after release")
 	}
 }
 
-// TestAdaptiveOnAbortPacing: past the budget the park is bounded by the live
-// cap; within it, OnAbort returns promptly.
+// TestAdaptiveOnAbortPacing: within the budget OnAbort only yields; past it
+// the goroutine really parks, for no longer than the live cap allows.
 func TestAdaptiveOnAbortPacing(t *testing.T) {
-	c := NewAdaptiveController(AdaptiveConfig{Floor: 2, Ceiling: 4, BackoffCeiling: 100 * time.Microsecond})
+	c := NewAdaptiveController(AdaptiveConfig{Floor: 4, Ceiling: 4})
 	start := time.Now()
-	c.OnAbort(AbortDescend, 0)    // within budget: yield only
-	c.OnAbort(AbortDescend, 1000) // far past budget: park, capped
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("OnAbort park unbounded: %v", elapsed)
+	for a := 0; a < c.Budget(); a++ {
+		c.OnAbort(a)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("in-budget OnAbort too slow: %v", d)
+	}
+
+	start = time.Now()
+	c.OnAbort(1000) // far past budget: park at the cap
+	if d := time.Since(start); d < c.BackoffCap() || d > time.Second {
+		t.Fatalf("past-budget OnAbort took %v, want a park of at least %v and a bounded one", d, c.BackoffCap())
 	}
 }

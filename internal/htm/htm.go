@@ -18,9 +18,7 @@ package htm
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"fptree/internal/obs"
 )
@@ -38,12 +36,18 @@ type VersionLock struct {
 // validate against. It is the XBEGIN analogue for one node.
 func (v *VersionLock) ReadBegin() uint64 {
 	for {
-		w := v.w.Load()
-		if w&1 == 0 {
-			return w
+		if ver, ok := v.TryReadBegin(); ok {
+			return ver
 		}
 		runtime.Gosched()
 	}
+}
+
+// TryReadBegin is one step of ReadBegin: ok is false while a writer owns the
+// node. For callers whose wait must also watch something else.
+func (v *VersionLock) TryReadBegin() (ver uint64, ok bool) {
+	w := v.w.Load()
+	return w, w&1 == 0
 }
 
 // ReadValidate reports whether the node is still unchanged since ReadBegin
@@ -108,10 +112,8 @@ const (
 	// AbortPostLock: the leaf parent changed between taking the leaf lock
 	// and the final validation, or the leaf died underneath the operation.
 	AbortPostLock
-	// AbortForced: a ForceAbort schedule fired (the emulation hook for the
-	// spurious/capacity aborts real TSX suffers).
-	AbortForced
-	// AbortOther: unclassified (callers predating cause tagging).
+	// AbortOther: what NoteAbort and the trace clamp an out-of-range cause to;
+	// no protocol step produces it.
 	AbortOther
 
 	// NumAbortCauses is the number of distinct causes; arrays indexed by
@@ -129,8 +131,6 @@ func (c AbortCause) String() string {
 		return "leaf_lock"
 	case AbortPostLock:
 		return "post_lock"
-	case AbortForced:
-		return "forced"
 	default:
 		return "other"
 	}
@@ -163,131 +163,9 @@ func (s *Stats) NoteAbort(c AbortCause, key uint64) {
 	s.ByCause[c].Add(key, 1)
 }
 
-// SpecMutex emulates the TBB speculative spin mutex the paper uses as the
-// TSX fallback mechanism: a critical section first runs optimistically
-// (signalled by Speculate returning true) and resorts to a real global lock
-// after MaxRetries aborts. The tree's concurrent operations consult it to
-// decide between the optimistic path and the serialized path.
-type SpecMutex struct {
-	// MaxRetries is the abort budget before falling back to the global lock.
-	// Zero means DefaultMaxRetries.
-	MaxRetries int
-	Stats      Stats
-
-	// ForceAbort, when non-nil, is an abort-schedule hook for verification
-	// harnesses: optimistic attempts consult it via Guard.MustAbort and the
-	// caller aborts whenever it returns true for the current attempt number.
-	// Fallback (serialized) attempts never consult it, so a schedule that
-	// always returns true still terminates — it just drives every section
-	// through the fallback path. Must be safe for concurrent calls.
-	ForceAbort func(attempt int) bool
-
-	mu     sync.Mutex
-	serial atomic.Bool // true while a fallback holder is inside
-}
-
-// DefaultMaxRetries matches the common TSX retry budget.
+// DefaultMaxRetries matches the common TSX retry budget; the controller's
+// adaptive budget moves around it (AdaptiveConfig's Floor 2, Ceiling 16).
 const DefaultMaxRetries = 8
-
-// Backoff paces one optimistic retry loop between aborts. Real TSX retries a
-// conflicted transaction immediately only for a bounded budget and then
-// blocks on the fallback lock; an unbounded Gosched spin instead lets a
-// single long-held lock (e.g. a writer paying emulated SCM latency inside
-// its critical section) farm thousands of counted aborts per conflict on a
-// small machine, inflating the abort telemetry beyond anything real hardware
-// can produce. Within the budget Backoff just yields; past it, it parks the
-// goroutine with exponentially growing sleeps capped at 64µs — the
-// scheduling analogue of waiting on the fallback path.
-func Backoff(attempt int) {
-	if attempt < DefaultMaxRetries {
-		runtime.Gosched()
-		return
-	}
-	shift := attempt - DefaultMaxRetries
-	if shift > 6 {
-		shift = 6
-	}
-	time.Sleep(time.Microsecond << shift)
-}
-
-// Guard is the per-attempt state of a speculative critical section.
-type Guard struct {
-	m        *SpecMutex
-	attempts int
-	fallback bool
-}
-
-// Acquire starts a speculative critical section. While another goroutine
-// holds the fallback lock, optimistic execution is not allowed (the lock is
-// in the transaction's read set, as in real TSX lock elision), so Acquire
-// waits for it.
-func (m *SpecMutex) Acquire() *Guard {
-	g := &Guard{m: m}
-	g.begin()
-	return g
-}
-
-func (g *Guard) begin() {
-	if g.attempts > g.m.maxRetries() {
-		g.m.mu.Lock()
-		g.m.serial.Store(true)
-		g.fallback = true
-		g.m.Stats.Fallbacks.Add(1)
-		return
-	}
-	// Optimistic attempt: wait until no fallback holder is inside.
-	for g.m.serial.Load() {
-		runtime.Gosched()
-	}
-}
-
-// Abort records a conflict and prepares the next attempt; the caller must
-// restart its critical section from the top. Aborts driven by a ForceAbort
-// schedule are tagged AbortForced, organic conflicts AbortOther (the mutex
-// cannot see where inside the section the conflict arose).
-func (g *Guard) Abort() {
-	cause := AbortOther
-	if g.m.ForceAbort != nil {
-		cause = AbortForced
-	}
-	g.m.Stats.NoteAbort(cause, 0)
-	if g.fallback {
-		g.m.serial.Store(false)
-		g.m.mu.Unlock()
-		g.fallback = false
-	}
-	g.attempts++
-	g.begin()
-}
-
-// Release commits the critical section.
-func (g *Guard) Release() {
-	if g.fallback {
-		g.m.serial.Store(false)
-		g.m.mu.Unlock()
-		g.fallback = false
-	}
-}
-
-// Serialized reports whether this attempt runs under the global fallback
-// lock. Sections running serialized cannot conflict and may skip validation.
-func (g *Guard) Serialized() bool { return g.fallback }
-
-// MustAbort reports whether the mutex's ForceAbort schedule demands that this
-// optimistic attempt abort — the emulation hook for the spurious/capacity
-// aborts real TSX suffers, letting tests steer sections onto the fallback
-// path deterministically. Callers check it inside the critical section and
-// call Abort when it returns true. Always false on fallback attempts.
-func (g *Guard) MustAbort() bool {
-	return !g.fallback && g.m.ForceAbort != nil && g.m.ForceAbort(g.attempts)
-}
-
-func (m *SpecMutex) maxRetries() int {
-	if m.MaxRetries > 0 {
-		return m.MaxRetries
-	}
-	return DefaultMaxRetries
-}
 
 // RWSpin is a tiny reader-writer spinlock used as the volatile per-leaf lock.
 // The paper writes leaf locks inside TSX transactions with plain stores; in

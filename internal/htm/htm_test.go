@@ -1,11 +1,9 @@
 package htm
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestVersionLockReadValidate(t *testing.T) {
@@ -122,200 +120,6 @@ func TestVersionLockConcurrentCounter(t *testing.T) {
 	}
 }
 
-func TestSpecMutexFallbackAfterRetries(t *testing.T) {
-	m := &SpecMutex{MaxRetries: 3}
-	g := m.Acquire()
-	for i := 0; i < 4; i++ {
-		if g.Serialized() {
-			t.Fatalf("serialized too early at attempt %d", i)
-		}
-		g.Abort()
-	}
-	if !g.Serialized() {
-		t.Fatal("should be serialized after exhausting retries")
-	}
-	if m.Stats.Fallbacks.Load() != 1 {
-		t.Fatalf("fallbacks = %d", m.Stats.Fallbacks.Load())
-	}
-	if m.Stats.Aborts.Load() != 4 {
-		t.Fatalf("aborts = %d", m.Stats.Aborts.Load())
-	}
-	g.Release()
-	// The mutex must be reusable afterwards.
-	g2 := m.Acquire()
-	g2.Release()
-}
-
-func TestSpecMutexForceAbortSchedule(t *testing.T) {
-	// A schedule that kills the first two optimistic attempts: the section
-	// must succeed on the third attempt, still optimistic.
-	m := &SpecMutex{MaxRetries: 5, ForceAbort: func(attempt int) bool { return attempt < 2 }}
-	g := m.Acquire()
-	aborts := 0
-	for g.MustAbort() {
-		aborts++
-		g.Abort()
-	}
-	if aborts != 2 {
-		t.Fatalf("forced aborts = %d, want 2", aborts)
-	}
-	if g.Serialized() {
-		t.Fatal("schedule should not have exhausted the retry budget")
-	}
-	g.Release()
-}
-
-func TestSpecMutexForceAbortAlwaysFallsBack(t *testing.T) {
-	// An always-abort schedule must terminate by driving the section onto
-	// the fallback path, where MustAbort is defined to be false.
-	m := &SpecMutex{MaxRetries: 2, ForceAbort: func(int) bool { return true }}
-	g := m.Acquire()
-	for g.MustAbort() {
-		g.Abort()
-	}
-	if !g.Serialized() {
-		t.Fatal("always-abort schedule should end serialized")
-	}
-	if m.Stats.Fallbacks.Load() != 1 {
-		t.Fatalf("fallbacks = %d", m.Stats.Fallbacks.Load())
-	}
-	g.Release()
-	if m.mu.TryLock() {
-		m.mu.Unlock()
-	} else {
-		t.Fatal("fallback lock leaked")
-	}
-}
-
-func TestSpecMutexSerializedExcludesOptimists(t *testing.T) {
-	m := &SpecMutex{MaxRetries: 0}
-	g := m.Acquire()
-	for !g.Serialized() {
-		g.Abort()
-	}
-	done := make(chan struct{})
-	go func() {
-		g2 := m.Acquire() // must wait for the fallback holder
-		g2.Release()
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("optimistic acquire did not wait for fallback holder")
-	default:
-	}
-	g.Release()
-	<-done
-}
-
-func TestSpecMutexAbortWhileSerializedReleasesLock(t *testing.T) {
-	m := &SpecMutex{MaxRetries: 1}
-	g := m.Acquire()
-	g.Abort()
-	g.Abort() // now serialized
-	if !g.Serialized() {
-		t.Fatal("expected serialized")
-	}
-	g.Abort() // aborting a serialized section must release and re-enter
-	if !g.Serialized() {
-		t.Fatal("re-entry should serialize again (attempts keep the budget spent)")
-	}
-	g.Release()
-}
-
-// TestSpecMutexOptimisticNeverOverlapsFallbackWrites exercises the full
-// emulated-TSX discipline under contention: writers that exhaust their retry
-// budget take the global fallback lock and mutate shared state under a
-// VersionLock (as the tree's serialized path does), while optimistic readers
-// run speculative sections and validate before trusting what they read. A
-// validated optimistic section must never observe a fallback holder's
-// half-finished write — the invariant a == b must hold for every validated
-// snapshot — and every writer iteration must have gone through the fallback
-// path.
-func TestSpecMutexOptimisticNeverOverlapsFallbackWrites(t *testing.T) {
-	m := &SpecMutex{MaxRetries: 2}
-	var vl VersionLock
-	var a, b atomic.Uint64 // invariant outside writer critical sections: a == b
-	const (
-		writers = 2
-		perW    = 300
-	)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				g := m.Acquire()
-				for !g.Serialized() {
-					g.Abort() // burn the retry budget: force the fallback path
-				}
-				// Fallback holder's write, deliberately torn in the middle so
-				// any overlapping validated reader would see a != b.
-				vl.Lock()
-				a.Add(1)
-				runtime.Gosched()
-				b.Add(1)
-				vl.Unlock()
-				g.Release()
-			}
-		}()
-	}
-	var violations, validated atomic.Uint64
-	var rg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		rg.Add(1)
-		go func() {
-			defer rg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				g := m.Acquire()
-				for {
-					if g.Serialized() {
-						// Serialized sections exclude all writers by
-						// construction; a torn view here is a real bug too.
-						if a.Load() != b.Load() {
-							violations.Add(1)
-						}
-						break
-					}
-					ver := vl.ReadBegin()
-					x, y := a.Load(), b.Load()
-					if vl.ReadValidate(ver) {
-						validated.Add(1)
-						if x != y {
-							violations.Add(1)
-						}
-						break
-					}
-					g.Abort() // conflict with a writer: restart the section
-				}
-				g.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	rg.Wait()
-	if got := a.Load(); got != writers*perW || b.Load() != got {
-		t.Fatalf("lost writes: a=%d b=%d want %d", a.Load(), b.Load(), writers*perW)
-	}
-	if violations.Load() != 0 {
-		t.Fatalf("%d validated optimistic sections overlapped a fallback holder's writes", violations.Load())
-	}
-	if validated.Load() == 0 {
-		t.Fatal("no optimistic section ever validated; the test exercised nothing")
-	}
-	if m.Stats.Fallbacks.Load() < writers*perW {
-		t.Fatalf("fallbacks = %d, want >= %d", m.Stats.Fallbacks.Load(), writers*perW)
-	}
-}
-
 func TestRWSpinReadersExcludeWriter(t *testing.T) {
 	var l RWSpin
 	if !l.TryRLock() {
@@ -376,31 +180,5 @@ func TestRWSpinConcurrentMutualExclusion(t *testing.T) {
 	wg.Wait()
 	if violations.Load() != 0 {
 		t.Fatalf("%d mutual-exclusion violations", violations.Load())
-	}
-}
-
-func TestBackoffBudgetThenParks(t *testing.T) {
-	// Within the retry budget Backoff must return essentially immediately
-	// (it only yields); past the budget it must actually park the goroutine.
-	start := time.Now()
-	for a := 0; a < DefaultMaxRetries; a++ {
-		Backoff(a)
-	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("in-budget backoff too slow: %v", d)
-	}
-
-	start = time.Now()
-	Backoff(DefaultMaxRetries + 6) // deepest tier: 64µs sleep
-	if d := time.Since(start); d < 64*time.Microsecond {
-		t.Fatalf("deep backoff returned in %v, want >= 64µs sleep", d)
-	}
-
-	// The sleep tier is capped: absurd attempt counts must not sleep longer
-	// than the deepest tier by orders of magnitude.
-	start = time.Now()
-	Backoff(1 << 20)
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("capped backoff too slow: %v", d)
 	}
 }

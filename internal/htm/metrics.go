@@ -13,7 +13,7 @@ func (s *Stats) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_restarts_total",
 		"full operation restarts after an abort", s.Restarts.Load)
 	reg.CounterFunc(prefix+"_fallbacks_total",
-		"times the global fallback lock serialized a section", s.Fallbacks.Load)
+		"writer entries into the global fallback lock", s.Fallbacks.Load)
 	for c := AbortCause(0); c < NumAbortCauses; c++ {
 		reg.CounterFunc(prefix+"_aborts_"+c.String()+"_total",
 			"conflict aborts attributed to the "+c.String()+" protocol step",
@@ -24,7 +24,7 @@ func (s *Stats) RegisterMetrics(reg *obs.Registry, prefix string) {
 // RegisterMetrics exposes the adaptive controller's live state and event
 // counters on reg under the given prefix (e.g. "htm"): the budget/backoff-cap
 // gauges operators watch to see the controller react to contention, plus the
-// fallback-entry and adaptation counters the contention sweep records.
+// adaptation counters. Fallback entries are counted on the tree's Stats.
 func (c *AdaptiveController) RegisterMetrics(reg *obs.Registry, prefix string) {
 	// Across a fleet the budget to alarm on is the most contended shard's.
 	reg.MinGaugeFunc(prefix+"_adaptive_budget",
@@ -39,9 +39,6 @@ func (c *AdaptiveController) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"_fallback_held",
 		"1 while a fallback writer holds the global lock",
 		func() float64 { return float64(c.fbHeld.Load()) })
-	reg.CounterFunc(prefix+"_fallback_entries_total",
-		"writer entries into the global fallback lock",
-		c.Stats.FallbackEntries.Load)
 	reg.CounterFunc(prefix+"_adaptive_adaptations_total",
 		"adaptation windows evaluated by the controller",
 		c.Stats.Adaptations.Load)

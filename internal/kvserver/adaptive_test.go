@@ -10,65 +10,65 @@ import (
 	"fptree/internal/obs"
 )
 
-// TestAttachAdaptiveSharded: one controller per shard, each wired into its
-// shard tree, and only concurrent stores get one.
-func TestAttachAdaptiveSharded(t *testing.T) {
+// controllerOf returns the retry controller of a tree-backed shard.
+func controllerOf(st Store) *htm.AdaptiveController {
+	return st.(*treeStore).t.(interface {
+		Controller() *htm.AdaptiveController
+	}).Controller()
+}
+
+// TestControllerPerShard: every shard of a concurrent fleet is its own
+// contention domain with its own controller at the default budget bounds,
+// and a single-threaded tree behind the lock has none.
+func TestControllerPerShard(t *testing.T) {
 	ss := newShardedFPTreeC(t, 4)
-	ctrls := AttachAdaptive(ss, htm.AdaptiveConfig{Floor: 3, Ceiling: 9})
-	if len(ctrls) != 4 {
-		t.Fatalf("attached %d controllers, want 4", len(ctrls))
-	}
-	for i, c := range ctrls {
-		if got := ss.Shard(i).(*treeStore).t.Controller(); got != c {
-			t.Fatalf("shard %d: controller not installed", i)
+	seen := map[*htm.AdaptiveController]bool{}
+	for i := 0; i < ss.NumShards(); i++ {
+		c := controllerOf(ss.Shard(i))
+		if c == nil || seen[c] {
+			t.Fatalf("shard %d: controller %p missing or shared with another shard", i, c)
 		}
-		if cfg := c.Config(); cfg.Floor != 3 || cfg.Ceiling != 9 {
+		seen[c] = true
+		if cfg := c.Config(); cfg.Floor != htm.DefaultAdaptiveFloor || cfg.Ceiling != htm.DefaultAdaptiveCeiling {
 			t.Fatalf("shard %d: config [%d,%d]", i, cfg.Floor, cfg.Ceiling)
 		}
 	}
 
-	// Non-concurrent stores refuse: a controller only attaches where it
-	// steers a live retry loop.
-	hm := NewHashMapStore()
-	if got := AttachAdaptive(hm, htm.AdaptiveConfig{}); got != nil {
-		t.Fatalf("hashmap store accepted %d controllers", len(got))
-	}
 	fp, _ := EngineByName("fptree")
 	lk, err := fp.Create(pool())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := AttachAdaptive(lk, htm.AdaptiveConfig{}); got != nil {
-		t.Fatalf("locked single-threaded store accepted %d controllers", len(got))
+	if c := controllerOf(lk); c != nil {
+		t.Fatal("locked single-threaded store has a controller")
 	}
 }
 
-// TestAttachAdaptiveSingle: an unsharded concurrent store gets exactly one
-// controller and its tree sees it.
-func TestAttachAdaptiveSingle(t *testing.T) {
+// TestControllerSingleStore: an unsharded concurrent store has exactly one
+// controller, and its metrics are the controller's.
+func TestControllerSingleStore(t *testing.T) {
 	st, err := NewFPTreeCStore(pool())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrls := AttachAdaptive(st, htm.AdaptiveConfig{})
-	if len(ctrls) != 1 {
-		t.Fatalf("attached %d controllers, want 1", len(ctrls))
+	c := controllerOf(st)
+	if c == nil {
+		t.Fatal("concurrent store has no controller")
 	}
-	if got := st.(*treeStore).t.Controller(); got != ctrls[0] {
-		t.Fatal("controller not installed on the tree")
+	reg := obs.NewRegistry()
+	st.RegisterMetrics(reg)
+	if got := reg.Snapshot()["htm_adaptive_budget"]; got != float64(c.Budget()) {
+		t.Fatalf("htm_adaptive_budget = %v, controller says %d", got, c.Budget())
 	}
 }
 
-// TestShardedAdaptiveMetrics: with controllers attached, the router exposes
-// the aggregate fallback/adaptation counters, the min-budget gauge, and the
-// per-shard labeled budget/EWMA series, and serving traffic moves them.
+// TestShardedAdaptiveMetrics: with nothing attached by anyone, the router
+// exposes the aggregate fallback/adaptation counters, the min-budget gauge,
+// and the per-shard labeled budget/EWMA series, and serving traffic moves
+// them.
 func TestShardedAdaptiveMetrics(t *testing.T) {
 	ss := newShardedFPTreeC(t, 2)
-	ctrls := AttachAdaptive(ss, htm.AdaptiveConfig{AdaptEvery: 32})
-	if len(ctrls) != 2 {
-		t.Fatalf("attached %d controllers", len(ctrls))
-	}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 400; i++ {
 		k := []byte(fmt.Sprintf("key-%04d", i))
 		if err := ss.Set(k, []byte("v")); err != nil {
 			t.Fatal(err)
@@ -91,19 +91,15 @@ func TestShardedAdaptiveMetrics(t *testing.T) {
 		"htm_adaptive_budget ",
 		`htm_adaptive_budget{shard="0"}`,
 		`htm_adaptive_abort_ewma{shard="1"}`,
-		"htm_fallback_entries_total ",
-		`htm_fallback_entries_total{shard="0"}`,
+		"htm_fallbacks_total ",
+		`htm_fallbacks_total{shard="0"}`,
 		"htm_adaptive_adaptations_total ",
 	} {
 		if !strings.Contains(out, series) {
 			t.Fatalf("missing series %q in exposition:\n%s", series, out)
 		}
 	}
-	var adapted uint64
-	for _, c := range ctrls {
-		adapted += c.Stats.Adaptations.Load()
-	}
-	if adapted == 0 {
-		t.Fatal("no adaptation windows fired under 400 routed ops with AdaptEvery=32")
+	if got := reg.Snapshot()["htm_adaptive_adaptations_total"]; got == 0 {
+		t.Fatalf("no adaptation windows fired under 800 routed ops with AdaptEvery=%d", htm.DefaultAdaptEvery)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"fptree/internal/htm"
 	"fptree/internal/obs"
 	"fptree/internal/obs/trace"
 	"fptree/internal/scm"
@@ -59,9 +58,11 @@ func contractFleet(t *testing.T, e Engine, path string, n int) (Store, []*scm.Po
 
 // TestStoreContract runs every row of the engine table, bare and behind a
 // 3-shard router, through the whole Store contract: a seeded differential
-// against a map, size and invariants, the value limit, metrics, tracer and
-// controller attach answered by every store alike, and — for the engines
-// that have a persistent form — the same contents after close and reopen.
+// against a map, size and invariants, the value limit, metrics and tracer
+// answered by every store alike, the retry controller's gauges on every
+// shard of the concurrent FPTree with nobody attaching anything, and — for
+// the engines that have a persistent form — the same contents after close
+// and reopen.
 func TestStoreContract(t *testing.T) {
 	coreTree := map[string]bool{"fptreec": true, "fptree": true, "ptree": true}
 	for _, e := range Engines {
@@ -82,15 +83,6 @@ func TestStoreContract(t *testing.T) {
 					}
 				}
 
-				// Controllers go only where they steer a retry loop: one per
-				// shard of the concurrent FPTree, none anywhere else.
-				wantCtrls := 0
-				if e.Name == "fptreec" {
-					wantCtrls = n
-				}
-				if got := len(AttachAdaptive(st, htm.AdaptiveConfig{})); got != wantCtrls {
-					t.Fatalf("AttachAdaptive attached %d controllers, want %d", got, wantCtrls)
-				}
 				tr := trace.New(trace.Config{SampleEvery: 1})
 				srv, _, err := ServeConfig("127.0.0.1:0", st, Config{Pools: pools, Tracer: tr})
 				if err != nil {
@@ -161,8 +153,16 @@ func TestStoreContract(t *testing.T) {
 					t.Fatalf("exposition invalid: %v\n%s", err, buf.String())
 				}
 				snap := reg.Snapshot()
-				if _, ok := snap["htm_adaptive_budget"]; ok != (wantCtrls > 0) {
-					t.Fatalf("htm_adaptive_budget exposed = %v with %d controllers", ok, wantCtrls)
+				// A controller lives where it steers a retry loop: one per
+				// shard of the concurrent FPTree, none anywhere else.
+				budgets := []string{"htm_adaptive_budget"}
+				for i := 0; n > 1 && i < n; i++ {
+					budgets = append(budgets, obs.Series("htm_adaptive_budget", obs.ShardLabel(i)))
+				}
+				for _, series := range budgets {
+					if _, ok := snap[series]; ok != (e.Name == "fptreec") {
+						t.Fatalf("%s exposed = %v", series, ok)
+					}
 				}
 				if searches := snap["fptree_searches_total"]; (searches > 0) != coreTree[e.Name] {
 					t.Fatalf("fptree_searches_total = %v", searches)

@@ -13,7 +13,6 @@ import (
 	"hash/fnv"
 	"sync"
 
-	"fptree/internal/htm"
 	"fptree/internal/obs"
 	"fptree/internal/obs/trace"
 	"fptree/internal/scm"
@@ -130,29 +129,6 @@ func (s *ShardedStore) SetTracer(tr *trace.Tracer) {
 	for _, sh := range s.shards {
 		sh.SetTracer(tr)
 	}
-}
-
-// SetController reports false: the router has no retry loop of its own, and
-// each shard, being its own contention domain, takes its own controller
-// (AttachAdaptive).
-func (s *ShardedStore) SetController(*htm.AdaptiveController) bool { return false }
-
-// AttachAdaptive installs one adaptive controller per shard of st (an
-// unsharded store being a fleet of one) and returns the controllers that
-// took. Each shard is its own occCC domain, so each gets its own
-// htm.AdaptiveController: an abort storm on one hot shard shrinks that
-// shard's retry budget without costing the calm shards any optimism. A
-// controller is kept only where it steers a retry loop, so the returned
-// slice length is the number of live controllers. Call before the store
-// serves traffic and before metrics registration.
-func AttachAdaptive(st Store, cfg htm.AdaptiveConfig) []*htm.AdaptiveController {
-	var out []*htm.AdaptiveController
-	for i := 0; i < st.NumShards(); i++ {
-		if c := htm.NewAdaptiveController(cfg); st.Shard(i).SetController(c) {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // RegisterMetrics exposes the fleet on reg: every shard registers through

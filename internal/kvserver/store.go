@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"fptree/internal/core"
-	"fptree/internal/htm"
 	"fptree/internal/nvtree"
 	"fptree/internal/obs"
 	"fptree/internal/obs/trace"
@@ -32,13 +31,6 @@ type Store interface {
 	// SetTracer hands the engine the tracer that samples its operations;
 	// nil switches engine tracing off.
 	SetTracer(tr *trace.Tracer)
-	// SetController installs an adaptive concurrency controller and reports
-	// whether it now steers a retry loop; a store without one (a
-	// single-threaded tree behind the lock, the NV-Tree, the hash map, the
-	// router itself) leaves c unused and reports false. Call before the
-	// store serves traffic.
-	SetController(c *htm.AdaptiveController) bool
-
 	// NumShards and Shard are the shard view: the concurrency domains behind
 	// the store, each with its own engine, arena and controller. A store
 	// that is not a router is a fleet of one whose only shard is itself.
@@ -85,7 +77,7 @@ func decodeVal(buf []byte) []byte {
 // --- the tree adapter ---------------------------------------------------------
 
 // tree is what the adapter needs of an engine: the var-key operations plus
-// the observability and controller hooks the core facades promote.
+// the observability hooks the core facades promote.
 type tree interface {
 	Upsert(k, v []byte) error
 	Find(k []byte) ([]byte, bool)
@@ -94,18 +86,14 @@ type tree interface {
 	CheckInvariants() error
 	RegisterMetrics(*obs.Registry)
 	SetTracer(*trace.Tracer)
-	SetController(*htm.AdaptiveController)
-	Controller() *htm.AdaptiveController
 }
 
-// nvTree gives the NV-Tree, which has no counters, tracer or retry loop, the
-// no-op half of tree.
+// nvTree gives the NV-Tree, which has no counters or tracer, the no-op half
+// of tree.
 type nvTree struct{ *nvtree.CVarTree }
 
-func (nvTree) RegisterMetrics(*obs.Registry)         {}
-func (nvTree) SetTracer(*trace.Tracer)               {}
-func (nvTree) SetController(*htm.AdaptiveController) {}
-func (nvTree) Controller() *htm.AdaptiveController   { return nil }
+func (nvTree) RegisterMetrics(*obs.Registry) {}
+func (nvTree) SetTracer(*trace.Tracer)       {}
 
 // treeStore is the one adapter between the Store contract and a persistent
 // tree: it frames values for the tree's value slot and, for the
@@ -176,13 +164,6 @@ func (s *treeStore) CheckInvariants() error {
 
 func (s *treeStore) RegisterMetrics(reg *obs.Registry) { s.t.RegisterMetrics(reg) }
 func (s *treeStore) SetTracer(tr *trace.Tracer)        { s.t.SetTracer(tr) }
-
-// SetController reports whether the engine took c: the single-threaded
-// trees ignore it, having no retry loop to steer.
-func (s *treeStore) SetController(c *htm.AdaptiveController) bool {
-	s.t.SetController(c)
-	return s.t.Controller() == c
-}
 
 func (s *treeStore) NumShards() int  { return 1 }
 func (s *treeStore) Shard(int) Store { return s }
@@ -337,10 +318,9 @@ func (s *mapStore) Len() int {
 }
 
 // The rest of the contract does not apply to a map: it has no structure to
-// check, no counters, nothing to trace and no retry loop.
-func (s *mapStore) CheckInvariants() error                     { return nil }
-func (s *mapStore) RegisterMetrics(*obs.Registry)              {}
-func (s *mapStore) SetTracer(*trace.Tracer)                    {}
-func (s *mapStore) SetController(*htm.AdaptiveController) bool { return false }
-func (s *mapStore) NumShards() int                             { return 1 }
-func (s *mapStore) Shard(int) Store                            { return s }
+// check, no counters and nothing to trace.
+func (s *mapStore) CheckInvariants() error        { return nil }
+func (s *mapStore) RegisterMetrics(*obs.Registry) {}
+func (s *mapStore) SetTracer(*trace.Tracer)       {}
+func (s *mapStore) NumShards() int                { return 1 }
+func (s *mapStore) Shard(int) Store               { return s }
