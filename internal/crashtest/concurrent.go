@@ -34,7 +34,7 @@ const histMult = 1 << 20
 // fallback entries mix is the tree's controller's business (SetController).
 // It returns the number of committed shared increments, so a caller can tell
 // the contended part of the workload ran.
-func ConcurrentHistory(tb testing.TB, t Fixed, opts ConcurrentOptions) (increments uint64) {
+func ConcurrentHistory(tb testing.TB, t Tree[uint64, uint64], opts ConcurrentOptions) (increments uint64) {
 	tb.Helper()
 	if opts.Workers <= 0 {
 		opts.Workers = 4

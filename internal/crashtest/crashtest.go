@@ -12,9 +12,11 @@
 //     form for one operation: every word-prefix combination of the lines
 //     dirty at every persist, not one draw.
 //
-//   - Differential replay (oracle.go): generated operation traces applied in
-//     lockstep to a tree and a plain map oracle, with full-content diffs
-//     after every batch.
+//   - Differential replay (oracle.go, iterator.go): generated operation
+//     traces applied in lockstep to a tree and a plain map oracle, with
+//     full-content diffs after every batch, and the iterator checkers —
+//     written once over a key descriptor (Keys) whose two instances, Fixed
+//     and Var, serve every tree of either key kind.
 //
 //   - Concurrent-history checking (concurrent.go): mixed workloads over
 //     private ranges and version-locked shared counters, verified against

@@ -7,13 +7,15 @@ package crashtest
 
 import "testing"
 
-func TestDifferentialFixed(t *testing.T) {
-	for _, tc := range fixedRigs() {
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(100); seed < 103; seed++ {
-				rig := tc.mk(t)
-				RunDifferentialFixed(t, rig.tree, rig.scan, seed, 4000, 97, 300)
-				if err := rig.check(); err != nil {
+// diffGrid runs every rig through RunDifferential for seeds seed0, seed0+1,
+// ..., then checks its invariants.
+func diffGrid[K, V any](t *testing.T, ks Keys[K, V], rigs []rigSpec[K, V], seed0 int64, seeds, nops, batch int, keySpace uint64) {
+	for _, s := range rigs {
+		t.Run(s.name, func(t *testing.T) {
+			for seed := seed0; seed < seed0+int64(seeds); seed++ {
+				r := s.mk(t)
+				RunDifferential(t, ks, r.tree, r.scan, seed, nops, batch, keySpace, r.valSize)
+				if err := r.check(); err != nil {
 					t.Fatalf("seed %d: invariants after differential run: %v", seed, err)
 				}
 			}
@@ -21,16 +23,6 @@ func TestDifferentialFixed(t *testing.T) {
 	}
 }
 
-func TestDifferentialVar(t *testing.T) {
-	for _, tc := range varRigs() {
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(200); seed < 202; seed++ {
-				rig := tc.mk(t)
-				RunDifferentialVar(t, rig.tree, rig.scan, seed, 2000, 89, 200, rig.valSize)
-				if err := rig.check(); err != nil {
-					t.Fatalf("seed %d: invariants after differential run: %v", seed, err)
-				}
-			}
-		})
-	}
-}
+func TestDifferentialFixed(t *testing.T) { diffGrid(t, Fixed, fixedRigs(), 100, 3, 4000, 97, 300) }
+
+func TestDifferentialVar(t *testing.T) { diffGrid(t, Var, varRigs(), 200, 2, 2000, 89, 200) }

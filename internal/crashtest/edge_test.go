@@ -17,17 +17,16 @@ import (
 )
 
 // TestCrashMidLeafSplit fills one leaf to capacity and enumerates every
-// persist of the insert that splits it, for all four trees. The final diff
+// persist of the insert that splits it, for every fixed rig. The final diff
 // after each crash point proves the split is all-or-nothing.
 func TestCrashMidLeafSplit(t *testing.T) {
-	for _, tc := range fixedRigs() {
-		t.Run(tc.name, func(t *testing.T) {
-			rig := tc.mk(t)
-			ops := make([]FixedOp, 0, rig.leafCap+1)
-			for k := uint64(1); k <= uint64(rig.leafCap)+1; k++ {
-				ops = append(ops, FixedOp{Kind: OpInsert, K: k, V: k * 3})
+	for _, s := range fixedRigs() {
+		t.Run(s.name, func(t *testing.T) {
+			ops := make([]Op[uint64, uint64], 0, s.leafCap+1)
+			for k := uint64(1); k <= uint64(s.leafCap)+1; k++ {
+				ops = append(ops, Op[uint64, uint64]{Kind: OpInsert, K: k, V: k * 3})
 			}
-			n := enumerateFixed(t, rig, ops, Options{Persists: true})
+			n := crashWalk(t, Fixed, s.mk(t), ops, Options{Persists: true}, hook[uint64, uint64]{})
 			if n <= 4 {
 				t.Fatalf("split insert exercised only %d persist points — no split happened?", n)
 			}
@@ -126,7 +125,7 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 		name string
 		mk   func(pool *scm.Pool) error              // create + fill one leaf
 		ins  func(pool *scm.Pool, k, v uint64) error // upsert via a fresh handle
-		open func(pool *scm.Pool) (Fixed, func() error, error)
+		open func(pool *scm.Pool) (Tree[uint64, uint64], func() error, error)
 		cap  uint64
 	}
 	systems := []sys{
@@ -143,7 +142,7 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 				}
 				return tr.Upsert(k, v)
 			},
-			open: func(pool *scm.Pool) (Fixed, func() error, error) {
+			open: func(pool *scm.Pool) (Tree[uint64, uint64], func() error, error) {
 				tr, err := core.Open(pool)
 				if err != nil {
 					return nil, nil, err
@@ -165,7 +164,7 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 				}
 				return tr.Upsert(k, v)
 			},
-			open: func(pool *scm.Pool) (Fixed, func() error, error) {
+			open: func(pool *scm.Pool) (Tree[uint64, uint64], func() error, error) {
 				tr, err := wbtree.Open(pool)
 				if err != nil {
 					return nil, nil, err
@@ -187,7 +186,7 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			verify := func(tr Fixed, check func() error, pt string) error {
+			verify := func(tr Tree[uint64, uint64], check func() error, pt string) error {
 				if err := check(); err != nil {
 					return fmt.Errorf("%s: invariants: %v", pt, err)
 				}

@@ -1,116 +1,106 @@
 package crashtest
 
-// Exhaustive crash-point enumeration over all four persistent trees: every
-// mutating operation of a mixed workload is crashed at each of its Persist
-// (and separately, fence) primitives, recovery runs, invariants are checked
-// and the full contents are diffed against the map oracle. The workload
-// includes a sequential fill (leaf splits, root growth), a random trace
-// (updates, duplicate inserts, deletes) and a full delete sweep (merges,
-// chain pruning, root collapse), so the grid covers insert, delete, split
-// and the recovery paths behind each.
+// Exhaustive crash-point enumeration over every persistent tree and both key
+// kinds: every mutating operation of a mixed workload is crashed at each of
+// its Persist (and separately, fence) primitives, recovery runs, invariants
+// are checked and the full contents are diffed against the map oracle. The
+// workload includes a sequential fill (leaf splits, root growth), a random
+// trace (updates, duplicate inserts, deletes) and a full delete sweep
+// (merges, chain pruning, root collapse), so the grid covers insert, delete,
+// split and the recovery paths behind each. crashWalk is the one driver;
+// the parallel-recovery and iterator grids reuse it through their rigs and
+// hooks.
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
 
-// fixedWorkload builds the canonical enumeration trace: sequential fill,
-// random mixed trace, full delete sweep.
-func fixedWorkload(seed int64, inserts, trace int, keySpace uint64) []FixedOp {
-	ops := make([]FixedOp, 0, inserts+trace+int(keySpace))
-	for k := uint64(1); k <= uint64(inserts); k++ {
-		ops = append(ops, FixedOp{Kind: OpInsert, K: k, V: k * 7})
+// workload builds the canonical enumeration trace over key numbers: a
+// sequential fill, a random mixed trace and a full delete sweep. valLen is
+// the tree's value field.
+func workload[K, V any](ks Keys[K, V], seed int64, inserts, trace int, keySpace uint64, valLen int) []Op[K, V] {
+	ops := make([]Op[K, V], 0, inserts+trace+int(keySpace))
+	for n := uint64(1); n <= uint64(inserts); n++ {
+		ops = append(ops, Op[K, V]{Kind: OpInsert, K: ks.key(n), V: ks.value(n*7, valLen)})
 	}
-	ops = append(ops, GenFixed(seed, trace, keySpace)...)
-	for k := uint64(1); k <= keySpace; k++ {
-		ops = append(ops, FixedOp{Kind: OpDelete, K: k})
-	}
-	return ops
-}
-
-// varWorkload is fixedWorkload over VarKey's keys, for a tree whose value
-// field is valSize bytes wide: 8-byte values at the harness's width, VarValue's
-// mix of lengths in a wider one.
-func varWorkload(seed int64, inserts, trace int, keySpace uint64, valSize int) []VarOp {
-	ops := make([]VarOp, 0, inserts+trace+int(keySpace))
-	for k := uint64(1); k <= uint64(inserts); k++ {
-		v := bytes.Repeat(pack8(k*7), (valSize+7)/8)[:valSize]
-		ops = append(ops, VarOp{Kind: OpInsert, K: VarKey(k), V: VarValue(v)})
-	}
-	ops = append(ops, GenVar(seed, trace, keySpace, valSize)...)
-	for k := uint64(1); k <= keySpace; k++ {
-		ops = append(ops, VarOp{Kind: OpDelete, K: VarKey(k)})
+	ops = append(ops, ks.Gen(seed, trace, keySpace, valLen)...)
+	for n := uint64(1); n <= keySpace; n++ {
+		ops = append(ops, Op[K, V]{Kind: OpDelete, K: ks.key(n)})
 	}
 	return ops
 }
 
-// syncFixed reconciles the oracle with the tree for the one operation that
-// was in flight when the crash hit: its effects are either fully present
-// (the commit point persisted before the crash) or fully absent — anything
-// in between is a consistency bug the subsequent diff reports.
-func syncFixed(t Fixed, oracle map[uint64]uint64, op FixedOp) {
+// reconcile settles the model for the one operation that was in flight when
+// the crash hit: its effects are either fully present (the commit point
+// persisted before the crash) or fully absent — anything in between is a
+// consistency bug the diff that follows reports.
+func reconcile[K, V any](o *Oracle[K, V], t Tree[K, V], op Op[K, V]) {
 	v, ok := t.Find(op.K)
 	switch op.Kind {
 	case OpInsert, OpUpdate:
-		if ok && v == op.V {
-			oracle[op.K] = op.V
+		if ok && o.ks.equal(v, op.V) {
+			o.put(op.K, op.V)
 		}
 	case OpDelete:
 		if !ok {
-			delete(oracle, op.K)
+			o.del(op.K)
 		}
 	}
 }
 
-func syncVar(t Var, oracle map[string][]byte, op VarOp) {
-	v, ok := t.Find(op.K)
-	switch op.Kind {
-	case OpInsert, OpUpdate:
-		if ok && string(v) == string(op.V) {
-			oracle[string(op.K)] = op.V
-		}
-	case OpDelete:
-		if !ok {
-			delete(oracle, string(op.K))
-		}
-	}
+// hook extends crashWalk at two places; either may be nil.
+type hook[K, V any] struct {
+	run   func(op func() error) error // runs every attempt of a mutating op
+	image func(o *Oracle[K, V]) error // checks every crash image after the diff
 }
 
-// enumerateFixed walks the workload one operation at a time and runs a full
+// crashWalk walks the workload one operation at a time and runs a full
 // crash-point enumeration around each mutating op, so no persist point is
 // ever skipped (a workload-level enumeration would advance more than one
-// primitive per iteration). opts must enable exactly one crash kind: after
-// one kind's enumeration completes, the op has committed, and re-running it
-// for a second kind would exercise a different (idempotent-update) path.
-func enumerateFixed(t *testing.T, rig *fixedRig, ops []FixedOp, opts Options) int {
+// primitive per iteration). Every image is reopened, its invariants checked,
+// the model reconciled with the op in flight and the whole tree diffed
+// before h.image runs. opts must enable exactly one crash kind: after one
+// kind's enumeration completes, the op has committed, and re-running it for
+// a second kind would exercise a different (idempotent-update) path. Returns
+// the number of crash points.
+func crashWalk[K, V any](t *testing.T, ks Keys[K, V], r *rig[K, V], ops []Op[K, V], opts Options, h hook[K, V]) int {
 	t.Helper()
 	if opts.Persists == opts.Fences {
-		t.Fatal("enumerateFixed needs exactly one crash kind per pass")
+		t.Fatal("crashWalk needs exactly one crash kind per pass")
 	}
-	probe := probeUniverse(ops)
-	oracle := map[uint64]uint64{}
+	if h.run == nil {
+		h.run = func(op func() error) error { return op() }
+	}
+	probe := ks.probe(ops)
+	o := NewOracle(ks)
 	total := 0
-	for i := range ops {
-		op := ops[i]
+	for i, op := range ops {
+		replay := func() error { return o.Replay(r.tree, r.scan, ops[i:i+1]) }
 		if op.Kind == OpFind || op.Kind == OpScan {
-			if err := ReplayFixed(rig.tree, oracle, ops[i:i+1]); err != nil {
+			if err := replay(); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
 			continue
 		}
-		total += Enumerate(t, rig.pool, opts,
-			func() error { return ReplayFixed(rig.tree, oracle, ops[i:i+1]) },
-			func(pt Point) error {
-				if err := rig.reopen(); err != nil {
-					return fmt.Errorf("op %d (%v %d): recovery: %v", i, op.Kind, op.K, err)
+		at := fmt.Sprintf("op %d (%v %s)", i, op.Kind, ks.format(op.K))
+		total += Enumerate(t, r.pool, opts,
+			func() error { return h.run(replay) },
+			func(Point) error {
+				if err := r.reopen(); err != nil {
+					return fmt.Errorf("%s: recovery: %v", at, err)
 				}
-				if err := rig.check(); err != nil {
-					return fmt.Errorf("op %d (%v %d): invariants: %v", i, op.Kind, op.K, err)
+				if err := r.check(); err != nil {
+					return fmt.Errorf("%s: invariants: %v", at, err)
 				}
-				syncFixed(rig.tree, oracle, op)
-				if err := DiffFixed(rig.tree, oracle, probe, rig.scan); err != nil {
-					return fmt.Errorf("op %d (%v %d): %v", i, op.Kind, op.K, err)
+				reconcile(o, r.tree, op)
+				if err := o.Diff(r.tree, probe, r.scan); err != nil {
+					return fmt.Errorf("%s: %v", at, err)
+				}
+				if h.image != nil {
+					if err := h.image(o); err != nil {
+						return fmt.Errorf("%s: %v", at, err)
+					}
 				}
 				return nil
 			})
@@ -118,39 +108,10 @@ func enumerateFixed(t *testing.T, rig *fixedRig, ops []FixedOp, opts Options) in
 	return total
 }
 
-func enumerateVar(t *testing.T, rig *varRig, ops []VarOp, opts Options) int {
-	t.Helper()
-	if opts.Persists == opts.Fences {
-		t.Fatal("enumerateVar needs exactly one crash kind per pass")
-	}
-	probe := probeUniverseVar(ops)
-	oracle := map[string][]byte{}
-	total := 0
-	for i := range ops {
-		op := ops[i]
-		if op.Kind == OpFind || op.Kind == OpScan {
-			if err := ReplayVar(rig.tree, oracle, ops[i:i+1]); err != nil {
-				t.Fatalf("op %d: %v", i, err)
-			}
-			continue
-		}
-		total += Enumerate(t, rig.pool, opts,
-			func() error { return ReplayVar(rig.tree, oracle, ops[i:i+1]) },
-			func(pt Point) error {
-				if err := rig.reopen(); err != nil {
-					return fmt.Errorf("op %d (%v %q): recovery: %v", i, op.Kind, op.K, err)
-				}
-				if err := rig.check(); err != nil {
-					return fmt.Errorf("op %d (%v %q): invariants: %v", i, op.Kind, op.K, err)
-				}
-				syncVar(rig.tree, oracle, op)
-				if err := DiffVar(rig.tree, oracle, probe, rig.scan); err != nil {
-					return fmt.Errorf("op %d (%v %q): %v", i, op.Kind, op.K, err)
-				}
-				return nil
-			})
-	}
-	return total
+// pass is one column of a crash grid.
+type pass struct {
+	name string
+	opts Options
 }
 
 // enumPasses is the crash-kind × torn grid each tree runs through. The torn
@@ -160,10 +121,7 @@ func enumerateVar(t *testing.T, rig *varRig, ops []VarOp, opts Options) int {
 // point. tornSeed mixes the base into each point's seed, so the bases are
 // decorrelated, and a failing Point still prints the derived seed it replays
 // from.
-var enumPasses = []struct {
-	name string
-	opts Options
-}{
+var enumPasses = []pass{
 	{"persist", Options{Persists: true}},
 	{"fence", Options{Fences: true}},
 	{"torn-42", Options{Persists: true, Torn: true, Seed: 42}},
@@ -172,38 +130,40 @@ var enumPasses = []struct {
 	{"torn-5eed1", Options{Persists: true, Torn: true, Seed: 0x5EED1}},
 }
 
-func TestCrashEnumerationFixed(t *testing.T) {
-	for _, tc := range fixedRigs() {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, pass := range enumPasses {
-				t.Run(pass.name, func(t *testing.T) {
-					rig := tc.mk(t)
-					ops := fixedWorkload(1, 32, 60, 40)
-					n := enumerateFixed(t, rig, ops, pass.opts)
-					if n < 64 {
-						t.Fatalf("only %d crash points exercised — fail-point wiring broken?", n)
-					}
-					t.Logf("%s/%s: %d crash points", rig.name, pass.name, n)
-				})
+// walkPass runs one pass of the grid over a fresh rig of s and fails when
+// fewer than least crash points were exercised — the fail-point wiring would
+// be broken. The count is logged: per row and pass it is the harness's
+// equivalence gate.
+func walkPass[K, V any](t *testing.T, ks Keys[K, V], s rigSpec[K, V], p pass, least int,
+	ops func(valSize int) []Op[K, V], h func(*rig[K, V]) hook[K, V]) {
+	t.Helper()
+	r := s.mk(t)
+	var hk hook[K, V]
+	if h != nil {
+		hk = h(r)
+	}
+	n := crashWalk(t, ks, r, ops(s.valSize), p.opts, hk)
+	if n < least {
+		t.Fatalf("only %d crash points exercised — fail-point wiring broken?", n)
+	}
+	t.Logf("%s/%s: %d crash points", s.name, p.name, n)
+}
+
+// enumGrid runs every rig through every pass.
+func enumGrid[K, V any](t *testing.T, ks Keys[K, V], rigs []rigSpec[K, V], least int, ops func(valSize int) []Op[K, V]) {
+	for _, s := range rigs {
+		t.Run(s.name, func(t *testing.T) {
+			for _, p := range enumPasses {
+				t.Run(p.name, func(t *testing.T) { walkPass(t, ks, s, p, least, ops, nil) })
 			}
 		})
 	}
 }
 
+func TestCrashEnumerationFixed(t *testing.T) {
+	enumGrid(t, Fixed, fixedRigs(), 64, func(int) []Op[uint64, uint64] { return workload(Fixed, 1, 32, 60, 40, 0) })
+}
+
 func TestCrashEnumerationVar(t *testing.T) {
-	for _, tc := range varRigs() {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, pass := range enumPasses {
-				t.Run(pass.name, func(t *testing.T) {
-					rig := tc.mk(t)
-					ops := varWorkload(2, 24, 40, 32, rig.valSize)
-					n := enumerateVar(t, rig, ops, pass.opts)
-					if n < 48 {
-						t.Fatalf("only %d crash points exercised — fail-point wiring broken?", n)
-					}
-					t.Logf("%s/%s: %d crash points", rig.name, pass.name, n)
-				})
-			}
-		})
-	}
+	enumGrid(t, Var, varRigs(), 48, func(valSize int) []Op[[]byte, []byte] { return workload(Var, 2, 24, 40, 32, valSize) })
 }

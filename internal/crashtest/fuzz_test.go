@@ -2,11 +2,12 @@ package crashtest
 
 // Native fuzz targets funnelling into the differential checker. The input
 // byte stream decodes into (op, key, value) triples — including a
-// crash-and-recover opcode — applied in lockstep to the FPTree and PTree
-// variants (fixed keys) or to two var-key FPTrees (8-byte values, and values of
-// mixed lengths in kvserver's 122-byte field), against the map oracle.
-// Seed corpora live in testdata/fuzz/. CI smoke-runs each target briefly;
-// run `go test -fuzz FuzzTreeOpsFixed ./internal/crashtest` to dig.
+// crash-and-recover opcode — applied to the FPTree, its concurrent facade and
+// the PTree (fixed keys), or to var-key FPTrees (8-byte values, and values of
+// mixed lengths in kvserver's 122-byte field) and their concurrent facades,
+// each against its own map oracle. Seed corpora live in
+// testdata/fuzz/. CI smoke-runs each target briefly; run
+// `go test -fuzz FuzzTreeOpsFixed ./internal/crashtest` to dig.
 
 import (
 	"bytes"
@@ -18,8 +19,9 @@ import (
 
 const fuzzPoolBytes = 4 << 20
 
-// fuzzOps decodes the raw fuzz input into a trace over a deliberately tiny
-// key space (collisions make updates, duplicate inserts and deletes land).
+// fuzzOp is one decoded input triple: decodeFuzz turns the raw fuzz input
+// into a trace over a deliberately tiny key space (collisions make updates,
+// duplicate inserts and deletes land).
 type fuzzOp struct {
 	kind  OpKind
 	crash bool
@@ -68,113 +70,73 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(churn)
 }
 
-func FuzzTreeOpsFixed(f *testing.F) {
-	fuzzSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pools := [2]*scm.Pool{}
-		trees := [2]*core.Tree{}
-		for i, variant := range []core.Variant{core.VariantFPTree, core.VariantPTree} {
-			pools[i] = scm.NewPool(fuzzPoolBytes, scm.LatencyConfig{CacheBytes: -1})
-			tr, err := core.Create(pools[i], core.Config{Variant: variant, LeafCap: 8, InnerFanout: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			trees[i] = tr
-		}
-		// One oracle per tree; both replay the identical trace, so the
-		// oracles stay equal and each tree is checked against its own.
-		oracles := [2]map[uint64]uint64{{}, {}}
-		touched := map[uint64]bool{}
-		for _, op := range decodeFuzz(data) {
+// fuzzTrees replays the decoded input against a fresh tree of every spec,
+// each checked against its own model; the crash opcode crashes and reopens
+// it. value turns the op's value byte into a value for the tree's field.
+// Afterwards every tree's full contents, ordered scan included, must match
+// its model.
+func fuzzTrees[K, V any](t *testing.T, ks Keys[K, V], specs []rigSpec[K, V], data []byte, value func(b uint64, valSize int) V) {
+	ops := decodeFuzz(data)
+	for _, s := range specs {
+		r := newRig(t, s, scm.NewPool(fuzzPoolBytes, scm.LatencyConfig{CacheBytes: -1}))
+		o := NewOracle(ks)
+		var trace []Op[K, V]
+		for _, op := range ops {
 			if op.crash {
-				for i := range trees {
-					pools[i].Crash()
-					tr, err := core.Open(pools[i])
-					if err != nil {
-						t.Fatalf("recovery: %v", err)
-					}
-					if err := tr.CheckInvariants(); err != nil {
-						t.Fatal(err)
-					}
-					trees[i] = tr
+				r.pool.Crash()
+				if err := r.reopen(); err != nil {
+					t.Fatalf("%s: recovery: %v", s.name, err)
+				}
+				if err := r.check(); err != nil {
+					t.Fatalf("%s: %v", s.name, err)
 				}
 				continue
 			}
-			touched[op.k] = true
-			for i := range trees {
-				if err := ReplayFixed(trees[i], oracles[i], []FixedOp{{Kind: op.kind, K: op.k, V: op.v}}); err != nil {
-					t.Fatalf("tree %d: %v", i, err)
-				}
+			trace = append(trace, Op[K, V]{Kind: op.kind, K: ks.key(op.k), V: value(op.v, s.valSize)})
+			if err := o.Replay(r.tree, r.scan, trace[len(trace)-1:]); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
 			}
 		}
-		probe := make([]uint64, 0, len(touched))
-		for k := range touched {
-			probe = append(probe, k)
+		if err := o.Diff(r.tree, ks.probe(trace), r.scan); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
 		}
-		for i, tr := range trees {
-			scan := func(from uint64, n int) []FixedKV {
-				kvs := tr.ScanN(from, n)
-				out := make([]FixedKV, len(kvs))
-				for j, kv := range kvs {
-					out[j] = FixedKV{kv.Key, kv.Value}
-				}
-				return out
-			}
-			if err := DiffFixed(tr, oracles[i], probe, scan); err != nil {
-				t.Fatalf("tree %d: %v", i, err)
-			}
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("tree %d: %v", i, err)
-			}
+		if err := r.check(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
 		}
+	}
+}
+
+func FuzzTreeOpsFixed(f *testing.F) {
+	fuzzSeeds(f)
+	c := core.Config{LeafCap: 8, InnerFanout: 4}
+	pt := c
+	pt.Variant = core.VariantPTree
+	specs := []rigSpec[uint64, uint64]{
+		coreSpec("fptree", c, core.Create, core.Open, fixedPair),
+		coreSpec("fptreec", c, core.CCreate, core.COpen, fixedPair),
+		coreSpec("ptree", pt, core.Create, core.Open, fixedPair),
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzTrees(t, Fixed, specs, data, func(b uint64, _ int) uint64 { return b })
 	})
 }
 
 func FuzzTreeOpsVar(f *testing.F) {
 	fuzzSeeds(f)
+	c := core.Config{LeafCap: 8, InnerFanout: 4, ValueSize: varValLen}
+	kv := c
+	kv.ValueSize = kvValSize
+	specs := []rigSpec[[]byte, []byte]{
+		coreSpec("fptree", c, core.CreateVar, core.OpenVar, varPair),
+		coreSpec("fptree-kv", kv, core.CreateVar, core.OpenVar, varPair),
+		coreSpec("fptreec", c, core.CCreateVar, core.COpenVar, varPair),
+		coreSpec("fptreec-kv", kv, core.CCreateVar, core.COpenVar, varPair),
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The value byte fills the field and, in the wide one, also selects
 		// the length the value is stored at (VarValue).
-		for _, valSize := range []int{varValLen, kvValSize} {
-			pool := scm.NewPool(fuzzPoolBytes, scm.LatencyConfig{CacheBytes: -1})
-			tr, err := core.CreateVar(pool, core.Config{LeafCap: 8, InnerFanout: 4, ValueSize: valSize})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var tree Var = tr
-			check := tr.CheckInvariants
-			oracle := map[string][]byte{}
-			touched := map[string]bool{}
-			for _, op := range decodeFuzz(data) {
-				if op.crash {
-					pool.Crash()
-					tr, err := core.OpenVar(pool)
-					if err != nil {
-						t.Fatalf("value field %d: recovery: %v", valSize, err)
-					}
-					if err := tr.CheckInvariants(); err != nil {
-						t.Fatalf("value field %d: %v", valSize, err)
-					}
-					tree, check = tr, tr.CheckInvariants
-					continue
-				}
-				k := VarKey(op.k)
-				touched[string(k)] = true
-				v := VarValue(bytes.Repeat([]byte{byte(op.v)}, valSize))
-				if err := ReplayVar(tree, oracle, []VarOp{{Kind: op.kind, K: k, V: v}}); err != nil {
-					t.Fatalf("value field %d: %v", valSize, err)
-				}
-			}
-			probe := make([]string, 0, len(touched))
-			for k := range touched {
-				probe = append(probe, k)
-			}
-			if err := DiffVar(tree, oracle, probe, nil); err != nil {
-				t.Fatalf("value field %d: %v", valSize, err)
-			}
-			if err := check(); err != nil {
-				t.Fatalf("value field %d: %v", valSize, err)
-			}
-		}
+		fuzzTrees(t, Var, specs, data, func(b uint64, valSize int) []byte {
+			return VarValue(bytes.Repeat([]byte{byte(b)}, valSize))
+		})
 	})
 }

@@ -4,80 +4,64 @@ package crashtest
 // iterators of the core trees. Two strengths are offered, matching the two
 // guarantees the iterators make.
 //
-// CheckIterFixed/CheckIterVar verify the EXACT single-threaded contract:
-// with no concurrent writers (mutations happen only between steps, through
-// the mutate callback), every step must return precisely the first live
-// in-window key past the cursor — the iterator behaves as if it re-read the
-// tree at each step. This is also the contract a concurrent tree's iterator
-// honors when driven from one goroutine.
+// CheckIter verifies the EXACT single-threaded contract: with no concurrent
+// writers (mutations happen only between steps, through the mutate
+// callback), every step must return precisely the first live in-window key
+// past the cursor — the iterator behaves as if it re-read the tree at each
+// step. This is also the contract a concurrent tree's iterator honors when
+// driven from one goroutine.
 //
-// CheckIterStableFixed/CheckIterStableVar verify the concurrent contract
-// under live mutators: with the key space split into stable keys (never
-// touched during the session) and volatile keys (churned concurrently, but
-// always carrying their canonical value when present), the emission must be
-// strictly monotonic inside the window, every stable in-window key must
-// appear exactly once, every emitted key must carry its canonical value,
-// and every volatile emission must be a plausible key. Skipping or
-// double-emitting a stable key — the linearizability-per-step property the
-// iterator claims — is reported with the offending step.
+// CheckIterStable verifies the concurrent contract under live mutators: with
+// the key space split into stable keys (never touched during the session)
+// and volatile keys (churned concurrently, but always carrying their
+// canonical value when present), the emission must be strictly monotonic
+// inside the window, every stable in-window key must appear exactly once,
+// every emitted key must carry its canonical value, and every volatile
+// emission must be a plausible key. Skipping or double-emitting a stable key
+// — the linearizability-per-step property the iterator claims — is reported
+// with the offending step.
 //
 // Like the rest of this package's exported surface, only scm/htm/stdlib are
 // imported, so tree packages' own tests can use these checkers too.
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// FixedIter is the iterator surface the fixed-key checkers drive; it matches
-// core.FixedIterator.
-type FixedIter interface {
+// Iter is the iterator surface the checkers drive; core.Iter[K, V] satisfies
+// it. The checkers hold on to emitted keys, so a key Key returned must not
+// change under a later Next.
+type Iter[K, V any] interface {
 	Valid() bool
 	Next() bool
-	Key() uint64
-	Value() uint64
+	Key() K
+	Value() V
 	Close()
 }
 
-// VarIter matches core.VarIterator.
-type VarIter interface {
-	Valid() bool
-	Next() bool
-	Key() []byte
-	Value() []byte
-	Close()
+// inWindow reports whether k lies in [start, end).
+func (ks Keys[K, V]) inWindow(k, start, end K) bool {
+	var open K
+	return ks.compare(k, start) >= 0 && (ks.compare(end, open) == 0 || ks.compare(k, end) < 0)
 }
 
-// fixedInWindow reports whether k lies in [start, end) under the fixed-key
-// convention (end == 0 means unbounded).
-func fixedInWindow(k, start, end uint64) bool {
-	return k >= start && (end == 0 || k < end)
-}
-
-// varInWindow is the byte-string counterpart (nil edges are unbounded).
-func varInWindow(k, start, end []byte) bool {
-	if len(start) > 0 && bytes.Compare(k, start) < 0 {
-		return false
-	}
-	return len(end) == 0 || bytes.Compare(k, end) < 0
-}
-
-// CheckIterFixed drives it to exhaustion against the exact oracle. live must
+// CheckIter drives it to exhaustion against the exact oracle. live must
 // return the CURRENT live pairs sorted ascending by key; mutate (optional)
 // runs after each emission and may mutate both the tree and whatever backs
-// live. start/end bound the window with end == 0 meaning unbounded; reverse
-// selects descending iteration. Returns the number of keys emitted.
-func CheckIterFixed(it FixedIter, live func() []FixedKV, start, end uint64, reverse bool, mutate func(step int)) (int, error) {
+// live. start/end bound the window; reverse selects descending iteration.
+// Returns the number of keys emitted.
+func CheckIter[K, V any](ks Keys[K, V], it Iter[K, V], live func() []KV[K, V], start, end K, reverse bool, mutate func(step int)) (int, error) {
 	defer it.Close()
-	var cur uint64
+	f := ks.format
+	var cur K
 	curSet := false
-	steps := 0
-	for {
-		want, wantV, ok := nextExpectedFixed(live(), start, end, reverse, cur, curSet)
+	for steps := 0; ; steps++ {
+		want, ok := ks.nextExpected(live(), start, end, reverse, cur, curSet)
 		if !it.Valid() {
 			if ok {
-				return steps, fmt.Errorf("step %d: iterator exhausted but key %d is live in the window", steps, want)
+				return steps, fmt.Errorf("step %d: iterator exhausted but key %s is live in the window", steps, f(want.K))
 			}
 			if it.Next() {
 				return steps, fmt.Errorf("step %d: Next on exhausted iterator returned true", steps)
@@ -85,243 +69,95 @@ func CheckIterFixed(it FixedIter, live func() []FixedKV, start, end uint64, reve
 			return steps, nil
 		}
 		if !ok {
-			return steps, fmt.Errorf("step %d: emitted %d but no live key remains past cursor", steps, it.Key())
+			return steps, fmt.Errorf("step %d: emitted %s but no live key remains past cursor", steps, f(it.Key()))
 		}
-		if it.Key() != want {
-			return steps, fmt.Errorf("step %d: emitted key %d, oracle expects %d", steps, it.Key(), want)
+		if ks.compare(it.Key(), want.K) != 0 {
+			return steps, fmt.Errorf("step %d: emitted key %s, oracle expects %s", steps, f(it.Key()), f(want.K))
 		}
-		if it.Value() != wantV {
-			return steps, fmt.Errorf("step %d: key %d carries value %d, oracle has %d", steps, want, it.Value(), wantV)
+		if !ks.equal(it.Value(), want.V) {
+			return steps, fmt.Errorf("step %d: key %s carries value %x, oracle has %x", steps, f(want.K), any(it.Value()), any(want.V))
 		}
-		cur, curSet = want, true
-		steps++
+		cur, curSet = want.K, true
 		if mutate != nil {
-			mutate(steps)
+			mutate(steps + 1)
 		}
 		it.Next()
 	}
 }
 
-// nextExpectedFixed returns the first live key the iterator must emit next:
-// the smallest (or, reversed, greatest) in-window key strictly past the
-// cursor. sorted is ascending.
-func nextExpectedFixed(sorted []FixedKV, start, end uint64, reverse bool, cur uint64, curSet bool) (uint64, uint64, bool) {
+// nextExpected returns the pair the iterator must emit next: the least (or,
+// reversed, greatest) in-window key strictly past the cursor. sorted is
+// ascending.
+func (ks Keys[K, V]) nextExpected(sorted []KV[K, V], start, end K, reverse bool, cur K, curSet bool) (KV[K, V], bool) {
+	var i int
 	if !reverse {
-		i := sort.Search(len(sorted), func(i int) bool {
-			if sorted[i].K < start {
-				return false
-			}
-			return !curSet || sorted[i].K > cur
+		i = sort.Search(len(sorted), func(i int) bool {
+			k := sorted[i].K
+			return ks.compare(k, start) >= 0 && (!curSet || ks.compare(k, cur) > 0)
 		})
-		if i == len(sorted) || !fixedInWindow(sorted[i].K, start, end) {
-			return 0, 0, false
-		}
-		return sorted[i].K, sorted[i].V, true
-	}
-	// Greatest key below the cursor (or below end / at the top when unset).
-	i := sort.Search(len(sorted), func(i int) bool {
-		if curSet && sorted[i].K >= cur {
-			return true
-		}
-		return !curSet && end != 0 && sorted[i].K >= end
-	})
-	if i == 0 {
-		return 0, 0, false
-	}
-	k := sorted[i-1]
-	if !fixedInWindow(k.K, start, end) {
-		return 0, 0, false
-	}
-	return k.K, k.V, true
-}
-
-// CheckIterVar is CheckIterFixed for byte-string keys; nil window edges mean
-// unbounded and live must be sorted ascending by bytewise key order.
-func CheckIterVar(it VarIter, live func() []VarKV, start, end []byte, reverse bool, mutate func(step int)) (int, error) {
-	defer it.Close()
-	var cur []byte
-	steps := 0
-	for {
-		want, ok := nextExpectedVar(live(), start, end, reverse, cur)
-		if !it.Valid() {
-			if ok {
-				return steps, fmt.Errorf("step %d: iterator exhausted but key %q is live in the window", steps, want.K)
+	} else {
+		// Greatest key below the cursor (or below end / at the top when unset).
+		var open K
+		i = sort.Search(len(sorted), func(i int) bool {
+			if curSet {
+				return ks.compare(sorted[i].K, cur) >= 0
 			}
-			return steps, nil
-		}
-		if !ok {
-			return steps, fmt.Errorf("step %d: emitted %q but no live key remains past cursor", steps, it.Key())
-		}
-		if !bytes.Equal(it.Key(), want.K) {
-			return steps, fmt.Errorf("step %d: emitted key %q, oracle expects %q", steps, it.Key(), want.K)
-		}
-		if !bytes.Equal(it.Value(), want.V) {
-			return steps, fmt.Errorf("step %d: key %q carries value %x, oracle has %x", steps, want.K, it.Value(), want.V)
-		}
-		cur = append(cur[:0], want.K...)
-		steps++
-		if mutate != nil {
-			mutate(steps)
-		}
-		it.Next()
+			return ks.compare(end, open) != 0 && ks.compare(sorted[i].K, end) >= 0
+		}) - 1
 	}
+	if i < 0 || i == len(sorted) || !ks.inWindow(sorted[i].K, start, end) {
+		return KV[K, V]{}, false
+	}
+	return sorted[i], true
 }
 
-func nextExpectedVar(sorted []VarKV, start, end []byte, reverse bool, cur []byte) (VarKV, bool) {
-	if !reverse {
-		i := sort.Search(len(sorted), func(i int) bool {
-			if len(start) > 0 && bytes.Compare(sorted[i].K, start) < 0 {
-				return false
-			}
-			return cur == nil || bytes.Compare(sorted[i].K, cur) > 0
-		})
-		if i == len(sorted) || !varInWindow(sorted[i].K, start, end) {
-			return VarKV{}, false
-		}
-		return sorted[i], true
-	}
-	i := sort.Search(len(sorted), func(i int) bool {
-		if cur != nil {
-			return bytes.Compare(sorted[i].K, cur) >= 0
-		}
-		return len(end) > 0 && bytes.Compare(sorted[i].K, end) >= 0
-	})
-	if i == 0 {
-		return VarKV{}, false
-	}
-	k := sorted[i-1]
-	if !varInWindow(k.K, start, end) {
-		return VarKV{}, false
-	}
-	return k, true
-}
-
-// CheckIterStableFixed drives it to exhaustion under concurrent mutators.
-// stable is the ascending list of keys guaranteed live for the whole session;
+// CheckIterStable drives it to exhaustion under concurrent mutators. stable
+// is the ascending list of keys guaranteed live for the whole session;
 // valueOf gives every key's canonical value (mutators must only ever write
 // canonical values); volatileOK reports whether a non-stable key is one the
 // mutators could legitimately have inserted. Verifies strict in-window
 // monotonic emission, exact once-each coverage of the stable keys, and
 // canonical values throughout. Returns the number of keys emitted.
-func CheckIterStableFixed(it FixedIter, stable []uint64, start, end uint64, reverse bool, valueOf func(uint64) uint64, volatileOK func(uint64) bool) (int, error) {
+func CheckIterStable[K, V any](ks Keys[K, V], it Iter[K, V], stable []K, start, end K, reverse bool, valueOf func(K) V, volatileOK func(K) bool) (int, error) {
 	defer it.Close()
-	want := stableWindowFixed(stable, start, end, reverse)
-	idx := 0
-	var prev uint64
-	prevSet := false
-	steps := 0
+	f := ks.format
+	var want []K // the in-window stable keys in emission order
+	for _, k := range stable {
+		if ks.inWindow(k, start, end) {
+			want = append(want, k)
+		}
+	}
+	if reverse {
+		slices.Reverse(want)
+	}
+	idx, steps := 0, 0
+	var prev K
 	for ; it.Valid(); it.Next() {
 		k := it.Key()
-		if !fixedInWindow(k, start, end) {
-			return steps, fmt.Errorf("step %d: key %d outside window [%d,%d)", steps, k, start, end)
+		if !ks.inWindow(k, start, end) {
+			return steps, fmt.Errorf("step %d: key %s outside window [%s,%s)", steps, f(k), f(start), f(end))
 		}
-		if prevSet {
-			if !reverse && k <= prev {
-				return steps, fmt.Errorf("step %d: key %d after %d — duplicate or regression", steps, k, prev)
-			}
-			if reverse && k >= prev {
-				return steps, fmt.Errorf("step %d: key %d after %d — duplicate or regression (reverse)", steps, k, prev)
-			}
+		if c := ks.compare(k, prev); steps > 0 && (!reverse && c <= 0 || reverse && c >= 0) {
+			return steps, fmt.Errorf("step %d: key %s after %s — duplicate or regression", steps, f(k), f(prev))
 		}
-		prev, prevSet = k, true
-		if it.Value() != valueOf(k) {
-			return steps, fmt.Errorf("step %d: key %d carries value %d, canonical is %d", steps, k, it.Value(), valueOf(k))
+		prev = k
+		if !ks.equal(it.Value(), valueOf(k)) {
+			return steps, fmt.Errorf("step %d: key %s carries value %x, canonical is %x", steps, f(k), any(it.Value()), any(valueOf(k)))
 		}
-		if idx < len(want) && k == want[idx] {
+		switch _, isStable := slices.BinarySearchFunc(stable, k, ks.compare); {
+		case idx < len(want) && ks.compare(k, want[idx]) == 0:
 			idx++
-		} else if isStableKey(stable, k) {
-			if idx < len(want) {
-				return steps, fmt.Errorf("step %d: stable key %d emitted while %d was still pending — a stable key was skipped", steps, k, want[idx])
-			}
-			return steps, fmt.Errorf("step %d: stable key %d emitted twice", steps, k)
-		} else if !volatileOK(k) {
-			return steps, fmt.Errorf("step %d: key %d is neither stable nor a legal volatile key", steps, k)
+		case isStable && idx < len(want):
+			return steps, fmt.Errorf("step %d: stable key %s emitted while %s was still pending — a stable key was skipped", steps, f(k), f(want[idx]))
+		case isStable:
+			return steps, fmt.Errorf("step %d: stable key %s emitted twice", steps, f(k))
+		case !volatileOK(k):
+			return steps, fmt.Errorf("step %d: key %s is neither stable nor a legal volatile key", steps, f(k))
 		}
 		steps++
 	}
 	if idx != len(want) {
-		return steps, fmt.Errorf("iterator exhausted with stable key %d (and %d more) never emitted", want[idx], len(want)-idx-1)
+		return steps, fmt.Errorf("iterator exhausted with stable key %s (and %d more) never emitted", f(want[idx]), len(want)-idx-1)
 	}
 	return steps, nil
-}
-
-// CheckIterStableVar is the byte-string counterpart of CheckIterStableFixed.
-func CheckIterStableVar(it VarIter, stable [][]byte, start, end []byte, reverse bool, valueOf func([]byte) []byte, volatileOK func([]byte) bool) (int, error) {
-	defer it.Close()
-	want := stableWindowVar(stable, start, end, reverse)
-	idx := 0
-	var prev []byte
-	steps := 0
-	for ; it.Valid(); it.Next() {
-		k := it.Key()
-		if !varInWindow(k, start, end) {
-			return steps, fmt.Errorf("step %d: key %q outside window [%q,%q)", steps, k, start, end)
-		}
-		if prev != nil {
-			c := bytes.Compare(k, prev)
-			if !reverse && c <= 0 || reverse && c >= 0 {
-				return steps, fmt.Errorf("step %d: key %q after %q — duplicate or regression", steps, k, prev)
-			}
-		}
-		prev = append(prev[:0], k...)
-		if !bytes.Equal(it.Value(), valueOf(k)) {
-			return steps, fmt.Errorf("step %d: key %q carries value %x, canonical is %x", steps, k, it.Value(), valueOf(k))
-		}
-		if idx < len(want) && bytes.Equal(k, want[idx]) {
-			idx++
-		} else if isStableKeyVar(stable, k) {
-			if idx < len(want) {
-				return steps, fmt.Errorf("step %d: stable key %q emitted while %q was still pending — a stable key was skipped", steps, k, want[idx])
-			}
-			return steps, fmt.Errorf("step %d: stable key %q emitted twice", steps, k)
-		} else if !volatileOK(k) {
-			return steps, fmt.Errorf("step %d: key %q is neither stable nor a legal volatile key", steps, k)
-		}
-		steps++
-	}
-	if idx != len(want) {
-		return steps, fmt.Errorf("iterator exhausted with stable key %q (and %d more) never emitted", want[idx], len(want)-idx-1)
-	}
-	return steps, nil
-}
-
-// stableWindowFixed selects the in-window stable keys in emission order.
-func stableWindowFixed(stable []uint64, start, end uint64, reverse bool) []uint64 {
-	var w []uint64
-	for _, k := range stable {
-		if fixedInWindow(k, start, end) {
-			w = append(w, k)
-		}
-	}
-	if reverse {
-		for i, j := 0, len(w)-1; i < j; i, j = i+1, j-1 {
-			w[i], w[j] = w[j], w[i]
-		}
-	}
-	return w
-}
-
-func stableWindowVar(stable [][]byte, start, end []byte, reverse bool) [][]byte {
-	var w [][]byte
-	for _, k := range stable {
-		if varInWindow(k, start, end) {
-			w = append(w, k)
-		}
-	}
-	if reverse {
-		for i, j := 0, len(w)-1; i < j; i, j = i+1, j-1 {
-			w[i], w[j] = w[j], w[i]
-		}
-	}
-	return w
-}
-
-func isStableKey(stable []uint64, k uint64) bool {
-	i := sort.Search(len(stable), func(i int) bool { return stable[i] >= k })
-	return i < len(stable) && stable[i] == k
-}
-
-func isStableKeyVar(stable [][]byte, k []byte) bool {
-	i := sort.Search(len(stable), func(i int) bool { return bytes.Compare(stable[i], k) >= 0 })
-	return i < len(stable) && bytes.Equal(stable[i], k)
 }

@@ -9,7 +9,6 @@ package crashtest
 // `go test -fuzz FuzzIterOps ./internal/crashtest`.
 
 import (
-	"sort"
 	"testing"
 
 	"fptree/internal/core"
@@ -47,15 +46,7 @@ func FuzzIterOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := map[uint64]uint64{}
-		live := func() []FixedKV {
-			out := make([]FixedKV, 0, len(oracle))
-			for k, v := range oracle {
-				out = append(out, FixedKV{k, v})
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
-			return out
-		}
+		o := NewOracle(Fixed)
 		var it *core.FixedIterator
 		var reverse bool
 		var lo, hi uint64
@@ -64,12 +55,12 @@ func FuzzIterOps(f *testing.F) {
 		// checkPos asserts the iterator's position is exactly what the
 		// oracle dictates for the current cursor.
 		checkPos := func(what string) {
-			want, wantV, ok := nextExpectedFixed(live(), lo, hi, reverse, cur, curSet)
+			want, ok := Fixed.nextExpected(o.Sorted(), lo, hi, reverse, cur, curSet)
 			if it.Valid() != ok {
-				t.Fatalf("%s: Valid=%v, oracle expects %v (want key %d)", what, it.Valid(), ok, want)
+				t.Fatalf("%s: Valid=%v, oracle expects %v (want key %d)", what, it.Valid(), ok, want.K)
 			}
-			if ok && (it.Key() != want || it.Value() != wantV) {
-				t.Fatalf("%s: at (%d,%d), oracle expects (%d,%d)", what, it.Key(), it.Value(), want, wantV)
+			if ok && (it.Key() != want.K || it.Value() != want.V) {
+				t.Fatalf("%s: at (%d,%d), oracle expects (%d,%d)", what, it.Key(), it.Value(), want.K, want.V)
 			}
 		}
 		steps := 0
@@ -86,7 +77,7 @@ func FuzzIterOps(f *testing.F) {
 				} else if op == 3 {
 					kind = OpDelete
 				}
-				if err := ReplayFixed(tr, oracle, []FixedOp{{Kind: kind, K: k, V: v}}); err != nil {
+				if err := o.Replay(tr, nil, []Op[uint64, uint64]{{Kind: kind, K: k, V: v}}); err != nil {
 					t.Fatal(err)
 				}
 			case 4, 5:
@@ -149,7 +140,7 @@ func FuzzIterOps(f *testing.F) {
 		for k := uint64(1); k <= 40; k++ {
 			probe = append(probe, k)
 		}
-		if err := DiffFixed(tr, oracle, probe, nil); err != nil {
+		if err := o.Diff(tr, probe, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

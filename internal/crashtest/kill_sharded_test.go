@@ -87,8 +87,7 @@ func killShardedChildMain() {
 }
 
 // verifyAckedSharded reopens the fleet in-process and checks the recovered
-// router against the oracle of every acked step, with the same mask-window
-// treatment of possibly-landed trailing steps as verifyAcked.
+// router against the acked steps of every child run so far (checkAcked).
 func verifyAckedSharded(t *testing.T, path string, shards int, runs [][]int) {
 	t.Helper()
 	pools, recovered, err := scm.OpenFileShards(path, shards, 0, scm.LatencyConfig{CacheBytes: -1})
@@ -117,39 +116,7 @@ func verifyAckedSharded(t *testing.T, path string, shards int, runs [][]int) {
 	if err := router.CheckInvariants(); err != nil {
 		t.Fatalf("recovered fleet invariants: %v", err)
 	}
-
-	oracle := map[string]string{}
-	masked := map[string]bool{}
-	for _, acked := range runs {
-		if len(acked) == 0 {
-			continue
-		}
-		for _, step := range acked {
-			k, v, del := killTraceOp(step)
-			if del {
-				delete(oracle, k)
-			} else {
-				oracle[k] = v
-			}
-		}
-		last := acked[len(acked)-1]
-		for s := last + 1; s <= last+killMaskWindow; s++ {
-			k, _, _ := killTraceOp(s)
-			masked[k] = true
-		}
-	}
-	for k, want := range oracle {
-		if masked[k] {
-			continue
-		}
-		got, ok := router.Get([]byte(k))
-		if !ok {
-			t.Fatalf("acked key %q lost after sharded kill -9", k)
-		}
-		if string(got) != want {
-			t.Fatalf("acked key %q = %q, oracle %q", k, got, want)
-		}
-	}
+	checkAcked(t, runs, router.Get)
 }
 
 // TestKillDashNineRecoversSharded is the sharded-durability acceptance test:

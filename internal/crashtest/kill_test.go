@@ -187,14 +187,7 @@ func killOneChildEnv(t *testing.T, path string, start, minAcks int, extraEnv []s
 }
 
 // verifyAcked reopens the arena file in-process, recovers the tree, and
-// checks it against the oracle built from the acked steps of every child run
-// so far: acknowledged upserts must be present with their latest value,
-// acknowledged deletes must have removed the key. A kill can land mid-
-// operation, so for each run the few steps after its last ack may or may not
-// have reached the tree; the keys those steps touch (masked generously: 64
-// steps per kill point) are excluded from the strict comparison. Each
-// subsequent run starts past its predecessor's masked window, so the windows
-// never overlap acked work and the oracle stays exact everywhere else.
+// checks it against the acked steps of every child run so far (checkAcked).
 func verifyAcked(t *testing.T, path string, runs [][]int) {
 	t.Helper()
 	pool, recovered, err := scm.OpenFile(path, 0, scm.LatencyConfig{CacheBytes: -1})
@@ -215,7 +208,20 @@ func verifyAcked(t *testing.T, path string, runs [][]int) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("recovered tree invariants: %v", err)
 	}
+	checkAcked(t, runs, tr.Find)
+}
 
+// checkAcked checks a recovered store, read through get, against the oracle
+// built from the acked steps of every child run so far: acknowledged upserts
+// must be present with their latest value, acknowledged deletes must have
+// removed the key. A kill can land mid-operation, so for each run the few
+// steps after its last ack may or may not have reached the store; the keys
+// those steps touch (masked generously: 64 steps per kill point) are excluded
+// from the strict comparison. Each subsequent run starts past its
+// predecessor's masked window, so the windows never overlap acked work and
+// the oracle stays exact everywhere else.
+func checkAcked(t *testing.T, runs [][]int, get func(key []byte) ([]byte, bool)) {
+	t.Helper()
 	oracle := map[string]string{}
 	masked := map[string]bool{}
 	for _, acked := range runs {
@@ -240,7 +246,7 @@ func verifyAcked(t *testing.T, path string, runs [][]int) {
 		if masked[k] {
 			continue
 		}
-		got, ok := tr.Find([]byte(k))
+		got, ok := get([]byte(k))
 		if !ok {
 			t.Fatalf("acked key %q lost after kill -9", k)
 		}

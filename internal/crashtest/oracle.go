@@ -2,44 +2,34 @@ package crashtest
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"testing"
 )
 
-// Fixed is the adapter every fixed-size-key tree satisfies (structurally
-// identical to bench.FixedTree, so the bench instances plug straight in).
-type Fixed interface {
-	Insert(k, v uint64) error
-	Find(k uint64) (uint64, bool)
-	Update(k, v uint64) (bool, error)
-	Delete(k uint64) (bool, error)
+// Tree is the adapter every tree of the harness satisfies, over either key
+// kind (structurally bench.Tree, so the bench instances plug straight in).
+type Tree[K, V any] interface {
+	Insert(k K, v V) error
+	Find(k K) (V, bool)
+	Update(k K, v V) (bool, error)
+	Delete(k K) (bool, error)
 }
 
-// Var is the adapter every variable-size-key tree satisfies (structurally
-// identical to bench.VarTree).
-type Var interface {
-	Insert(k, v []byte) error
-	Find(k []byte) ([]byte, bool)
-	Update(k, v []byte) (bool, error)
-	Delete(k []byte) (bool, error)
+// KV is one pair.
+type KV[K, V any] struct {
+	K K
+	V V
 }
 
-// FixedScan returns up to n pairs with key >= from in ascending key order.
-// Trees expose scans under differing signatures, so callers wrap theirs in a
+// Scan returns up to n pairs with key >= from in ascending key order. Trees
+// expose scans under differing signatures, so callers wrap theirs in a
 // closure; nil disables scan checking.
-type FixedScan func(from uint64, n int) []FixedKV
-
-// VarScan is the variable-size-key counterpart of FixedScan.
-type VarScan func(from []byte, n int) []VarKV
-
-// FixedKV is one fixed-key pair.
-type FixedKV struct{ K, V uint64 }
-
-// VarKV is one variable-size-key pair.
-type VarKV struct{ K, V []byte }
+type Scan[K, V any] func(from K, n int) []KV[K, V]
 
 // OpKind enumerates trace operations.
 type OpKind uint8
@@ -72,32 +62,60 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("op(%d)", uint8(k))
 }
 
-// FixedOp is one fixed-key trace operation.
-type FixedOp struct {
+// Op is one trace operation.
+type Op[K, V any] struct {
 	Kind OpKind
-	K, V uint64
+	K    K
+	V    V
 }
 
-// VarOp is one variable-size-key trace operation.
-type VarOp struct {
-	Kind OpKind
-	K, V []byte
+// Keys describes one key representation to the harness. Appendix C's
+// variable-size-key FPTree is the algorithm of §4–5 over another key, and its
+// checks are the same checks over another key: the trace, replay, diff and
+// iterator checks are written once over a Keys, and Fixed and Var are its two
+// instances.
+//
+// The zero key (0, or the empty key) is the least key, and as a window's end
+// edge it leaves the window unbounded — the convention of both iterators.
+type Keys[K, V any] struct {
+	compare func(a, b K) int
+	id      func(K) string // a key's identity in the map oracle
+	equal   func(a, b V) bool
+	format  func(K) string // a key in failure messages
+	key     func(n uint64) K
+	value   func(n uint64, valLen int) V // value number n in a field valLen bytes wide
+	draw    func(rng *rand.Rand, keySpace uint64, valLen int) Op[K, V]
 }
 
-// GenFixed builds a reproducible mixed trace of n operations over keys in
-// [1, keySpace]; the small key space forces collisions so updates, deletes
-// and duplicate inserts actually hit.
-func GenFixed(seed int64, n int, keySpace uint64) []FixedOp {
-	rng := rand.New(rand.NewSource(seed))
-	ops := make([]FixedOp, n)
-	for i := range ops {
-		ops[i] = FixedOp{
-			Kind: OpKind(rng.Intn(int(opKinds))),
-			K:    rng.Uint64()%keySpace + 1,
-			V:    rng.Uint64(),
-		}
-	}
-	return ops
+// Fixed is the 8-byte-key, 8-byte-value representation.
+var Fixed = Keys[uint64, uint64]{
+	compare: cmp.Compare[uint64],
+	id:      func(k uint64) string { return strconv.FormatUint(k, 10) },
+	equal:   func(a, b uint64) bool { return a == b },
+	format:  func(k uint64) string { return strconv.FormatUint(k, 10) },
+	key:     func(n uint64) uint64 { return n },
+	value:   func(n uint64, _ int) uint64 { return n },
+	draw: func(rng *rand.Rand, keySpace uint64, _ int) Op[uint64, uint64] {
+		return Op[uint64, uint64]{Kind: OpKind(rng.Intn(int(opKinds))), K: rng.Uint64()%keySpace + 1, V: rng.Uint64()}
+	},
+}
+
+// Var is the byte-string representation: the keys VarKey gives key numbers,
+// and values cut by VarValue to mixed lengths in a field wider than 8 bytes.
+var Var = Keys[[]byte, []byte]{
+	compare: bytes.Compare,
+	id:      func(k []byte) string { return string(k) },
+	equal:   bytes.Equal,
+	format:  func(k []byte) string { return strconv.Quote(string(k)) },
+	key:     VarKey,
+	value: func(n uint64, valLen int) []byte {
+		return VarValue(bytes.Repeat(binary.LittleEndian.AppendUint64(nil, n), (valLen+7)/8)[:valLen])
+	},
+	draw: func(rng *rand.Rand, keySpace uint64, valLen int) Op[[]byte, []byte] {
+		v := make([]byte, valLen)
+		rng.Read(v)
+		return Op[[]byte, []byte]{Kind: OpKind(rng.Intn(int(opKinds))), K: VarKey(rng.Uint64()%keySpace + 1), V: VarValue(v)}
+	},
 }
 
 // VarKey renders key number k for the var-key suites. The FPTree stores a
@@ -136,231 +154,177 @@ func VarValue(v []byte) []byte {
 	return v[:[...]int{0, 3, min(34, len(v)), len(v)}[v[0]%4]]
 }
 
-// GenVar builds a reproducible mixed trace over the keys VarKey gives the
-// numbers of [1, keySpace] with the values VarValue makes of valLen random
-// bytes, valLen being the trees' configured inline value size, so contents
-// compare byte-for-byte.
-func GenVar(seed int64, n int, keySpace uint64, valLen int) []VarOp {
+// Gen builds a reproducible mixed trace of n operations over key numbers
+// [1, keySpace]; the small key space forces collisions so updates, deletes
+// and duplicate inserts actually hit. valLen is the tree's value field, so
+// contents compare byte-for-byte.
+func (ks Keys[K, V]) Gen(seed int64, n int, keySpace uint64, valLen int) []Op[K, V] {
 	rng := rand.New(rand.NewSource(seed))
-	ops := make([]VarOp, n)
+	ops := make([]Op[K, V], n)
 	for i := range ops {
-		v := make([]byte, valLen)
-		rng.Read(v)
-		ops[i] = VarOp{
-			Kind: OpKind(rng.Intn(int(opKinds))),
-			K:    VarKey(rng.Uint64()%keySpace + 1),
-			V:    VarValue(v),
-		}
+		ops[i] = ks.draw(rng, keySpace, valLen)
 	}
 	return ops
 }
 
-// ReplayFixed applies ops to the tree and the map oracle in lockstep,
-// comparing every return value. The oracle map is mutated; errors name the
-// diverging op index.
-func ReplayFixed(t Fixed, oracle map[uint64]uint64, ops []FixedOp) error {
-	for i, op := range ops {
-		_, exists := oracle[op.K]
-		switch {
-		case op.Kind == OpInsert && !exists:
-			if err := t.Insert(op.K, op.V); err != nil {
-				return fmt.Errorf("op %d: insert(%d): %v", i, op.K, err)
-			}
-			oracle[op.K] = op.V
-		case op.Kind == OpInsert || op.Kind == OpUpdate:
-			ok, err := t.Update(op.K, op.V)
-			if err != nil {
-				return fmt.Errorf("op %d: update(%d): %v", i, op.K, err)
-			}
-			if ok != exists {
-				return fmt.Errorf("op %d: update(%d) = %v, oracle has-key %v", i, op.K, ok, exists)
-			}
-			if exists {
-				oracle[op.K] = op.V
-			}
-		case op.Kind == OpDelete:
-			ok, err := t.Delete(op.K)
-			if err != nil {
-				return fmt.Errorf("op %d: delete(%d): %v", i, op.K, err)
-			}
-			if ok != exists {
-				return fmt.Errorf("op %d: delete(%d) = %v, oracle has-key %v", i, op.K, ok, exists)
-			}
-			delete(oracle, op.K)
-		case op.Kind == OpFind:
-			v, ok := t.Find(op.K)
-			want, wantOK := oracle[op.K]
-			if ok != wantOK || (ok && v != want) {
-				return fmt.Errorf("op %d: find(%d) = %d,%v want %d,%v", i, op.K, v, ok, want, wantOK)
-			}
-		case op.Kind == OpScan:
-			// Scan checking happens in DiffFixed (needs the optional scan
-			// closure); a scan op inside a trace is a no-op here.
+// probe collects every key a trace touches, sorted.
+func (ks Keys[K, V]) probe(ops []Op[K, V]) []K {
+	seen := map[string]bool{}
+	var out []K
+	for _, op := range ops {
+		if id := ks.id(op.K); !seen[id] {
+			seen[id] = true
+			out = append(out, op.K)
+		}
+	}
+	slices.SortFunc(out, ks.compare)
+	return out
+}
+
+// samePairs reports the first difference between two ascending pair lists.
+func (ks Keys[K, V]) samePairs(got, want []KV[K, V]) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d pairs, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if ks.compare(got[i].K, want[i].K) != 0 || !ks.equal(got[i].V, want[i].V) {
+			return fmt.Errorf("pair %d = (%s,%x) want (%s,%x)", i, ks.format(got[i].K), any(got[i].V), ks.format(want[i].K), any(want[i].V))
 		}
 	}
 	return nil
 }
 
-// ReplayVar is the variable-size-key ReplayFixed. Oracle keys are the string
-// form of the byte keys.
-func ReplayVar(t Var, oracle map[string][]byte, ops []VarOp) error {
+// Oracle is the map model a tree is checked against.
+type Oracle[K, V any] struct {
+	ks     Keys[K, V]
+	m      map[string]KV[K, V]
+	sorted []KV[K, V] // cache of Sorted; nil after a change
+}
+
+// NewOracle returns an empty oracle over ks.
+func NewOracle[K, V any](ks Keys[K, V]) *Oracle[K, V] {
+	return &Oracle[K, V]{ks: ks, m: map[string]KV[K, V]{}}
+}
+
+// get returns k's value in the model.
+func (o *Oracle[K, V]) get(k K) (V, bool) {
+	kv, ok := o.m[o.ks.id(k)]
+	return kv.V, ok
+}
+
+// put sets k to v in the model.
+func (o *Oracle[K, V]) put(k K, v V) {
+	o.m[o.ks.id(k)] = KV[K, V]{k, v}
+	o.sorted = nil
+}
+
+// del removes k from the model.
+func (o *Oracle[K, V]) del(k K) {
+	delete(o.m, o.ks.id(k))
+	o.sorted = nil
+}
+
+// Sorted returns the model's pairs in ascending key order. The slice is
+// shared until the next change; callers must not modify it.
+func (o *Oracle[K, V]) Sorted() []KV[K, V] {
+	if o.sorted == nil {
+		o.sorted = make([]KV[K, V], 0, len(o.m))
+		for _, kv := range o.m {
+			o.sorted = append(o.sorted, kv)
+		}
+		slices.SortFunc(o.sorted, func(a, b KV[K, V]) int { return o.ks.compare(a.K, b.K) })
+	}
+	return o.sorted
+}
+
+// scanWidth is how many pairs an OpScan reads.
+const scanWidth = 10
+
+// Replay applies ops to the tree and the model in lockstep, comparing every
+// return value; an OpScan compares scan's first scanWidth pairs from the op's
+// key, when scan is non-nil. Errors name the diverging op index.
+func (o *Oracle[K, V]) Replay(t Tree[K, V], scan Scan[K, V], ops []Op[K, V]) error {
+	f := o.ks.format
 	for i, op := range ops {
-		_, exists := oracle[string(op.K)]
+		want, exists := o.get(op.K)
 		switch {
 		case op.Kind == OpInsert && !exists:
 			if err := t.Insert(op.K, op.V); err != nil {
-				return fmt.Errorf("op %d: insert(%q): %v", i, op.K, err)
+				return fmt.Errorf("op %d: insert(%s): %v", i, f(op.K), err)
 			}
-			oracle[string(op.K)] = op.V
+			o.put(op.K, op.V)
 		case op.Kind == OpInsert || op.Kind == OpUpdate:
 			ok, err := t.Update(op.K, op.V)
 			if err != nil {
-				return fmt.Errorf("op %d: update(%q): %v", i, op.K, err)
+				return fmt.Errorf("op %d: update(%s): %v", i, f(op.K), err)
 			}
 			if ok != exists {
-				return fmt.Errorf("op %d: update(%q) = %v, oracle has-key %v", i, op.K, ok, exists)
+				return fmt.Errorf("op %d: update(%s) = %v, oracle has-key %v", i, f(op.K), ok, exists)
 			}
 			if exists {
-				oracle[string(op.K)] = op.V
+				o.put(op.K, op.V)
 			}
 		case op.Kind == OpDelete:
 			ok, err := t.Delete(op.K)
 			if err != nil {
-				return fmt.Errorf("op %d: delete(%q): %v", i, op.K, err)
+				return fmt.Errorf("op %d: delete(%s): %v", i, f(op.K), err)
 			}
 			if ok != exists {
-				return fmt.Errorf("op %d: delete(%q) = %v, oracle has-key %v", i, op.K, ok, exists)
+				return fmt.Errorf("op %d: delete(%s) = %v, oracle has-key %v", i, f(op.K), ok, exists)
 			}
-			delete(oracle, string(op.K))
+			o.del(op.K)
 		case op.Kind == OpFind:
 			v, ok := t.Find(op.K)
-			want, wantOK := oracle[string(op.K)]
-			if ok != wantOK || (ok && !bytes.Equal(v, want)) {
-				return fmt.Errorf("op %d: find(%q) = %x,%v want %x,%v", i, op.K, v, ok, want, wantOK)
+			if ok != exists || (ok && !o.ks.equal(v, want)) {
+				return fmt.Errorf("op %d: find(%s) = %x,%v want %x,%v", i, f(op.K), any(v), ok, any(want), exists)
+			}
+		case op.Kind == OpScan && scan != nil:
+			all := o.Sorted()
+			from, _ := slices.BinarySearchFunc(all, op.K, func(kv KV[K, V], k K) int { return o.ks.compare(kv.K, k) })
+			if err := o.ks.samePairs(scan(op.K, scanWidth), all[from:min(from+scanWidth, len(all))]); err != nil {
+				return fmt.Errorf("op %d: scan(%s): %v", i, f(op.K), err)
 			}
 		}
 	}
 	return nil
 }
 
-// DiffFixed compares the tree's full contents with the oracle: every key of
-// the probe universe is looked up (catching both losses and resurrections —
-// a tree cannot invent keys outside the keys ever traced), and, when scan is
-// non-nil, a full ascending scan must reproduce the sorted oracle exactly.
-func DiffFixed(t Fixed, oracle map[uint64]uint64, probe []uint64, scan FixedScan) error {
+// Diff compares the tree's full contents with the model: every key of the
+// probe universe is looked up (catching both losses and resurrections — a
+// tree cannot invent keys outside the keys ever traced), and, when scan is
+// non-nil, a full ascending scan must reproduce the sorted model exactly.
+func (o *Oracle[K, V]) Diff(t Tree[K, V], probe []K, scan Scan[K, V]) error {
 	for _, k := range probe {
 		v, ok := t.Find(k)
-		want, wantOK := oracle[k]
-		if ok != wantOK || (ok && v != want) {
-			return fmt.Errorf("diff: key %d = %d,%v want %d,%v", k, v, ok, want, wantOK)
+		want, wantOK := o.get(k)
+		if ok != wantOK || (ok && !o.ks.equal(v, want)) {
+			return fmt.Errorf("diff: key %s = %x,%v want %x,%v", o.ks.format(k), any(v), ok, any(want), wantOK)
 		}
 	}
 	if scan != nil {
-		want := make([]FixedKV, 0, len(oracle))
-		for k, v := range oracle {
-			want = append(want, FixedKV{k, v})
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i].K < want[j].K })
-		got := scan(0, len(oracle)+1)
-		if len(got) != len(want) {
-			return fmt.Errorf("diff: scan returned %d pairs, oracle has %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return fmt.Errorf("diff: scan[%d] = (%d,%d) want (%d,%d)", i, got[i].K, got[i].V, want[i].K, want[i].V)
-			}
+		var least K
+		if err := o.ks.samePairs(scan(least, len(o.m)+1), o.Sorted()); err != nil {
+			return fmt.Errorf("diff: scan: %v", err)
 		}
 	}
 	return nil
 }
 
-// DiffVar is the variable-size-key DiffFixed; probe keys are string-form.
-func DiffVar(t Var, oracle map[string][]byte, probe []string, scan VarScan) error {
-	for _, k := range probe {
-		v, ok := t.Find([]byte(k))
-		want, wantOK := oracle[k]
-		if ok != wantOK || (ok && !bytes.Equal(v, want)) {
-			return fmt.Errorf("diff: key %q = %x,%v want %x,%v", k, v, ok, want, wantOK)
-		}
-	}
-	if scan != nil {
-		keys := make([]string, 0, len(oracle))
-		for k := range oracle {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		got := scan(nil, len(oracle)+1)
-		if len(got) != len(keys) {
-			return fmt.Errorf("diff: scan returned %d pairs, oracle has %d", len(got), len(keys))
-		}
-		for i, k := range keys {
-			if string(got[i].K) != k || !bytes.Equal(got[i].V, oracle[k]) {
-				return fmt.Errorf("diff: scan[%d] = (%q,%x) want (%q,%x)", i, got[i].K, got[i].V, k, oracle[k])
-			}
-		}
-	}
-	return nil
-}
-
-// probeUniverse collects every key a fixed trace touches, sorted.
-func probeUniverse(ops []FixedOp) []uint64 {
-	seen := map[uint64]bool{}
-	for _, op := range ops {
-		seen[op.K] = true
-	}
-	out := make([]uint64, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// probeUniverseVar collects every key a var trace touches, sorted.
-func probeUniverseVar(ops []VarOp) []string {
-	seen := map[string]bool{}
-	for _, op := range ops {
-		seen[string(op.K)] = true
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RunDifferentialFixed replays a generated trace against the tree in batches,
+// RunDifferential replays a generated trace against the tree in batches,
 // diffing full contents (probe universe plus optional scan) after every
-// batch. Failures print the generating seed and batch.
-func RunDifferentialFixed(tb testing.TB, t Fixed, scan FixedScan, seed int64, nops, batch int, keySpace uint64) {
+// batch. valLen is the tree's value field. Failures print the generating
+// seed and batch.
+func RunDifferential[K, V any](tb testing.TB, ks Keys[K, V], t Tree[K, V], scan Scan[K, V], seed int64, nops, batch int, keySpace uint64, valLen int) {
 	tb.Helper()
-	ops := GenFixed(seed, nops, keySpace)
-	probe := probeUniverse(ops)
-	oracle := map[uint64]uint64{}
+	ops := ks.Gen(seed, nops, keySpace, valLen)
+	probe := ks.probe(ops)
+	o := NewOracle(ks)
 	for at := 0; at < len(ops); at += batch {
 		end := min(at+batch, len(ops))
-		if err := ReplayFixed(t, oracle, ops[at:end]); err != nil {
+		if err := o.Replay(t, scan, ops[at:end]); err != nil {
 			tb.Fatalf("differential(seed=%d) batch @%d: %v", seed, at, err)
 		}
-		if err := DiffFixed(t, oracle, probe, scan); err != nil {
-			tb.Fatalf("differential(seed=%d) after batch @%d: %v", seed, at, err)
-		}
-	}
-}
-
-// RunDifferentialVar is the variable-size-key RunDifferentialFixed.
-func RunDifferentialVar(tb testing.TB, t Var, scan VarScan, seed int64, nops, batch int, keySpace uint64, valLen int) {
-	tb.Helper()
-	ops := GenVar(seed, nops, keySpace, valLen)
-	probe := probeUniverseVar(ops)
-	oracle := map[string][]byte{}
-	for at := 0; at < len(ops); at += batch {
-		end := min(at+batch, len(ops))
-		if err := ReplayVar(t, oracle, ops[at:end]); err != nil {
-			tb.Fatalf("differential(seed=%d) batch @%d: %v", seed, at, err)
-		}
-		if err := DiffVar(t, oracle, probe, scan); err != nil {
+		if err := o.Diff(t, probe, scan); err != nil {
 			tb.Fatalf("differential(seed=%d) after batch @%d: %v", seed, at, err)
 		}
 	}

@@ -5,157 +5,77 @@ package crashtest
 // sample. This file re-runs the crash-point enumeration for the FPTree rigs
 // and, at every enumerated image, recovers a clone of the crashed pool with
 // RecoveryOptions{Workers: 3} and diffs it against the sequential reopen of
-// the original pool.
+// the original pool. The single-threaded rigs recover through the leaf
+// groups (scanGroups); the concurrent ones have none and recover through the
+// leaf list (scanList).
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"fptree/internal/core"
+	"fptree/internal/scm"
 )
 
 // equivScanLimit comfortably exceeds every workload's live-key count.
 const equivScanLimit = 10000
 
-func enumerateFixedEquiv(t *testing.T, rig *fixedRig, ops []FixedOp, opts Options) int {
-	t.Helper()
-	probe := probeUniverse(ops)
-	oracle := map[uint64]uint64{}
-	total := 0
-	for i := range ops {
-		op := ops[i]
-		if op.Kind == OpFind || op.Kind == OpScan {
-			if err := ReplayFixed(rig.tree, oracle, ops[i:i+1]); err != nil {
-				t.Fatalf("op %d: %v", i, err)
-			}
-			continue
+// parallelEquiv wraps s's recovery so that every reopen also recovers a
+// clone of the crash image with three workers: the parallel tree must pass
+// its invariants and hold exactly the sequential tree's pairs.
+func parallelEquiv[K, V any](ks Keys[K, V], s rigSpec[K, V]) rigSpec[K, V] {
+	open := s.open
+	s.open = func(p *scm.Pool, opts ...core.RecoveryOptions) (bound[K, V], error) {
+		par, err := open(p.Clone(), core.RecoveryOptions{Workers: 3})
+		if err != nil {
+			return par, fmt.Errorf("parallel recovery: %v", err)
 		}
-		total += Enumerate(t, rig.pool, opts,
-			func() error { return ReplayFixed(rig.tree, oracle, ops[i:i+1]) },
-			func(pt Point) error {
-				clone := rig.pool.Clone()
-				if err := rig.reopen(); err != nil {
-					return fmt.Errorf("op %d (%v %d): recovery: %v", i, op.Kind, op.K, err)
-				}
-				if err := rig.check(); err != nil {
-					return fmt.Errorf("op %d (%v %d): invariants: %v", i, op.Kind, op.K, err)
-				}
-				par, err := core.Open(clone, core.RecoveryOptions{Workers: 3})
-				if err != nil {
-					return fmt.Errorf("op %d (%v %d): parallel recovery: %v", i, op.Kind, op.K, err)
-				}
-				if err := par.CheckInvariants(); err != nil {
-					return fmt.Errorf("op %d (%v %d): parallel invariants: %v", i, op.Kind, op.K, err)
-				}
-				seq := rig.scan(0, equivScanLimit)
-				got := par.ScanN(0, equivScanLimit)
-				if len(got) != len(seq) {
-					return fmt.Errorf("op %d (%v %d): parallel recovered %d pairs, sequential %d",
-						i, op.Kind, op.K, len(got), len(seq))
-				}
-				for j := range got {
-					if got[j].Key != seq[j].K || got[j].Value != seq[j].V {
-						return fmt.Errorf("op %d (%v %d): pair %d: parallel %d=%d, sequential %d=%d",
-							i, op.Kind, op.K, j, got[j].Key, got[j].Value, seq[j].K, seq[j].V)
-					}
-				}
-				syncFixed(rig.tree, oracle, op)
-				if err := DiffFixed(rig.tree, oracle, probe, rig.scan); err != nil {
-					return fmt.Errorf("op %d (%v %d): %v", i, op.Kind, op.K, err)
-				}
-				return nil
-			})
+		seq, err := open(p, opts...)
+		if err != nil {
+			return seq, err
+		}
+		if err := par.check(); err != nil {
+			return seq, fmt.Errorf("parallel invariants: %v", err)
+		}
+		var least K
+		if err := ks.samePairs(par.scan(least, equivScanLimit), seq.scan(least, equivScanLimit)); err != nil {
+			return seq, fmt.Errorf("parallel recovery vs sequential: %v", err)
+		}
+		return seq, nil
 	}
-	return total
+	return s
 }
 
-func enumerateVarEquiv(t *testing.T, rig *varRig, ops []VarOp, opts Options) int {
-	t.Helper()
-	probe := probeUniverseVar(ops)
-	oracle := map[string][]byte{}
-	total := 0
-	for i := range ops {
-		op := ops[i]
-		if op.Kind == OpFind || op.Kind == OpScan {
-			if err := ReplayVar(rig.tree, oracle, ops[i:i+1]); err != nil {
-				t.Fatalf("op %d: %v", i, err)
-			}
-			continue
-		}
-		total += Enumerate(t, rig.pool, opts,
-			func() error { return ReplayVar(rig.tree, oracle, ops[i:i+1]) },
-			func(pt Point) error {
-				clone := rig.pool.Clone()
-				if err := rig.reopen(); err != nil {
-					return fmt.Errorf("op %d (%v %q): recovery: %v", i, op.Kind, op.K, err)
-				}
-				if err := rig.check(); err != nil {
-					return fmt.Errorf("op %d (%v %q): invariants: %v", i, op.Kind, op.K, err)
-				}
-				par, err := core.OpenVar(clone, core.RecoveryOptions{Workers: 3})
-				if err != nil {
-					return fmt.Errorf("op %d (%v %q): parallel recovery: %v", i, op.Kind, op.K, err)
-				}
-				if err := par.CheckInvariants(); err != nil {
-					return fmt.Errorf("op %d (%v %q): parallel invariants: %v", i, op.Kind, op.K, err)
-				}
-				seq := rig.scan(nil, equivScanLimit)
-				got := par.ScanN(nil, equivScanLimit)
-				if len(got) != len(seq) {
-					return fmt.Errorf("op %d (%v %q): parallel recovered %d pairs, sequential %d",
-						i, op.Kind, op.K, len(got), len(seq))
-				}
-				for j := range got {
-					if !bytes.Equal(got[j].Key, seq[j].K) || !bytes.Equal(got[j].Value, seq[j].V) {
-						return fmt.Errorf("op %d (%v %q): pair %d: parallel %q=%q, sequential %q=%q",
-							i, op.Kind, op.K, j, got[j].Key, got[j].Value, seq[j].K, seq[j].V)
-					}
-				}
-				syncVar(rig.tree, oracle, op)
-				if err := DiffVar(rig.tree, oracle, probe, rig.scan); err != nil {
-					return fmt.Errorf("op %d (%v %q): %v", i, op.Kind, op.K, err)
-				}
-				return nil
-			})
+// equivGrid runs the rig every through every pass, and each of others through
+// the first clean and the first torn one (subtests prefixed by its name), with
+// parallel recovery compared at every image.
+func equivGrid[K, V any](t *testing.T, ks Keys[K, V], least int, ops func(valSize int) []Op[K, V], every rigSpec[K, V], others ...rigSpec[K, V]) {
+	run := func(name string, s rigSpec[K, V], p pass) {
+		t.Run(name, func(t *testing.T) { walkPass(t, ks, parallelEquiv(ks, s), p, least, ops, nil) })
 	}
-	return total
+	for _, p := range enumPasses {
+		run(p.name, every, p)
+	}
+	for _, s := range others {
+		for _, p := range []pass{enumPasses[0], enumPasses[2]} {
+			run(s.name+"-"+p.name, s, p)
+		}
+	}
 }
 
 func TestParallelRecoveryEquivEnumFixed(t *testing.T) {
-	for _, pass := range enumPasses {
-		t.Run(pass.name, func(t *testing.T) {
-			rig := fptreeFixedRig(t, core.VariantFPTree)
-			ops := fixedWorkload(3, 24, 40, 28)
-			n := enumerateFixedEquiv(t, rig, ops, pass.opts)
-			if n < 48 {
-				t.Fatalf("only %d crash points exercised — fail-point wiring broken?", n)
-			}
-			t.Logf("%s/%s: %d crash points, parallel == sequential at each", rig.name, pass.name, n)
-		})
-	}
+	rigs := fixedRigs()
+	equivGrid(t, Fixed, 48, func(int) []Op[uint64, uint64] { return workload(Fixed, 3, 24, 40, 28, 0) },
+		rigNamed(rigs, "fptree"), rigNamed(rigs, "fptreec"))
 }
 
 // TestParallelRecoveryEquivEnumVar runs the 8-byte-value rig through every
-// pass, and kvserver's 122-byte field with values of mixed lengths — where the
-// scan reads each slot's key cell on its own and skips the value lines —
-// through the first clean and the first torn one.
+// pass; kvserver's 122-byte field with values of mixed lengths — where the
+// scan reads each slot's key cell on its own and skips the value lines — and
+// the concurrent rig run the first clean and the first torn one.
 func TestParallelRecoveryEquivEnumVar(t *testing.T) {
-	run := func(name string, valSize int, opts Options) {
-		t.Run(name, func(t *testing.T) {
-			rig := fptreeVarRig(t, core.VariantFPTree, false, valSize)
-			ops := varWorkload(4, 16, 30, 24, valSize)
-			n := enumerateVarEquiv(t, rig, ops, opts)
-			if n < 32 {
-				t.Fatalf("only %d crash points exercised — fail-point wiring broken?", n)
-			}
-			t.Logf("%s/%s: %d crash points, parallel == sequential at each", rig.name, name, n)
-		})
-	}
-	for _, pass := range enumPasses {
-		run(pass.name, varValLen, pass.opts)
-	}
-	for _, pass := range []int{0, 2} {
-		run("kv-"+enumPasses[pass].name, kvValSize, enumPasses[pass].opts)
-	}
+	rigs := varRigs()
+	kv := core.Config{LeafCap: 8, InnerFanout: 4, GroupSize: 4, ValueSize: kvValSize}
+	equivGrid(t, Var, 32, func(valSize int) []Op[[]byte, []byte] { return workload(Var, 4, 16, 30, 24, valSize) },
+		rigNamed(rigs, "fptree"), coreSpec("kv", kv, core.CreateVar, core.OpenVar, varPair), rigNamed(rigs, "fptreec"))
 }

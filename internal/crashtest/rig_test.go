@@ -1,15 +1,14 @@
 package crashtest
 
 // Rigs couple each persistent tree with its recovery, invariant-check and
-// scan hooks so the enumeration and differential drivers can treat all four
-// trees (FPTree fixed/var, PTree, NV-Tree, wBTree) uniformly. Test-only:
-// the crashtest package itself depends only on scm and htm; these internal
-// test files may import the tree packages freely (none of them import
-// crashtest outside their own tests).
+// scan hooks so the enumeration and differential drivers treat every tree,
+// under either key kind, alike: adding a tree or a codec to the grid is one
+// row of fixedRigs or varRigs. Test-only: the crashtest package itself
+// depends only on scm and htm; these internal test files may import the tree
+// packages freely (none of them import crashtest outside their own tests).
 
 import (
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"fptree/internal/core"
@@ -26,151 +25,6 @@ func newTestPool() *scm.Pool {
 	return scm.NewPool(testPoolBytes, scm.LatencyConfig{CacheBytes: -1})
 }
 
-// fixedRig is one fixed-size-key tree under test. reopen simulates restart
-// after a crash and rebinds tree/check/scan to the recovered instance.
-type fixedRig struct {
-	name    string
-	leafCap int
-	pool    *scm.Pool
-	tree    Fixed
-	reopen  func() error
-	check   func() error
-	scan    FixedScan
-}
-
-// varRig is the variable-size-key counterpart. valSize is the width of the
-// tree's value field, which the workloads size their values by.
-type varRig struct {
-	name    string
-	leafCap int
-	valSize int
-	pool    *scm.Pool
-	tree    Var
-	reopen  func() error
-	check   func() error
-	scan    VarScan
-}
-
-// Small fanouts everywhere: splits, merges and root growth/collapse all
-// happen within a few dozen keys, so the enumerations stay fast while still
-// covering every structural path.
-
-func fptreeFixedRig(tb testing.TB, variant core.Variant) *fixedRig {
-	tb.Helper()
-	cfg := core.Config{Variant: variant, LeafCap: 8, InnerFanout: 4}
-	if variant == core.VariantFPTree {
-		cfg.GroupSize = 4
-	}
-	name := "fptree"
-	if variant == core.VariantPTree {
-		name = "ptree"
-	}
-	rig := &fixedRig{name: name, leafCap: cfg.LeafCap, pool: newTestPool()}
-	set := func(tr *core.Tree) {
-		rig.tree = tr
-		rig.check = tr.CheckInvariants
-		rig.scan = func(from uint64, n int) []FixedKV {
-			kvs := tr.ScanN(from, n)
-			out := make([]FixedKV, len(kvs))
-			for i, kv := range kvs {
-				out[i] = FixedKV{kv.Key, kv.Value}
-			}
-			return out
-		}
-	}
-	tr, err := core.Create(rig.pool, cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	set(tr)
-	rig.reopen = func() error {
-		tr, err := core.Open(rig.pool)
-		if err != nil {
-			return err
-		}
-		set(tr)
-		return nil
-	}
-	return rig
-}
-
-func nvtreeFixedRig(tb testing.TB) *fixedRig {
-	tb.Helper()
-	rig := &fixedRig{name: "nvtree", leafCap: 8, pool: newTestPool()}
-	set := func(tr *nvtree.Tree) {
-		rig.tree = tr
-		rig.check = tr.CheckInvariants
-		rig.scan = func(from uint64, n int) []FixedKV {
-			var out []FixedKV
-			tr.Scan(from, func(k, v uint64) bool {
-				out = append(out, FixedKV{k, v})
-				return len(out) < n
-			})
-			return out
-		}
-	}
-	tr, err := nvtree.New(rig.pool, nvtree.Config{LeafCap: 8, InnerCap: 4})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	set(tr)
-	rig.reopen = func() error {
-		tr, err := nvtree.Open(rig.pool, 4)
-		if err != nil {
-			return err
-		}
-		set(tr)
-		return nil
-	}
-	return rig
-}
-
-func wbtreeFixedRig(tb testing.TB) *fixedRig {
-	tb.Helper()
-	rig := &fixedRig{name: "wbtree", leafCap: 4, pool: newTestPool()}
-	set := func(tr *wbtree.Tree) {
-		rig.tree = tr
-		rig.check = tr.CheckInvariants
-		rig.scan = func(from uint64, n int) []FixedKV {
-			var out []FixedKV
-			tr.Scan(from, func(k, v uint64) bool {
-				out = append(out, FixedKV{k, v})
-				return len(out) < n
-			})
-			return out
-		}
-	}
-	tr, err := wbtree.New(rig.pool, wbtree.Config{InnerCap: 4, LeafCap: 4})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	set(tr)
-	rig.reopen = func() error {
-		tr, err := wbtree.Open(rig.pool)
-		if err != nil {
-			return err
-		}
-		set(tr)
-		return nil
-	}
-	return rig
-}
-
-func fixedRigs() []struct {
-	name string
-	mk   func(testing.TB) *fixedRig
-} {
-	return []struct {
-		name string
-		mk   func(testing.TB) *fixedRig
-	}{
-		{"fptree", func(tb testing.TB) *fixedRig { return fptreeFixedRig(tb, core.VariantFPTree) }},
-		{"ptree", func(tb testing.TB) *fixedRig { return fptreeFixedRig(tb, core.VariantPTree) }},
-		{"nvtree", func(tb testing.TB) *fixedRig { return nvtreeFixedRig(tb) }},
-		{"wbtree", func(tb testing.TB) *fixedRig { return wbtreeFixedRig(tb) }},
-	}
-}
-
 // Harness var values are exactly 8 bytes wherever the NV-Tree and the wBTree
 // take part: it matches the trees' configured inline ValueSize (so contents
 // round-trip byte-for-byte) and packs into the wBTree's uint64 payload.
@@ -182,166 +36,196 @@ const varValLen = 8
 // lengths (VarValue).
 const kvValSize = 122
 
-func pack8(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
+func pack8(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+
+// bound is one open tree as a rig drives it.
+type bound[K, V any] struct {
+	tree  Tree[K, V]
+	check func() error
+	scan  Scan[K, V]
 }
 
-// coreVarTree is what the rigs use of core.VarTree and core.CVarTree: one
-// engine and one key codec under the single-threaded and the concurrent
-// controller.
-type coreVarTree interface {
-	Var
-	CheckInvariants() error
-	ScanN(from []byte, n int) []core.VarKV
+// rigSpec is one row of a rig table: how to format a tree and how to recover
+// one. valSize is the tree's value field, which the workloads size values by.
+type rigSpec[K, V any] struct {
+	name    string
+	leafCap int
+	valSize int
+	create  func(*scm.Pool) (bound[K, V], error)
+	open    func(*scm.Pool, ...core.RecoveryOptions) (bound[K, V], error)
 }
 
-func fptreeVarRig(tb testing.TB, variant core.Variant, concurrent bool, valSize int) *varRig {
+// rig is one tree under test. reopen simulates restart after a crash and
+// rebinds tree, check and scan to the recovered instance.
+type rig[K, V any] struct {
+	rigSpec[K, V]
+	bound[K, V]
+	pool *scm.Pool
+}
+
+func newRig[K, V any](tb testing.TB, s rigSpec[K, V], pool *scm.Pool) *rig[K, V] {
 	tb.Helper()
-	cfg := core.Config{Variant: variant, LeafCap: 8, InnerFanout: 4, ValueSize: valSize}
-	create := func(p *scm.Pool) (coreVarTree, error) { return core.CreateVar(p, cfg) }
-	open := func(p *scm.Pool) (coreVarTree, error) { return core.OpenVar(p) }
-	name := "fptree-var"
-	switch {
-	case concurrent:
-		name = "fptree-cvar"
-		create = func(p *scm.Pool) (coreVarTree, error) { return core.CCreateVar(p, cfg) }
-		open = func(p *scm.Pool) (coreVarTree, error) { return core.COpenVar(p) }
-	case variant == core.VariantPTree:
-		name = "ptree-var"
-	default:
-		cfg.GroupSize = 4
-	}
-	if valSize != varValLen {
-		name = fmt.Sprintf("%s-val%d", name, valSize)
-	}
-	rig := &varRig{name: name, leafCap: cfg.LeafCap, valSize: valSize, pool: newTestPool()}
-	set := func(tr coreVarTree) {
-		rig.tree = tr
-		rig.check = tr.CheckInvariants
-		rig.scan = func(from []byte, n int) []VarKV {
-			kvs := tr.ScanN(from, n)
-			out := make([]VarKV, len(kvs))
-			for i, kv := range kvs {
-				out[i] = VarKV{kv.Key, kv.Value}
-			}
-			return out
-		}
-	}
-	tr, err := create(rig.pool)
+	b, err := s.create(pool)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	set(tr)
-	rig.reopen = func() error {
-		tr, err := open(rig.pool)
-		if err != nil {
-			return err
-		}
-		set(tr)
-		return nil
-	}
-	return rig
+	return &rig[K, V]{s, b, pool}
 }
 
-func nvtreeVarRig(tb testing.TB) *varRig {
-	tb.Helper()
-	rig := &varRig{name: "nvtree-var", leafCap: 8, valSize: varValLen, pool: newTestPool()}
-	set := func(tr *nvtree.VarTree) {
-		rig.tree = tr
-		rig.check = tr.CheckInvariants
-		rig.scan = func(from []byte, n int) []VarKV {
-			var out []VarKV
-			tr.Scan(from, func(k, v []byte) bool {
-				out = append(out, VarKV{k, v})
+func (s rigSpec[K, V]) mk(tb testing.TB) *rig[K, V] { tb.Helper(); return newRig(tb, s, newTestPool()) }
+
+func (r *rig[K, V]) reopen() error {
+	b, err := r.open(r.pool)
+	if err == nil {
+		r.bound = b
+	}
+	return err
+}
+
+// coreTree is what a rig uses of the four core facades.
+type coreTree[K, V, P any] interface {
+	Tree[K, V]
+	CheckInvariants() error
+	ScanN(from K, n int) []P
+}
+
+// coreSpec is the row of one core facade under cfg; pair converts the
+// facade's pair type.
+func coreSpec[K, V, P any, T coreTree[K, V, P]](name string, cfg core.Config,
+	create func(*scm.Pool, core.Config) (T, error), open func(*scm.Pool, ...core.RecoveryOptions) (T, error),
+	pair func(P) KV[K, V]) rigSpec[K, V] {
+	bind := func(tr T, err error) (bound[K, V], error) {
+		if err != nil {
+			return bound[K, V]{}, err
+		}
+		return bound[K, V]{tr, tr.CheckInvariants, func(from K, n int) []KV[K, V] {
+			kvs := tr.ScanN(from, n)
+			out := make([]KV[K, V], len(kvs))
+			for i, kv := range kvs {
+				out[i] = pair(kv)
+			}
+			return out
+		}}, nil
+	}
+	return rigSpec[K, V]{
+		name: name, leafCap: cfg.LeafCap, valSize: cfg.ValueSize,
+		create: func(p *scm.Pool) (bound[K, V], error) { return bind(create(p, cfg)) },
+		open: func(p *scm.Pool, opts ...core.RecoveryOptions) (bound[K, V], error) {
+			return bind(open(p, opts...))
+		},
+	}
+}
+
+func fixedPair(kv core.KV) KV[uint64, uint64]  { return KV[uint64, uint64]{kv.Key, kv.Value} }
+func varPair(kv core.VarKV) KV[[]byte, []byte] { return KV[[]byte, []byte]{kv.Key, kv.Value} }
+
+// scanTree is what a rig uses of the NV-Tree and wBTree facades.
+type scanTree[K, V any] interface {
+	Tree[K, V]
+	CheckInvariants() error
+	Scan(from K, fn func(k K, v V) bool)
+}
+
+// scanSpec is the row of an NV-Tree or wBTree facade (their recovery takes no
+// options).
+func scanSpec[K, V any, T scanTree[K, V]](name string, leafCap, valSize int, create, open func(*scm.Pool) (T, error)) rigSpec[K, V] {
+	bind := func(tr T, err error) (bound[K, V], error) {
+		if err != nil {
+			return bound[K, V]{}, err
+		}
+		return bound[K, V]{tr, tr.CheckInvariants, func(from K, n int) []KV[K, V] {
+			var out []KV[K, V]
+			tr.Scan(from, func(k K, v V) bool {
+				out = append(out, KV[K, V]{k, v})
 				return len(out) < n
 			})
 			return out
-		}
+		}}, nil
 	}
-	tr, err := nvtree.NewVar(rig.pool, nvtree.Config{LeafCap: 8, InnerCap: 4, ValueSize: varValLen})
-	if err != nil {
-		tb.Fatal(err)
+	return rigSpec[K, V]{
+		name: name, leafCap: leafCap, valSize: valSize,
+		create: func(p *scm.Pool) (bound[K, V], error) { return bind(create(p)) },
+		open:   func(p *scm.Pool, _ ...core.RecoveryOptions) (bound[K, V], error) { return bind(open(p)) },
 	}
-	set(tr)
-	rig.reopen = func() error {
-		tr, err := nvtree.OpenVar(rig.pool, 4)
-		if err != nil {
-			return err
-		}
-		set(tr)
-		return nil
-	}
-	return rig
 }
 
-// wbVarAdapter packs the harness's 8-byte values into the wBTree var tree's
+// wbVarTree packs the harness's 8-byte values into the wBTree var tree's
 // uint64 payload (same trick the bench adapters use).
-type wbVarAdapter struct{ t *wbtree.VarTree }
+type wbVarTree struct{ *wbtree.VarTree }
 
-func (w wbVarAdapter) Insert(k, v []byte) error {
-	return w.t.Insert(k, binary.LittleEndian.Uint64(v))
+func (w wbVarTree) Insert(k, v []byte) error {
+	return w.VarTree.Insert(k, binary.LittleEndian.Uint64(v))
 }
 
-func (w wbVarAdapter) Find(k []byte) ([]byte, bool) {
-	v, ok := w.t.Find(k)
+func (w wbVarTree) Find(k []byte) ([]byte, bool) {
+	v, ok := w.VarTree.Find(k)
 	if !ok {
 		return nil, false
 	}
 	return pack8(v), true
 }
 
-func (w wbVarAdapter) Update(k, v []byte) (bool, error) {
-	return w.t.Update(k, binary.LittleEndian.Uint64(v))
+func (w wbVarTree) Update(k, v []byte) (bool, error) {
+	return w.VarTree.Update(k, binary.LittleEndian.Uint64(v))
 }
 
-func (w wbVarAdapter) Delete(k []byte) (bool, error) { return w.t.Delete(k) }
-
-func wbtreeVarRig(tb testing.TB) *varRig {
-	tb.Helper()
-	rig := &varRig{name: "wbtree-var", leafCap: 4, valSize: varValLen, pool: newTestPool()}
-	set := func(tr *wbtree.VarTree) {
-		rig.tree = wbVarAdapter{tr}
-		rig.check = tr.CheckInvariants
-		rig.scan = func(from []byte, n int) []VarKV {
-			var out []VarKV
-			tr.Scan(from, func(k []byte, v uint64) bool {
-				out = append(out, VarKV{k, pack8(v)})
-				return len(out) < n
-			})
-			return out
-		}
-	}
-	tr, err := wbtree.NewVar(rig.pool, wbtree.Config{InnerCap: 4, LeafCap: 4})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	set(tr)
-	rig.reopen = func() error {
-		tr, err := wbtree.OpenVar(rig.pool)
-		if err != nil {
-			return err
-		}
-		set(tr)
-		return nil
-	}
-	return rig
+func (w wbVarTree) Scan(from []byte, fn func(k, v []byte) bool) {
+	w.VarTree.Scan(from, func(k []byte, v uint64) bool { return fn(k, pack8(v)) })
 }
 
-func varRigs() []struct {
-	name string
-	mk   func(testing.TB) *varRig
-} {
-	return []struct {
-		name string
-		mk   func(testing.TB) *varRig
-	}{
-		{"fptree", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantFPTree, false, varValLen) }},
-		{"fptreec", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantFPTree, true, varValLen) }},
-		{"fptreec-kv", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantFPTree, true, kvValSize) }},
-		{"ptree", func(tb testing.TB) *varRig { return fptreeVarRig(tb, core.VariantPTree, false, varValLen) }},
-		{"nvtree", func(tb testing.TB) *varRig { return nvtreeVarRig(tb) }},
-		{"wbtree", func(tb testing.TB) *varRig { return wbtreeVarRig(tb) }},
+// Small fanouts everywhere: splits, merges and root growth/collapse all
+// happen within a few dozen keys, so the enumerations stay fast while still
+// covering every structural path.
+
+func fixedRigs() []rigSpec[uint64, uint64] {
+	c := core.Config{LeafCap: 8, InnerFanout: 4}
+	fp, pt := c, c
+	fp.GroupSize = 4
+	pt.Variant = core.VariantPTree
+	return []rigSpec[uint64, uint64]{
+		coreSpec("fptree", fp, core.Create, core.Open, fixedPair),
+		coreSpec("fptreec", c, core.CCreate, core.COpen, fixedPair),
+		coreSpec("ptree", pt, core.Create, core.Open, fixedPair),
+		scanSpec[uint64, uint64]("nvtree", 8, 0,
+			func(p *scm.Pool) (*nvtree.Tree, error) { return nvtree.New(p, nvtree.Config{LeafCap: 8, InnerCap: 4}) },
+			func(p *scm.Pool) (*nvtree.Tree, error) { return nvtree.Open(p, 4) }),
+		scanSpec[uint64, uint64]("wbtree", 4, 0,
+			func(p *scm.Pool) (*wbtree.Tree, error) { return wbtree.New(p, wbtree.Config{InnerCap: 4, LeafCap: 4}) },
+			wbtree.Open),
 	}
+}
+
+func varRigs() []rigSpec[[]byte, []byte] {
+	c := core.Config{LeafCap: 8, InnerFanout: 4, ValueSize: varValLen}
+	fp, pt, kv := c, c, c
+	fp.GroupSize = 4
+	pt.Variant = core.VariantPTree
+	kv.ValueSize = kvValSize
+	return []rigSpec[[]byte, []byte]{
+		coreSpec("fptree", fp, core.CreateVar, core.OpenVar, varPair),
+		coreSpec("fptreec", c, core.CCreateVar, core.COpenVar, varPair),
+		coreSpec("fptreec-kv", kv, core.CCreateVar, core.COpenVar, varPair),
+		coreSpec("ptree", pt, core.CreateVar, core.OpenVar, varPair),
+		scanSpec[[]byte, []byte]("nvtree", 8, varValLen,
+			func(p *scm.Pool) (*nvtree.VarTree, error) {
+				return nvtree.NewVar(p, nvtree.Config{LeafCap: 8, InnerCap: 4, ValueSize: varValLen})
+			},
+			func(p *scm.Pool) (*nvtree.VarTree, error) { return nvtree.OpenVar(p, 4) }),
+		scanSpec[[]byte, []byte]("wbtree", 4, varValLen,
+			func(p *scm.Pool) (wbVarTree, error) {
+				tr, err := wbtree.NewVar(p, wbtree.Config{InnerCap: 4, LeafCap: 4})
+				return wbVarTree{tr}, err
+			},
+			func(p *scm.Pool) (wbVarTree, error) { tr, err := wbtree.OpenVar(p); return wbVarTree{tr}, err }),
+	}
+}
+
+// rigNamed returns the row of rigs called name.
+func rigNamed[K, V any](rigs []rigSpec[K, V], name string) rigSpec[K, V] {
+	for _, s := range rigs {
+		if s.name == name {
+			return s
+		}
+	}
+	panic("no rig " + name)
 }
