@@ -8,7 +8,6 @@ package main
 import (
 	"bufio"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -20,6 +19,7 @@ import (
 	"time"
 
 	"fptree/internal/htm"
+	"fptree/internal/kvserver"
 )
 
 // buildMemkv compiles the binary under test once per test run.
@@ -106,63 +106,21 @@ func (p *memkvProc) boundAddr(t *testing.T) string {
 	return ""
 }
 
-func memkvSet(t *testing.T, rw *bufio.ReadWriter, key, val string) {
+// dialMemkv connects a client to a freshly started server for the rest of
+// the test, retrying while the listener comes up.
+func dialMemkv(t *testing.T, addr string) *kvserver.Client {
 	t.Helper()
-	fmt.Fprintf(rw, "set %s 0 0 %d\r\n%s\r\n", key, len(val), val)
-	if err := rw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	line, err := rw.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(line) != "STORED" {
-		t.Fatalf("set %s: %q", key, line)
-	}
-}
-
-func memkvGet(t *testing.T, rw *bufio.ReadWriter, key string) (string, bool) {
-	t.Helper()
-	fmt.Fprintf(rw, "get %s\r\n", key)
-	if err := rw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	line, err := rw.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(line) == "END" {
-		return "", false
-	}
-	if !strings.HasPrefix(line, "VALUE ") {
-		t.Fatalf("get %s: %q", key, line)
-	}
-	val, err := rw.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if end, err := rw.ReadString('\n'); err != nil || strings.TrimSpace(end) != "END" {
-		t.Fatalf("get %s: missing END (%q, %v)", key, end, err)
-	}
-	return strings.TrimSpace(val), true
-}
-
-func dialMemkv(t *testing.T, addr string) *bufio.ReadWriter {
-	t.Helper()
-	var conn net.Conn
+	var c *kvserver.Client
 	var err error
 	for i := 0; i < 100; i++ {
-		conn, err = net.Dial("tcp", addr)
-		if err == nil {
-			break
+		if c, err = kvserver.Dial(addr, 10*time.Second); err == nil {
+			t.Cleanup(func() { c.Close() })
+			return c
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return bufio.NewReadWriter(bufio.NewReader(conn), bufio.NewWriter(conn))
+	t.Fatal(err)
+	return nil
 }
 
 // TestMemkvKillRestart drives the acceptance scenario end to end:
@@ -172,15 +130,21 @@ func dialMemkv(t *testing.T, addr string) *bufio.ReadWriter {
 //  3. a fresh memkv on the same -data file recovers, reports a crash
 //     shutdown with intact invariants, and serves every acknowledged key;
 //  4. after a graceful SIGTERM the next start reports a clean shutdown.
-func TestMemkvKillRestart(t *testing.T) { killRestart(t, "fptreec") }
+func TestMemkvKillRestart(t *testing.T) { killRestart(t, "fptreec", 1) }
 
 // TestMemkvKillRestartNVTree is the same scenario on the NV-Tree baseline,
 // whose arena image core.HasTree does not know: memkv asks the engine's own
 // HasImage whether to create or to open, so the restarts recover instead of
 // trying to format an arena that already holds a tree.
-func TestMemkvKillRestartNVTree(t *testing.T) { killRestart(t, "nvtreec") }
+func TestMemkvKillRestartNVTree(t *testing.T) { killRestart(t, "nvtreec", 1) }
 
-func killRestart(t *testing.T, store string) {
+// TestMemkvShardedKillRestart is the scenario on a 4-shard server: the acked
+// sets spread over 4 shard arena files must all survive a SIGKILL, every
+// shard must recover (in parallel) on restart, and a graceful stop must mark
+// every shard arena clean.
+func TestMemkvShardedKillRestart(t *testing.T) { killRestart(t, "fptreec", 4) }
+
+func killRestart(t *testing.T, store string, shards int) {
 	if testing.Short() {
 		t.Skip("builds and kills real server processes")
 	}
@@ -188,19 +152,46 @@ func killRestart(t *testing.T, store string) {
 	bin := buildMemkv(t, dir)
 	arena := filepath.Join(dir, "memkv.dat")
 	args := []string{"-addr", "127.0.0.1:0", "-store", store, "-data", arena, "-pool", "64", "-stats=false"}
+	layout := arena
+	if shards > 1 {
+		args = append(args, "-shards", fmt.Sprint(shards), "-sync", "25ms")
+		layout = fmt.Sprintf("%s across %d shards", arena, shards)
+	}
 
 	p1 := startMemkv(t, bin, args...)
 	p1.waitLine(t, "created arena")
-	rw := dialMemkv(t, p1.boundAddr(t))
+	c := dialMemkv(t, p1.boundAddr(t))
 
 	const n = 500
 	acked := map[string]string{}
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("user:%04d", i%300)
 		v := fmt.Sprintf("payload-%06d", i)
-		memkvSet(t, rw, k, v)
+		if err := c.Set([]byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
 		acked[k] = v
 	}
+	// Every shard file must exist — the keys must actually be partitioned.
+	for i := 0; shards > 1 && i < shards; i++ {
+		if _, err := os.Stat(fmt.Sprintf("%s.shard%d", arena, i)); err != nil {
+			t.Fatalf("shard arena %d: %v", i, err)
+		}
+	}
+	// checkAcked reads every acknowledged key back from a restarted server.
+	checkAcked := func(p *memkvProc, when string) {
+		t.Helper()
+		c := dialMemkv(t, p.boundAddr(t))
+		var v []byte
+		for k, want := range acked {
+			var ok bool
+			var err error
+			if v, ok, err = c.GetAppend(v[:0], []byte(k)); err != nil || !ok || string(v) != want {
+				t.Fatalf("key %q = %q,%v,%v %s, want %q", k, v, ok, err, when, want)
+			}
+		}
+	}
+
 	// Kill without warning while the connection is live.
 	if err := p1.cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
@@ -210,24 +201,14 @@ func killRestart(t *testing.T, store string) {
 
 	p2 := startMemkv(t, bin, args...)
 	banner := p2.waitLine(t, "recovered")
-	if !strings.Contains(banner, "crash shutdown") {
-		t.Fatalf("recovery banner does not report a crash shutdown: %q", banner)
-	}
-	if !strings.Contains(banner, "invariants ok") {
-		t.Fatalf("recovery banner does not confirm invariants: %q", banner)
-	}
-	rw2 := dialMemkv(t, p2.boundAddr(t))
-	for k, want := range acked {
-		got, ok := memkvGet(t, rw2, k)
-		if !ok {
-			t.Fatalf("acked key %q lost after kill -9", k)
-		}
-		if got != want {
-			t.Fatalf("key %q = %q, want %q", k, got, want)
+	for _, want := range []string{"from " + layout + " (", "crash shutdown", "invariants ok"} {
+		if !strings.Contains(banner, want) {
+			t.Fatalf("recovery banner %q lacks %q", banner, want)
 		}
 	}
+	checkAcked(p2, "after kill -9")
 
-	// Graceful shutdown marks the arena clean; the next start reports it.
+	// Graceful shutdown marks every arena clean; the next start reports it.
 	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -236,95 +217,10 @@ func killRestart(t *testing.T, store string) {
 	p2.waitLine(t, "closed cleanly")
 
 	p3 := startMemkv(t, bin, args...)
-	banner3 := p3.waitLine(t, "recovered")
-	if !strings.Contains(banner3, "clean shutdown") {
+	if banner3 := p3.waitLine(t, "recovered"); !strings.Contains(banner3, "clean shutdown") {
 		t.Fatalf("banner after graceful stop: %q", banner3)
 	}
-	rw3 := dialMemkv(t, p3.boundAddr(t))
-	for k, want := range acked {
-		if got, ok := memkvGet(t, rw3, k); !ok || got != want {
-			t.Fatalf("key %q = %q,%v after clean restart, want %q", k, got, ok, want)
-		}
-	}
-}
-
-// TestMemkvShardedKillRestart runs the kill -9 durability scenario against a
-// sharded server: acked sets spread over 4 shard arena files must all survive
-// a SIGKILL, every shard must recover (in parallel) on restart, and a
-// graceful stop must mark every shard arena clean.
-func TestMemkvShardedKillRestart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and kills real server processes")
-	}
-	dir := t.TempDir()
-	bin := buildMemkv(t, dir)
-	arena := filepath.Join(dir, "memkv.dat")
-	args := []string{"-addr", "127.0.0.1:0", "-store", "fptreec", "-data", arena,
-		"-shards", "4", "-pool", "64", "-sync", "25ms", "-stats=false"}
-
-	p1 := startMemkv(t, bin, args...)
-	p1.waitLine(t, "created arena")
-	rw := dialMemkv(t, p1.boundAddr(t))
-
-	const n = 500
-	acked := map[string]string{}
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("user:%04d", i%300)
-		v := fmt.Sprintf("payload-%06d", i)
-		memkvSet(t, rw, k, v)
-		acked[k] = v
-	}
-	// Every shard file must exist — the keys must actually be partitioned.
-	for i := 0; i < 4; i++ {
-		if _, err := os.Stat(fmt.Sprintf("%s.shard%d", arena, i)); err != nil {
-			t.Fatalf("shard arena %d: %v", i, err)
-		}
-	}
-	if err := p1.cmd.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	p1.cmd.Wait() //nolint:errcheck
-	<-p1.done
-
-	p2 := startMemkv(t, bin, args...)
-	banner := p2.waitLine(t, "across 4 shards")
-	if !strings.Contains(banner, "crash shutdown") {
-		t.Fatalf("recovery banner does not report a crash shutdown: %q", banner)
-	}
-	if !strings.Contains(banner, "invariants ok") {
-		t.Fatalf("recovery banner does not confirm invariants: %q", banner)
-	}
-	rw2 := dialMemkv(t, p2.boundAddr(t))
-	for k, want := range acked {
-		got, ok := memkvGet(t, rw2, k)
-		if !ok {
-			t.Fatalf("acked key %q lost after kill -9 (its shard did not replay)", k)
-		}
-		if got != want {
-			t.Fatalf("key %q = %q, want %q", k, got, want)
-		}
-	}
-
-	// Graceful shutdown must close every shard arena cleanly; the next start
-	// reports a clean fleet.
-	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	p2.cmd.Wait() //nolint:errcheck
-	<-p2.done
-	p2.waitLine(t, "closed cleanly")
-
-	p3 := startMemkv(t, bin, args...)
-	banner3 := p3.waitLine(t, "across 4 shards")
-	if !strings.Contains(banner3, "clean shutdown") {
-		t.Fatalf("banner after graceful stop: %q", banner3)
-	}
-	rw3 := dialMemkv(t, p3.boundAddr(t))
-	for k, want := range acked {
-		if got, ok := memkvGet(t, rw3, k); !ok || got != want {
-			t.Fatalf("key %q = %q,%v after clean restart, want %q", k, got, ok, want)
-		}
-	}
+	checkAcked(p3, "after clean restart")
 }
 
 // TestMemkvShardMismatchFails pins the layout guard: reopening a data path

@@ -25,11 +25,11 @@ func main() {
 	fmt.Printf("memcached-protocol server on %s backed by %s\n", addr, store.Name())
 
 	// The mc-benchmark client: SET phase then GET phase over 8 connections.
-	res, err := kvserver.RunMCBenchmark(addr, 8, 20_000, 32)
+	res, err := kvserver.RunMCBenchmark(addr, 8, 20_000, 32, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("SET: %.0f ops/s\nGET: %.0f ops/s\n", res.SetOps, res.GetOps)
+	fmt.Printf("SET: %.0f ops/s\nGET: %.0f ops/s\n", res.Set.Ops, res.Get.Ops)
 
 	// The cache contents live in (emulated) SCM: unlike vanilla memcached, a
 	// restart would recover them instead of starting cold.

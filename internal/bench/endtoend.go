@@ -195,12 +195,12 @@ func Fig13Memcached(w io.Writer, clients, ops int, latencies []int) error {
 			if err != nil {
 				return err
 			}
-			res, err := kvserver.RunMCBenchmark(addr, clients, ops, 32)
+			res, err := kvserver.RunMCBenchmark(addr, clients, ops, 32, 0)
 			srv.Close()
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%-10s %8d %12.0f %12.0f\n", store.Name(), lat, res.SetOps, res.GetOps)
+			fmt.Fprintf(w, "%-10s %8d %12.0f %12.0f\n", store.Name(), lat, res.Set.Ops, res.Get.Ops)
 		}
 	}
 	return nil

@@ -2,9 +2,12 @@ package kvserver
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -149,29 +152,45 @@ func TestServerProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	c := dial(t, addr)
+	defer c.Close()
 
-	c, err := dialMC(addr)
-	if err != nil {
+	if err := c.Set([]byte("hello"), []byte("world")); err != nil {
 		t.Fatal(err)
 	}
-	defer c.close()
-
-	if err := c.set("hello", "world"); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := c.get("hello")
-	if err != nil || !ok || v != "world" {
+	v, ok, err := c.GetAppend(nil, []byte("hello"))
+	if err != nil || !ok || string(v) != "world" {
 		t.Fatalf("get = %q,%v,%v", v, ok, err)
 	}
-	if _, ok, err := c.get("absent"); err != nil || ok {
+	if _, ok, err := c.GetAppend(nil, []byte("absent")); err != nil || ok {
 		t.Fatalf("absent get = %v,%v", ok, err)
 	}
 	// Empty value round-trip.
-	if err := c.set("empty", ""); err != nil {
+	if err := c.Set([]byte("empty"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, _ := c.get("empty"); !ok || v != "" {
+	if v, ok, _ := c.GetAppend(v[:0], []byte("empty")); !ok || len(v) != 0 {
 		t.Fatalf("empty = %q,%v", v, ok)
+	}
+
+	// The same commands as one pipelined burst: one reply each, in order.
+	p := c.Pipeline()
+	p.Set([]byte("p"), []byte("1"))
+	p.Get([]byte("p"), []byte("absent"), []byte("hello"))
+	p.Set([]byte("p"), nil)
+	p.Get([]byte("p"))
+	replies, err := p.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Reply{
+		{Line: "STORED"},
+		{Line: "END", Values: []Item{{"p", []byte("1")}, {"hello", []byte("world")}}},
+		{Line: "STORED"},
+		{Line: "END", Values: []Item{{"p", []byte{}}}},
+	}
+	if !reflect.DeepEqual(replies, want) {
+		t.Fatalf("pipelined replies = %q, want %q", replies, want)
 	}
 }
 
@@ -181,27 +200,24 @@ func TestServerDeleteAndVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := dialMC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
+	c := dial(t, addr)
+	defer c.Close()
 
-	if err := c.set("k", "v"); err != nil {
+	if err := c.Set([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	found, err := c.delete("k")
+	found, err := c.Delete([]byte("k"))
 	if err != nil || !found {
 		t.Fatalf("delete = %v,%v", found, err)
 	}
-	if _, ok, _ := c.get("k"); ok {
+	if _, ok, _ := c.GetAppend(nil, []byte("k")); ok {
 		t.Fatal("key survived delete")
 	}
-	found, err = c.delete("k")
+	found, err = c.Delete([]byte("k"))
 	if err != nil || found {
 		t.Fatalf("delete of absent key = %v,%v", found, err)
 	}
-	ver, err := c.version()
+	ver, err := c.Version()
 	if err != nil || ver != Version {
 		t.Fatalf("version = %q,%v", ver, err)
 	}
@@ -225,20 +241,22 @@ func TestServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := dialMC(addr)
+			c, err := Dial(addr, 10*time.Second)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			defer c.close()
+			defer c.Close()
+			var v []byte
 			for i := 0; i < 200; i++ {
-				k := fmt.Sprintf("c%d-%d", w, i)
-				if err := c.set(k, k); err != nil {
+				k := []byte(fmt.Sprintf("c%d-%d", w, i))
+				if err := c.Set(k, k); err != nil {
 					t.Error(err)
 					return
 				}
-				v, ok, err := c.get(k)
-				if err != nil || !ok || v != k {
+				var ok bool
+				v, ok, err = c.GetAppend(v[:0], k)
+				if err != nil || !ok || string(v) != string(k) {
 					t.Errorf("get(%s) = %q,%v,%v", k, v, ok, err)
 					return
 				}
@@ -255,18 +273,18 @@ func TestMCBenchmarkRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	res, err := RunMCBenchmark(addr, 4, 400, 32)
+	res, err := RunMCBenchmark(addr, 4, 400, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SetOps <= 0 || res.GetOps <= 0 {
+	if res.Set.Ops <= 0 || res.Get.Ops <= 0 {
 		t.Fatalf("rates = %v", res)
 	}
-	if res.SetCompleted != 400 || res.GetCompleted != 400 {
-		t.Fatalf("completed = %d/%d, want 400/400", res.SetCompleted, res.GetCompleted)
+	if res.Set.Completed != 400 || res.Get.Completed != 400 {
+		t.Fatalf("completed = %d/%d, want 400/400", res.Set.Completed, res.Get.Completed)
 	}
-	if res.SetLatency.Count != 400 || res.GetLatency.Count != 400 {
-		t.Fatalf("latency counts = %d/%d", res.SetLatency.Count, res.GetLatency.Count)
+	if res.Set.Latency.Count != 400 || res.Get.Latency.Count != 400 {
+		t.Fatalf("latency counts = %d/%d", res.Set.Latency.Count, res.Get.Latency.Count)
 	}
 }
 
@@ -281,12 +299,12 @@ func TestMCBenchmarkRemainder(t *testing.T) {
 	}
 	defer srv.Close()
 	const ops = 10
-	res, err := RunMCBenchmark(addr, 3, ops, 8)
+	res, err := RunMCBenchmark(addr, 3, ops, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SetCompleted != ops || res.GetCompleted != ops {
-		t.Fatalf("completed = %d/%d, want %d/%d", res.SetCompleted, res.GetCompleted, ops, ops)
+	if res.Set.Completed != ops || res.Get.Completed != ops {
+		t.Fatalf("completed = %d/%d, want %d/%d", res.Set.Completed, res.Get.Completed, ops, ops)
 	}
 	for i := 0; i < ops; i++ {
 		k := fmt.Sprintf("memtier-%08d", i)
@@ -306,22 +324,39 @@ func TestValueTooLargeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := dialMC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
-	if err := c.set("big", strings.Repeat("x", MaxValueSize+1)); err == nil {
+	c := dial(t, addr)
+	defer c.Close()
+	if err := c.Set([]byte("big"), bytes.Repeat([]byte("x"), MaxValueSize+1)); err == nil {
 		t.Fatal("oversized value accepted")
 	}
 	// The oversized payload must have been consumed: the connection stays in
 	// sync and the next command works.
-	if err := c.set("ok", "v"); err != nil {
+	if err := c.Set([]byte("ok"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // --- protocol edge cases ----------------------------------------------------
+
+// The raw inputs of the edge tests below; FuzzProtocol seeds its corpus with
+// them.
+const (
+	badChunkSet = "set k 0 0 3\r\nabcXY" // the payload ends in XY, not \r\n
+	partialSet  = "set k 0 0 100\r\npartial"
+)
+
+// noreplyScript is the raw request of TestNoreplyPipelining: noreply sets of
+// k0..k49 and a get of k49, then a noreply delete of k49 and another get.
+// Only the gets answer.
+func noreplyScript() (sets, del string) {
+	var b strings.Builder
+	for i := 0; i < 50; i++ {
+		v := fmt.Sprintf("val-%d", i)
+		fmt.Fprintf(&b, "set k%d 0 0 %d noreply\r\n%s\r\n", i, len(v), v)
+	}
+	b.WriteString("get k49\r\n")
+	return b.String(), "delete k49 noreply\r\nget k49\r\n"
+}
 
 func dialRaw(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	t.Helper()
@@ -332,48 +367,46 @@ func dialRaw(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	return conn, bufio.NewReader(conn)
 }
 
+// dial connects a Client to addr. Close it before the server, whose Close
+// otherwise waits out its drain timeout on the idle connection.
+func dial(t *testing.T, addr string) *Client {
+	t.Helper()
+	c, err := Dial(addr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestNoreplyPipelining pins the fix for the ignored noreply flag: a
 // pipelined stream of noreply sets must produce zero response bytes, so the
 // reply to a trailing get lines up with the get — the stream stays in sync.
+// The client has no noreply form, so the requests are written raw and the
+// replies read through its decoder.
 func TestNoreplyPipelining(t *testing.T) {
 	srv, addr, err := Serve("127.0.0.1:0", NewHashMapStore())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, r := dialRaw(t, addr)
-	defer conn.Close()
+	c := dial(t, addr)
+	defer c.Close()
+	c.conn.SetDeadline(time.Now().Add(5 * time.Second))
 
-	var b strings.Builder
-	const n = 50
-	for i := 0; i < n; i++ {
-		v := fmt.Sprintf("val-%d", i)
-		fmt.Fprintf(&b, "set k%d 0 0 %d noreply\r\n%s\r\n", i, len(v), v)
-	}
-	fmt.Fprintf(&b, "get k%d\r\n", n-1)
-	if _, err := conn.Write([]byte(b.String())); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	line, err := r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("VALUE k%d 0 ", n-1)
-	if !strings.HasPrefix(line, want) {
-		t.Fatalf("first response line = %q, want prefix %q (stream out of sync)", line, want)
-	}
-	if _, err := r.ReadString('\n'); err != nil { // data line
-		t.Fatal(err)
-	}
-	if line, err = r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "END") {
-		t.Fatalf("expected END, got %q,%v", line, err)
-	}
-
-	// noreply delete pipelined with a get: only the get responds.
-	fmt.Fprintf(conn, "delete k%d noreply\r\nget k%d\r\n", n-1, n-1)
-	if line, err = r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "END") {
-		t.Fatalf("after noreply delete, got %q,%v (want END)", line, err)
+	sets, del := noreplyScript()
+	for _, step := range []struct {
+		req  string
+		want Reply
+	}{
+		{sets, Reply{Line: "END", Values: []Item{{"k49", []byte("val-49")}}}},
+		{del, Reply{Line: "END"}},
+	} {
+		if _, err := io.WriteString(c.conn, step.req); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := c.readReply(); err != nil || !reflect.DeepEqual(r, step.want) {
+			t.Fatalf("reply = %q,%v, want %q (stream out of sync)", r, err, step.want)
+		}
 	}
 }
 
@@ -383,37 +416,21 @@ func TestMultiKeyGetWithMissingKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := dialMC(addr)
-	if err != nil {
+	c := dial(t, addr)
+	defer c.Close()
+	if err := c.Set([]byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	defer c.close()
-	if err := c.set("a", "1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.set("c", "3"); err != nil {
+	if err := c.Set([]byte("c"), []byte("3")); err != nil {
 		t.Fatal(err)
 	}
 
-	fmt.Fprintf(c.w, "get a b c d\r\n")
-	if err := c.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		line = strings.TrimSpace(line)
-		got = append(got, line)
-		if line == "END" {
-			break
-		}
-	}
-	want := []string{"VALUE a 0 1", "1", "VALUE c 0 1", "3", "END"}
-	if strings.Join(got, "|") != strings.Join(want, "|") {
-		t.Fatalf("multi-get = %v, want %v", got, want)
+	p := c.Pipeline()
+	p.Get([]byte("a"), []byte("b"), []byte("c"), []byte("d"))
+	replies, err := p.Exec()
+	want := []Reply{{Line: "END", Values: []Item{{"a", []byte("1")}, {"c", []byte("3")}}}}
+	if err != nil || !reflect.DeepEqual(replies, want) {
+		t.Fatalf("multi-get = %q,%v, want %q", replies, err, want)
 	}
 }
 
@@ -430,7 +447,7 @@ func TestBadDataChunk(t *testing.T) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 
-	if _, err := conn.Write([]byte("set k 0 0 3\r\nabcXY")); err != nil {
+	if _, err := conn.Write([]byte(badChunkSet)); err != nil {
 		t.Fatal(err)
 	}
 	line, err := r.ReadString('\n')
@@ -459,18 +476,15 @@ func TestAbruptDisconnectMidPayload(t *testing.T) {
 	defer srv.Close()
 
 	conn, _ := dialRaw(t, addr)
-	if _, err := conn.Write([]byte("set k 0 0 100\r\npartial")); err != nil {
+	if _, err := conn.Write([]byte(partialSet)); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
 
 	// The server must still serve a fresh client.
-	c, err := dialMC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
-	if err := c.set("alive", "yes"); err != nil {
+	c := dial(t, addr)
+	defer c.Close()
+	if err := c.Set([]byte("alive"), []byte("yes")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := srv.store.Get([]byte("k")); ok {
@@ -524,11 +538,8 @@ func TestMaxConnsGracefulRejection(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c1, err := dialMC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.set("k", "v"); err != nil {
+	c1 := dial(t, addr)
+	if err := c1.Set([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -544,15 +555,15 @@ func TestMaxConnsGracefulRejection(t *testing.T) {
 	}
 
 	// Freeing the slot lets new clients in.
-	c1.close()
+	c1.Close()
 	ok := false
 	for i := 0; i < 200 && !ok; i++ {
-		c3, err := dialMC(addr)
+		c3, err := Dial(addr, 10*time.Second)
 		if err == nil {
-			if err := c3.set("again", "v"); err == nil {
+			if err := c3.Set([]byte("again"), []byte("v")); err == nil {
 				ok = true
 			}
-			c3.close()
+			c3.Close()
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -589,31 +600,28 @@ func TestStatsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := dialMC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
+	c := dial(t, addr)
+	defer c.Close()
 
 	for i := 0; i < 5; i++ {
-		if err := c.set(fmt.Sprintf("k%d", i), "value"); err != nil {
+		if err := c.Set([]byte(fmt.Sprintf("k%d", i)), []byte("value")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ok, _ := c.get("k0"); !ok {
+	if _, ok, _ := c.GetAppend(nil, []byte("k0")); !ok {
 		t.Fatal("k0 missing")
 	}
-	if _, ok, _ := c.get("nope"); ok {
+	if _, ok, _ := c.GetAppend(nil, []byte("nope")); ok {
 		t.Fatal("phantom hit")
 	}
-	if _, err := c.delete("k1"); err != nil {
+	if _, err := c.Delete([]byte("k1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.version(); err != nil {
+	if _, err := c.Version(); err != nil {
 		t.Fatal(err)
 	}
 
-	stats, err := c.statsCmd("stats")
+	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,19 +37,17 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	}
 	defer httpSrv.Close()
 
-	c, err := dialMC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
+	c := dial(t, addr)
+
+	defer c.Close()
 	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("key%03d", i)
-		if err := c.set(key, "value"); err != nil {
+		key := []byte(fmt.Sprintf("key%03d", i))
+		if err := c.Set(key, []byte("value")); err != nil {
 			t.Fatalf("set %s: %v", key, err)
 		}
 	}
 	for i := 0; i < 200; i++ {
-		if _, hit, err := c.get(fmt.Sprintf("key%03d", i)); err != nil || !hit {
+		if _, hit, err := c.GetAppend(nil, []byte(fmt.Sprintf("key%03d", i))); err != nil || !hit {
 			t.Fatalf("get key%03d: hit=%v err=%v", i, hit, err)
 		}
 	}

@@ -1,10 +1,10 @@
 package kvserver
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -101,9 +101,9 @@ func TestPipelinedBurstByteForByte(t *testing.T) {
 }
 
 // TestPipelineDeepBurst overflows the reply queue depth (pipelineDepth) with
-// a burst of small gets while the client reads nothing until the end: the
-// writer must drain under back-pressure without deadlock, and every reply
-// must arrive in order.
+// a burst of small gets sent before the client reads anything: the writer
+// must drain under back-pressure without deadlock, and every reply must
+// arrive in order.
 func TestPipelineDeepBurst(t *testing.T) {
 	srv, addr, err := Serve("127.0.0.1:0", NewHashMapStore())
 	if err != nil {
@@ -114,37 +114,25 @@ func TestPipelineDeepBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, err := net.Dial("tcp", addr)
+	c, err := Dial(addr, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	defer c.Close()
 
 	const burst = 4 * pipelineDepth
-	var req strings.Builder
+	p := c.Pipeline()
 	for i := 0; i < burst; i++ {
-		req.WriteString("get k\r\n")
+		p.Get([]byte("k"))
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := conn.Write([]byte(req.String()))
-		done <- err
-	}()
-
-	r := bufio.NewReader(conn)
-	for i := 0; i < burst; i++ {
-		for _, wantLine := range []string{"VALUE k 0 1", "v", "END"} {
-			line, err := r.ReadString('\n')
-			if err != nil {
-				t.Fatalf("reply %d: %v", i, err)
-			}
-			if strings.TrimSpace(line) != wantLine {
-				t.Fatalf("reply %d = %q, want %q", i, line, wantLine)
-			}
+	replies, err := p.Exec()
+	if err != nil || len(replies) != burst {
+		t.Fatalf("%d of %d replies: %v", len(replies), burst, err)
+	}
+	want := Reply{Line: "END", Values: []Item{{"k", []byte("v")}}}
+	for i, r := range replies {
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("reply %d = %q, want %q", i, r, want)
 		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"fptree/internal/obs"
@@ -244,20 +243,17 @@ func TestShardedServerStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := dialMC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
+	c := dial(t, addr)
+	defer c.Close()
 
 	const keys = 64
 	for i := 0; i < keys; i++ {
-		if err := c.set(fmt.Sprintf("k%03d", i), "v"); err != nil {
+		if err := c.Set([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	stats, err := c.statsCmd("stats")
+	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,25 +279,9 @@ func TestShardedServerStats(t *testing.T) {
 	}
 
 	// Verbose per-shard form.
-	fmt.Fprintf(c.w, "stats shards\r\n")
-	if err := c.w.Flush(); err != nil {
+	per, err := c.Stats("shards")
+	if err != nil {
 		t.Fatal(err)
-	}
-	per := map[string]string{}
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		line = strings.TrimSpace(line)
-		if line == "END" {
-			break
-		}
-		parts := strings.SplitN(line, " ", 3)
-		if len(parts) != 3 || parts[0] != "STAT" {
-			t.Fatalf("bad stats shards line %q", line)
-		}
-		per[parts[1]] = parts[2]
 	}
 	if per["shards"] != "4" {
 		t.Fatalf("stats shards: shards = %q", per["shards"])
@@ -356,19 +336,16 @@ func TestStatsShardsOnUnshardedServer(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			c, err := dialMC(addr)
+			c := dial(t, addr)
+			defer c.Close()
+			if err := c.Set([]byte("k"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			flat, err := c.Stats()
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.close()
-			if err := c.set("k", "v"); err != nil {
-				t.Fatal(err)
-			}
-			flat, err := c.statsCmd("stats")
-			if err != nil {
-				t.Fatal(err)
-			}
-			per, err := c.statsCmd("stats shards")
+			per, err := c.Stats("shards")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -377,9 +354,6 @@ func TestStatsShardsOnUnshardedServer(t *testing.T) {
 			}
 			if per["shard0_engine"] != st.Name() || per["shard0_len"] != "1" {
 				t.Fatalf("shard0_engine = %q, shard0_len = %q", per["shard0_engine"], per["shard0_len"])
-			}
-			if got, want := len(ShardLens(per)), 1; got != want {
-				t.Fatalf("ShardLens sees %d shards", got)
 			}
 			// One pool: the shard's scm lines are the fleet's.
 			_, hasPool := per["shard0_scm_pool_bytes"]
@@ -400,16 +374,14 @@ func TestShardedMetricsRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := dialMC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
+	c := dial(t, addr)
+	defer c.Close()
 	for i := 0; i < 64; i++ {
-		if err := c.set(fmt.Sprintf("k%03d", i), "v"); err != nil {
+		k := []byte(fmt.Sprintf("k%03d", i))
+		if err := c.Set(k, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, err := c.get(fmt.Sprintf("k%03d", i)); err != nil || !ok {
+		if _, ok, err := c.GetAppend(nil, k); err != nil || !ok {
 			t.Fatalf("get = %v,%v", ok, err)
 		}
 	}

@@ -33,24 +33,23 @@ func TestSlowOpAndTracing(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := dialMC(addr)
-	if err != nil {
+	c := dial(t, addr)
+
+	defer c.Close()
+	k := []byte("k")
+	if err := c.Set(k, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	defer c.close()
-	if err := c.set("k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := c.get("k"); err != nil || !ok || v != "v" {
+	if v, ok, err := c.GetAppend(nil, k); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("get = %q,%v,%v", v, ok, err)
 	}
-	if found, err := c.delete("k"); err != nil || !found {
+	if found, err := c.Delete(k); err != nil || !found {
 		t.Fatalf("delete = %v,%v", found, err)
 	}
 	// The server counts a slow request after it has queued the reply. One
 	// more round trip on the connection orders the delete's count before the
 	// check.
-	if _, _, err := c.get("k"); err != nil {
+	if _, _, err := c.GetAppend(nil, k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -94,12 +93,9 @@ func TestSlowOpDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := dialMC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
-	if err := c.set("k", "v"); err != nil {
+	c := dial(t, addr)
+	defer c.Close()
+	if err := c.Set([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Metrics().SlowOps.Load(); got != 0 {
