@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"fptree/internal/scm"
 )
@@ -42,6 +44,13 @@ type codec[K, V any] interface {
 	slotKey(leaf uint64, s int) K
 	slotKeyEquals(leaf uint64, s int, k K) bool
 	slotValue(leaf uint64, s int) V
+	// leafPairs is the range reader's one read of a leaf: it appends the pairs
+	// of the slots bm marks valid to dst, sorted by ascending key (leaves are
+	// unsorted, Figure 2). It reads every line that holds part of a valid
+	// slot's key or value, whether or not the caller keeps the pair, in slot
+	// order, with one pool access per maximal run of them, clipped to the
+	// slot array, so the header is never copied again.
+	leafPairs(leaf, bm uint64, dst []kvPair[K, V]) []kvPair[K, V]
 
 	// writeSlot persists the key and value payload of a free slot. It does
 	// NOT touch the fingerprint or bitmap — engine.commitSlot owns those.
@@ -86,6 +95,36 @@ type codec[K, V any] interface {
 	keyDRAMBytes(k K) uint64
 }
 
+// readRuns copies into img, whose byte i is the arena's byte base+i, the lines
+// of that range which hold part of a valid slot: slot s, valid when bm has bit
+// s, spans [base+s*stride, base+s*stride+width). Each maximal run of
+// consecutive such lines is one pool access, clipped to the range; bytes
+// outside the runs are left as they were.
+func readRuns(pool *scm.Pool, base, stride, width, bm uint64, img []byte) {
+	end := base + uint64(len(img))
+	read := func(first, last uint64) { // lines first..last
+		from, to := max(first*scm.LineSize, base), min((last+1)*scm.LineSize, end)
+		pool.ReadInto(from, img[from-base:to-base])
+	}
+	var first, last uint64
+	open := false
+	for ; bm != 0; bm &= bm - 1 {
+		a := base + uint64(bits.TrailingZeros64(bm))*stride
+		lo, hi := a/scm.LineSize, (a+width-1)/scm.LineSize
+		if open && lo <= last+1 {
+			last = hi
+			continue
+		}
+		if open {
+			read(first, last)
+		}
+		first, last, open = lo, hi, true
+	}
+	if open {
+		read(first, last)
+	}
+}
+
 // --- fixed-size keys ---------------------------------------------------------
 
 type fixedCodec struct {
@@ -115,6 +154,37 @@ func (c *fixedCodec) slotKeyEquals(leaf uint64, s int, k uint64) bool {
 
 func (c *fixedCodec) slotValue(leaf uint64, s int) uint64 {
 	return c.pool.ReadU64(c.lay.valOff(leaf, s))
+}
+
+// leafPairs decodes the valid pairs from an on-stack image of the slot array —
+// of the key array and then the value array, for PTree — and insertion-sorts
+// them: a leaf holds at most 64 pairs, few enough that a monomorphic sort on
+// the uint64 keys beats any generic one.
+func (c *fixedCodec) leafPairs(leaf, bm uint64, dst []kvPair[uint64, uint64]) []kvPair[uint64, uint64] {
+	var buf [MaxLeafCap * 16]byte // byte i is the leaf's byte offKV+i
+	base, n := leaf+c.lay.offKV, uint64(c.lay.cap)*8
+	if c.lay.hasFP {
+		readRuns(c.pool, base, 16, 16, bm, buf[:2*n])
+	} else {
+		readRuns(c.pool, base, 8, 8, bm, buf[:n])
+		readRuns(c.pool, base+n, 8, 8, bm, buf[n:2*n])
+	}
+	n0 := len(dst)
+	for ; bm != 0; bm &= bm - 1 {
+		s := bits.TrailingZeros64(bm)
+		dst = append(dst, kvPair[uint64, uint64]{
+			binary.LittleEndian.Uint64(buf[c.lay.keyOff(0, s)-c.lay.offKV:]),
+			binary.LittleEndian.Uint64(buf[c.lay.valOff(0, s)-c.lay.offKV:]),
+		})
+	}
+	for i := n0 + 1; i < len(dst); i++ {
+		p, j := dst[i], i
+		for ; j > n0 && dst[j-1].k > p.k; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = p
+	}
+	return dst
 }
 
 func (c *fixedCodec) writeSlot(leaf uint64, slot int, k, v uint64) error {
@@ -264,10 +334,9 @@ func (c *varCodec) slotCell(leaf uint64, s int) keyCell {
 // fingerprints so valuable for string keys.
 func (c *varCodec) slotKey(leaf uint64, s int) []byte {
 	h := c.slotCell(leaf, s)
-	if h.inline() {
-		return bytes.Clone(h.inlineKey())
-	}
-	return c.pool.ReadBytes(h.pkey().Offset, h.klen)
+	k := make([]byte, h.klen)
+	c.cellKey(&h, k)
+	return k
 }
 
 func (c *varCodec) slotKeyEquals(leaf uint64, s int, k []byte) bool {
@@ -295,6 +364,52 @@ func (c *varCodec) slotValue(leaf uint64, s int) []byte {
 	}
 	h := c.slotCell(leaf, s)
 	return c.pool.ReadBytes(c.lay.valOff(leaf, s), h.vlen)
+}
+
+// leafPairs reads the valid slots by runs into an image of the slot array and
+// takes each pair from there, chasing a pointer key through its cell. The
+// image is on the stack unless the slot array outgrows MaxLeafCap lines,
+// which only slots larger than a line can make it do (kvserver's 56 slots of
+// 152 bytes); then it is allocated. Each pair is one allocation, key then
+// value. The pairs are sorted by bytes.Compare.
+func (c *varCodec) leafPairs(leaf, bm uint64, dst []kvPair[[]byte, []byte]) []kvPair[[]byte, []byte] {
+	var stack [MaxLeafCap * scm.LineSize]byte // byte i is the leaf's byte offKV+i
+	stride, n := c.lay.slotSize, uint64(c.lay.cap)*c.lay.slotSize
+	buf := stack[:]
+	if n > uint64(len(buf)) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	readRuns(c.pool, leaf+c.lay.offKV, stride, stride, bm, buf)
+	n0 := len(dst)
+	for ; bm != 0; bm &= bm - 1 {
+		slot := buf[uint64(bits.TrailingZeros64(bm))*stride:]
+		h := parseKeyCell(slot)
+		k, v := pairBytes(h.klen, h.vlen)
+		c.cellKey(&h, k)
+		copy(v, slot[cellSize:])
+		dst = append(dst, kvPair[[]byte, []byte]{k, v})
+	}
+	slices.SortFunc(dst[n0:], func(a, b kvPair[[]byte, []byte]) int { return bytes.Compare(a.k, b.k) })
+	return dst
+}
+
+// cellKey copies the key h stands for into k, which is h.klen bytes long: out
+// of the cell, or through the key pointer.
+func (c *varCodec) cellKey(h *keyCell, k []byte) {
+	if h.inline() {
+		copy(k, h.raw[:])
+		return
+	}
+	c.pool.ReadInto(h.pkey().Offset, k)
+}
+
+// pairBytes allocates a pair's key and value together, one allocation where
+// two clones would cost two. The key is capped, so appending to it cannot run
+// into the value.
+func pairBytes(klen, vlen uint64) (k, v []byte) {
+	b := make([]byte, klen+vlen)
+	return b[:klen:klen], b[klen:]
 }
 
 // writeSlot stages a free slot. A key of at most inlineKeyMax bytes goes into

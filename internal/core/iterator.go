@@ -204,44 +204,27 @@ func (c *leafCursor[K, V]) seek(target *K, rightmost bool) bool {
 	return ref != nil
 }
 
-// fill reads the leaf's valid slots, keeps the ones in the not-yet-emitted
-// part of the window (cursor-exclusive on the emission side, window edges
-// otherwise) and sorts them into emission order.
+// fill reads the leaf's valid pairs, sorted, through the codec, keeps the ones
+// in the not-yet-emitted part of the window (cursor-exclusive on the emission
+// side, window edges otherwise) and puts them in emission order.
 func (c *leafCursor[K, V]) fill(leaf uint64) {
 	e := c.e
 	c.leafOff, c.past = leaf, false
 	if c.batch == nil {
 		c.batch = make([]kvPair[K, V], 0, e.sh.cap)
 	}
-	c.batch = c.batch[:0]
-	bm := e.leafBitmap(leaf)
-	for s := 0; s < e.sh.cap; s++ {
-		if bm&(1<<s) == 0 {
-			continue
-		}
-		k := e.cdc.slotKey(leaf, s)
-		behind, beyond := c.outside(k)
+	pairs := e.cdc.leafPairs(leaf, e.leafBitmap(leaf), c.batch[:0])
+	c.batch = pairs[:0]
+	for _, kv := range pairs {
+		behind, beyond := c.outside(kv.k)
 		c.past = c.past || beyond
 		if !behind && !beyond {
-			c.batch = append(c.batch, kvPair[K, V]{k, e.cdc.slotValue(leaf, s)})
+			c.batch = append(c.batch, kv)
 		}
 	}
-	less, sign := e.cdc.less, 1
 	if c.reverse {
-		sign = -1
+		slices.Reverse(c.batch)
 	}
-	// slices.SortFunc compiles to a monomorphic sort (sort.Slice reflects on
-	// every swap and allocates its closure header per leaf — measurable on
-	// scan-heavy workloads).
-	slices.SortFunc(c.batch, func(a, b kvPair[K, V]) int {
-		switch {
-		case less(a.k, b.k):
-			return -sign
-		case less(b.k, a.k):
-			return sign
-		}
-		return 0
-	})
 }
 
 // outside classifies k against what is left of the window: behind the resume

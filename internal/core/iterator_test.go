@@ -774,3 +774,190 @@ func TestIteratorFileBackedRecovery(t *testing.T) {
 		t.Run("inline-key", func(t *testing.T) { varCase(t, "zzz-inflight", 1) })
 	})
 }
+
+// TestRangeReadLines pins what a range read costs each leaf it visits, on a
+// cold cache: the header line that holds the bitmap and every line holding
+// part of a valid slot's key or value are missed exactly once, and the pool
+// is accessed at most once for the bitmap plus once per maximal run of lines
+// in each slot array (and, on the single-threaded engine, once per sibling
+// pointer it steps along). A gap is punched into every leaf's bitmap so that
+// runs split. The expected counts are derived from the bitmaps and the
+// layout, for one ScanN and one Iterator pass over the same window, on a
+// fixed tree (16-byte slots), a PTree (a key array that shares the header
+// line and a value array that shares the key array's last line) and a var
+// tree (16-byte keys, 32-byte slots).
+func TestRangeReadLines(t *testing.T) {
+	t.Run("fixed", func(t *testing.T) {
+		pool := scm.NewPool(16<<20, scm.LatencyConfig{})
+		tr, err := CCreate(pool, Config{LeafCap: 56})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 2000; i++ {
+			if err := tr.Insert(i*0x9E3779B97F4A7C15, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lay := newFixedLayoutV(56, VariantFPTree)
+		rangeReadLines(t, tr.engine, pool, func(leaf uint64, s int) (uint64, uint64) { return lay.keyOff(leaf, s), 16 })
+	})
+	t.Run("ptree", func(t *testing.T) {
+		pool := scm.NewPool(16<<20, scm.LatencyConfig{})
+		tr, err := Create(pool, Config{LeafCap: 56, Variant: VariantPTree})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 2000; i++ {
+			if err := tr.Insert(i*0x9E3779B97F4A7C15, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lay := newFixedLayoutV(56, VariantPTree)
+		rangeReadLines(t, tr.engine, pool,
+			func(leaf uint64, s int) (uint64, uint64) { return lay.keyOff(leaf, s), 8 },
+			func(leaf uint64, s int) (uint64, uint64) { return lay.valOff(leaf, s), 8 })
+	})
+	t.Run("var", func(t *testing.T) {
+		pool := scm.NewPool(16<<20, scm.LatencyConfig{})
+		tr, err := CCreateVar(pool, Config{LeafCap: 56, ValueSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 2000; i++ {
+			if err := tr.Insert([]byte(fmt.Sprintf("%016x", i*0x9E3779B97F4A7C15)), val8(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lay := newVarLayoutV(56, 8, VariantFPTree)
+		if lay.slotSize != 32 {
+			t.Fatalf("slot of %d bytes, want 32", lay.slotSize)
+		}
+		rangeReadLines(t, tr.engine, pool, func(leaf uint64, s int) (uint64, uint64) { return lay.slotOff(leaf, s), lay.slotSize })
+	})
+}
+
+// rangeReadLines is TestRangeReadLines on one quiesced tree. Each of arrays is
+// one slot array of the leaf, read by runs of its own: array(leaf, s) is the
+// byte range slot s holds in it.
+func rangeReadLines[K, V any](t *testing.T, e *engine[K, V], pool *scm.Pool, arrays ...func(leaf uint64, s int) (off, size uint64)) {
+	const minKeys = 100
+	valid := func(bm uint64, s int) bool { return bm&(1<<s) != 0 }
+	lines := func(array func(uint64, int) (uint64, uint64), leaf uint64, s int) (first, last uint64) {
+		off, size := array(leaf, s)
+		return off / scm.LineSize, (off + size - 1) / scm.LineSize
+	}
+	var leaves []uint64
+	for p := e.m.headLeaf(); !p.IsNull(); p = e.leafNext(p.Offset) {
+		leaves = append(leaves, p.Offset)
+	}
+	// The gap: every valid slot on the third line of a leaf's first array is
+	// deleted.
+	for _, leaf := range leaves {
+		first, _ := lines(arrays[0], leaf, 0)
+		gap := first + 2
+		bm := e.leafBitmap(leaf)
+		var victims []K
+		for s := 0; s < e.sh.cap; s++ {
+			if lo, hi := lines(arrays[0], leaf, s); valid(bm, s) && lo <= gap && gap <= hi {
+				victims = append(victims, e.cdc.slotKey(leaf, s))
+			}
+		}
+		for _, k := range victims {
+			if ok, err := e.Delete(k); !ok || err != nil {
+				t.Fatal(ok, err)
+			}
+		}
+	}
+	// The first leaves that hold more than minKeys keys, and what each costs.
+	var keys []K
+	var visited, split, wantMisses, maxLoads uint64
+	for _, leaf := range leaves {
+		if len(keys) > minKeys {
+			break
+		}
+		visited++
+		bm := e.leafBitmap(leaf)
+		for s := 0; s < e.sh.cap; s++ {
+			if valid(bm, s) {
+				keys = append(keys, e.cdc.slotKey(leaf, s))
+			}
+		}
+		touched := map[uint64]bool{(leaf + e.sh.offBitmap) / scm.LineSize: true}
+		runs := uint64(0)
+		for _, array := range arrays {
+			var last uint64
+			open := false
+			for s := 0; s < e.sh.cap; s++ {
+				if !valid(bm, s) {
+					continue
+				}
+				lo, hi := lines(array, leaf, s)
+				if !open || lo > last+1 {
+					runs++
+				}
+				open, last = true, hi
+				for l := lo; l <= hi; l++ {
+					touched[l] = true
+				}
+			}
+		}
+		if runs > uint64(len(arrays)) {
+			split++
+		}
+		wantMisses += uint64(len(touched))
+		maxLoads += 1 + runs
+	}
+	if e.st {
+		maxLoads += 2 * (visited - 1) // the two words of each sibling pointer stepped along
+	}
+	if split == 0 {
+		t.Fatal("no visited leaf has a split run of slot lines")
+	}
+	slices.SortFunc(keys, func(a, b K) int {
+		switch {
+		case e.cdc.less(a, b):
+			return -1
+		case e.cdc.less(b, a):
+			return 1
+		}
+		return 0
+	})
+	// The window ends one key short of the last visited leaf's largest, so a
+	// pass learns in that leaf that the window is over; the single-threaded
+	// step would otherwise read the next leaf to find out.
+	n := len(keys) - 1
+	end, _ := e.cdc.nextAfter(keys[n-1])
+	read := func(name string, run func(emit func(K))) {
+		pool.Crash() // nothing is dirty: this only empties the simulated cache
+		st := pool.Stats()
+		m0, r0 := st.ReadMisses.Load(), st.Reads.Load()
+		var got []K
+		run(func(k K) { got = append(got, k) })
+		misses, loads := st.ReadMisses.Load()-m0, st.Reads.Load()-r0
+		if len(got) != n {
+			t.Fatalf("%s returned %d keys, want %d", name, len(got), n)
+		}
+		for i, k := range got {
+			if e.cdc.less(k, keys[i]) || e.cdc.less(keys[i], k) {
+				t.Fatalf("%s: key %d is %v, want %v", name, i, k, keys[i])
+			}
+		}
+		if misses != wantMisses {
+			t.Errorf("%s: %d misses, want %d (the header line and the valid slots' key and value lines, per visited leaf)", name, misses, wantMisses)
+		}
+		if loads > maxLoads {
+			t.Errorf("%s: %d pool loads, want at most %d (the bitmap plus one per run in each slot array, per visited leaf)", name, loads, maxLoads)
+		}
+		t.Logf("%s: %d misses, %d loads (bound %d) over %d leaves, %d with a split run", name, misses, loads, maxLoads, visited, split)
+	}
+	read("ScanN", func(emit func(K)) {
+		for _, kv := range scanN(e, keys[0], n, func(k K, v V) kvPair[K, V] { return kvPair[K, V]{k, v} }) {
+			emit(kv.k)
+		}
+	})
+	read("Iterator", func(emit func(K)) {
+		for it := e.iterator(bound[K]{}, bound[K]{end, true}, false); it.Valid(); it.Next() {
+			emit(it.Key())
+		}
+	})
+}

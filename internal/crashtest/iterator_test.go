@@ -3,12 +3,14 @@ package crashtest
 // Differential and crash-point coverage for the resumable range iterators.
 //
 // Four randomized suites (≥10k iterator sessions in total on a full run,
-// scaled down 10x under -short):
+// scaled down 10x under -short, where the differential sessions are also
+// split over the rigs):
 //
 //   - TestIteratorDifferentialFixed/Var: single-threaded sessions over random
-//     windows and directions with mutations injected between steps, checked
-//     against the exact sorted-map oracle (CheckIter) — the iterator must
-//     behave as if it re-read the tree at every step.
+//     windows and directions with mutations injected between steps, on every
+//     rig with iterators, checked against the exact sorted-map oracle
+//     (CheckIter) — the iterator must behave as if it re-read the tree at
+//     every step.
 //   - TestIteratorConcurrentFixed/Var: occ-tree sessions racing live mutator
 //     goroutines that churn a volatile half of the key space, checked with
 //     the stable-key oracle (CheckIterStable) — no stable key may ever be
@@ -24,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -67,7 +70,7 @@ func iterDifferential[K, V any](t *testing.T, ks Keys[K, V], s rigSpec[K, V], se
 	o := NewOracle(ks)
 	mutate := func() {
 		k := ks.key(rng.Uint64()%iterKeySpace + 1)
-		v := ks.value(rng.Uint64(), varValLen)
+		v := ks.value(rng.Uint64(), s.valSize)
 		var err error
 		switch _, exists := o.get(k); {
 		case !exists:
@@ -108,8 +111,24 @@ func iterDifferential[K, V any](t *testing.T, ks Keys[K, V], s rigSpec[K, V], se
 	t.Logf("%d sessions, %d keys emitted", sessions, emitted)
 }
 
+// iterDifferentialGrid runs iterDifferential on every rig of rigs whose tree
+// has iterators, so each leaf layout the range reader decodes is held to the
+// exact model. Every rig runs all the sessions, except under -short, where
+// they are split evenly over the rigs to hold the suite to one rig's time.
+func iterDifferentialGrid[K, V any](t *testing.T, ks Keys[K, V], rigs []rigSpec[K, V], seed int64, sessions int, window func(*rand.Rand) (lo, hi K)) {
+	rigs = slices.DeleteFunc(slices.Clone(rigs), func(s rigSpec[K, V]) bool { return !s.iter })
+	if testing.Short() {
+		sessions /= len(rigs)
+	}
+	for _, s := range rigs {
+		t.Run(s.name, func(t *testing.T) { iterDifferential(t, ks, s, seed, sessions, window) })
+	}
+}
+
+// The fixed rigs cover slots interleaved in one array (fptree, fptreec) and
+// keys and values in two (ptree).
 func TestIteratorDifferentialFixed(t *testing.T) {
-	iterDifferential(t, Fixed, rigNamed(fixedRigs(), "fptree"), 7, scaled(3500), func(rng *rand.Rand) (lo, hi uint64) {
+	iterDifferentialGrid(t, Fixed, fixedRigs(), 7, scaled(3500), func(rng *rand.Rand) (lo, hi uint64) {
 		lo = rng.Uint64() % (iterKeySpace + 20)
 		if rng.Intn(4) > 0 {
 			hi = lo + rng.Uint64()%(iterKeySpace/2) // may equal lo: empty domain
@@ -118,8 +137,11 @@ func TestIteratorDifferentialFixed(t *testing.T) {
 	})
 }
 
+// The var rigs cover slots of at most a line (fptree, fptreec, ptree) and
+// kvserver's 152-byte slots, larger than a line and holding values of mixed
+// lengths (fptreec-kv).
 func TestIteratorDifferentialVar(t *testing.T) {
-	iterDifferential(t, Var, rigNamed(varRigs(), "fptree"), 11, scaled(2000), func(rng *rand.Rand) (lo, hi []byte) {
+	iterDifferentialGrid(t, Var, varRigs(), 11, scaled(2000), func(rng *rand.Rand) (lo, hi []byte) {
 		if rng.Intn(5) > 0 {
 			lo = VarKey(rng.Uint64() % (iterKeySpace + 20))
 		}

@@ -46,11 +46,13 @@ type bound[K, V any] struct {
 }
 
 // rigSpec is one row of a rig table: how to format a tree and how to recover
-// one. valSize is the tree's value field, which the workloads size values by.
+// one. valSize is the tree's value field, which the workloads size values by;
+// iter is set where the tree has iterators (the core facades).
 type rigSpec[K, V any] struct {
 	name    string
 	leafCap int
 	valSize int
+	iter    bool
 	create  func(*scm.Pool) (bound[K, V], error)
 	open    func(*scm.Pool, ...core.RecoveryOptions) (bound[K, V], error)
 }
@@ -108,7 +110,7 @@ func coreSpec[K, V, P any, T coreTree[K, V, P]](name string, cfg core.Config,
 		}}, nil
 	}
 	return rigSpec[K, V]{
-		name: name, leafCap: cfg.LeafCap, valSize: cfg.ValueSize,
+		name: name, leafCap: cfg.LeafCap, valSize: cfg.ValueSize, iter: true,
 		create: func(p *scm.Pool) (bound[K, V], error) { return bind(create(p, cfg)) },
 		open: func(p *scm.Pool, opts ...core.RecoveryOptions) (bound[K, V], error) {
 			return bind(open(p, opts...))
