@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,10 +113,12 @@ func TestDefaultTreeFallsBackUnderContention(t *testing.T) {
 }
 
 // TestWaiterDiesWithCrashedLockHolder pins the crash check in the engine's
-// blocking waits: a goroutine parked behind a lock whose holder died at an
+// blocking waits: a goroutine waiting on a lock whose holder died at an
 // injected crash (and so never releases it) must end with the crash, not spin
 // on. AlwaysFallback makes every writer a blocking one; since every concurrent
-// tree has a controller, any tree's writers can become one.
+// tree has a controller, any tree's writers can become one. Readers never
+// take the fallback lock, but every loser of a leaf-lock race waits for the
+// holder.
 func TestWaiterDiesWithCrashedLockHolder(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -128,6 +131,12 @@ func TestWaiterDiesWithCrashedLockHolder(t *testing.T) {
 		{"fallback-writer-on-leaf-lock", 8,
 			func(tr *CTree) { _, _ = tr.Update(3, 1) },
 			func(tr *CTree) { _, _ = tr.Update(3, 2) }},
+		// A reader that lost the race for the leaf waits for its holder to
+		// leave. (A Find would die in the abort's own crash check before it
+		// got there, so the waiter enters the wait directly.)
+		{"reader-on-leaf-lock", 8,
+			func(tr *CTree) { _, _ = tr.Update(3, 1) },
+			func(tr *CTree) { tr.waitLeaf(tr.findLeafRef(3), nil) }},
 		// firstLeaf holds the anchor and the root lock across its Alloc; a
 		// descent waits in readBegin on the anchor, a second firstLeaf in
 		// lockNode on it.
@@ -166,6 +175,80 @@ func TestWaiterDiesWithCrashedLockHolder(t *testing.T) {
 				t.Fatal("waiter is still spinning on a lock whose holder died in the crash")
 			}
 		})
+	}
+}
+
+// TestLeafLoserWaitsForHolder: a reader or a writer that finds its leaf
+// write-locked waits for the holder, not for a timer, so it finishes within
+// microseconds of the release. The holder keeps its CPU busy before and after
+// the release, as a second client does under load; beside it, a loser parked
+// on even a microsecond's sleep wakes only when the scheduler next polls its
+// timers, a hundred microseconds or more after the release on 2 vCPUs. Each
+// trial is paired with a control whose waiter only spins on the release: when
+// even that sees it late, the host is too busy to time a wait.
+func TestLeafLoserWaitsForHolder(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the busy holder needs a CPU of its own")
+	}
+	tr := newCTree(t, Config{LeafCap: 8, InnerFanout: 4})
+	for k := uint64(1); k <= 64; k++ {
+		if err := tr.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// lagAfter runs wait on a goroutine of its own while this one stays busy
+	// for 2 ms, calls release, stays busy until wait returns, and reports how
+	// long after the release that was (a second at most).
+	lagAfter := func(wait, release func()) time.Duration {
+		var started atomic.Bool
+		var done atomic.Pointer[time.Time]
+		go func() {
+			started.Store(true)
+			wait()
+			now := time.Now()
+			done.Store(&now)
+		}()
+		for !started.Load() {
+		}
+		for hold := time.Now(); time.Since(hold) < 2*time.Millisecond; {
+		}
+		released := time.Now()
+		release()
+		for done.Load() == nil {
+			if time.Since(released) > time.Second {
+				return time.Since(released) // still waiting: far past any bound
+			}
+		}
+		return done.Load().Sub(released)
+	}
+	const key, trials = 30, 25
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"find", func() { tr.Find(key) }},
+		{"update", func() { _, _ = tr.Update(key, 1) }},
+	} {
+		lag, control := make([]time.Duration, trials), make([]time.Duration, trials)
+		for i := range lag {
+			var flag atomic.Bool
+			control[i] = lagAfter(func() {
+				for !flag.Load() {
+				}
+			}, func() { flag.Store(true) })
+			ref := tr.findLeafRef(key) // an update may have split the leaf
+			tr.cc.lockLeaf(ref)
+			lag[i] = lagAfter(op.run, func() { tr.cc.unlockLeaf(ref) })
+		}
+		slices.Sort(lag)
+		slices.Sort(control)
+		if c := control[trials/2]; c > 20*time.Microsecond {
+			t.Skipf("a goroutine spinning on the release saw it a median %v late: the host is too busy", c)
+		}
+		if med := lag[trials/2]; med > 75*time.Microsecond {
+			t.Errorf("%s finished a median %v after the holder released its leaf (range %v..%v; control median %v)",
+				op.name, med, lag[0], lag[trials-1], control[trials/2])
+		}
 	}
 }
 

@@ -69,16 +69,14 @@ func (e *engine[K, V]) releaseFallback(held *bool) {
 
 // lockLeafCC takes the leaf lock for one attempt of acquireLeaf: shared for a
 // reader (fb == nil), exclusive for a writer. On the optimistic path a held
-// lock is a conflict: fail fast, abort, re-descend. A fallback writer (*fb)
-// is already serialized behind the controller's global lock, so it waits for
-// the leaf instead — the try/abort/re-descend cycle is exactly the stampede
-// the fallback exists to stop, and waiting costs nothing it wasn't already
-// paying. Waiting trades no correctness: the post-lock validation (ref.dead,
-// inner version) still runs, so a leaf that split while we waited sends the
-// writer back around the loop. A leaf that died while we waited stays locked
-// forever, so the wait gives up on it and reports the conflict; so does the
-// leaf of a writer that died in its critical section at an injected crash,
-// which is why the wait makes the check every retry loop must make.
+// lock loses the attempt at once; acquireLeaf counts the abort, waits for the
+// holder (waitLeaf) and re-descends. A fallback writer (*fb) is already
+// serialized behind the controller's global lock and has lost that race
+// budget times, so it waits in the same loop for the lock itself: the parked
+// fallback writer takes the leaf the moment it frees. Taking it after a wait
+// trades no correctness: the post-lock validation (ref.dead, inner version)
+// still runs, so a leaf that split meanwhile sends the writer back around the
+// loop.
 func (e *engine[K, V]) lockLeafCC(ref *leafRef, fb *bool) bool {
 	switch {
 	case fb == nil:
@@ -86,12 +84,37 @@ func (e *engine[K, V]) lockLeafCC(ref *leafRef, fb *bool) bool {
 	case !*fb:
 		return e.cc.tryLockLeaf(ref)
 	}
-	for !e.cc.tryLockLeaf(ref) {
+	return e.waitLeaf(ref, fb)
+}
+
+// waitLeaf is every lost leaf-lock race's wait: it spins on the lock word,
+// yielding the CPU every few dozen turns, until the holder has gone — for a
+// reader (fb == nil) until no writer is inside, for an optimistic writer until
+// nobody is — or, for a fallback writer, until it holds the lock itself. It
+// gives up on a leaf that died meanwhile (a deleted leaf stays locked
+// forever) and reports false. It makes the crash check on every turn, since
+// a writer that died in its critical section at an injected crash never lets
+// go either.
+func (e *engine[K, V]) waitLeaf(ref *leafRef, fb *bool) bool {
+	for spins := 1; ; spins++ {
+		var gone bool
+		switch {
+		case fb == nil:
+			gone = !ref.lk.Locked()
+		case !*fb:
+			gone = ref.lk.Idle()
+		default:
+			gone = e.cc.tryLockLeaf(ref)
+		}
+		if gone {
+			return true
+		}
 		if ref.dead.Load() {
 			return false
 		}
 		e.pool.PanicIfCrashed()
-		runtime.Gosched()
+		if spins%32 == 0 {
+			runtime.Gosched()
+		}
 	}
-	return true
 }

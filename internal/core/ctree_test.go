@@ -447,4 +447,55 @@ func TestCTreeStatsCountAborts(t *testing.T) {
 	if tr.Stats.Restarts.Load() == 0 {
 		t.Log("no aborts observed (acceptable on a single-core machine)")
 	}
+	// Keys i%97 + w for w < 4 are exactly 0..99, however the storm interleaved.
+	if got := tr.Len(); got != 100 {
+		t.Fatalf("Len = %d after upserting keys 0..99, want 100", got)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentUpsertSameNewKeys: two goroutines upsert the same fresh keys
+// in the same order, so they race on every key's first insert. Upsert must
+// decide "absent" and insert under one hold of the leaf lock; otherwise both
+// racers miss, both insert, and the key is stored twice — Len overshoots, a
+// delete leaves the other copy live, and a split beside the duplicate breaks
+// the leaf order.
+func TestConcurrentUpsertSameNewKeys(t *testing.T) {
+	const n = 20000
+	cfg := Config{LeafCap: 16, InnerFanout: 8}
+	race := func(t *testing.T, tr interface {
+		Len() int
+		CheckInvariants() error
+	}, upsert func(i int) error) {
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					if err := upsert(i); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if got := tr.Len(); got != n {
+			t.Errorf("Len = %d after upserting %d distinct keys from two goroutines", got, n)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	}
+	t.Run("fixed", func(t *testing.T) {
+		tr := newCTree(t, cfg)
+		race(t, tr, func(i int) error { return tr.Upsert(uint64(i), uint64(i)) })
+	})
+	t.Run("var", func(t *testing.T) {
+		tr := newCVarTree(t, Config{LeafCap: cfg.LeafCap, InnerFanout: cfg.InnerFanout, ValueSize: 8})
+		race(t, tr, func(i int) error { return tr.Upsert(strKey(i), val8(uint64(i))) })
+	})
 }

@@ -215,10 +215,11 @@ func TestDescentContractVar(t *testing.T) {
 }
 
 // TestFallbackWriterGivesUpOnDeadLeaf: a fallback writer waits for its leaf
-// instead of failing fast, but a leaf that was unlinked while it waited stays
-// locked forever. The wait must report the conflict so the writer re-descends:
-// spinning on the dead handle would hold the global fallback lock for good
-// and stall every later fallback writer behind it.
+// instead of failing fast, and every other loser waits for the holder to
+// leave, but a leaf that was unlinked while they waited stays locked forever.
+// The wait must report the conflict so they re-descend: spinning on the dead
+// handle would hold the global fallback lock for good and stall every later
+// fallback writer behind it (or strand a reader or writer for good).
 func TestFallbackWriterGivesUpOnDeadLeaf(t *testing.T) {
 	tr := newCTree(t, Config{LeafCap: 2, InnerFanout: 4})
 	for k := uint64(1); k <= 8; k++ {
@@ -239,18 +240,21 @@ func TestFallbackWriterGivesUpOnDeadLeaf(t *testing.T) {
 	if !head.dead.Load() {
 		t.Fatal("emptying the head leaf did not unlink it")
 	}
-	done := make(chan bool, 1)
-	go func() {
-		fb := true
-		done <- tr.lockLeafCC(head, &fb)
-	}()
-	select {
-	case got := <-done:
-		if got {
-			t.Fatal("fallback writer locked a dead leaf")
+	fallback, optimistic := true, false
+	for _, w := range []struct {
+		name string
+		fb   *bool
+	}{{"fallback writer", &fallback}, {"writer", &optimistic}, {"reader", nil}} {
+		done := make(chan bool, 1)
+		go func() { done <- tr.waitLeaf(head, w.fb) }()
+		select {
+		case got := <-done:
+			if got {
+				t.Fatalf("%s's wait on a dead leaf ended as if its holder had left", w.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s is still waiting for a dead leaf's lock", w.name)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("fallback writer is still waiting for a dead leaf's lock")
 	}
 }
 

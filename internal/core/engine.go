@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -401,10 +402,12 @@ func (e *engine[K, V]) descend(target *K, rightmost bool, sep *separators[K]) (n
 // succeed. fb selects the lock: nil takes the shared lock (readers never
 // look at the fallback lock); a writer passes its fallback flag and gets the
 // exclusive lock, entering the global fallback once its retry budget is
-// spent (the caller releases it when the operation completes). The span is
-// in PhaseDescend while this runs and in PhaseLeaf when it returns a locked
-// leaf. It returns the leaf parent and the leaf handle; a nil handle means
-// the tree is empty, and the node is then the empty root.
+// spent (the caller releases it when the operation completes). A lost race
+// for the leaf lock waits for the holder before the next attempt; the other
+// aborts only yield, and readBegin already waits out a locked inner node.
+// The span is in PhaseDescend while this runs and in PhaseLeaf when it
+// returns a locked leaf. It returns the leaf parent and the leaf handle; a
+// nil handle means the tree is empty, and the node is then the empty root.
 func (e *engine[K, V]) acquireLeaf(target *K, rightmost bool, sep *separators[K], fb *bool, sp *trace.Span) (*cInner[K], *leafRef) {
 	for attempt := 0; ; attempt++ {
 		if fb != nil {
@@ -413,14 +416,18 @@ func (e *engine[K, V]) acquireLeaf(target *K, rightmost bool, sep *separators[K]
 		sp.Enter(trace.PhaseDescend)
 		n, ver, ref, ok := e.descend(target, rightmost, sep)
 		if !ok {
-			e.abortc(htm.AbortDescend, sp, attempt, 0)
+			e.abortc(htm.AbortDescend, sp, 0)
+			runtime.Gosched()
 			continue
 		}
 		if ref == nil {
 			return n, nil
 		}
 		if !e.lockLeafCC(ref, fb) {
-			e.abortc(htm.AbortLeafLock, sp, attempt, ref.off)
+			e.abortc(htm.AbortLeafLock, sp, ref.off)
+			if fb == nil || !*fb {
+				e.waitLeaf(ref, fb)
+			}
 			continue
 		}
 		if ref.dead.Load() || !e.cc.validate(&n.lock, ver) {
@@ -429,7 +436,8 @@ func (e *engine[K, V]) acquireLeaf(target *K, rightmost bool, sep *separators[K]
 			} else {
 				e.cc.unlockLeaf(ref)
 			}
-			e.abortc(htm.AbortPostLock, sp, attempt, ref.off)
+			e.abortc(htm.AbortPostLock, sp, ref.off)
+			runtime.Gosched()
 			continue
 		}
 		sp.Enter(trace.PhaseLeaf)
@@ -450,12 +458,13 @@ func (e *engine[K, V]) noteMutation() {
 // the leaf covering key (nil for an empty tree), without locking it. Used by
 // the invariant checks.
 func (e *engine[K, V]) findLeafRef(key K) *leafRef {
-	for attempt := 0; ; attempt++ {
+	for {
 		_, _, ref, ok := e.descend(&key, false, nil)
 		if ok {
 			return ref
 		}
-		e.abortc(htm.AbortDescend, nil, attempt, 0)
+		e.abortc(htm.AbortDescend, nil, 0)
+		runtime.Gosched()
 	}
 }
 
@@ -492,59 +501,102 @@ func (e *engine[K, V]) findT(key K, sp *trace.Span) (v V, found bool) {
 // re-descends pessimistically to update the parents.
 func (e *engine[K, V]) Insert(key K, value V) error {
 	sp := e.tr.Start(trace.OpInsert)
-	err := e.insertT(key, value, sp)
+	_, err := e.putT(key, value, putInsert, sp)
 	sp.Finish()
 	e.opDone()
 	return err
 }
 
-func (e *engine[K, V]) insertT(key K, value V, sp *trace.Span) error {
-	if err := e.cdc.validateKey(key); err != nil {
-		return err
+// putMode selects what putT does with the key in its leaf.
+type putMode uint8
+
+const (
+	putInsert putMode = iota // add the pair without looking for the key (Insert)
+	putUpdate                // replace a present key's value, else nothing (Update)
+	putUpsert                // update when present, insert when absent (Upsert)
+)
+
+// putT is the one body of Insert, Update and Upsert: it takes key's leaf
+// exclusively once, decides under that lock whether the key is there, and
+// inserts or updates in place, splitting a full leaf first. Deciding and
+// writing under one acquisition is what keeps two racing upserts of a new
+// key from both inserting it. It reports whether the key was present (always
+// false for putInsert, which does not look).
+func (e *engine[K, V]) putT(key K, value V, mode putMode, sp *trace.Span) (bool, error) {
+	if mode != putUpdate {
+		if err := e.cdc.validateKey(key); err != nil {
+			return false, err
+		}
 	}
 	e.noteMutation()
 	fb := false
 	defer e.releaseFallback(&fb)
 	n, ref := e.acquireLeaf(&key, false, nil, &fb, sp)
 	for ref == nil {
+		if mode == putUpdate {
+			return false, nil
+		}
 		sp.Enter(trace.PhaseSMO)
 		if err := e.firstLeaf(n); err != nil {
-			return err
+			return false, err
 		}
 		n, ref = e.acquireLeaf(&key, false, nil, &fb, sp)
 	}
-	bm := e.leafBitmap(ref.off)
-	if bm != e.fullBitmap() {
-		err := e.insertIntoLeaf(ref.off, bm, key, value)
-		e.cc.unlockLeaf(ref)
-		if err != nil {
-			return err
+	var prev int
+	var bm uint64
+	found := false
+	if mode == putInsert {
+		bm = e.leafBitmap(ref.off)
+	} else {
+		prev, bm, found = e.findInLeaf(ref.off, key)
+		if !found && mode == putUpdate {
+			e.cc.unlockLeaf(ref)
+			return false, nil
 		}
-		e.size.Add(1)
-		return nil
 	}
-	// Split: persistent part first (outside any inner lock), then the
-	// parent update in a pessimistic SMO descent.
-	sp.Enter(trace.PhaseSMO)
-	splitKey, newRef, err := e.splitLeaf(ref)
-	if err != nil {
-		e.cc.unlockLeaf(ref)
-		return err
-	}
-	e.insertSMO(splitKey, ref, newRef)
 	target := ref
-	if e.cdc.less(splitKey, key) {
-		target = newRef
+	var newRef *leafRef
+	if bm == e.fullBitmap() {
+		// Split: persistent part first (outside any inner lock), then the
+		// parent update in a pessimistic SMO descent.
+		sp.Enter(trace.PhaseSMO)
+		splitKey, nr, err := e.splitLeaf(ref)
+		if err != nil {
+			e.cc.unlockLeaf(ref)
+			return false, err
+		}
+		newRef = nr
+		e.insertSMO(splitKey, ref, newRef)
+		if e.cdc.less(splitKey, key) {
+			target = newRef
+		}
+		sp.Enter(trace.PhaseLeaf)
+		if found {
+			prev, bm, _ = e.findInLeaf(target.off, key)
+		} else {
+			bm = e.leafBitmap(target.off)
+		}
 	}
-	sp.Enter(trace.PhaseLeaf)
-	err = e.insertIntoLeaf(target.off, e.leafBitmap(target.off), key, value)
+	var err error
+	if found {
+		slot := bits.TrailingZeros64(^bm)
+		e.cdc.moveSlot(target.off, slot, prev, key, value)
+		e.commitSlot(target.off, slot, key, bm&^(1<<prev)|(1<<slot))
+		e.cdc.afterUpdate(target.off, prev, key)
+	} else {
+		err = e.insertIntoLeaf(target.off, bm, key, value)
+	}
 	e.cc.unlockLeaf(ref)
-	e.cc.unlockLeaf(newRef)
-	if err != nil {
-		return err
+	if newRef != nil {
+		e.cc.unlockLeaf(newRef)
 	}
-	e.size.Add(1)
-	return nil
+	if err != nil {
+		return false, err
+	}
+	if !found {
+		e.size.Add(1)
+	}
+	return found, nil
 }
 
 // firstLeaf materializes the head leaf of an empty tree under the root lock.
@@ -712,62 +764,17 @@ func (e *engine[K, V]) insertSMO(splitKey K, oldRef, newRef *leafRef) {
 // one p-atomic bitmap write. Returns false if the key is absent.
 func (e *engine[K, V]) Update(key K, value V) (bool, error) {
 	sp := e.tr.Start(trace.OpUpdate)
-	ok, err := e.updateT(key, value, sp)
+	ok, err := e.putT(key, value, putUpdate, sp)
 	sp.Finish()
 	e.opDone()
 	return ok, err
 }
 
-func (e *engine[K, V]) updateT(key K, value V, sp *trace.Span) (bool, error) {
-	e.noteMutation()
-	fb := false
-	defer e.releaseFallback(&fb)
-	_, ref := e.acquireLeaf(&key, false, nil, &fb, sp)
-	if ref == nil {
-		return false, nil
-	}
-	prev, bm, found := e.findInLeaf(ref.off, key)
-	if !found {
-		e.cc.unlockLeaf(ref)
-		return false, nil
-	}
-	target := ref
-	var newRef *leafRef
-	if bm == e.fullBitmap() {
-		sp.Enter(trace.PhaseSMO)
-		splitKey, nr, err := e.splitLeaf(ref)
-		if err != nil {
-			e.cc.unlockLeaf(ref)
-			return false, err
-		}
-		newRef = nr
-		e.insertSMO(splitKey, ref, newRef)
-		if e.cdc.less(splitKey, key) {
-			target = newRef
-		}
-		sp.Enter(trace.PhaseLeaf)
-		prev, bm, _ = e.findInLeaf(target.off, key)
-	}
-	slot := bits.TrailingZeros64(^bm)
-	e.cdc.moveSlot(target.off, slot, prev, key, value)
-	e.commitSlot(target.off, slot, key, bm&^(1<<prev)|(1<<slot))
-	e.cdc.afterUpdate(target.off, prev, key)
-	e.cc.unlockLeaf(ref)
-	if newRef != nil {
-		e.cc.unlockLeaf(newRef)
-	}
-	return true, nil
-}
-
-// Upsert inserts the pair or updates it in place when the key exists. One
-// span covers both halves, so a traced upsert attributes its update probe
-// and its insert under a single OpUpsert record.
+// Upsert inserts the pair or updates it in place when the key exists, both
+// decided under one hold of the leaf lock.
 func (e *engine[K, V]) Upsert(key K, value V) error {
 	sp := e.tr.Start(trace.OpUpsert)
-	ok, err := e.updateT(key, value, sp)
-	if err == nil && !ok {
-		err = e.insertT(key, value, sp)
-	}
+	_, err := e.putT(key, value, putUpsert, sp)
 	sp.Finish()
 	e.opDone()
 	return err

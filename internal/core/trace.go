@@ -19,17 +19,16 @@ func (e *engine[K, V]) SetTracer(tr *trace.Tracer) { e.tr = tr }
 func (e *engine[K, V]) Tracer() *trace.Tracer { return e.tr }
 
 // abortc records one optimistic-validation failure: the crash-injection
-// check every retry loop must make, the cause-tagged htm counters, and the
-// (possibly nil) span of the operation that must now restart. attempt is the
-// operation's abort count so far; the controller paces the retry with it, so
-// a long-held conflict parks the goroutine instead of spinning — the TSX
-// retry budget followed by the fallback wait, both at the controller's live
-// values. leaf is the offset of the leaf the conflict was observed on (0 when
-// the descent failed before reaching one); it only selects the counter
-// stripe. Only concurrent engines abort, and they always have a controller.
-func (e *engine[K, V]) abortc(c htm.AbortCause, sp *trace.Span, attempt int, leaf uint64) {
+// check every retry loop must make, the cause-tagged htm counters, the
+// (possibly nil) span of the operation that must now retry, and the
+// controller's conflict count. It does not pace the retry; the caller does,
+// by waiting for the leaf's holder or by yielding once. leaf is the offset of
+// the leaf the conflict was observed on (0 when the descent failed before
+// reaching one); it only selects the counter stripe. Only concurrent engines
+// abort, and they always have a controller.
+func (e *engine[K, V]) abortc(c htm.AbortCause, sp *trace.Span, leaf uint64) {
 	e.pool.PanicIfCrashed()
 	e.Stats.NoteAbort(c, leaf)
 	sp.Abort(c)
-	e.ctrl.OnAbort(attempt)
+	e.ctrl.OnAbort()
 }

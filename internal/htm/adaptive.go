@@ -2,10 +2,8 @@ package htm
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Adaptive concurrency control, after Brown's "A Template for Implementing
@@ -21,9 +19,9 @@ import (
 // (additive increase, multiplicative decrease) between a configured floor and
 // ceiling, with a hysteresis band so a steady ratio never oscillates:
 //
-//	EWMA > 0.5   -> budget halves toward Floor, backoff cap doubles
-//	               (sustained conflicts: give up optimism sooner, park longer)
-//	EWMA < 0.05  -> budget +1 toward Ceiling, backoff cap halves
+//	EWMA > 0.5   -> budget halves toward Floor
+//	               (sustained conflicts: give up optimism sooner)
+//	EWMA < 0.05  -> budget +1 toward Ceiling
 //	               (contention drained: restore optimism)
 //	otherwise    -> no change
 //
@@ -68,11 +66,9 @@ const (
 )
 
 const (
-	backoffFloor   = 16 * time.Microsecond // bounds of the park cap applied past the budget
-	backoffCeiling = 256 * time.Microsecond
-	ewmaLow        = 0.05 // aborts per completed op below which the budget grows
-	ewmaHigh       = 0.5  // ... and above which it shrinks; between them it holds
-	ewmaAlpha      = 0.4  // weight of the newest window sample
+	ewmaLow   = 0.05 // aborts per completed op below which the budget grows
+	ewmaHigh  = 0.5  // ... and above which it shrinks; between them it holds
+	ewmaAlpha = 0.4  // weight of the newest window sample
 )
 
 func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
@@ -99,15 +95,14 @@ type AdaptiveStats struct {
 	BudgetRaises atomic.Uint64 // windows that grew the budget
 }
 
-// AdaptiveController owns the live retry budget, backoff cap, and fallback
-// lock for one tree. All methods are safe for concurrent use; the controller
-// adds one shared atomic increment to every completed operation (OnOp) and
-// nothing else to an operation that does not abort.
+// AdaptiveController owns the live retry budget and the fallback lock for one
+// tree. All methods are safe for concurrent use; the controller adds one
+// shared atomic increment to every completed operation (OnOp) and nothing
+// else to an operation that does not abort.
 type AdaptiveController struct {
 	cfg AdaptiveConfig
 
 	budget atomic.Int64  // live retry budget, in [Floor, Ceiling]
-	capNS  atomic.Int64  // live backoff park cap, nanoseconds
 	ewma   atomic.Uint64 // float64 bits of the conflict-abort-ratio EWMA
 
 	ops       atomic.Uint64 // completed ops in the current window
@@ -121,11 +116,10 @@ type AdaptiveController struct {
 }
 
 // NewAdaptiveController returns a controller with the budget at cfg's ceiling
-// (start optimistic, earn pessimism) and the backoff cap at its floor.
+// (start optimistic, earn pessimism).
 func NewAdaptiveController(cfg AdaptiveConfig) *AdaptiveController {
 	c := &AdaptiveController{cfg: cfg.withDefaults()}
 	c.budget.Store(int64(c.cfg.Ceiling))
-	c.capNS.Store(int64(backoffFloor))
 	return c
 }
 
@@ -134,11 +128,6 @@ func (c *AdaptiveController) Config() AdaptiveConfig { return c.cfg }
 
 // Budget returns the live retry budget.
 func (c *AdaptiveController) Budget() int { return int(c.budget.Load()) }
-
-// BackoffCap returns the live exponential-backoff park cap.
-func (c *AdaptiveController) BackoffCap() time.Duration {
-	return time.Duration(c.capNS.Load())
-}
 
 // AbortEWMA returns the smoothed conflict-aborts-per-op ratio the controller
 // is steering on.
@@ -163,28 +152,12 @@ func (c *AdaptiveController) OnOp() {
 	c.adapting.Store(false)
 }
 
-// OnAbort records one abort and paces the retry: within the live budget it
-// yields, past it it parks with exponentially growing sleeps capped at the
-// live backoff cap — the scheduling analogue of waiting on the fallback path,
-// so one long-held leaf lock (a writer paying emulated SCM latency inside its
-// critical section) cannot farm thousands of counted aborts per conflict.
-func (c *AdaptiveController) OnAbort(attempt int) {
-	c.conflicts.Add(1)
-	budget := int(c.budget.Load())
-	if attempt < budget {
-		runtime.Gosched()
-		return
-	}
-	shift := attempt - budget
-	if shift > 16 {
-		shift = 16
-	}
-	d := time.Microsecond << shift
-	if cap := time.Duration(c.capNS.Load()); d > cap {
-		d = cap
-	}
-	time.Sleep(d)
-}
+// OnAbort counts one conflict abort toward the current window. It never
+// blocks: pacing the loser is the tree's business, and the tree waits for the
+// lock it lost to rather than for a timer (a sub-millisecond sleep can last
+// about a millisecond once the other CPUs are busy, long after the holder
+// left).
+func (c *AdaptiveController) OnAbort() { c.conflicts.Add(1) }
 
 // ShouldFallback reports whether a writer at the given attempt number should
 // stop retrying optimistically and take the fallback lock.
@@ -219,7 +192,7 @@ func (c *AdaptiveController) adapt(ops, conflicts uint64) {
 	switch {
 	case e > ewmaHigh:
 		// Sustained conflicts: halve the budget toward the floor so writers
-		// reach the fallback lock sooner, and park losers longer.
+		// reach the fallback lock sooner.
 		b := int(c.budget.Load()) / 2
 		if b < c.cfg.Floor {
 			b = c.cfg.Floor
@@ -227,11 +200,6 @@ func (c *AdaptiveController) adapt(ops, conflicts uint64) {
 		if int64(b) != c.budget.Swap(int64(b)) {
 			c.Stats.BudgetCuts.Add(1)
 		}
-		cap := 2 * time.Duration(c.capNS.Load())
-		if cap > backoffCeiling {
-			cap = backoffCeiling
-		}
-		c.capNS.Store(int64(cap))
 	case e < ewmaLow:
 		// Contention drained: restore optimism one attempt at a time.
 		b := int(c.budget.Load()) + 1
@@ -241,10 +209,5 @@ func (c *AdaptiveController) adapt(ops, conflicts uint64) {
 		if int64(b) != c.budget.Swap(int64(b)) {
 			c.Stats.BudgetRaises.Add(1)
 		}
-		cap := time.Duration(c.capNS.Load()) / 2
-		if cap < backoffFloor {
-			cap = backoffFloor
-		}
-		c.capNS.Store(int64(cap))
 	}
 }

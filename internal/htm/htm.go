@@ -213,6 +213,10 @@ func (l *RWSpin) Unlock() { l.w.Store(0) }
 // in the paper's pseudo-code).
 func (l *RWSpin) Locked() bool { return l.w.Load() < 0 }
 
+// Idle reports whether nobody, reader or writer, holds the lock: the state in
+// which a TryLock would succeed.
+func (l *RWSpin) Idle() bool { return l.w.Load() == 0 }
+
 // Reset forces the lock to the released state; recovery uses it because
 // volatile locks must not survive a crash.
 func (l *RWSpin) Reset() { l.w.Store(0) }

@@ -128,6 +128,9 @@ func TestRWSpinReadersExcludeWriter(t *testing.T) {
 	if l.TryLock() {
 		t.Fatal("writer should not enter with a reader inside")
 	}
+	if l.Idle() || l.Locked() {
+		t.Fatal("a reader inside: Idle() should be false, Locked() too")
+	}
 	if !l.TryRLock() {
 		t.Fatal("second reader should enter")
 	}
@@ -139,12 +142,12 @@ func TestRWSpinReadersExcludeWriter(t *testing.T) {
 	if l.TryRLock() {
 		t.Fatal("reader should not enter with writer inside")
 	}
-	if !l.Locked() {
-		t.Fatal("Locked() should report the writer")
+	if !l.Locked() || l.Idle() {
+		t.Fatal("Locked() should report the writer, and Idle() not")
 	}
 	l.Unlock()
-	if l.Locked() {
-		t.Fatal("Locked() after Unlock")
+	if l.Locked() || !l.Idle() {
+		t.Fatal("Locked() or not Idle() after Unlock")
 	}
 }
 

@@ -22,7 +22,7 @@ func (s *Stats) RegisterMetrics(reg *obs.Registry, prefix string) {
 }
 
 // RegisterMetrics exposes the adaptive controller's live state and event
-// counters on reg under the given prefix (e.g. "htm"): the budget/backoff-cap
+// counters on reg under the given prefix (e.g. "htm"): the budget and EWMA
 // gauges operators watch to see the controller react to contention, plus the
 // adaptation counters. Fallback entries are counted on the tree's Stats.
 func (c *AdaptiveController) RegisterMetrics(reg *obs.Registry, prefix string) {
@@ -30,9 +30,6 @@ func (c *AdaptiveController) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.MinGaugeFunc(prefix+"_adaptive_budget",
 		"live optimistic retry budget (writers enter the fallback lock past it)",
 		func() float64 { return float64(c.Budget()) })
-	reg.GaugeFunc(prefix+"_adaptive_backoff_cap_ns",
-		"live exponential-backoff park cap applied past the budget",
-		func() float64 { return float64(c.BackoffCap()) })
 	reg.GaugeFunc(prefix+"_adaptive_abort_ewma",
 		"smoothed conflict-aborts-per-op ratio steering the budget",
 		c.AbortEWMA)

@@ -266,6 +266,60 @@ func TestServerConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentSetSameNewKeys: two clients SET the same new keys in the same
+// order, so their SETs race on every key's first store. SET is the tree's
+// Upsert, which must store each key once however the racers interleave: the
+// store counts every key once, and one DELETE per key leaves nothing behind.
+func TestConcurrentSetSameNewKeys(t *testing.T) {
+	store, err := NewFPTreeCStore(pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr, err := Serve("127.0.0.1:0", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const n = 10000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("new-%d", i)) }
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		c := dial(t, addr)
+		defer c.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if err := c.Set(key(i), []byte("v")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := store.Len(); got != n {
+		t.Fatalf("store holds %d keys after two clients SET the same %d", got, n)
+	}
+	if err := store.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c := dial(t, addr)
+	defer c.Close()
+	for i := 0; i < n; i++ {
+		if found, err := c.Delete(key(i)); err != nil || !found {
+			t.Fatalf("delete(%s) = %v,%v", key(i), found, err)
+		}
+		if _, ok, err := c.GetAppend(nil, key(i)); err != nil || ok {
+			t.Fatalf("get(%s) after its delete = %v,%v: a second copy survived", key(i), ok, err)
+		}
+	}
+}
+
 func TestMCBenchmarkRuns(t *testing.T) {
 	store := NewHashMapStore()
 	srv, addr, err := Serve("127.0.0.1:0", store)
