@@ -161,7 +161,7 @@ func NewVar(kind Kind, poolSizeMB int, valueSize int, lat scm.LatencyConfig) (*I
 		if err != nil {
 			return nil, err
 		}
-		inst := &Instance{Name: "NV-TreeVar", Var: nvVar{t}, Pool: pool}
+		inst := &Instance{Name: "NV-TreeVar", Var: t, Pool: pool}
 		inst.Recover = func() (any, error) { return nvtree.OpenVar(pool, 128) }
 		inst.DRAMBytes = t.DRAMBytes
 		return inst, nil
@@ -206,7 +206,7 @@ func NewConcurrentVar(kind Kind, poolSizeMB int, valueSize int, lat scm.LatencyC
 		return "FPTreeCVar", t, err
 	case KindNVTreeC:
 		t, err := nvtree.CNewVar(poolMB(poolSizeMB, lat), nvtree.Config{LeafCap: 32, InnerCap: 128, ValueSize: valueSize})
-		return "NV-TreeCVar", nvCVar{t}, err
+		return "NV-TreeCVar", t, err
 	}
 	return "", nil, fmt.Errorf("bench: unknown concurrent kind %q", kind)
 }
@@ -226,20 +226,6 @@ func (a stxVar) Insert(k, v []byte) error         { a.t.Insert(string(k), v); re
 func (a stxVar) Find(k []byte) ([]byte, bool)     { return a.t.Find(string(k)) }
 func (a stxVar) Update(k, v []byte) (bool, error) { return a.t.Update(string(k), v), nil }
 func (a stxVar) Delete(k []byte) (bool, error)    { return a.t.Delete(string(k)), nil }
-
-type nvVar struct{ t *nvtree.VarTree }
-
-func (a nvVar) Insert(k, v []byte) error         { return a.t.Insert(k, v) }
-func (a nvVar) Find(k []byte) ([]byte, bool)     { return a.t.Find(k) }
-func (a nvVar) Update(k, v []byte) (bool, error) { return a.t.Update(k, v) }
-func (a nvVar) Delete(k []byte) (bool, error)    { return a.t.Delete(k) }
-
-type nvCVar struct{ t *nvtree.CVarTree }
-
-func (a nvCVar) Insert(k, v []byte) error         { return a.t.Insert(k, v) }
-func (a nvCVar) Find(k []byte) ([]byte, bool)     { return a.t.Find(k) }
-func (a nvCVar) Update(k, v []byte) (bool, error) { return a.t.Update(k, v) }
-func (a nvCVar) Delete(k []byte) (bool, error)    { return a.t.Delete(k) }
 
 type wbVar struct{ t *wbtree.VarTree }
 

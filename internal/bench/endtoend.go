@@ -81,9 +81,9 @@ func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func(
 			if err != nil {
 				return nil, err
 			}
-			return &lockedIdx{t: nvIdx{nt}}, nil
+			return &lockedIdx{t: nt}, nil
 		}
-		return &lockedIdx{t: nvIdx{t}}, rec, nil
+		return &lockedIdx{t: t}, rec, nil
 	case KindWBTree:
 		pool := poolMB(poolMBs, lat)
 		t, err := wbtree.New(pool, wbtree.Config{InnerCap: 32, LeafCap: 63})
@@ -96,9 +96,9 @@ func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func(
 			if err != nil {
 				return nil, err
 			}
-			return &lockedIdx{t: wbIdx{nt}}, nil
+			return &lockedIdx{t: nt}, nil
 		}
-		return &lockedIdx{t: wbIdx{t}}, rec, nil
+		return &lockedIdx{t: t}, rec, nil
 	case KindSTXTree:
 		t := stx.NewUint64()
 		rec := func() (tatp.Index, error) {
@@ -110,16 +110,6 @@ func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func(
 	}
 	return nil, nil, fmt.Errorf("bench: no TATP index for kind %q", kind)
 }
-
-type nvIdx struct{ t *nvtree.Tree }
-
-func (a nvIdx) Insert(k, v uint64) error     { return a.t.Insert(k, v) }
-func (a nvIdx) Find(k uint64) (uint64, bool) { return a.t.Find(k) }
-
-type wbIdx struct{ t *wbtree.Tree }
-
-func (a wbIdx) Insert(k, v uint64) error     { return a.t.Insert(k, v) }
-func (a wbIdx) Find(k uint64) (uint64, bool) { return a.t.Find(k) }
 
 type stxIdx struct {
 	t     *stx.Tree[uint64, uint64]

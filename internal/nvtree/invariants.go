@@ -1,9 +1,6 @@
 package nvtree
 
-import (
-	"bytes"
-	"fmt"
-)
+import "fmt"
 
 // CheckInvariants walks the whole tree and verifies the structural properties
 // every crash-recovery state must preserve:
@@ -18,86 +15,61 @@ import (
 //   - the cached size equals the total number of live entries.
 //
 // It returns nil when all hold, or an error naming the first violation.
-func (b *base) CheckInvariants() error {
-	if b.pool.ReadU64(b.meta+mOffMagic) != metaMagic {
+func (t *Index[K, V]) CheckInvariants() error {
+	if t.pool.ReadU64(t.meta+mOffMagic) != metaMagic {
 		return fmt.Errorf("nvtree: bad metadata magic")
 	}
 	for i := 0; i < 4; i++ {
-		if !b.splitLog().p(i).IsNull() {
+		if !t.splitLog().p(i).IsNull() {
 			return fmt.Errorf("nvtree: split log slot %d not reset", i)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if !b.delLog().p(i).IsNull() {
+		if !t.delLog().p(i).IsNull() {
 			return fmt.Errorf("nvtree: delete log slot %d not reset", i)
 		}
 	}
 
 	var leaves []uint64
 	total := 0
-	var prevF uint64 // exclusive lower bound of the current leaf
-	var prevV []byte
+	var prev K // exclusive lower bound of the current leaf
 	first := true
-	for p := b.head(); !p.IsNull(); p = b.leafNext(p.Offset) {
+	for p := t.head(); !p.IsNull(); p = t.leafNext(p.Offset) {
 		l := p.Offset
 		leaves = append(leaves, l)
-		n := b.leafCount(l)
-		if n < 0 || n > b.leafCap {
-			return fmt.Errorf("nvtree: leaf %#x count %d out of range [0,%d]", l, n, b.leafCap)
+		n := t.leafCount(l)
+		if n < 0 || n > t.leafCap {
+			return fmt.Errorf("nvtree: leaf %#x count %d out of range [0,%d]", l, n, t.leafCap)
 		}
-		boundF := uint64(0)
-		var boundV []byte
-		unbounded := false
-		if b.mode == modeFixed {
-			boundF = b.leafBoundF(l)
-			unbounded = boundF == infBound
-		} else {
-			boundV = b.leafBoundV(l)
-			unbounded = boundV == nil
-		}
-		if unbounded && !b.leafNext(l).IsNull() {
+		bound := t.leafBound(l)
+		unbounded := t.unbounded(bound)
+		if unbounded && !t.leafNext(l).IsNull() {
 			return fmt.Errorf("nvtree: interior leaf %#x has +infinity bound", l)
 		}
-		if !first && !unbounded {
-			if b.mode == modeFixed {
-				if boundF <= prevF {
-					return fmt.Errorf("nvtree: leaf %#x bound %d not above predecessor %d", l, boundF, prevF)
-				}
-			} else if bytes.Compare(boundV, prevV) <= 0 {
-				return fmt.Errorf("nvtree: leaf %#x bound %x not above predecessor %x", l, boundV, prevV)
-			}
+		if !first && !unbounded && t.kc.Compare(bound, prev) <= 0 {
+			return fmt.Errorf("nvtree: leaf %#x bound %v not above predecessor %v", l, bound, prev)
 		}
-		live := b.liveEntries(l)
+		live := t.liveEntries(l)
 		total += len(live)
 		for _, e := range live {
-			if b.mode == modeFixed {
-				k := b.entryKeyF(l, e)
-				if !first && k <= prevF {
-					return fmt.Errorf("nvtree: leaf %#x key %d below interval (>%d)", l, k, prevF)
-				}
-				if !unbounded && k > boundF {
-					return fmt.Errorf("nvtree: leaf %#x key %d above bound %d", l, k, boundF)
-				}
-			} else {
-				k := b.entryKeyV(l, e)
-				if !first && bytes.Compare(k, prevV) <= 0 {
-					return fmt.Errorf("nvtree: leaf %#x key %x below interval (>%x)", l, k, prevV)
-				}
-				if !unbounded && bytes.Compare(k, boundV) > 0 {
-					return fmt.Errorf("nvtree: leaf %#x key %x above bound %x", l, k, boundV)
-				}
+			k := t.entryKey(l, e)
+			if !first && t.kc.Compare(k, prev) <= 0 {
+				return fmt.Errorf("nvtree: leaf %#x key %v below interval (>%v)", l, k, prev)
+			}
+			if !unbounded && t.kc.Compare(k, bound) > 0 {
+				return fmt.Errorf("nvtree: leaf %#x key %v above bound %v", l, k, bound)
 			}
 		}
-		prevF, prevV, first = boundF, boundV, false
+		prev, first = bound, false
 	}
-	if b.size != total {
-		return fmt.Errorf("nvtree: cached size %d != %d live entries", b.size, total)
+	if t.size != total {
+		return fmt.Errorf("nvtree: cached size %d != %d live entries", t.size, total)
 	}
 
 	// The DRAM directory must mirror the persistent list exactly.
 	at := 0
-	for pi := range b.plns {
-		p := &b.plns[pi]
+	for pi := range t.plns {
+		p := &t.plns[pi]
 		if len(p.leaves) == 0 {
 			return fmt.Errorf("nvtree: empty leaf parent %d", pi)
 		}
@@ -109,24 +81,11 @@ func (b *base) CheckInvariants() error {
 				return fmt.Errorf("nvtree: directory leaf (%d,%d)=%#x != list leaf %#x", pi, li, l, leaves[at])
 			}
 			if li < len(p.leaves)-1 {
-				if b.mode == modeFixed {
-					if p.sepsF[li] != b.leafBoundF(l) {
-						return fmt.Errorf("nvtree: separator (%d,%d)=%d != leaf bound %d", pi, li, p.sepsF[li], b.leafBoundF(l))
-					}
-				} else if !bytes.Equal(p.sepsV[li], b.leafBoundV(l)) {
-					return fmt.Errorf("nvtree: separator (%d,%d) mismatches leaf bound", pi, li)
+				if t.kc.Compare(p.seps[li], t.leafBound(l)) != 0 {
+					return fmt.Errorf("nvtree: separator (%d,%d)=%v != leaf bound %v", pi, li, p.seps[li], t.leafBound(l))
 				}
-			} else {
-				if b.mode == modeFixed {
-					if p.maxKeyF != b.leafBoundF(l) {
-						return fmt.Errorf("nvtree: parent %d max key %d != last leaf bound %d", pi, p.maxKeyF, b.leafBoundF(l))
-					}
-				} else {
-					bound := b.leafBoundV(l)
-					if p.vInf != (bound == nil) || (!p.vInf && !bytes.Equal(p.maxKeyV, bound)) {
-						return fmt.Errorf("nvtree: parent %d max key mismatches last leaf bound", pi)
-					}
-				}
+			} else if t.kc.Compare(p.maxKey, t.leafBound(l)) != 0 {
+				return fmt.Errorf("nvtree: parent %d max key %v != last leaf bound %v", pi, p.maxKey, t.leafBound(l))
 			}
 			at++
 		}

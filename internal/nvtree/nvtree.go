@@ -14,14 +14,18 @@
 //     the skewed-insert pathology of Section 6.4.
 //   - The concurrent variant takes a global write lock for splits and
 //     rebuilds, which limits its write scalability (Figures 9-11).
+//
+// The tree is written once, generic over the key (Index[K, V]): its keys
+// live in keycell cells and its values in an inline field chosen by the
+// value type. Tree and VarTree name the fixed-key and var-key instances.
 package nvtree
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync/atomic"
 
+	"fptree/internal/keycell"
 	"fptree/internal/scm"
 )
 
@@ -31,7 +35,7 @@ const (
 
 	lOffCount = 0
 	lOffNext  = 8
-	lOffBound = 24 // fixed: u64 upper bound; var: PPtr + length (24 bytes)
+	lOffBound = 24 // the leaf's routing bound: a key cell
 
 	mOffMagic    = 0
 	mOffKeyMode  = 8
@@ -43,9 +47,6 @@ const (
 	metaSize     = 192
 
 	metaMagic = 0x4EF7_EE00_0001
-
-	modeFixed = 0
-	modeVar   = 1
 )
 
 // Config tunes the tree.
@@ -76,29 +77,27 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// Tree is the single-threaded fixed-size-key NV-Tree.
-type Tree struct {
-	*base
-}
-
-// VarTree is the single-threaded variable-size-key NV-Tree.
-type VarTree struct {
-	*base
-}
-
-type base struct {
-	pool    *scm.Pool
-	mode    int
-	leafCap int
-	valSize int
-	plnCap  int
-	meta    uint64
-	size    int
+// Index is the single-threaded NV-Tree over keys K and values V.
+type Index[K keycell.Key, V any] struct {
+	pool *scm.Pool
+	kc   keycell.Codec[K]
+	vc   vals[V]
+	// The leaf layout, fixed at construction: an entry is the flag word —
+	// pure overhead — then the key cell and the value. The first entry
+	// follows the leaf's routing bound, a key cell between the next pointer
+	// and the log. Boundary keys are assigned at split time and never
+	// change, so routing stays stable across the inner rebuilds (as in the
+	// original NV-Tree, where leaves keep their split keys).
+	keySize, entrySize, entriesOff uint64
+	leafCap                        int
+	plnCap                         int
+	meta                           uint64
+	size                           int
 
 	// DRAM part: contiguous last-level inner nodes (leaf parents) plus a
 	// sorted directory over their max keys. Rebuilt wholesale on overflow
 	// and on recovery.
-	plns     []pln
+	plns     []pln[K]
 	rebuilds uint64 // number of full inner-node rebuilds (pathology counter)
 
 	// Probe counters for the Figure 4 comparison (atomic: the concurrent
@@ -107,113 +106,83 @@ type base struct {
 	KeyProbes atomic.Uint64
 }
 
+// Tree is the fixed-size-key NV-Tree; VarTree is the variable-size-key one,
+// whose values are ValueSize bytes.
+type (
+	Tree    = Index[uint64, uint64]
+	VarTree = Index[[]byte, []byte]
+)
+
 // pln is one leaf parent: capacity-padded arrays, as the NV-Tree's
 // contiguous layout preallocates (the source of its DRAM footprint).
-type pln struct {
-	maxKeyF uint64   // directory key (fixed mode; ^0 = +infinity)
-	maxKeyV []byte   // directory key (var mode)
-	vInf    bool     // var mode: maxKeyV is +infinity
-	sepsF   []uint64 // per-leaf routing bounds (nil sepsV entry = +infinity)
-	sepsV   [][]byte
-	leaves  []uint64
+type pln[K any] struct {
+	maxKey K   // directory key (the last leaf's bound, +infinity allowed)
+	seps   []K // per-leaf routing bounds of all leaves but the last
+	leaves []uint64
 }
 
-func (b *base) entrySize() uint64 {
-	if b.mode == modeVar {
-		return 8 + scm.PPtrSize + 8 + uint64((b.valSize+7)/8*8)
+// vals is how an entry holds its value, chosen by the value type: a word
+// that rides in the persist of the entry's header, or a ValueSize-byte field
+// persisted after the key.
+type vals[V any] interface {
+	size() uint64
+	read(p *scm.Pool, off uint64) V
+	// stage writes a value that joins the header persist and returns the
+	// bytes it adds to it; a value that does not join writes nothing.
+	stage(p *scm.Pool, off uint64, v V) uint64
+	// publish writes and persists a value stage left out.
+	publish(p *scm.Pool, off uint64, v V)
+}
+
+func valsFor[V any](valSize int) vals[V] {
+	var c any = byteVals(valSize)
+	if _, word := any(*new(V)).(uint64); word {
+		c = wordVals{}
 	}
-	return 24 // flag + key + value: the flag word is pure overhead
+	return c.(vals[V])
 }
 
-// entriesOff is the offset of the first log slot; the leaf's routing bound
-// sits between the next pointer and the log. Boundary keys are assigned at
-// split time and never change, so routing stays stable across the inner
-// rebuilds (as in the original NV-Tree, where leaves keep their split keys).
-func (b *base) entriesOff() uint64 {
-	if b.mode == modeVar {
-		return lOffBound + scm.PPtrSize + 8
-	}
-	return lOffBound + 8
+type wordVals struct{}
+
+func (wordVals) size() uint64                            { return 8 }
+func (wordVals) read(p *scm.Pool, off uint64) uint64     { return p.ReadU64(off) }
+func (wordVals) stage(p *scm.Pool, off, v uint64) uint64 { p.WriteU64(off, v); return 8 }
+func (wordVals) publish(*scm.Pool, uint64, uint64)       {}
+
+type byteVals int
+
+func (n byteVals) size() uint64                         { return uint64((n + 7) / 8 * 8) }
+func (n byteVals) read(p *scm.Pool, off uint64) []byte  { return p.ReadBytes(off, uint64(n)) }
+func (byteVals) stage(*scm.Pool, uint64, []byte) uint64 { return 0 }
+
+func (n byteVals) publish(p *scm.Pool, off uint64, v []byte) {
+	buf := make([]byte, n)
+	copy(buf, v)
+	p.WriteBytes(off, buf)
+	p.Persist(off, uint64(len(buf)))
 }
 
-func (b *base) leafSize() uint64 {
-	return (b.entriesOff() + uint64(b.leafCap)*b.entrySize() + scm.LineSize - 1) / scm.LineSize * scm.LineSize
+// newIndex lays out a tree whose metadata block is at meta.
+func newIndex[K keycell.Key, V any](pool *scm.Pool, meta uint64, leafCap, valSize, plnCap int) *Index[K, V] {
+	kc, vc := keycell.For[K](), valsFor[V](valSize)
+	return &Index[K, V]{pool: pool, kc: kc, vc: vc, keySize: kc.Size(), entrySize: 8 + kc.Size() + vc.size(),
+		entriesOff: lOffBound + kc.Size(), leafCap: leafCap, plnCap: plnCap, meta: meta}
 }
 
-// infBound is the fixed-mode "+infinity" routing bound.
-const infBound = ^uint64(0)
-
-// leafBoundF reads the fixed-mode bound.
-func (b *base) leafBoundF(l uint64) uint64 { return b.pool.ReadU64(l + lOffBound) }
-
-// leafBoundV reads the var-mode bound; nil means "+infinity".
-func (b *base) leafBoundV(l uint64) []byte {
-	klen := b.pool.ReadU64(l + lOffBound + scm.PPtrSize)
-	if klen == ^uint64(0) {
-		return nil
-	}
-	pk := b.pool.ReadPPtr(l + lOffBound)
-	return b.pool.ReadBytes(pk.Offset, klen)
+func (t *Index[K, V]) leafSize() uint64 {
+	return (t.entriesOff + uint64(t.leafCap)*t.entrySize + scm.LineSize - 1) / scm.LineSize * scm.LineSize
 }
 
-// setLeafBoundF durably stores a fixed-mode bound.
-func (b *base) setLeafBoundF(l uint64, bound uint64) {
-	b.pool.WriteU64(l+lOffBound, bound)
-	b.pool.Persist(l+lOffBound, 8)
-}
-
-// setLeafBoundInfV marks a var-mode leaf as unbounded.
-func (b *base) setLeafBoundInfV(l uint64) {
-	b.pool.WritePPtr(l+lOffBound, scm.PPtr{})
-	b.pool.WriteU64(l+lOffBound+scm.PPtrSize, ^uint64(0))
-	b.pool.Persist(l+lOffBound, scm.PPtrSize+8)
-}
-
-// setLeafBoundV allocates a copy of the bound key owned by the leaf's bound
-// cell.
-func (b *base) setLeafBoundV(l uint64, bound []byte) error {
-	b.pool.WriteU64(l+lOffBound+scm.PPtrSize, uint64(len(bound)))
-	b.pool.Persist(l+lOffBound+scm.PPtrSize, 8)
-	pk, err := b.pool.Alloc(l+lOffBound, uint64(len(bound)))
-	if err != nil {
-		return err
-	}
-	b.pool.WriteBytes(pk.Offset, bound)
-	b.pool.Persist(pk.Offset, uint64(len(bound)))
-	return nil
-}
-
-// copyLeafBound copies src's bound cell into dst (pointer copy: ownership
-// moves with the surviving leaf).
-func (b *base) copyLeafBound(dst, src uint64) {
-	if b.mode == modeFixed {
-		b.setLeafBoundF(dst, b.leafBoundF(src))
-		return
-	}
-	b.pool.WritePPtr(dst+lOffBound, b.pool.ReadPPtr(src+lOffBound))
-	b.pool.WriteU64(dst+lOffBound+scm.PPtrSize, b.pool.ReadU64(src+lOffBound+scm.PPtrSize))
-	b.pool.Persist(dst+lOffBound, scm.PPtrSize+8)
-}
+// unbounded reports whether a bound read from a leaf is +infinity.
+func (t *Index[K, V]) unbounded(bound K) bool { return t.kc.Compare(bound, t.kc.Inf()) == 0 }
 
 // New formats a fixed-size-key NV-Tree.
-func New(pool *scm.Pool, cfg Config) (*Tree, error) {
-	b, err := create(pool, cfg, modeFixed)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{base: b}, nil
-}
+func New(pool *scm.Pool, cfg Config) (*Tree, error) { return create[uint64, uint64](pool, cfg) }
 
 // NewVar formats a variable-size-key NV-Tree.
-func NewVar(pool *scm.Pool, cfg Config) (*VarTree, error) {
-	b, err := create(pool, cfg, modeVar)
-	if err != nil {
-		return nil, err
-	}
-	return &VarTree{base: b}, nil
-}
+func NewVar(pool *scm.Pool, cfg Config) (*VarTree, error) { return create[[]byte, []byte](pool, cfg) }
 
-func create(pool *scm.Pool, cfg Config, mode int) (*base, error) {
+func create[K keycell.Key, V any](pool *scm.Pool, cfg Config) (*Index[K, V], error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -223,13 +192,13 @@ func create(pool *scm.Pool, cfg Config, mode int) (*base, error) {
 	if _, err := pool.AllocRoot(metaSize); err != nil {
 		return nil, err
 	}
-	b := &base{pool: pool, mode: mode, leafCap: cfg.LeafCap, valSize: cfg.ValueSize, plnCap: cfg.InnerCap, meta: pool.Root().Offset}
-	pool.WriteU64(b.meta+mOffMagic, metaMagic)
-	pool.WriteU64(b.meta+mOffKeyMode, uint64(mode))
-	pool.WriteU64(b.meta+mOffLeafCap, uint64(cfg.LeafCap))
-	pool.WriteU64(b.meta+mOffValSize, uint64(cfg.ValueSize))
-	pool.Persist(b.meta, metaSize)
-	return b, nil
+	t := newIndex[K, V](pool, pool.Root().Offset, cfg.LeafCap, cfg.ValueSize, cfg.InnerCap)
+	pool.WriteU64(t.meta+mOffMagic, metaMagic)
+	pool.WriteU64(t.meta+mOffKeyMode, t.kc.Mode())
+	pool.WriteU64(t.meta+mOffLeafCap, uint64(cfg.LeafCap))
+	pool.WriteU64(t.meta+mOffValSize, uint64(cfg.ValueSize))
+	pool.Persist(t.meta, metaSize)
+	return t, nil
 }
 
 // HasTree reports whether the pool's arena already holds an NV-Tree's
@@ -244,47 +213,34 @@ func HasTree(pool *scm.Pool) bool {
 
 // Open recovers a fixed-size-key NV-Tree: micro-log replay, then the full
 // inner-node rebuild from the leaf list.
-func Open(pool *scm.Pool, innerCap int) (*Tree, error) {
-	b, err := open(pool, modeFixed, innerCap)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{base: b}, nil
-}
+func Open(pool *scm.Pool, innerCap int) (*Tree, error) { return open[uint64, uint64](pool, innerCap) }
 
 // OpenVar recovers a variable-size-key NV-Tree.
 func OpenVar(pool *scm.Pool, innerCap int) (*VarTree, error) {
-	b, err := open(pool, modeVar, innerCap)
-	if err != nil {
-		return nil, err
-	}
-	return &VarTree{base: b}, nil
+	return open[[]byte, []byte](pool, innerCap)
 }
 
-func open(pool *scm.Pool, mode, innerCap int) (*base, error) {
+func open[K keycell.Key, V any](pool *scm.Pool, innerCap int) (*Index[K, V], error) {
 	pool.Recover()
 	root := pool.Root()
 	if root.IsNull() {
 		return nil, fmt.Errorf("nvtree: arena has no tree")
 	}
-	b := &base{pool: pool, meta: root.Offset}
-	if pool.ReadU64(b.meta+mOffMagic) != metaMagic {
+	meta := root.Offset
+	if pool.ReadU64(meta+mOffMagic) != metaMagic {
 		return nil, fmt.Errorf("nvtree: bad metadata magic")
 	}
-	if got := int(pool.ReadU64(b.meta + mOffKeyMode)); got != mode {
+	if pool.ReadU64(meta+mOffKeyMode) != keycell.For[K]().Mode() {
 		return nil, fmt.Errorf("nvtree: key mode mismatch")
 	}
-	b.mode = mode
-	b.leafCap = int(pool.ReadU64(b.meta + mOffLeafCap))
-	b.valSize = int(pool.ReadU64(b.meta + mOffValSize))
-	b.plnCap = innerCap
-	if b.plnCap == 0 {
-		b.plnCap = 128
+	if innerCap == 0 {
+		innerCap = 128
 	}
-	b.recoverLogs()
-	b.healTailBound()
-	b.rebuildInner()
-	return b, nil
+	t := newIndex[K, V](pool, meta, int(pool.ReadU64(meta+mOffLeafCap)), int(pool.ReadU64(meta+mOffValSize)), innerCap)
+	t.recoverLogs()
+	t.healTailBound()
+	t.rebuildInner()
+	return t, nil
 }
 
 // healTailBound repairs the one crash window in which a leaf is reachable
@@ -295,148 +251,106 @@ func open(pool *scm.Pool, mode, innerCap int) (*base, error) {
 // (leaves are never removed and splits clamp the upper half), so re-stamping
 // the tail is idempotent and must run after micro-log replay settles the
 // list.
-func (b *base) healTailBound() {
-	h := b.head()
+func (t *Index[K, V]) healTailBound() {
+	h := t.head()
 	if h.IsNull() {
 		return
 	}
 	l := h.Offset
 	for {
-		next := b.leafNext(l)
+		next := t.leafNext(l)
 		if next.IsNull() {
 			break
 		}
 		l = next.Offset
 	}
-	if b.mode == modeFixed {
-		if b.leafBoundF(l) != infBound {
-			b.setLeafBoundF(l, infBound)
-		}
-	} else if b.pool.ReadU64(l+lOffBound+scm.PPtrSize) != ^uint64(0) {
-		b.setLeafBoundInfV(l)
+	if !t.kc.IsInf(t.pool, l+lOffBound) {
+		t.kc.WriteInf(t.pool, l+lOffBound)
 	}
 }
 
 // Pool returns the backing pool.
-func (b *base) Pool() *scm.Pool { return b.pool }
+func (t *Index[K, V]) Pool() *scm.Pool { return t.pool }
 
 // Len returns the number of live keys.
-func (b *base) Len() int { return b.size }
+func (t *Index[K, V]) Len() int { return t.size }
 
 // Rebuilds returns how many full inner-node rebuilds have happened.
-func (b *base) Rebuilds() uint64 { return b.rebuilds }
+func (t *Index[K, V]) Rebuilds() uint64 { return t.rebuilds }
 
 // DRAMBytes estimates the DRAM held by the capacity-padded inner nodes.
-func (b *base) DRAMBytes() uint64 {
+func (t *Index[K, V]) DRAMBytes() uint64 {
 	var total uint64
-	for i := range b.plns {
-		total += uint64(cap(b.plns[i].leaves))*8 + uint64(cap(b.plns[i].sepsF))*8 + 64
-		for _, s := range b.plns[i].sepsV {
-			total += uint64(len(s)) + 24
-		}
+	for i := range t.plns {
+		total += uint64(cap(t.plns[i].leaves))*8 + t.kc.DRAMBytes(t.plns[i].seps) + 64
 	}
-	total += uint64(len(b.plns)) * 40 // directory
+	total += uint64(len(t.plns)) * 40 // directory
 	return total
 }
 
 // --- leaf accessors -----------------------------------------------------------
 
-func (b *base) head() scm.PPtr { return b.pool.ReadPPtr(b.meta + mOffHead) }
+func (t *Index[K, V]) head() scm.PPtr { return t.pool.ReadPPtr(t.meta + mOffHead) }
 
-func (b *base) setHead(p scm.PPtr) {
-	b.pool.WritePPtr(b.meta+mOffHead, p)
-	b.pool.Persist(b.meta+mOffHead, scm.PPtrSize)
+func (t *Index[K, V]) setHead(p scm.PPtr) {
+	t.pool.WritePPtr(t.meta+mOffHead, p)
+	t.pool.Persist(t.meta+mOffHead, scm.PPtrSize)
 }
 
-func (b *base) leafCount(l uint64) int     { return int(b.pool.ReadU64(l + lOffCount)) }
-func (b *base) leafNext(l uint64) scm.PPtr { return b.pool.ReadPPtr(l + lOffNext) }
+func (t *Index[K, V]) leafCount(l uint64) int     { return int(t.pool.ReadU64(l + lOffCount)) }
+func (t *Index[K, V]) leafNext(l uint64) scm.PPtr { return t.pool.ReadPPtr(l + lOffNext) }
+func (t *Index[K, V]) leafBound(l uint64) K       { return t.kc.Bound(t.pool, l+lOffBound) }
 
-func (b *base) setLeafNext(l uint64, p scm.PPtr) {
-	b.pool.WritePPtr(l+lOffNext, p)
-	b.pool.Persist(l+lOffNext, scm.PPtrSize)
+func (t *Index[K, V]) setLeafNext(l uint64, p scm.PPtr) {
+	t.pool.WritePPtr(l+lOffNext, p)
+	t.pool.Persist(l+lOffNext, scm.PPtrSize)
 }
 
-func (b *base) entryOff(l uint64, i int) uint64 {
-	return l + b.entriesOff() + uint64(i)*b.entrySize()
+func (t *Index[K, V]) entryOff(l uint64, i int) uint64 {
+	return l + t.entriesOff + uint64(i)*t.entrySize
 }
 
-func (b *base) entryFlag(l uint64, i int) uint64 { return b.pool.ReadU64(b.entryOff(l, i)) }
-
-func (b *base) entryKeyF(l uint64, i int) uint64 { return b.pool.ReadU64(b.entryOff(l, i) + 8) }
-
-func (b *base) entryKeyV(l uint64, i int) []byte {
-	pk := b.pool.ReadPPtr(b.entryOff(l, i) + 8)
-	klen := b.pool.ReadU64(b.entryOff(l, i) + 8 + scm.PPtrSize)
-	return b.pool.ReadBytes(pk.Offset, klen)
-}
-
-func (b *base) entryKeyEqualsV(l uint64, i int, key []byte) bool {
-	if b.pool.ReadU64(b.entryOff(l, i)+8+scm.PPtrSize) != uint64(len(key)) {
-		return false
-	}
-	pk := b.pool.ReadPPtr(b.entryOff(l, i) + 8)
-	return b.pool.EqualBytes(pk.Offset, key)
-}
-
-func (b *base) entryValF(l uint64, i int) uint64 {
-	return b.pool.ReadU64(b.entryOff(l, i) + 16)
-}
-
-func (b *base) entryValV(l uint64, i int) []byte {
-	return b.pool.ReadBytes(b.entryOff(l, i)+8+scm.PPtrSize+8, uint64(b.valSize))
+// An entry is flag word, key cell, value.
+func (t *Index[K, V]) entryFlag(l uint64, i int) uint64 { return t.pool.ReadU64(t.entryOff(l, i)) }
+func (t *Index[K, V]) entryKey(l uint64, i int) K       { return t.kc.Key(t.pool, t.entryOff(l, i)+8) }
+func (t *Index[K, V]) entryVal(l uint64, i int) V {
+	return t.vc.read(t.pool, t.entryOff(l, i)+8+t.keySize)
 }
 
 // appendEntry writes one log entry and commits it by bumping the counter —
-// the NV-Tree's p-atomic append. The caller guarantees space.
-func (b *base) appendEntry(l uint64, flag uint64, fk uint64, vk []byte, valF uint64, valV []byte) error {
-	n := b.leafCount(l)
-	if n >= b.leafCap {
+// the NV-Tree's p-atomic append. The caller guarantees space. One persist
+// covers the flag word and the key cell (and a word value): no other persist
+// covers the flag, and the count bump must not commit an entry whose flag is
+// still only in the cache.
+func (t *Index[K, V]) appendEntry(l uint64, flag uint64, k K, v V) error {
+	n := t.leafCount(l)
+	if n >= t.leafCap {
 		panic("nvtree: append to full leaf")
 	}
-	off := b.entryOff(l, n)
-	b.pool.WriteU64(off, flag)
-	if b.mode == modeFixed {
-		b.pool.WriteU64(off+8, fk)
-		b.pool.WriteU64(off+16, valF)
-		b.pool.Persist(off, 24)
-	} else {
-		b.pool.WriteU64(off+8+scm.PPtrSize, uint64(len(vk)))
-		// One persist spanning flag..klen: the flag word at off has no other
-		// persist covering it in the var path (the fixed path's Persist(off,
-		// 24) does), and the count bump below must not commit an entry whose
-		// flag is still only in the cache.
-		b.pool.Persist(off, 8+scm.PPtrSize+8)
-		pk, err := b.pool.Alloc(off+8, uint64(len(vk)))
-		if err != nil {
-			return err
-		}
-		b.pool.WriteBytes(pk.Offset, vk)
-		b.pool.Persist(pk.Offset, uint64(len(vk)))
-		buf := make([]byte, b.valSize)
-		copy(buf, valV)
-		b.pool.WriteBytes(off+8+scm.PPtrSize+8, buf)
-		b.pool.Persist(off+8+scm.PPtrSize+8, uint64(len(buf)))
+	off := t.entryOff(l, n)
+	cell, val := off+8, off+8+t.keySize
+	t.pool.WriteU64(off, flag)
+	t.kc.Stage(t.pool, cell, k)
+	head := val - off + t.vc.stage(t.pool, val, v)
+	t.pool.Persist(off, head)
+	if err := t.kc.Attach(t.pool, cell, k); err != nil {
+		return err
 	}
-	b.pool.WriteU64(l+lOffCount, uint64(n+1))
-	b.pool.Persist(l+lOffCount, 8)
+	t.vc.publish(t.pool, val, v)
+	t.pool.WriteU64(l+lOffCount, uint64(n+1))
+	t.pool.Persist(l+lOffCount, 8)
 	return nil
 }
 
 // findInLeaf performs the NV-Tree's reverse linear scan: the most recent
 // entry for the key decides (insert = live, delete = gone).
-func (b *base) findInLeaf(l uint64, fk uint64, vk []byte) (idx int, live bool) {
-	b.Searches.Add(1)
-	n := b.leafCount(l)
+func (t *Index[K, V]) findInLeaf(l uint64, k K) (idx int, live bool) {
+	t.Searches.Add(1)
+	n := t.leafCount(l)
 	for i := n - 1; i >= 0; i-- {
-		b.KeyProbes.Add(1)
-		match := false
-		if b.mode == modeFixed {
-			match = b.entryKeyF(l, i) == fk
-		} else {
-			match = b.entryKeyEqualsV(l, i, vk)
-		}
-		if match {
-			return i, b.entryFlag(l, i) == entryInsert
+		t.KeyProbes.Add(1)
+		if t.kc.Equal(t.pool, t.entryOff(l, i)+8, k) {
+			return i, t.entryFlag(l, i) == entryInsert
 		}
 	}
 	return -1, false
@@ -444,36 +358,14 @@ func (b *base) findInLeaf(l uint64, fk uint64, vk []byte) (idx int, live bool) {
 
 // liveEntries returns the leaf's live (key -> latest entry index) pairs in
 // ascending key order.
-func (b *base) liveEntries(l uint64) (idxs []int) {
-	n := b.leafCount(l)
-	if b.mode == modeFixed {
-		seen := make(map[uint64]bool, n)
-		for i := n - 1; i >= 0; i-- {
-			k := b.entryKeyF(l, i)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if b.entryFlag(l, i) == entryInsert {
-				idxs = append(idxs, i)
-			}
-		}
-		sort.Slice(idxs, func(x, y int) bool { return b.entryKeyF(l, idxs[x]) < b.entryKeyF(l, idxs[y]) })
-		return idxs
-	}
-	seen := make(map[string]bool, n)
+func (t *Index[K, V]) liveEntries(l uint64) (idxs []int) {
+	n := t.leafCount(l)
+	first := t.kc.NewSet(n)
 	for i := n - 1; i >= 0; i-- {
-		k := string(b.entryKeyV(l, i))
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if b.entryFlag(l, i) == entryInsert {
+		if first(t.entryKey(l, i)) && t.entryFlag(l, i) == entryInsert {
 			idxs = append(idxs, i)
 		}
 	}
-	sort.Slice(idxs, func(x, y int) bool {
-		return bytes.Compare(b.entryKeyV(l, idxs[x]), b.entryKeyV(l, idxs[y])) < 0
-	})
+	sort.Slice(idxs, func(x, y int) bool { return t.kc.Compare(t.entryKey(l, idxs[x]), t.entryKey(l, idxs[y])) < 0 })
 	return idxs
 }

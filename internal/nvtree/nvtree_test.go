@@ -3,6 +3,7 @@ package nvtree
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -294,6 +295,32 @@ func TestVarTree(t *testing.T) {
 			}
 		} else if !ok || string(v[:10]) != string(key(i)[:10]) {
 			t.Fatalf("find(%d) = %q,%v", i, v, ok)
+		}
+	}
+}
+
+// TestWrongModeOpenFails pins the key-kind refusal: the key-mode word of the
+// metadata block is the only durable record of the key kind, and opening an
+// image as the other kind, through either facade, must fail.
+func TestWrongModeOpenFails(t *testing.T) {
+	fixed, vari := newPool(), newPool()
+	if _, err := New(fixed, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewVar(vari, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		open func() error
+	}{
+		{"fixed image via OpenVar", func() error { _, err := OpenVar(fixed, 0); return err }},
+		{"fixed image via COpenVar", func() error { _, err := COpenVar(fixed, 0); return err }},
+		{"var image via Open", func() error { _, err := Open(vari, 0); return err }},
+		{"var image via COpen", func() error { _, err := COpen(vari, 0); return err }},
+	} {
+		if err := tc.open(); err == nil || !strings.Contains(err.Error(), "key mode mismatch") {
+			t.Errorf("%s: %v, want a key mode mismatch", tc.name, err)
 		}
 	}
 }

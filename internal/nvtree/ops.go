@@ -1,7 +1,6 @@
 package nvtree
 
 import (
-	"bytes"
 	"sort"
 
 	"fptree/internal/scm"
@@ -12,17 +11,9 @@ import (
 // plnIdx locates the leaf parent covering the key via binary search over the
 // directory of PLN max keys (keys greater than every max key go to the last
 // PLN).
-func (b *base) plnIdx(fk uint64, vk []byte) int {
-	n := len(b.plns)
-	i := sort.Search(n, func(i int) bool {
-		if b.mode == modeFixed {
-			return b.plns[i].maxKeyF >= fk
-		}
-		if b.plns[i].maxKeyV == nil && b.plns[i].vInf {
-			return true // +infinity bound
-		}
-		return bytes.Compare(b.plns[i].maxKeyV, vk) >= 0
-	})
+func (t *Index[K, V]) plnIdx(k K) int {
+	n := len(t.plns)
+	i := sort.Search(n, func(i int) bool { return t.kc.Covers(t.plns[i].maxKey, k) })
 	if i == n {
 		i = n - 1
 	}
@@ -30,35 +21,25 @@ func (b *base) plnIdx(fk uint64, vk []byte) int {
 }
 
 // leafIdx locates the leaf within the PLN covering the key.
-func (b *base) leafIdx(p *pln, fk uint64, vk []byte) int {
-	n := len(p.leaves)
-	i := sort.Search(n-1, func(i int) bool {
-		if b.mode == modeFixed {
-			return p.sepsF[i] >= fk
-		}
-		if p.sepsV[i] == nil {
-			return true // +infinity bound
-		}
-		return bytes.Compare(p.sepsV[i], vk) >= 0
-	})
-	return i
+func (t *Index[K, V]) leafIdx(p *pln[K], k K) int {
+	return sort.Search(len(p.leaves)-1, func(i int) bool { return t.kc.Covers(p.seps[i], k) })
 }
 
 // findLeaf returns (plnIndex, leafIndex, leafOffset).
-func (b *base) findLeaf(fk uint64, vk []byte) (int, int, uint64) {
-	pi := b.plnIdx(fk, vk)
-	p := &b.plns[pi]
-	li := b.leafIdx(p, fk, vk)
+func (t *Index[K, V]) findLeaf(k K) (int, int, uint64) {
+	pi := t.plnIdx(k)
+	p := &t.plns[pi]
+	li := t.leafIdx(p, k)
 	return pi, li, p.leaves[li]
 }
 
 // prevLeafOf returns the left list neighbor of the leaf at (pi, li), or 0.
-func (b *base) prevLeafOf(pi, li int) uint64 {
+func (t *Index[K, V]) prevLeafOf(pi, li int) uint64 {
 	if li > 0 {
-		return b.plns[pi].leaves[li-1]
+		return t.plns[pi].leaves[li-1]
 	}
 	if pi > 0 {
-		prev := b.plns[pi-1].leaves
+		prev := t.plns[pi-1].leaves
 		return prev[len(prev)-1]
 	}
 	return 0
@@ -67,32 +48,24 @@ func (b *base) prevLeafOf(pi, li int) uint64 {
 // rebuildInner reconstructs all leaf parents from the persistent leaf list —
 // the NV-Tree's expensive global rebuild. Parents are left half-full and
 // capacity-padded, reproducing both the rebuild cost and the DRAM footprint.
-func (b *base) rebuildInner() {
-	b.rebuilds++
+func (t *Index[K, V]) rebuildInner() {
+	t.rebuilds++
 	type leafInfo struct {
-		off  uint64
-		mkF  uint64
-		mkV  []byte
-		live int
+		off   uint64
+		bound K
 	}
 	var leaves []leafInfo
 	size := 0
-	for p := b.head(); !p.IsNull(); {
+	for p := t.head(); !p.IsNull(); {
 		l := p.Offset
-		next := b.leafNext(l)
-		li := leafInfo{off: l, live: len(b.liveEntries(l))}
-		if b.mode == modeFixed {
-			li.mkF = b.leafBoundF(l)
-		} else {
-			li.mkV = b.leafBoundV(l) // nil = +infinity
-		}
-		size += li.live
-		leaves = append(leaves, li)
+		next := t.leafNext(l)
+		size += len(t.liveEntries(l))
+		leaves = append(leaves, leafInfo{l, t.leafBound(l)})
 		p = next
 	}
-	b.size = size
-	b.plns = b.plns[:0]
-	fill := b.plnCap / 2
+	t.size = size
+	t.plns = t.plns[:0]
+	fill := t.plnCap / 2
 	if fill < 2 {
 		fill = 2
 	}
@@ -101,35 +74,24 @@ func (b *base) rebuildInner() {
 		if end > len(leaves) {
 			end = len(leaves)
 		}
-		p := pln{leaves: make([]uint64, 0, b.plnCap)}
-		if b.mode == modeFixed {
-			p.sepsF = make([]uint64, 0, b.plnCap)
-		} else {
-			p.sepsV = make([][]byte, 0, b.plnCap)
-		}
+		p := pln[K]{leaves: make([]uint64, 0, t.plnCap), seps: make([]K, 0, t.plnCap)}
 		for i := at; i < end; i++ {
 			p.leaves = append(p.leaves, leaves[i].off)
 			if i < end-1 {
-				if b.mode == modeFixed {
-					p.sepsF = append(p.sepsF, leaves[i].mkF)
-				} else {
-					p.sepsV = append(p.sepsV, leaves[i].mkV)
-				}
+				p.seps = append(p.seps, leaves[i].bound)
 			}
 		}
-		p.maxKeyF = leaves[end-1].mkF
-		p.maxKeyV = leaves[end-1].mkV
-		p.vInf = b.mode == modeVar && p.maxKeyV == nil
-		b.plns = append(b.plns, p)
+		p.maxKey = leaves[end-1].bound
+		t.plns = append(t.plns, p)
 	}
 }
 
 // replaceLeafInPLN swaps the split leaf for its two replacements, or
 // triggers the global rebuild when the parent is full.
-func (b *base) replaceLeafInPLN(pi, li int, sepF uint64, sepV []byte, l1, l2 uint64) {
-	p := &b.plns[pi]
-	if len(p.leaves) >= b.plnCap {
-		b.rebuildInner()
+func (t *Index[K, V]) replaceLeafInPLN(pi, li int, sep K, l1, l2 uint64) {
+	p := &t.plns[pi]
+	if len(p.leaves) >= t.plnCap {
+		t.rebuildInner()
 		return
 	}
 	wasLast := li == len(p.leaves)-1
@@ -137,21 +99,12 @@ func (b *base) replaceLeafInPLN(pi, li int, sepF uint64, sepV []byte, l1, l2 uin
 	copy(p.leaves[li+2:], p.leaves[li+1:])
 	p.leaves[li] = l1
 	p.leaves[li+1] = l2
-	if b.mode == modeFixed {
-		p.sepsF = append(p.sepsF, 0)
-		copy(p.sepsF[li+1:], p.sepsF[li:])
-		p.sepsF[li] = sepF
-		if wasLast {
-			p.maxKeyF = b.leafBoundF(l2)
-		}
-	} else {
-		p.sepsV = append(p.sepsV, nil)
-		copy(p.sepsV[li+1:], p.sepsV[li:])
-		p.sepsV[li] = sepV
-		if wasLast {
-			p.maxKeyV = b.leafBoundV(l2)
-			p.vInf = p.maxKeyV == nil
-		}
+	var zero K
+	p.seps = append(p.seps, zero)
+	copy(p.seps[li+1:], p.seps[li:])
+	p.seps[li] = sep
+	if wasLast {
+		p.maxKey = t.leafBound(l2)
 	}
 }
 
@@ -177,174 +130,165 @@ func (c mcell) reset() {
 	c.pool.Persist(c.off, 4*scm.PPtrSize)
 }
 
-func (b *base) splitLog() mcell { return mcell{b.pool, b.meta + mOffSplitLog} }
-func (b *base) delLog() mcell   { return mcell{b.pool, b.meta + mOffDelLog} }
+func (t *Index[K, V]) splitLog() mcell { return mcell{t.pool, t.meta + mOffSplitLog} }
+func (t *Index[K, V]) delLog() mcell   { return mcell{t.pool, t.meta + mOffDelLog} }
 
-// --- base operations -------------------------------------------------------------
+// --- operations -------------------------------------------------------------------
 
-func (b *base) doFind(fk uint64, vk []byte) (int, uint64, bool) {
-	if len(b.plns) == 0 {
+func (t *Index[K, V]) doFind(k K) (int, uint64, bool) {
+	if len(t.plns) == 0 {
 		return -1, 0, false
 	}
-	_, _, l := b.findLeaf(fk, vk)
-	idx, live := b.findInLeaf(l, fk, vk)
+	_, _, l := t.findLeaf(k)
+	idx, live := t.findInLeaf(l, k)
 	if !live {
 		return -1, 0, false
 	}
 	return idx, l, true
 }
 
-// doInsert appends the pair, splitting (or compacting) the leaf first when
+// doInsert appends the entry, splitting (or compacting) the leaf first when
 // its log is full.
-func (b *base) doInsert(flag uint64, fk uint64, vk []byte, valF uint64, valV []byte) error {
-	if len(b.plns) == 0 {
-		if err := b.firstLeaf(); err != nil {
+func (t *Index[K, V]) doInsert(flag uint64, k K, v V) error {
+	if len(t.plns) == 0 {
+		if err := t.firstLeaf(); err != nil {
 			return err
 		}
 	}
-	pi, li, l := b.findLeaf(fk, vk)
-	for b.leafCount(l) >= b.leafCap {
+	pi, li, l := t.findLeaf(k)
+	for t.leafCount(l) >= t.leafCap {
 		// Splitting can drop an all-dead leaf, rerouting the key to a
 		// neighbor that may itself be full — loop until there is room.
-		if err := b.splitLeaf(pi, li, l); err != nil {
+		if err := t.splitLeaf(pi, li, l); err != nil {
 			return err
 		}
-		pi, li, l = b.findLeaf(fk, vk)
+		pi, li, l = t.findLeaf(k)
 	}
-	return b.appendEntry(l, flag, fk, vk, valF, valV)
+	return t.appendEntry(l, flag, k, v)
 }
 
-func (b *base) firstLeaf() error {
-	ptr, err := b.pool.Alloc(b.meta+mOffHead, b.leafSize())
+func (t *Index[K, V]) firstLeaf() error {
+	ptr, err := t.pool.Alloc(t.meta+mOffHead, t.leafSize())
 	if err != nil {
 		return err
 	}
-	if b.mode == modeFixed {
-		b.setLeafBoundF(ptr.Offset, infBound)
-		b.plns = append(b.plns, pln{leaves: []uint64{ptr.Offset}, maxKeyF: infBound})
-	} else {
-		b.setLeafBoundInfV(ptr.Offset)
-		b.plns = append(b.plns, pln{leaves: []uint64{ptr.Offset}, vInf: true})
-	}
+	t.kc.WriteInf(t.pool, ptr.Offset+lOffBound)
+	t.plns = append(t.plns, pln[K]{leaves: []uint64{ptr.Offset}, maxKey: t.kc.Inf()})
 	return nil
 }
 
 // splitLeaf compacts the full leaf's live entries into two fresh leaves
 // (sorted, half each) under the split micro-log, relinks the list, frees the
-// old leaf, and updates the DRAM parent. An all-dead leaf is removed
-// entirely (delete micro-log).
-func (b *base) splitLeaf(pi, li int, l uint64) error {
-	live := b.liveEntries(l)
+// old leaf, and updates the DRAM parent. An arena that runs out midway rolls
+// the split back, as recovery would, and leaves the old leaf in place.
+func (t *Index[K, V]) splitLeaf(pi, li int, l uint64) error {
+	live := t.liveEntries(l)
 	if len(live) <= 1 {
 		// Nothing (or one entry) survives the log: compact 1:1 instead of
 		// splitting. Leaves are never removed — their routing bounds are
 		// immutable, which keeps the directory consistent forever.
-		return b.compactLeaf(pi, li, l, live)
+		return t.compactLeaf(pi, li, l, live)
 	}
-	log := b.splitLog()
-	log.set(0, scm.PPtr{ArenaID: b.pool.ID(), Offset: l})
-	if _, err := b.pool.Alloc(log.pOff(1), b.leafSize()); err != nil {
+	log := t.splitLog()
+	log.set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: l})
+	if _, err := t.pool.Alloc(log.pOff(1), t.leafSize()); err != nil {
 		log.reset()
 		return err
 	}
-	if _, err := b.pool.Alloc(log.pOff(2), b.leafSize()); err != nil {
-		b.pool.Free(log.pOff(1), b.leafSize())
-		log.reset()
+	if _, err := t.pool.Alloc(log.pOff(2), t.leafSize()); err != nil {
+		t.abandonSplit(log)
 		return err
 	}
 	n1, n2 := log.p(1).Offset, log.p(2).Offset
 	half := (len(live) + 1) / 2
-	b.fillLeaf(n1, l, live[:half], scm.PPtr{ArenaID: b.pool.ID(), Offset: n2})
-	b.fillLeaf(n2, l, live[half:], b.leafNext(l))
-	sepE := live[half-1]
-	var sepF uint64
-	var sepV []byte
-	if b.mode == modeFixed {
-		sepF = b.entryKeyF(l, sepE)
-		b.setLeafBoundF(n1, sepF)
-		if old := b.leafBoundF(l); old < sepF {
-			// The split leaf was the clamp target holding over-bound keys:
-			// the upper half keeps covering everything greater.
-			b.setLeafBoundF(n2, infBound)
-		} else {
-			b.setLeafBoundF(n2, old)
-		}
+	t.fillLeaf(n1, l, live[:half], scm.PPtr{ArenaID: t.pool.ID(), Offset: n2})
+	t.fillLeaf(n2, l, live[half:], t.leafNext(l))
+	sep := t.entryKey(l, live[half-1])
+	if err := t.kc.Write(t.pool, n1+lOffBound, sep); err != nil {
+		t.abandonSplit(log)
+		return err
+	}
+	if old := t.leafBound(l); t.kc.Covers(old, sep) {
+		t.kc.Adopt(t.pool, n2+lOffBound, l+lOffBound, old)
 	} else {
-		sepV = b.entryKeyV(l, sepE)
-		if err := b.setLeafBoundV(n1, sepV); err != nil {
-			return err
-		}
-		if old := b.leafBoundV(l); old != nil && bytes.Compare(old, sepV) < 0 {
-			b.setLeafBoundInfV(n2)
-		} else {
-			b.copyLeafBound(n2, l)
-		}
+		// The split leaf was the clamp target holding over-bound keys: the
+		// upper half keeps covering everything greater.
+		t.kc.WriteInf(t.pool, n2+lOffBound)
 	}
 	// Link: one p-atomic pointer update publishes both leaves.
-	prev := b.prevLeafOf(pi, li)
+	prev := t.prevLeafOf(pi, li)
 	if prev == 0 {
-		b.setHead(scm.PPtr{ArenaID: b.pool.ID(), Offset: n1})
+		t.setHead(scm.PPtr{ArenaID: t.pool.ID(), Offset: n1})
 	} else {
-		log.set(3, scm.PPtr{ArenaID: b.pool.ID(), Offset: prev})
-		b.setLeafNext(prev, scm.PPtr{ArenaID: b.pool.ID(), Offset: n1})
+		log.set(3, scm.PPtr{ArenaID: t.pool.ID(), Offset: prev})
+		t.setLeafNext(prev, scm.PPtr{ArenaID: t.pool.ID(), Offset: n1})
 	}
-	b.pool.Free(log.pOff(0), b.leafSize())
+	t.pool.Free(log.pOff(0), t.leafSize())
 	log.reset()
-	b.replaceLeafInPLN(pi, li, sepF, sepV, n1, n2)
+	t.replaceLeafInPLN(pi, li, sep, n1, n2)
 	return nil
+}
+
+// abandonSplit frees the new leaves of an unlinked split and resets the log:
+// recovery's roll-back, run in place. The old leaf still owns every key
+// block the new leaves point at.
+func (t *Index[K, V]) abandonSplit(log mcell) {
+	t.pool.Free(log.pOff(1), t.leafSize())
+	t.pool.Free(log.pOff(2), t.leafSize())
+	log.reset()
 }
 
 // fillLeaf copies the given live entries of src into the fresh leaf dst and
 // persists count and next pointer. Variable-size keys keep pointing at the
 // same key blocks; ownership moves with the only live reference.
-func (b *base) fillLeaf(dst, src uint64, idxs []int, next scm.PPtr) {
-	es := b.entrySize()
+func (t *Index[K, V]) fillLeaf(dst, src uint64, idxs []int, next scm.PPtr) {
+	es := t.entrySize
 	for i, e := range idxs {
-		buf := b.pool.ReadBytes(b.entryOff(src, e), es)
-		b.pool.WriteBytes(b.entryOff(dst, i), buf)
+		buf := t.pool.ReadBytes(t.entryOff(src, e), es)
+		t.pool.WriteBytes(t.entryOff(dst, i), buf)
 	}
-	b.pool.Persist(dst+b.entriesOff(), uint64(len(idxs))*es)
-	b.pool.WritePPtr(dst+lOffNext, next)
-	b.pool.Persist(dst+lOffNext, scm.PPtrSize)
-	b.pool.WriteU64(dst+lOffCount, uint64(len(idxs)))
-	b.pool.Persist(dst+lOffCount, 8)
+	t.pool.Persist(dst+t.entriesOff, uint64(len(idxs))*es)
+	t.pool.WritePPtr(dst+lOffNext, next)
+	t.pool.Persist(dst+lOffNext, scm.PPtrSize)
+	t.pool.WriteU64(dst+lOffCount, uint64(len(idxs)))
+	t.pool.Persist(dst+lOffCount, 8)
 }
 
 // compactLeaf replaces a log-full leaf that has a single live entry with a
 // fresh leaf holding just that entry (1:1 replacement, no separator change).
-func (b *base) compactLeaf(pi, li int, l uint64, live []int) error {
-	log := b.splitLog()
-	log.set(0, scm.PPtr{ArenaID: b.pool.ID(), Offset: l})
-	if _, err := b.pool.Alloc(log.pOff(1), b.leafSize()); err != nil {
+func (t *Index[K, V]) compactLeaf(pi, li int, l uint64, live []int) error {
+	log := t.splitLog()
+	log.set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: l})
+	if _, err := t.pool.Alloc(log.pOff(1), t.leafSize()); err != nil {
 		log.reset()
 		return err
 	}
 	n1 := log.p(1).Offset
-	b.fillLeaf(n1, l, live, b.leafNext(l))
-	b.copyLeafBound(n1, l)
-	prev := b.prevLeafOf(pi, li)
+	t.fillLeaf(n1, l, live, t.leafNext(l))
+	t.kc.Copy(t.pool, n1+lOffBound, l+lOffBound)
+	prev := t.prevLeafOf(pi, li)
 	if prev == 0 {
-		b.setHead(scm.PPtr{ArenaID: b.pool.ID(), Offset: n1})
+		t.setHead(scm.PPtr{ArenaID: t.pool.ID(), Offset: n1})
 	} else {
-		log.set(3, scm.PPtr{ArenaID: b.pool.ID(), Offset: prev})
-		b.setLeafNext(prev, scm.PPtr{ArenaID: b.pool.ID(), Offset: n1})
+		log.set(3, scm.PPtr{ArenaID: t.pool.ID(), Offset: prev})
+		t.setLeafNext(prev, scm.PPtr{ArenaID: t.pool.ID(), Offset: n1})
 	}
-	b.pool.Free(log.pOff(0), b.leafSize())
+	t.pool.Free(log.pOff(0), t.leafSize())
 	log.reset()
-	b.plns[pi].leaves[li] = n1
+	t.plns[pi].leaves[li] = n1
 	return nil
 }
 
 // recoverLogs replays the split and delete micro-logs.
-func (b *base) recoverLogs() {
-	if sl := b.splitLog(); !sl.p(0).IsNull() || !sl.p(1).IsNull() || !sl.p(2).IsNull() || !sl.p(3).IsNull() {
+func (t *Index[K, V]) recoverLogs() {
+	if sl := t.splitLog(); !sl.p(0).IsNull() || !sl.p(1).IsNull() || !sl.p(2).IsNull() || !sl.p(3).IsNull() {
 		cur, n1p, n2p, prev := sl.p(0), sl.p(1), sl.p(2), sl.p(3)
 		linked := false
 		if !n1p.IsNull() {
 			if !prev.IsNull() {
-				linked = b.leafNext(prev.Offset) == n1p
+				linked = t.leafNext(prev.Offset) == n1p
 			} else {
-				linked = b.head() == n1p
+				linked = t.head() == n1p
 			}
 		}
 		switch {
@@ -355,167 +299,104 @@ func (b *base) recoverLogs() {
 			// Roll back: discard the half-built leaves; the old leaf is
 			// intact and still linked.
 			if !n1p.IsNull() {
-				b.pool.Free(sl.pOff(1), b.leafSize())
+				t.pool.Free(sl.pOff(1), t.leafSize())
 			}
 			if !n2p.IsNull() {
-				b.pool.Free(sl.pOff(2), b.leafSize())
+				t.pool.Free(sl.pOff(2), t.leafSize())
 			}
 		default:
 			// Linked: roll forward by freeing the old leaf.
-			b.pool.Free(sl.pOff(0), b.leafSize())
+			t.pool.Free(sl.pOff(0), t.leafSize())
 		}
 		sl.reset()
 	}
-	if dl := b.delLog(); !dl.p(0).IsNull() || !dl.p(1).IsNull() {
+	if dl := t.delLog(); !dl.p(0).IsNull() || !dl.p(1).IsNull() {
 		cur, prev := dl.p(0), dl.p(1)
 		if !cur.IsNull() {
 			unlinked := false
 			if !prev.IsNull() {
-				unlinked = b.leafNext(prev.Offset) != cur
+				unlinked = t.leafNext(prev.Offset) != cur
 			} else {
-				unlinked = b.head() != cur
+				unlinked = t.head() != cur
 			}
 			if unlinked {
-				b.pool.Free(dl.pOff(0), b.leafSize())
+				t.pool.Free(dl.pOff(0), t.leafSize())
 			}
 		}
 		dl.reset()
 	}
 }
 
-// doScan emits live entries with key >= from in ascending order, walking the
-// leaf list.
-func (b *base) doScan(fromF uint64, fromV []byte, emit func(l uint64, e int) bool) {
-	if len(b.plns) == 0 {
+// --- public API ------------------------------------------------------------------
+
+// Find returns the value stored under key (for var keys, a copy).
+func (t *Index[K, V]) Find(key K) (V, bool) {
+	e, l, ok := t.doFind(key)
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return t.entryVal(l, e), true
+}
+
+// Insert appends a key-value pair. Inserting an existing key acts as an
+// update (the append-only log keeps only the latest entry live).
+func (t *Index[K, V]) Insert(key K, value V) error {
+	_, _, existed := t.doFind(key)
+	if err := t.doInsert(entryInsert, key, value); err != nil {
+		return err
+	}
+	if !existed {
+		t.size++
+	}
+	return nil
+}
+
+// Update rewrites the value under key; absent keys report false.
+func (t *Index[K, V]) Update(key K, value V) (bool, error) {
+	if _, _, ok := t.doFind(key); !ok {
+		return false, nil
+	}
+	return true, t.doInsert(entryInsert, key, value)
+}
+
+// Upsert inserts or updates.
+func (t *Index[K, V]) Upsert(key K, value V) error { return t.Insert(key, value) }
+
+// Delete appends a tombstone for key. The tombstone carries its own copy of
+// a variable-size key, so it can run out of arena like an insert.
+func (t *Index[K, V]) Delete(key K) (bool, error) {
+	if _, _, ok := t.doFind(key); !ok {
+		return false, nil
+	}
+	var zero V
+	if err := t.doInsert(entryDelete, key, zero); err != nil {
+		return false, err
+	}
+	t.size--
+	return true, nil
+}
+
+// Scan visits live pairs with key >= from in ascending order until fn
+// returns false, walking the leaf list.
+func (t *Index[K, V]) Scan(from K, fn func(k K, v V) bool) {
+	if len(t.plns) == 0 {
 		return
 	}
-	_, _, l := b.findLeaf(fromF, fromV)
+	_, _, l := t.findLeaf(from)
 	for {
-		for _, e := range b.liveEntries(l) {
-			if b.mode == modeFixed {
-				if b.entryKeyF(l, e) < fromF {
-					continue
-				}
-			} else if bytes.Compare(b.entryKeyV(l, e), fromV) < 0 {
+		for _, e := range t.liveEntries(l) {
+			if t.kc.Compare(t.entryKey(l, e), from) < 0 {
 				continue
 			}
-			if !emit(l, e) {
+			if !fn(t.entryKey(l, e), t.entryVal(l, e)) {
 				return
 			}
 		}
-		next := b.leafNext(l)
+		next := t.leafNext(l)
 		if next.IsNull() {
 			return
 		}
 		l = next.Offset
 	}
-}
-
-// --- fixed-key public API ----------------------------------------------------------
-
-// Find returns the value stored under key.
-func (t *Tree) Find(key uint64) (uint64, bool) {
-	e, l, ok := t.doFind(key, nil)
-	if !ok {
-		return 0, false
-	}
-	return t.entryValF(l, e), true
-}
-
-// Insert appends a key-value pair. Inserting an existing key acts as an
-// update (the append-only log keeps only the latest entry live).
-func (t *Tree) Insert(key, value uint64) error {
-	_, _, existed := t.doFind(key, nil)
-	if err := t.doInsert(entryInsert, key, nil, value, nil); err != nil {
-		return err
-	}
-	if !existed {
-		t.size++
-	}
-	return nil
-}
-
-// Update rewrites the value under key; absent keys report false.
-func (t *Tree) Update(key, value uint64) (bool, error) {
-	if _, _, ok := t.doFind(key, nil); !ok {
-		return false, nil
-	}
-	return true, t.doInsert(entryInsert, key, nil, value, nil)
-}
-
-// Upsert inserts or updates.
-func (t *Tree) Upsert(key, value uint64) error { return t.Insert(key, value) }
-
-// Delete appends a tombstone for key.
-func (t *Tree) Delete(key uint64) (bool, error) {
-	if _, _, ok := t.doFind(key, nil); !ok {
-		return false, nil
-	}
-	if err := t.doInsert(entryDelete, key, nil, 0, nil); err != nil {
-		return false, err
-	}
-	t.size--
-	return true, nil
-}
-
-// Scan visits live pairs with key >= from in ascending order until fn
-// returns false.
-func (t *Tree) Scan(from uint64, fn func(k, v uint64) bool) {
-	t.doScan(from, nil, func(l uint64, e int) bool {
-		return fn(t.entryKeyF(l, e), t.entryValF(l, e))
-	})
-}
-
-// --- var-key public API --------------------------------------------------------------
-
-// Find returns a copy of the value stored under key.
-func (t *VarTree) Find(key []byte) ([]byte, bool) {
-	e, l, ok := t.doFind(0, key)
-	if !ok {
-		return nil, false
-	}
-	return t.entryValV(l, e), true
-}
-
-// Insert appends a key-value pair (upsert semantics, as with fixed keys).
-func (t *VarTree) Insert(key, value []byte) error {
-	_, _, existed := t.doFind(0, key)
-	if err := t.doInsert(entryInsert, 0, key, 0, value); err != nil {
-		return err
-	}
-	if !existed {
-		t.size++
-	}
-	return nil
-}
-
-// Update rewrites the value under key; absent keys report false.
-func (t *VarTree) Update(key, value []byte) (bool, error) {
-	if _, _, ok := t.doFind(0, key); !ok {
-		return false, nil
-	}
-	return true, t.doInsert(entryInsert, 0, key, 0, value)
-}
-
-// Upsert inserts or updates.
-func (t *VarTree) Upsert(key, value []byte) error { return t.Insert(key, value) }
-
-// Delete appends a tombstone for key.
-func (t *VarTree) Delete(key []byte) (bool, error) {
-	if _, _, ok := t.doFind(0, key); !ok {
-		return false, nil
-	}
-	if err := t.doInsert(entryDelete, 0, key, 0, nil); err != nil {
-		return false, err
-	}
-	t.size--
-	return true, nil
-}
-
-// Scan visits live pairs with key >= from in ascending order until fn
-// returns false.
-func (t *VarTree) Scan(from []byte, fn func(k, v []byte) bool) {
-	t.doScan(0, from, func(l uint64, e int) bool {
-		return fn(t.entryKeyV(l, e), t.entryValV(l, e))
-	})
 }

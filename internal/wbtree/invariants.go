@@ -1,7 +1,6 @@
 package wbtree
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 )
@@ -22,50 +21,49 @@ import (
 //   - the cached size equals the total number of valid leaf entries.
 //
 // It returns nil when all hold, or an error naming the first violation.
-func (b *base) CheckInvariants() error {
-	if b.pool.ReadU64(b.meta+mOffMagic) != metaMagic {
+func (t *Index[K]) CheckInvariants() error {
+	if t.pool.ReadU64(t.meta+mOffMagic) != metaMagic {
 		return fmt.Errorf("wbtree: bad metadata magic")
 	}
 	for i := 0; i < 3; i++ {
-		if !b.splitLog().p(i).IsNull() {
+		if !t.splitLog().p(i).IsNull() {
 			return fmt.Errorf("wbtree: split log slot %d not reset", i)
 		}
-		if !b.rootLog().p(i).IsNull() {
+		if !t.rootLog().p(i).IsNull() {
 			return fmt.Errorf("wbtree: root log slot %d not reset", i)
 		}
-		if !b.delLog().p(i).IsNull() {
+		if !t.delLog().p(i).IsNull() {
 			return fmt.Errorf("wbtree: delete log slot %d not reset", i)
 		}
 	}
-	root := b.rootOff()
+	root := t.rootOff()
 	if root == 0 {
-		if b.size != 0 {
-			return fmt.Errorf("wbtree: empty tree but cached size %d", b.size)
+		if t.size != 0 {
+			return fmt.Errorf("wbtree: empty tree but cached size %d", t.size)
 		}
 		return nil
 	}
 	total, leafDepth := 0, -1
-	err := b.checkNode(root, 0, ivBound{}, ivBound{inf: true}, &total, &leafDepth)
+	err := t.checkNode(root, 0, ivBound[K]{}, ivBound[K]{inf: true}, &total, &leafDepth)
 	if err != nil {
 		return err
 	}
-	if b.size != total {
-		return fmt.Errorf("wbtree: cached size %d != %d valid leaf entries", b.size, total)
+	if t.size != total {
+		return fmt.Errorf("wbtree: cached size %d != %d valid leaf entries", t.size, total)
 	}
 	return nil
 }
 
 // ivBound is one end of a routing interval: a key, or -/+infinity.
-type ivBound struct {
+type ivBound[K any] struct {
 	set bool // false = -infinity (only ever as a lower bound)
 	inf bool // true = +infinity (only ever as an upper bound)
-	fk  uint64
-	vk  []byte
+	k   K
 }
 
 // cmpBound three-way-compares entry e's key with the bound.
-func (b *base) cmpBound(n uint64, e int, bd ivBound) int {
-	if b.entryIsInf(n, e) {
+func (t *Index[K]) cmpBound(n uint64, e int, bd ivBound[K]) int {
+	if t.entryIsInf(n, e) {
 		if bd.inf {
 			return 0
 		}
@@ -74,33 +72,20 @@ func (b *base) cmpBound(n uint64, e int, bd ivBound) int {
 	if bd.inf {
 		return -1
 	}
-	if b.mode == modeFixed {
-		k := b.entryKeyFixed(n, e)
-		switch {
-		case k < bd.fk:
-			return -1
-		case k > bd.fk:
-			return 1
-		}
-		return 0
-	}
-	return bytes.Compare(b.entryKeyVar(n, e), bd.vk)
+	return t.kc.Compare(t.entryKey(n, e), bd.k)
 }
 
-func (b *base) boundOf(n uint64, e int) ivBound {
-	if b.entryIsInf(n, e) {
-		return ivBound{inf: true}
+func (t *Index[K]) boundOf(n uint64, e int) ivBound[K] {
+	if t.entryIsInf(n, e) {
+		return ivBound[K]{inf: true}
 	}
-	if b.mode == modeFixed {
-		return ivBound{set: true, fk: b.entryKeyFixed(n, e)}
-	}
-	return ivBound{set: true, vk: b.entryKeyVar(n, e)}
+	return ivBound[K]{set: true, k: t.entryKey(n, e)}
 }
 
-func (b *base) checkNode(n uint64, depth int, lo, hi ivBound, total, leafDepth *int) error {
-	leaf := b.nIsLeaf(n)
-	capN := b.capOf(leaf)
-	bm := b.nBitmap(n)
+func (t *Index[K]) checkNode(n uint64, depth int, lo, hi ivBound[K], total, leafDepth *int) error {
+	leaf := t.nIsLeaf(n)
+	capN := t.capOf(leaf)
+	bm := t.nBitmap(n)
 	if bm&slotValidBit == 0 {
 		return fmt.Errorf("wbtree: node %#x missing slot-valid bit", n)
 	}
@@ -113,7 +98,7 @@ func (b *base) checkNode(n uint64, depth int, lo, hi ivBound, total, leafDepth *
 	// The slot array may be a superset, but filtered through the bitmap it
 	// must enumerate each valid entry exactly once, in ascending key order.
 	var sl [64]byte
-	b.pool.ReadInto(n, sl[:])
+	t.pool.ReadInto(n, sl[:])
 	listed := int(sl[0])
 	if listed > 63 {
 		return fmt.Errorf("wbtree: node %#x slot count %d out of range", n, listed)
@@ -138,12 +123,12 @@ func (b *base) checkNode(n uint64, depth int, lo, hi ivBound, total, leafDepth *
 		return fmt.Errorf("wbtree: node %#x slot array covers %d of %d valid entries", n, len(order), cnt)
 	}
 	for i := 1; i < len(order); i++ {
-		if b.cmpEntries(n, order[i-1], order[i]) >= 0 {
+		if t.cmpEntries(n, order[i-1], order[i]) >= 0 {
 			return fmt.Errorf("wbtree: node %#x slots %d,%d out of key order", n, i-1, i)
 		}
 	}
 	for i, e := range order {
-		if b.entryIsInf(n, e) {
+		if t.entryIsInf(n, e) {
 			// The +infinity separator is a clamp marker standing for "up to
 			// the parent's bound": legal only as the last slot of an inner
 			// node, and exempt from the upper-bound check.
@@ -155,10 +140,10 @@ func (b *base) checkNode(n uint64, depth int, lo, hi ivBound, total, leafDepth *
 			}
 			continue
 		}
-		if lo.set && b.cmpBound(n, e, lo) <= 0 {
+		if lo.set && t.cmpBound(n, e, lo) <= 0 {
 			return fmt.Errorf("wbtree: node %#x entry %d at or below lower bound", n, e)
 		}
-		if b.cmpBound(n, e, hi) > 0 {
+		if t.cmpBound(n, e, hi) > 0 {
 			return fmt.Errorf("wbtree: node %#x entry %d above upper bound", n, e)
 		}
 	}
@@ -177,20 +162,20 @@ func (b *base) checkNode(n uint64, depth int, lo, hi ivBound, total, leafDepth *
 	}
 	childLo := lo
 	for i, e := range order {
-		child := b.entryVal(n, e)
+		child := t.entryVal(n, e)
 		if child == 0 {
 			return fmt.Errorf("wbtree: node %#x entry %d has null child", n, e)
 		}
-		childHi := b.boundOf(n, e)
+		childHi := t.boundOf(n, e)
 		if i == len(order)-1 {
 			// The last child absorbs clamped overflow: its effective upper
 			// bound is the parent's, not its own separator.
 			childHi = hi
 		}
-		if err := b.checkNode(child, depth+1, childLo, childHi, total, leafDepth); err != nil {
+		if err := t.checkNode(child, depth+1, childLo, childHi, total, leafDepth); err != nil {
 			return err
 		}
-		childLo = b.boundOf(n, e)
+		childLo = t.boundOf(n, e)
 	}
 	return nil
 }

@@ -21,84 +21,59 @@ import (
 //     inserting the (sepKey -> newNode) entry into the parent, so exactly one
 //     p-atomic parent commit publishes the split.
 
-// --- generic (mode-dual) operations ------------------------------------------
-
-func (b *base) count(n uint64) int {
-	return bits.OnesCount64(b.nBitmap(n) &^ slotValidBit)
+func (t *Index[K]) count(n uint64) int {
+	return bits.OnesCount64(t.nBitmap(n) &^ slotValidBit)
 }
 
 // full reports whether the node must be split before an insertion may touch
 // it. Inner nodes split one entry early so a split's combined
 // insert-plus-re-key commit always finds two free slots.
-func (b *base) full(n uint64, leaf bool) bool {
+func (t *Index[K]) full(n uint64, leaf bool) bool {
 	if leaf {
-		return b.count(n) == b.leafCap
+		return t.count(n) == t.leafCap
 	}
-	return b.count(n) >= b.innerCap-1
+	return t.count(n) >= t.innerCap-1
 }
 
-func (b *base) firstFree(n uint64) int {
-	bm := b.nBitmap(n) &^ slotValidBit
+func (t *Index[K]) firstFree(n uint64) int {
+	bm := t.nBitmap(n) &^ slotValidBit
 	return bits.TrailingZeros64(^bm)
-}
-
-// writeEntryKey stores the key part of entry e (allocating the key block in
-// var mode; the entry's pointer cell is the allocation owner).
-func (b *base) writeEntryKey(n uint64, e int, fk uint64, vk []byte) error {
-	off := b.entryOff(n, e)
-	if b.mode == modeFixed {
-		b.pool.WriteU64(off, fk)
-		b.pool.Persist(off, 8)
-		return nil
-	}
-	b.pool.WriteU64(off+scm.PPtrSize, uint64(len(vk)))
-	b.pool.Persist(off+scm.PPtrSize, 8)
-	pk, err := b.pool.Alloc(off, uint64(len(vk)))
-	if err != nil {
-		return err
-	}
-	b.pool.WriteBytes(pk.Offset, vk)
-	b.pool.Persist(pk.Offset, uint64(len(vk)))
-	return nil
 }
 
 // insertEntry adds (key, val) to a non-full node with the superset-slot
 // protocol. It returns the entry index used.
-func (b *base) insertEntry(n uint64, fk uint64, vk []byte, val uint64) (int, error) {
-	order, rank, _ := b.search(n, fk, vk)
-	if len(order) >= b.capOf(b.nIsLeaf(n)) {
+func (t *Index[K]) insertEntry(n uint64, k K, val uint64) (int, error) {
+	order, rank, _ := t.search(n, k)
+	if len(order) >= t.capOf(t.nIsLeaf(n)) {
 		panic("wbtree: insertEntry on full node")
 	}
-	e := b.firstFree(n)
-	if err := b.writeEntryKey(n, e, fk, vk); err != nil {
+	e := t.firstFree(n)
+	if err := t.kc.Write(t.pool, t.entryOff(n, e), k); err != nil {
 		return 0, err
 	}
-	b.setEntryVal(n, e, val)
+	t.setEntryVal(n, e, val)
 	newOrder := make([]int, 0, len(order)+1)
 	newOrder = append(newOrder, order[:rank]...)
 	newOrder = append(newOrder, e)
 	newOrder = append(newOrder, order[rank:]...)
-	b.writeSlots(n, newOrder)
-	b.setBitmap(n, b.nBitmap(n)|1<<e)
+	t.writeSlots(n, newOrder)
+	t.setBitmap(n, t.nBitmap(n)|1<<e)
 	return e, nil
 }
 
 // removeEntry hides entry e p-atomically, then refreshes the slot array and
-// (in var mode) deallocates the key block through the entry's pointer cell.
-func (b *base) removeEntry(n uint64, e int) {
-	b.setBitmap(n, b.nBitmap(n)&^(1<<e))
-	b.writeSlots(n, b.sortedEntries(n))
-	if b.mode == modeVar {
-		klen := b.pool.ReadU64(b.entryOff(n, e) + scm.PPtrSize)
-		b.pool.Free(b.entryOff(n, e), klen)
-	}
+// deallocates a variable-size key's block through the entry's cell.
+func (t *Index[K]) removeEntry(n uint64, e int) {
+	t.setBitmap(n, t.nBitmap(n)&^(1<<e))
+	t.writeSlots(n, t.sortedEntries(n))
+	t.kc.Free(t.pool, t.entryOff(n, e))
 }
 
 // entryWithVal locates the valid entry whose value equals val, or -1.
-func (b *base) entryWithVal(n uint64, val uint64) int {
-	bm := b.nBitmap(n) &^ slotValidBit
+func (t *Index[K]) entryWithVal(n uint64, val uint64) int {
+	bm := t.nBitmap(n) &^ slotValidBit
 	for e := 0; e < 63; e++ {
-		if bm&(1<<e) != 0 && b.entryVal(n, e) == val {
+		if bm&(1<<e) != 0 && t.entryVal(n, e) == val {
 			return e
 		}
 	}
@@ -106,167 +81,145 @@ func (b *base) entryWithVal(n uint64, val uint64) int {
 }
 
 // ensureRoot lazily materializes the root leaf (rootLog protocol).
-func (b *base) ensureRoot() error {
-	if b.rootOff() != 0 {
+func (t *Index[K]) ensureRoot() error {
+	if t.rootOff() != 0 {
 		return nil
 	}
-	log := b.rootLog()
-	off, err := b.newNode(log.pOff(0), true)
+	log := t.rootLog()
+	off, err := t.newNode(log.pOff(0), true)
 	if err != nil {
 		return err
 	}
-	b.setRootOff(off)
+	t.setRootOff(off)
 	log.reset()
 	return nil
 }
 
 // growRoot puts a fresh inner node above a full root (rootLog protocol).
 // insertInfEntry appends the +infinity separator entry for child.
-func (b *base) insertInfEntry(n uint64, child uint64) {
-	e := b.firstFree(n)
-	off := b.entryOff(n, e)
-	if b.mode == modeFixed {
-		b.pool.WriteU64(off, ^uint64(0))
-		b.pool.Persist(off, 8)
-	} else {
-		b.pool.WritePPtr(off, scm.PPtr{})
-		b.pool.WriteU64(off+scm.PPtrSize, ^uint64(0))
-		b.pool.Persist(off, scm.PPtrSize+8)
-	}
-	b.setEntryVal(n, e, child)
-	b.writeSlots(n, append(b.sortedEntries(n), e))
-	b.setBitmap(n, b.nBitmap(n)|1<<e)
+func (t *Index[K]) insertInfEntry(n uint64, child uint64) {
+	e := t.firstFree(n)
+	t.kc.WriteInf(t.pool, t.entryOff(n, e))
+	t.setEntryVal(n, e, child)
+	t.writeSlots(n, append(t.sortedEntries(n), e))
+	t.setBitmap(n, t.nBitmap(n)|1<<e)
 }
 
-func (b *base) growRoot() error {
-	log := b.rootLog()
-	old := b.rootOff()
-	off, err := b.newNode(log.pOff(0), false)
+func (t *Index[K]) growRoot() error {
+	log := t.rootLog()
+	old := t.rootOff()
+	off, err := t.newNode(log.pOff(0), false)
 	if err != nil {
 		return err
 	}
 	// The old root becomes the single child behind a "+infinity" separator,
 	// keeping the invariant that a node's greatest entry bounds its whole
 	// key range from above.
-	b.insertInfEntry(off, old)
-	b.setRootOff(off)
+	t.insertInfEntry(off, old)
+	t.setRootOff(off)
 	log.reset()
 	return nil
 }
 
 // splitNode copies the lower half of the full node into a fresh node and
 // publishes it with one p-atomic insert into the (non-full) parent. Returns
-// the separator and the new node (which covers keys <= separator).
-func (b *base) splitNode(n, parent uint64, leaf bool) (sepFK uint64, sepVK []byte, newOff uint64, err error) {
-	log := b.splitLog()
-	log.set(0, scm.PPtr{ArenaID: b.pool.ID(), Offset: n})
-	log.set(2, scm.PPtr{ArenaID: b.pool.ID(), Offset: parent})
-	capN := b.capOf(leaf)
-	if _, err = b.pool.Alloc(log.pOff(1), b.nodeSize(capN)); err != nil {
+// the separator and the new node (which covers keys <= separator). An arena
+// that runs out before the parent commit (the separator's key block) frees
+// the new node and resets the log, as recovery would, leaving n whole.
+func (t *Index[K]) splitNode(n, parent uint64, leaf bool) (sep K, newOff uint64, err error) {
+	log := t.splitLog()
+	log.set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: n})
+	log.set(2, scm.PPtr{ArenaID: t.pool.ID(), Offset: parent})
+	capN := t.capOf(leaf)
+	if _, err = t.pool.Alloc(log.pOff(1), t.nodeSize(capN)); err != nil {
 		log.reset()
-		return 0, nil, 0, err
+		return sep, 0, err
 	}
-	newOff = b.pool.ReadPPtr(log.pOff(1)).Offset
+	newOff = t.pool.ReadPPtr(log.pOff(1)).Offset
 	// Copy flags + entries wholesale (same entry indexes in both nodes).
-	b.pool.WriteU64(newOff+nOffFlags, b.pool.ReadU64(n+nOffFlags))
-	b.pool.Persist(newOff+nOffFlags, 8)
-	ents := b.pool.ReadBytes(n+nOffEntries, uint64(capN)*b.entrySize())
-	b.pool.WriteBytes(newOff+nOffEntries, ents)
-	b.pool.Persist(newOff+nOffEntries, uint64(len(ents)))
+	t.pool.WriteU64(newOff+nOffFlags, t.pool.ReadU64(n+nOffFlags))
+	t.pool.Persist(newOff+nOffFlags, 8)
+	ents := t.pool.ReadBytes(n+nOffEntries, uint64(capN)*t.entrySize())
+	t.pool.WriteBytes(newOff+nOffEntries, ents)
+	t.pool.Persist(newOff+nOffEntries, uint64(len(ents)))
 
-	order := b.sortedEntries(n)
+	order := t.sortedEntries(n)
 	keep := (len(order) + 1) / 2 // lower half moves to the new node
 	lower := order[:keep]
-	sepE := order[keep-1]
-	if b.mode == modeFixed {
-		sepFK = b.entryKeyFixed(n, sepE)
-	} else {
-		sepVK = b.entryKeyVar(n, sepE)
-	}
+	sep = t.entryKey(n, order[keep-1])
 	var lowBm uint64
 	for _, e := range lower {
 		lowBm |= 1 << e
 	}
-	b.writeSlots(newOff, lower)
-	b.setBitmap(newOff, lowBm|slotValidBit)
+	t.writeSlots(newOff, lower)
+	t.setBitmap(newOff, lowBm|slotValidBit)
 
 	// Commit point: the parent entry (sep -> new node). If n was receiving
 	// clamped overflow traffic (its parent-entry key is below sep), the same
 	// p-atomic bitmap commit also re-keys n's entry to the infinity
 	// separator, so the greatest parent entry keeps covering n's range.
-	pe := b.entryWithVal(parent, n)
-	if pe >= 0 && b.cmpKey(parent, pe, sepFK, sepVK) <= 0 {
+	pe := t.entryWithVal(parent, n)
+	if pe >= 0 && t.cmpKey(parent, pe, sep) <= 0 {
 		// pe.key <= sep implies n held keys beyond its separator, i.e. n was
 		// the node's clamp target — so the infinity re-key is exact.
-		err = b.insertSplitRekey(parent, sepFK, sepVK, newOff, pe, n)
+		err = t.insertSplitRekey(parent, sep, newOff, pe, n)
 	} else {
-		_, err = b.insertEntry(parent, sepFK, sepVK, newOff)
+		_, err = t.insertEntry(parent, sep, newOff)
 	}
 	if err != nil {
-		return 0, nil, 0, err
+		t.pool.Free(log.pOff(1), t.nodeSize(capN))
+		log.reset()
+		return sep, 0, err
 	}
-	b.finishSplit(n, newOff)
+	t.finishSplit(n, newOff)
 	log.reset()
-	return sepFK, sepVK, newOff, nil
+	return sep, newOff, nil
 }
 
 // insertSplitRekey atomically adds the (sep -> new) entry, replaces the
 // split node's stale parent entry pe with an infinity entry, all with one
 // bitmap store. Needs two free slots, which the insert path's early inner
 // split threshold guarantees.
-func (b *base) insertSplitRekey(parent uint64, sepFK uint64, sepVK []byte, newOff uint64, pe int, n uint64) error {
-	bm := b.nBitmap(parent)
+func (t *Index[K]) insertSplitRekey(parent uint64, sep K, newOff uint64, pe int, n uint64) error {
+	bm := t.nBitmap(parent)
 	e1 := bits.TrailingZeros64(^(bm &^ slotValidBit))
-	if err := b.writeEntryKey(parent, e1, sepFK, sepVK); err != nil {
+	if err := t.kc.Write(t.pool, t.entryOff(parent, e1), sep); err != nil {
 		return err
 	}
-	b.setEntryVal(parent, e1, newOff)
+	t.setEntryVal(parent, e1, newOff)
 	e2 := bits.TrailingZeros64(^(bm&^slotValidBit | 1<<e1))
-	off2 := b.entryOff(parent, e2)
-	if b.mode == modeFixed {
-		b.pool.WriteU64(off2, ^uint64(0))
-		b.pool.Persist(off2, 8)
-	} else {
-		b.pool.WritePPtr(off2, scm.PPtr{})
-		b.pool.WriteU64(off2+scm.PPtrSize, ^uint64(0))
-		b.pool.Persist(off2, scm.PPtrSize+8)
-	}
-	b.setEntryVal(parent, e2, n)
+	t.kc.WriteInf(t.pool, t.entryOff(parent, e2))
+	t.setEntryVal(parent, e2, n)
 	// Slot order: old entries minus pe, with e1 (sep) in rank order and e2
 	// (infinity) last.
 	var order []int
-	for _, e := range b.sortedEntries(parent) {
+	for _, e := range t.sortedEntries(parent) {
 		if e == pe {
 			continue
 		}
 		order = append(order, e)
 	}
 	rank := 0
-	for rank < len(order) && b.cmpKey(parent, order[rank], sepFK, sepVK) < 0 {
+	for rank < len(order) && t.cmpKey(parent, order[rank], sep) < 0 {
 		rank = rank + 1
 	}
 	order = append(order, 0)
 	copy(order[rank+1:], order[rank:])
 	order[rank] = e1
 	order = append(order, e2)
-	b.writeSlots(parent, order)
-	b.setBitmap(parent, (bm|1<<e1|1<<e2|slotValidBit)&^(1<<pe))
-	if b.mode == modeVar {
-		// The replaced entry's separator key block is no longer referenced.
-		klen := b.pool.ReadU64(b.entryOff(parent, pe) + scm.PPtrSize)
-		if !b.pool.ReadPPtr(b.entryOff(parent, pe)).IsNull() {
-			b.pool.Free(b.entryOff(parent, pe), klen)
-		}
-	}
+	t.writeSlots(parent, order)
+	t.setBitmap(parent, (bm|1<<e1|1<<e2|slotValidBit)&^(1<<pe))
+	// The replaced entry's separator key block is no longer referenced.
+	t.kc.Free(t.pool, t.entryOff(parent, pe))
 	return nil
 }
 
 // finishSplit shrinks the split node to its upper half; recovery re-enters
 // it, so every step is idempotent.
-func (b *base) finishSplit(n, newOff uint64) {
-	moved := b.nBitmap(newOff) &^ slotValidBit
-	b.setBitmap(n, b.nBitmap(n)&^moved)
-	b.writeSlots(n, b.sortedEntries(n))
+func (t *Index[K]) finishSplit(n, newOff uint64) {
+	moved := t.nBitmap(newOff) &^ slotValidBit
+	t.setBitmap(n, t.nBitmap(n)&^moved)
+	t.writeSlots(n, t.sortedEntries(n))
 }
 
 // descendPath records the nodes visited from root to leaf.
@@ -274,149 +227,109 @@ type pathEnt struct {
 	node uint64
 }
 
-// doFind is the mode-dual point lookup.
-func (b *base) doFind(fk uint64, vk []byte) (uint64, []byte, bool) {
-	n := b.rootOff()
-	if n == 0 {
-		return 0, nil, false
+// leafOf returns the leaf covering k, or 0 in an empty tree.
+func (t *Index[K]) leafOf(k K) uint64 {
+	n := t.rootOff()
+	for n != 0 && !t.nIsLeaf(n) {
+		n, _, _ = t.childOf(n, k)
 	}
-	for !b.nIsLeaf(n) {
-		n, _, _ = b.childOf(n, fk, vk)
-	}
-	order, rank, exact := b.search(n, fk, vk)
-	if !exact {
-		return 0, nil, false
-	}
-	e := order[rank]
-	if b.mode == modeVar {
-		return 0, b.readVarVal(n, e), true
-	}
-	return b.entryVal(n, e), nil, true
+	return n
 }
 
-func (b *base) readVarVal(n uint64, e int) []byte {
-	return b.pool.ReadBytes(b.entryOff(n, e)+scm.PPtrSize+8, 8)
-}
-
-// doInsert is the mode-dual insert with top-down preemptive splits.
-func (b *base) doInsert(fk uint64, vk []byte, val uint64) error {
-	if err := b.ensureRoot(); err != nil {
+// doInsert inserts with top-down preemptive splits.
+func (t *Index[K]) doInsert(k K, val uint64) error {
+	if err := t.ensureRoot(); err != nil {
 		return err
 	}
-	if b.full(b.rootOff(), b.nIsLeaf(b.rootOff())) {
-		if err := b.growRoot(); err != nil {
+	if t.full(t.rootOff(), t.nIsLeaf(t.rootOff())) {
+		if err := t.growRoot(); err != nil {
 			return err
 		}
 	}
 	parent := uint64(0)
-	n := b.rootOff()
+	n := t.rootOff()
 	for {
-		leaf := b.nIsLeaf(n)
-		if parent != 0 && b.full(n, leaf) {
-			sepFK, sepVK, newOff, err := b.splitNode(n, parent, leaf)
+		leaf := t.nIsLeaf(n)
+		if parent != 0 && t.full(n, leaf) {
+			sep, newOff, err := t.splitNode(n, parent, leaf)
 			if err != nil {
 				return err
 			}
-			if b.lessEq(fk, vk, sepFK, sepVK) {
+			if t.kc.Compare(k, sep) <= 0 {
 				n = newOff
 			}
 		}
 		if leaf {
-			if _, err := b.insertEntry(n, fk, vk, val); err != nil {
+			if _, err := t.insertEntry(n, k, val); err != nil {
 				return err
 			}
-			b.size++
+			t.size++
 			return nil
 		}
 		parent = n
-		n, _, _ = b.childOf(n, fk, vk)
+		n, _, _ = t.childOf(n, k)
 	}
-}
-
-func (b *base) lessEq(aFK uint64, aVK []byte, bFK uint64, bVK []byte) bool {
-	if b.mode == modeFixed {
-		return aFK <= bFK
-	}
-	return string(aVK) <= string(bVK)
-}
-
-// doUpdate replaces the value under the key. Fixed-size values commit with
-// one p-atomic 8-byte store.
-func (b *base) doUpdate(fk uint64, vk []byte, val uint64) bool {
-	n := b.rootOff()
-	if n == 0 {
-		return false
-	}
-	for !b.nIsLeaf(n) {
-		n, _, _ = b.childOf(n, fk, vk)
-	}
-	order, rank, exact := b.search(n, fk, vk)
-	if !exact {
-		return false
-	}
-	b.setEntryVal(n, order[rank], val)
-	return true
 }
 
 // doDelete removes the key, pruning emptied nodes up the recorded path with
 // one micro-logged removal per level.
-func (b *base) doDelete(fk uint64, vk []byte) bool {
-	n := b.rootOff()
+func (t *Index[K]) doDelete(k K) bool {
+	n := t.rootOff()
 	if n == 0 {
 		return false
 	}
 	var path []pathEnt
-	for !b.nIsLeaf(n) {
+	for !t.nIsLeaf(n) {
 		path = append(path, pathEnt{n})
-		n, _, _ = b.childOf(n, fk, vk)
+		n, _, _ = t.childOf(n, k)
 	}
-	order, rank, exact := b.search(n, fk, vk)
+	order, rank, exact := t.search(n, k)
 	if !exact {
 		return false
 	}
-	b.removeEntry(n, order[rank])
-	b.size--
+	t.removeEntry(n, order[rank])
+	t.size--
 	// Prune an emptied subtree: find the highest ancestor that would become
 	// empty, detach the whole chain with ONE p-atomic commit in its survivor
 	// parent, then free the now-unreachable chain nodes. Detaching top-first
 	// means no empty inner node is ever reachable, from any crash point.
-	if b.count(n) == 0 && len(path) > 0 {
+	if t.count(n) == 0 && len(path) > 0 {
 		i := len(path) - 1
 		chainTop := n
 		chain := []uint64{n}
-		for i >= 0 && b.count(path[i].node) == 1 {
+		for i >= 0 && t.count(path[i].node) == 1 {
 			chainTop = path[i].node
 			chain = append(chain, chainTop)
 			i--
 		}
 		if i >= 0 {
 			surv := path[i].node
-			if e := b.entryWithVal(surv, chainTop); e >= 0 {
-				b.removeEntry(surv, e)
+			if e := t.entryWithVal(surv, chainTop); e >= 0 {
+				t.removeEntry(surv, e)
 			}
 		} else {
 			// The whole tree emptied; chain includes the root.
-			b.setRootOff(0)
+			t.setRootOff(0)
 		}
 		// A crash here leaks any chain nodes not yet logged below — a
 		// bounded, crash-only leak (the chain is unreachable either way).
 		for _, nd := range chain {
-			b.freeDetached(nd)
+			t.freeDetached(nd)
 		}
 	}
 	// Collapse a root chain of single-child inner nodes; an inner root whose
 	// last child was pruned leaves an empty tree.
 	for {
-		r := b.rootOff()
-		if r == 0 || b.nIsLeaf(r) {
+		r := t.rootOff()
+		if r == 0 || t.nIsLeaf(r) {
 			break
 		}
-		switch b.count(r) {
+		switch t.count(r) {
 		case 0:
-			b.shrinkRoot(r, 0)
+			t.shrinkRoot(r, 0)
 		case 1:
-			only := b.sortedEntries(r)[0]
-			b.shrinkRoot(r, b.entryVal(r, only))
+			only := t.sortedEntries(r)[0]
+			t.shrinkRoot(r, t.entryVal(r, only))
 		default:
 			return true
 		}
@@ -427,11 +340,11 @@ func (b *base) doDelete(fk uint64, vk []byte) bool {
 // freeDetached deallocates a node that is no longer reachable from the root
 // (delete micro-log: marker in p2, node in p0 — recovery frees it unless it
 // is the current root).
-func (b *base) freeDetached(n uint64) {
-	log := b.delLog()
-	log.set(2, scm.PPtr{ArenaID: b.pool.ID(), Offset: b.meta})
-	log.set(0, scm.PPtr{ArenaID: b.pool.ID(), Offset: n})
-	b.pool.Free(log.pOff(0), b.nodeSizeOf(n))
+func (t *Index[K]) freeDetached(n uint64) {
+	log := t.delLog()
+	log.set(2, scm.PPtr{ArenaID: t.pool.ID(), Offset: t.meta})
+	log.set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: n})
+	t.pool.Free(log.pOff(0), t.nodeSizeOf(n))
 	log.reset()
 }
 
@@ -439,89 +352,18 @@ func (b *base) freeDetached(n uint64) {
 // micro-log's third cell is set to the metadata block first, marking the
 // root case unambiguously: a crash between the log writes must never be
 // mistaken for a node removal (whose roll-forward test differs).
-func (b *base) shrinkRoot(root, child uint64) {
-	log := b.delLog()
-	log.set(2, scm.PPtr{ArenaID: b.pool.ID(), Offset: b.meta})
-	log.set(0, scm.PPtr{ArenaID: b.pool.ID(), Offset: root})
-	b.setRootOff(child)
-	b.pool.Free(log.pOff(0), b.nodeSizeOf(root))
+func (t *Index[K]) shrinkRoot(root, child uint64) {
+	log := t.delLog()
+	log.set(2, scm.PPtr{ArenaID: t.pool.ID(), Offset: t.meta})
+	log.set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: root})
+	t.setRootOff(child)
+	t.pool.Free(log.pOff(0), t.nodeSizeOf(root))
 	log.reset()
 }
 
 // nodeSizeOf computes the allocation size of an existing node from its kind.
-func (b *base) nodeSizeOf(n uint64) uint64 {
-	return b.nodeSize(b.capOf(b.nIsLeaf(n)))
-}
-
-// doScan seeks leaf by leaf through the tree, using the separators as upper
-// bounds, and emits valid entries in slot (key) order.
-func (b *base) doScan(fromFK uint64, fromVK []byte, emit func(n uint64, e int) bool) {
-	curFK, curVK := fromFK, fromVK
-	for {
-		n := b.rootOff()
-		if n == 0 {
-			return
-		}
-		var ubFK uint64
-		var ubVK []byte
-		haveUB := false
-		for !b.nIsLeaf(n) {
-			order, rank, _ := b.search(n, curFK, curVK)
-			idx := rank
-			if idx >= len(order) {
-				idx = len(order) - 1
-			} else if !b.entryIsInf(n, order[idx]) {
-				// The chosen separator bounds the subtree from above.
-				if b.mode == modeFixed {
-					ubFK = b.entryKeyFixed(n, order[idx])
-				} else {
-					ubVK = b.entryKeyVar(n, order[idx])
-				}
-				haveUB = true
-			}
-			n = b.entryVal(n, order[idx])
-		}
-		for _, e := range b.sortedEntries(n) {
-			var c int
-			if b.mode == modeFixed {
-				k := b.entryKeyFixed(n, e)
-				if k < curFK {
-					c = -1
-				}
-			} else {
-				c = -1
-				if string(b.entryKeyVar(n, e)) >= string(curVK) {
-					c = 0
-				}
-			}
-			if c < 0 {
-				continue
-			}
-			// A clamp-target leaf can hold keys above the separator that led
-			// here. Those belong to a later round — the next descent clamps
-			// back into this leaf — so emitting them now would duplicate them.
-			if haveUB {
-				if b.mode == modeFixed {
-					if b.entryKeyFixed(n, e) > ubFK {
-						break
-					}
-				} else if string(b.entryKeyVar(n, e)) > string(ubVK) {
-					break
-				}
-			}
-			if !emit(n, e) {
-				return
-			}
-		}
-		if !haveUB {
-			return
-		}
-		if b.mode == modeFixed {
-			curFK = ubFK + 1
-		} else {
-			curVK = append(append([]byte(nil), ubVK...), 0)
-		}
-	}
+func (t *Index[K]) nodeSizeOf(n uint64) uint64 {
+	return t.nodeSize(t.capOf(t.nIsLeaf(n)))
 }
 
 // recover replays the three micro-logs. The whole tree is in SCM, so this is
@@ -534,24 +376,24 @@ func (b *base) doScan(fromFK uint64, fromVK []byte, emit func(n uint64, e int) b
 // first in every protocol, so with slot 0 null the remaining slots are
 // leftovers that recorded no durable mutation and must only be wiped (never
 // freed — the blocks they name are owned by the live tree).
-func (b *base) recover() {
+func (t *Index[K]) recover() {
 	// Root log: a staged root (first leaf or grown root) either became the
 	// root or is discarded.
-	if rl := b.rootLog(); !rl.p(0).IsNull() || !rl.p(1).IsNull() || !rl.p(2).IsNull() {
-		if !rl.p(0).IsNull() && b.rootOff() != rl.p(0).Offset {
-			b.pool.Free(rl.pOff(0), b.nodeSizeOf(rl.p(0).Offset))
+	if rl := t.rootLog(); !rl.p(0).IsNull() || !rl.p(1).IsNull() || !rl.p(2).IsNull() {
+		if !rl.p(0).IsNull() && t.rootOff() != rl.p(0).Offset {
+			t.pool.Free(rl.pOff(0), t.nodeSizeOf(rl.p(0).Offset))
 		}
 		rl.reset()
 	}
 	// Split log: roll forward when the parent references the new node.
-	if sl := b.splitLog(); !sl.p(0).IsNull() || !sl.p(1).IsNull() || !sl.p(2).IsNull() {
+	if sl := t.splitLog(); !sl.p(0).IsNull() || !sl.p(1).IsNull() || !sl.p(2).IsNull() {
 		if !sl.p(0).IsNull() {
 			cur, parent := sl.p(0).Offset, sl.p(2).Offset
 			if nw := sl.p(1); !nw.IsNull() {
-				if parent != 0 && b.entryWithVal(parent, nw.Offset) >= 0 {
-					b.finishSplit(cur, nw.Offset)
+				if parent != 0 && t.entryWithVal(parent, nw.Offset) >= 0 {
+					t.finishSplit(cur, nw.Offset)
 				} else {
-					b.pool.Free(sl.pOff(1), b.nodeSizeOf(nw.Offset))
+					t.pool.Free(sl.pOff(1), t.nodeSizeOf(nw.Offset))
 				}
 			}
 		}
@@ -561,90 +403,98 @@ func (b *base) recover() {
 	// node unless it is the current root" — covering both root shrinks and
 	// detached-subtree frees. A log with only one cell set recorded no
 	// durable mutation.
-	if dl := b.delLog(); !dl.p(0).IsNull() || !dl.p(1).IsNull() || !dl.p(2).IsNull() {
+	if dl := t.delLog(); !dl.p(0).IsNull() || !dl.p(1).IsNull() || !dl.p(2).IsNull() {
 		p0, p2 := dl.p(0), dl.p(2)
-		if !p0.IsNull() && !p2.IsNull() && b.rootOff() != p0.Offset {
-			b.pool.Free(dl.pOff(0), b.nodeSizeOf(p0.Offset))
+		if !p0.IsNull() && !p2.IsNull() && t.rootOff() != p0.Offset {
+			t.pool.Free(dl.pOff(0), t.nodeSizeOf(p0.Offset))
 		}
 		dl.reset()
 	}
 }
 
-// --- fixed-key public API ------------------------------------------------------
+// --- public API -------------------------------------------------------------------
 
 // Find returns the value stored under key.
-func (t *Tree) Find(key uint64) (uint64, bool) {
-	v, _, ok := t.doFind(key, nil)
-	return v, ok
+func (t *Index[K]) Find(key K) (uint64, bool) {
+	n := t.leafOf(key)
+	if n == 0 {
+		return 0, false
+	}
+	order, rank, exact := t.search(n, key)
+	if !exact {
+		return 0, false
+	}
+	return t.entryVal(n, order[rank]), true
 }
 
 // Insert adds a key-value pair (keys are assumed unique).
-func (t *Tree) Insert(key, value uint64) error { return t.doInsert(key, nil, value) }
+func (t *Index[K]) Insert(key K, value uint64) error { return t.doInsert(key, value) }
 
 // Update replaces the value under key with one p-atomic store.
-func (t *Tree) Update(key, value uint64) (bool, error) { return t.doUpdate(key, nil, value), nil }
+func (t *Index[K]) Update(key K, value uint64) (bool, error) {
+	n := t.leafOf(key)
+	if n == 0 {
+		return false, nil
+	}
+	order, rank, exact := t.search(n, key)
+	if !exact {
+		return false, nil
+	}
+	t.setEntryVal(n, order[rank], value)
+	return true, nil
+}
 
 // Upsert inserts or updates.
-func (t *Tree) Upsert(key, value uint64) error {
-	if t.doUpdate(key, nil, value) {
+func (t *Index[K]) Upsert(key K, value uint64) error {
+	if ok, _ := t.Update(key, value); ok {
 		return nil
 	}
 	return t.Insert(key, value)
 }
 
 // Delete removes key.
-func (t *Tree) Delete(key uint64) (bool, error) { return t.doDelete(key, nil), nil }
+func (t *Index[K]) Delete(key K) (bool, error) { return t.doDelete(key), nil }
 
 // Scan visits pairs with key >= from in ascending order until fn returns
-// false.
-func (t *Tree) Scan(from uint64, fn func(k, v uint64) bool) {
-	t.doScan(from, nil, func(n uint64, e int) bool {
-		return fn(t.entryKeyFixed(n, e), t.entryVal(n, e))
-	})
-}
-
-// --- var-key public API ----------------------------------------------------------
-
-// Find returns the value stored under key.
-func (t *VarTree) Find(key []byte) (uint64, bool) {
-	_, v, ok := t.doFind(0, key)
-	if !ok {
-		return 0, false
+// false. It seeks leaf by leaf through the tree, using the separators as
+// upper bounds, and emits valid entries in slot (key) order.
+func (t *Index[K]) Scan(from K, fn func(k K, v uint64) bool) {
+	cur := from
+	for {
+		n := t.rootOff()
+		if n == 0 {
+			return
+		}
+		var ub K
+		haveUB := false
+		for !t.nIsLeaf(n) {
+			order, rank, _ := t.search(n, cur)
+			idx := rank
+			if idx >= len(order) {
+				idx = len(order) - 1
+			} else if !t.entryIsInf(n, order[idx]) {
+				// The chosen separator bounds the subtree from above.
+				ub, haveUB = t.entryKey(n, order[idx]), true
+			}
+			n = t.entryVal(n, order[idx])
+		}
+		for _, e := range t.sortedEntries(n) {
+			if t.kc.Compare(t.entryKey(n, e), cur) < 0 {
+				continue
+			}
+			// A clamp-target leaf can hold keys above the separator that led
+			// here. Those belong to a later round — the next descent clamps
+			// back into this leaf — so emitting them now would duplicate them.
+			if haveUB && t.kc.Compare(t.entryKey(n, e), ub) > 0 {
+				break
+			}
+			if !fn(t.entryKey(n, e), t.entryVal(n, e)) {
+				return
+			}
+		}
+		if !haveUB {
+			return
+		}
+		cur = t.kc.Succ(ub)
 	}
-	return leU64(v), true
-}
-
-func leU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8 && i < len(b); i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-// Insert adds a key-value pair.
-func (t *VarTree) Insert(key []byte, value uint64) error { return t.doInsert(0, key, value) }
-
-// Update replaces the value under key.
-func (t *VarTree) Update(key []byte, value uint64) (bool, error) {
-	return t.doUpdate(0, key, value), nil
-}
-
-// Upsert inserts or updates.
-func (t *VarTree) Upsert(key []byte, value uint64) error {
-	if t.doUpdate(0, key, value) {
-		return nil
-	}
-	return t.Insert(key, value)
-}
-
-// Delete removes key.
-func (t *VarTree) Delete(key []byte) (bool, error) { return t.doDelete(0, key), nil }
-
-// Scan visits pairs with key >= from in ascending order until fn returns
-// false.
-func (t *VarTree) Scan(from []byte, fn func(k []byte, v uint64) bool) {
-	t.doScan(0, from, func(n uint64, e int) bool {
-		return fn(t.entryKeyVar(n, e), leU64(t.readVarVal(n, e)))
-	})
 }

@@ -11,7 +11,7 @@
 // — the trade-off Figure 12 illustrates. Faithful to the paper's critique
 // (Section 3), the wBTree does not track allocations of variable-size keys
 // across crashes: a crash between a key allocation and its commit leaks the
-// key. LeakCheck exposes this for tests.
+// key, and nothing in the tree reclaims or reports the block.
 //
 // Node layout (cap ≤ 63 entries):
 //
@@ -21,16 +21,18 @@
 //	72  flags  u64 — 1 = leaf
 //	80  entries: cap × entrySize
 //
-// Fixed-key entry: key u64 | val u64 (val = child offset in inner nodes).
-// Var-key entry:   pkey PPtr | klen u64 | val u64.
+// An entry is a keycell key cell then val u64 (the child offset in inner
+// nodes): key u64 | val u64 for fixed keys, pkey PPtr | klen u64 | val u64
+// for variable-size ones. The tree is written once, generic over the key
+// (Index[K]); Tree and VarTree name the two instances.
 package wbtree
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
 
+	"fptree/internal/keycell"
 	"fptree/internal/scm"
 )
 
@@ -57,9 +59,6 @@ const (
 	metaSize     = 256
 
 	metaMagic = 0x3B7EE_0001
-
-	modeFixed = 0
-	modeVar   = 1
 )
 
 // Config tunes the node capacities (Table 1: inner 32, leaf 64 — capped at
@@ -82,20 +81,12 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// Tree is the fixed-size-key wBTree. Not safe for concurrent use.
-type Tree struct {
-	*base
-}
-
-// VarTree is the variable-size-key wBTree.
-type VarTree struct {
-	*base
-}
-
-// base carries everything shared between the two key modes.
-type base struct {
+// Index is the wBTree over keys K with 8-byte values. Not safe for
+// concurrent use.
+type Index[K keycell.Key] struct {
 	pool     *scm.Pool
-	mode     int
+	kc       keycell.Codec[K]
+	keySize  uint64 // the key cell's width, which the entry's value follows
 	innerCap int
 	leafCap  int
 	meta     uint64
@@ -107,43 +98,37 @@ type base struct {
 	KeyProbes atomic.Uint64
 }
 
-func (b *base) entrySize() uint64 {
-	if b.mode == modeVar {
-		return scm.PPtrSize + 16
-	}
-	return 16
+// Tree is the fixed-size-key wBTree; VarTree is the variable-size-key one.
+type (
+	Tree    = Index[uint64]
+	VarTree = Index[[]byte]
+)
+
+func newIndex[K keycell.Key](pool *scm.Pool, meta uint64, innerCap, leafCap int) *Index[K] {
+	kc := keycell.For[K]()
+	return &Index[K]{pool: pool, kc: kc, keySize: kc.Size(), innerCap: innerCap, leafCap: leafCap, meta: meta}
 }
 
-func (b *base) nodeSize(cap int) uint64 {
-	return (nOffEntries + uint64(cap)*b.entrySize() + scm.LineSize - 1) / scm.LineSize * scm.LineSize
+func (t *Index[K]) entrySize() uint64 { return t.keySize + 8 }
+
+func (t *Index[K]) nodeSize(cap int) uint64 {
+	return (nOffEntries + uint64(cap)*t.entrySize() + scm.LineSize - 1) / scm.LineSize * scm.LineSize
 }
 
-func (b *base) capOf(leaf bool) int {
+func (t *Index[K]) capOf(leaf bool) int {
 	if leaf {
-		return b.leafCap
+		return t.leafCap
 	}
-	return b.innerCap
+	return t.innerCap
 }
 
 // New formats a fixed-size-key wBTree in the pool.
-func New(pool *scm.Pool, cfg Config) (*Tree, error) {
-	b, err := create(pool, cfg, modeFixed)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{base: b}, nil
-}
+func New(pool *scm.Pool, cfg Config) (*Tree, error) { return create[uint64](pool, cfg) }
 
 // NewVar formats a variable-size-key wBTree in the pool.
-func NewVar(pool *scm.Pool, cfg Config) (*VarTree, error) {
-	b, err := create(pool, cfg, modeVar)
-	if err != nil {
-		return nil, err
-	}
-	return &VarTree{base: b}, nil
-}
+func NewVar(pool *scm.Pool, cfg Config) (*VarTree, error) { return create[[]byte](pool, cfg) }
 
-func create(pool *scm.Pool, cfg Config, mode int) (*base, error) {
+func create[K keycell.Key](pool *scm.Pool, cfg Config) (*Index[K], error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -153,134 +138,89 @@ func create(pool *scm.Pool, cfg Config, mode int) (*base, error) {
 	if _, err := pool.AllocRoot(metaSize); err != nil {
 		return nil, err
 	}
-	b := &base{pool: pool, mode: mode, innerCap: cfg.InnerCap, leafCap: cfg.LeafCap, meta: pool.Root().Offset}
+	t := newIndex[K](pool, pool.Root().Offset, cfg.InnerCap, cfg.LeafCap)
 	p := pool
-	p.WriteU64(b.meta+mOffMagic, metaMagic)
-	p.WriteU64(b.meta+mOffKeyMode, uint64(mode))
-	p.WriteU64(b.meta+mOffInnerCap, uint64(cfg.InnerCap))
-	p.WriteU64(b.meta+mOffLeafCap, uint64(cfg.LeafCap))
-	p.Persist(b.meta, metaSize)
-	return b, nil
+	p.WriteU64(t.meta+mOffMagic, metaMagic)
+	p.WriteU64(t.meta+mOffKeyMode, t.kc.Mode())
+	p.WriteU64(t.meta+mOffInnerCap, uint64(cfg.InnerCap))
+	p.WriteU64(t.meta+mOffLeafCap, uint64(cfg.LeafCap))
+	p.Persist(t.meta, metaSize)
+	return t, nil
 }
 
 // Open recovers a fixed-size-key wBTree: because the whole tree lives in
 // SCM, recovery is just micro-log replay — the near-instant restart the
 // paper reports for the wBTree.
-func Open(pool *scm.Pool) (*Tree, error) {
-	b, err := open(pool, modeFixed)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{base: b}, nil
-}
+func Open(pool *scm.Pool) (*Tree, error) { return open[uint64](pool) }
 
 // OpenVar recovers a variable-size-key wBTree.
-func OpenVar(pool *scm.Pool) (*VarTree, error) {
-	b, err := open(pool, modeVar)
-	if err != nil {
-		return nil, err
-	}
-	return &VarTree{base: b}, nil
-}
+func OpenVar(pool *scm.Pool) (*VarTree, error) { return open[[]byte](pool) }
 
-func open(pool *scm.Pool, mode int) (*base, error) {
+func open[K keycell.Key](pool *scm.Pool) (*Index[K], error) {
 	pool.Recover()
 	root := pool.Root()
 	if root.IsNull() {
 		return nil, fmt.Errorf("wbtree: arena has no tree")
 	}
-	b := &base{pool: pool, meta: root.Offset}
-	if pool.ReadU64(b.meta+mOffMagic) != metaMagic {
+	meta := root.Offset
+	if pool.ReadU64(meta+mOffMagic) != metaMagic {
 		return nil, fmt.Errorf("wbtree: bad metadata magic")
 	}
-	if got := int(pool.ReadU64(b.meta + mOffKeyMode)); got != mode {
+	if pool.ReadU64(meta+mOffKeyMode) != keycell.For[K]().Mode() {
 		return nil, fmt.Errorf("wbtree: key mode mismatch")
 	}
-	b.mode = mode
-	b.innerCap = int(pool.ReadU64(b.meta + mOffInnerCap))
-	b.leafCap = int(pool.ReadU64(b.meta + mOffLeafCap))
-	b.recover()
-	b.size = b.countKeys(b.rootOff())
-	return b, nil
+	t := newIndex[K](pool, meta, int(pool.ReadU64(meta+mOffInnerCap)), int(pool.ReadU64(meta+mOffLeafCap)))
+	t.recover()
+	t.size = t.countKeys(t.rootOff())
+	return t, nil
 }
 
 // --- node accessors ---------------------------------------------------------
 
-func (b *base) rootOff() uint64 { return b.pool.ReadU64(b.meta + mOffRoot) }
-func (b *base) setRootOff(off uint64) {
-	b.pool.WriteU64(b.meta+mOffRoot, off)
-	b.pool.Persist(b.meta+mOffRoot, 8)
+func (t *Index[K]) rootOff() uint64 { return t.pool.ReadU64(t.meta + mOffRoot) }
+func (t *Index[K]) setRootOff(off uint64) {
+	t.pool.WriteU64(t.meta+mOffRoot, off)
+	t.pool.Persist(t.meta+mOffRoot, 8)
 }
-func (b *base) nBitmap(n uint64) uint64 { return b.pool.ReadU64(n + nOffBitmap) }
-func (b *base) nIsLeaf(n uint64) bool   { return b.pool.ReadU64(n+nOffFlags)&flagLeaf != 0 }
+func (t *Index[K]) nBitmap(n uint64) uint64 { return t.pool.ReadU64(n + nOffBitmap) }
+func (t *Index[K]) nIsLeaf(n uint64) bool   { return t.pool.ReadU64(n+nOffFlags)&flagLeaf != 0 }
 
-func (b *base) setBitmap(n, bm uint64) {
-	b.pool.WriteU64(n+nOffBitmap, bm)
-	b.pool.Persist(n+nOffBitmap, 8)
-}
-
-func (b *base) entryOff(n uint64, e int) uint64 {
-	return n + nOffEntries + uint64(e)*b.entrySize()
+func (t *Index[K]) setBitmap(n, bm uint64) {
+	t.pool.WriteU64(n+nOffBitmap, bm)
+	t.pool.Persist(n+nOffBitmap, 8)
 }
 
-func (b *base) entryVal(n uint64, e int) uint64 {
-	if b.mode == modeVar {
-		return b.pool.ReadU64(b.entryOff(n, e) + scm.PPtrSize + 8)
-	}
-	return b.pool.ReadU64(b.entryOff(n, e) + 8)
+func (t *Index[K]) entryOff(n uint64, e int) uint64 {
+	return n + nOffEntries + uint64(e)*t.entrySize()
 }
 
-func (b *base) setEntryVal(n uint64, e int, v uint64) {
-	off := b.entryOff(n, e) + 8
-	if b.mode == modeVar {
-		off = b.entryOff(n, e) + scm.PPtrSize + 8
-	}
-	b.pool.WriteU64(off, v)
-	b.pool.Persist(off, 8)
+// An entry's key cell starts the entry; its value follows the cell.
+func (t *Index[K]) entryVal(n uint64, e int) uint64 {
+	return t.pool.ReadU64(t.entryOff(n, e) + t.keySize)
 }
 
-func (b *base) entryKeyFixed(n uint64, e int) uint64 {
-	return b.pool.ReadU64(b.entryOff(n, e))
+func (t *Index[K]) setEntryVal(n uint64, e int, v uint64) {
+	off := t.entryOff(n, e) + t.keySize
+	t.pool.WriteU64(off, v)
+	t.pool.Persist(off, 8)
 }
 
-func (b *base) entryKeyVar(n uint64, e int) []byte {
-	pk := b.pool.ReadPPtr(b.entryOff(n, e))
-	klen := b.pool.ReadU64(b.entryOff(n, e) + scm.PPtrSize)
-	return b.pool.ReadBytes(pk.Offset, klen)
-}
-
-// cmpKey three-way-compares entry e's key with the probe key (exactly one of
-// fk/vk is used depending on the mode).
-func (b *base) cmpKey(n uint64, e int, fk uint64, vk []byte) int {
-	b.KeyProbes.Add(1)
-	if b.entryIsInf(n, e) {
-		return 1 // the infinity separator is greater than any probe key
-	}
-	if b.mode == modeFixed {
-		k := b.entryKeyFixed(n, e)
-		switch {
-		case k < fk:
-			return -1
-		case k > fk:
-			return 1
-		}
-		return 0
-	}
-	return bytes.Compare(b.entryKeyVar(n, e), vk)
-}
+func (t *Index[K]) entryKey(n uint64, e int) K { return t.kc.Key(t.pool, t.entryOff(n, e)) }
 
 // entryIsInf reports whether entry e carries the "+infinity" separator that
 // marks the rightmost spine of the tree (introduced when the root grows).
-func (b *base) entryIsInf(n uint64, e int) bool {
-	if b.mode == modeFixed {
-		return b.entryKeyFixed(n, e) == ^uint64(0)
-	}
-	return b.pool.ReadU64(b.entryOff(n, e)+scm.PPtrSize) == ^uint64(0)
+func (t *Index[K]) entryIsInf(n uint64, e int) bool { return t.kc.IsInf(t.pool, t.entryOff(n, e)) }
+
+// cmpKey three-way-compares entry e's key with the probe key; the infinity
+// separator is greater than any probe key.
+func (t *Index[K]) cmpKey(n uint64, e int, k K) int {
+	t.KeyProbes.Add(1)
+	return t.kc.CompareAt(t.pool, t.entryOff(n, e), k)
 }
 
 // cmpEntries orders two entries of the same node, inf sorting last.
-func (b *base) cmpEntries(n uint64, e1, e2 int) int {
-	i1, i2 := b.entryIsInf(n, e1), b.entryIsInf(n, e2)
+func (t *Index[K]) cmpEntries(n uint64, e1, e2 int) int {
+	i1, i2 := t.entryIsInf(n, e1), t.entryIsInf(n, e2)
 	switch {
 	case i1 && i2:
 		return 0
@@ -289,35 +229,25 @@ func (b *base) cmpEntries(n uint64, e1, e2 int) int {
 	case i2:
 		return -1
 	}
-	if b.mode == modeFixed {
-		a, bb := b.entryKeyFixed(n, e1), b.entryKeyFixed(n, e2)
-		switch {
-		case a < bb:
-			return -1
-		case a > bb:
-			return 1
-		}
-		return 0
-	}
-	return bytes.Compare(b.entryKeyVar(n, e1), b.entryKeyVar(n, e2))
+	return t.kc.Compare(t.entryKey(n, e1), t.entryKey(n, e2))
 }
 
 // slots reads the slot array; ok is false when it is invalid and the caller
 // must fall back to a bitmap scan.
-func (b *base) slots(n uint64) ([]byte, bool) {
-	if b.nBitmap(n)&slotValidBit == 0 {
+func (t *Index[K]) slots(n uint64) ([]byte, bool) {
+	if t.nBitmap(n)&slotValidBit == 0 {
 		return nil, false
 	}
 	var buf [64]byte
-	b.pool.ReadInto(n, buf[:])
+	t.pool.ReadInto(n, buf[:])
 	return buf[:], true
 }
 
 // sortedEntries returns the node's valid entry indexes in ascending key
 // order, from the slot array when valid, else by sorting a bitmap scan.
-func (b *base) sortedEntries(n uint64) []int {
-	if sl, ok := b.slots(n); ok {
-		bm := b.nBitmap(n)
+func (t *Index[K]) sortedEntries(n uint64) []int {
+	if sl, ok := t.slots(n); ok {
+		bm := t.nBitmap(n)
 		cnt := int(sl[0])
 		out := make([]int, 0, cnt)
 		for i := 0; i < cnt; i++ {
@@ -328,7 +258,7 @@ func (b *base) sortedEntries(n uint64) []int {
 		}
 		return out
 	}
-	bm := b.nBitmap(n)
+	bm := t.nBitmap(n)
 	var out []int
 	for e := 0; e < 63; e++ {
 		if bm&(1<<e) != 0 {
@@ -338,7 +268,7 @@ func (b *base) sortedEntries(n uint64) []int {
 	// Insertion sort by key: nodes are small.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {
-			if b.cmpEntries(n, out[j-1], out[j]) <= 0 {
+			if t.cmpEntries(n, out[j-1], out[j]) <= 0 {
 				break
 			}
 			out[j-1], out[j] = out[j], out[j-1]
@@ -349,27 +279,27 @@ func (b *base) sortedEntries(n uint64) []int {
 
 // writeSlots persists a fresh slot array (ascending entry indexes by key)
 // and marks it valid in the same bitmap write that commits validity changes.
-func (b *base) writeSlots(n uint64, order []int) {
+func (t *Index[K]) writeSlots(n uint64, order []int) {
 	var buf [64]byte
 	buf[0] = byte(len(order))
 	for i, e := range order {
 		buf[1+i] = byte(e)
 	}
-	b.pool.WriteBytes(n, buf[:])
-	b.pool.Persist(n, 64)
+	t.pool.WriteBytes(n, buf[:])
+	t.pool.Persist(n, 64)
 }
 
 // search binary-searches the node through its slot array, returning the
 // position (rank) of the first entry with key >= probe and whether that
 // entry's key equals the probe. This is the log2(m) probe behaviour of
 // Figure 4.
-func (b *base) search(n uint64, fk uint64, vk []byte) (order []int, rank int, exact bool) {
-	order = b.sortedEntries(n)
-	b.Searches.Add(1)
+func (t *Index[K]) search(n uint64, k K) (order []int, rank int, exact bool) {
+	order = t.sortedEntries(n)
+	t.Searches.Add(1)
 	lo, hi := 0, len(order)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		c := b.cmpKey(n, order[mid], fk, vk)
+		c := t.cmpKey(n, order[mid], k)
 		if c < 0 {
 			lo = mid + 1
 		} else if c > 0 {
@@ -385,8 +315,8 @@ func (b *base) search(n uint64, fk uint64, vk []byte) (order []int, rank int, ex
 // subtree", so the first separator >= key covers it; greater keys go to the
 // last child. Inner nodes store cnt children whose entry keys are the
 // subtree max keys; descent into entry order[idx].
-func (b *base) childOf(n uint64, fk uint64, vk []byte) (child uint64, order []int, idx int) {
-	order, rank, _ := b.search(n, fk, vk)
+func (t *Index[K]) childOf(n uint64, k K) (child uint64, order []int, idx int) {
+	order, rank, _ := t.search(n, k)
 	if len(order) == 0 {
 		panic("wbtree: descent into empty inner node")
 	}
@@ -394,15 +324,15 @@ func (b *base) childOf(n uint64, fk uint64, vk []byte) (child uint64, order []in
 	if idx >= len(order) {
 		idx = len(order) - 1
 	}
-	return b.entryVal(n, order[idx]), order, idx
+	return t.entryVal(n, order[idx]), order, idx
 }
 
 // --- allocation -------------------------------------------------------------
 
 // newNode allocates and initializes a node through the given owning cell.
-func (b *base) newNode(refOff uint64, leaf bool) (uint64, error) {
-	capN := b.capOf(leaf)
-	ptr, err := b.pool.Alloc(refOff, b.nodeSize(capN))
+func (t *Index[K]) newNode(refOff uint64, leaf bool) (uint64, error) {
+	capN := t.capOf(leaf)
+	ptr, err := t.pool.Alloc(refOff, t.nodeSize(capN))
 	if err != nil {
 		return 0, err
 	}
@@ -410,15 +340,15 @@ func (b *base) newNode(refOff uint64, leaf bool) (uint64, error) {
 	if leaf {
 		flags = flagLeaf
 	}
-	b.pool.WriteU64(ptr.Offset+nOffFlags, flags)
-	b.pool.WriteU64(ptr.Offset+nOffBitmap, slotValidBit)
-	b.pool.Persist(ptr.Offset+nOffFlags, 16)
+	t.pool.WriteU64(ptr.Offset+nOffFlags, flags)
+	t.pool.WriteU64(ptr.Offset+nOffBitmap, slotValidBit)
+	t.pool.Persist(ptr.Offset+nOffFlags, 16)
 	return ptr.Offset, nil
 }
 
-func (b *base) splitLog() mcell { return mcell{b.pool, b.meta + mOffSplitLog} }
-func (b *base) delLog() mcell   { return mcell{b.pool, b.meta + mOffDelLog} }
-func (b *base) rootLog() mcell  { return mcell{b.pool, b.meta + mOffRootLog} }
+func (t *Index[K]) splitLog() mcell { return mcell{t.pool, t.meta + mOffSplitLog} }
+func (t *Index[K]) delLog() mcell   { return mcell{t.pool, t.meta + mOffDelLog} }
+func (t *Index[K]) rootLog() mcell  { return mcell{t.pool, t.meta + mOffRootLog} }
 
 // mcell is a cache-line micro-log of up to three persistent pointers.
 type mcell struct {
@@ -442,21 +372,21 @@ func (c mcell) reset() {
 }
 
 // Len returns the number of live keys.
-func (b *base) Len() int { return b.size }
+func (t *Index[K]) Len() int { return t.size }
 
 // Pool returns the backing pool.
-func (b *base) Pool() *scm.Pool { return b.pool }
+func (t *Index[K]) Pool() *scm.Pool { return t.pool }
 
-func (b *base) countKeys(n uint64) int {
+func (t *Index[K]) countKeys(n uint64) int {
 	if n == 0 {
 		return 0
 	}
-	if b.nIsLeaf(n) {
-		return bits.OnesCount64(b.nBitmap(n) &^ slotValidBit)
+	if t.nIsLeaf(n) {
+		return bits.OnesCount64(t.nBitmap(n) &^ slotValidBit)
 	}
 	total := 0
-	for _, e := range b.sortedEntries(n) {
-		total += b.countKeys(b.entryVal(n, e))
+	for _, e := range t.sortedEntries(n) {
+		total += t.countKeys(t.entryVal(n, e))
 	}
 	return total
 }
