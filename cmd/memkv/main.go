@@ -36,10 +36,10 @@
 // attribution). -slow-op D counts and event-logs every request slower than D
 // regardless of sampling.
 //
-// Every shard of a concurrent tree store runs under a retry controller (a
-// budget of optimistic attempts, then the shard's fallback lock); there is no
-// flag for it, and htm_adaptive_budget, htm_adaptive_abort_ewma and
-// htm_fallbacks_total show what it is doing.
+// Every shard of a concurrent tree store runs the paper's retry policy: a
+// constant budget of optimistic attempts (htm.DefaultMaxRetries), then the
+// shard's fallback lock. There is no flag for it; htm_fallbacks_total and
+// htm_fallback_held show what the fallback lock is doing.
 //
 // On SIGINT/SIGTERM the server drains in-flight commands (bounded by -drain)
 // and, unless -stats=false, dumps the final stats — per-op counters, latency

@@ -288,15 +288,16 @@ func TestMemkvHashmapRejectsData(t *testing.T) {
 }
 
 // TestRetryPolicyHasNoSwitch pins the surface of the one retry policy so it
-// cannot grow back unnoticed: the controller's configuration is the four
-// fields something sets, and memkv has no flag that turns the controller on
-// or off or tunes it. A new field has to edit this test and say who sets it.
+// cannot grow back unnoticed: the controller's configuration is the two
+// fields tests set (a small budget, every write through the fallback lock),
+// and memkv has no flag that turns the controller on or off or tunes it. A
+// new field has to edit this test and say who sets it.
 func TestRetryPolicyHasNoSwitch(t *testing.T) {
 	var fields []string
 	for ct, i := reflect.TypeOf(htm.AdaptiveConfig{}), 0; i < ct.NumField(); i++ {
 		fields = append(fields, ct.Field(i).Name)
 	}
-	if want := []string{"Floor", "Ceiling", "AdaptEvery", "AlwaysFallback"}; !reflect.DeepEqual(fields, want) {
+	if want := []string{"Budget", "AlwaysFallback"}; !reflect.DeepEqual(fields, want) {
 		t.Errorf("htm.AdaptiveConfig fields = %v, want exactly %v", fields, want)
 	}
 

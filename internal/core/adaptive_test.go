@@ -15,7 +15,7 @@ import (
 )
 
 // TestAdaptiveControllerAttach: every concurrent tree is born with a
-// controller at the default bounds, SetController (promoted by the facade)
+// controller at the default budget, SetController (promoted by the facade)
 // replaces it, and single-threaded trees have none and ignore one.
 func TestAdaptiveControllerAttach(t *testing.T) {
 	ct := newCTree(t, Config{LeafCap: 8, InnerFanout: 4})
@@ -23,8 +23,8 @@ func TestAdaptiveControllerAttach(t *testing.T) {
 	if own == nil {
 		t.Fatal("concurrent tree was created without a controller")
 	}
-	if cfg := own.Config(); cfg.Floor != htm.DefaultAdaptiveFloor || cfg.Ceiling != htm.DefaultAdaptiveCeiling {
-		t.Fatalf("default controller bounds = [%d,%d]", cfg.Floor, cfg.Ceiling)
+	if b := own.Budget(); b != htm.DefaultMaxRetries {
+		t.Fatalf("default controller budget = %d, want %d", b, htm.DefaultMaxRetries)
 	}
 	c := htm.NewAdaptiveController(htm.AdaptiveConfig{})
 	ct.SetController(c)
@@ -52,19 +52,22 @@ func TestAdaptiveControllerAttach(t *testing.T) {
 	}
 }
 
-// TestDefaultTreeFallsBackUnderContention: a plain concurrent tree, nobody
-// calling SetController, runs the paper's scheme — writers hammering one hot
-// leaf exhaust the live retry budget and serialise behind the fallback lock.
-// The entry is visible where operators look: htm_fallbacks_total (the one
-// fallback counter), the controller's gauges, and the span of the operation
-// that took the lock. A few µs of emulated flush latency hold the leaf lock
-// long enough to conflict, as in the contention sweep.
+// TestDefaultTreeFallsBackUnderContention: a fallback entry is visible where
+// operators look — htm_fallbacks_total (the one fallback counter), the
+// htm_fallback_held gauge, and the span of the operation that took the lock.
+// A budget of one makes writers hammering one hot leaf enter the fallback
+// lock within a few hundred updates; a few µs of emulated flush latency hold
+// the leaf lock long enough to conflict, as in the contention sweep.
 func TestDefaultTreeFallsBackUnderContention(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("writers that run one at a time never conflict")
+	}
 	pool := scm.NewPool(16<<20, scm.LatencyConfig{Mode: scm.LatencySpin, WriteLatency: 5 * time.Microsecond})
 	tr, err := CCreateVar(pool, Config{LeafCap: 8, InnerFanout: 4, ValueSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr.SetController(htm.NewAdaptiveController(htm.AdaptiveConfig{Budget: 1}))
 	tracer := trace.New(trace.Config{SampleEvery: 1})
 	tr.SetTracer(tracer)
 	reg := obs.NewRegistry()
@@ -77,13 +80,12 @@ func TestDefaultTreeFallsBackUnderContention(t *testing.T) {
 
 	// Each writer stops at the first fallback entry anyone makes, so the
 	// spans that made one are still among the tracer's most recent.
-	deadline := time.Now().Add(60 * time.Second)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := uint64(1); tr.Stats.Fallbacks.Load() == 0 && time.Now().Before(deadline); i++ {
+			for i := uint64(1); tr.Stats.Fallbacks.Load() == 0; i++ {
 				if _, err := tr.Update(strKey(w%2), val8(i)); err != nil {
 					t.Errorf("update: %v", err)
 					return
@@ -94,19 +96,15 @@ func TestDefaultTreeFallsBackUnderContention(t *testing.T) {
 	wg.Wait()
 
 	snap := reg.Snapshot()
-	if snap["htm_fallbacks_total"] == 0 {
-		t.Fatalf("no fallback entry in 60s of 4 writers on one leaf (aborts %v, budget %v)",
-			snap["htm_aborts_total"], snap["htm_adaptive_budget"])
-	}
-	if _, ok := snap["htm_adaptive_budget"]; !ok {
-		t.Fatal("htm_adaptive_budget not exported by a tree nobody attached a controller to")
+	if held, ok := snap["htm_fallback_held"]; !ok || held != 0 {
+		t.Fatalf("htm_fallback_held = %v (exported %v), want 0 with every writer done", held, ok)
 	}
 	var traced uint32
 	spans, _, _ := tracer.Spans()
 	for _, sp := range spans {
 		traced += sp.Fallbacks
 	}
-	if float64(traced) != snap["htm_fallbacks_total"] {
+	if traced == 0 || float64(traced) != snap["htm_fallbacks_total"] {
 		t.Fatalf("the last %d spans report %d fallbacks, htm_fallbacks_total = %v with every op sampled",
 			len(spans), traced, snap["htm_fallbacks_total"])
 	}
@@ -252,41 +250,17 @@ func TestLeafLoserWaitsForHolder(t *testing.T) {
 	}
 }
 
-// TestAdaptiveOpsFeedController: completed operations reach the controller's
-// window clock, so adaptation actually runs against live traffic.
-func TestAdaptiveOpsFeedController(t *testing.T) {
-	ct := newCTree(t, Config{LeafCap: 8, InnerFanout: 4})
-	c := htm.NewAdaptiveController(htm.AdaptiveConfig{AdaptEvery: 64})
-	ct.SetController(c)
-	for i := uint64(1); i <= 200; i++ {
-		if err := ct.Insert(i, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint64(1); i <= 200; i++ {
-		if _, ok := ct.Find(i); !ok {
-			t.Fatalf("key %d missing", i)
-		}
-	}
-	if c.Stats.Adaptations.Load() == 0 {
-		t.Fatal("no adaptation windows fired under 400 ops with AdaptEvery=64")
-	}
-	if b := c.Budget(); b < c.Config().Floor || b > c.Config().Ceiling {
-		t.Fatalf("budget %d out of bounds", b)
-	}
-}
-
 // TestReaderConcurrentWithFallbackWriter is the race-enabled linearizability
 // check for Brown's refinement, where fast and fallback paths coexist. Under
 // AlwaysFallback every write goes through the global fallback lock; under a
-// fixed budget of one (Floor == Ceiling == 1) a writer's second retry does, so
-// optimistic writers, fallback writers and readers interleave on the same
-// leaves. Either way optimistic readers must keep completing (they validate
-// leaf versions against the writer's publication point instead of stalling
-// on the lock) and every key must read as a register that never goes back:
-// a writer's values for a key only grow, and each update commits its
-// leaf-version bump before the leaf lock is released, so no reader can see a
-// writer's older value after its newer one.
+// budget of one a writer's second retry does, so optimistic writers, fallback
+// writers and readers interleave on the same leaves. Either way optimistic
+// readers must keep completing (they validate leaf versions against the
+// writer's publication point instead of stalling on the lock) and every key
+// must read as a register that never goes back: a writer's values for a key
+// only grow, and each update commits its leaf-version bump before the leaf
+// lock is released, so no reader can see a writer's older value after its
+// newer one.
 func TestReaderConcurrentWithFallbackWriter(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -294,7 +268,7 @@ func TestReaderConcurrentWithFallbackWriter(t *testing.T) {
 		writers int
 	}{
 		{"always-fallback", htm.AdaptiveConfig{AlwaysFallback: true}, 1},
-		{"budget-one", htm.AdaptiveConfig{Floor: 1, Ceiling: 1}, 3},
+		{"budget-one", htm.AdaptiveConfig{Budget: 1}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) { readersBesideFallbackWriters(t, tc.cfg, tc.writers) })
 	}
@@ -410,13 +384,11 @@ func readersBesideFallbackWriters(t *testing.T, cfg htm.AdaptiveConfig, writers 
 }
 
 // TestAdaptiveConcurrentMixed drives contending writers and readers through
-// an adaptive controller end to end: the tree must stay correct, the budget
-// must stay in bounds, and the sustained single-leaf conflicts must have
-// produced adaptation traffic.
+// a budget of one end to end, so optimistic and fallback writes mix on a few
+// hot keys: the tree must stay correct.
 func TestAdaptiveConcurrentMixed(t *testing.T) {
 	ct := newCTree(t, Config{LeafCap: 8, InnerFanout: 4})
-	c := htm.NewAdaptiveController(htm.AdaptiveConfig{AdaptEvery: 64})
-	ct.SetController(c)
+	ct.SetController(htm.NewAdaptiveController(htm.AdaptiveConfig{Budget: 1}))
 	for i := uint64(1); i <= 64; i++ {
 		if err := ct.Insert(i, 0); err != nil {
 			t.Fatal(err)
@@ -442,12 +414,6 @@ func TestAdaptiveConcurrentMixed(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if b := c.Budget(); b < c.Config().Floor || b > c.Config().Ceiling {
-		t.Fatalf("budget %d out of bounds", b)
-	}
-	if c.Stats.Adaptations.Load() == 0 {
-		t.Fatal("no adaptation windows fired")
-	}
 	if n := ct.Len(); n != 64 {
 		t.Fatalf("Len = %d, want 64", n)
 	}

@@ -8,13 +8,14 @@ import (
 )
 
 // SetController replaces the controller newEngine gave a concurrent tree (the
-// default htm.AdaptiveConfig) with c — a test's fast-window or fixed-budget
-// (Floor == Ceiling) configuration. The facades promote this method.
+// default htm.AdaptiveConfig) with c — a test's small-budget or
+// always-fallback configuration. The facades promote this method.
 // Single-threaded trees never abort, have no controller and ignore it; a nil
-// c is ignored too, since nothing else paces a concurrent tree's retries.
+// c is ignored too, since a concurrent tree's writers need a budget and a
+// fallback lock.
 //
 // Call before the tree serves traffic and before RegisterMetrics: the field
-// is read without synchronization, and the gauges bind to the controller of
+// is read without synchronization, and the gauge binds to the controller of
 // the time.
 func (e *engine[K, V]) SetController(c *htm.AdaptiveController) {
 	if e.st || c == nil {
@@ -26,17 +27,8 @@ func (e *engine[K, V]) SetController(c *htm.AdaptiveController) {
 // Controller returns the tree's controller (nil on a single-threaded tree).
 func (e *engine[K, V]) Controller() *htm.AdaptiveController { return e.ctrl }
 
-// opDone reports one completed public operation to the controller — the
-// denominator of the abort ratio it steers on, and the clock that paces its
-// adaptation windows.
-func (e *engine[K, V]) opDone() {
-	if !e.st {
-		e.ctrl.OnOp()
-	}
-}
-
 // maybeFallback is consulted by writers at the top of every retry attempt:
-// once the attempt count exceeds the controller's live budget the writer
+// once the attempt count exceeds the controller's budget the writer
 // takes the global fallback lock and keeps it until the operation completes
 // (releaseFallback), serializing budget-exhausted writers against each other
 // so a conflict storm collapses instead of feeding on itself.

@@ -64,9 +64,9 @@ type engine[K, V any] struct {
 	// disables tracing. See SetTracer (trace.go).
 	tr *trace.Tracer
 
-	// ctrl paces aborted retries and adapts the retry budget and fallback
-	// entry to the live abort ratio. Every concurrent engine has one; the
-	// single-threaded engines never abort and keep nil. See controller.go.
+	// ctrl holds the retry budget and the fallback lock. Every concurrent
+	// engine has one; the single-threaded engines never abort and keep nil.
+	// See controller.go.
 	ctrl *htm.AdaptiveController
 
 	size atomic.Int64
@@ -477,7 +477,6 @@ func (e *engine[K, V]) Find(key K) (V, bool) {
 	sp := e.tr.Start(trace.OpFind)
 	v, found := e.findT(key, sp)
 	sp.Finish()
-	e.opDone()
 	return v, found
 }
 
@@ -503,7 +502,6 @@ func (e *engine[K, V]) Insert(key K, value V) error {
 	sp := e.tr.Start(trace.OpInsert)
 	_, err := e.putT(key, value, putInsert, sp)
 	sp.Finish()
-	e.opDone()
 	return err
 }
 
@@ -766,7 +764,6 @@ func (e *engine[K, V]) Update(key K, value V) (bool, error) {
 	sp := e.tr.Start(trace.OpUpdate)
 	ok, err := e.putT(key, value, putUpdate, sp)
 	sp.Finish()
-	e.opDone()
 	return ok, err
 }
 
@@ -776,7 +773,6 @@ func (e *engine[K, V]) Upsert(key K, value V) error {
 	sp := e.tr.Start(trace.OpUpsert)
 	_, err := e.putT(key, value, putUpsert, sp)
 	sp.Finish()
-	e.opDone()
 	return err
 }
 
@@ -793,7 +789,6 @@ func (e *engine[K, V]) Delete(key K) (bool, error) {
 	sp := e.tr.Start(trace.OpDelete)
 	ok, err := e.deleteT(key, sp)
 	sp.Finish()
-	e.opDone()
 	return ok, err
 }
 

@@ -179,8 +179,7 @@ func (c *leafCursor[K, V]) resume() bool {
 // seek acquires the leaf covering target (nil: the leftmost or rightmost
 // leaf) in shared mode, fills the batch from it and records the revalidation
 // state plus the separators for stepping. Returns false only for an empty
-// tree. Each seek is one operation to the adaptive controller, whoever
-// drives the cursor.
+// tree.
 func (c *leafCursor[K, V]) seek(target *K, rightmost bool) bool {
 	e := c.e
 	sp := c.sp
@@ -200,7 +199,6 @@ func (c *leafCursor[K, V]) seek(target *K, rightmost bool) bool {
 	if !c.scan {
 		sp.Finish()
 	}
-	e.opDone()
 	return ref != nil
 }
 

@@ -141,9 +141,10 @@ func (c AbortCause) String() string {
 // working on — so goroutines aborting on different leaves do not share a
 // counter line.
 type Stats struct {
-	Aborts    obs.StripedCounter // validation failures (conflict aborts)
-	Restarts  obs.StripedCounter // full operation restarts
-	Fallbacks atomic.Uint64      // times the global fallback lock was taken
+	// Aborts counts validation failures (conflict aborts). Each restarts its
+	// operation, so it is the restart count too (htm_restarts_total).
+	Aborts    obs.StripedCounter
+	Fallbacks atomic.Uint64 // times the global fallback lock was taken
 
 	// ByCause breaks Aborts down by AbortCause; the per-cause counters sum
 	// to Aborts (NoteAbort maintains both).
@@ -159,13 +160,12 @@ func (s *Stats) NoteAbort(c AbortCause, key uint64) {
 		c = AbortOther
 	}
 	s.Aborts.Add(key, 1)
-	s.Restarts.Add(key, 1)
 	s.ByCause[c].Add(key, 1)
 }
 
-// DefaultMaxRetries matches the common TSX retry budget; the controller's
-// adaptive budget moves around it (AdaptiveConfig's Floor 2, Ceiling 16).
-const DefaultMaxRetries = 8
+// DefaultMaxRetries is every concurrent tree's retry budget: the optimistic
+// retries a writer makes before it enters the fallback lock.
+const DefaultMaxRetries = 16
 
 // RWSpin is a tiny reader-writer spinlock used as the volatile per-leaf lock.
 // The paper writes leaf locks inside TSX transactions with plain stores; in

@@ -18,7 +18,7 @@ func controllerOf(st Store) *htm.AdaptiveController {
 }
 
 // TestControllerPerShard: every shard of a concurrent fleet is its own
-// contention domain with its own controller at the default budget bounds,
+// contention domain with its own controller at the default budget,
 // and a single-threaded tree behind the lock has none.
 func TestControllerPerShard(t *testing.T) {
 	ss := newShardedFPTreeC(t, 4)
@@ -29,8 +29,8 @@ func TestControllerPerShard(t *testing.T) {
 			t.Fatalf("shard %d: controller %p missing or shared with another shard", i, c)
 		}
 		seen[c] = true
-		if cfg := c.Config(); cfg.Floor != htm.DefaultAdaptiveFloor || cfg.Ceiling != htm.DefaultAdaptiveCeiling {
-			t.Fatalf("shard %d: config [%d,%d]", i, cfg.Floor, cfg.Ceiling)
+		if b := c.Budget(); b != htm.DefaultMaxRetries {
+			t.Fatalf("shard %d: budget %d, want %d", i, b, htm.DefaultMaxRetries)
 		}
 	}
 
@@ -45,27 +45,41 @@ func TestControllerPerShard(t *testing.T) {
 }
 
 // TestControllerSingleStore: an unsharded concurrent store has exactly one
-// controller, and its metrics are the controller's.
+// controller, and its metrics are the fallback lock's: entries and the held
+// gauge, with no adaptive series beside them.
 func TestControllerSingleStore(t *testing.T) {
 	st, err := NewFPTreeCStore(pool())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := controllerOf(st)
-	if c == nil {
+	if controllerOf(st) == nil {
 		t.Fatal("concurrent store has no controller")
 	}
 	reg := obs.NewRegistry()
 	st.RegisterMetrics(reg)
-	if got := reg.Snapshot()["htm_adaptive_budget"]; got != float64(c.Budget()) {
-		t.Fatalf("htm_adaptive_budget = %v, controller says %d", got, c.Budget())
+	snap := reg.Snapshot()
+	for _, series := range []string{"htm_fallbacks_total", "htm_fallback_held"} {
+		if _, ok := snap[series]; !ok {
+			t.Fatalf("%s not exported", series)
+		}
+	}
+	noAdaptiveSeries(t, snap)
+}
+
+// noAdaptiveSeries fails if any htm_adaptive* series is exported: the budget
+// is a constant, so there is nothing to watch it do.
+func noAdaptiveSeries(t *testing.T, snap obs.Snapshot) {
+	t.Helper()
+	for _, name := range snap.Keys() {
+		if strings.HasPrefix(name, "htm_adaptive") {
+			t.Fatalf("%s exported", name)
+		}
 	}
 }
 
 // TestShardedAdaptiveMetrics: with nothing attached by anyone, the router
-// exposes the aggregate fallback/adaptation counters, the min-budget gauge,
-// and the per-shard labeled budget/EWMA series, and serving traffic moves
-// them.
+// exposes the fallback counter and held gauge, aggregate and per shard, and
+// serving traffic leaves the gauge at rest.
 func TestShardedAdaptiveMetrics(t *testing.T) {
 	ss := newShardedFPTreeC(t, 2)
 	for i := 0; i < 400; i++ {
@@ -88,18 +102,19 @@ func TestShardedAdaptiveMetrics(t *testing.T) {
 	}
 	out := buf.String()
 	for _, series := range []string{
-		"htm_adaptive_budget ",
-		`htm_adaptive_budget{shard="0"}`,
-		`htm_adaptive_abort_ewma{shard="1"}`,
 		"htm_fallbacks_total ",
 		`htm_fallbacks_total{shard="0"}`,
-		"htm_adaptive_adaptations_total ",
+		`htm_fallbacks_total{shard="1"}`,
+		"htm_fallback_held ",
+		`htm_fallback_held{shard="1"}`,
 	} {
 		if !strings.Contains(out, series) {
 			t.Fatalf("missing series %q in exposition:\n%s", series, out)
 		}
 	}
-	if got := reg.Snapshot()["htm_adaptive_adaptations_total"]; got == 0 {
-		t.Fatalf("no adaptation windows fired under 800 routed ops with AdaptEvery=%d", htm.DefaultAdaptEvery)
+	snap := reg.Snapshot()
+	if held := snap["htm_fallback_held"]; held != 0 {
+		t.Fatalf("htm_fallback_held = %v with no writer in flight", held)
 	}
+	noAdaptiveSeries(t, snap)
 }

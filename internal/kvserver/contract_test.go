@@ -153,17 +153,21 @@ func TestStoreContract(t *testing.T) {
 					t.Fatalf("exposition invalid: %v\n%s", err, buf.String())
 				}
 				snap := reg.Snapshot()
-				// A controller lives where it steers a retry loop: one per
-				// shard of the concurrent FPTree, none anywhere else.
-				budgets := []string{"htm_adaptive_budget"}
-				for i := 0; n > 1 && i < n; i++ {
-					budgets = append(budgets, obs.Series("htm_adaptive_budget", obs.ShardLabel(i)))
+				// A fallback lock lives where it bounds a retry loop: one
+				// per shard of the concurrent FPTree, none anywhere else.
+				var fallback []string
+				for _, name := range []string{"htm_fallbacks_total", "htm_fallback_held"} {
+					fallback = append(fallback, name)
+					for i := 0; n > 1 && i < n; i++ {
+						fallback = append(fallback, obs.Series(name, obs.ShardLabel(i)))
+					}
 				}
-				for _, series := range budgets {
+				for _, series := range fallback {
 					if _, ok := snap[series]; ok != (e.Name == "fptreec") {
 						t.Fatalf("%s exposed = %v", series, ok)
 					}
 				}
+				noAdaptiveSeries(t, snap)
 				if searches := snap["fptree_searches_total"]; (searches > 0) != coreTree[e.Name] {
 					t.Fatalf("fptree_searches_total = %v", searches)
 				}

@@ -79,10 +79,9 @@ type metric struct {
 	hist   *Histogram     // histograms only
 
 	// A family aggregate is the unlabeled series the registry derives from
-	// the series registered through shard views: members lists them, and min
-	// says the fleet value is their minimum rather than their sum.
+	// the series registered through shard views, which members lists: the
+	// fleet value is their sum.
 	members []*metric
-	min     bool
 }
 
 // series is the full identity of the metric: name plus rendered labels. It
@@ -91,13 +90,9 @@ func (m *metric) series() string { return m.name + m.labels }
 
 // fleet is the read function of a family aggregate.
 func (m *metric) fleet() float64 {
-	v := m.members[0].read()
-	for _, s := range m.members[1:] {
-		if x := s.read(); !m.min {
-			v += x
-		} else if x < v {
-			v = x
-		}
+	var v float64
+	for _, s := range m.members {
+		v += s.read()
 	}
 	return v
 }
@@ -125,9 +120,8 @@ func NewRegistry() *Registry {
 
 // Shard returns the view of r that shard i of a fleet registers through: the
 // code that registers X on a plain registry registers X{shard="i"} on the
-// view, and the registry keeps the unlabeled X as the fleet value — the sum
-// of the shard series, or their minimum for a MinGaugeFunc gauge. Reads
-// through a view see the whole registry.
+// view, and the registry keeps the unlabeled X as the fleet value, the sum
+// of the shard series. Reads through a view see the whole registry.
 func (r *Registry) Shard(i int) *Registry {
 	if r.scope != "" {
 		panic("obs: shard view of a shard view")
@@ -167,7 +161,7 @@ func (r *Registry) register(m *metric) {
 		// ahead of it, so the unlabeled sample leads the family.
 		agg := r.byName[m.name]
 		if agg == nil {
-			agg = &metric{name: m.name, help: m.help, kind: m.kind, min: m.min}
+			agg = &metric{name: m.name, help: m.help, kind: m.kind}
 			agg.read = agg.fleet
 			r.add(agg)
 		} else if agg.members == nil {
@@ -213,12 +207,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // GaugeFunc registers a gauge whose value is read through fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(&metric{name: name, help: help, kind: KindGauge, read: fn})
-}
-
-// MinGaugeFunc is GaugeFunc for a gauge whose fleet value is the minimum of
-// the shard values, not their sum (see Shard).
-func (r *Registry) MinGaugeFunc(name, help string, fn func() float64) {
-	r.register(&metric{name: name, help: help, kind: KindGauge, read: fn, min: true})
 }
 
 // Histogram creates, registers and returns a new histogram.

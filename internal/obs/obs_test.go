@@ -167,17 +167,14 @@ func TestEventRingConcurrentRecord(t *testing.T) {
 
 // TestShardViewAggregates pins the one fleet rule: whatever registers on a
 // plain registry under X registers X{shard="i"} through shard view i, and the
-// registry derives the unlabeled X — the sum, or the minimum for a gauge
-// registered with MinGaugeFunc — ahead of its members.
+// registry derives the unlabeled X, the sum, ahead of its members.
 func TestShardViewAggregates(t *testing.T) {
 	reg := NewRegistry()
-	budgets := []float64{7, 3, 5}
 	var ops [3]*Counter
 	for i := range ops {
 		v := reg.Shard(i)
 		ops[i] = v.Counter("fleet_ops_total", "ops")
 		v.GaugeFunc("fleet_bytes", "bytes", func() float64 { return float64(10 * (i + 1)) })
-		v.MinGaugeFunc("fleet_budget", "budget", func() float64 { return budgets[i] })
 	}
 	plain := reg.Counter("plain_total", "not part of any fleet")
 	plain.Add(2)
@@ -213,9 +210,6 @@ func TestShardViewAggregates(t *testing.T) {
 	}
 	if got := snap["fleet_bytes"]; got != 60 {
 		t.Fatalf("fleet_bytes = %v, want the sum 60", got)
-	}
-	if got := snap["fleet_budget"]; got != 3 {
-		t.Fatalf("fleet_budget = %v, want the minimum 3", got)
 	}
 	if got := snap["plain_total"]; got != 2 {
 		t.Fatalf("plain_total = %v", got)

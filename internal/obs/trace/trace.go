@@ -28,8 +28,8 @@
 // which is exactly the /debug/traces acceptance check.
 //
 // HTM aborts are tagged with their htm.AbortCause so a span shows not just
-// "3 aborts" but "3 descend-validation aborts", feeding the adaptive-CC
-// roadmap item the same signal the windowed abort ratio exports globally.
+// "3 aborts" but "3 descend-validation aborts", the same signal the windowed
+// abort ratio exports globally.
 package trace
 
 import (

@@ -7,10 +7,10 @@ import (
 
 // Window turns cumulative counters into live, windowed signals: it keeps a
 // ring of periodic registry snapshots and answers rate/ratio/quantile
-// queries over the last N seconds instead of over process lifetime. The
-// adaptive-CC roadmap item and operator dashboards both need "abort ratio
-// over the last 10s", not "aborts since boot" — a server that aborted
-// heavily an hour ago but is quiet now should read ~0.
+// queries over the last N seconds instead of over process lifetime.
+// Operator dashboards need "abort ratio over the last 10s", not "aborts
+// since boot" — a server that aborted heavily an hour ago but is quiet now
+// should read ~0.
 //
 // Usage: build with NewWindow, optionally TrackHistogram for windowed
 // quantiles, call Tick on a fixed cadence (or let Run do it), and register
