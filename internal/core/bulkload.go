@@ -97,7 +97,7 @@ func (e *engine[K, V]) bulkLoad(n int, fill float64, at func(int) (K, V)) error 
 		maxKeys = append(maxKeys, maxK)
 		e.size.Add(int64(end - base))
 	}
-	e.root.Store(buildInner(leaves, maxKeys, e.maxKids()))
+	e.root.Store(buildInnerW(leaves, maxKeys, e.maxKids(), 1, e.cdc.prefix))
 	return nil
 }
 

@@ -12,13 +12,16 @@ import (
 )
 
 // leafShape is the codec-independent geometry the engine needs for header
-// reads, bitmap commits and next-pointer chasing.
+// reads, bitmap commits and next-pointer chasing, plus exactPfx: whether
+// codec.prefix is the whole key, so inner-node searches never break a prefix
+// tie on the full key.
 type leafShape struct {
 	cap       int
 	hasFP     bool
 	offBitmap uint64
 	offNext   uint64
 	size      uint64
+	exactPfx  bool
 }
 
 // codec owns everything that depends on the key representation: the leaf slot
@@ -37,6 +40,9 @@ type leafShape struct {
 type codec[K, V any] interface {
 	shape() leafShape
 	less(a, b K) bool
+	// prefix maps k to an order-preserving word: prefix(a) < prefix(b)
+	// implies less(a, b). Inner nodes keep it beside each separator.
+	prefix(k K) uint64
 	fingerprint(k K) byte
 	// validateKey rejects keys the codec cannot store (empty var keys).
 	validateKey(k K) error
@@ -137,10 +143,11 @@ func newFixedCodec(pool *scm.Pool, cfg Config) *fixedCodec {
 }
 
 func (c *fixedCodec) shape() leafShape {
-	return leafShape{cap: c.lay.cap, hasFP: c.lay.hasFP, offBitmap: c.lay.offBitmap, offNext: c.lay.offNext, size: c.lay.size}
+	return leafShape{cap: c.lay.cap, hasFP: c.lay.hasFP, offBitmap: c.lay.offBitmap, offNext: c.lay.offNext, size: c.lay.size, exactPfx: true}
 }
 
 func (c *fixedCodec) less(a, b uint64) bool     { return a < b }
+func (c *fixedCodec) prefix(k uint64) uint64    { return k }
 func (c *fixedCodec) fingerprint(k uint64) byte { return hash1(k) }
 func (c *fixedCodec) validateKey(uint64) error  { return nil }
 
@@ -312,6 +319,18 @@ func (c *varCodec) shape() leafShape {
 
 func (c *varCodec) less(a, b []byte) bool     { return bytes.Compare(a, b) < 0 }
 func (c *varCodec) fingerprint(k []byte) byte { return hash1Bytes(k) }
+
+// prefix is the key's first 8 bytes, big-endian and zero-padded: a shorter
+// key ties with its zero-extensions ("ab" and "ab\x00"), and keys sharing
+// 8 bytes tie, so the prefix is not exact.
+func (c *varCodec) prefix(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var b [8]byte
+	copy(b[:], k)
+	return binary.BigEndian.Uint64(b[:])
+}
 
 func (c *varCodec) validateKey(k []byte) error {
 	if len(k) == 0 {

@@ -39,6 +39,15 @@ type engine[K, V any] struct {
 	anchor htm.VersionLock
 	root   atomic.Pointer[cInner[K]]
 
+	// headLock orders the live accesses to the persistent list-head
+	// pointer: a leaf delete tests it and may move it while other deletes
+	// test it, and the first insert into an empty tree sets it, which must
+	// wait for the delete that emptied the tree to finish unlinking the last
+	// leaf. It is taken through cc like a node lock, so it is free on the
+	// single-threaded trees and its waiters watch the crash flag. Recovery
+	// and the quiesced checks read the pointer without it.
+	headLock htm.VersionLock
+
 	splitQ  chan int // free split micro-log indices
 	deleteQ chan int // free delete micro-log indices
 
@@ -358,11 +367,15 @@ func (e *engine[K, V]) descend(target *K, rightmost bool, sep *separators[K]) (n
 	if sep != nil {
 		*sep = separators[K]{}
 	}
+	var tp uint64 // the target's prefix, once per descent
+	if target != nil {
+		tp = e.cdc.prefix(*target)
+	}
 	for {
 		i := 0
 		if target != nil {
 			var sok bool
-			if i, sok = n.search(*target, e.cdc.less); !sok {
+			if i, sok = n.search(*target, tp, e.sh.exactPfx, e.cdc.less); !sok {
 				return nil, 0, nil, false
 			}
 		} else if rightmost {
@@ -607,10 +620,20 @@ func (e *engine[K, V]) firstLeaf(root *cInner[K]) error {
 		e.cc.unlockNodeNoBump(&e.anchor)
 		return nil // someone else created it; retry the insert
 	}
+	e.cc.lockNode(&e.headLock)
+	if !e.m.headLeaf().IsNull() {
+		// The delete that emptied the tree has not unlinked its leaf yet.
+		e.cc.unlockNodeNoBump(&e.headLock)
+		e.cc.unlockNodeNoBump(&r.lock)
+		e.cc.unlockNodeNoBump(&e.anchor)
+		runtime.Gosched()
+		return nil
+	}
 	var off uint64
 	if e.groups.enabled() {
 		o, err := e.groups.getLeaf()
 		if err != nil {
+			e.cc.unlockNodeNoBump(&e.headLock)
 			e.cc.unlockNodeNoBump(&r.lock)
 			e.cc.unlockNodeNoBump(&e.anchor)
 			return err
@@ -620,12 +643,14 @@ func (e *engine[K, V]) firstLeaf(root *cInner[K]) error {
 	} else {
 		ptr, err := e.pool.Alloc(e.m.base+mOffHeadLeaf, e.sh.size)
 		if err != nil {
+			e.cc.unlockNodeNoBump(&e.headLock)
 			e.cc.unlockNodeNoBump(&r.lock)
 			e.cc.unlockNodeNoBump(&e.anchor)
 			return err
 		}
 		off = ptr.Offset
 	}
+	e.cc.unlockNodeNoBump(&e.headLock)
 	r.leaves[0].Store(&leafRef{off: off})
 	r.cnt.Store(1)
 	e.cc.unlockNode(&r.lock)
@@ -713,19 +738,20 @@ func (e *engine[K, V]) findSplitKey(leaf uint64) (K, uint64) {
 // leaf's key range cannot change and the descent deterministically lands on
 // its parent.
 func (e *engine[K, V]) insertSMO(splitKey K, oldRef, newRef *leafRef) {
+	kp := e.cdc.prefix(splitKey)
 	e.cc.lockNode(&e.anchor)
 	cur := e.root.Load()
 	e.cc.lockNode(&cur.lock)
 	if cur.full() {
-		up, right := cur.splitNode()
+		up, upP, right := cur.splitNode()
 		nr := newCInner[K](e.maxKids(), false)
 		nr.kids[0].Store(cur)
 		nr.kids[1].Store(right)
-		nr.keys[0].Store(&up)
+		nr.setSep(0, up, upP)
 		nr.cnt.Store(2)
 		e.root.Store(nr)
 		e.cc.unlockNode(&e.anchor)
-		if e.cdc.less(up, splitKey) {
+		if e.cdc.less(*up, splitKey) {
 			e.cc.unlockNode(&cur.lock)
 			cur = right
 			e.cc.lockNode(&cur.lock) // fresh node: no contention
@@ -734,13 +760,13 @@ func (e *engine[K, V]) insertSMO(splitKey K, oldRef, newRef *leafRef) {
 		e.cc.unlockNodeNoBump(&e.anchor)
 	}
 	for !cur.leafParent {
-		i, _ := cur.search(splitKey, e.cdc.less)
+		i := e.locate(cur, splitKey, kp)
 		child := cur.kids[i].Load()
 		e.cc.lockNode(&child.lock)
 		if child.full() {
-			up, right := child.splitNode()
-			cur.insertAt(i, up, right, nil, e.st)
-			if e.cdc.less(up, splitKey) {
+			up, upP, right := child.splitNode()
+			cur.insertAt(i, up, upP, right, nil, e.st)
+			if e.cdc.less(*up, splitKey) {
 				e.cc.unlockNode(&child.lock)
 				child = right
 				e.cc.lockNode(&child.lock)
@@ -749,12 +775,19 @@ func (e *engine[K, V]) insertSMO(splitKey K, oldRef, newRef *leafRef) {
 		e.cc.unlockNode(&cur.lock)
 		cur = child
 	}
-	i, _ := cur.search(splitKey, e.cdc.less)
+	i := e.locate(cur, splitKey, kp)
 	if got := cur.leaves[i].Load(); got != oldRef {
 		panic("fptree: SMO descent lost the split leaf")
 	}
-	cur.insertAt(i, splitKey, nil, newRef, e.st)
+	cur.insertAt(i, &splitKey, kp, nil, newRef, e.st)
 	e.cc.unlockNode(&cur.lock)
+}
+
+// locate is search for a writer holding n's lock, which never sees a torn
+// node. kp is key's prefix.
+func (e *engine[K, V]) locate(n *cInner[K], key K, kp uint64) int {
+	i, _ := n.search(key, kp, e.sh.exactPfx, e.cdc.less)
+	return i
 }
 
 // Update is Algorithm 8 / 16: the new pair is written to a free slot and both
@@ -827,6 +860,7 @@ func (e *engine[K, V]) deleteT(key K, sp *trace.Span) (bool, error) {
 // under a delete micro-log (Algorithm 6). Returns false when the leaf must
 // stay (left neighbor unavailable — concurrent controller only).
 func (e *engine[K, V]) deleteSMO(key K, ref *leafRef) bool {
+	kp := e.cdc.prefix(key)
 	e.cc.lockNode(&e.anchor)
 	anchorHeld := true
 	root := e.root.Load()
@@ -846,7 +880,7 @@ func (e *engine[K, V]) deleteSMO(key K, ref *leafRef) bool {
 		anchorHeld = false
 	}
 	for !cur.leafParent {
-		i, _ := cur.search(key, e.cdc.less)
+		i := e.locate(cur, key, kp)
 		child := cur.kids[i].Load()
 		e.cc.lockNode(&child.lock)
 		stack = append(stack, child)
@@ -863,11 +897,13 @@ func (e *engine[K, V]) deleteSMO(key K, ref *leafRef) bool {
 		}
 		cur = child
 	}
-	i, _ := cur.search(key, e.cdc.less)
+	i := e.locate(cur, key, kp)
 	if got := cur.leaves[i].Load(); got != ref {
 		panic("fptree: delete SMO descent lost the leaf")
 	}
+	e.cc.lockNode(&e.headLock)
 	isHead := e.m.headLeaf().Offset == ref.off
+	e.cc.unlockNodeNoBump(&e.headLock)
 	var prevRef *leafRef
 	if !isHead {
 		switch {
@@ -897,8 +933,7 @@ func (e *engine[K, V]) deleteSMO(key K, ref *leafRef) bool {
 	modified := len(stack) - 1
 	for level := len(stack) - 1; level > 0 && stack[level].cnt.Load() == 0; level-- {
 		parent := stack[level-1]
-		j, _ := parent.search(key, e.cdc.less)
-		parent.removeAt(j, e.st)
+		parent.removeAt(e.locate(parent, key, kp), e.st)
 		modified = level - 1
 	}
 	// Root collapse: keep the height minimal.
@@ -945,9 +980,13 @@ func (e *engine[K, V]) unlinkLeaf(leaf, prev uint64, ref *leafRef) {
 	li := <-e.deleteQ
 	log := e.m.deleteLog(li)
 	log.setA(scm.PPtr{ArenaID: e.pool.ID(), Offset: leaf})
-	if e.m.headLeaf().Offset == leaf {
+	e.cc.lockNode(&e.headLock)
+	isHead := e.m.headLeaf().Offset == leaf
+	if isHead {
 		e.m.setHeadLeaf(e.leafNext(leaf))
-	} else {
+	}
+	e.cc.unlockNodeNoBump(&e.headLock)
+	if !isHead {
 		log.setB(scm.PPtr{ArenaID: e.pool.ID(), Offset: prev})
 		e.setLeafNext(prev, e.leafNext(leaf))
 	}
@@ -1047,7 +1086,7 @@ func (e *engine[K, V]) rebuild() {
 		leaves, maxKeys, size = e.collectLeaves()
 	}
 	e.size.Store(int64(size))
-	e.root.Store(buildInnerW(leaves, maxKeys, e.maxKids(), e.recWorkers))
+	e.root.Store(buildInnerW(leaves, maxKeys, e.maxKids(), e.recWorkers, e.cdc.prefix))
 	e.groups.rebuildFreeVector(leaves)
 	e.sanitizeFreeLeaves()
 	if e.groups.enabled() {
@@ -1133,14 +1172,6 @@ func (e *engine[K, V]) leafMaxKey(leaf uint64) (K, int) {
 	return maxK, n
 }
 
-// buildInner bulk-builds the DRAM part from the recovered leaf list, packing
-// nodes to at most ~90% so the first inserts do not immediately split every
-// node. It is the sequential form of buildInnerW (recovery.go), which can fill the
-// leaf-parent level with several workers.
-func buildInner[K any](leaves []uint64, maxKeys []K, maxKids int) *cInner[K] {
-	return buildInnerW(leaves, maxKeys, maxKids, 1)
-}
-
 // --- introspection ------------------------------------------------------------
 
 // CheckInvariants validates the structural invariants the design relies on;
@@ -1218,6 +1249,9 @@ func (e *engine[K, V]) CheckInvariants() error {
 			}
 		}
 	}
+	if err := e.checkSepPrefixes(e.root.Load()); err != nil {
+		return err
+	}
 	// A group leaf not linked in the leaf list must look freshly recycled:
 	// zero durable bitmap (otherwise a reuse through firstLeaf would
 	// resurrect its stale slots) and, for the var codec, no owned key blocks.
@@ -1246,6 +1280,29 @@ func (e *engine[K, V]) CheckInvariants() error {
 	return e.groups.checkInvariants()
 }
 
+// checkSepPrefixes walks the DRAM nodes under n and checks that every live
+// separator is set and its prefix word is the codec's prefix of its key.
+func (e *engine[K, V]) checkSepPrefixes(n *cInner[K]) error {
+	c := int(n.cnt.Load())
+	for i := 0; i < c-1; i++ {
+		kp := n.keys[i].Load()
+		if kp == nil {
+			return fmt.Errorf("inner node %p: separator %d of %d is nil", n, i, c-1)
+		}
+		if got, want := n.pfx[i].Load(), e.cdc.prefix(*kp); got != want {
+			return fmt.Errorf("inner node %p: separator %d (%v) has prefix %#x, want %#x", n, i, *kp, got, want)
+		}
+	}
+	if !n.leafParent {
+		for i := 0; i < c; i++ {
+			if err := e.checkSepPrefixes(n.kids[i].Load()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Memory walks the DRAM part and combines it with the pool's SCM accounting
 // (the Figure 8 experiment). DRAM cost counts live content per node — the
 // fixed-capacity arrays overallocate, but the estimate tracks what a
@@ -1260,7 +1317,7 @@ func (e *engine[K, V]) Memory() MemoryStats {
 		st.DRAMBytes += 48 + uint64(c)*8
 		for i := 0; i < c-1; i++ {
 			if kp := n.keys[i].Load(); kp != nil {
-				st.DRAMBytes += e.cdc.keyDRAMBytes(*kp)
+				st.DRAMBytes += 8 + e.cdc.keyDRAMBytes(*kp) // prefix word + key
 			}
 		}
 		if n.leafParent {

@@ -236,12 +236,15 @@ func (e *engine[K, V]) collectLeavesParallel(workers int) (leaves []uint64, maxK
 	return leaves, maxKeys, size
 }
 
-// buildInnerW is buildInner with the leaf-parent level constructed in
-// parallel: node boundaries depend only on len(leaves), so workers fill
-// disjoint, deterministic node-index ranges and the resulting tree has
-// exactly the shape the sequential builder produces. Upper levels shrink by
-// ~width× per level and are built sequentially.
-func buildInnerW[K any](leaves []uint64, maxKeys []K, maxKids, workers int) *cInner[K] {
+// buildInnerW bulk-builds the DRAM part from a leaf list and the leaves' max
+// keys, packing nodes to at most ~90% so the first inserts do not
+// immediately split every node; prefix is the codec's separator prefix. With
+// workers > 1 the leaf-parent level is filled in parallel: node boundaries
+// depend only on len(leaves), so workers fill disjoint, deterministic
+// node-index ranges and the resulting tree has exactly the shape the
+// sequential build produces. Upper levels shrink by ~width× per level and
+// are built sequentially.
+func buildInnerW[K any](leaves []uint64, maxKeys []K, maxKids, workers int, prefix func(K) uint64) *cInner[K] {
 	width := maxKids * 9 / 10
 	if width < 2 {
 		width = 2
@@ -266,7 +269,7 @@ func buildInnerW[K any](leaves []uint64, maxKeys []K, maxKids, workers int) *cIn
 			n.leaves[i-at].Store(&leafRef{off: leaves[i]})
 			if i < end-1 {
 				k := maxKeys[i]
-				n.keys[i-at].Store(&k)
+				n.setSep(i-at, &k, prefix(k))
 			}
 		}
 		n.cnt.Store(int32(end - at))
@@ -307,7 +310,7 @@ func buildInnerW[K any](leaves []uint64, maxKeys []K, maxKids, workers int) *cIn
 				n.kids[i-at].Store(level[i])
 				if i < end-1 {
 					k := seps[i]
-					n.keys[i-at].Store(&k)
+					n.setSep(i-at, &k, prefix(k))
 				}
 			}
 			n.cnt.Store(int32(end - at))

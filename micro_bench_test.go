@@ -32,14 +32,22 @@ func benchFixedTree(b *testing.B, n uint64) *Tree {
 	return tree
 }
 
-func benchVarTree(b *testing.B, n int) *VarTree {
+// seqKey is the var benchmarks' 16-byte key: its first 8 bytes are
+// "key00000" for every i below 10^8, so every inner-node probe ties on the
+// 8-byte separator prefix and compares the full key. hexKey is its scattered
+// twin, the 16 hex digits of a bijective scramble of i, whose prefixes
+// almost never tie.
+func seqKey(i int) []byte { return []byte(fmt.Sprintf("key%013d", i)) }
+func hexKey(i int) []byte { return []byte(fmt.Sprintf("%016x", uint64(i)*0x9e3779b97f4a7c15)) }
+
+func benchVarTree(b *testing.B, n int, key func(int) []byte) *VarTree {
 	b.Helper()
 	tree, err := CreateVar(Options{PoolSize: 512 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := tree.Insert([]byte(fmt.Sprintf("key%013d", i)), []byte("12345678")); err != nil {
+		if err := tree.Insert(key(i), []byte("12345678")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,13 +143,16 @@ func BenchmarkMicroInsertVar(b *testing.B) {
 	}
 }
 
-func BenchmarkMicroFindVar(b *testing.B) {
+func BenchmarkMicroFindVar(b *testing.B)    { benchMicroFindVar(b, seqKey) }
+func BenchmarkMicroFindVarHex(b *testing.B) { benchMicroFindVar(b, hexKey) }
+
+func benchMicroFindVar(b *testing.B, key func(int) []byte) {
 	const n = 100000
-	tree := benchVarTree(b, n)
+	tree := benchVarTree(b, n, key)
 	rng := rand.New(rand.NewSource(42))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := tree.Find([]byte(fmt.Sprintf("key%013d", rng.Intn(n)))); !ok {
+		if _, ok := tree.Find(key(rng.Intn(n))); !ok {
 			b.Fatal("missing key")
 		}
 	}
@@ -149,12 +160,12 @@ func BenchmarkMicroFindVar(b *testing.B) {
 
 func BenchmarkMicroScanVar(b *testing.B) {
 	const n = 100000
-	tree := benchVarTree(b, n)
+	tree := benchVarTree(b, n, seqKey)
 	rng := rand.New(rand.NewSource(42))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got := tree.ScanN([]byte(fmt.Sprintf("key%013d", rng.Intn(n))), 100)
+		got := tree.ScanN(seqKey(rng.Intn(n)), 100)
 		if len(got) == 0 {
 			b.Fatal("empty scan")
 		}
