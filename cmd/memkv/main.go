@@ -29,8 +29,8 @@
 //
 // With -metrics-addr the server also exposes an observability HTTP endpoint:
 // /metrics (Prometheus text exposition of the server, tree, HTM and SCM
-// counters, plus windowed window_* contention gauges; sharded servers add
-// per-shard series labeled {shard="i"}), /debug/vars (expvar), /debug/pprof/,
+// counters and the latency histograms; sharded servers add per-shard series
+// labeled {shard="i"}), /debug/vars (expvar), /debug/pprof/,
 // /debug/events (recent server events) and — with -trace-sample N —
 // /debug/traces (sampled per-operation spans with phase/flush/abort
 // attribution). -slow-op D counts and event-logs every request slower than D
@@ -81,7 +81,6 @@ func main() {
 		metricsAddr  = flag.String("metrics-addr", "", "observability HTTP endpoint (/metrics, /debug/pprof/, /debug/vars, /debug/events, /debug/traces); empty = off")
 		traceSample  = flag.Int("trace-sample", 0, "trace 1 in N requests with phase/flush/abort attribution on /debug/traces (0 = tracing off)")
 		slowOp       = flag.Duration("slow-op", 0, "count + event-log any request slower than this, even with tracing off (0 = off)")
-		windowEvery  = flag.Duration("window", time.Second, "snapshot interval for the windowed window_* gauges")
 	)
 	flag.Parse()
 
@@ -166,44 +165,10 @@ func main() {
 		reg := obs.NewRegistry()
 		srv.RegisterMetrics(reg)
 
-		// Windowed contention telemetry: a ticker snapshots the registry and
-		// the window derives trailing-30s rates/ratios as window_* gauges, so
-		// a scrape shows current behaviour rather than since-boot averages.
-		win := obs.NewWindow(reg, obs.DefaultWindowSlots)
-		win.ExportRatio(reg, "window_htm_abort_ratio",
-			"HTM/OCC aborts per tree search over the trailing 30s",
-			"htm_aborts_total", "fptree_searches_total", 30*time.Second)
-		if len(pools) > 0 {
-			win.ExportRatio(reg, "window_flushes_per_op",
-				"cache-line flushes per tree search over the trailing 30s",
-				"scm_flushes_total", "fptree_searches_total", 30*time.Second)
-		}
-		if n := st.NumShards(); n > 1 {
-			// Per-shard contention ratios over the labeled series the router
-			// registers, so a hot shard is visible as its own gauge.
-			for i := 0; i < n; i++ {
-				lbl := obs.ShardLabel(i)
-				num := obs.Series("htm_aborts_total", lbl)
-				den := obs.Series("fptree_searches_total", lbl)
-				reg.GaugeFuncL("window_htm_abort_ratio", lbl,
-					"HTM/OCC aborts per tree search over the trailing 30s",
-					func() float64 { return win.Ratio(num, den, 30*time.Second) })
-			}
-		}
 		var extra map[string]http.Handler
 		if tracer != nil {
-			for p := trace.Phase(0); p < trace.NumPhases; p++ {
-				name := "trace_phase_" + p.String() + "_ns"
-				win.TrackHistogram(name, tracer.PhaseHistogram(p))
-				win.ExportP99(reg, "window_"+name+"_p99",
-					"windowed p99 latency of the "+p.String()+" phase in ns",
-					name, 30*time.Second)
-			}
 			extra = map[string]http.Handler{"/debug/traces": trace.Handler(tracer)}
 		}
-		stopWin := make(chan struct{})
-		defer close(stopWin)
-		go win.Run(*windowEvery, stopWin)
 
 		metricsSrv, metricsBound, err := obs.ServeWith(*metricsAddr, reg, ring, extra)
 		if err != nil {

@@ -134,9 +134,8 @@ func (s *ShardedStore) SetTracer(tr *trace.Tracer) {
 // RegisterMetrics exposes the fleet on reg: every shard registers through
 // its shard view, so each of its series is there as {shard="i"} and the
 // registry keeps the fleet value under the unlabeled name a lone store would
-// use — dashboards and the window_* ratio gauges read the same series
-// whatever the shard count. A memkv_shard_len gauge per shard shows the key
-// distribution.
+// use — dashboards read the same series whatever the shard count. A
+// memkv_shard_len gauge per shard shows the key distribution.
 func (s *ShardedStore) RegisterMetrics(reg *obs.Registry) {
 	for i, sh := range s.shards {
 		sh.RegisterMetrics(reg.Shard(i))

@@ -6,10 +6,13 @@ import (
 	"time"
 )
 
-// Histogram is a lock-free latency histogram with power-of-two nanosecond
-// buckets: bucket b counts observations whose nanosecond value has b
-// significant bits (upper bound 2^b - 1 ns). Forty buckets cover sub-ns to
-// ~9 minutes, far beyond any realistic request latency.
+// Histogram is a lock-free latency histogram with log-linear nanosecond
+// buckets: each power of two is cut into 128 equal sub-buckets, so a bucket is
+// at most 1/128 (0.78 %) of its lower bound wide and a quantile read from it is
+// within 1 % of the exact sample quantile. Every value below 2^39 ns (~9
+// minutes) has such a fine bucket; one overflow bucket counts the rest. The
+// index and the interpolation are those of the benchmark harness's histogram
+// (benchmark/hist.go), so the two read the same quantile off the same samples.
 //
 // It was generalized out of internal/kvserver so every subsystem shares one
 // implementation; kvserver aliases this type.
@@ -20,35 +23,63 @@ type Histogram struct {
 	buckets [HistogramBuckets]atomic.Uint64
 }
 
-// HistogramBuckets is the number of power-of-two buckets.
-const HistogramBuckets = 40
+const (
+	histSubBits = 7
+	histSub     = 1 << histSubBits
+	histMaxExp  = 31 // fine buckets cover values up to 2^(histSubBits+1+histMaxExp) - 1 = 2^39 - 1 ns
+	histFine    = (histMaxExp + 2) << histSubBits
+	// histOctaves is the number of power-of-two ranges the fine buckets
+	// fall into: bits.Len64 of a fine value is 0 … 39.
+	histOctaves = histSubBits + histMaxExp + 2
+
+	// HistogramBuckets is the number of buckets: the fine ones, then the
+	// overflow bucket (2^39 ns and above) last.
+	HistogramBuckets = histFine + 1
+)
+
+// histIndex returns the bucket of a value in nanoseconds.
+func histIndex(v uint64) int {
+	e := bits.Len64(v) - histSubBits - 1
+	if e <= 0 {
+		return int(v) // below 2*histSub every value has its own bucket
+	}
+	if e > histMaxExp {
+		return histFine
+	}
+	return e<<histSubBits + int(v>>uint(e))
+}
+
+// histBounds returns the lower bound and the width of fine bucket i.
+func histBounds(i int) (lo, width uint64) {
+	if i < 2*histSub {
+		return uint64(i), 1
+	}
+	e := uint(i>>histSubBits) - 1
+	return (uint64(i&(histSub-1)) + histSub) << e, 1 << e
+}
 
 // Observe records one latency sample. Negative durations (a clock step
-// between the caller's two time reads) are clamped to zero.
+// between the caller's two time reads) are clamped to zero. The maximum,
+// the bucket and the count land before the sum, which Snapshot relies on.
 func (h *Histogram) Observe(d time.Duration) {
 	ns := uint64(0)
 	if d > 0 {
 		ns = uint64(d.Nanoseconds())
 	}
-	b := bits.Len64(ns)
-	if b >= HistogramBuckets {
-		b = HistogramBuckets - 1
-	}
-	h.buckets[b].Add(1)
-	h.sumNS.Add(ns)
-	h.count.Add(1)
 	for {
 		cur := h.maxNS.Load()
 		if ns <= cur || h.maxNS.CompareAndSwap(cur, ns) {
 			break
 		}
 	}
+	h.buckets[histIndex(ns)].Add(1)
+	h.count.Add(1)
+	h.sumNS.Add(ns)
 }
 
 // HistogramSnapshot is a point-in-time summary of a Histogram. Quantiles are
-// upper bounds of the containing power-of-two bucket clamped to the observed
-// maximum, so they are conservative (never under-report) and monotonic:
-// P50 <= P95 <= P99 <= Max whenever Count > 0.
+// read by Quantile, so they are within 1 % of the exact sample quantile below
+// 2^39 ns and monotonic: P50 <= P95 <= P99 <= Max whenever Count > 0.
 type HistogramSnapshot struct {
 	Count   uint64
 	Sum     time.Duration
@@ -57,125 +88,50 @@ type HistogramSnapshot struct {
 	P95     time.Duration
 	P99     time.Duration
 	Max     time.Duration
-	Buckets [HistogramBuckets]uint64
+	Buckets []uint64 // HistogramBuckets counts, the overflow bucket last
 }
 
-// Snapshot summarizes the histogram. count and sumNS are read before the
-// bucket loop so the reported Mean never pairs a sum with an older count
-// (concurrent Observe calls land sum before count, see Observe).
+// Snapshot summarizes the histogram. It reads in the reverse of Observe's
+// order — sum, count, buckets, maximum — so under concurrent Observe calls
+// every summed sample is counted and every counted sample's bucket and value
+// are visible: Mean <= Max, and the rank a quantile seeks is in the buckets.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	count := h.count.Load()
-	sum := h.sumNS.Load()
-	var s HistogramSnapshot
-	total := uint64(0)
+	s := HistogramSnapshot{Sum: time.Duration(h.sumNS.Load())}
+	s.Count = h.count.Load()
+	s.Buckets = make([]uint64, HistogramBuckets)
 	for i := range s.Buckets {
 		s.Buckets[i] = h.buckets[i].Load()
-		total += s.Buckets[i]
 	}
-	s.Count = count
-	s.Sum = time.Duration(sum)
 	s.Max = time.Duration(h.maxNS.Load())
-	if count == 0 {
+	if s.Count == 0 {
 		return s
 	}
-	s.Mean = time.Duration(sum / count)
-	quantile := func(q float64) time.Duration {
-		target := uint64(q * float64(total))
-		if target == 0 {
-			target = 1
-		}
-		seen := uint64(0)
-		for b, c := range s.Buckets {
-			seen += c
-			if seen >= target {
-				if b == 0 {
-					return 0
-				}
-				// The last bucket is a catch-all with no finite upper bound;
-				// the observed maximum is the only honest answer there.
-				if b == HistogramBuckets-1 {
-					return s.Max
-				}
-				// Bucket upper bound, clamped to the true maximum so a lone
-				// sample cannot push a quantile above Max.
-				ub := time.Duration(uint64(1)<<b - 1)
-				if ub > s.Max {
-					return s.Max
-				}
-				return ub
-			}
-		}
-		return s.Max
-	}
-	s.P50 = quantile(0.50)
-	s.P95 = quantile(0.95)
-	s.P99 = quantile(0.99)
+	s.Mean = time.Duration(uint64(s.Sum) / s.Count)
+	s.P50 = s.Quantile(0.50)
+	s.P95 = s.Quantile(0.95)
+	s.P99 = s.Quantile(0.99)
 	return s
 }
 
-// Sub returns the delta snapshot s - prev: the distribution of observations
-// recorded between the two snapshots, with Mean and quantiles recomputed
-// from the delta buckets. prev must be an earlier snapshot of the same
-// histogram. The true maximum of just the window is unknowable from
-// cumulative counters, so Max is the upper bound of the highest non-empty
-// delta bucket clamped to s.Max (conservative, like the quantiles).
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	var d HistogramSnapshot
-	d.Count = s.Count - prev.Count
-	d.Sum = s.Sum - prev.Sum
-	for i := range d.Buckets {
-		d.Buckets[i] = s.Buckets[i] - prev.Buckets[i]
-	}
-	for b := HistogramBuckets - 1; b >= 0; b-- {
-		if d.Buckets[b] == 0 {
+// Quantile returns the q-quantile of the snapshot's Count samples: the
+// bucket holding rank q·Count, interpolated linearly across its width and
+// clamped to Max so a lone sample cannot push a quantile above it. A rank in
+// the overflow bucket, which has no width, answers Max.
+func (s HistogramSnapshot) Quantile(q float64) time.Duration {
+	rank := q * float64(s.Count)
+	var cum float64
+	for i, c := range s.Buckets {
+		if c == 0 {
 			continue
 		}
-		d.Max = s.Max
-		if b < HistogramBuckets-1 {
-			if ub := time.Duration(uint64(1)<<b - 1); ub < d.Max {
-				d.Max = ub
-			}
-		}
-		break
-	}
-	if d.Count == 0 {
-		return d
-	}
-	d.Mean = time.Duration(uint64(d.Sum) / d.Count)
-	d.P50 = d.bucketQuantile(0.50)
-	d.P95 = d.bucketQuantile(0.95)
-	d.P99 = d.bucketQuantile(0.99)
-	return d
-}
-
-// bucketQuantile computes a conservative quantile from the snapshot's
-// buckets — the same rules as Snapshot: bucket upper bound, clamped to Max,
-// with the catch-all bucket answered by Max.
-func (s HistogramSnapshot) bucketQuantile(q float64) time.Duration {
-	total := uint64(0)
-	for _, c := range s.Buckets {
-		total += c
-	}
-	target := uint64(q * float64(total))
-	if target == 0 {
-		target = 1
-	}
-	seen := uint64(0)
-	for b, c := range s.Buckets {
-		seen += c
-		if seen >= target {
-			if b == 0 {
-				return 0
-			}
-			if b == HistogramBuckets-1 {
+		if cum+float64(c) >= rank {
+			if i == histFine {
 				return s.Max
 			}
-			ub := time.Duration(uint64(1)<<b - 1)
-			if ub > s.Max {
-				return s.Max
-			}
-			return ub
+			lo, w := histBounds(i)
+			return min(time.Duration(float64(lo)+(rank-cum)/float64(c)*float64(w)), s.Max)
 		}
+		cum += float64(c)
 	}
 	return s.Max
 }

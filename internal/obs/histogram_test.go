@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -22,8 +24,8 @@ func TestHistogramSingleSample(t *testing.T) {
 	if s.Count != 1 || s.Sum != 5 || s.Mean != 5 || s.Max != 5 {
 		t.Fatalf("single-sample snapshot = %+v", s)
 	}
-	// Quantiles are bucket upper bounds clamped to Max: never below the
-	// sample, never above the observed maximum.
+	// Below 256 ns every value has its own bucket, and a quantile is clamped
+	// to Max: never below the sample, never above the observed maximum.
 	for _, q := range []time.Duration{s.P50, s.P95, s.P99} {
 		if q < 5 || q > s.Max {
 			t.Fatalf("quantile %v outside [5ns, Max]: %+v", q, s)
@@ -118,3 +120,89 @@ func TestHistogramQuantileMonotonicityUnderConcurrentObserve(t *testing.T) {
 		t.Fatalf("mean = %v, want %v", s.Mean, want)
 	}
 }
+
+// TestHistogramQuantileAccuracy checks P50, P95 and P99 against the exact
+// nearest-rank quantiles of seeded sample sets: each must be within 1 % (or
+// 1 ns) of the exact value.
+func TestHistogramQuantileAccuracy(t *testing.T) {
+	const n = 20000
+	r := rand.New(rand.NewSource(7))
+	gen := map[string]func() time.Duration{
+		"uniform 100ns-10ms": func() time.Duration {
+			return 100 + time.Duration(r.Int63n(int64(10*time.Millisecond-100)))
+		},
+		"log-normal": func() time.Duration {
+			return time.Duration(math.Exp(math.Log(50e3) + 1.5*r.NormFloat64()))
+		},
+		"bimodal 1us/1ms": func() time.Duration {
+			mode := time.Microsecond
+			if r.Intn(10) == 0 {
+				mode = time.Millisecond
+			}
+			return time.Duration(float64(mode) * (1 + 0.05*r.NormFloat64()))
+		},
+		"all-equal": func() time.Duration { return 12345 },
+	}
+	for _, name := range []string{"uniform 100ns-10ms", "log-normal", "bimodal 1us/1ms", "all-equal"} {
+		var h Histogram
+		vals := make([]time.Duration, n)
+		for i := range vals {
+			vals[i] = gen[name]()
+			h.Observe(vals[i])
+		}
+		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		s := h.Snapshot()
+		for _, c := range []struct {
+			q   float64
+			got time.Duration
+		}{{0.50, s.P50}, {0.95, s.P95}, {0.99, s.P99}} {
+			exact := vals[int(math.Ceil(c.q*n))-1]
+			if err := math.Abs(float64(c.got - exact)); err > max(1, 0.01*float64(exact)) {
+				t.Errorf("%s: p%v = %v, exact %v (error %.2f %%)", name, c.q*100, c.got, exact, 100*err/float64(exact))
+			}
+		}
+	}
+}
+
+// BenchmarkHistogramObserve measures one Observe of a latency spread over
+// 100 ns-10 ms, from one goroutine and from GOMAXPROCS goroutines sharing
+// the histogram.
+func BenchmarkHistogramObserve(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	vals := make([]time.Duration, 1024)
+	for i := range vals {
+		vals[i] = 100 + time.Duration(r.Int63n(int64(10*time.Millisecond)))
+	}
+	b.Run("serial", func(b *testing.B) {
+		var h Histogram
+		for i := 0; i < b.N; i++ {
+			h.Observe(vals[i&1023])
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		var h Histogram
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				h.Observe(vals[i&1023])
+				i++
+			}
+		})
+	})
+}
+
+// BenchmarkHistogramSnapshot measures one Snapshot (bucket copy and the
+// three quantiles) of a populated histogram.
+func BenchmarkHistogramSnapshot(b *testing.B) {
+	var h Histogram
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 100000; i++ {
+		h.Observe(100 + time.Duration(r.Int63n(int64(10*time.Millisecond))))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = h.Snapshot()
+	}
+}
+
+var snapshotSink HistogramSnapshot

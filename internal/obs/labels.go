@@ -8,7 +8,7 @@ import "fmt"
 // label in this repository is the shard: a fleet's per-shard series come from
 // Registry.Shard, which also derives the family's unlabeled value, and
 // GaugeFuncL is for a per-shard series that has no such aggregate
-// (memkv_shard_len, the per-shard window_* ratios).
+// (memkv_shard_len).
 type Labels string
 
 // ShardLabel is the label set of shard i's series.

@@ -1,6 +1,6 @@
 // Package obs is the repository's unified observability layer: a
 // dependency-free named-metric registry with atomic counters, gauges and
-// power-of-two latency histograms, snapshot/delta semantics for phase-scoped
+// log-linear latency histograms, snapshot/delta semantics for phase-scoped
 // measurement, Prometheus text-format exposition, an HTTP endpoint that also
 // mounts expvar and net/http/pprof, and a fixed-size event ring buffer for
 // post-hoc debugging of concurrency anomalies.
@@ -65,7 +65,7 @@ const (
 	KindCounter Kind = iota
 	// KindGauge is a value that can go up and down.
 	KindGauge
-	// KindHistogram is a power-of-two latency histogram.
+	// KindHistogram is a latency histogram.
 	KindHistogram
 )
 
@@ -244,9 +244,9 @@ func (r *Registry) Snapshot() Snapshot {
 	s := make(Snapshot, len(r.order)+len(r.order)/2)
 	for _, m := range r.order {
 		if m.kind == KindHistogram {
-			hs := m.hist.Snapshot()
-			s[m.name+"_count"] = float64(hs.Count)
-			s[m.name+"_sum_ns"] = float64(hs.Sum.Nanoseconds())
+			// Count and sum only: a full Snapshot would copy every bucket.
+			s[m.name+"_count"] = float64(m.hist.count.Load())
+			s[m.name+"_sum_ns"] = float64(m.hist.sumNS.Load())
 			continue
 		}
 		s[m.series()] = m.read()

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -255,4 +256,41 @@ func TestShardViewRefusals(t *testing.T) {
 		reg.Shard(0).GaugeFuncL("fleet_labeled", ShardLabel(2), "x", func() float64 { return 0 })
 	})
 	mustPanic(t, func() { reg.Shard(0).Shard(1) })
+}
+
+func TestEventRingStats(t *testing.T) {
+	ring := NewEventRing(4)
+	for i := 0; i < 10; i++ {
+		ring.Record("k", "event %d", i)
+	}
+	recorded, dropped := ring.Stats()
+	if recorded != 10 || dropped != 6 {
+		t.Fatalf("stats = %d/%d, want 10/6", recorded, dropped)
+	}
+	evs := ring.Events()
+	if len(evs) != 4 || evs[0].Seq != 6 {
+		t.Fatalf("retained %d events, first seq %d; want 4 events from seq 6", len(evs), evs[0].Seq)
+	}
+}
+
+// TestEventsEndpointDroppedHeader checks /debug/events surfaces the
+// wraparound accounting in its header line.
+func TestEventsEndpointDroppedHeader(t *testing.T) {
+	ring := NewEventRing(4)
+	for i := 0; i < 7; i++ {
+		ring.Record("k", "event %d", i)
+	}
+	srv := httptest.NewServer(Handler(NewRegistry(), ring))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/debug/events")
+	if err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	defer resp.Body.Close()
+	buf := make([]byte, 4096)
+	n, _ := resp.Body.Read(buf)
+	body := string(buf[:n])
+	if !strings.Contains(body, "# events recorded=7 retained=4 dropped=3") {
+		t.Fatalf("missing dropped header in:\n%s", body)
+	}
 }

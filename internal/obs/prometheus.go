@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -45,25 +46,29 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeHistogram emits the cumulative bucket series. Power-of-two nanosecond
-// upper bounds are converted to seconds; empty high buckets beyond the last
-// populated one are collapsed into +Inf to keep scrapes compact.
+// writeHistogram emits the cumulative bucket series over the power-of-two
+// upper bounds 2^b - 1 ns, converted to seconds: the fine buckets are summed
+// per octave, so the le set is one bound per power of two. Empty octaves
+// beyond the last populated one are collapsed into +Inf to keep scrapes
+// compact, and the overflow bucket (2^39 ns and above), which no finite bound
+// holds, is counted only under +Inf.
 func writeHistogram(w io.Writer, name string, s HistogramSnapshot) {
+	var octaves [histOctaves]uint64
 	last := 0
-	for b, c := range s.Buckets {
+	for i, c := range s.Buckets[:histFine] {
 		if c > 0 {
-			last = b
+			lo, _ := histBounds(i)
+			last = bits.Len64(lo)
+			octaves[last] += c
 		}
 	}
 	cum := uint64(0)
 	for b := 0; b <= last; b++ {
-		cum += s.Buckets[b]
+		cum += octaves[b]
 		ub := float64(uint64(1)<<uint(b)-1) / 1e9
 		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatLE(ub), cum)
 	}
-	for b := last + 1; b < HistogramBuckets; b++ {
-		cum += s.Buckets[b]
-	}
+	cum += s.Buckets[histFine]
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
 	fmt.Fprintf(w, "%s_sum %s\n", name, formatValue(s.Sum.Seconds()))
 	fmt.Fprintf(w, "%s_count %d\n", name, cum)

@@ -28,8 +28,8 @@
 // which is exactly the /debug/traces acceptance check.
 //
 // HTM aborts are tagged with their htm.AbortCause so a span shows not just
-// "3 aborts" but "3 descend-validation aborts", the same signal the windowed
-// abort ratio exports globally.
+// "3 aborts" but "3 descend-validation aborts", the same signal the
+// htm_aborts_total counter exports globally.
 package trace
 
 import (
@@ -242,7 +242,7 @@ type Tracer struct {
 	totals  [NumOps]opTotals
 	byCause [htm.NumAbortCauses]atomic.Uint64
 
-	phaseHist [NumPhases]*obs.Histogram
+	phaseHist [NumPhases]obs.Histogram
 }
 
 // New builds a Tracer from cfg.
@@ -267,9 +267,6 @@ func New(cfg Config) *Tracer {
 	}
 	for i := range t.shards {
 		t.shards[i].buf = make([]atomic.Pointer[Span], per)
-	}
-	for p := range t.phaseHist {
-		t.phaseHist[p] = &obs.Histogram{}
 	}
 	return t
 }
@@ -565,20 +562,10 @@ func (t *Tracer) SlowSpans() uint64 {
 	return t.slow.Load()
 }
 
-// PhaseHistogram returns the tracer's per-phase latency histogram (sampled
-// span nanoseconds attributed to p) for windowed p99-by-phase queries, or
-// nil on a nil tracer.
-func (t *Tracer) PhaseHistogram(p Phase) *obs.Histogram {
-	if t == nil || p >= NumPhases {
-		return nil
-	}
-	return t.phaseHist[p]
-}
-
 // RegisterMetrics exposes the tracer's own counters and per-phase latency
 // histograms on reg under prefix (e.g. "trace"): sampled/dropped span
-// counts, slow-span count, and one histogram per phase
-// (<prefix>_phase_<name>_ns).
+// counts, slow-span count, and one latency histogram per phase
+// (<prefix>_phase_<name>_seconds, rendered in seconds like every histogram).
 func (t *Tracer) RegisterMetrics(reg *obs.Registry, prefix string) {
 	if t == nil {
 		return
@@ -590,8 +577,8 @@ func (t *Tracer) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_slow_spans_total",
 		"sampled spans over the slow-op threshold", t.slow.Load)
 	for p := Phase(0); p < NumPhases; p++ {
-		reg.RegisterHistogram(prefix+"_phase_"+p.String()+"_ns",
-			"sampled-span nanoseconds attributed to the "+p.String()+" phase",
-			t.phaseHist[p])
+		reg.RegisterHistogram(prefix+"_phase_"+p.String()+"_seconds",
+			"sampled-span time attributed to the "+p.String()+" phase",
+			&t.phaseHist[p])
 	}
 }

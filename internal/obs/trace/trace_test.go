@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -225,17 +226,33 @@ func TestSlowLog(t *testing.T) {
 	}
 }
 
-// TestRegisterMetrics checks the tracer's Prometheus surface renders.
+// TestRegisterMetrics checks the tracer's Prometheus surface renders, and
+// that a per-phase histogram is named in seconds and exported in seconds.
 func TestRegisterMetrics(t *testing.T) {
 	tr := New(Config{SampleEvery: 1})
+	start := time.Now()
 	sp := tr.Start(OpFind)
 	sp.Enter(PhaseDescend)
+	time.Sleep(2 * time.Millisecond)
 	sp.Finish()
+	elapsed := time.Since(start)
 
 	reg := obs.NewRegistry()
 	tr.RegisterMetrics(reg, "trace")
 	snap := reg.Snapshot()
 	if got := snap.Get("trace_spans_sampled_total"); got != 1 {
 		t.Fatalf("trace_spans_sampled_total = %v, want 1", got)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(b.String(), "\ntrace_phase_descend_seconds_sum ")
+	var sum float64
+	if _, err := fmt.Sscan(after, &sum); !ok || err != nil {
+		t.Fatalf("no trace_phase_descend_seconds_sum sample:\n%s", b.String())
+	}
+	if sum < 0.002 || sum > elapsed.Seconds() {
+		t.Fatalf("descend phase sum = %v s, want within [0.002, %v] s", sum, elapsed.Seconds())
 	}
 }
