@@ -39,7 +39,8 @@ type Options struct {
 	// line).
 	LeafCap int
 	// InnerFanout is the maximum number of keys per DRAM inner node
-	// (default 4096 single-threaded, 128 concurrent, per Table 1).
+	// (default, per Table 1: 4096 single-threaded, 128 concurrent with
+	// fixed-size keys, 64 concurrent with variable-size keys).
 	InnerFanout int
 	// GroupSize enables amortized persistent leaf allocations for the
 	// single-threaded trees (default 8; set to -1 to disable). Ignored by
@@ -117,11 +118,11 @@ func (o Options) coreConfig() core.Config {
 	return cfg
 }
 
-// KV is one fixed-size key-value pair.
-type KV = core.KV
-
-// VarKV is one variable-size key-value pair.
-type VarKV = core.VarKV
+// KV is one fixed-size key-value pair; VarKV one variable-size-key pair.
+type (
+	KV    = core.KV
+	VarKV = core.VarKV
+)
 
 // Iterator is a resumable range iterator over the fixed-key trees: created
 // positioned on the window's first key, advanced with Next, released with
@@ -135,354 +136,99 @@ type Iterator = core.FixedIterator
 // VarIterator is the variable-size-key counterpart of Iterator.
 type VarIterator = core.VarIterator
 
-// Tree is the single-threaded FPTree over 8-byte keys and values.
-type Tree struct {
-	t    *core.Tree
-	pool *scm.Pool
+// Index is an FPTree in its own SCM arena. Every tree operation is core's
+// (core.Index): Insert, Find, Update, Upsert, Delete, BulkLoad, Scan, ScanN,
+// Iterator, ReverseIterator, Len, CheckInvariants, Pool and the rest. The
+// handle adds only what needs the arena it owns: Recover and Save.
+type Index[K, V any] struct {
+	*core.Index[K, V]
+	open func(*scm.Pool, ...RecoveryOptions) (*core.Index[K, V], error)
 	rec  RecoveryOptions
 }
+
+// Tree is the FPTree over 8-byte keys and values, VarTree the one over
+// variable-size (byte-string) keys (Appendix C). CTree and CVarTree are the
+// same types: a tree made by CreateConcurrent or CreateConcurrentVar (or
+// loaded by their Load forms) runs Selective Concurrency, and all its methods
+// are safe for concurrent use.
+type (
+	Tree     = Index[uint64, uint64]
+	CTree    = Index[uint64, uint64]
+	VarTree  = Index[[]byte, []byte]
+	CVarTree = Index[[]byte, []byte]
+)
 
 // Create formats a new single-threaded FPTree in a fresh arena.
-func Create(opts Options) (*Tree, error) {
-	pool := scm.NewPool(opts.poolSize(), opts.latencyConfig())
-	t, err := core.Create(pool, opts.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{t: t, pool: pool, rec: opts.Recovery}, nil
-}
-
-// Load opens an arena image written by Save and recovers the tree in it.
-func Load(path string, opts Options) (*Tree, error) {
-	pool, err := scm.Load(path, opts.latencyConfig())
-	if err != nil {
-		return nil, err
-	}
-	t, err := core.Open(pool, opts.Recovery)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{t: t, pool: pool, rec: opts.Recovery}, nil
-}
-
-// Recover re-opens the tree after a simulated crash on the same pool.
-func (t *Tree) Recover() error {
-	nt, err := core.Open(t.pool, t.rec)
-	if err != nil {
-		return err
-	}
-	t.t = nt
-	return nil
-}
-
-// Save writes the durable image of the arena to path.
-func (t *Tree) Save(path string) error { return t.pool.Save(path) }
-
-// Pool exposes the backing SCM arena (stats, crash hooks, latency control).
-func (t *Tree) Pool() *scm.Pool { return t.pool }
-
-// Insert adds a key-value pair; keys are assumed unique.
-func (t *Tree) Insert(key, value uint64) error { return t.t.Insert(key, value) }
-
-// Find returns the value stored under key.
-func (t *Tree) Find(key uint64) (uint64, bool) { return t.t.Find(key) }
-
-// Update replaces the value under key, reporting whether it existed.
-func (t *Tree) Update(key, value uint64) (bool, error) { return t.t.Update(key, value) }
-
-// Upsert inserts the pair or updates it in place.
-func (t *Tree) Upsert(key, value uint64) error { return t.t.Upsert(key, value) }
-
-// Delete removes key, reporting whether it existed.
-func (t *Tree) Delete(key uint64) (bool, error) { return t.t.Delete(key) }
-
-// BulkLoad populates an empty tree from sorted pairs far faster than
-// repeated inserts; fill is the leaf fill factor (0 = 70%). A crash during
-// the load recovers a consistent prefix.
-func (t *Tree) BulkLoad(kvs []KV, fill float64) error { return t.t.BulkLoad(kvs, fill) }
-
-// Scan visits pairs with key >= from in ascending order until fn returns
-// false.
-func (t *Tree) Scan(from uint64, fn func(KV) bool) { t.t.Scan(from, fn) }
-
-// ScanN returns up to n pairs with key >= from (nil when n <= 0).
-func (t *Tree) ScanN(from uint64, n int) []KV { return t.t.ScanN(from, n) }
-
-// Iterator returns a resumable ascending iterator over [start, end);
-// end == 0 means unbounded.
-func (t *Tree) Iterator(start, end uint64) *Iterator { return t.t.Iterator(start, end) }
-
-// ReverseIterator returns a resumable descending iterator over [start, end),
-// starting at the greatest key below end (end == 0: the maximum key).
-func (t *Tree) ReverseIterator(start, end uint64) *Iterator { return t.t.ReverseIterator(start, end) }
-
-// Len returns the number of live keys.
-func (t *Tree) Len() int { return t.t.Len() }
-
-// CheckInvariants validates the tree's structural invariants (testing aid).
-func (t *Tree) CheckInvariants() error { return t.t.CheckInvariants() }
-
-// CTree is the concurrent FPTree over 8-byte keys and values (Selective
-// Concurrency). All methods are safe for concurrent use.
-type CTree struct {
-	t    *core.CTree
-	pool *scm.Pool
-	rec  RecoveryOptions
-}
+func Create(opts Options) (*Tree, error) { return create(opts, core.Create, core.Open) }
 
 // CreateConcurrent formats a new concurrent FPTree in a fresh arena.
 func CreateConcurrent(opts Options) (*CTree, error) {
-	if opts.InnerFanout == 0 {
-		opts.InnerFanout = 128 // Table 1: FPTreeC
-	}
-	pool := scm.NewPool(opts.poolSize(), opts.latencyConfig())
-	cfg := opts.coreConfig()
-	cfg.GroupSize = 0
-	t, err := core.CCreate(pool, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &CTree{t: t, pool: pool, rec: opts.Recovery}, nil
-}
-
-// LoadConcurrent opens an arena image and recovers the concurrent tree.
-func LoadConcurrent(path string, opts Options) (*CTree, error) {
-	pool, err := scm.Load(path, opts.latencyConfig())
-	if err != nil {
-		return nil, err
-	}
-	t, err := core.COpen(pool, opts.Recovery)
-	if err != nil {
-		return nil, err
-	}
-	return &CTree{t: t, pool: pool, rec: opts.Recovery}, nil
-}
-
-// Recover re-opens the tree after a simulated crash on the same pool.
-func (t *CTree) Recover() error {
-	nt, err := core.COpen(t.pool, t.rec)
-	if err != nil {
-		return err
-	}
-	t.t = nt
-	return nil
-}
-
-// Save writes the durable image of the arena to path.
-func (t *CTree) Save(path string) error { return t.pool.Save(path) }
-
-// Pool exposes the backing SCM arena.
-func (t *CTree) Pool() *scm.Pool { return t.pool }
-
-// Insert adds a key-value pair; keys are assumed unique.
-func (t *CTree) Insert(key, value uint64) error { return t.t.Insert(key, value) }
-
-// Find returns the value stored under key.
-func (t *CTree) Find(key uint64) (uint64, bool) { return t.t.Find(key) }
-
-// Update replaces the value under key, reporting whether it existed.
-func (t *CTree) Update(key, value uint64) (bool, error) { return t.t.Update(key, value) }
-
-// Upsert inserts the pair or updates it in place.
-func (t *CTree) Upsert(key, value uint64) error { return t.t.Upsert(key, value) }
-
-// Delete removes key, reporting whether it existed.
-func (t *CTree) Delete(key uint64) (bool, error) { return t.t.Delete(key) }
-
-// Scan visits pairs with key >= from in ascending order until fn returns
-// false.
-func (t *CTree) Scan(from uint64, fn func(KV) bool) { t.t.Scan(from, fn) }
-
-// ScanN returns up to n pairs with key >= from (nil when n <= 0).
-func (t *CTree) ScanN(from uint64, n int) []KV { return t.t.ScanN(from, n) }
-
-// Iterator returns a resumable ascending iterator over [start, end);
-// end == 0 means unbounded. Safe to advance while other goroutines mutate
-// the tree.
-func (t *CTree) Iterator(start, end uint64) *Iterator { return t.t.Iterator(start, end) }
-
-// ReverseIterator returns a resumable descending iterator over [start, end),
-// starting at the greatest key below end (end == 0: the maximum key).
-func (t *CTree) ReverseIterator(start, end uint64) *Iterator {
-	return t.t.ReverseIterator(start, end)
-}
-
-// Len returns the number of live keys.
-func (t *CTree) Len() int { return t.t.Len() }
-
-// VarTree is the single-threaded FPTree over variable-size (byte-string)
-// keys (Appendix C).
-type VarTree struct {
-	t    *core.VarTree
-	pool *scm.Pool
-	rec  RecoveryOptions
+	return create(opts.fanout(128), core.CCreate, core.COpen) // Table 1: FPTreeC
 }
 
 // CreateVar formats a new single-threaded variable-size-key FPTree.
-func CreateVar(opts Options) (*VarTree, error) {
-	pool := scm.NewPool(opts.poolSize(), opts.latencyConfig())
-	t, err := core.CreateVar(pool, opts.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &VarTree{t: t, pool: pool, rec: opts.Recovery}, nil
-}
-
-// LoadVar opens an arena image and recovers the variable-size-key tree.
-func LoadVar(path string, opts Options) (*VarTree, error) {
-	pool, err := scm.Load(path, opts.latencyConfig())
-	if err != nil {
-		return nil, err
-	}
-	t, err := core.OpenVar(pool, opts.Recovery)
-	if err != nil {
-		return nil, err
-	}
-	return &VarTree{t: t, pool: pool, rec: opts.Recovery}, nil
-}
-
-// Recover re-opens the tree after a simulated crash on the same pool.
-func (t *VarTree) Recover() error {
-	nt, err := core.OpenVar(t.pool, t.rec)
-	if err != nil {
-		return err
-	}
-	t.t = nt
-	return nil
-}
-
-// Save writes the durable image of the arena to path.
-func (t *VarTree) Save(path string) error { return t.pool.Save(path) }
-
-// Pool exposes the backing SCM arena.
-func (t *VarTree) Pool() *scm.Pool { return t.pool }
-
-// Insert adds a key-value pair; keys are assumed unique.
-func (t *VarTree) Insert(key, value []byte) error { return t.t.Insert(key, value) }
-
-// Find returns a copy of the value stored under key.
-func (t *VarTree) Find(key []byte) ([]byte, bool) { return t.t.Find(key) }
-
-// Update replaces the value under key, reporting whether it existed.
-func (t *VarTree) Update(key, value []byte) (bool, error) { return t.t.Update(key, value) }
-
-// Upsert inserts the pair or updates it in place.
-func (t *VarTree) Upsert(key, value []byte) error { return t.t.Upsert(key, value) }
-
-// Delete removes key, reporting whether it existed.
-func (t *VarTree) Delete(key []byte) (bool, error) { return t.t.Delete(key) }
-
-// BulkLoad populates an empty tree from pairs sorted by bytewise key order,
-// far faster than repeated inserts; fill is the leaf fill factor (0 = 70%).
-// A crash during the load recovers a consistent prefix.
-func (t *VarTree) BulkLoad(kvs []VarKV, fill float64) error { return t.t.BulkLoad(kvs, fill) }
-
-// Scan visits pairs with key >= from in ascending order until fn returns
-// false.
-func (t *VarTree) Scan(from []byte, fn func(VarKV) bool) { t.t.Scan(from, fn) }
-
-// ScanN returns up to n pairs with key >= from (nil when n <= 0).
-func (t *VarTree) ScanN(from []byte, n int) []VarKV { return t.t.ScanN(from, n) }
-
-// Iterator returns a resumable ascending iterator over [start, end) in
-// bytewise key order; a nil edge means unbounded.
-func (t *VarTree) Iterator(start, end []byte) *VarIterator { return t.t.Iterator(start, end) }
-
-// ReverseIterator returns a resumable descending iterator over [start, end),
-// starting at the greatest key below end (nil end: the maximum key).
-func (t *VarTree) ReverseIterator(start, end []byte) *VarIterator {
-	return t.t.ReverseIterator(start, end)
-}
-
-// Len returns the number of live keys.
-func (t *VarTree) Len() int { return t.t.Len() }
-
-// CVarTree is the concurrent FPTree over variable-size keys.
-type CVarTree struct {
-	t    *core.CVarTree
-	pool *scm.Pool
-	rec  RecoveryOptions
-}
+func CreateVar(opts Options) (*VarTree, error) { return create(opts, core.CreateVar, core.OpenVar) }
 
 // CreateConcurrentVar formats a new concurrent variable-size-key FPTree.
 func CreateConcurrentVar(opts Options) (*CVarTree, error) {
-	if opts.InnerFanout == 0 {
-		opts.InnerFanout = 64 // Table 1: FPTreeCVar
-	}
-	pool := scm.NewPool(opts.poolSize(), opts.latencyConfig())
-	cfg := opts.coreConfig()
-	cfg.GroupSize = 0
-	t, err := core.CCreateVar(pool, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &CVarTree{t: t, pool: pool, rec: opts.Recovery}, nil
+	return create(opts.fanout(64), core.CCreateVar, core.COpenVar) // Table 1: FPTreeCVar
 }
+
+// Load opens an arena image written by Save and recovers the tree in it.
+func Load(path string, opts Options) (*Tree, error) { return load(path, opts, core.Open) }
+
+// LoadConcurrent opens an arena image and recovers the concurrent tree.
+func LoadConcurrent(path string, opts Options) (*CTree, error) { return load(path, opts, core.COpen) }
+
+// LoadVar opens an arena image and recovers the variable-size-key tree.
+func LoadVar(path string, opts Options) (*VarTree, error) { return load(path, opts, core.OpenVar) }
 
 // LoadConcurrentVar opens an arena image and recovers the tree.
 func LoadConcurrentVar(path string, opts Options) (*CVarTree, error) {
+	return load(path, opts, core.COpenVar)
+}
+
+func (o Options) fanout(def int) Options {
+	if o.InnerFanout == 0 {
+		o.InnerFanout = def
+	}
+	return o
+}
+
+func create[K, V any](opts Options, mk func(*scm.Pool, core.Config) (*core.Index[K, V], error),
+	open func(*scm.Pool, ...RecoveryOptions) (*core.Index[K, V], error)) (*Index[K, V], error) {
+	t, err := mk(scm.NewPool(opts.poolSize(), opts.latencyConfig()), opts.coreConfig())
+	if err != nil {
+		return nil, err
+	}
+	return &Index[K, V]{t, open, opts.Recovery}, nil
+}
+
+func load[K, V any](path string, opts Options, open func(*scm.Pool, ...RecoveryOptions) (*core.Index[K, V], error)) (*Index[K, V], error) {
 	pool, err := scm.Load(path, opts.latencyConfig())
 	if err != nil {
 		return nil, err
 	}
-	t, err := core.COpenVar(pool, opts.Recovery)
+	t, err := open(pool, opts.Recovery)
 	if err != nil {
 		return nil, err
 	}
-	return &CVarTree{t: t, pool: pool, rec: opts.Recovery}, nil
+	return &Index[K, V]{t, open, opts.Recovery}, nil
 }
 
-// Recover re-opens the tree after a simulated crash on the same pool.
-func (t *CVarTree) Recover() error {
-	nt, err := core.COpenVar(t.pool, t.rec)
+// Recover re-opens the tree after a simulated crash on the same pool, with
+// the tree's own controller and Options.Recovery.
+func (t *Index[K, V]) Recover() error {
+	nt, err := t.open(t.Pool(), t.rec)
 	if err != nil {
 		return err
 	}
-	t.t = nt
+	t.Index = nt
 	return nil
 }
 
 // Save writes the durable image of the arena to path.
-func (t *CVarTree) Save(path string) error { return t.pool.Save(path) }
-
-// Pool exposes the backing SCM arena.
-func (t *CVarTree) Pool() *scm.Pool { return t.pool }
-
-// Insert adds a key-value pair; keys are assumed unique.
-func (t *CVarTree) Insert(key, value []byte) error { return t.t.Insert(key, value) }
-
-// Find returns a copy of the value stored under key.
-func (t *CVarTree) Find(key []byte) ([]byte, bool) { return t.t.Find(key) }
-
-// Update replaces the value under key, reporting whether it existed.
-func (t *CVarTree) Update(key, value []byte) (bool, error) { return t.t.Update(key, value) }
-
-// Upsert inserts the pair or updates it in place.
-func (t *CVarTree) Upsert(key, value []byte) error { return t.t.Upsert(key, value) }
-
-// Delete removes key, reporting whether it existed.
-func (t *CVarTree) Delete(key []byte) (bool, error) { return t.t.Delete(key) }
-
-// Scan visits pairs with key >= from in ascending order until fn returns
-// false.
-func (t *CVarTree) Scan(from []byte, fn func(VarKV) bool) { t.t.Scan(from, fn) }
-
-// ScanN returns up to n pairs with key >= from (nil when n <= 0).
-func (t *CVarTree) ScanN(from []byte, n int) []VarKV { return t.t.ScanN(from, n) }
-
-// Iterator returns a resumable ascending iterator over [start, end) in
-// bytewise key order; a nil edge means unbounded. Safe to advance while
-// other goroutines mutate the tree.
-func (t *CVarTree) Iterator(start, end []byte) *VarIterator { return t.t.Iterator(start, end) }
-
-// ReverseIterator returns a resumable descending iterator over [start, end),
-// starting at the greatest key below end (nil end: the maximum key).
-func (t *CVarTree) ReverseIterator(start, end []byte) *VarIterator {
-	return t.t.ReverseIterator(start, end)
-}
-
-// Len returns the number of live keys.
-func (t *CVarTree) Len() int { return t.t.Len() }
+func (t *Index[K, V]) Save(path string) error { return t.Pool().Save(path) }
 
 // Version is the library version.
 const Version = "1.0.0"

@@ -106,12 +106,23 @@ func TestPublicAPIConcurrent(t *testing.T) {
 	if tree.Len() != 8000 {
 		t.Fatalf("Len = %d", tree.Len())
 	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	tree.Pool().Crash()
 	if err := tree.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := tree.Find(5); !ok || v != 5 {
 		t.Fatalf("after recovery Find(5) = %d,%v", v, ok)
+	}
+	// Recover reopens with the tree's own controller: a concurrent tree
+	// keeps its retry budget and fallback lock.
+	if tree.Controller() == nil {
+		t.Fatal("the recovered concurrent tree has no controller")
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -158,6 +169,9 @@ func TestPublicAPIConcurrentVar(t *testing.T) {
 	wg.Wait()
 	if tree.Len() != 4000 {
 		t.Fatalf("Len = %d", tree.Len())
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -220,7 +234,7 @@ func TestPublicAPILatencyEmulation(t *testing.T) {
 }
 
 // TestPublicAPIIterators smokes the resumable iterators through all four
-// facades; the exhaustive differential coverage lives in internal/crashtest.
+// constructors; the exhaustive differential coverage lives in internal/crashtest.
 func TestPublicAPIIterators(t *testing.T) {
 	fixed, err := Create(Options{PoolSize: 32 << 20})
 	if err != nil {
@@ -300,7 +314,6 @@ func TestPublicAPIIterators(t *testing.T) {
 	}
 	vrev.Close()
 
-	// CVarTree.ScanN joined the facade alongside the iterators.
 	kvs := cvt.ScanN([]byte("key045"), 100)
 	if len(kvs) != 5 || string(kvs[0].Key) != "key045" {
 		t.Fatalf("CVarTree.ScanN = %d pairs, first %q", len(kvs), kvs[0].Key)

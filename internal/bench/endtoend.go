@@ -5,21 +5,21 @@ import (
 	"io"
 	"sync"
 
-	"fptree/internal/core"
 	"fptree/internal/kvserver"
 	"fptree/internal/nvtree"
 	"fptree/internal/scm"
 	"fptree/internal/stx"
 	"fptree/internal/tatp"
-	"fptree/internal/wbtree"
 )
 
 // lockedIdx wraps a non-thread-safe index with an RWMutex so the TATP
 // clients can read it in parallel, as the paper's prototype does with its
-// single-threaded trees.
+// single-threaded trees. rebuild marks a transient index a restart has to
+// refill.
 type lockedIdx struct {
-	mu sync.RWMutex
-	t  tatp.Index
+	mu      sync.RWMutex
+	t       tatp.Index
+	rebuild bool
 }
 
 func (l *lockedIdx) Insert(k, v uint64) error {
@@ -34,90 +34,46 @@ func (l *lockedIdx) Find(k uint64) (uint64, bool) {
 	return l.t.Find(k)
 }
 
-// tatpIndex builds the dictionary index of the given kind for Figure 12.
-// The NV-Tree uses the paper's special database configuration (leaf 1024,
-// inner 8) to survive the sequential-subscriber-id load.
+// tatpIndex builds the dictionary index of the given kind for Figure 12 and
+// the restart that crashes and recovers it. Every kind has its Table 1
+// configuration (NewFixed) except the NV-Tree, which uses the paper's special
+// database configuration (leaf 1024, inner 8) to survive the
+// sequential-subscriber-id load.
 func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func() (tatp.Index, error), error) {
 	switch kind {
-	case KindFPTree:
-		pool := poolMB(poolMBs, lat)
-		t, err := core.Create(pool, core.Config{LeafCap: 56, InnerFanout: 4096, GroupSize: 8})
-		if err != nil {
-			return nil, nil, err
-		}
-		rec := func() (tatp.Index, error) {
-			pool.Crash()
-			nt, err := core.Open(pool)
-			if err != nil {
-				return nil, err
-			}
-			return &lockedIdx{t: nt}, nil
-		}
-		return &lockedIdx{t: t}, rec, nil
-	case KindPTree:
-		pool := poolMB(poolMBs, lat)
-		t, err := core.Create(pool, core.Config{Variant: core.VariantPTree, LeafCap: 32, InnerFanout: 4096})
-		if err != nil {
-			return nil, nil, err
-		}
-		rec := func() (tatp.Index, error) {
-			pool.Crash()
-			nt, err := core.Open(pool)
-			if err != nil {
-				return nil, err
-			}
-			return &lockedIdx{t: nt}, nil
-		}
-		return &lockedIdx{t: t}, rec, nil
 	case KindNVTree:
 		pool := poolMB(poolMBs, lat)
 		t, err := nvtree.New(pool, nvtree.Config{LeafCap: 1024, InnerCap: 8})
 		if err != nil {
 			return nil, nil, err
 		}
-		rec := func() (tatp.Index, error) {
+		return &lockedIdx{t: t}, func() (tatp.Index, error) {
 			pool.Crash()
 			nt, err := nvtree.Open(pool, 8)
 			if err != nil {
 				return nil, err
 			}
 			return &lockedIdx{t: nt}, nil
-		}
-		return &lockedIdx{t: t}, rec, nil
-	case KindWBTree:
-		pool := poolMB(poolMBs, lat)
-		t, err := wbtree.New(pool, wbtree.Config{InnerCap: 32, LeafCap: 63})
-		if err != nil {
-			return nil, nil, err
-		}
-		rec := func() (tatp.Index, error) {
-			pool.Crash()
-			nt, err := wbtree.Open(pool)
-			if err != nil {
-				return nil, err
-			}
-			return &lockedIdx{t: nt}, nil
-		}
-		return &lockedIdx{t: t}, rec, nil
+		}, nil
 	case KindSTXTree:
-		t := stx.NewUint64()
-		rec := func() (tatp.Index, error) {
-			// A transient index must be rebuilt from scratch after a crash.
-			nt := stx.NewUint64()
-			return &lockedIdx{t: stxIdx{nt, true}}, nil
-		}
-		return &lockedIdx{t: stxIdx{t, false}}, rec, nil
+		// A transient index must be rebuilt from scratch after a crash.
+		return &lockedIdx{t: stxFixed{stx.NewUint64()}}, func() (tatp.Index, error) {
+			return &lockedIdx{t: stxFixed{stx.NewUint64()}, rebuild: true}, nil
+		}, nil
 	}
-	return nil, nil, fmt.Errorf("bench: no TATP index for kind %q", kind)
+	inst, err := NewFixed(kind, poolMBs, lat)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &lockedIdx{t: inst.Fixed}, func() (tatp.Index, error) {
+		inst.Pool.Crash()
+		nt, err := inst.Recover()
+		if err != nil {
+			return nil, err
+		}
+		return &lockedIdx{t: nt.(tatp.Index)}, nil
+	}, nil
 }
-
-type stxIdx struct {
-	t     *stx.Tree[uint64, uint64]
-	empty bool
-}
-
-func (a stxIdx) Insert(k, v uint64) error     { a.t.Insert(k, v); return nil }
-func (a stxIdx) Find(k uint64) (uint64, bool) { return a.t.Find(k) }
 
 // Fig12TATP reproduces Figure 12: TATP read-only throughput and database
 // restart time per dictionary index, across SCM latencies.
@@ -144,10 +100,10 @@ func Fig12TATP(w io.Writer, subscribers, txns, clients int, latencies []int) err
 				if err != nil {
 					return nil, err
 				}
-				if si, ok := nidx.(*lockedIdx); ok {
-					if sx, ok := si.t.(stxIdx); ok && sx.empty {
-						for row := 0; row < subscribers; row++ {
-							sx.t.Insert(uint64(row+1), uint64(row))
+				if li := nidx.(*lockedIdx); li.rebuild {
+					for row := 0; row < subscribers; row++ {
+						if err := li.t.Insert(uint64(row+1), uint64(row)); err != nil {
+							return nil, err
 						}
 					}
 				}

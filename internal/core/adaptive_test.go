@@ -15,7 +15,7 @@ import (
 )
 
 // TestAdaptiveControllerAttach: every concurrent tree is born with a
-// controller at the default budget, SetController (promoted by the facade)
+// controller at the default budget, SetController (promoted by Index)
 // replaces it, and single-threaded trees have none and ignore one.
 func TestAdaptiveControllerAttach(t *testing.T) {
 	ct := newCTree(t, Config{LeafCap: 8, InnerFanout: 4})

@@ -14,8 +14,7 @@ const DefaultBulkFill = 0.7
 // far faster than repeated inserts: leaves are written sequentially at the
 // given fill factor (0 = DefaultBulkFill) and linked as they complete, then
 // the inner nodes are built in one pass — the same procedure recovery uses.
-// It is generic over the codec, so both the fixed and the var facades wrap
-// it. Bulk loading requires leaf groups and a single-threaded tree.
+// Bulk loading requires leaf groups and a single-threaded tree.
 //
 // Crash consistency: each leaf is made durable with its validity bitmap
 // still zero, then linked into the list, and only then is the bitmap
@@ -99,22 +98,4 @@ func (e *engine[K, V]) bulkLoad(n int, fill float64, at func(int) (K, V)) error 
 	}
 	e.root.Store(buildInnerW(leaves, maxKeys, e.maxKids(), 1, e.cdc.prefix))
 	return nil
-}
-
-// BulkLoad populates an empty tree from a sorted key-value slice; fill is
-// the leaf fill factor (0 = DefaultBulkFill). See bulkLoad for the crash
-// contract.
-func (t *Tree) BulkLoad(kvs []KV, fill float64) error {
-	return t.engine.bulkLoad(len(kvs), fill, func(i int) (uint64, uint64) {
-		return kvs[i].Key, kvs[i].Value
-	})
-}
-
-// BulkLoad populates an empty variable-size-key tree from a slice sorted by
-// bytewise key order; fill is the leaf fill factor (0 = DefaultBulkFill).
-// See bulkLoad for the crash contract.
-func (t *VarTree) BulkLoad(kvs []VarKV, fill float64) error {
-	return t.engine.bulkLoad(len(kvs), fill, func(i int) ([]byte, []byte) {
-		return kvs[i].Key, kvs[i].Value
-	})
 }

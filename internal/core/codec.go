@@ -97,6 +97,11 @@ type codec[K, V any] interface {
 	// such key exists (fixed u64 overflow). Range reads use it to step past
 	// a separator upper bound or the last key they handed out.
 	nextAfter(k K) (K, bool)
+	// edge maps an iterator window edge onto a bound: the zero key (0, or a
+	// nil or empty byte string, which is not a legal key) means unbounded.
+	// A zero fixed start covers every key either way; a zero exclusive end
+	// would exclude every key, so the zero value is free to mean "no bound".
+	edge(k K) bound[K]
 	// keyDRAMBytes estimates the DRAM cost of holding k in an inner node.
 	keyDRAMBytes(k K) uint64
 }
@@ -129,6 +134,23 @@ func readRuns(pool *scm.Pool, base, stride, width, bm uint64, img []byte) {
 	if open {
 		read(first, last)
 	}
+}
+
+// keyKindOf is the key kind the meta block records for K: uint64 keys are
+// fixed-size, every other key type ([]byte) variable-size.
+func keyKindOf[K any]() uint64 {
+	if _, fixed := any(*new(K)).(uint64); fixed {
+		return keyKindFixed
+	}
+	return keyKindVar
+}
+
+// newCodec picks the codec from K, as keycell.For does for the baselines.
+func newCodec[K, V any](pool *scm.Pool, cfg Config) codec[K, V] {
+	if keyKindOf[K]() == keyKindFixed {
+		return any(newFixedCodec(pool, cfg)).(codec[K, V])
+	}
+	return any(newVarCodec(pool, cfg)).(codec[K, V])
 }
 
 // --- fixed-size keys ---------------------------------------------------------
@@ -248,6 +270,8 @@ func (c *fixedCodec) nextAfter(k uint64) (uint64, bool) {
 	}
 	return k + 1, true
 }
+
+func (c *fixedCodec) edge(k uint64) bound[uint64] { return bound[uint64]{key: k, ok: k != 0} }
 
 func (c *fixedCodec) keyDRAMBytes(uint64) uint64 { return 8 }
 
@@ -691,6 +715,15 @@ func (c *varCodec) nextAfter(k []byte) ([]byte, bool) {
 	next := make([]byte, len(k)+1)
 	copy(next, k)
 	return next, true
+}
+
+// edge clones the key: the iterator outlives the call and the caller keeps
+// ownership of its slice.
+func (c *varCodec) edge(k []byte) bound[[]byte] {
+	if len(k) == 0 {
+		return bound[[]byte]{}
+	}
+	return bound[[]byte]{key: slices.Clone(k), ok: true}
 }
 
 func (c *varCodec) keyDRAMBytes(k []byte) uint64 { return uint64(len(k)) + 24 }

@@ -9,7 +9,7 @@ import (
 
 // SetController replaces the controller newEngine gave a concurrent tree (the
 // default htm.AdaptiveConfig) with c — a test's small-budget or
-// always-fallback configuration. The facades promote this method.
+// always-fallback configuration. Index promotes this method.
 // Single-threaded trees never abort, have no controller and ignore it; a nil
 // c is ignored too, since a concurrent tree's writers need a budget and a
 // fallback lock.

@@ -310,7 +310,7 @@ func TestSingleThreadedReadsShareable(t *testing.T) {
 func TestBoundedIteratorStopsAtWindowEnd(t *testing.T) {
 	for _, concurrent := range []bool{false, true} {
 		pool := scm.NewPool(32<<20, scm.LatencyConfig{CacheBytes: -1})
-		var tr fixedIterTree
+		var tr *Tree
 		var err error
 		if concurrent {
 			tr, err = CCreate(pool, Config{LeafCap: 8, InnerFanout: 8})

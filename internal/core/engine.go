@@ -21,8 +21,8 @@ import (
 // scans — lives here exactly once, parameterized by a codec (fixed u64 keys
 // vs. variable []byte keys, see codec.go) and a concurrency controller
 // (single-threaded no-ops vs. speculative validated descent, see
-// concurrency.go). Tree, VarTree, CTree and CVarTree are thin facades that
-// pick a (codec, controller) pair.
+// concurrency.go). Index (index.go) is its one exported face: the key type
+// picks the codec, the constructor the controller.
 //
 // The DRAM inner structure is always the concurrent cInner node: with the
 // no-op controller every validation succeeds on the first try, so the
@@ -112,7 +112,7 @@ func checkConcurrentCfg(cc concurrency, cfg *Config) error {
 	return nil
 }
 
-func createEngine[K, V any](pool *scm.Pool, cfg Config, kind uint64, mk func(*scm.Pool, Config) codec[K, V], cc concurrency) (*engine[K, V], error) {
+func createEngine[K, V any](pool *scm.Pool, cfg Config, cc concurrency) (*engine[K, V], error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -122,11 +122,11 @@ func createEngine[K, V any](pool *scm.Pool, cfg Config, kind uint64, mk func(*sc
 	if !pool.Root().IsNull() {
 		return nil, fmt.Errorf("fptree: pool already contains a tree")
 	}
-	m, err := createMeta(pool, kind, cfg)
+	m, err := createMeta(pool, keyKindOf[K](), cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(pool, cfg, m, mk(pool, cfg), cc), nil
+	return newEngine(pool, cfg, m, newCodec[K, V](pool, cfg), cc), nil
 }
 
 // openEngine recovers a tree from a pool that survived a crash or restart:
@@ -135,9 +135,9 @@ func createEngine[K, V any](pool *scm.Pool, cfg Config, kind uint64, mk func(*sc
 // free-leaf vector (Algorithm 9). Leaf locks are "reset" by building fresh
 // handles. rec selects the sequential or parallel leaf scan; either way the
 // recovered arena is byte-identical (see RecoveryOptions).
-func openEngine[K, V any](pool *scm.Pool, kind uint64, mk func(*scm.Pool, Config) codec[K, V], cc concurrency, rec RecoveryOptions) (*engine[K, V], error) {
+func openEngine[K, V any](pool *scm.Pool, cc concurrency, rec RecoveryOptions) (*engine[K, V], error) {
 	pool.Recover()
-	m, cfg, err := openMeta(pool, kind)
+	m, cfg, err := openMeta(pool, keyKindOf[K]())
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func openEngine[K, V any](pool *scm.Pool, kind uint64, mk func(*scm.Pool, Config
 	if err := checkConcurrentCfg(cc, &cfg); err != nil {
 		return nil, err
 	}
-	e := newEngine(pool, cfg, m, mk(pool, cfg), cc)
+	e := newEngine(pool, cfg, m, newCodec[K, V](pool, cfg), cc)
 	e.recWorkers = rec.workers()
 	e.recovering = true
 	for i := 0; i < cfg.NumLogs; i++ {
@@ -159,9 +159,6 @@ func openEngine[K, V any](pool *scm.Pool, kind uint64, mk func(*scm.Pool, Config
 	e.recovering = false
 	return e, nil
 }
-
-func fixedCodecOf(pool *scm.Pool, cfg Config) codec[uint64, uint64] { return newFixedCodec(pool, cfg) }
-func varCodecOf(pool *scm.Pool, cfg Config) codec[[]byte, []byte]   { return newVarCodec(pool, cfg) }
 
 // Pool returns the SCM pool backing the tree.
 func (e *engine[K, V]) Pool() *scm.Pool { return e.pool }

@@ -17,49 +17,19 @@ func edgeKey(i int) []byte  { return []byte(fmt.Sprintf("edge-key-%07d", i)) } /
 func longKey(i int) []byte  { return []byte(fmt.Sprintf("long-key-%08d", i)) } // 17 bytes: the shortest pointer key
 func blobKey(i int) []byte  { return []byte(fmt.Sprintf("blob-%035d", i)) }    // 40 bytes
 
-// varEngine is what the var facades share; the tests below run on both
-// controllers through it.
-type varEngine = engine[[]byte, []byte]
-
+// varControllers runs the tests below on both controllers.
 var varControllers = []struct {
 	name   string
-	create func(*scm.Pool, Config) (*varEngine, error)
-	open   func(*scm.Pool) (*varEngine, error)
-}{
-	{"st", func(p *scm.Pool, cfg Config) (*varEngine, error) {
-		tr, err := CreateVar(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return tr.engine, nil
-	}, func(p *scm.Pool) (*varEngine, error) {
-		tr, err := OpenVar(p)
-		if err != nil {
-			return nil, err
-		}
-		return tr.engine, nil
-	}},
-	{"occ", func(p *scm.Pool, cfg Config) (*varEngine, error) {
-		tr, err := CCreateVar(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return tr.engine, nil
-	}, func(p *scm.Pool) (*varEngine, error) {
-		tr, err := COpenVar(p)
-		if err != nil {
-			return nil, err
-		}
-		return tr.engine, nil
-	}},
-}
+	create func(*scm.Pool, Config) (*VarTree, error)
+	open   func(*scm.Pool, ...RecoveryOptions) (*VarTree, error)
+}{{"st", CreateVar, OpenVar}, {"occ", CCreateVar, COpenVar}}
 
 // checkNoLeak is the allocator-side invariant of a var tree without leaf
 // groups: every byte carved out of the arena is the metadata block, a linked
 // leaf, a key block a valid slot points to, or on a free list. A block that
 // recovery leaked is in none of them; one it freed while a slot still owned
 // it is in two.
-func checkNoLeak(e *varEngine) error {
+func checkNoLeak(e *VarTree) error {
 	c := e.cdc.(*varCodec)
 	owned := roundUp(metaSize(e.cfg.NumLogs), scm.LineSize)
 	for p := e.m.headLeaf(); !p.IsNull(); p = e.leafNext(p.Offset) {
@@ -139,12 +109,12 @@ func TestTornSlotReuseExhaustive(t *testing.T) {
 						name    string
 						base    *scm.Pool
 						key     []byte
-						run     func(e *varEngine) error
+						run     func(e *VarTree) error
 						present [2]bool // the key may be present before / after the op
 					}{
-						{"insert", base, fresh, func(e *varEngine) error { return e.Insert(fresh, []byte("new")) }, [2]bool{false, true}},
-						{"update", base, moved, func(e *varEngine) error { _, err := e.Update(moved, []byte("new")); return err }, [2]bool{true, true}},
-						{"delete", withFresh, fresh, func(e *varEngine) error { _, err := e.Delete(fresh); return err }, [2]bool{true, false}},
+						{"insert", base, fresh, func(e *VarTree) error { return e.Insert(fresh, []byte("new")) }, [2]bool{false, true}},
+						{"update", base, moved, func(e *VarTree) error { _, err := e.Update(moved, []byte("new")); return err }, [2]bool{true, true}},
+						{"delete", withFresh, fresh, func(e *VarTree) error { _, err := e.Delete(fresh); return err }, [2]bool{true, false}},
 					}
 					for _, op := range ops {
 						name := fmt.Sprintf("%s/value%d/%s-over-%s/%s", ctl.name, cfg.ValueSize, now.name, was.name, op.name)
@@ -272,11 +242,11 @@ func TestTornValueLengthReuse(t *testing.T) {
 				ops := []struct {
 					name string
 					key  []byte
-					run  func(e *varEngine) error
+					run  func(e *VarTree) error
 					old  []byte // nil: the key is absent before the op
 				}{
-					{"insert", fresh, func(e *varEngine) error { return e.Insert(fresh, dir.now) }, nil},
-					{"update", moved, func(e *varEngine) error { _, err := e.Update(moved, dir.now); return err }, dir.was},
+					{"insert", fresh, func(e *VarTree) error { return e.Insert(fresh, dir.now) }, nil},
+					{"update", moved, func(e *VarTree) error { _, err := e.Update(moved, dir.now); return err }, dir.was},
 				}
 				for _, op := range ops {
 					name := fmt.Sprintf("%s/%s/%s/%s", ctl.name, kind.name, dir.name, op.name)

@@ -6,14 +6,14 @@ import (
 	"fptree/internal/obs/trace"
 )
 
-// Range reads. Scan/ScanN and the resumable iterators of all four facades
-// read the tree through one device, the leaf cursor: it follows the leaf
-// sibling order the paper's scans use (Figure 2: leaves are unsorted, so each
-// visited leaf is sorted in DRAM), with one twist that makes it safe under
-// Selective Concurrency. Every batch of keys is read from one leaf under its
-// shared lock together with the leaf's modification version, so a batch is a
-// consistent picture of that leaf at one instant and can later be proven
-// still current without touching SCM again.
+// Range reads. Scan/ScanN and the resumable iterators read the tree through
+// one device, the leaf cursor: it follows the leaf sibling order the paper's
+// scans use (Figure 2: leaves are unsorted, so each visited leaf is sorted in
+// DRAM), with one twist that makes it safe under Selective Concurrency.
+// Every batch of keys is read from one leaf under its shared lock together
+// with the leaf's modification version, so a batch is a consistent picture
+// of that leaf at one instant and can later be proven still current without
+// touching SCM again.
 //
 // A scan consumes the cursor by batch: it emits a whole validated batch, then
 // asks for the next leaf. An iterator consumes it by key and outlives any one
@@ -262,23 +262,8 @@ leaves:
 	sp.Finish()
 }
 
-// scanN collects up to n pairs with key >= from through scan (nil when
-// n <= 0). The result is pre-sized to min(n, Len()), so a large n does not
-// over-allocate. pair builds the facade's exported pair type.
-func scanN[K, V, P any](e *engine[K, V], from K, n int, pair func(K, V) P) []P {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]P, 0, min(n, e.Len()))
-	e.scan(from, func(k K, v V) bool {
-		out = append(out, pair(k, v))
-		return len(out) < n
-	})
-	return out
-}
-
 // Iter is a resumable iterator over a [start, end) window of the tree,
-// created by the facades' Iterator/ReverseIterator methods. A freshly created
+// created by Index.Iterator and Index.ReverseIterator. A freshly created
 // iterator is already positioned on the first key of the window (check
 // Valid); Next advances. Iterators are not safe for concurrent use by
 // multiple goroutines, but on the concurrent trees they may run alongside
@@ -288,30 +273,6 @@ type Iter[K, V any] struct {
 	c     leafCursor[K, V]
 	v     V
 	valid bool
-}
-
-// FixedIterator iterates 8-byte keys and values ([Tree], [CTree]).
-type FixedIterator = Iter[uint64, uint64]
-
-// VarIterator iterates byte-string keys and values ([VarTree], [CVarTree]).
-type VarIterator = Iter[[]byte, []byte]
-
-// fixedIterBounds maps the fixed facades' window convention onto bounds:
-// end == 0 means unbounded (a zero exclusive end would exclude every key, so
-// the zero value is free to mean "no bound"); start 0 is simply the smallest
-// key, which is indistinguishable from unbounded.
-func fixedIterBounds(start, end uint64) (bound[uint64], bound[uint64]) {
-	return bound[uint64]{key: start, ok: true}, bound[uint64]{key: end, ok: end != 0}
-}
-
-// varIterBound maps the var facades' convention: nil (or empty, which is not
-// a legal key) means unbounded. The edge is cloned — the iterator outlives
-// the call and the caller keeps ownership of its slice.
-func varIterBound(k []byte) bound[[]byte] {
-	if len(k) == 0 {
-		return bound[[]byte]{}
-	}
-	return bound[[]byte]{key: slices.Clone(k), ok: true}
 }
 
 func (e *engine[K, V]) iterator(start, end bound[K], reverse bool) *Iter[K, V] {

@@ -14,56 +14,30 @@ import (
 	"fptree/internal/scm"
 )
 
-// fixedIterTree is the surface the fixed-key iterator tests drive, satisfied
-// by both *Tree and *CTree (edge-domain behavior must be identical across
-// concurrency controllers when used from a single goroutine).
-type fixedIterTree interface {
-	Insert(k, v uint64) error
-	Delete(k uint64) (bool, error)
-	Update(k, v uint64) (bool, error)
-	Iterator(start, end uint64) *FixedIterator
-	ReverseIterator(start, end uint64) *FixedIterator
-	Len() int
-}
-
-type varIterTree interface {
-	Insert(k, v []byte) error
-	Delete(k []byte) (bool, error)
-	Iterator(start, end []byte) *VarIterator
-	ReverseIterator(start, end []byte) *VarIterator
-	Len() int
-}
-
 // newFixedIterTree builds a small-leaf tree so a few dozen keys span many
-// leaves and iterator stepping is actually exercised.
-func newFixedIterTree(t *testing.T, concurrent bool) fixedIterTree {
+// leaves and iterator stepping is actually exercised. Edge-domain behavior
+// must be identical across concurrency controllers when used from a single
+// goroutine, so every test runs both.
+func newFixedIterTree(t *testing.T, concurrent bool) *Tree {
 	t.Helper()
-	pool := newPool(16)
+	create, cfg := Create, Config{LeafCap: 8, InnerFanout: 4, GroupSize: 4}
 	if concurrent {
-		tr, err := CCreate(pool, Config{LeafCap: 8, InnerFanout: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+		create, cfg.GroupSize = CCreate, 0
 	}
-	tr, err := Create(pool, Config{LeafCap: 8, InnerFanout: 4, GroupSize: 4})
+	tr, err := create(newPool(16), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tr
 }
 
-func newVarIterTree(t *testing.T, concurrent bool) varIterTree {
+func newVarIterTree(t *testing.T, concurrent bool) *VarTree {
 	t.Helper()
-	pool := newPool(16)
+	create, cfg := CreateVar, Config{LeafCap: 8, InnerFanout: 4, GroupSize: 4, ValueSize: 8}
 	if concurrent {
-		tr, err := CCreateVar(pool, Config{LeafCap: 8, InnerFanout: 4, ValueSize: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
+		create, cfg.GroupSize = CCreateVar, 0
 	}
-	tr, err := CreateVar(pool, Config{LeafCap: 8, InnerFanout: 4, GroupSize: 4, ValueSize: 8})
+	tr, err := create(newPool(16), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,16 +103,11 @@ func eqStr(a, b []string) bool {
 
 // TestScanMatchesIteratorFixed: Scan, ScanN and Iterator are three consumers
 // of one cursor and must return the identical sequence for the same window on
-// both fixed facades — including from the key at the top of the key space,
+// both fixed trees — including from the key at the top of the key space,
 // which has no successor to resume from.
 func TestScanMatchesIteratorFixed(t *testing.T) {
-	type tree interface {
-		fixedIterTree
-		Scan(from uint64, fn func(KV) bool)
-		ScanN(from uint64, n int) []KV
-	}
 	for _, concurrent := range []bool{false, true} {
-		tr := newFixedIterTree(t, concurrent).(tree)
+		tr := newFixedIterTree(t, concurrent)
 		rng := rand.New(rand.NewSource(11))
 		keys := []uint64{math.MaxUint64, math.MaxUint64 - 1, 1}
 		for i := 0; i < 300; i++ {
@@ -156,11 +125,11 @@ func TestScanMatchesIteratorFixed(t *testing.T) {
 			i, _ := slices.BinarySearch(keys, from)
 			want := keys[i:]
 			var scanned []uint64
-			tr.Scan(from, func(kv KV) bool {
-				if kv.Value != kv.Key*10 {
-					t.Fatalf("scan: key %d carries value %d", kv.Key, kv.Value)
+			tr.Scan(from, func(k, v uint64) bool {
+				if v != k*10 {
+					t.Fatalf("scan: key %d carries value %d", k, v)
 				}
-				scanned = append(scanned, kv.Key)
+				scanned = append(scanned, k)
 				return true
 			})
 			if !eqU64(scanned, want) {
@@ -193,13 +162,8 @@ func TestScanMatchesIteratorFixed(t *testing.T) {
 // TestScanMatchesIteratorVar is the var-key run, with 0xFF… keys at the top
 // of the key space.
 func TestScanMatchesIteratorVar(t *testing.T) {
-	type tree interface {
-		varIterTree
-		Scan(from []byte, fn func(VarKV) bool)
-		ScanN(from []byte, n int) []VarKV
-	}
 	for _, concurrent := range []bool{false, true} {
-		tr := newVarIterTree(t, concurrent).(tree)
+		tr := newVarIterTree(t, concurrent)
 		rng := rand.New(rand.NewSource(12))
 		keys := []string{"\xff", "\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff", "\x00"}
 		for i := 0; i < 300; i++ {
@@ -221,8 +185,8 @@ func TestScanMatchesIteratorVar(t *testing.T) {
 			i, _ := slices.BinarySearch(keys, from)
 			want := keys[i:]
 			var scanned []string
-			tr.Scan([]byte(from), func(kv VarKV) bool {
-				scanned = append(scanned, string(kv.Key))
+			tr.Scan([]byte(from), func(k, _ []byte) bool {
+				scanned = append(scanned, string(k))
 				return true
 			})
 			if !eqStr(scanned, want) {
@@ -951,8 +915,8 @@ func rangeReadLines[K, V any](t *testing.T, e *engine[K, V], pool *scm.Pool, arr
 		t.Logf("%s: %d misses, %d loads (bound %d) over %d leaves, %d with a split run", name, misses, loads, maxLoads, visited, split)
 	}
 	read("ScanN", func(emit func(K)) {
-		for _, kv := range scanN(e, keys[0], n, func(k K, v V) kvPair[K, V] { return kvPair[K, V]{k, v} }) {
-			emit(kv.k)
+		for _, kv := range (&Index[K, V]{e}).ScanN(keys[0], n) {
+			emit(kv.Key)
 		}
 	})
 	read("Iterator", func(emit func(K)) {

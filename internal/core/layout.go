@@ -11,9 +11,10 @@
 // variable-size keys, in the slot up to 16 bytes and behind persistent
 // key-block pointers per Appendix C beyond that)
 // and a concurrency controller (concurrency.go — single-threaded, or
-// version-lock optimistic descent with fine-grained leaf locks). The
-// exported types Tree, CTree, VarTree and CVarTree (tree.go, ctree.go,
-// tree_var.go, cvar.go) are thin facades instantiating those axes.
+// version-lock optimistic descent with fine-grained leaf locks). The one
+// exported type, Index[K, V] (index.go), takes the codec from its key type
+// and the controller from its constructor; Tree, CTree, VarTree and CVarTree
+// are aliases of its two instances.
 //
 // Recovery (Open/COpen/OpenVar/COpenVar) replays the allocator intent and
 // the split/delete micro-logs, then rebuilds the DRAM inner nodes from a

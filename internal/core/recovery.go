@@ -34,7 +34,8 @@ func (o RecoveryOptions) workers() int {
 	return o.Workers
 }
 
-// recoveryOpts collapses a facade's variadic options; the last value wins.
+// recoveryOpts collapses a constructor's variadic options; the last value
+// wins.
 func recoveryOpts(opts []RecoveryOptions) RecoveryOptions {
 	if len(opts) == 0 {
 		return RecoveryOptions{}

@@ -7,7 +7,7 @@ import (
 
 // SetTracer installs tr as the engine's operation tracer; nil (the default)
 // disables tracing, leaving exactly one predictable nil-check branch per
-// instrumentation site. The facades promote this method, and kvserver.Store
+// instrumentation site. Index promotes this method, and kvserver.Store
 // carries it, so any store backed by a tree can be traced without new
 // constructor plumbing.
 //

@@ -283,7 +283,7 @@ func TestScanEarlyStop(t *testing.T) {
 		}
 	}
 	var seen int
-	tr.Scan(0, func(kv KV) bool {
+	tr.Scan(0, func(uint64, uint64) bool {
 		seen++
 		return seen < 7
 	})

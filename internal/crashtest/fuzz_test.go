@@ -2,9 +2,9 @@ package crashtest
 
 // Native fuzz targets funnelling into the differential checker. The input
 // byte stream decodes into (op, key, value) triples — including a
-// crash-and-recover opcode — applied to the FPTree, its concurrent facade and
+// crash-and-recover opcode — applied to the FPTree, its concurrent form and
 // the PTree (fixed keys), or to var-key FPTrees (8-byte values, and values of
-// mixed lengths in kvserver's 122-byte field) and their concurrent facades,
+// mixed lengths in kvserver's 122-byte field) and their concurrent forms,
 // each against its own map oracle. Seed corpora live in
 // testdata/fuzz/. CI smoke-runs each target briefly; run
 // `go test -fuzz FuzzTreeOpsFixed ./internal/crashtest` to dig.
@@ -112,9 +112,9 @@ func FuzzTreeOpsFixed(f *testing.F) {
 	pt := c
 	pt.Variant = core.VariantPTree
 	specs := []rigSpec[uint64, uint64]{
-		coreSpec("fptree", c, core.Create, core.Open, fixedPair),
-		coreSpec("fptreec", c, core.CCreate, core.COpen, fixedPair),
-		coreSpec("ptree", pt, core.Create, core.Open, fixedPair),
+		coreSpec("fptree", c, core.Create, core.Open),
+		coreSpec("fptreec", c, core.CCreate, core.COpen),
+		coreSpec("ptree", pt, core.Create, core.Open),
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzTrees(t, Fixed, specs, data, func(b uint64, _ int) uint64 { return b })
@@ -127,10 +127,10 @@ func FuzzTreeOpsVar(f *testing.F) {
 	kv := c
 	kv.ValueSize = kvValSize
 	specs := []rigSpec[[]byte, []byte]{
-		coreSpec("fptree", c, core.CreateVar, core.OpenVar, varPair),
-		coreSpec("fptree-kv", kv, core.CreateVar, core.OpenVar, varPair),
-		coreSpec("fptreec", c, core.CCreateVar, core.COpenVar, varPair),
-		coreSpec("fptreec-kv", kv, core.CCreateVar, core.COpenVar, varPair),
+		coreSpec("fptree", c, core.CreateVar, core.OpenVar),
+		coreSpec("fptree-kv", kv, core.CreateVar, core.OpenVar),
+		coreSpec("fptreec", c, core.CCreateVar, core.COpenVar),
+		coreSpec("fptreec-kv", kv, core.CCreateVar, core.COpenVar),
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The value byte fills the field and, in the wide one, also selects

@@ -44,18 +44,12 @@ func scaled(n int) int {
 	return n
 }
 
-// iterable is what the iterator suites use of a core facade.
-type iterable[K, V any] interface {
-	Iterator(start, end K) *core.Iter[K, V]
-	ReverseIterator(start, end K) *core.Iter[K, V]
-}
-
-// iterOf opens an iterator over [start, end) on tr, a core facade.
+// iterOf opens an iterator over [start, end) on tr, an FPTree.
 func iterOf[K, V any](tr Tree[K, V], start, end K, reverse bool) Iter[K, V] {
 	if reverse {
-		return tr.(iterable[K, V]).ReverseIterator(start, end)
+		return tr.(*core.Index[K, V]).ReverseIterator(start, end)
 	}
-	return tr.(iterable[K, V]).Iterator(start, end)
+	return tr.(*core.Index[K, V]).Iterator(start, end)
 }
 
 // iterKeySpace is the key-number range of the single-threaded suites.
@@ -259,7 +253,7 @@ func iterConcurrent[K, V any](t *testing.T, ks Keys[K, V], s rigSpec[K, V], seed
 }
 
 func TestIteratorConcurrentFixed(t *testing.T) {
-	s := coreSpec("fptreec", core.Config{LeafCap: 32, InnerFanout: 16}, core.CCreate, core.COpen, fixedPair)
+	s := coreSpec("fptreec", core.Config{LeafCap: 32, InnerFanout: 16}, core.CCreate, core.COpen)
 	iterConcurrent(t, Fixed, s, 13, scaled(2600), Fixed.key, func(k uint64) (uint64, bool) { return k, true },
 		func(rng *rand.Rand) (lo, hi uint64) {
 			lo = rng.Uint64() % (concKeySpace + 60)
@@ -286,7 +280,7 @@ func varKeyNum(k []byte) (uint64, bool) {
 }
 
 func TestIteratorConcurrentVar(t *testing.T) {
-	s := coreSpec("fptreec", core.Config{LeafCap: 32, InnerFanout: 16, ValueSize: varValLen}, core.CCreateVar, core.COpenVar, varPair)
+	s := coreSpec("fptreec", core.Config{LeafCap: 32, InnerFanout: 16, ValueSize: varValLen}, core.CCreateVar, core.COpenVar)
 	iterConcurrent(t, Var, s, 17, scaled(2000), varKey, varKeyNum, func(rng *rand.Rand) (lo, hi []byte) {
 		if rng.Intn(4) > 0 {
 			lo = varKey(rng.Uint64() % (concKeySpace + 60))

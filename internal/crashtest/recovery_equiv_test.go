@@ -77,5 +77,5 @@ func TestParallelRecoveryEquivEnumVar(t *testing.T) {
 	rigs := varRigs()
 	kv := core.Config{LeafCap: 8, InnerFanout: 4, GroupSize: 4, ValueSize: kvValSize}
 	equivGrid(t, Var, 32, func(valSize int) []Op[[]byte, []byte] { return workload(Var, 4, 16, 30, 24, valSize) },
-		rigNamed(rigs, "fptree"), coreSpec("kv", kv, core.CreateVar, core.OpenVar, varPair), rigNamed(rigs, "fptreec"))
+		rigNamed(rigs, "fptree"), coreSpec("kv", kv, core.CreateVar, core.OpenVar), rigNamed(rigs, "fptreec"))
 }

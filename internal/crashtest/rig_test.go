@@ -47,7 +47,7 @@ type bound[K, V any] struct {
 
 // rigSpec is one row of a rig table: how to format a tree and how to recover
 // one. valSize is the tree's value field, which the workloads size values by;
-// iter is set where the tree has iterators (the core facades).
+// iter is set where the tree has iterators (the FPTree rows).
 type rigSpec[K, V any] struct {
 	name    string
 	leafCap int
@@ -84,53 +84,19 @@ func (r *rig[K, V]) reopen() error {
 	return err
 }
 
-// coreTree is what a rig uses of the four core facades.
-type coreTree[K, V, P any] interface {
-	Tree[K, V]
-	CheckInvariants() error
-	ScanN(from K, n int) []P
-}
-
-// coreSpec is the row of one core facade under cfg; pair converts the
-// facade's pair type.
-func coreSpec[K, V, P any, T coreTree[K, V, P]](name string, cfg core.Config,
-	create func(*scm.Pool, core.Config) (T, error), open func(*scm.Pool, ...core.RecoveryOptions) (T, error),
-	pair func(P) KV[K, V]) rigSpec[K, V] {
-	bind := func(tr T, err error) (bound[K, V], error) {
-		if err != nil {
-			return bound[K, V]{}, err
-		}
-		return bound[K, V]{tr, tr.CheckInvariants, func(from K, n int) []KV[K, V] {
-			kvs := tr.ScanN(from, n)
-			out := make([]KV[K, V], len(kvs))
-			for i, kv := range kvs {
-				out[i] = pair(kv)
-			}
-			return out
-		}}, nil
-	}
-	return rigSpec[K, V]{
-		name: name, leafCap: cfg.LeafCap, valSize: cfg.ValueSize, iter: true,
-		create: func(p *scm.Pool) (bound[K, V], error) { return bind(create(p, cfg)) },
-		open: func(p *scm.Pool, opts ...core.RecoveryOptions) (bound[K, V], error) {
-			return bind(open(p, opts...))
-		},
-	}
-}
-
-func fixedPair(kv core.KV) KV[uint64, uint64]  { return KV[uint64, uint64]{kv.Key, kv.Value} }
-func varPair(kv core.VarKV) KV[[]byte, []byte] { return KV[[]byte, []byte]{kv.Key, kv.Value} }
-
-// scanTree is what a rig uses of the NV-Tree and wBTree facades.
+// scanTree is what a rig uses of a tree.
 type scanTree[K, V any] interface {
 	Tree[K, V]
 	CheckInvariants() error
 	Scan(from K, fn func(k K, v V) bool)
 }
 
-// scanSpec is the row of an NV-Tree or wBTree facade (their recovery takes no
-// options).
-func scanSpec[K, V any, T scanTree[K, V]](name string, leafCap, valSize int, create, open func(*scm.Pool) (T, error)) rigSpec[K, V] {
+// spec is the row of one tree, formatted with leaves of leafCap slots and a
+// valSize value field. The FPTree rows (T is *core.Index) also get the
+// iterator passes; the NV-Tree and wBTree rows' open ignores the recovery
+// options.
+func spec[K, V any, T scanTree[K, V]](name string, leafCap, valSize int,
+	create func(*scm.Pool) (T, error), open func(*scm.Pool, ...core.RecoveryOptions) (T, error)) rigSpec[K, V] {
 	bind := func(tr T, err error) (bound[K, V], error) {
 		if err != nil {
 			return bound[K, V]{}, err
@@ -144,11 +110,25 @@ func scanSpec[K, V any, T scanTree[K, V]](name string, leafCap, valSize int, cre
 			return out
 		}}, nil
 	}
+	_, iter := any(*new(T)).(*core.Index[K, V])
 	return rigSpec[K, V]{
-		name: name, leafCap: leafCap, valSize: valSize,
+		name: name, leafCap: leafCap, valSize: valSize, iter: iter,
 		create: func(p *scm.Pool) (bound[K, V], error) { return bind(create(p)) },
-		open:   func(p *scm.Pool, _ ...core.RecoveryOptions) (bound[K, V], error) { return bind(open(p)) },
+		open: func(p *scm.Pool, opts ...core.RecoveryOptions) (bound[K, V], error) {
+			return bind(open(p, opts...))
+		},
 	}
+}
+
+// coreSpec is spec for an FPTree formatted with cfg.
+func coreSpec[K, V any](name string, cfg core.Config, create func(*scm.Pool, core.Config) (*core.Index[K, V], error),
+	open func(*scm.Pool, ...core.RecoveryOptions) (*core.Index[K, V], error)) rigSpec[K, V] {
+	return spec(name, cfg.LeafCap, cfg.ValueSize, func(p *scm.Pool) (*core.Index[K, V], error) { return create(p, cfg) }, open)
+}
+
+// noOpts adapts a baseline's recovery, which takes no options.
+func noOpts[T any](open func(*scm.Pool) (T, error)) func(*scm.Pool, ...core.RecoveryOptions) (T, error) {
+	return func(p *scm.Pool, _ ...core.RecoveryOptions) (T, error) { return open(p) }
 }
 
 // wbVarTree packs the harness's 8-byte values into the wBTree var tree's
@@ -185,15 +165,15 @@ func fixedRigs() []rigSpec[uint64, uint64] {
 	fp.GroupSize = 4
 	pt.Variant = core.VariantPTree
 	return []rigSpec[uint64, uint64]{
-		coreSpec("fptree", fp, core.Create, core.Open, fixedPair),
-		coreSpec("fptreec", c, core.CCreate, core.COpen, fixedPair),
-		coreSpec("ptree", pt, core.Create, core.Open, fixedPair),
-		scanSpec[uint64, uint64]("nvtree", 8, 0,
+		coreSpec("fptree", fp, core.Create, core.Open),
+		coreSpec("fptreec", c, core.CCreate, core.COpen),
+		coreSpec("ptree", pt, core.Create, core.Open),
+		spec[uint64, uint64]("nvtree", 8, 0,
 			func(p *scm.Pool) (*nvtree.Tree, error) { return nvtree.New(p, nvtree.Config{LeafCap: 8, InnerCap: 4}) },
-			func(p *scm.Pool) (*nvtree.Tree, error) { return nvtree.Open(p, 4) }),
-		scanSpec[uint64, uint64]("wbtree", 4, 0,
+			noOpts(func(p *scm.Pool) (*nvtree.Tree, error) { return nvtree.Open(p, 4) })),
+		spec[uint64, uint64]("wbtree", 4, 0,
 			func(p *scm.Pool) (*wbtree.Tree, error) { return wbtree.New(p, wbtree.Config{InnerCap: 4, LeafCap: 4}) },
-			wbtree.Open),
+			noOpts(wbtree.Open)),
 	}
 }
 
@@ -204,21 +184,21 @@ func varRigs() []rigSpec[[]byte, []byte] {
 	pt.Variant = core.VariantPTree
 	kv.ValueSize = kvValSize
 	return []rigSpec[[]byte, []byte]{
-		coreSpec("fptree", fp, core.CreateVar, core.OpenVar, varPair),
-		coreSpec("fptreec", c, core.CCreateVar, core.COpenVar, varPair),
-		coreSpec("fptreec-kv", kv, core.CCreateVar, core.COpenVar, varPair),
-		coreSpec("ptree", pt, core.CreateVar, core.OpenVar, varPair),
-		scanSpec[[]byte, []byte]("nvtree", 8, varValLen,
+		coreSpec("fptree", fp, core.CreateVar, core.OpenVar),
+		coreSpec("fptreec", c, core.CCreateVar, core.COpenVar),
+		coreSpec("fptreec-kv", kv, core.CCreateVar, core.COpenVar),
+		coreSpec("ptree", pt, core.CreateVar, core.OpenVar),
+		spec[[]byte, []byte]("nvtree", 8, varValLen,
 			func(p *scm.Pool) (*nvtree.VarTree, error) {
 				return nvtree.NewVar(p, nvtree.Config{LeafCap: 8, InnerCap: 4, ValueSize: varValLen})
 			},
-			func(p *scm.Pool) (*nvtree.VarTree, error) { return nvtree.OpenVar(p, 4) }),
-		scanSpec[[]byte, []byte]("wbtree", 4, varValLen,
+			noOpts(func(p *scm.Pool) (*nvtree.VarTree, error) { return nvtree.OpenVar(p, 4) })),
+		spec[[]byte, []byte]("wbtree", 4, varValLen,
 			func(p *scm.Pool) (wbVarTree, error) {
 				tr, err := wbtree.NewVar(p, wbtree.Config{InnerCap: 4, LeafCap: 4})
 				return wbVarTree{tr}, err
 			},
-			func(p *scm.Pool) (wbVarTree, error) { tr, err := wbtree.OpenVar(p); return wbVarTree{tr}, err }),
+			noOpts(func(p *scm.Pool) (wbVarTree, error) { tr, err := wbtree.OpenVar(p); return wbVarTree{tr}, err })),
 	}
 }
 

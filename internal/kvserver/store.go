@@ -77,7 +77,7 @@ func decodeVal(buf []byte) []byte {
 // --- the tree adapter ---------------------------------------------------------
 
 // tree is what the adapter needs of an engine: the var-key operations plus
-// the observability hooks the core facades promote.
+// the observability hooks core.Index promotes.
 type tree interface {
 	Upsert(k, v []byte) error
 	Find(k []byte) ([]byte, bool)

@@ -1,7 +1,6 @@
 package fptree
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -9,13 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"fptree/internal/kvserver"
-	"fptree/internal/obs"
 	"fptree/internal/scm"
 )
 
 // Microbenchmarks for the benchstat comparison tracked in EXPERIMENTS.md:
-// insert/find/scan on both key codecs, through the public facades only, so
+// insert/find/scan on both key codecs, through the public API only, so
 // the same binary-independent workload runs before and after core refactors.
 
 func benchFixedTree(b *testing.B, n uint64) *Tree {
@@ -318,157 +315,4 @@ func scatteredKey(buf *[16]byte, id uint64) []byte {
 		x <<= 4
 	}
 	return buf[:]
-}
-
-// BenchmarkOpCounts is the per-operation count table of EXPERIMENTS.md
-// ("Flush every line once"): in count mode, on the repository benchmark's
-// idx-write tree (CVarTree, 300k x 16 B keys, 8 B values, 4 MiB simulated
-// cache) and idx-read tree (CTree, 1M keys), what one Insert, Update, Delete,
-// Find and 100-key ScanN costs in line flushes, fences, simulated-cache
-// misses and pool accesses (loads), splits and leaf deletes included. The kv
-// rows are the served path's tree, which the repository benchmark's traced
-// pass cannot show from the SET side (its tree-level target upserts whole
-// 122-byte slots): kvserver's store (LeafCap 56, 122-byte value field)
-// holding 100k of the same keys with the benchmark's 32-byte values, through
-// the adapter's 2-byte frame — an overwriting SET, a GET, and what the
-// recovery scan misses on per leaf. The counts repeat exactly for a
-// -benchtime Nx.
-//
-//	go test -run '^$' -bench OpCounts -benchtime 30000x .
-func BenchmarkOpCounts(b *testing.B) {
-	run := func(b *testing.B, pool *scm.Pool, op func()) {
-		st := pool.Stats()
-		f0, n0 := st.FlushFence()
-		m0, r0 := st.ReadMisses.Load(), st.Reads.Load()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			op()
-		}
-		b.StopTimer()
-		f1, n1 := st.FlushFence()
-		b.ReportMetric(float64(f1-f0)/float64(b.N), "flushes/op")
-		b.ReportMetric(float64(n1-n0)/float64(b.N), "fences/op")
-		b.ReportMetric(float64(st.ReadMisses.Load()-m0)/float64(b.N), "misses/op")
-		b.ReportMetric(float64(st.Reads.Load()-r0)/float64(b.N), "loads/op")
-	}
-	const varKeys, fixedKeys = 300000, 1000000
-	vt, err := CreateConcurrentVar(Options{PoolSize: 128 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf [16]byte
-	val := []byte("12345678")
-	for id := uint64(0); id < varKeys; id++ {
-		if err := vt.Insert(scatteredKey(&buf, id), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	next := uint64(varKeys) // ids below next and not yet deleted are live
-	rng := rand.New(rand.NewSource(1))
-	b.Run("var-insert", func(b *testing.B) {
-		run(b, vt.Pool(), func() {
-			if err := vt.Insert(scatteredKey(&buf, next), val); err != nil {
-				b.Fatal(err)
-			}
-			next++
-		})
-	})
-	b.Run("var-update", func(b *testing.B) {
-		run(b, vt.Pool(), func() {
-			if ok, err := vt.Update(scatteredKey(&buf, varKeys/2+uint64(rng.Intn(varKeys/2))), val); !ok || err != nil {
-				b.Fatal(ok, err)
-			}
-		})
-	})
-	b.Run("var-find", func(b *testing.B) {
-		run(b, vt.Pool(), func() {
-			if _, ok := vt.Find(scatteredKey(&buf, varKeys/2+uint64(rng.Intn(varKeys/2)))); !ok {
-				b.Fatal("missing")
-			}
-		})
-	})
-	victim := uint64(0)
-	b.Run("var-delete", func(b *testing.B) {
-		if b.N > varKeys/2 {
-			b.Skip("more deletes than victims")
-		}
-		run(b, vt.Pool(), func() {
-			if ok, err := vt.Delete(scatteredKey(&buf, victim)); !ok || err != nil {
-				b.Fatal(ok, err)
-			}
-			victim++
-		})
-	})
-	// The scan rows draw their start keys from a generator of their own, so
-	// the other rows' op streams do not depend on them.
-	scanRng := rand.New(rand.NewSource(2))
-	b.Run("var-scan100", func(b *testing.B) {
-		run(b, vt.Pool(), func() {
-			if got := vt.ScanN(scatteredKey(&buf, uint64(scanRng.Intn(varKeys))), 100); len(got) == 0 {
-				b.Fatal("empty scan")
-			}
-		})
-	})
-	const kvKeys = 100000
-	kvPool := scm.NewPool(128<<20, scm.LatencyConfig{})
-	kv, err := kvserver.NewFPTreeCStore(kvPool)
-	if err != nil {
-		b.Fatal(err)
-	}
-	val32 := bytes.Repeat([]byte("v"), 32)
-	for id := uint64(0); id < kvKeys; id++ {
-		if err := kv.Set(scatteredKey(&buf, id), val32); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("kv-set", func(b *testing.B) {
-		run(b, kvPool, func() {
-			if err := kv.Set(scatteredKey(&buf, uint64(rng.Intn(kvKeys))), val32); err != nil {
-				b.Fatal(err)
-			}
-		})
-	})
-	b.Run("kv-get", func(b *testing.B) {
-		run(b, kvPool, func() {
-			if _, ok := kv.Get(scatteredKey(&buf, uint64(rng.Intn(kvKeys)))); !ok {
-				b.Fatal("missing")
-			}
-		})
-	})
-	// One recovery whatever b.N: the misses of reopening the store on a cold
-	// cache, over the leaves its scan visited.
-	b.Run("kv-scan", func(b *testing.B) {
-		kvPool.Crash() // nothing is dirty: this only empties the simulated cache
-		m0 := kvPool.Stats().ReadMisses.Load()
-		if kv, err = kvserver.OpenFPTreeCStore(kvPool, 1); err != nil {
-			b.Fatal(err)
-		}
-		misses := kvPool.Stats().ReadMisses.Load() - m0
-		reg := obs.NewRegistry()
-		kv.RegisterMetrics(reg)
-		b.ReportMetric(float64(misses)/reg.Snapshot()["fptree_recovery_leaves_scanned_total"], "misses/leaf")
-	})
-	ft, err := CreateConcurrent(Options{PoolSize: 128 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for k := uint64(0); k < fixedKeys; k++ {
-		if err := ft.Insert(k*0x9E3779B97F4A7C15, k); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("fixed-find", func(b *testing.B) {
-		run(b, ft.Pool(), func() {
-			if _, ok := ft.Find(uint64(rng.Intn(fixedKeys)) * 0x9E3779B97F4A7C15); !ok {
-				b.Fatal("missing")
-			}
-		})
-	})
-	b.Run("fixed-scan100", func(b *testing.B) {
-		run(b, ft.Pool(), func() {
-			if got := ft.ScanN(uint64(scanRng.Intn(fixedKeys))*0x9E3779B97F4A7C15, 100); len(got) == 0 {
-				b.Fatal("empty scan")
-			}
-		})
-	})
 }
