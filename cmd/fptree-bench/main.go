@@ -16,8 +16,10 @@
 //
 // -recovery runs the recovery-time experiment instead (see RECOVERY.md and
 // the recovery section of EXPERIMENTS.md): for each -recovery-keys size it
-// bulk loads a tree, simulates a restart, and times core.Open at each
-// -recovery-workers count under 250 ns of emulated SCM latency. Adding
+// bulk loads a tree, simulates a restart, and times core.Open with the leaf
+// scan on each -recovery-workers count of goroutines (the one knob left on
+// the scan width: the library and memkv use runtime.GOMAXPROCS(0)) under
+// 250 ns of emulated SCM latency. Adding
 // -recovery-file builds each tree in a real arena file and reopens the file
 // cold for every measurement, so each data point is a true process restart
 // (arena open, mmap, recovery scan) rather than an emulated Crash.

@@ -72,7 +72,6 @@ func main() {
 		latencyMode  = flag.String("latency-mode", "spin", "how latency is charged: spin | sleep")
 		poolMB       = flag.Int("pool", 512, "total SCM arena size in MiB, split evenly across shards (ignored when -data names an existing arena)")
 		syncEvery    = flag.Duration("sync", 0, "periodic arena sync interval for power-fail durability (0 = sync only on shutdown)")
-		recWorkers   = flag.Int("recovery-workers", 0, "parallel recovery leaf-scan workers per shard (0 = sequential)")
 		readTimeout  = flag.Duration("read-timeout", 0, "per-command read deadline (0 = none)")
 		writeTimeout = flag.Duration("write-timeout", 0, "per-response write deadline (0 = none)")
 		maxConns     = flag.Int("max-conns", 0, "max simultaneous connections (0 = unlimited)")
@@ -119,7 +118,7 @@ func main() {
 		layout = fmt.Sprintf("%s across %d shards", *data, *shards)
 	}
 
-	st, pools, err := openFleet(engine, *data, layout, *shards, int64(*poolMB)<<20, lat, *recWorkers)
+	st, pools, err := openFleet(engine, *data, layout, *shards, int64(*poolMB)<<20, lat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -235,7 +234,7 @@ func engineNames() []string {
 // recovered with all recoveries running in parallel, and the router in front
 // when there is more than one. It returns the pools that exist, nil for an
 // engine that takes none.
-func openFleet(e kvserver.Engine, data, layout string, n int, poolBytes int64, lat scm.LatencyConfig, workers int) (kvserver.Store, []*scm.Pool, error) {
+func openFleet(e kvserver.Engine, data, layout string, n int, poolBytes int64, lat scm.LatencyConfig) (kvserver.Store, []*scm.Pool, error) {
 	var (
 		pools     []*scm.Pool
 		recovered = make([]bool, n)
@@ -259,7 +258,7 @@ func openFleet(e kvserver.Engine, data, layout string, n int, poolBytes int64, l
 			return e.Create(nil)
 		}
 		if recovered[i] && e.HasImage(pools[i]) {
-			return e.Open(pools[i], workers)
+			return e.Open(pools[i])
 		}
 		return e.Create(pools[i])
 	})

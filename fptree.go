@@ -58,15 +58,7 @@ type Options struct {
 	// Latency configures the emulated SCM medium. The zero value disables
 	// latency emulation (counting only).
 	Latency LatencyProfile
-	// Recovery tunes crash recovery (Load and Recover): Workers > 1 scans
-	// the persistent leaves in parallel while rebuilding the DRAM inner
-	// nodes. The recovered tree is identical for every worker count.
-	Recovery RecoveryOptions
 }
-
-// RecoveryOptions tunes how recovery rebuilds the DRAM inner nodes from the
-// persistent leaves; see core.RecoveryOptions.
-type RecoveryOptions = core.RecoveryOptions
 
 // LatencyProfile describes the emulated SCM medium.
 type LatencyProfile struct {
@@ -142,8 +134,7 @@ type VarIterator = core.VarIterator
 // handle adds only what needs the arena it owns: Recover and Save.
 type Index[K, V any] struct {
 	*core.Index[K, V]
-	open func(*scm.Pool, ...RecoveryOptions) (*core.Index[K, V], error)
-	rec  RecoveryOptions
+	open func(*scm.Pool, ...core.RecoveryOptions) (*core.Index[K, V], error)
 }
 
 // Tree is the FPTree over 8-byte keys and values, VarTree the one over
@@ -175,6 +166,9 @@ func CreateConcurrentVar(opts Options) (*CVarTree, error) {
 }
 
 // Load opens an arena image written by Save and recovers the tree in it.
+// Recovery, here and in Recover, scans the persistent leaves on
+// runtime.GOMAXPROCS(0) goroutines; the recovered tree does not depend on
+// the count.
 func Load(path string, opts Options) (*Tree, error) { return load(path, opts, core.Open) }
 
 // LoadConcurrent opens an arena image and recovers the concurrent tree.
@@ -196,30 +190,30 @@ func (o Options) fanout(def int) Options {
 }
 
 func create[K, V any](opts Options, mk func(*scm.Pool, core.Config) (*core.Index[K, V], error),
-	open func(*scm.Pool, ...RecoveryOptions) (*core.Index[K, V], error)) (*Index[K, V], error) {
+	open func(*scm.Pool, ...core.RecoveryOptions) (*core.Index[K, V], error)) (*Index[K, V], error) {
 	t, err := mk(scm.NewPool(opts.poolSize(), opts.latencyConfig()), opts.coreConfig())
 	if err != nil {
 		return nil, err
 	}
-	return &Index[K, V]{t, open, opts.Recovery}, nil
+	return &Index[K, V]{t, open}, nil
 }
 
-func load[K, V any](path string, opts Options, open func(*scm.Pool, ...RecoveryOptions) (*core.Index[K, V], error)) (*Index[K, V], error) {
+func load[K, V any](path string, opts Options, open func(*scm.Pool, ...core.RecoveryOptions) (*core.Index[K, V], error)) (*Index[K, V], error) {
 	pool, err := scm.Load(path, opts.latencyConfig())
 	if err != nil {
 		return nil, err
 	}
-	t, err := open(pool, opts.Recovery)
+	t, err := open(pool)
 	if err != nil {
 		return nil, err
 	}
-	return &Index[K, V]{t, open, opts.Recovery}, nil
+	return &Index[K, V]{t, open}, nil
 }
 
 // Recover re-opens the tree after a simulated crash on the same pool, with
-// the tree's own controller and Options.Recovery.
+// the tree's own controller.
 func (t *Index[K, V]) Recover() error {
-	nt, err := t.open(t.Pool(), t.rec)
+	nt, err := t.open(t.Pool())
 	if err != nil {
 		return err
 	}

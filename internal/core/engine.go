@@ -53,7 +53,6 @@ type engine[K, V any] struct {
 
 	groups     groupAlloc // leaf-group management (single-threaded only)
 	recovering bool       // true while micro-logs are being replayed
-	recWorkers int        // leaf-scan goroutines during recovery (>= 1)
 
 	// mut counts mutating operations on the single-threaded engines, where
 	// leaf handles carry no usable version (the no-op controller never bumps
@@ -82,7 +81,7 @@ type engine[K, V any] struct {
 }
 
 func newEngine[K, V any](pool *scm.Pool, cfg Config, m meta, cdc codec[K, V], cc concurrency) *engine[K, V] {
-	e := &engine[K, V]{pool: pool, cfg: cfg, m: m, cdc: cdc, cc: cc, st: !cc.concurrent(), sh: cdc.shape(), recWorkers: 1}
+	e := &engine[K, V]{pool: pool, cfg: cfg, m: m, cdc: cdc, cc: cc, st: !cc.concurrent(), sh: cdc.shape()}
 	e.groups.init(pool, m, e.sh.size, cfg.GroupSize)
 	e.splitQ = make(chan int, cfg.NumLogs)
 	e.deleteQ = make(chan int, cfg.NumLogs)
@@ -133,8 +132,8 @@ func createEngine[K, V any](pool *scm.Pool, cfg Config, cc concurrency) (*engine
 // it replays the allocator intent and every micro-log, runs the codec's leak
 // scan, then rebuilds the DRAM-resident inner nodes and the volatile
 // free-leaf vector (Algorithm 9). Leaf locks are "reset" by building fresh
-// handles. rec selects the sequential or parallel leaf scan; either way the
-// recovered arena is byte-identical (see RecoveryOptions).
+// handles. rec sets how many goroutines scan the leaves; the recovered arena
+// is byte-identical for every count (see RecoveryOptions).
 func openEngine[K, V any](pool *scm.Pool, cc concurrency, rec RecoveryOptions) (*engine[K, V], error) {
 	pool.Recover()
 	m, cfg, err := openMeta(pool, keyKindOf[K]())
@@ -148,14 +147,13 @@ func openEngine[K, V any](pool *scm.Pool, cc concurrency, rec RecoveryOptions) (
 		return nil, err
 	}
 	e := newEngine(pool, cfg, m, newCodec[K, V](pool, cfg), cc)
-	e.recWorkers = rec.workers()
 	e.recovering = true
 	for i := 0; i < cfg.NumLogs; i++ {
 		e.recoverSplit(m.splitLog(i))
 		e.recoverDelete(m.deleteLog(i))
 	}
 	e.groups.recover()
-	e.rebuild()
+	e.rebuild(rec.workers())
 	e.recovering = false
 	return e, nil
 }
@@ -1065,25 +1063,16 @@ func (e *engine[K, V]) recoverDelete(log mlog) {
 	log.reset()
 }
 
-// rebuild reconstructs the DRAM inner nodes by walking the persistent leaf
-// list (Algorithm 9, RebuildInnerNodes). Leaves emptied by an interrupted
-// delete are unlinked on the way — a crash can leave an empty leaf in the
-// list, and separators for empty leaves would be meaningless. With more than
-// one recovery worker the leaf scan is parallelized (recovery.go); the
-// durable repairs are sequential in either mode, so both produce the same
-// arena bytes.
-func (e *engine[K, V]) rebuild() {
+// rebuild reconstructs the DRAM inner nodes from the persistent leaf list
+// (Algorithm 9, RebuildInnerNodes), scanning the leaves on workers
+// goroutines (recovery.go). Leaves emptied by an interrupted delete are
+// unlinked on the way — a crash can leave an empty leaf in the list, and
+// separators for empty leaves would be meaningless.
+func (e *engine[K, V]) rebuild(workers int) {
 	start := time.Now()
-	var leaves []uint64
-	var maxKeys []K
-	var size int
-	if e.recWorkers > 1 {
-		leaves, maxKeys, size = e.collectLeavesParallel(e.recWorkers)
-	} else {
-		leaves, maxKeys, size = e.collectLeaves()
-	}
+	leaves, maxKeys, size := e.collectLeaves(workers)
 	e.size.Store(int64(size))
-	e.root.Store(buildInnerW(leaves, maxKeys, e.maxKids(), e.recWorkers, e.cdc.prefix))
+	e.root.Store(buildInnerW(leaves, maxKeys, e.maxKids(), workers, e.cdc.prefix))
 	e.groups.rebuildFreeVector(leaves)
 	e.sanitizeFreeLeaves()
 	if e.groups.enabled() {
@@ -1093,40 +1082,6 @@ func (e *engine[K, V]) rebuild() {
 	}
 	e.Ops.InnerRebuilds.Add(1)
 	e.Ops.RecoveryNanos.Store(uint64(time.Since(start).Nanoseconds()))
-}
-
-// collectLeaves walks the persistent leaf list, running the codec's leak
-// scan (Algorithm 17; a no-op for fixed keys) on every leaf, pruning leaves
-// emptied by an interrupted delete, and returning the live leaves with their
-// max keys.
-func (e *engine[K, V]) collectLeaves() (leaves []uint64, maxKeys []K, size int) {
-	prev := uint64(0)
-	for p := e.m.headLeaf(); !p.IsNull(); {
-		leaf := p.Offset
-		next := e.leafNext(leaf)
-		e.Ops.RecoveryLeaves.Add(1)
-		mk, n, leaks := e.cdc.scanLeaf(leaf)
-		e.cdc.applyLeaks(leaf, leaks)
-		if n == 0 {
-			e.unlinkLeaf(leaf, prev, nil)
-			p = next
-			continue
-		}
-		leaves = append(leaves, leaf)
-		maxKeys = append(maxKeys, mk)
-		size += n
-		prev = leaf
-		p = next
-	}
-	return leaves, maxKeys, size
-}
-
-// reclaimLeaf runs the codec's Algorithm 17 leak scan on one leaf and
-// applies the repairs immediately (the sequential recovery shape; the
-// parallel path scans up front and applies later, in the same order).
-func (e *engine[K, V]) reclaimLeaf(leaf uint64) {
-	_, _, leaks := e.cdc.scanLeaf(leaf)
-	e.cdc.applyLeaks(leaf, leaks)
 }
 
 // sanitizeFreeLeaves restores, at the end of recovery, the invariant that a
@@ -1146,27 +1101,9 @@ func (e *engine[K, V]) sanitizeFreeLeaves() {
 		if e.leafBitmap(leaf) != 0 {
 			e.persistLeafHeader(leaf, 0)
 		}
-		e.reclaimLeaf(leaf)
+		_, _, leaks := e.cdc.scanLeaf(leaf)
+		e.cdc.applyLeaks(leaf, leaks)
 	}
-}
-
-// leafMaxKey returns the greatest valid key in the leaf and the number of
-// valid slots, used when rebuilding inner nodes. "First valid slot wins"
-// serves both codecs without a sentinel for "no max yet".
-func (e *engine[K, V]) leafMaxKey(leaf uint64) (K, int) {
-	bm := e.leafBitmap(leaf)
-	var maxK K
-	n := 0
-	for s := 0; s < e.sh.cap; s++ {
-		if bm&(1<<s) == 0 {
-			continue
-		}
-		n++
-		if k := e.cdc.slotKey(leaf, s); n == 1 || e.cdc.less(maxK, k) {
-			maxK = k
-		}
-	}
-	return maxK, n
 }
 
 // --- introspection ------------------------------------------------------------

@@ -99,9 +99,9 @@ func CCreateVar(pool *scm.Pool, cfg Config) (*CVarTree, error) {
 // survived a crash or restart: it replays the allocator intent and every
 // micro-log, then rebuilds the DRAM-resident inner nodes and the volatile
 // free-leaf vector (Algorithm 9). The var forms also run the Algorithm 17
-// leak scan; the concurrent forms build fresh leaf locks. An optional
-// RecoveryOptions parallelizes the leaf scan; the recovered tree and arena
-// are identical for every worker count.
+// leak scan; the concurrent forms build fresh leaf locks. The leaf scan
+// runs on runtime.GOMAXPROCS(0) goroutines unless a RecoveryOptions sets
+// the count; the recovered tree and arena are identical for every count.
 func Open(pool *scm.Pool, opts ...RecoveryOptions) (*Tree, error) {
 	return open[uint64, uint64](pool, nopCC{}, opts)
 }

@@ -17,10 +17,10 @@
 // are aliases of its two instances.
 //
 // Recovery (Open/COpen/OpenVar/COpenVar) replays the allocator intent and
-// the split/delete micro-logs, then rebuilds the DRAM inner nodes from a
-// scan of the persistent leaves; RecoveryOptions (recovery.go) parallelizes
-// that scan across goroutines while keeping the recovered arena
-// byte-identical to sequential recovery. See RECOVERY.md at the repository
+// the split/delete micro-logs, then rebuilds the DRAM inner nodes from one
+// walk of the persistent leaf list whose leaves are scanned on
+// RecoveryOptions.Workers goroutines (recovery.go); the recovered arena is
+// byte-identical for every worker count. See RECOVERY.md at the repository
 // root for the pipeline end to end.
 //
 // All persistent state is kept inside an scm.Pool and accessed through

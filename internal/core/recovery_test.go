@@ -210,7 +210,7 @@ func TestParallelRecoveryEquivalenceFixed(t *testing.T) {
 
 				var seq, par *engine[uint64, uint64]
 				if tc.concurrent {
-					s, err := COpen(pool)
+					s, err := COpen(pool, RecoveryOptions{Workers: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -220,7 +220,7 @@ func TestParallelRecoveryEquivalenceFixed(t *testing.T) {
 					}
 					seq, par = s.engine, p.engine
 				} else {
-					s, err := Open(pool)
+					s, err := Open(pool, RecoveryOptions{Workers: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -252,9 +252,9 @@ func TestParallelRecoveryEquivalenceFixed(t *testing.T) {
 }
 
 // TestParallelRecoveryEquivalenceVar is the variable-size-key version, which
-// additionally exercises the Algorithm 17 leak scan: the parallel path must
-// detect leaks concurrently but reclaim them in the same order as the
-// sequential path.
+// additionally exercises the Algorithm 17 leak scan: three scanners detect
+// leaks concurrently, and the repair pass must reclaim them in the same
+// order as at one.
 func TestParallelRecoveryEquivalenceVar(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -276,7 +276,7 @@ func TestParallelRecoveryEquivalenceVar(t *testing.T) {
 
 				var seq, par *engine[[]byte, []byte]
 				if tc.concurrent {
-					s, err := COpenVar(pool)
+					s, err := COpenVar(pool, RecoveryOptions{Workers: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -286,7 +286,7 @@ func TestParallelRecoveryEquivalenceVar(t *testing.T) {
 					}
 					seq, par = s.engine, p.engine
 				} else {
-					s, err := OpenVar(pool)
+					s, err := OpenVar(pool, RecoveryOptions{Workers: 1})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -318,7 +318,7 @@ func TestParallelRecoveryEquivalenceVar(t *testing.T) {
 func TestParallelRecoveryWorkerCounts(t *testing.T) {
 	pool := newPool(64)
 	fixedCrashTrace(t, pool, Config{LeafCap: 8, InnerFanout: 4, GroupSize: 4}, false, 7, 509)
-	ref, err := Open(pool.Clone())
+	ref, err := Open(pool.Clone(), RecoveryOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestBulkLoadCrashRecoveryBothCodecs(t *testing.T) {
 				tr.BulkLoad(kvs, 0) //nolint:errcheck
 			})
 			clone := pool.Clone()
-			seq, err := Open(pool)
+			seq, err := Open(pool, RecoveryOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("fail%d: %v", failAt, err)
 			}
@@ -424,7 +424,7 @@ func TestBulkLoadCrashRecoveryBothCodecs(t *testing.T) {
 				tr.BulkLoad(kvs, 0) //nolint:errcheck
 			})
 			clone := pool.Clone()
-			seq, err := OpenVar(pool)
+			seq, err := OpenVar(pool, RecoveryOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("fail%d: %v", failAt, err)
 			}
@@ -492,5 +492,97 @@ func TestRecoveryScanLines(t *testing.T) {
 		if !bytes.Equal(k, maxKey) || n != 56 || len(leaks) != 0 {
 			t.Errorf("value field %d: scanLeaf = %q, %d live, %d repairs, want %q, 56, 0", tc.valSize, k, n, len(leaks), maxKey)
 		}
+	}
+}
+
+// TestRecoveryReadsSameLinesAtEveryWorkerCount pins that the worker count
+// changes only who scans a leaf, not what recovery reads or writes: on two
+// trees larger than the simulated 4 MiB cache — the paper's grouped,
+// bulk-loaded fixed-key tree and kvserver's concurrent var-key tree, crashed
+// mid-delete — recovery at 1, 2 and 4 workers makes the same number of pool
+// reads, scans the same list leaves and leaves the same durable arena.
+func TestRecoveryReadsSameLinesAtEveryWorkerCount(t *testing.T) {
+	fixed := scm.NewPool(24<<20, scm.LatencyConfig{})
+	ft, err := Create(fixed, Config{GroupSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvs := make([]KV, 300000)
+	for i := range kvs {
+		kvs[i] = KV{Key: uint64(i+1) << 8, Value: uint64(i)}
+	}
+	if err := ft.BulkLoad(kvs, 0); err != nil {
+		t.Fatal(err)
+	}
+	fixed.Crash()
+
+	kv := scm.NewPool(32<<20, scm.LatencyConfig{})
+	vt, err := CCreateVar(kv, Config{LeafCap: 56, InnerFanout: 64, ValueSize: 122})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 30000
+	val := bytes.Repeat([]byte{'v'}, 32)
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		if err := vt.Insert([]byte(fmt.Sprintf("scan-key-%07d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runWithCrash(t, kv, 4000, func() {
+		for i := 0; i < n; i += 3 {
+			vt.Delete([]byte(fmt.Sprintf("scan-key-%07d", i))) //nolint:errcheck
+		}
+	})
+
+	for _, tc := range []struct {
+		name     string
+		pool     *scm.Pool
+		leafSize uint64
+		open     func(*scm.Pool, RecoveryOptions) (*OpStats, func() error, error)
+	}{
+		{"grouped-fixed", fixed, ft.sh.size, func(p *scm.Pool, o RecoveryOptions) (*OpStats, func() error, error) {
+			tr, err := Open(p, o)
+			if err != nil {
+				return nil, nil, err
+			}
+			return &tr.Ops, tr.CheckInvariants, nil
+		}},
+		{"kvserver-var", kv, vt.sh.size, func(p *scm.Pool, o RecoveryOptions) (*OpStats, func() error, error) {
+			tr, err := COpenVar(p, o)
+			if err != nil {
+				return nil, nil, err
+			}
+			return &tr.Ops, tr.CheckInvariants, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var reads, leaves uint64
+			var img []byte
+			for _, w := range []int{1, 2, 4} {
+				p := tc.pool.Clone()
+				ops, check, err := tc.open(p, RecoveryOptions{Workers: w})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				r, l := p.Stats().Reads.Load(), ops.RecoveryLeaves.Load()
+				if err := check(); err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				im := durableImage(t, p)
+				if w == 1 {
+					if l*tc.leafSize <= 4<<20 {
+						t.Fatalf("%d leaves of %d bytes fit the 4 MiB cache", l, tc.leafSize)
+					}
+					reads, leaves, img = r, l, im
+					continue
+				}
+				if r != reads || l != leaves {
+					t.Errorf("workers=%d: %d reads, %d leaves scanned; workers=1: %d, %d", w, r, l, reads, leaves)
+				}
+				if !bytes.Equal(im, img) {
+					t.Errorf("workers=%d: durable arena differs from workers=1", w)
+				}
+			}
+		})
 	}
 }

@@ -29,7 +29,7 @@ type OpStats struct {
 	FPFalsePositives obs.StripedCounter // fingerprint matched, key differed
 	LeafSplits       atomic.Uint64      // completed leaf splits
 	InnerRebuilds    atomic.Uint64      // DRAM inner-node reconstructions (recovery)
-	RecoveryLeaves   atomic.Uint64      // persistent leaves scanned during recovery
+	RecoveryLeaves   atomic.Uint64      // leaves on the persistent leaf list scanned during recovery
 	RecoveryGroups   atomic.Uint64      // leaf groups walked during recovery
 	RecoveryNanos    atomic.Uint64      // wall-clock ns of the last inner rebuild
 }
@@ -91,7 +91,7 @@ func (o *OpStats) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_inner_rebuilds_total",
 		"DRAM inner-node reconstructions during recovery", o.InnerRebuilds.Load)
 	reg.CounterFunc(prefix+"_recovery_leaves_scanned_total",
-		"persistent leaves scanned while rebuilding inner nodes", o.RecoveryLeaves.Load)
+		"leaves on the persistent leaf list scanned while rebuilding inner nodes (free group leaves are not counted)", o.RecoveryLeaves.Load)
 	reg.CounterFunc(prefix+"_recovery_groups_total",
 		"leaf groups walked while rebuilding inner nodes", o.RecoveryGroups.Load)
 	reg.GaugeFunc(prefix+"_recovery_rebuild_seconds",

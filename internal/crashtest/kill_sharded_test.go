@@ -35,7 +35,7 @@ func openShardedFleet(path string, shards int) (*kvserver.ShardedStore, []*scm.P
 	}
 	stores, err := kvserver.BuildShardStores(shards, func(i int) (kvserver.Store, error) {
 		if recovered[i] && fptreeC.HasImage(pools[i]) {
-			return fptreeC.Open(pools[i], 2)
+			return fptreeC.Open(pools[i])
 		}
 		return fptreeC.Create(pools[i])
 	})

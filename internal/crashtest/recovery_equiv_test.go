@@ -1,13 +1,12 @@
 package crashtest
 
-// Parallel recovery must be indistinguishable from sequential recovery on
-// every reachable crash image, not just on the seeded traces the core tests
-// sample. This file re-runs the crash-point enumeration for the FPTree rigs
-// and, at every enumerated image, recovers a clone of the crashed pool with
-// RecoveryOptions{Workers: 3} and diffs it against the sequential reopen of
-// the original pool. The single-threaded rigs recover through the leaf
-// groups (scanGroups); the concurrent ones have none and recover through the
-// leaf list (scanList).
+// Recovery at several scanners must be indistinguishable from recovery at
+// one on every reachable crash image, not just on the seeded traces the core
+// tests sample. This file re-runs the crash-point enumeration for the FPTree
+// rigs and, at every enumerated image, recovers a clone of the crashed pool
+// with RecoveryOptions{Workers: 3} and diffs it against a one-scanner reopen
+// of the original pool. The single-threaded rigs have leaf groups, the
+// concurrent ones have none; both recover through the one leaf-list scan.
 
 import (
 	"fmt"
@@ -20,17 +19,18 @@ import (
 // equivScanLimit comfortably exceeds every workload's live-key count.
 const equivScanLimit = 10000
 
-// parallelEquiv wraps s's recovery so that every reopen also recovers a
-// clone of the crash image with three workers: the parallel tree must pass
-// its invariants and hold exactly the sequential tree's pairs.
+// parallelEquiv wraps s's recovery so that every reopen is a one-scanner
+// reopen that also recovers a clone of the crash image with three scanners:
+// the three-scanner tree must pass its invariants and hold exactly the
+// one-scanner tree's pairs.
 func parallelEquiv[K, V any](ks Keys[K, V], s rigSpec[K, V]) rigSpec[K, V] {
 	open := s.open
-	s.open = func(p *scm.Pool, opts ...core.RecoveryOptions) (bound[K, V], error) {
+	s.open = func(p *scm.Pool, _ ...core.RecoveryOptions) (bound[K, V], error) {
 		par, err := open(p.Clone(), core.RecoveryOptions{Workers: 3})
 		if err != nil {
 			return par, fmt.Errorf("parallel recovery: %v", err)
 		}
-		seq, err := open(p, opts...)
+		seq, err := open(p, core.RecoveryOptions{Workers: 1})
 		if err != nil {
 			return seq, err
 		}

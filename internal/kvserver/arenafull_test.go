@@ -117,7 +117,7 @@ func fillServed(t *testing.T, e Engine, size int64, wire bool) {
 	check(st, "after deletes")
 
 	pool.Crash()
-	st, err = e.Open(pool, 1)
+	st, err = e.Open(pool)
 	if err != nil {
 		t.Fatalf("%d-byte arena: recovery: %v", size, err)
 	}

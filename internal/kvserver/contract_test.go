@@ -39,7 +39,7 @@ func contractFleet(t *testing.T, e Engine, path string, n int) (Store, []*scm.Po
 		case pools == nil:
 			return e.Create(nil)
 		case recovered[i] && e.HasImage(pools[i]):
-			return e.Open(pools[i], 2)
+			return e.Open(pools[i])
 		}
 		return e.Create(pools[i])
 	})

@@ -130,13 +130,13 @@ func TestOpenStoreRefusesOldLeafLayout(t *testing.T) {
 		if err := st.Set([]byte("k"), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Open(p, 2); err != nil {
+		if _, err := e.Open(p); err != nil {
 			t.Fatalf("%s: reopening a current store: %v", e.Name, err)
 		}
 		magicOff := p.Root().Offset // the magic is the metadata block's first word
 		p.WriteU64(magicOff, magicV3)
 		p.Persist(magicOff, 8)
-		if _, err := e.Open(p, 2); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := e.Open(p); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: open of a layout-3 store: %v, want %q", e.Name, err, want)
 		}
 	}

@@ -180,10 +180,9 @@ type Engine struct {
 	Concurrent bool
 	// Create formats a fresh store on pool (ignored by the hash map).
 	Create func(pool *scm.Pool) (Store, error)
-	// Open recovers a store from an arena that already holds one; workers
-	// tunes the parallel recovery leaf scan where the engine has one. Nil
-	// for an engine with no persistent form.
-	Open func(pool *scm.Pool, workers int) (Store, error)
+	// Open recovers a store from an arena that already holds one. Nil for
+	// an engine with no persistent form.
+	Open func(pool *scm.Pool) (Store, error)
 	// HasImage reports whether a reopened arena already holds a store of
 	// this engine's family — Open it — or is still blank — Create on it. It
 	// runs allocator recovery first. Nil exactly when Open is.
@@ -193,7 +192,7 @@ type Engine struct {
 // treeEngine builds the row of a tree engine: its constructors wrapped in
 // the adapter, the lock present unless the tree is concurrent.
 func treeEngine[T tree](key, name string, concurrent bool, hasImage func(*scm.Pool) bool,
-	create func(*scm.Pool) (T, error), open func(*scm.Pool, int) (T, error)) Engine {
+	create func(*scm.Pool) (T, error), open func(*scm.Pool) (T, error)) Engine {
 	adapt := func(t T, err error) (Store, error) {
 		if err != nil {
 			return nil, err
@@ -206,7 +205,7 @@ func treeEngine[T tree](key, name string, concurrent bool, hasImage func(*scm.Po
 	}
 	return Engine{Name: key, Concurrent: concurrent, HasImage: hasImage,
 		Create: func(p *scm.Pool) (Store, error) { return adapt(create(p)) },
-		Open:   func(p *scm.Pool, workers int) (Store, error) { return adapt(open(p, workers)) },
+		Open:   func(p *scm.Pool) (Store, error) { return adapt(open(p)) },
 	}
 }
 
@@ -216,17 +215,13 @@ func createVar(cfg core.Config) func(*scm.Pool) (*core.VarTree, error) {
 	return func(p *scm.Pool) (*core.VarTree, error) { return core.CreateVar(p, cfg) }
 }
 
-func openVar(p *scm.Pool, workers int) (*core.VarTree, error) {
-	return core.OpenVar(p, core.RecoveryOptions{Workers: workers})
-}
+func openVar(p *scm.Pool) (*core.VarTree, error) { return core.OpenVar(p) }
 
 var fptreeC = treeEngine("fptreec", "FPTreeC", true, core.HasTree,
 	func(p *scm.Pool) (*core.CVarTree, error) {
 		return core.CCreateVar(p, core.Config{LeafCap: 56, InnerFanout: 64, ValueSize: slotSize})
 	},
-	func(p *scm.Pool, workers int) (*core.CVarTree, error) {
-		return core.COpenVar(p, core.RecoveryOptions{Workers: workers})
-	})
+	func(p *scm.Pool) (*core.CVarTree, error) { return core.COpenVar(p) })
 
 // Engines is the engine table, in the order of the paper's Figure 13. memkv,
 // fptree-bench's fig13 and the contract tests all iterate it; there is no
@@ -242,7 +237,7 @@ var Engines = []Engine{
 			t, err := nvtree.CNewVar(p, nvtree.Config{LeafCap: 32, InnerCap: 128, ValueSize: slotSize})
 			return nvTree{t}, err
 		},
-		func(p *scm.Pool, _ int) (nvTree, error) {
+		func(p *scm.Pool) (nvTree, error) {
 			t, err := nvtree.COpenVar(p, 128)
 			return nvTree{t}, err
 		}),
@@ -264,10 +259,15 @@ func EngineByName(name string) (Engine, bool) {
 func NewFPTreeCStore(pool *scm.Pool) (Store, error) { return fptreeC.Create(pool) }
 
 // OpenFPTreeCStore recovers a concurrent-FPTree store from an arena that
-// already holds one (a reopened -data file); workers tunes the parallel
-// recovery leaf scan.
+// already holds one, scanning its leaves on workers goroutines (below 1:
+// runtime.GOMAXPROCS(0), as fptreec's Open does); the recovered store is the
+// same for every count.
 func OpenFPTreeCStore(pool *scm.Pool, workers int) (Store, error) {
-	return fptreeC.Open(pool, workers)
+	t, err := core.COpenVar(pool, core.RecoveryOptions{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return &treeStore{name: "FPTreeC", t: t}, nil
 }
 
 // --- the hash map -------------------------------------------------------------
