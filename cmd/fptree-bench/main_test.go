@@ -31,9 +31,27 @@ func TestRunExitCodes(t *testing.T) {
 		}
 	}
 
-	for _, args := range [][]string{{"-threads", "abc"}, {"-recovery", "-recovery-workers", "1,x"}} {
-		if code := run(args, &out, &errOut); code != 2 {
-			t.Errorf("%v exited %d, want 2", args, code)
+	for _, c := range []struct {
+		args []string
+		flag string // the flag the message must name
+	}{
+		{[]string{"-threads", "abc"}, "-threads"},
+		{[]string{"-recovery"}, "-recovery"},
+		{[]string{"-exp", "fig10", "-threads", "0"}, "-threads"},
+		{[]string{"-exp", "fig7", "-ops", "0"}, "-ops"},
+		{[]string{"-exp", "fig4", "-warm", "0"}, "-warm"},
+		{[]string{"-exp", "fig4", "-scale", "bogus"}, "-scale"},
+	} {
+		out.Reset()
+		errOut.Reset()
+		if code := run(c.args, &out, &errOut); code != 2 {
+			t.Errorf("%v exited %d, want 2", c.args, code)
+		}
+		if !strings.Contains(errOut.String(), c.flag) {
+			t.Errorf("%v: message does not name %s: %q", c.args, c.flag, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed to stdout:\n%s", c.args, out.String())
 		}
 	}
 }

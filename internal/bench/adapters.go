@@ -44,15 +44,12 @@ type Instance struct {
 
 // LatencyNS returns the scm latency configuration for one of the paper's
 // emulated SCM latencies (reads; writes are charged the same, Section 6.1).
-func LatencyNS(ns int, emulate bool) scm.LatencyConfig {
-	cfg := scm.LatencyConfig{
+func LatencyNS(ns int) scm.LatencyConfig {
+	return scm.LatencyConfig{
+		Mode:         scm.LatencySpin,
 		ReadLatency:  time.Duration(ns) * time.Nanosecond,
 		WriteLatency: time.Duration(ns) * time.Nanosecond,
 	}
-	if emulate {
-		cfg.Mode = scm.LatencySpin
-	}
-	return cfg
 }
 
 // poolMB allocates an arena sized for the experiment.

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"fptree/internal/scm"
 )
 
 // The smoke test is one table: every entry of Experiments runs end to end
@@ -47,6 +49,13 @@ func smoke(t *testing.T, ids ...string) {
 		for _, want := range smokeWant[id] {
 			if !strings.Contains(buf.String(), want) {
 				t.Errorf("%s: output lacks %q:\n%s", id, want, buf.String())
+			}
+		}
+		// A verb passed as an argument prints as %%, a verb without its
+		// argument as %!: both are format bugs in the table.
+		for _, bad := range []string{"%%", "%!"} {
+			if strings.Contains(buf.String(), bad) {
+				t.Errorf("%s: output contains %q:\n%s", id, bad, buf.String())
 			}
 		}
 	}
@@ -103,6 +112,30 @@ func TestExperimentTable(t *testing.T) {
 	}
 }
 
+// TestCheckRecovered is fig7rec's count check on a real reopened tree: the
+// loaded count passes, any other fails naming the tree, latency and size.
+func TestCheckRecovered(t *testing.T) {
+	inst, err := NewFixed(KindFPTree, 16, scm.LatencyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := load(inst.Fixed, genKeys(100, 1), 1); err != nil {
+		t.Fatal(err)
+	}
+	inst.Pool.Crash()
+	tree, err := inst.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkRecovered(tree, inst.Name, 90, 100); err != nil {
+		t.Fatal(err)
+	}
+	err = checkRecovered(tree, inst.Name, 90, 101)
+	if err == nil || !strings.Contains(err.Error(), "FPTree at 90 ns, size 101") {
+		t.Fatalf("a short tree passed or was misnamed: %v", err)
+	}
+}
+
 func TestFig4AnalyticFormula(t *testing.T) {
 	// Spot values from the paper's Figure 4: E[T] ~1 for m up to ~400 with
 	// n = 256.
@@ -116,7 +149,7 @@ func TestFig4AnalyticFormula(t *testing.T) {
 
 func TestAdaptersRoundTrip(t *testing.T) {
 	for _, kind := range FixedKinds {
-		inst, err := NewFixed(kind, 32, LatencyNS(0, false))
+		inst, err := NewFixed(kind, 32, scm.LatencyConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +172,7 @@ func TestAdaptersRoundTrip(t *testing.T) {
 		}
 	}
 	for _, kind := range FixedKinds {
-		inst, err := NewVar(kind, 64, 8, LatencyNS(0, false))
+		inst, err := NewVar(kind, 64, 8, scm.LatencyConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func Fig9Concurrency(w io.Writer, sc Scale, threads []int, latNS int, varKeys bo
 		pointerKeyNote(w, "FPTreeCVar", "FPTreeCVar")
 	}
 	fmt.Fprintf(w, "%-14s %8s %-8s %14s %10s\n", "tree", "threads", "op", "Mops/s", "speedup")
-	lat := LatencyNS(latNS, true)
+	lat := LatencyNS(latNS)
 	warm, extra, mixed := genKeys(sc.Warm, 21), genKeys(sc.Ops, 22), genKeys(sc.Ops, 23)
 	kinds := []Kind{KindFPTreeC, KindNVTreeC}
 	if varKeys {
@@ -66,7 +66,7 @@ func concurrencyTable[K, V any](w io.Writer, threads []int, n int, kinds []Kind,
 				return fmt.Errorf("%s, %d threads: %w", name, th, err)
 			}
 			find, insert := finds(t, warm), inserts(t, mixed, val)
-			mix, err := timed(th, n, nil, func(g, i int) error {
+			mix, err := timed(th, n, func(g, i int) error {
 				if i%2 == 0 {
 					return insert(g, i)
 				}

@@ -82,7 +82,7 @@ func Fig12TATP(w io.Writer, subscribers, txns, clients int, latencies []int) err
 	fmt.Fprintf(w, "%-10s %8s %14s %14s\n", "index", "lat(ns)", "TX/s", "restart(ms)")
 	for _, lat := range latencies {
 		for _, kind := range []Kind{KindFPTree, KindPTree, KindNVTree, KindWBTree, KindSTXTree} {
-			latCfg := LatencyNS(lat, true)
+			latCfg := LatencyNS(lat)
 			idx, recoverIdx, err := tatpIndex(kind, 64+subscribers/2000, latCfg)
 			if err != nil {
 				return err
@@ -131,7 +131,7 @@ func Fig13Memcached(w io.Writer, clients, ops int, latencies []int) error {
 				if e.Name == "nvtreec" {
 					mb *= 2 // append-only leaves and rebuilds take the room
 				}
-				pool = poolMB(mb, LatencyNS(lat, true))
+				pool = poolMB(mb, LatencyNS(lat))
 			}
 			store, err := e.Create(pool)
 			if err != nil {

@@ -180,9 +180,8 @@ func poolForScale(sc Scale, varKeys bool) int {
 // [0, n), split into contiguous stripes over th goroutines (t is the stripe's
 // index, for per-goroutine state), and returns the wall time of the whole
 // batch. A stripe stops at its first error and timed reports the lowest
-// stripe's. With a non-nil lat (len n) each op's own duration lands in
-// lat[i].
-func timed(th, n int, lat []time.Duration, fn func(t, i int) error) (time.Duration, error) {
+// stripe's.
+func timed(th, n int, fn func(t, i int) error) (time.Duration, error) {
 	chunk := max(n/th, 1)
 	errs := make([]error, th)
 	var wg sync.WaitGroup
@@ -196,16 +195,9 @@ func timed(th, n int, lat []time.Duration, fn func(t, i int) error) (time.Durati
 		go func() {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				var t0 time.Time
-				if lat != nil {
-					t0 = time.Now()
-				}
 				if err := fn(t, i); err != nil {
 					errs[t] = err
 					return
-				}
-				if lat != nil {
-					lat[i] = time.Since(t0)
 				}
 			}
 		}()
@@ -257,7 +249,7 @@ func baseOps[K, V any](t Tree[K, V], th, n int, warm, extra []K, val V) (r opTim
 		{&r.update, func(_, i int) error { _, err := t.Update(warm[i%len(warm)], val); return err }},
 		{&r.delete, func(_, i int) error { _, err := t.Delete(extra[i]); return err }},
 	} {
-		if *b.d, err = timed(th, n, nil, b.fn); err != nil {
+		if *b.d, err = timed(th, n, b.fn); err != nil {
 			return r, err
 		}
 	}
@@ -302,7 +294,7 @@ func Fig7Fixed(w io.Writer, sc Scale, latencies []int, kinds []Kind) error {
 	fmt.Fprintf(w, "%-10s %8s %10s %10s %10s %10s\n", "tree", "lat(ns)", "Find", "Insert", "Update", "Delete")
 	return sweepBaseOps(w, 10, sc, kinds, latencies, genKeys(sc.Warm, 1), genKeys(sc.Ops, 2),
 		func(kind Kind, lat int) (string, FixedTree, uint64, error) {
-			inst, err := NewFixed(kind, poolForScale(sc, false), LatencyNS(lat, true))
+			inst, err := NewFixed(kind, poolForScale(sc, false), LatencyNS(lat))
 			if err != nil {
 				return "", nil, 0, err
 			}
@@ -320,7 +312,7 @@ func varBaseOps(w io.Writer, sc Scale, kinds []Kind, params []int, warmSeed, ext
 		err := sweepBaseOps(w, 14, sc, run.kinds, params, keysN(run.keyLen, warm), keysN(run.keyLen, extra),
 			func(kind Kind, param int) (string, VarTree, []byte, error) {
 				payload, latNS := cfg(param)
-				inst, err := NewVar(kind, poolForScale(sc, true), payload, LatencyNS(latNS, true))
+				inst, err := NewVar(kind, poolForScale(sc, true), payload, LatencyNS(latNS))
 				if err != nil {
 					return "", nil, nil, err
 				}
@@ -342,7 +334,8 @@ func Fig7Var(w io.Writer, sc Scale, latencies []int, kinds []Kind) error {
 }
 
 // Fig7Recovery reproduces Figure 7e-f: recovery time versus tree size at two
-// SCM latencies, against a full STXTree rebuild.
+// SCM latencies, against a full STXTree rebuild. A reopened tree that does
+// not hold every key loaded fails the run.
 func Fig7Recovery(w io.Writer, sizes []int, latencies []int) error {
 	fmt.Fprintf(w, "# Figure 7e-f: recovery time vs tree size (fixed keys)\n")
 	fmt.Fprintf(w, "%-10s %8s %10s %14s\n", "tree", "lat(ns)", "size", "recovery(ms)")
@@ -350,7 +343,7 @@ func Fig7Recovery(w io.Writer, sizes []int, latencies []int) error {
 		for _, size := range sizes {
 			keys := genKeys(size, 5)
 			for _, kind := range []Kind{KindFPTree, KindPTree, KindNVTree, KindWBTree} {
-				inst, err := NewFixed(kind, 16+size/2000, LatencyNS(lat, true))
+				inst, err := NewFixed(kind, 16+size/2000, LatencyNS(lat))
 				if err != nil {
 					return err
 				}
@@ -361,10 +354,15 @@ func Fig7Recovery(w io.Writer, sizes []int, latencies []int) error {
 				}
 				inst.Pool.Crash()
 				start := time.Now()
-				if _, err := inst.Recover(); err != nil {
+				tree, err := inst.Recover()
+				if err != nil {
 					return err
 				}
-				fmt.Fprintf(w, "%-10s %8d %10d %14.3f\n", inst.Name, lat, size, float64(time.Since(start).Microseconds())/1000)
+				elapsed := time.Since(start)
+				if err := checkRecovered(tree, inst.Name, lat, size); err != nil {
+					return err
+				}
+				fmt.Fprintf(w, "%-10s %8d %10d %14.3f\n", inst.Name, lat, size, float64(elapsed.Microseconds())/1000)
 			}
 			// Full rebuild of the transient STXTree as the baseline.
 			t := stx.NewUint64()
@@ -378,10 +376,19 @@ func Fig7Recovery(w io.Writer, sizes []int, latencies []int) error {
 	return nil
 }
 
+// checkRecovered returns an error unless tree, a persistent tree name
+// reopened at lat ns after loading size keys, holds exactly size keys.
+func checkRecovered(tree any, name string, lat, size int) error {
+	if n := tree.(interface{ Len() int }).Len(); n != size {
+		return fmt.Errorf("%s at %d ns, size %d: reopened tree holds %d keys", name, lat, size, n)
+	}
+	return nil
+}
+
 // Fig8Memory reproduces Figure 8: SCM and DRAM consumption per tree.
 func Fig8Memory(w io.Writer, n int) error {
 	fmt.Fprintf(w, "# Figure 8: memory consumption with %d keys (paper: 100M)\n", n)
-	fmt.Fprintf(w, "%-12s %14s %14s %10s\n", "tree", "SCM(bytes)", "DRAM(bytes)", "DRAM%%")
+	fmt.Fprintf(w, "%-12s %14s %14s %10s\n", "tree", "SCM(bytes)", "DRAM(bytes)", "DRAM%")
 	keys := genKeys(n, 6)
 	for _, kind := range FixedKinds {
 		inst, err := NewFixed(kind, 32+n/2000, scm.LatencyConfig{CacheBytes: -1})
@@ -503,7 +510,7 @@ func Table1NodeSizes(w io.Writer, sc Scale) error {
 	extra := genKeys(sc.Ops, 9)
 	for _, inner := range []int{64, 512, 4096} {
 		for _, leaf := range []int{16, 32, 56, 64} {
-			t, err := core.Create(poolMB(poolForScale(sc, false), LatencyNS(250, true)),
+			t, err := core.Create(poolMB(poolForScale(sc, false), LatencyNS(250)),
 				core.Config{LeafCap: leaf, InnerFanout: inner, GroupSize: 8})
 			if err != nil {
 				return err
@@ -512,7 +519,7 @@ func Table1NodeSizes(w io.Writer, sc Scale) error {
 			if err != nil {
 				return err
 			}
-			ins, err := timed(1, sc.Ops, nil, inserts(t, extra, 1))
+			ins, err := timed(1, sc.Ops, inserts(t, extra, 1))
 			if err != nil {
 				return err
 			}
@@ -528,7 +535,7 @@ func warmAndTime(t FixedTree, warm []uint64, n int, fn func(_, i int) error) (ti
 	if err := load(t, warm, 1); err != nil {
 		return 0, err
 	}
-	return timed(1, n, nil, fn)
+	return timed(1, n, fn)
 }
 
 // Fig14Payload reproduces Appendix A: payload-size impact on the
@@ -556,7 +563,7 @@ func AblationFingerprints(w io.Writer, sc Scale) error {
 	for _, lat := range []int{90, 650} {
 		var res [2]time.Duration
 		for i, variant := range []core.Variant{core.VariantFPTree, core.VariantPTree} {
-			t, err := core.Create(poolMB(poolForScale(sc, false), LatencyNS(lat, true)),
+			t, err := core.Create(poolMB(poolForScale(sc, false), LatencyNS(lat)),
 				core.Config{Variant: variant, LeafCap: 56, InnerFanout: 4096, GroupSize: 8})
 			if err != nil {
 				return err
@@ -579,7 +586,7 @@ func AblationGroups(w io.Writer, sc Scale) error {
 	for _, lat := range []int{90, 650} {
 		var res [2]time.Duration
 		for i, groupSize := range []int{8, 0} {
-			t, err := core.Create(poolMB(poolForScale(sc, false), LatencyNS(lat, true)),
+			t, err := core.Create(poolMB(poolForScale(sc, false), LatencyNS(lat)),
 				core.Config{LeafCap: 56, InnerFanout: 4096, GroupSize: groupSize})
 			if err != nil {
 				return err
@@ -603,7 +610,7 @@ func AblationSelectivePersistence(w io.Writer, sc Scale) error {
 	for _, lat := range []int{90, 650} {
 		var res [2]time.Duration
 		for i, kind := range []Kind{KindFPTree, KindWBTree} {
-			inst, err := NewFixed(kind, poolForScale(sc, false), LatencyNS(lat, true))
+			inst, err := NewFixed(kind, poolForScale(sc, false), LatencyNS(lat))
 			if err != nil {
 				return err
 			}
