@@ -80,9 +80,13 @@ type codec[K, V any] interface {
 	// live count, and the repairs the Algorithm 17 leak scan calls for,
 	// computed from one pass over the leaf's header and key cells, buffered
 	// (the recovery scan visits every slot anyway, so per-slot accessors only
-	// add overhead). It writes nothing, so recovery workers run it in
-	// parallel; the engine applies the repairs sequentially afterwards.
-	scanLeaf(leaf uint64) (K, int, []leakAction)
+	// add overhead). The leaf is read into buf, the scanning worker's own
+	// buffer of at least shape().size bytes, so a scan allocates nothing
+	// but the leak repairs it finds and, for var keys, the max key and each
+	// key block it dereferences. It writes nothing to the pool, so recovery
+	// workers run it in parallel; the engine applies the repairs
+	// sequentially afterwards.
+	scanLeaf(leaf uint64, buf []byte) (K, int, []leakAction)
 	// applyLeaks performs the durable repairs scanLeaf detected, in slot
 	// order.
 	applyLeaks(leaf uint64, acts []leakAction)
@@ -242,10 +246,11 @@ func (c *fixedCodec) afterSplitBitmaps(uint64, uint64)   {}
 func (c *fixedCodec) applyLeaks(uint64, []leakAction)    {}
 func (c *fixedCodec) checkInvalidSlot(uint64, int) error { return nil }
 
-// scanLeaf reads the whole leaf image once and folds the max-key scan over
-// it; fixed keys have no leak repairs.
-func (c *fixedCodec) scanLeaf(leaf uint64) (uint64, int, []leakAction) {
-	buf := c.pool.ReadBytes(leaf, c.lay.size)
+// scanLeaf reads the whole leaf image into buf once and folds the max-key
+// scan over it; fixed keys have no leak repairs.
+func (c *fixedCodec) scanLeaf(leaf uint64, buf []byte) (uint64, int, []leakAction) {
+	buf = buf[:c.lay.size]
+	c.pool.ReadInto(leaf, buf)
 	bm := binary.LittleEndian.Uint64(buf[c.lay.offBitmap:])
 	var maxK uint64
 	n := 0
@@ -638,24 +643,28 @@ func (c *varCodec) applyLeaks(leaf uint64, acts []leakAction) {
 // the leaf is read in one access; where it is larger (kvserver's 152-byte
 // slot) the header and then each slot's cell are read on their own, and the
 // lines that hold only value bytes — 64 of an 8640-byte leaf's 135 — are never
-// touched. Inline keys are compared where they lie in the buffered cells;
-// each valid pointer slot's key block is chased for the max-key comparison
-// (the dereferences are the latency that parallel recovery overlaps). Leak
-// detection is Algorithm 17 over the buffered cells: an invalid slot that
+// touched. Either way the header and cells land in buf, the worker's buffer
+// (the wide slot's cells packed cellSize apart after the header). Inline keys
+// are compared where they lie in the buffered cells; each valid pointer
+// slot's key block is chased for the max-key comparison (the dereferences are
+// the latency that parallel recovery overlaps). Leak detection is
+// Algorithm 17 over the buffered cells: an invalid slot that
 // still references a key block either shares it with a valid slot of the same
 // leaf (crashed update: reset the pointer) or owns it alone (crashed insert or
 // delete: deallocate the key). Invalid inline slots own nothing and are
 // skipped.
-func (c *varCodec) scanLeaf(leaf uint64) ([]byte, int, []leakAction) {
+func (c *varCodec) scanLeaf(leaf uint64, buf []byte) ([]byte, int, []leakAction) {
 	var hdr, cells []byte // slot s's cell starts at cells[s*stride]
 	stride := c.lay.slotSize
 	if stride <= scm.LineSize {
-		hdr = c.pool.ReadBytes(leaf, c.lay.size)
+		hdr = buf[:c.lay.size]
+		c.pool.ReadInto(leaf, hdr)
 		cells = hdr[c.lay.offKV:]
 	} else {
-		hdr = c.pool.ReadBytes(leaf, c.lay.offKV)
+		hdr = buf[:c.lay.offKV]
+		c.pool.ReadInto(leaf, hdr)
 		stride = cellSize
-		cells = make([]byte, uint64(c.lay.cap)*stride)
+		cells = buf[c.lay.offKV:][:uint64(c.lay.cap)*stride]
 		for s := 0; s < c.lay.cap; s++ {
 			c.pool.ReadInto(c.lay.slotOff(leaf, s), cells[uint64(s)*stride:][:cellSize])
 		}

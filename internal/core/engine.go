@@ -1097,11 +1097,12 @@ func (e *engine[K, V]) sanitizeFreeLeaves() {
 	if !e.groups.enabled() {
 		return
 	}
+	buf := make([]byte, e.sh.size)
 	for _, leaf := range e.groups.free {
 		if e.leafBitmap(leaf) != 0 {
 			e.persistLeafHeader(leaf, 0)
 		}
-		_, _, leaks := e.cdc.scanLeaf(leaf)
+		_, _, leaks := e.cdc.scanLeaf(leaf, buf)
 		e.cdc.applyLeaks(leaf, leaks)
 	}
 }

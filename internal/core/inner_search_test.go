@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // checkSearchMatchesLess probes every node under root with every probe key
@@ -223,7 +225,10 @@ func TestInnerSearchMatchesLess(t *testing.T) {
 // the prefix path and the tie path. A key's state after its s-th operation
 // is present (value s) unless s is a multiple of 3; the writer publishes s
 // after the operation returns, so a read bracketed by published states b and
-// a may return any state in [b, a+1].
+// a may return any state in [b, a+1]. Before each pass a writer waits, yielding
+// and for at most a few seconds, until the readers have finished a read since
+// its previous pass, so reads overlap every pass instead of depending on the
+// scheduler to start the readers before the writers are done.
 func TestPrefixSearchConcurrentSMO(t *testing.T) {
 	const (
 		writers = 2
@@ -274,12 +279,19 @@ func TestPrefixSearchConcurrentSMO(t *testing.T) {
 			}
 		}(int64(r + 1))
 	}
+	awaitRead := func(since int64) {
+		for deadline := time.Now().Add(5 * time.Second); reads.Load() <= since && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	}
 	var wwg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wwg.Add(1)
 		go func(lo, hi int) {
 			defer wwg.Done()
+			var seen int64 // reads finished when the previous pass ended
 			for s := 1; s <= passes; s++ {
+				awaitRead(seen)
 				for i := lo; i < hi; i++ {
 					var err error
 					var ok bool
@@ -297,6 +309,7 @@ func TestPrefixSearchConcurrentSMO(t *testing.T) {
 					}
 					state[i].Store(uint64(s))
 				}
+				seen = reads.Load()
 			}
 		}(w*perW, (w+1)*perW)
 	}

@@ -485,12 +485,50 @@ func TestRecoveryScanLines(t *testing.T) {
 		leaf := tr.m.headLeaf().Offset
 		pool.Crash() // nothing is dirty: this only empties the simulated cache
 		m0 := pool.Stats().ReadMisses.Load()
-		k, n, leaks := tr.cdc.scanLeaf(leaf)
+		k, n, leaks := tr.cdc.scanLeaf(leaf, make([]byte, tr.sh.size))
 		if m := pool.Stats().ReadMisses.Load() - m0; m != tc.misses {
 			t.Errorf("value field %d: scanLeaf of a %d-byte leaf cost %d misses, want %d", tc.valSize, tc.leafBytes, m, tc.misses)
 		}
 		if !bytes.Equal(k, maxKey) || n != 56 || len(leaks) != 0 {
 			t.Errorf("value field %d: scanLeaf = %q, %d live, %d repairs, want %q, 56, 0", tc.valSize, k, n, len(leaks), maxKey)
+		}
+	}
+}
+
+// TestScanLeafAllocs pins that the recovery scan reads a leaf into its
+// worker's buffer: a fixed-key leaf scans without allocating, and a leaf of
+// inline var keys allocates only the clone of its max key, for the slot that
+// is read whole with its leaf and for kvserver's wide slot, whose key cells
+// are read one by one.
+func TestScanLeafAllocs(t *testing.T) {
+	pool := scm.NewPool(4<<20, scm.LatencyConfig{})
+	ft, err := CCreate(pool, Config{LeafCap: 56})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 56; i++ {
+		if err := ft.Insert(i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaf, buf := ft.m.headLeaf().Offset, make([]byte, ft.sh.size)
+	if a := testing.AllocsPerRun(100, func() { ft.cdc.scanLeaf(leaf, buf) }); a != 0 {
+		t.Errorf("fixed scanLeaf: %v allocs per leaf, want 0", a)
+	}
+	for _, valSize := range []int{8, 122} {
+		pool := scm.NewPool(4<<20, scm.LatencyConfig{})
+		vt, err := CCreateVar(pool, Config{LeafCap: 56, ValueSize: valSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 56; i++ {
+			if err := vt.Insert([]byte(fmt.Sprintf("scan-key-%07d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		leaf, buf := vt.m.headLeaf().Offset, make([]byte, vt.sh.size)
+		if a := testing.AllocsPerRun(100, func() { vt.cdc.scanLeaf(leaf, buf) }); a > 1 {
+			t.Errorf("var scanLeaf, value field %d: %v allocs per leaf, want <= 1 (the max key)", valSize, a)
 		}
 	}
 }

@@ -15,9 +15,10 @@ const (
 	// LatencyCount only counts misses and flushes; no time is spent. Use it
 	// in unit tests where determinism matters more than timing.
 	LatencyCount LatencyMode = iota
-	// LatencySpin busy-waits for the configured duration on every SCM cache
-	// miss and line flush, so wall-clock measurements reflect the emulated
-	// medium. Use it in benchmarks.
+	// LatencySpin busy-waits once per access for ReadLatency times the lines
+	// it missed in the simulated cache, and once per Persist for
+	// WriteLatency times the lines it wrote back, so wall-clock measurements
+	// reflect the emulated medium. Use it in benchmarks.
 	LatencySpin
 	// LatencySleep accumulates the charged latency into a shared debt counter
 	// and materializes it in batched time.Sleep calls of latencyBatch each.
@@ -164,15 +165,20 @@ func (c *cacheSim) reset() {
 	}
 }
 
-// spin busy-waits for roughly d. It deliberately avoids the Go scheduler
-// (no time.Sleep) because emulated latencies are in the tens-to-hundreds of
-// nanoseconds, far below timer resolution.
+// epoch anchors spin's deadlines. time.Since of a time holding a monotonic
+// reading reads only the monotonic clock, which costs less than time.Now's
+// wall-and-monotonic pair.
+var epoch = time.Now()
+
+// spin busy-waits until d has passed on the monotonic clock. It deliberately
+// avoids the Go scheduler (no time.Sleep) because emulated latencies are in
+// the tens-to-hundreds of nanoseconds, far below timer resolution.
 func spin(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	start := time.Now()
-	for time.Since(start) < d {
+	deadline := time.Since(epoch) + d
+	for time.Since(epoch) < deadline {
 	}
 }
 

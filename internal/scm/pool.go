@@ -160,9 +160,6 @@ func (p *Pool) onAccess(off, size uint64, write bool) {
 	for l := first; l <= last; l++ {
 		if p.cache.touch(l * LineSize) {
 			misses++
-			if p.cfg.Mode != LatencyCount {
-				p.charge(p.cfg.ReadLatency)
-			}
 		} else {
 			hits++
 		}
@@ -175,6 +172,7 @@ func (p *Pool) onAccess(off, size uint64, write bool) {
 	}
 	if misses != 0 {
 		p.stats.ReadMisses.Add(key, misses)
+		p.charge(misses, p.cfg.ReadLatency)
 	}
 }
 
@@ -308,9 +306,15 @@ func (p *Pool) Persist(off, size uint64) {
 	p.maybeInjectCrash()
 	first := off / LineSize
 	last := (off + size - 1) / LineSize
+	var flushed uint64
 	for l := first; l <= last; l++ {
-		p.flushLine(l)
+		if p.flushLine(l) {
+			flushed++
+		}
 	}
+	// The write-backs are charged before the fence, so a caller that
+	// persists under a lock pays the medium inside its critical section.
+	p.charge(flushed, p.cfg.WriteLatency)
 	p.maybeInjectFenceCrash()
 	p.stats.Fences.Add(statKey(first), 1)
 	p.stats.BytesFlushed.Add(statKey(first), size)
@@ -322,35 +326,38 @@ func (p *Pool) Fence() {
 	p.stats.Fences.Add(0, 1)
 }
 
-func (p *Pool) flushLine(l uint64) {
+// flushLine writes line l back if it is dirty and reports whether it did.
+func (p *Pool) flushLine(l uint64) bool {
 	word := &p.dirty[l/64]
 	mask := uint64(1) << (l % 64)
 	if word.Load()&mask == 0 {
-		return // clean line: CLFLUSH of a clean line is ~free
+		return false // clean line: CLFLUSH of a clean line is ~free
 	}
 	off := l * LineSize
 	copy(p.durable[off:off+LineSize], p.mem[off:off+LineSize])
 	word.And(^mask)
 	p.cache.evict(off)
 	p.stats.Flushes.Add(statKey(l), 1)
-	if p.cfg.Mode != LatencyCount {
-		p.charge(p.cfg.WriteLatency)
-	}
+	return true
 }
 
-// charge makes the caller pay d of emulated media latency according to the
-// configured mode: a precise busy-wait (LatencySpin) or a contribution to
-// the pool's shared sleep debt (LatencySleep), materialized in batches of
-// latencyBatch so concurrent accessors' waits overlap in wall-clock time.
-func (p *Pool) charge(d time.Duration) {
-	if d <= 0 {
+// charge makes the caller pay n lines of emulated media latency at lat each,
+// in one step, according to the configured mode: one busy-wait of n×lat
+// (LatencySpin), or a contribution of n×lat to the pool's shared sleep debt
+// (LatencySleep), materialized in batches of latencyBatch so concurrent
+// accessors' waits overlap in wall-clock time. LatencyCount charges nothing.
+// Every primitive charges once, for all the lines it missed or flushed, so
+// the spin's own overshoot is paid once per primitive, not once per line.
+func (p *Pool) charge(n uint64, lat time.Duration) {
+	if p.cfg.Mode == LatencyCount || n == 0 || lat <= 0 {
 		return
 	}
+	d := time.Duration(n) * lat
 	if p.cfg.Mode == LatencySpin {
 		spin(d)
 		return
 	}
-	if n := p.latDebt.Add(int64(d)); n >= int64(latencyBatch) {
+	if debt := p.latDebt.Add(int64(d)); debt >= int64(latencyBatch) {
 		if owed := p.latDebt.Swap(0); owed > 0 {
 			time.Sleep(time.Duration(owed))
 		}
