@@ -69,11 +69,10 @@ func main() {
 		data         = flag.String("data", "", "arena file path; empty = in-memory arena (state lost on exit)")
 		shards       = flag.Int("shards", 1, "hash-partition the keyspace over N independent shard trees, one arena per shard (<data>.shard<i>); must match the on-disk layout on reopen")
 		latency      = flag.Int("latency", 0, "emulated SCM latency in ns (0 = off)")
-		latencyMode  = flag.String("latency-mode", "spin", "how latency is charged: spin | sleep")
 		poolMB       = flag.Int("pool", 512, "total SCM arena size in MiB, split evenly across shards (ignored when -data names an existing arena)")
 		syncEvery    = flag.Duration("sync", 0, "periodic arena sync interval for power-fail durability (0 = sync only on shutdown)")
 		readTimeout  = flag.Duration("read-timeout", 0, "per-command read deadline (0 = none)")
-		writeTimeout = flag.Duration("write-timeout", 0, "per-response write deadline (0 = none)")
+		writeTimeout = flag.Duration("write-timeout", 0, "deadline on each write of replies to the socket (0 = none)")
 		maxConns     = flag.Int("max-conns", 0, "max simultaneous connections (0 = unlimited)")
 		drain        = flag.Duration("drain", time.Second, "shutdown grace for in-flight commands")
 		dumpStats    = flag.Bool("stats", true, "dump server stats on shutdown")
@@ -86,17 +85,9 @@ func main() {
 	lat := scm.LatencyConfig{}
 	if *latency > 0 {
 		lat = scm.LatencyConfig{
+			Mode:         scm.LatencySpin,
 			ReadLatency:  time.Duration(*latency) * time.Nanosecond,
 			WriteLatency: time.Duration(*latency) * time.Nanosecond,
-		}
-		switch *latencyMode {
-		case "spin":
-			lat.Mode = scm.LatencySpin
-		case "sleep":
-			lat.Mode = scm.LatencySleep
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -latency-mode %q (want spin or sleep)\n", *latencyMode)
-			os.Exit(2)
 		}
 	}
 

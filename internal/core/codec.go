@@ -80,13 +80,12 @@ type codec[K, V any] interface {
 	// live count, and the repairs the Algorithm 17 leak scan calls for,
 	// computed from one pass over the leaf's header and key cells, buffered
 	// (the recovery scan visits every slot anyway, so per-slot accessors only
-	// add overhead). The leaf is read into buf, the scanning worker's own
-	// buffer of at least shape().size bytes, so a scan allocates nothing
-	// but the leak repairs it finds and, for var keys, the max key and each
-	// key block it dereferences. It writes nothing to the pool, so recovery
-	// workers run it in parallel; the engine applies the repairs
-	// sequentially afterwards.
-	scanLeaf(leaf uint64, buf []byte) (K, int, []leakAction)
+	// add overhead). The leaf is read into sb, the scanning worker's own
+	// scratch, so a scan allocates nothing but the leak repairs it finds
+	// and, for var keys, the max key it returns. It writes nothing to the
+	// pool, so recovery workers run it in parallel; the engine applies the
+	// repairs sequentially afterwards.
+	scanLeaf(leaf uint64, sb *scanBuf) (K, int, []leakAction)
 	// applyLeaks performs the durable repairs scanLeaf detected, in slot
 	// order.
 	applyLeaks(leaf uint64, acts []leakAction)
@@ -246,10 +245,19 @@ func (c *fixedCodec) afterSplitBitmaps(uint64, uint64)   {}
 func (c *fixedCodec) applyLeaks(uint64, []leakAction)    {}
 func (c *fixedCodec) checkInvalidSlot(uint64, int) error { return nil }
 
-// scanLeaf reads the whole leaf image into buf once and folds the max-key
-// scan over it; fixed keys have no leak repairs.
-func (c *fixedCodec) scanLeaf(leaf uint64, buf []byte) (uint64, int, []leakAction) {
-	buf = buf[:c.lay.size]
+// scanBuf is a recovery worker's own scratch for scanLeaf, reused leaf after
+// leaf: the leaf image (at least shape().size bytes), and the two buffers a
+// var leaf's pointer keys are read into, one holding the max so far and one
+// the candidate.
+type scanBuf struct {
+	leaf     []byte
+	max, key []byte
+}
+
+// scanLeaf reads the whole leaf image into the worker's buffer once and folds
+// the max-key scan over it; fixed keys have no leak repairs.
+func (c *fixedCodec) scanLeaf(leaf uint64, sb *scanBuf) (uint64, int, []leakAction) {
+	buf := sb.leaf[:c.lay.size]
 	c.pool.ReadInto(leaf, buf)
 	bm := binary.LittleEndian.Uint64(buf[c.lay.offBitmap:])
 	var maxK uint64
@@ -643,17 +651,19 @@ func (c *varCodec) applyLeaks(leaf uint64, acts []leakAction) {
 // the leaf is read in one access; where it is larger (kvserver's 152-byte
 // slot) the header and then each slot's cell are read on their own, and the
 // lines that hold only value bytes — 64 of an 8640-byte leaf's 135 — are never
-// touched. Either way the header and cells land in buf, the worker's buffer
-// (the wide slot's cells packed cellSize apart after the header). Inline keys
-// are compared where they lie in the buffered cells; each valid pointer
-// slot's key block is chased for the max-key comparison (the dereferences are
-// the latency that parallel recovery overlaps). Leak detection is
+// touched. Either way the header and cells land in sb.leaf, the worker's
+// buffer (the wide slot's cells packed cellSize apart after the header).
+// Inline keys are compared where they lie in the buffered cells; each valid
+// pointer slot's key block is read into sb.key for the max-key comparison
+// (the dereferences are the latency that parallel recovery overlaps), and
+// swapped into sb.max when it is the new max. Leak detection is
 // Algorithm 17 over the buffered cells: an invalid slot that
 // still references a key block either shares it with a valid slot of the same
 // leaf (crashed update: reset the pointer) or owns it alone (crashed insert or
 // delete: deallocate the key). Invalid inline slots own nothing and are
 // skipped.
-func (c *varCodec) scanLeaf(leaf uint64, buf []byte) ([]byte, int, []leakAction) {
+func (c *varCodec) scanLeaf(leaf uint64, sb *scanBuf) ([]byte, int, []leakAction) {
+	buf := sb.leaf
 	var hdr, cells []byte // slot s's cell starts at cells[s*stride]
 	stride := c.lay.slotSize
 	if stride <= scm.LineSize {
@@ -671,8 +681,9 @@ func (c *varCodec) scanLeaf(leaf uint64, buf []byte) ([]byte, int, []leakAction)
 	}
 	bm := binary.LittleEndian.Uint64(hdr[c.lay.offBitmap:])
 	at := func(s int) []byte { return cells[uint64(s)*stride:] } // slot s's cell|word
+
+	// maxK aliases the buffered cells or sb.max.
 	var maxK []byte
-	maxInline := false // maxK aliases cells
 	n := 0
 	var acts []leakAction
 	for s := 0; s < c.lay.cap; s++ {
@@ -682,11 +693,16 @@ func (c *varCodec) scanLeaf(leaf uint64, buf []byte) ([]byte, int, []leakAction)
 			if h.inline() {
 				k = at(s)[:h.klen]
 			} else {
-				k = c.pool.ReadBytes(h.pkey().Offset, h.klen)
+				sb.key = slices.Grow(sb.key[:0], int(h.klen))[:h.klen]
+				c.pool.ReadInto(h.pkey().Offset, sb.key)
+				k = sb.key
 			}
 			n++
 			if n == 1 || bytes.Compare(maxK, k) < 0 {
-				maxK, maxInline = k, h.inline()
+				maxK = k
+				if !h.inline() {
+					sb.max, sb.key = sb.key, sb.max
+				}
 			}
 			continue
 		}
@@ -702,10 +718,8 @@ func (c *varCodec) scanLeaf(leaf uint64, buf []byte) ([]byte, int, []leakAction)
 		}
 		acts = append(acts, leakAction{slot: s, free: !shared})
 	}
-	if maxInline {
-		maxK = bytes.Clone(maxK) // the separator must not pin the buffered cells
-	}
-	return maxK, n, acts
+	// The separator must not pin the worker's scratch.
+	return bytes.Clone(maxK), n, acts
 }
 
 func (c *varCodec) checkInvalidSlot(leaf uint64, s int) error {

@@ -1097,12 +1097,12 @@ func (e *engine[K, V]) sanitizeFreeLeaves() {
 	if !e.groups.enabled() {
 		return
 	}
-	buf := make([]byte, e.sh.size)
+	sb := &scanBuf{leaf: make([]byte, e.sh.size)}
 	for _, leaf := range e.groups.free {
 		if e.leafBitmap(leaf) != 0 {
 			e.persistLeafHeader(leaf, 0)
 		}
-		_, _, leaks := e.cdc.scanLeaf(leaf, buf)
+		_, _, leaks := e.cdc.scanLeaf(leaf, sb)
 		e.cdc.applyLeaks(leaf, leaks)
 	}
 }

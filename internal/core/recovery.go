@@ -58,7 +58,7 @@ type scannedLeaf[K any] struct {
 // collectLeaves is the leaf pass of Algorithm 9. The caller's goroutine
 // walks the persistent leaf list and hands batches of consecutive leaves to
 // workers scanner goroutines, which run the codec's read-only scan on every
-// leaf, each into a leaf-sized buffer of its own. Then one pass in list order
+// leaf, each into scratch of its own (scanBuf). Then one pass in list order
 // applies every durable repair — the leak repairs of each leaf, the unlink of
 // each leaf an interrupted delete emptied — and returns the live leaves with
 // their max keys. The walker's read of a leaf's next pointer is the header
@@ -71,10 +71,10 @@ func (e *engine[K, V]) collectLeaves(workers int) (leaves []uint64, maxKeys []K,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]byte, e.sh.size)
+			sb := &scanBuf{leaf: make([]byte, e.sh.size)}
 			for b := range work {
 				for i := range b {
-					b[i].max, b[i].count, b[i].leaks = e.cdc.scanLeaf(b[i].leaf, buf)
+					b[i].max, b[i].count, b[i].leaks = e.cdc.scanLeaf(b[i].leaf, sb)
 				}
 			}
 		}()

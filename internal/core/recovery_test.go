@@ -485,7 +485,7 @@ func TestRecoveryScanLines(t *testing.T) {
 		leaf := tr.m.headLeaf().Offset
 		pool.Crash() // nothing is dirty: this only empties the simulated cache
 		m0 := pool.Stats().ReadMisses.Load()
-		k, n, leaks := tr.cdc.scanLeaf(leaf, make([]byte, tr.sh.size))
+		k, n, leaks := tr.cdc.scanLeaf(leaf, &scanBuf{leaf: make([]byte, tr.sh.size)})
 		if m := pool.Stats().ReadMisses.Load() - m0; m != tc.misses {
 			t.Errorf("value field %d: scanLeaf of a %d-byte leaf cost %d misses, want %d", tc.valSize, tc.leafBytes, m, tc.misses)
 		}
@@ -496,10 +496,11 @@ func TestRecoveryScanLines(t *testing.T) {
 }
 
 // TestScanLeafAllocs pins that the recovery scan reads a leaf into its
-// worker's buffer: a fixed-key leaf scans without allocating, and a leaf of
-// inline var keys allocates only the clone of its max key, for the slot that
-// is read whole with its leaf and for kvserver's wide slot, whose key cells
-// are read one by one.
+// worker's scratch: a fixed-key leaf scans without allocating, and a var-key
+// leaf allocates only the clone of its max key — for inline keys, in the slot
+// that is read whole with its leaf and in kvserver's wide slot, whose key
+// cells are read one by one, and for 32-byte pointer keys, whose key blocks
+// are read into the scratch's key buffers.
 func TestScanLeafAllocs(t *testing.T) {
 	pool := scm.NewPool(4<<20, scm.LatencyConfig{})
 	ft, err := CCreate(pool, Config{LeafCap: 56})
@@ -511,24 +512,32 @@ func TestScanLeafAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	leaf, buf := ft.m.headLeaf().Offset, make([]byte, ft.sh.size)
-	if a := testing.AllocsPerRun(100, func() { ft.cdc.scanLeaf(leaf, buf) }); a != 0 {
+	leaf, sb := ft.m.headLeaf().Offset, &scanBuf{leaf: make([]byte, ft.sh.size)}
+	if a := testing.AllocsPerRun(100, func() { ft.cdc.scanLeaf(leaf, sb) }); a != 0 {
 		t.Errorf("fixed scanLeaf: %v allocs per leaf, want 0", a)
 	}
-	for _, valSize := range []int{8, 122} {
+	for _, tc := range []struct {
+		valSize int
+		key     string // a format with one %07d verb
+	}{
+		{8, "scan-key-%07d"},                 // inline, 16 bytes
+		{122, "scan-key-%07d"},               // inline, wide slot
+		{8, "scan-key-pointer-block-%07d-x"}, // 32 bytes, in a key block
+	} {
 		pool := scm.NewPool(4<<20, scm.LatencyConfig{})
-		vt, err := CCreateVar(pool, Config{LeafCap: 56, ValueSize: valSize})
+		vt, err := CCreateVar(pool, Config{LeafCap: 56, ValueSize: tc.valSize})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 56; i++ {
-			if err := vt.Insert([]byte(fmt.Sprintf("scan-key-%07d", i)), []byte("v")); err != nil {
+			if err := vt.Insert([]byte(fmt.Sprintf(tc.key, i)), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 		}
-		leaf, buf := vt.m.headLeaf().Offset, make([]byte, vt.sh.size)
-		if a := testing.AllocsPerRun(100, func() { vt.cdc.scanLeaf(leaf, buf) }); a > 1 {
-			t.Errorf("var scanLeaf, value field %d: %v allocs per leaf, want <= 1 (the max key)", valSize, a)
+		leaf, sb := vt.m.headLeaf().Offset, &scanBuf{leaf: make([]byte, vt.sh.size)}
+		if a := testing.AllocsPerRun(100, func() { vt.cdc.scanLeaf(leaf, sb) }); a > 1 {
+			t.Errorf("var scanLeaf, value field %d, %d-byte keys: %v allocs per leaf, want <= 1 (the max key)",
+				tc.valSize, len(fmt.Sprintf(tc.key, 0)), a)
 		}
 	}
 }

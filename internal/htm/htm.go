@@ -57,12 +57,6 @@ func (v *VersionLock) ReadValidate(ver uint64) bool {
 	return v.w.Load() == ver
 }
 
-// TryUpgrade atomically converts a validated read snapshot into exclusive
-// ownership. It fails if any writer intervened since ReadBegin.
-func (v *VersionLock) TryUpgrade(ver uint64) bool {
-	return v.w.CompareAndSwap(ver, ver|1)
-}
-
 // Lock spins until it holds the node exclusively.
 func (v *VersionLock) Lock() {
 	for {
@@ -91,9 +85,6 @@ func (v *VersionLock) Unlock() {
 func (v *VersionLock) UnlockNoBump() {
 	v.w.Add(^uint64(0)) // subtract the lock bit
 }
-
-// IsLocked reports whether a writer currently owns the node.
-func (v *VersionLock) IsLocked() bool { return v.w.Load()&1 == 1 }
 
 // AbortCause classifies why an optimistic section aborted. Real TSX reports
 // an abort cause word (conflict, capacity, explicit XABORT); the emulation
@@ -216,7 +207,3 @@ func (l *RWSpin) Locked() bool { return l.w.Load() < 0 }
 // Idle reports whether nobody, reader or writer, holds the lock: the state in
 // which a TryLock would succeed.
 func (l *RWSpin) Idle() bool { return l.w.Load() == 0 }
-
-// Reset forces the lock to the released state; recovery uses it because
-// volatile locks must not survive a crash.
-func (l *RWSpin) Reset() { l.w.Store(0) }

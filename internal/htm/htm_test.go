@@ -36,21 +36,6 @@ func TestVersionLockUnlockNoBump(t *testing.T) {
 	}
 }
 
-func TestVersionLockTryUpgrade(t *testing.T) {
-	var v VersionLock
-	ver := v.ReadBegin()
-	if !v.TryUpgrade(ver) {
-		t.Fatal("upgrade should succeed with no interference")
-	}
-	if !v.IsLocked() {
-		t.Fatal("upgrade should hold the lock")
-	}
-	v.Unlock()
-	if v.TryUpgrade(ver) {
-		t.Fatal("stale upgrade should fail")
-	}
-}
-
 func TestVersionLockTryLock(t *testing.T) {
 	var v VersionLock
 	if !v.TryLock() {
@@ -149,16 +134,6 @@ func TestRWSpinReadersExcludeWriter(t *testing.T) {
 	if l.Locked() || !l.Idle() {
 		t.Fatal("Locked() or not Idle() after Unlock")
 	}
-}
-
-func TestRWSpinReset(t *testing.T) {
-	var l RWSpin
-	l.Lock()
-	l.Reset()
-	if !l.TryLock() {
-		t.Fatal("Reset should force-release")
-	}
-	l.Unlock()
 }
 
 func TestRWSpinConcurrentMutualExclusion(t *testing.T) {

@@ -9,7 +9,6 @@ package kvserver
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -35,7 +34,8 @@ type Config struct {
 	// ReadTimeout bounds how long the server waits for the next command (and
 	// its payload) on a connection; expiry closes the connection. 0 disables.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each response flush. 0 disables.
+	// WriteTimeout bounds each write of replies to the socket; expiry closes
+	// the connection. 0 disables.
 	WriteTimeout time.Duration
 	// MaxConns caps simultaneous connections; excess clients receive
 	// "SERVER_ERROR max connections reached" and are disconnected. 0 means
@@ -266,106 +266,63 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// pipelineDepth bounds the per-connection reply queue: the reader/executor
-// may run this many commands ahead of the writer before back-pressure blocks
-// it. Replies stay strictly in command order — the queue is the order.
-const pipelineDepth = 128
-
-// replyBufPool recycles the per-command reply buffers that travel from the
-// reader/executor goroutine to the connection's writer goroutine.
-var replyBufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
-func getReplyBuf() *bytes.Buffer {
-	b := replyBufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
+// countingReader is the io.Reader beneath a connection's bufio.Reader. Before
+// every read from the socket it flushes the connection's replies, so the
+// replies of every command the bufio.Reader already held leave in one write,
+// one write per readable burst, and no reply waits while the connection waits
+// for input. A failed flush fails the read, which ends the connection. Both
+// halves meter the raw bytes moving through the connection.
+type countingReader struct {
+	s     *Server
+	conn  net.Conn
+	flush *bufio.Writer
 }
 
-// connWriter is the write half of a pipelined connection: an in-order queue
-// of reply buffers drained by one goroutine that coalesces every reply
-// already queued into a single buffered flush — hundreds of pipelined
-// commands cost one write syscall per readable burst instead of one each.
-type connWriter struct {
-	out    chan *bytes.Buffer
-	done   chan struct{}
-	failed atomic.Bool // a flush failed; the connection is dead for writing
+func (c countingReader) Read(p []byte) (int, error) {
+	if err := c.flush.Flush(); err != nil {
+		return 0, err
+	}
+	n, err := c.conn.Read(p)
+	c.s.metrics.BytesRead.Add(uint64(n))
+	return n, err
 }
 
-// run drains the queue until it is closed. After a write failure it keeps
-// draining (recycling buffers, writing nothing) so the reader never blocks
-// on a dead writer.
-func (cw *connWriter) run(s *Server, conn net.Conn, w *bufio.Writer) {
-	defer close(cw.done)
-	flush := func() {
-		if cw.failed.Load() || w.Buffered() == 0 {
-			return
-		}
-		if s.cfg.WriteTimeout > 0 && !s.closing.Load() {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		if w.Flush() != nil {
-			cw.failed.Store(true)
-		}
-	}
-	write := func(b *bytes.Buffer) {
-		if !cw.failed.Load() {
-			w.Write(b.Bytes()) // errors are sticky and surface at Flush
-		}
-		replyBufPool.Put(b)
-	}
-	for buf := range cw.out {
-		write(buf)
-		// Coalesce the burst: fold in every reply already queued before
-		// paying the flush syscall.
-		for coalescing := true; coalescing; {
-			select {
-			case more, ok := <-cw.out:
-				if !ok {
-					flush()
-					return
-				}
-				write(more)
-			default:
-				coalescing = false
-			}
-		}
-		flush()
-	}
-	flush()
+// countingWriter is the io.Writer beneath a connection's bufio.Writer. It
+// arms WriteTimeout before every write that reaches the socket, whether the
+// reader's flush or a buffer filled mid-burst started it.
+type countingWriter struct {
+	s    *Server
+	conn net.Conn
 }
 
+func (c countingWriter) Write(p []byte) (int, error) {
+	if c.s.cfg.WriteTimeout > 0 && !c.s.closing.Load() {
+		c.conn.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
+	}
+	n, err := c.conn.Write(p)
+	c.s.metrics.BytesWritten.Add(uint64(n))
+	return n, err
+}
+
+// handle runs a connection on one goroutine: it reads a command, executes it
+// and writes its reply into w, which countingReader flushes before the next
+// read from the socket. Replies therefore leave in command order.
 func (s *Server) handle(conn net.Conn) {
 	m := &s.metrics
-	r := bufio.NewReader(countingReader{conn, &m.BytesRead})
-	w := bufio.NewWriter(countingWriter{conn, &m.BytesWritten})
-	cw := &connWriter{out: make(chan *bytes.Buffer, pipelineDepth), done: make(chan struct{})}
-	go cw.run(s, conn, w)
+	w := bufio.NewWriter(countingWriter{s, conn})
+	r := bufio.NewReader(countingReader{s, conn, w})
 	defer func() {
-		close(cw.out)
-		<-cw.done // final flush of any queued replies (e.g. after quit)
+		w.Flush() // the replies before quit or a lost frame
 		conn.Close()
 		s.untrack(conn)
-		s.metrics.CurrConnections.Add(-1)
+		m.CurrConnections.Add(-1)
 	}()
-	s.metrics.CurrConnections.Add(1)
-	enqueue := func(b *bytes.Buffer) bool {
-		if cw.failed.Load() {
-			replyBufPool.Put(b)
-			return false
-		}
-		cw.out <- b
-		return true
-	}
-	reply := func(msg string) bool {
-		b := getReplyBuf()
-		b.WriteString(msg)
-		return enqueue(b)
-	}
+	m.CurrConnections.Add(1)
 	for {
-		if s.closing.Load() || cw.failed.Load() {
+		if s.closing.Load() {
 			return
 		}
-		if s.cfg.ReadTimeout > 0 && !s.closing.Load() {
+		if s.cfg.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
 		line, err := r.ReadString('\n')
@@ -380,7 +337,7 @@ func (s *Server) handle(conn net.Conn) {
 		switch fields[0] {
 		case "set":
 			sp := s.cfg.Tracer.Start(trace.OpReqSet)
-			keep := s.cmdSet(sp, fields, r, reply, start)
+			keep := s.cmdSet(sp, fields, r, w, start)
 			sp.Finish()
 			s.noteSlow("set", fields, start)
 			if !keep {
@@ -388,44 +345,30 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		case "get", "gets":
 			sp := s.cfg.Tracer.Start(trace.OpReqGet)
-			keep := s.cmdGet(sp, fields, enqueue, start)
+			s.cmdGet(sp, fields, w, start)
 			sp.Finish()
 			s.noteSlow("get", fields, start)
-			if !keep {
-				return
-			}
 		case "delete":
 			sp := s.cfg.Tracer.Start(trace.OpReqDelete)
-			keep := s.cmdDelete(sp, fields, reply, start)
+			s.cmdDelete(sp, fields, w, start)
 			sp.Finish()
 			s.noteSlow("delete", fields, start)
-			if !keep {
-				return
-			}
 		case "stats":
 			m.CmdStats.Add(1)
-			b := getReplyBuf()
 			if len(fields) == 2 && fields[1] == "shards" {
-				s.writeShardStats(b, "\r\n")
+				s.writeShardStats(w, "\r\n")
 			} else {
-				s.writeStats(b, "\r\n")
+				s.writeStats(w, "\r\n")
 			}
-			b.WriteString("END\r\n")
-			if !enqueue(b) {
-				return
-			}
+			w.WriteString("END\r\n")
 		case "version":
 			m.CmdVersion.Add(1)
-			if !reply("VERSION " + Version + "\r\n") {
-				return
-			}
+			w.WriteString("VERSION " + Version + "\r\n")
 		case "quit":
 			return
 		default:
 			m.ProtocolErrors.Add(1)
-			if !reply("ERROR\r\n") {
-				return
-			}
+			w.WriteString("ERROR\r\n")
 		}
 	}
 }
@@ -452,22 +395,24 @@ func (s *Server) noteSlow(verb string, fields []string, start time.Time) {
 }
 
 // cmdSet handles one `set <key> <flags> <exptime> <bytes> [noreply]`
-// command; it reports whether the connection should stay open. sp is nil
-// unless this request was sampled.
-func (s *Server) cmdSet(sp *trace.Span, fields []string, r *bufio.Reader, reply func(string) bool, start time.Time) bool {
+// command, writing its reply to w; it reports false when the payload could
+// not be read, so framing is lost. sp is nil unless this request was sampled.
+func (s *Server) cmdSet(sp *trace.Span, fields []string, r *bufio.Reader, w *bufio.Writer, start time.Time) bool {
 	sp.Enter(trace.PhaseParse)
 	m := &s.metrics
 	noreply := len(fields) == 6 && fields[5] == "noreply"
 	if len(fields) < 5 || len(fields) > 6 || (len(fields) == 6 && !noreply) {
 		m.ProtocolErrors.Add(1)
-		return reply("CLIENT_ERROR bad command line format\r\n")
+		w.WriteString("CLIENT_ERROR bad command line format\r\n")
+		return true
 	}
 	n, err := strconv.Atoi(fields[4])
 	if err != nil || n < 0 {
 		// The payload length is unknowable; the stream cannot be
 		// resynchronized. Report and keep reading (as memcached does).
 		m.ProtocolErrors.Add(1)
-		return reply("CLIENT_ERROR bad command line format\r\n")
+		w.WriteString("CLIENT_ERROR bad command line format\r\n")
+		return true
 	}
 	if n > MaxValueSize {
 		// Consume the declared payload so framing stays intact, then
@@ -476,7 +421,8 @@ func (s *Server) cmdSet(sp *trace.Span, fields []string, r *bufio.Reader, reply 
 			return false
 		}
 		m.StoreErrors.Add(1)
-		return reply("SERVER_ERROR object too large for cache\r\n")
+		w.WriteString("SERVER_ERROR object too large for cache\r\n")
+		return true
 	}
 	data := make([]byte, n+2) // payload + trailing \r\n
 	if _, err := io.ReadFull(r, data); err != nil {
@@ -486,7 +432,8 @@ func (s *Server) cmdSet(sp *trace.Span, fields []string, r *bufio.Reader, reply 
 		// Corrupt framing is reported even under noreply: the
 		// connection is already suspect and silence would hide it.
 		m.ProtocolErrors.Add(1)
-		return reply("CLIENT_ERROR bad data chunk\r\n")
+		w.WriteString("CLIENT_ERROR bad data chunk\r\n")
+		return true
 	}
 	m.CmdSet.Add(1)
 	sp.Enter(trace.PhaseStore)
@@ -497,59 +444,55 @@ func (s *Server) cmdSet(sp *trace.Span, fields []string, r *bufio.Reader, reply 
 		m.StoreErrors.Add(1)
 		s.event("store", "set %q: %v", fields[1], err)
 	}
-	if noreply {
-		return true
-	}
 	switch {
+	case noreply:
 	case errors.Is(err, ErrValueTooLarge):
-		return reply("SERVER_ERROR object too large for cache\r\n")
+		w.WriteString("SERVER_ERROR object too large for cache\r\n")
 	case err != nil:
-		return reply(fmt.Sprintf("SERVER_ERROR %v\r\n", err))
+		fmt.Fprintf(w, "SERVER_ERROR %v\r\n", err)
 	default:
-		return reply("STORED\r\n")
+		w.WriteString("STORED\r\n")
 	}
+	return true
 }
 
-// cmdGet handles one `get <key>...` command; it reports whether the
-// connection should stay open. The whole response (VALUE blocks + END) is
-// built in one reply buffer and enqueued as a unit, so pipelined gets
-// coalesce into the writer's per-burst flush.
-func (s *Server) cmdGet(sp *trace.Span, fields []string, enqueue func(*bytes.Buffer) bool, start time.Time) bool {
+// cmdGet handles one `get <key>...` command, writing its VALUE blocks and
+// END to w.
+func (s *Server) cmdGet(sp *trace.Span, fields []string, w *bufio.Writer, start time.Time) {
 	sp.Enter(trace.PhaseParse)
 	m := &s.metrics
-	b := getReplyBuf()
 	if len(fields) < 2 {
 		m.ProtocolErrors.Add(1)
-		b.WriteString("ERROR\r\n")
-		return enqueue(b)
+		w.WriteString("ERROR\r\n")
+		return
 	}
 	sp.Enter(trace.PhaseStore)
 	for _, key := range fields[1:] {
 		m.CmdGet.Add(1)
 		if v, ok := s.store.Get([]byte(key)); ok {
 			m.GetHits.Add(1)
-			fmt.Fprintf(b, "VALUE %s 0 %d\r\n", key, len(v))
-			b.Write(v)
-			b.WriteString("\r\n")
+			fmt.Fprintf(w, "VALUE %s 0 %d\r\n", key, len(v))
+			w.Write(v)
+			w.WriteString("\r\n")
 		} else {
 			m.GetMisses.Add(1)
 		}
 	}
 	sp.Enter(trace.PhaseReply)
-	b.WriteString("END\r\n")
+	w.WriteString("END\r\n")
 	m.GetLatency.Observe(time.Since(start))
-	return enqueue(b)
 }
 
-// cmdDelete handles one `delete <key> [noreply]` command; it reports whether
-// the connection should stay open.
-func (s *Server) cmdDelete(sp *trace.Span, fields []string, reply func(string) bool, start time.Time) bool {
+// cmdDelete handles one `delete <key> [noreply]` command, writing its reply
+// to w.
+func (s *Server) cmdDelete(sp *trace.Span, fields []string, w *bufio.Writer, start time.Time) {
 	sp.Enter(trace.PhaseParse)
 	m := &s.metrics
 	noreply := len(fields) == 3 && fields[2] == "noreply"
 	if len(fields) < 2 || len(fields) > 3 || (len(fields) == 3 && !noreply) {
 		m.ProtocolErrors.Add(1)
-		return reply("CLIENT_ERROR bad command line format\r\n")
+		w.WriteString("CLIENT_ERROR bad command line format\r\n")
+		return
 	}
 	m.CmdDelete.Add(1)
 	sp.Enter(trace.PhaseStore)
@@ -564,15 +507,13 @@ func (s *Server) cmdDelete(sp *trace.Span, fields []string, reply func(string) b
 	} else {
 		m.DeleteMisses.Add(1)
 	}
-	if noreply {
-		return true
-	}
 	switch {
+	case noreply:
 	case err != nil:
-		return reply(fmt.Sprintf("SERVER_ERROR %v\r\n", err))
+		fmt.Fprintf(w, "SERVER_ERROR %v\r\n", err)
 	case found:
-		return reply("DELETED\r\n")
+		w.WriteString("DELETED\r\n")
 	default:
-		return reply("NOT_FOUND\r\n")
+		w.WriteString("NOT_FOUND\r\n")
 	}
 }

@@ -129,27 +129,3 @@ func (m *Metrics) RegisterMetrics(reg *obs.Registry, prefix string) {
 		reg.RegisterHistogram(prefix+"_"+l.cmd+"_latency_seconds", l.cmd+" command latency", l.h)
 	}
 }
-
-// countingReader/countingWriter meter the raw bytes moving through a
-// connection, beneath the bufio layers.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Uint64
-}
-
-func (c countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(uint64(n))
-	return n, err
-}
-
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Uint64
-}
-
-func (c countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n.Add(uint64(n))
-	return n, err
-}

@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -62,7 +63,7 @@ func runPipelineScript(t *testing.T, addr string) string {
 	if _, err := conn.Write([]byte(req)); err != nil {
 		t.Fatal(err)
 	}
-	// quit closes the connection after the queued replies flush, so EOF
+	// quit closes the connection after the buffered replies flush, so EOF
 	// delimits the full response.
 	got, err := io.ReadAll(conn)
 	if err != nil {
@@ -100,10 +101,9 @@ func TestPipelinedBurstByteForByte(t *testing.T) {
 	}
 }
 
-// TestPipelineDeepBurst overflows the reply queue depth (pipelineDepth) with
-// a burst of small gets sent before the client reads anything: the writer
-// must drain under back-pressure without deadlock, and every reply must
-// arrive in order.
+// TestPipelineDeepBurst sends a burst of 512 small gets before the client
+// reads anything: the replies must leave under back-pressure without
+// deadlock, and every reply must arrive in order.
 func TestPipelineDeepBurst(t *testing.T) {
 	srv, addr, err := Serve("127.0.0.1:0", NewHashMapStore())
 	if err != nil {
@@ -120,7 +120,7 @@ func TestPipelineDeepBurst(t *testing.T) {
 	}
 	defer c.Close()
 
-	const burst = 4 * pipelineDepth
+	const burst = 512
 	p := c.Pipeline()
 	for i := 0; i < burst; i++ {
 		p.Get([]byte("k"))
@@ -134,5 +134,121 @@ func TestPipelineDeepBurst(t *testing.T) {
 		if !reflect.DeepEqual(r, want) {
 			t.Fatalf("reply %d = %q, want %q", i, r, want)
 		}
+	}
+}
+
+// value120 is a reply large enough that a burst of gets outgrows the
+// connection's 4 KiB write buffer.
+var value120 = bytes.Repeat([]byte{'v'}, 120)
+
+// TestWriteTimeoutLateBurst pins that WriteTimeout bounds every write to the
+// socket, including the ones a burst's replies make when they fill the write
+// buffer before the flush: a burst arriving long after the previous flush
+// must not be written under that flush's expired deadline.
+func TestWriteTimeoutLateBurst(t *testing.T) {
+	srv, addr, err := ServeConfig("127.0.0.1:0", NewHashMapStore(), Config{WriteTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.store.Set([]byte("k"), value120); err != nil {
+		t.Fatal(err)
+	}
+	c := dial(t, addr)
+	defer c.Close()
+	if _, ok, err := c.GetAppend(nil, []byte("k")); err != nil || !ok {
+		t.Fatalf("first get: %v, %v", ok, err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	const burst = 100
+	p := c.Pipeline()
+	for i := 0; i < burst; i++ {
+		p.Get([]byte("k"))
+	}
+	replies, err := p.Exec()
+	if err != nil || len(replies) != burst {
+		t.Fatalf("%d of %d replies after the pause: %v", len(replies), burst, err)
+	}
+	want := Reply{Line: "END", Values: []Item{{"k", value120}}}
+	for i, r := range replies {
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("reply %d = %q, want %q", i, r, want)
+		}
+	}
+}
+
+// stallPeer serves a 120-byte value under "k" and connects a client that
+// sends 8 x 65536 `get k` and never reads: the replies fill the socket and
+// the server's write blocks. It returns once the server holds the
+// connection.
+func stallPeer(t *testing.T, srv *Server, addr string) {
+	t.Helper()
+	if err := srv.store.Set([]byte("k"), value120); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	burst := strings.Repeat("get k\r\n", 65536)
+	go func() {
+		for i := 0; i < 8; i++ {
+			if _, err := io.WriteString(conn, burst); err != nil {
+				return // the server gave the connection up
+			}
+		}
+	}()
+	deadlineByConnCount(t, srv, 1)
+}
+
+// TestWriteTimeoutClosesStalledPeer pins that WriteTimeout alone, without
+// Close, ends a connection whose peer never reads its replies.
+func TestWriteTimeoutClosesStalledPeer(t *testing.T) {
+	srv, addr, err := ServeConfig("127.0.0.1:0", NewHashMapStore(), Config{WriteTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	stallPeer(t, srv, addr)
+	for end := time.Now().Add(5 * time.Second); srv.Metrics().CurrConnections.Load() != 0; {
+		if time.Now().After(end) {
+			t.Fatal("the stalled connection was still open 5s later")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCloseWithPeerThatNeverReads pins that Close does not deadlock on a
+// handler blocked writing replies its peer never reads: the drain deadline
+// fails the write and the handler returns.
+func TestCloseWithPeerThatNeverReads(t *testing.T) {
+	srv, addr, err := ServeConfig("127.0.0.1:0", NewHashMapStore(), Config{DrainTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stallPeer(t, srv, addr)
+	// Wait for the handler to block: its written bytes stop growing once
+	// the replies fill the socket.
+	for last, end := uint64(0), time.Now().Add(5*time.Second); ; {
+		time.Sleep(20 * time.Millisecond)
+		n := srv.Metrics().BytesWritten.Load()
+		if n > 0 && n == last {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatal("the server's writes never blocked on the stalled peer")
+		}
+		last = n
+	}
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= 2*time.Second {
+		t.Fatalf("Close took %v with a peer that never reads", d)
+	}
+	if n := srv.Metrics().CurrConnections.Load(); n != 0 {
+		t.Fatalf("CurrConnections = %d after Close, want 0", n)
 	}
 }

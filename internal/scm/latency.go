@@ -20,24 +20,7 @@ const (
 	// WriteLatency times the lines it wrote back, so wall-clock measurements
 	// reflect the emulated medium. Use it in benchmarks.
 	LatencySpin
-	// LatencySleep accumulates the charged latency into a shared debt counter
-	// and materializes it in batched time.Sleep calls of latencyBatch each.
-	// Unlike LatencySpin — whose busy-waits serialize on a machine with fewer
-	// cores than accessor goroutines — sleeping releases the CPU, so the
-	// media waits of concurrent accessors overlap in wall-clock time exactly
-	// as overlapping SCM accesses would on real hardware. Use it for
-	// parallelism experiments (e.g. parallel recovery) on few-core hosts.
-	// Single-threaded phases pay the same total latency as with LatencySpin,
-	// in coarser steps; up to latencyBatch of residual debt per pool is never
-	// slept, which is noise at measurement scale.
-	LatencySleep
 )
-
-// latencyBatch is the debt threshold at which LatencySleep mode actually
-// sleeps. It is chosen well above the OS timer slack (tens of microseconds)
-// so oversleep stays a small relative error, yet small enough that waits
-// interleave finely across workers.
-const latencyBatch = 500 * time.Microsecond
 
 // LatencyConfig describes the emulated SCM medium and the CPU cache in front
 // of it. The zero value disables latency emulation entirely (counting only,

@@ -56,10 +56,6 @@ type Pool struct {
 
 	_ [LineSize]byte // written fields start on a line of their own
 
-	// latDebt is the accumulated un-slept media latency in LatencySleep mode,
-	// in nanoseconds; see LatencySleep for the batching contract.
-	latDebt atomic.Int64
-
 	alloc allocState // persistent allocator bookkeeping (volatile part)
 	stats Stats
 }
@@ -342,25 +338,12 @@ func (p *Pool) flushLine(l uint64) bool {
 }
 
 // charge makes the caller pay n lines of emulated media latency at lat each,
-// in one step, according to the configured mode: one busy-wait of n×lat
-// (LatencySpin), or a contribution of n×lat to the pool's shared sleep debt
-// (LatencySleep), materialized in batches of latencyBatch so concurrent
-// accessors' waits overlap in wall-clock time. LatencyCount charges nothing.
+// in one busy-wait of n×lat (LatencySpin); LatencyCount charges nothing.
 // Every primitive charges once, for all the lines it missed or flushed, so
 // the spin's own overshoot is paid once per primitive, not once per line.
 func (p *Pool) charge(n uint64, lat time.Duration) {
-	if p.cfg.Mode == LatencyCount || n == 0 || lat <= 0 {
-		return
-	}
-	d := time.Duration(n) * lat
-	if p.cfg.Mode == LatencySpin {
-		spin(d)
-		return
-	}
-	if debt := p.latDebt.Add(int64(d)); debt >= int64(latencyBatch) {
-		if owed := p.latDebt.Swap(0); owed > 0 {
-			time.Sleep(time.Duration(owed))
-		}
+	if p.cfg.Mode == LatencySpin && n > 0 {
+		spin(time.Duration(n) * lat)
 	}
 }
 
