@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -256,13 +257,31 @@ func baseOps[K, V any](t Tree[K, V], th, n int, warm, extra []K, val V) (r opTim
 	return r, nil
 }
 
+// baseOpsRounds is how many times sweepBaseOps runs baseOps on one tree.
+const baseOpsRounds = 5
+
+// baseOpsHeader is the note above every sweepBaseOps table.
+func baseOpsHeader(w io.Writer, sc Scale) {
+	fmt.Fprintf(w, "# warm=%d ops=%d; avg time/op in ns, median of %d rounds\n", sc.Warm, sc.Ops, baseOpsRounds)
+}
+
 // sweepBaseOps prints one row of per-op averages (ns) for every kind at
 // every value of the swept parameter (SCM latency in Figure 7, payload size
-// in Figure 14): build makes the tree and its value, sweepBaseOps warms and
-// measures it single-threaded.
+// in Figure 14): build makes the tree and its value, sweepBaseOps warms it
+// and runs baseOps on it single-threaded baseOpsRounds times, printing each
+// column's median. A round's Deletes remove its Inserts, so every round
+// starts from the warm tree.
 func sweepBaseOps[K, V any](w io.Writer, nameWidth int, sc Scale, kinds []Kind, params []int, warm, extra []K,
 	build func(kind Kind, param int) (name string, t Tree[K, V], val V, err error)) error {
-	per := func(d time.Duration) int64 { return (d / time.Duration(sc.Ops)).Nanoseconds() }
+	var rounds [baseOpsRounds]opTimes
+	median := func(col func(opTimes) time.Duration) int64 {
+		var ds [baseOpsRounds]time.Duration
+		for i, r := range rounds {
+			ds[i] = col(r)
+		}
+		slices.Sort(ds[:])
+		return (ds[baseOpsRounds/2] / time.Duration(sc.Ops)).Nanoseconds()
+	}
 	for _, kind := range kinds {
 		for _, param := range params {
 			name, t, val, err := build(kind, param)
@@ -272,12 +291,16 @@ func sweepBaseOps[K, V any](w io.Writer, nameWidth int, sc Scale, kinds []Kind, 
 			if err := load(t, warm, val); err != nil {
 				return err
 			}
-			r, err := baseOps(t, 1, sc.Ops, warm, extra, val)
-			if err != nil {
-				return fmt.Errorf("%s at %d: %w", name, param, err)
+			for i := range rounds {
+				if rounds[i], err = baseOps(t, 1, sc.Ops, warm, extra, val); err != nil {
+					return fmt.Errorf("%s at %d: %w", name, param, err)
+				}
 			}
 			fmt.Fprintf(w, "%-*s %8d %10d %10d %10d %10d\n", nameWidth, name, param,
-				per(r.find), per(r.insert), per(r.update), per(r.delete))
+				median(func(r opTimes) time.Duration { return r.find }),
+				median(func(r opTimes) time.Duration { return r.insert }),
+				median(func(r opTimes) time.Duration { return r.update }),
+				median(func(r opTimes) time.Duration { return r.delete }))
 			if kind == KindSTXTree {
 				break // DRAM-only: latency-independent
 			}
@@ -290,7 +313,7 @@ func sweepBaseOps[K, V any](w io.Writer, nameWidth int, sc Scale, kinds []Kind, 
 // Delete average time per operation across SCM latencies, fixed-size keys.
 func Fig7Fixed(w io.Writer, sc Scale, latencies []int, kinds []Kind) error {
 	fmt.Fprintf(w, "# Figure 7a-d: single-threaded base operations, fixed keys (8B)\n")
-	fmt.Fprintf(w, "# warm=%d ops=%d; avg time/op in ns\n", sc.Warm, sc.Ops)
+	baseOpsHeader(w, sc)
 	fmt.Fprintf(w, "%-10s %8s %10s %10s %10s %10s\n", "tree", "lat(ns)", "Find", "Insert", "Update", "Delete")
 	return sweepBaseOps(w, 10, sc, kinds, latencies, genKeys(sc.Warm, 1), genKeys(sc.Ops, 2),
 		func(kind Kind, lat int) (string, FixedTree, uint64, error) {
@@ -329,6 +352,7 @@ func varBaseOps(w io.Writer, sc Scale, kinds []Kind, params []int, warmSeed, ext
 func Fig7Var(w io.Writer, sc Scale, latencies []int, kinds []Kind) error {
 	fmt.Fprintf(w, "# Figure 7g-j: single-threaded base operations, variable-size keys (16B strings)\n")
 	pointerKeyNote(w, "FPTreeVar and PTreeVar", "FPTreeVar")
+	baseOpsHeader(w, sc)
 	fmt.Fprintf(w, "%-14s %8s %10s %10s %10s %10s\n", "tree", "lat(ns)", "Find", "Insert", "Update", "Delete")
 	return varBaseOps(w, sc, kinds, latencies, 3, 4, func(lat int) (int, int) { return 8, lat })
 }
@@ -543,6 +567,7 @@ func warmAndTime(t FixedTree, warm []uint64, n int, fn func(_, i int) error) (ti
 func Fig14Payload(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "# Figure 14 (Appendix A): payload size impact, var keys, SCM 360ns\n")
 	pointerKeyNote(w, "FPTreeVar and PTreeVar", "FPTreeVar")
+	baseOpsHeader(w, sc)
 	fmt.Fprintf(w, "%-14s %8s %10s %10s %10s %10s\n", "tree", "payload", "Find", "Insert", "Update", "Delete")
 	return varBaseOps(w, sc, []Kind{KindFPTree, KindPTree, KindNVTree, KindWBTree}, []int{8, 48, 112}, 10, 11,
 		func(payload int) (int, int) { return payload, 360 })

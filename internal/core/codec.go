@@ -649,9 +649,9 @@ func (c *varCodec) applyLeaks(leaf uint64, acts []leakAction) {
 // of each slot the key cell and length word — never a value. Where a slot is
 // no larger than a line those cells lie on every line of the slot array, so
 // the leaf is read in one access; where it is larger (kvserver's 152-byte
-// slot) the header and then each slot's cell are read on their own, and the
-// lines that hold only value bytes — 64 of an 8640-byte leaf's 135 — are never
-// touched. Either way the header and cells land in sb.leaf, the worker's
+// slot) the header is read and then every slot's cell in one strided read, and
+// the lines that hold only value bytes — 64 of an 8640-byte leaf's 135 — are
+// never touched. Either way the header and cells land in sb.leaf, the worker's
 // buffer (the wide slot's cells packed cellSize apart after the header).
 // Inline keys are compared where they lie in the buffered cells; each valid
 // pointer slot's key block is read into sb.key for the max-key comparison
@@ -675,9 +675,7 @@ func (c *varCodec) scanLeaf(leaf uint64, sb *scanBuf) ([]byte, int, []leakAction
 		c.pool.ReadInto(leaf, hdr)
 		stride = cellSize
 		cells = buf[c.lay.offKV:][:uint64(c.lay.cap)*stride]
-		for s := 0; s < c.lay.cap; s++ {
-			c.pool.ReadInto(c.lay.slotOff(leaf, s), cells[uint64(s)*stride:][:cellSize])
-		}
+		c.pool.ReadStrided(c.lay.slotOff(leaf, 0), c.lay.slotSize, cellSize, c.lay.cap, cells)
 	}
 	bm := binary.LittleEndian.Uint64(hdr[c.lay.offBitmap:])
 	at := func(s int) []byte { return cells[uint64(s)*stride:] } // slot s's cell|word

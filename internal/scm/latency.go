@@ -1,7 +1,6 @@
 package scm
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,19 +47,20 @@ const cacheWays = 8
 // media latency, mirroring how the paper's emulation platform exposes latency
 // only on cache misses.
 //
-// A hit only reads the set's tags (atomic loads, no lock), so goroutines
-// hitting the cache share its lines read-only; a miss or an evict changes
-// the set under that set's lock. A hit check that races a replacement in the
-// same set sees the tag either before or after it, as a real lookup would.
+// It takes no lock. A hit only loads the set's tags. A miss claims its victim
+// way with one Add on the set's round-robin cursor and stores its tag there;
+// an evict clears, by compare-and-swap, every way that holds the line. Run by
+// one goroutine this is the plain round-robin cache. Under concurrency two
+// simultaneous misses on one line may both insert it, each in its own way, and
+// two misses in one set may claim ways in either order; evict clears every
+// copy, so a flushed line never survives as a hit. A lookup that races a
+// replacement in the same set sees the tag either before or after it, as a
+// real lookup would.
 type cacheSim struct {
 	sets     int
 	disabled bool
 	tags     []atomic.Uint64 // sets × cacheWays entries; 0 = empty
-	clock    []uint8         // round-robin replacement cursor per set, under the set's lock
-	locks    [64]struct {    // striped by set index, a line each
-		sync.Mutex
-		_ [56]byte
-	}
+	clock    []atomic.Uint32 // round-robin replacement cursor per set
 }
 
 func newCacheSim(capacity int64) *cacheSim {
@@ -81,25 +81,14 @@ func newCacheSim(capacity int64) *cacheSim {
 	return &cacheSim{
 		sets:  sets,
 		tags:  make([]atomic.Uint64, sets*cacheWays),
-		clock: make([]uint8, sets),
+		clock: make([]atomic.Uint32, sets),
 	}
 }
 
-// find returns the way of set holding line, or -1.
-func (c *cacheSim) find(set int, line uint64) int {
-	ways := c.tags[set*cacheWays : set*cacheWays+cacheWays]
-	for w := range ways {
-		if ways[w].Load() == line {
-			return w
-		}
-	}
-	return -1
-}
-
-func (c *cacheSim) lockSet(set int) *sync.Mutex {
-	lk := &c.locks[set&(len(c.locks)-1)].Mutex
-	lk.Lock()
-	return lk
+// set returns the index of the set line maps to and that set's tags.
+func (c *cacheSim) set(line uint64) (int, []atomic.Uint64) {
+	set := int(line) & (c.sets - 1)
+	return set, c.tags[set*cacheWays : set*cacheWays+cacheWays]
 }
 
 // touch simulates an access to the line containing off and reports whether it
@@ -109,33 +98,31 @@ func (c *cacheSim) touch(off uint64) bool {
 		return true
 	}
 	line := off/LineSize + 1 // +1 so tag 0 means "empty way"
-	set := int(line) & (c.sets - 1)
-	if c.find(set, line) >= 0 {
-		return false
+	set, ways := c.set(line)
+	for w := range ways {
+		if ways[w].Load() == line {
+			return false
+		}
 	}
-	lk := c.lockSet(set)
-	if c.find(set, line) < 0 { // else another goroutine's miss just brought it in
-		victim := int(c.clock[set]) % cacheWays
-		c.clock[set]++
-		c.tags[set*cacheWays+victim].Store(line)
-	}
-	lk.Unlock()
+	victim := (c.clock[set].Add(1) - 1) % cacheWays
+	ways[victim].Store(line)
 	return true
 }
 
 // evict removes the line containing off from the cache, modelling CLFLUSH
-// (which both writes back and invalidates the line).
+// (which both writes back and invalidates the line). It clears every way
+// holding the line: concurrent misses may have inserted it twice.
 func (c *cacheSim) evict(off uint64) {
 	if c.disabled {
 		return
 	}
 	line := off/LineSize + 1
-	set := int(line) & (c.sets - 1)
-	lk := c.lockSet(set)
-	if w := c.find(set, line); w >= 0 {
-		c.tags[set*cacheWays+w].Store(0)
+	_, ways := c.set(line)
+	for w := range ways {
+		if ways[w].Load() == line {
+			ways[w].CompareAndSwap(line, 0)
+		}
 	}
-	lk.Unlock()
 }
 
 // reset empties the cache, as after a machine restart.
