@@ -270,20 +270,26 @@ func baseOpsHeader(w io.Writer, sc Scale) {
 // in Figure 14): build makes the tree and its value, sweepBaseOps warms it
 // and runs baseOps on it single-threaded baseOpsRounds times, printing each
 // column's median. A round's Deletes remove its Inserts, so every round
-// starts from the warm tree.
+// starts from the warm tree. The trees of one parameter value are built and
+// warmed together, and round r runs on each of them before round r+1 runs on
+// any, so a slow spell of the host lands on every tree's rounds alike and the
+// rows stay comparable; the rows are printed kind by kind once every
+// parameter value has run.
 func sweepBaseOps[K, V any](w io.Writer, nameWidth int, sc Scale, kinds []Kind, params []int, warm, extra []K,
 	build func(kind Kind, param int) (name string, t Tree[K, V], val V, err error)) error {
-	var rounds [baseOpsRounds]opTimes
-	median := func(col func(opTimes) time.Duration) int64 {
-		var ds [baseOpsRounds]time.Duration
-		for i, r := range rounds {
-			ds[i] = col(r)
-		}
-		slices.Sort(ds[:])
-		return (ds[baseOpsRounds/2] / time.Duration(sc.Ops)).Nanoseconds()
+	type cell struct {
+		name   string
+		tree   Tree[K, V]
+		val    V
+		rounds [baseOpsRounds]opTimes
 	}
-	for _, kind := range kinds {
-		for _, param := range params {
+	cells := make([][]*cell, len(kinds)) // cells[kind][param]; the STX tree only at params[0]
+	for pi, param := range params {
+		var row []*cell
+		for ki, kind := range kinds {
+			if kind == KindSTXTree && pi > 0 {
+				continue // DRAM-only: latency-independent
+			}
 			name, t, val, err := build(kind, param)
 			if err != nil {
 				return err
@@ -291,19 +297,37 @@ func sweepBaseOps[K, V any](w io.Writer, nameWidth int, sc Scale, kinds []Kind, 
 			if err := load(t, warm, val); err != nil {
 				return err
 			}
-			for i := range rounds {
-				if rounds[i], err = baseOps(t, 1, sc.Ops, warm, extra, val); err != nil {
-					return fmt.Errorf("%s at %d: %w", name, param, err)
+			c := &cell{name: name, tree: t, val: val}
+			cells[ki] = append(cells[ki], c)
+			row = append(row, c)
+		}
+		for r := range baseOpsRounds {
+			for _, c := range row {
+				var err error
+				if c.rounds[r], err = baseOps(c.tree, 1, sc.Ops, warm, extra, c.val); err != nil {
+					return fmt.Errorf("%s at %d: %w", c.name, param, err)
 				}
 			}
-			fmt.Fprintf(w, "%-*s %8d %10d %10d %10d %10d\n", nameWidth, name, param,
+		}
+		for _, c := range row {
+			c.tree = nil // the row's trees are done: let their pools go
+		}
+	}
+	for _, row := range cells {
+		for pi, c := range row {
+			median := func(col func(opTimes) time.Duration) int64 {
+				var ds [baseOpsRounds]time.Duration
+				for i, r := range c.rounds {
+					ds[i] = col(r)
+				}
+				slices.Sort(ds[:])
+				return (ds[baseOpsRounds/2] / time.Duration(sc.Ops)).Nanoseconds()
+			}
+			fmt.Fprintf(w, "%-*s %8d %10d %10d %10d %10d\n", nameWidth, c.name, params[pi],
 				median(func(r opTimes) time.Duration { return r.find }),
 				median(func(r opTimes) time.Duration { return r.insert }),
 				median(func(r opTimes) time.Duration { return r.update }),
 				median(func(r opTimes) time.Duration { return r.delete }))
-			if kind == KindSTXTree {
-				break // DRAM-only: latency-independent
-			}
 		}
 	}
 	return nil

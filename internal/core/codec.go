@@ -55,7 +55,9 @@ type codec[K, V any] interface {
 	// unsorted, Figure 2). It reads every line that holds part of a valid
 	// slot's key or value, whether or not the caller keeps the pair, in slot
 	// order, with one pool access per maximal run of them, clipped to the
-	// slot array, so the header is never copied again.
+	// slot array, so the header is never copied again. A split var slot's
+	// tail (layout.go) is read after the heads, one access per value that
+	// reaches into it.
 	leafPairs(leaf, bm uint64, dst []kvPair[K, V]) []kvPair[K, V]
 
 	// writeSlot persists the key and value payload of a free slot. It does
@@ -406,44 +408,49 @@ func (c *varCodec) slotKeyEquals(leaf uint64, s int, k []byte) bool {
 	return c.pool.EqualBytes(h.pkey().Offset, k)
 }
 
-// slotValue returns the slot's value at the length it was stored with. A slot
-// no larger than a line is read whole, length word and value in one pool
-// access (a 32-byte slot costs what reading its 8-byte value alone would);
-// a larger one is read as far as vlen says, after the length word, which
-// shares its line(s) with the key the caller has just compared.
+// slotValue returns the slot's value at the length it was stored with. The
+// slot's head — the whole slot up to a line, else its head line — is read in
+// one pool access, length word and value together, from the line the caller
+// has just compared the key in (a 32-byte slot costs what reading its 8-byte
+// value alone would). Only a value longer than the head holds reads its tail
+// after.
 func (c *varCodec) slotValue(leaf uint64, s int) []byte {
-	if c.lay.slotSize <= scm.LineSize {
-		var b [scm.LineSize]byte
-		c.pool.ReadInto(c.lay.slotOff(leaf, s), b[:c.lay.slotSize])
-		h := parseKeyCell(b[:])
-		return bytes.Clone(b[cellSize:][:h.vlen])
-	}
-	h := c.slotCell(leaf, s)
-	return c.pool.ReadBytes(c.lay.valOff(leaf, s), h.vlen)
+	var b [scm.LineSize]byte
+	c.pool.ReadInto(c.lay.slotOff(leaf, s), b[:c.lay.headSize])
+	v := make([]byte, parseKeyCell(b[:]).vlen)
+	c.valueInto(leaf, s, b[:], v)
+	return v
 }
 
-// leafPairs reads the valid slots by runs into an image of the slot array and
-// takes each pair from there, chasing a pointer key through its cell. The
-// image is on the stack unless the slot array outgrows MaxLeafCap lines,
-// which only slots larger than a line can make it do (kvserver's 56 slots of
-// 152 bytes); then it is allocated. Each pair is one allocation, key then
-// value. The pairs are sorted by bytes.Compare.
+// valueInto fills v, the value of slot s, from the slot's head as read into
+// head and, for a value longer than the head holds, from the slot's tail.
+func (c *varCodec) valueInto(leaf uint64, s int, head, v []byte) {
+	n, tail := c.lay.splitVal(uint64(len(v)))
+	copy(v, head[cellSize:][:n])
+	if tail > 0 {
+		c.pool.ReadInto(c.lay.tailOff(leaf, s), v[n:])
+	}
+}
+
+// leafPairs reads the valid slots' heads by runs into an on-stack image of
+// the slot (or head) array, which a head of at most a line keeps within
+// MaxLeafCap lines, and takes each pair from there, chasing a pointer key
+// through its cell and reading a long value's tail into the pair behind the
+// head's part. Each pair is one allocation, key then value. The pairs are
+// sorted by bytes.Compare.
 func (c *varCodec) leafPairs(leaf, bm uint64, dst []kvPair[[]byte, []byte]) []kvPair[[]byte, []byte] {
 	var stack [MaxLeafCap * scm.LineSize]byte // byte i is the leaf's byte offKV+i
-	stride, n := c.lay.slotSize, uint64(c.lay.cap)*c.lay.slotSize
-	buf := stack[:]
-	if n > uint64(len(buf)) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
+	stride := c.lay.headSize
+	buf := stack[:uint64(c.lay.cap)*stride]
 	readRuns(c.pool, leaf+c.lay.offKV, stride, stride, bm, buf)
 	n0 := len(dst)
 	for ; bm != 0; bm &= bm - 1 {
-		slot := buf[uint64(bits.TrailingZeros64(bm))*stride:]
+		s := bits.TrailingZeros64(bm)
+		slot := buf[uint64(s)*stride:]
 		h := parseKeyCell(slot)
 		k, v := pairBytes(h.klen, h.vlen)
 		c.cellKey(&h, k)
-		copy(v, slot[cellSize:])
+		c.valueInto(leaf, s, slot, v)
 		dst = append(dst, kvPair[[]byte, []byte]{k, v})
 	}
 	slices.SortFunc(dst[n0:], func(a, b kvPair[[]byte, []byte]) int { return bytes.Compare(a.k, b.k) })
@@ -492,14 +499,15 @@ func (c *varCodec) writeSlot(leaf uint64, slot int, k, v []byte) error {
 }
 
 // stageInline writes an inline key, the length word and the value into a free
-// slot and persists them together, through the value's last byte: one flush
-// for a slot, or a value, that ends in the line the slot starts in. The
-// exception is a slot that last held a pointer key. Its durable klen still has
-// pointer length, and a torn crash may keep any word-prefix of a dirty line
-// (and, where the slot straddles, of each line independently), so writing the
-// cell beside it could leave key bytes under a pointer-length klen. There the
-// new klen is made durable first and the cell follows — one extra persist,
-// paid only when a slot changes representation.
+// slot and persists them together, through the value's last byte in the
+// slot's head: one flush for a slot, or a value, that ends in the line the
+// slot starts in (a split slot's tail goes in a persist of its own, see
+// stageValue). The exception is a slot that last held a pointer key. Its
+// durable klen still has pointer length, and a torn crash may keep any
+// word-prefix of a dirty line (and, where the slot straddles, of each line
+// independently), so writing the cell beside it could leave key bytes under a
+// pointer-length klen. There the new klen is made durable first and the cell
+// follows — one extra persist, paid only when a slot changes representation.
 func (c *varCodec) stageInline(leaf uint64, slot int, k, v []byte) {
 	var cell [inlineKeyMax]byte
 	copy(cell[:], k)
@@ -511,8 +519,8 @@ func (c *varCodec) stageInline(leaf uint64, slot int, k, v []byte) {
 		c.pool.Persist(off, inlineKeyMax)
 		return
 	}
-	c.pool.WriteBytes(off, cell[:])
 	n := c.stageValue(leaf, slot, len(k), v)
+	c.pool.WriteBytes(off, cell[:])
 	c.pool.Persist(off, cellSize+n)
 }
 
@@ -530,19 +538,27 @@ func (c *varCodec) nullStaleInlineCell(leaf uint64, slot int) {
 }
 
 // stageValue stores the slot's length word and value (truncated to the value
-// field's valSize bytes) without persisting them, and returns the value's
-// stored length: the caller's persist ends there. Nothing is written behind
-// the value. Whatever an earlier, longer value left in the rest of the field
-// is unreachable, because every read is bounded by the vlen staged here, and
-// the bitmap commit that makes the slot visible comes after the persist that
-// covers both.
+// field's valSize bytes) and returns how many of the value's bytes lie in the
+// slot's head: the caller's persist of the head ends there. A value longer
+// than the head holds has its tail written and persisted first, in a persist
+// of its own, before anything of the head is written, so no persist of a
+// slot leaves another of its lines dirty. Nothing is written behind the
+// value. Whatever an earlier, longer value left in the rest of the field is
+// unreachable, because every read is bounded by the vlen staged here, and the
+// bitmap commit that makes the slot visible comes after the persists that
+// cover both.
 func (c *varCodec) stageValue(leaf uint64, slot int, klen int, value []byte) uint64 {
 	if len(value) > c.valSize {
 		value = value[:c.valSize]
 	}
+	head, tail := c.lay.splitVal(uint64(len(value)))
+	if tail > 0 {
+		c.pool.WriteBytes(c.lay.tailOff(leaf, slot), value[head:])
+		c.pool.Persist(c.lay.tailOff(leaf, slot), tail)
+	}
 	c.pool.WriteU64(c.lay.klenOff(leaf, slot), lenWord(klen, len(value)))
-	c.pool.WriteBytes(c.lay.valOff(leaf, slot), value)
-	return uint64(len(value))
+	c.pool.WriteBytes(c.lay.valOff(leaf, slot), value[:head])
+	return head
 }
 
 // moveSlot restages the key of slot prev, which is k, beside a new value. An
@@ -556,8 +572,8 @@ func (c *varCodec) moveSlot(leaf uint64, slot, prev int, k, v []byte) {
 		return
 	}
 	c.nullStaleInlineCell(leaf, slot)
-	c.pool.WritePPtr(c.lay.pkeyOff(leaf, slot), c.pool.ReadPPtr(c.lay.pkeyOff(leaf, prev)))
 	n := c.stageValue(leaf, slot, len(k), v)
+	c.pool.WritePPtr(c.lay.pkeyOff(leaf, slot), c.pool.ReadPPtr(c.lay.pkeyOff(leaf, prev)))
 	c.pool.Persist(c.lay.slotOff(leaf, slot), cellSize+n)
 }
 
@@ -646,13 +662,11 @@ func (c *varCodec) applyLeaks(leaf uint64, acts []leakAction) {
 }
 
 // scanLeaf reads what recovery needs of a leaf and no more: the header, and
-// of each slot the key cell and length word — never a value. Where a slot is
-// no larger than a line those cells lie on every line of the slot array, so
-// the leaf is read in one access; where it is larger (kvserver's 152-byte
-// slot) the header is read and then every slot's cell in one strided read, and
-// the lines that hold only value bytes — 64 of an 8640-byte leaf's 135 — are
-// never touched. Either way the header and cells land in sb.leaf, the worker's
-// buffer (the wide slot's cells packed cellSize apart after the header).
+// of each slot the key cell and length word. The cells lie on every line of
+// the slot array, or of a split slot's head array, so the header and that
+// array are read in one access into sb.leaf, the worker's buffer; a split
+// slot's tails, which hold nothing but value bytes — 77 lines of kvserver's
+// 8640-byte leaf, which the scan reads 58 lines of — are never touched.
 // Inline keys are compared where they lie in the buffered cells; each valid
 // pointer slot's key block is read into sb.key for the max-key comparison
 // (the dereferences are the latency that parallel recovery overlaps), and
@@ -663,22 +677,10 @@ func (c *varCodec) applyLeaks(leaf uint64, acts []leakAction) {
 // delete: deallocate the key). Invalid inline slots own nothing and are
 // skipped.
 func (c *varCodec) scanLeaf(leaf uint64, sb *scanBuf) ([]byte, int, []leakAction) {
-	buf := sb.leaf
-	var hdr, cells []byte // slot s's cell starts at cells[s*stride]
-	stride := c.lay.slotSize
-	if stride <= scm.LineSize {
-		hdr = buf[:c.lay.size]
-		c.pool.ReadInto(leaf, hdr)
-		cells = hdr[c.lay.offKV:]
-	} else {
-		hdr = buf[:c.lay.offKV]
-		c.pool.ReadInto(leaf, hdr)
-		stride = cellSize
-		cells = buf[c.lay.offKV:][:uint64(c.lay.cap)*stride]
-		c.pool.ReadStrided(c.lay.slotOff(leaf, 0), c.lay.slotSize, cellSize, c.lay.cap, cells)
-	}
+	hdr := sb.leaf[:c.lay.offTail]
+	c.pool.ReadInto(leaf, hdr)
 	bm := binary.LittleEndian.Uint64(hdr[c.lay.offBitmap:])
-	at := func(s int) []byte { return cells[uint64(s)*stride:] } // slot s's cell|word
+	at := func(s int) []byte { return hdr[c.lay.slotOff(0, s):] } // slot s's cell|word
 
 	// maxK aliases the buffered cells or sb.max.
 	var maxK []byte

@@ -14,8 +14,12 @@ import (
 // the slot array starts on a multiple of the slot alignment, so no fixed slot
 // and — for slot sizes that are a multiple of 32 — no var pkey|klen pair
 // crosses a cache line and every pkey cell is 16-byte aligned (the condition
-// scm.WritePPtr names for the two words to share a line). It also pins the
-// leaf sizes: rounding offKV up did not grow any leaf.
+// scm.WritePPtr names for the two words to share a line). A slot wider than a
+// line (kvserver's 122-byte field) has its head on a line of its own: cell,
+// length word and the value's first 40 bytes share it, and the tails follow
+// the heads without overlapping them or each other. It also pins the leaf
+// sizes: rounding offKV up, and splitting the wide slot, did not grow any
+// leaf.
 func TestLeafLayoutAlignment(t *testing.T) {
 	sameLine := func(off, n uint64) bool { return off/scm.LineSize == (off+n-1)/scm.LineSize }
 	for _, v := range []Variant{VariantFPTree, VariantPTree} {
@@ -39,11 +43,25 @@ func TestLeafLayoutAlignment(t *testing.T) {
 					}
 				}
 			}
+			kv := newVarLayoutV(leafCap, 122, v)
+			if head, tail := kv.splitVal(122); head != 40 || tail != 82 || kv.tailSize != 88 {
+				t.Fatalf("var cap %d value 122: %d value bytes in the head, %d in an %d-byte tail, want 40, 82 and 88", leafCap, head, tail, kv.tailSize)
+			}
+			for s := 0; s < leafCap; s++ {
+				off := kv.slotOff(0, s)
+				if off%scm.LineSize != 0 || !sameLine(off, cellSize+40) || kv.valOff(0, s) != off+cellSize {
+					t.Errorf("var cap %d value 122 slot %d: head at %d is not one line holding cell, word and 40 value bytes", leafCap, s, off)
+				}
+				if tail := kv.tailOff(0, s); tail < kv.slotOff(0, leafCap-1)+scm.LineSize || tail+kv.tailSize > kv.size ||
+					(s > 0 && tail != kv.tailOff(0, s-1)+kv.tailSize) {
+					t.Errorf("var cap %d value 122 slot %d: tail at %d overlaps a head, another tail or the leaf's end", leafCap, s, tail)
+				}
+			}
 		}
 	}
 	fl, vl, kv := newFixedLayoutV(56, VariantFPTree), newVarLayoutV(56, 8, VariantFPTree), newVarLayoutV(56, 122, VariantFPTree)
-	if fl.offKV != 96 || vl.offKV != 96 || kv.offKV != 96 {
-		t.Errorf("offKV at LeafCap 56: fixed %d, var %d, var/122 %d, want 96", fl.offKV, vl.offKV, kv.offKV)
+	if fl.offKV != 96 || vl.offKV != 96 || kv.offKV != 128 {
+		t.Errorf("offKV at LeafCap 56: fixed %d, var %d, var/122 %d, want 96, 96 and 128", fl.offKV, vl.offKV, kv.offKV)
 	}
 	if fl.size != 1024 || vl.size != 1920 || kv.size != 8640 {
 		t.Errorf("leaf sizes at LeafCap 56: fixed %d, var %d, var/122 %d, want 1024, 1920 and 8640", fl.size, vl.size, kv.size)
@@ -76,14 +94,15 @@ func distinctFP[K any](n int, mk func(int) K, fp func(K) byte) []K {
 // in the allocator), and a cold find misses on 3 (header, slot, key block).
 //
 // The kv rows are kvserver's tree (LeafCap 56, a 122-byte value field, so a
-// 152-byte slot that starts at every multiple of 8 within a line) with the
-// benchmark's 16-byte keys: a slot costs the lines from its cell to its
-// value's last byte, whatever the field could hold. Insert and update flush
-// exactly those lines plus the header commit, and a cold find misses on
+// 152-byte slot split into a head line and an 88-byte tail) with the
+// benchmark's 16-byte keys: a slot costs its head line, plus the lines of the
+// tail a value longer than 40 bytes reaches into, whatever the field could
+// hold. Insert and update flush exactly those lines plus the header commit,
+// in one persist per part plus the commit's, and a cold find misses on
 // exactly those lines plus the header — per slot as the layout predicts from
-// the slot's offset, 1.875 lines averaged over the leaf for a 34-byte value
-// (kvserver's frame around the benchmark's 32 bytes) against 3.25 for one
-// that fills the field.
+// the tail's offset: 1 line for a value of up to 40 bytes, such as 34
+// (kvserver's frame around the benchmark's 32 bytes), 2 for 41 and 3.25
+// averaged over the leaf for one that fills the field.
 func TestVarFlushBudget(t *testing.T) {
 	for _, row := range []struct {
 		name                         string
@@ -159,7 +178,7 @@ func TestVarFlushBudget(t *testing.T) {
 	for _, row := range []struct {
 		vlen     int
 		avgLines float64
-	}{{34, 1.875}, {122, 3.25}} {
+	}{{34, 1}, {40, 1}, {41, 2}, {122, 3.25}} {
 		t.Run(fmt.Sprintf("kv-value%d", row.vlen), func(t *testing.T) {
 			pool := scm.NewPool(4<<20, scm.LatencyConfig{})
 			tr, err := CCreateVar(pool, Config{LeafCap: 56, ValueSize: 122})
@@ -173,10 +192,20 @@ func TestVarFlushBudget(t *testing.T) {
 			}
 			leaf, lay := tr.m.headLeaf().Offset, tr.cdc.(*varCodec).lay
 			// slotLines is what the layout predicts slot s costs: the lines
-			// from its cell through the value's last byte.
+			// from its cell through the value's last byte in the head, and
+			// those the rest of the value covers in the tail.
+			lines := func(off, n uint64) uint64 { return (off+n-1)/scm.LineSize - off/scm.LineSize + 1 }
+			head, tail := lay.splitVal(uint64(row.vlen))
 			slotLines := func(s int) uint64 {
-				off := lay.slotOff(leaf, s)
-				return (off+cellSize+uint64(row.vlen)-1)/scm.LineSize - off/scm.LineSize + 1
+				n := lines(lay.slotOff(leaf, s), cellSize+head)
+				if tail > 0 {
+					n += lines(lay.tailOff(leaf, s), tail)
+				}
+				return n
+			}
+			persists := uint64(2) // the head's and the commit's
+			if tail > 0 {
+				persists++
 			}
 			sum := uint64(0)
 			for s := 0; s < lay.cap; s++ {
@@ -186,8 +215,8 @@ func TestVarFlushBudget(t *testing.T) {
 				t.Errorf("a %d-byte value spans %.3f lines of a slot on average, want %.3f", row.vlen, avg, row.avgLines)
 			}
 			// check runs fn, finds the slot key sits in afterwards and holds
-			// fn to the header line plus that slot's lines: flushed (in two
-			// persists) when write is set, missed on otherwise.
+			// fn to the header line plus that slot's lines: flushed (in
+			// persists persists) when write is set, missed on otherwise.
 			check := func(op string, key []byte, write bool, fn func()) {
 				t.Helper()
 				st := pool.Stats()
@@ -201,8 +230,8 @@ func TestVarFlushBudget(t *testing.T) {
 					t.Fatalf("%s %q: key not in the leaf", op, key)
 				}
 				want := 1 + slotLines(s)
-				if write && (f1-f0 != want || n1-n0 != 2) {
-					t.Errorf("%s %q into slot %d: %d flushes, %d fences, want %d and 2", op, key, s, f1-f0, n1-n0, want)
+				if write && (f1-f0 != want || n1-n0 != persists) {
+					t.Errorf("%s %q into slot %d: %d flushes, %d fences, want %d and %d", op, key, s, f1-f0, n1-n0, want, persists)
 				}
 				if !write && (m1-m0 != want || f1 != f0) {
 					t.Errorf("%s %q in slot %d: %d misses, %d flushes, want %d and 0", op, key, s, m1-m0, f1-f0, want)

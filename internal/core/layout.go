@@ -190,25 +190,44 @@ func (l fixedLayout) valOff(leaf uint64, slot int) uint64 {
 // first vlen bytes are the value, and nothing reads, writes or flushes the
 // rest of it.
 //
+// A slot of at most a line is one block, slot s at offKV + slotSize·s:
+//
 //	fingerprints[m] | bitmap u64 | lock u8 | pad | next PPtr | pad to 32 |
 //	m × (pkey PPtr or key [16]byte, klen u32 | vlen u32, value [ValueSize]byte)
 //
-// With m = 56 the header is the fixed layout's (slots from byte 96); a slot
-// is 32 bytes with 8-byte values (leaf 1888 → 1920) and 152 bytes with
-// kvserver's 122-byte values (leaf 8608 → 8640). The slot array starts on a
-// multiple of 32, so whenever the slot size is a multiple of 32 every slot's
+// With m = 56 the header is the fixed layout's (slots from byte 96) and a slot
+// is 32 bytes with 8-byte values (leaf 1888 → 1920). The slot array starts on
+// a multiple of 32, so whenever the slot size is a multiple of 32 every slot's
 // pkey is 16-byte aligned and its pkey|klen pair — for 32-byte slots the
 // whole slot — sits in one line: staging a slot dirties one line and one
 // persist flushes it. Other slot sizes keep the pair 8-byte aligned only.
+//
+// A slot wider than a line (kvserver's 122-byte values, a 152-byte slot) is
+// split in two. Its head is one line, head s at offKV + 64·s with offKV
+// rounded up to a line, and holds the cell, the length word and the value's
+// first 40 bytes; its tail, the other slotSize − 64 bytes, holds the rest of
+// the value at offTail + tailSize·s, behind the last head:
+//
+//	header | pad to 64 | m × head (cell 16 | klen|vlen 8 | value[0:40]) |
+//	m × tail (value[40:ValueSize])
+//
+// With m = 56 the heads span bytes 128-3712 and the 88-byte tails 3712-8640,
+// the leaf's 8640 bytes whichever way it is cut. A value of at most 40 bytes
+// lives in its slot's head line alone: it is staged, flushed and read as one
+// line, and the recovery scan, which needs only cells, reads the header and
+// heads (58 lines) and never a tail.
 type varLayout struct {
 	cap       int
 	valSize   int
 	hasFP     bool
 	slotSize  uint64
+	headSize  uint64 // a slot's bytes at slotOff: the whole slot, or its head line
+	tailSize  uint64 // 0 unless the slot is split
 	offBitmap uint64
 	offLock   uint64
 	offNext   uint64
 	offKV     uint64
+	offTail   uint64 // end of the slot (or head) array, where the tails start
 	size      uint64
 }
 
@@ -220,13 +239,21 @@ func newVarLayoutV(leafCap, valueSize int, v Variant) varLayout {
 	}
 	l.offLock = l.offBitmap + 8
 	l.offNext = l.offLock + 8
-	l.offKV = roundUp(l.offNext+scm.PPtrSize, 32)
-	l.size = roundUp(l.offKV+uint64(leafCap)*l.slotSize, scm.LineSize)
+	l.headSize = l.slotSize
+	align := uint64(32)
+	if l.slotSize > scm.LineSize {
+		l.headSize, align = scm.LineSize, scm.LineSize
+		l.tailSize = l.slotSize - scm.LineSize
+	}
+	l.offKV = roundUp(l.offNext+scm.PPtrSize, align)
+	l.offTail = l.offKV + uint64(leafCap)*l.headSize
+	l.size = roundUp(l.offTail+uint64(leafCap)*l.tailSize, scm.LineSize)
 	return l
 }
 
+// slotOff is where slot s starts: its key cell, and the head of a split slot.
 func (l varLayout) slotOff(leaf uint64, slot int) uint64 {
-	return leaf + l.offKV + uint64(slot)*l.slotSize
+	return leaf + l.offKV + uint64(slot)*l.headSize
 }
 
 func (l varLayout) pkeyOff(leaf uint64, slot int) uint64 { return l.slotOff(leaf, slot) }
@@ -235,8 +262,22 @@ func (l varLayout) klenOff(leaf uint64, slot int) uint64 {
 	return l.slotOff(leaf, slot) + scm.PPtrSize
 }
 
+// valOff is where the value starts, behind the length word.
 func (l varLayout) valOff(leaf uint64, slot int) uint64 {
-	return l.slotOff(leaf, slot) + scm.PPtrSize + 8
+	return l.slotOff(leaf, slot) + cellSize
+}
+
+// tailOff is where a split slot's value continues past the 40 bytes its head
+// holds.
+func (l varLayout) tailOff(leaf uint64, slot int) uint64 {
+	return leaf + l.offTail + uint64(slot)*l.tailSize
+}
+
+// splitVal is how a value of n bytes divides between the head, which holds
+// the whole field unless the slot is split, and the tail.
+func (l varLayout) splitVal(n uint64) (head, tail uint64) {
+	head = min(n, l.headSize-cellSize)
+	return head, n - head
 }
 
 // hash1 produces the one-byte fingerprint of a fixed-size key. Fibonacci

@@ -39,12 +39,16 @@ import (
 // short keys would be read as their own pointers' bytes; version 4 keeps the
 // geometry again and puts the value's length in the high half of a var slot's
 // length word, where a version-3 tree holds zero and pads the value to the
-// field — its values would all be read as empty. There is one reader: a tree
-// of another version is refused at open.
+// field — its values would all be read as empty; version 5 splits a var slot
+// wider than a line into a line-aligned head (cell, length word, the value's
+// first 40 bytes) and a tail behind the head array (layout.go), where a
+// version-4 tree keeps each 152-byte slot whole — its cells would be read
+// from the middle of other slots. There is one reader: a tree of another
+// version is refused at open.
 const (
 	metaMagicBase   = 0xF97B_0000_4EAF_0000
 	metaVersionMask = 0xFFFF
-	layoutVersion   = 4
+	layoutVersion   = 5
 	metaMagic       = metaMagicBase | layoutVersion
 	mOffMagic       = 0
 	mOffStatus      = 8

@@ -164,7 +164,7 @@ func varCrashTrace(t *testing.T, pool *scm.Pool, cfg Config, concurrent bool, se
 			n := rng.Intn(1000)
 			v := []byte(fmt.Sprintf("val-%04d", n))
 			if cfg.ValueSize > len(v) { // a wide field takes values of mixed lengths
-				v = bytes.Repeat(v, cfg.ValueSize/len(v)+1)[:[...]int{0, 3, 34, cfg.ValueSize}[n%4]]
+				v = bytes.Repeat(v, cfg.ValueSize/len(v)+1)[:[...]int{0, 3, 34, 40, 41, cfg.ValueSize}[n%6]]
 			}
 			switch rng.Intn(4) {
 			case 0:
@@ -264,7 +264,8 @@ func TestParallelRecoveryEquivalenceVar(t *testing.T) {
 		{"groups4", Config{LeafCap: 8, InnerFanout: 4, GroupSize: 4}, false},
 		{"nogroups", Config{LeafCap: 8, InnerFanout: 4}, false},
 		{"concurrent", Config{LeafCap: 8, InnerFanout: 4}, true},
-		// kvserver's slot: the scan reads key cells only, slot by slot.
+		// kvserver's slot: the scan reads the header and the slots' head
+		// lines, never a tail.
 		{"kv122", Config{LeafCap: 8, InnerFanout: 4, ValueSize: 122}, true},
 	}
 	for _, tc := range cases {
@@ -457,15 +458,16 @@ func TestBulkLoadCrashRecoveryBothCodecs(t *testing.T) {
 // TestRecoveryScanLines pins what the recovery scan reads of a leaf, as
 // misses on a cold cache. A leaf whose slots are no larger than a line is read
 // whole: 30 lines for the benchmark's 1920-byte leaf (32-byte slots). Of
-// kvserver's 8640-byte leaf (152-byte slots) the scan reads the two header
-// lines and each slot's 24-byte key cell and length word, 71 lines of the
-// leaf's 135: the 64 that hold nothing but value bytes are never touched,
-// however long the values stored there.
+// kvserver's 8640-byte leaf (152-byte slots, each split into a head line and
+// a tail) the scan reads the two header lines and the 56 head lines that hold
+// the key cells and length words, 58 lines of the leaf's 135: the 77 of the
+// tails, which hold nothing but value bytes, are never touched, however long
+// the values stored there.
 func TestRecoveryScanLines(t *testing.T) {
 	for _, tc := range []struct {
 		valSize           int
 		leafBytes, misses uint64
-	}{{8, 1920, 30}, {122, 8640, 71}} {
+	}{{8, 1920, 30}, {122, 8640, 58}} {
 		pool := scm.NewPool(4<<20, scm.LatencyConfig{})
 		tr, err := CCreateVar(pool, Config{LeafCap: 56, ValueSize: tc.valSize})
 		if err != nil {
@@ -498,8 +500,8 @@ func TestRecoveryScanLines(t *testing.T) {
 // TestScanLeafAllocs pins that the recovery scan reads a leaf into its
 // worker's scratch: a fixed-key leaf scans without allocating, and a var-key
 // leaf allocates only the clone of its max key — for inline keys, in the slot
-// that is read whole with its leaf and in kvserver's wide slot, whose key
-// cells are read one by one, and for 32-byte pointer keys, whose key blocks
+// that is read whole with its leaf and in kvserver's wide slot, whose heads
+// are read with the header, and for 32-byte pointer keys, whose key blocks
 // are read into the scratch's key buffers.
 func TestScanLeafAllocs(t *testing.T) {
 	pool := scm.NewPool(4<<20, scm.LatencyConfig{})

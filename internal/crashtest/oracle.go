@@ -145,13 +145,16 @@ func padVarKey(key []byte, k uint64) []byte {
 // its first byte selects. At the 8 bytes every tree of the harness can hold it
 // is v itself. In a wider field — the FPTree stores each value at its own
 // length — it is empty, 3 bytes, 34 (the benchmark's 32-byte value behind
-// kvserver's 2-byte frame) or the whole field, so a slot's successive owners,
-// and an update's old and new value, differ in length in both directions.
+// kvserver's 2-byte frame), 40 or 41 (the longest value a slot wider than a
+// line keeps in its head line, and the shortest that reaches into its tail)
+// or the whole field, so a slot's successive owners, and an update's old and
+// new value, differ in length in both directions and on both sides of the
+// head's end.
 func VarValue(v []byte) []byte {
 	if len(v) <= 8 {
 		return v
 	}
-	return v[:[...]int{0, 3, min(34, len(v)), len(v)}[v[0]%4]]
+	return v[:min([...]int{0, 3, 34, 40, 41, len(v)}[v[0]%6], len(v))]
 }
 
 // Gen builds a reproducible mixed trace of n operations over key numbers

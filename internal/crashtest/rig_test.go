@@ -31,9 +31,9 @@ func newTestPool() *scm.Pool {
 const varValLen = 8
 
 // kvValSize is the value field of kvserver's trees (a 120-byte value behind
-// its 2-byte frame; the 152-byte slot that straddles lines whatever its
-// start). The FPTree rigs built at this width are handed values of mixed
-// lengths (VarValue).
+// its 2-byte frame; the 152-byte slot split into a head line and a tail). The
+// FPTree rigs built at this width are handed values of mixed lengths, on both
+// sides of the 40 bytes a head holds (VarValue).
 const kvValSize = 122
 
 func pack8(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }

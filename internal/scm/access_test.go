@@ -1,72 +1,10 @@
 package scm
 
 import (
-	"bytes"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 )
-
-// TestReadStridedMatchesReadInto pins ReadStrided to the per-block ReadInto
-// loop it replaces: run on two clones of one pool, the two must pack the same
-// bytes and move Reads, ReadHits and ReadMisses by the same amounts. The rows
-// cover the wide kvserver slot (stride 152), a narrower one (40), blocks that
-// share lines (16) and blocks that each straddle a line, under the default
-// cache and under a one-set cache that evicts inside the read, where the
-// order lines are touched in decides every later hit.
-func TestReadStridedMatchesReadInto(t *testing.T) {
-	base := uint64(headerSize)
-	for _, cache := range []int64{0, LineSize * cacheWays} {
-		src := NewPool(1<<20, LatencyConfig{CacheBytes: cache})
-		data := make([]byte, 64<<10)
-		rand.New(rand.NewSource(1)).Read(data)
-		src.WriteBytes(base, data)
-		for _, tc := range []struct {
-			off, stride, width uint64
-			n                  int
-		}{
-			{base + 40, 152, 24, 56}, // kvserver's wide slot: every cell but the first straddles or not by turns
-			{base, 40, 24, 100},
-			{base + 8, 16, 8, 200},  // four blocks a line
-			{base + 4, 16, 16, 200}, // contiguous, each block straddling a quarter-line boundary
-			{base + 56, 64, 16, 60}, // every block straddles a line
-			{base + 1, 200, 130, 40},
-		} {
-			t.Run(fmt.Sprintf("cache%d/stride%d/width%d", cache, tc.stride, tc.width), func(t *testing.T) {
-				a, b := src.Clone(), src.Clone()
-				// Warm a few lines identically, so the read sees hits and misses.
-				for _, p := range []*Pool{a, b} {
-					for i := uint64(0); i < 16; i++ {
-						p.ReadU8(tc.off + i*3*LineSize)
-					}
-				}
-				got := make([]byte, uint64(tc.n)*tc.width)
-				want := make([]byte, len(got))
-				a0, b0 := a.Stats().Snapshot(), b.Stats().Snapshot()
-				a.ReadStrided(tc.off, tc.stride, tc.width, tc.n, got)
-				for i := 0; i < tc.n; i++ {
-					b.ReadInto(tc.off+uint64(i)*tc.stride, want[uint64(i)*tc.width:][:tc.width])
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatal("ReadStrided packed other bytes than the ReadInto loop")
-				}
-				da, db := a.Stats().Snapshot().Sub(a0), b.Stats().Snapshot().Sub(b0)
-				if da.Reads != db.Reads || da.ReadHits != db.ReadHits || da.ReadMisses != db.ReadMisses {
-					t.Fatalf("ReadStrided counted reads/hits/misses %d/%d/%d, the ReadInto loop %d/%d/%d",
-						da.Reads, da.ReadHits, da.ReadMisses, db.Reads, db.ReadHits, db.ReadMisses)
-				}
-				// The caches must be left the same too: every line hits or
-				// misses alike on both afterwards.
-				for l := tc.off / LineSize; l <= (tc.off+uint64(tc.n)*tc.stride)/LineSize; l++ {
-					if ma, mb := a.cache.touch(l*LineSize), b.cache.touch(l*LineSize); ma != mb {
-						t.Fatalf("line %d: miss %v after ReadStrided, %v after the ReadInto loop", l, ma, mb)
-					}
-				}
-			})
-		}
-	}
-}
 
 // refCache is the cache simulator's specification: cacheWays ways a set, a
 // line in set line mod sets, and a miss replacing the set's ways round robin.
@@ -171,10 +109,7 @@ func TestCacheSimConcurrentEvict(t *testing.T) {
 // LatencyCount mode so no media latency is charged: what is left is the
 // cache simulator, the dirty bitmap and the stats counters. The rows are a
 // ReadU64 that hits, a ReadU64 that misses (a walk over four times the
-// simulated cache), a Persist of one dirty line (write-back and evict), and
-// the 56-block strided read of a kvserver leaf's key cells, walked over
-// leaves as the recovery scan does; ns/line divides that row by the lines it
-// touches.
+// simulated cache) and a Persist of one dirty line (write-back and evict).
 //
 //	go test -run '^$' -bench Access ./internal/scm
 func BenchmarkAccess(b *testing.B) {
@@ -206,19 +141,5 @@ func BenchmarkAccess(b *testing.B) {
 				p.Persist(base+uint64(i)*LineSize, 8)
 			}
 		}
-	})
-	b.Run("ReadStrided 56x24B stride 152", func(b *testing.B) {
-		const stride, width, n = 152, 24, 56
-		leaf := uint64(stride * n)
-		leaves := uint64(span) / leaf
-		dst := make([]byte, width*n)
-		s0 := p.Stats().Snapshot()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.ReadStrided(base+uint64(i)%leaves*leaf, stride, width, n, dst)
-		}
-		b.StopTimer()
-		d := p.Stats().Snapshot().Sub(s0)
-		b.ReportMetric(float64(b.Elapsed())/float64(d.ReadHits+d.ReadMisses), "ns/line")
 	})
 }

@@ -241,42 +241,6 @@ func (p *Pool) ReadInto(off uint64, dst []byte) {
 	copy(dst, p.mem[off:off+uint64(len(dst))])
 }
 
-// ReadStrided packs n blocks of width bytes into dst (len(dst) >= n·width),
-// block i read from off+i·stride: the gather of n fixed-size cells spaced a
-// slot apart. It counts and caches exactly as n ReadInto calls would — each
-// block is one load whose lines are touched in order, and a line two blocks
-// share is touched twice — but checks for a crash once and charges every
-// missed line in one spin.
-func (p *Pool) ReadStrided(off, stride, width uint64, n int, dst []byte) {
-	if n <= 0 || width == 0 {
-		return
-	}
-	if p.crashed.Load() {
-		panic(ErrInjectedCrash)
-	}
-	var hits, misses uint64
-	for i := uint64(0); i < uint64(n); i++ {
-		o := off + i*stride
-		for l := o / LineSize; l <= (o+width-1)/LineSize; l++ {
-			if p.cache.touch(l * LineSize) {
-				misses++
-			} else {
-				hits++
-			}
-		}
-		copy(dst[i*width:][:width], p.mem[o:o+width])
-	}
-	key := statKey(off / LineSize)
-	p.stats.Reads.Add(key, uint64(n))
-	if hits != 0 {
-		p.stats.ReadHits.Add(key, hits)
-	}
-	if misses != 0 {
-		p.stats.ReadMisses.Add(key, misses)
-		p.charge(misses, p.cfg.ReadLatency)
-	}
-}
-
 // WriteBytes stores b at off.
 func (p *Pool) WriteBytes(off uint64, b []byte) {
 	if len(b) == 0 {
