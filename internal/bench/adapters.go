@@ -105,7 +105,7 @@ func NewFixed(kind Kind, poolSizeMB int, lat scm.LatencyConfig) (*Instance, erro
 			return nil, err
 		}
 		inst := &Instance{Name: string(kind), Fixed: t, Pool: pool}
-		inst.Recover = func() (any, error) { return nvtree.Open(pool, 128) }
+		inst.Recover = func() (any, error) { return nvtree.Open(pool) }
 		inst.DRAMBytes = t.DRAMBytes
 		return inst, nil
 	case KindWBTree:
@@ -159,7 +159,7 @@ func NewVar(kind Kind, poolSizeMB int, valueSize int, lat scm.LatencyConfig) (*I
 			return nil, err
 		}
 		inst := &Instance{Name: "NV-TreeVar", Var: t, Pool: pool}
-		inst.Recover = func() (any, error) { return nvtree.OpenVar(pool, 128) }
+		inst.Recover = func() (any, error) { return nvtree.OpenVar(pool) }
 		inst.DRAMBytes = t.DRAMBytes
 		return inst, nil
 	case KindWBTree:

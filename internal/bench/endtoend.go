@@ -49,7 +49,7 @@ func tatpIndex(kind Kind, poolMBs int, lat scm.LatencyConfig) (tatp.Index, func(
 		}
 		return &lockedIdx{t: t}, func() (tatp.Index, error) {
 			pool.Crash()
-			nt, err := nvtree.Open(pool, 8)
+			nt, err := nvtree.Open(pool)
 			if err != nil {
 				return nil, err
 			}

@@ -29,7 +29,7 @@ const DefaultBulkFill = 0.7
 // non-nil error mid-way (allocation failure) leaves carved leaves behind;
 // reopen the pool to reclaim them before using the tree.
 func (e *engine[K, V]) bulkLoad(n int, fill float64, at func(int) (K, V)) error {
-	if e.root.Load().cnt.Load() != 0 || !e.m.headLeaf().IsNull() {
+	if e.root.Load().cnt.Load() != 0 || !e.leafList.first().IsNull() {
 		return fmt.Errorf("fptree: BulkLoad requires an empty tree")
 	}
 	if !e.groups.enabled() {
@@ -41,7 +41,6 @@ func (e *engine[K, V]) bulkLoad(n int, fill float64, at func(int) (K, V)) error 
 	if fill <= 0 || fill > 1 {
 		return fmt.Errorf("fptree: fill factor %v out of (0,1]", fill)
 	}
-	e.noteMutation()
 	for i := 0; i < n; i++ {
 		k, _ := at(i)
 		if err := e.cdc.validateKey(k); err != nil {
@@ -86,9 +85,9 @@ func (e *engine[K, V]) bulkLoad(n int, fill float64, at func(int) (K, V)) error 
 		e.pool.WritePPtr(leaf+e.sh.offNext, scm.PPtr{})
 		e.pool.Persist(leaf, e.sh.size)
 		if prev == 0 {
-			e.m.setHeadLeaf(scm.PPtr{ArenaID: e.pool.ID(), Offset: leaf})
+			e.leafList.setFirst(e.leafList.ptr(leaf))
 		} else {
-			e.setLeafNext(prev, scm.PPtr{ArenaID: e.pool.ID(), Offset: leaf})
+			e.leafList.setAfter(prev, e.leafList.ptr(leaf))
 		}
 		e.persistLeafHeader(leaf, bm)
 		prev = leaf

@@ -45,10 +45,11 @@ type leafRef struct {
 	off  uint64
 	lk   htm.RWSpin
 	dead atomic.Bool
-	// ver counts completed exclusive sections on this leaf. The concurrent
-	// controller bumps it before releasing the write lock, so a range cursor
-	// that cached the leaf's content under the shared lock can later prove the
-	// cache is still current (see leafCursor.live) without re-reading SCM.
+	// ver counts completed exclusive sections on this leaf. Both controllers
+	// bump it when releasing the write lock (occCC before the release), so a
+	// range cursor that cached the leaf's content under the shared lock can
+	// later prove the cache is still current (see leafCursor.live) without
+	// re-reading SCM.
 	ver atomic.Uint64
 }
 

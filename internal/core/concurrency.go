@@ -17,8 +17,8 @@ import (
 type concurrency interface {
 	// concurrent reports whether real synchronization is in effect. The
 	// engine uses it to gate single-threaded-only behavior (leaf groups,
-	// eager empty-leaf unlinking, the next-pointer step of range reads) — not
-	// for lock elision, which the controller itself handles.
+	// eager empty-leaf unlinking) — not for lock elision, which the
+	// controller itself handles.
 	concurrent() bool
 
 	// Inner-node version locks (htm.VersionLock discipline).
@@ -38,6 +38,8 @@ type concurrency interface {
 
 // nopCC is the single-threaded controller: every primitive is free and every
 // try-acquire succeeds, so the engine's optimistic loops run exactly once.
+// Only unlockLeaf does work: it bumps the leaf's version as occCC's does, so
+// range cursors revalidate the same way on both controllers.
 type nopCC struct{}
 
 func (nopCC) concurrent() bool                       { return false }
@@ -50,7 +52,7 @@ func (nopCC) tryRLockLeaf(*leafRef) bool             { return true }
 func (nopCC) rUnlockLeaf(*leafRef)                   {}
 func (nopCC) tryLockLeaf(*leafRef) bool              { return true }
 func (nopCC) lockLeaf(*leafRef)                      {}
-func (nopCC) unlockLeaf(*leafRef)                    {}
+func (nopCC) unlockLeaf(r *leafRef)                  { r.ver.Add(1) }
 
 // occCC is the concurrent controller: speculative validated descent over
 // per-node version locks plus fine-grained leaf spinlocks, the software

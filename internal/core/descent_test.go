@@ -23,7 +23,7 @@ func checkDescentContract[K, V any](t *testing.T, e *engine[K, V], targets []K) 
 	t.Helper()
 	pred := map[uint64]uint64{} // leaf offset -> chain predecessor (0: head)
 	tail := uint64(0)
-	for p := e.m.headLeaf(); !p.IsNull(); p = e.leafNext(p.Offset) {
+	for p := e.leafList.first(); !p.IsNull(); p = e.leafList.after(p.Offset) {
 		pred[p.Offset] = tail
 		tail = p.Offset
 	}

@@ -48,18 +48,12 @@ type engine[K, V any] struct {
 	// and the quiesced checks read the pointer without it.
 	headLock htm.VersionLock
 
-	splitQ  chan int // free split micro-log indices
-	deleteQ chan int // free delete micro-log indices
+	leafList plist    // the persistent leaf list, headed by meta's headLeaf
+	splitQ   chan int // free split micro-log indices
+	deleteQ  chan int // free delete micro-log indices
 
 	groups     groupAlloc // leaf-group management (single-threaded only)
 	recovering bool       // true while micro-logs are being replayed
-
-	// mut counts mutating operations on the single-threaded engines, where
-	// leaf handles carry no usable version (the no-op controller never bumps
-	// them). Range cursors snapshot it to detect that anything at all changed
-	// between steps and fall back to a re-seek from their last key. Plain int:
-	// the single-threaded trees are not safe for concurrent use by contract.
-	mut uint64
 
 	// Ops counts in-leaf search and structure-modification events (atomic, so
 	// shared across goroutines and metric scrapes).
@@ -82,7 +76,8 @@ type engine[K, V any] struct {
 
 func newEngine[K, V any](pool *scm.Pool, cfg Config, m meta, cdc codec[K, V], cc concurrency) *engine[K, V] {
 	e := &engine[K, V]{pool: pool, cfg: cfg, m: m, cdc: cdc, cc: cc, st: !cc.concurrent(), sh: cdc.shape()}
-	e.groups.init(pool, m, e.sh.size, cfg.GroupSize)
+	e.leafList = plist{pool, m.base + mOffHeadLeaf, e.sh.offNext, cc, &e.headLock}
+	e.groups.init(m, plist{pool, m.base + mOffHeadGroup, 0, cc, &e.headLock}, e.sh.size, cfg.GroupSize)
 	e.splitQ = make(chan int, cfg.NumLogs)
 	e.deleteQ = make(chan int, cfg.NumLogs)
 	for i := 0; i < cfg.NumLogs; i++ {
@@ -150,7 +145,7 @@ func openEngine[K, V any](pool *scm.Pool, cc concurrency, rec RecoveryOptions) (
 	e.recovering = true
 	for i := 0; i < cfg.NumLogs; i++ {
 		e.recoverSplit(m.splitLog(i))
-		e.recoverDelete(m.deleteLog(i))
+		e.leafList.recoverUnlink(m.deleteLog(i), e.releaseLeaf) // Algorithm 7
 	}
 	e.groups.recover()
 	e.rebuild(rec.workers())
@@ -204,7 +199,6 @@ func (e *engine[K, V]) RegisterMetrics(reg *obs.Registry) {
 // --- leaf persistence helpers -----------------------------------------------
 
 func (e *engine[K, V]) leafBitmap(leaf uint64) uint64 { return e.pool.ReadU64(leaf + e.sh.offBitmap) }
-func (e *engine[K, V]) leafNext(leaf uint64) scm.PPtr { return e.pool.ReadPPtr(leaf + e.sh.offNext) }
 
 // persistLeafHeader commits a new validity bitmap with one p-atomic 8-byte
 // store + flush. Every bitmap write in the engine goes through here, so all
@@ -212,11 +206,6 @@ func (e *engine[K, V]) leafNext(leaf uint64) scm.PPtr { return e.pool.ReadPPtr(l
 func (e *engine[K, V]) persistLeafHeader(leaf, bm uint64) {
 	e.pool.WriteU64(leaf+e.sh.offBitmap, bm)
 	e.pool.Persist(leaf+e.sh.offBitmap, 8)
-}
-
-func (e *engine[K, V]) setLeafNext(leaf uint64, p scm.PPtr) {
-	e.pool.WritePPtr(leaf+e.sh.offNext, p)
-	e.pool.Persist(leaf+e.sh.offNext, scm.PPtrSize)
 }
 
 // commitSlot makes slot valid: it writes the fingerprint and commits the new
@@ -453,15 +442,6 @@ func (e *engine[K, V]) acquireLeaf(target *K, rightmost bool, sep *separators[K]
 	}
 }
 
-// noteMutation invalidates resting single-threaded range cursors
-// (conservative: an Update/Delete that ends up a no-op still bumps, which
-// only costs those cursors one redundant re-seek).
-func (e *engine[K, V]) noteMutation() {
-	if e.st {
-		e.mut++
-	}
-}
-
 // findLeafRef retries descend until it succeeds and returns the handle of
 // the leaf covering key (nil for an empty tree), without locking it. Used by
 // the invariant checks.
@@ -534,7 +514,6 @@ func (e *engine[K, V]) putT(key K, value V, mode putMode, sp *trace.Span) (bool,
 			return false, err
 		}
 	}
-	e.noteMutation()
 	fb := false
 	defer e.releaseFallback(&fb)
 	n, ref := e.acquireLeaf(&key, false, nil, &fb, sp)
@@ -616,7 +595,7 @@ func (e *engine[K, V]) firstLeaf(root *cInner[K]) error {
 		return nil // someone else created it; retry the insert
 	}
 	e.cc.lockNode(&e.headLock)
-	if !e.m.headLeaf().IsNull() {
+	if !e.leafList.first().IsNull() {
 		// The delete that emptied the tree has not unlinked its leaf yet.
 		e.cc.unlockNodeNoBump(&e.headLock)
 		e.cc.unlockNodeNoBump(&r.lock)
@@ -633,10 +612,10 @@ func (e *engine[K, V]) firstLeaf(root *cInner[K]) error {
 			e.cc.unlockNodeNoBump(&e.anchor)
 			return err
 		}
-		e.m.setHeadLeaf(scm.PPtr{ArenaID: e.pool.ID(), Offset: o})
+		e.leafList.setFirst(e.leafList.ptr(o))
 		off = o
 	} else {
-		ptr, err := e.pool.Alloc(e.m.base+mOffHeadLeaf, e.sh.size)
+		ptr, err := e.pool.Alloc(e.leafList.head, e.sh.size)
 		if err != nil {
 			e.cc.unlockNodeNoBump(&e.headLock)
 			e.cc.unlockNodeNoBump(&r.lock)
@@ -663,25 +642,25 @@ func (e *engine[K, V]) splitLeaf(ref *leafRef) (K, *leafRef, error) {
 	var zero K
 	li := <-e.splitQ
 	log := e.m.splitLog(li)
-	log.setA(scm.PPtr{ArenaID: e.pool.ID(), Offset: ref.off})
+	log.Set(0, e.leafList.ptr(ref.off))
 	if e.groups.enabled() {
 		off, gerr := e.groups.getLeaf()
 		if gerr != nil {
-			log.reset()
+			log.Reset()
 			e.splitQ <- li
 			return zero, nil, gerr
 		}
-		log.setB(scm.PPtr{ArenaID: e.pool.ID(), Offset: off})
+		log.Set(1, e.leafList.ptr(off))
 	} else {
-		if _, aerr := e.pool.Alloc(log.bOff(), e.sh.size); aerr != nil {
-			log.reset()
+		if _, aerr := e.pool.Alloc(log.Off(1), e.sh.size); aerr != nil {
+			log.Reset()
 			e.splitQ <- li
 			return zero, nil, aerr
 		}
 	}
-	newOff := log.b().Offset
+	newOff := log.P(1).Offset
 	splitKey := e.completeSplit(ref.off, newOff)
-	log.reset()
+	log.Reset()
 	e.splitQ <- li
 	e.Ops.LeafSplits.Add(1)
 	newRef := &leafRef{off: newOff}
@@ -701,7 +680,7 @@ func (e *engine[K, V]) completeSplit(leaf, newLeaf uint64) K {
 	e.persistLeafHeader(newLeaf, newBm)
 	e.persistLeafHeader(leaf, e.fullBitmap()&^newBm)
 	e.cdc.afterSplitBitmaps(leaf, newLeaf)
-	e.setLeafNext(leaf, scm.PPtr{ArenaID: e.pool.ID(), Offset: newLeaf})
+	e.leafList.setAfter(leaf, e.leafList.ptr(newLeaf))
 	return splitKey
 }
 
@@ -821,7 +800,6 @@ func (e *engine[K, V]) Delete(key K) (bool, error) {
 }
 
 func (e *engine[K, V]) deleteT(key K, sp *trace.Span) (bool, error) {
-	e.noteMutation()
 	fb := false
 	defer e.releaseFallback(&fb)
 	_, ref := e.acquireLeaf(&key, false, nil, &fb, sp)
@@ -897,7 +875,7 @@ func (e *engine[K, V]) deleteSMO(key K, ref *leafRef) bool {
 		panic("fptree: delete SMO descent lost the leaf")
 	}
 	e.cc.lockNode(&e.headLock)
-	isHead := e.m.headLeaf().Offset == ref.off
+	isHead := e.leafList.first().Offset == ref.off
 	e.cc.unlockNodeNoBump(&e.headLock)
 	var prevRef *leafRef
 	if !isHead {
@@ -969,56 +947,46 @@ func (e *engine[K, V]) deleteSMO(key K, ref *leafRef) bool {
 }
 
 // unlinkLeaf removes leaf from the persistent list under a delete micro-log
-// and releases its storage (Algorithm 6). prev is ignored when leaf is the
-// list head. ref may be nil during recovery (no live handle exists yet).
+// drawn from the free queue and releases its storage (Algorithm 6). prev is
+// ignored when leaf is the list head. ref may be nil during recovery (no live
+// handle exists yet).
 func (e *engine[K, V]) unlinkLeaf(leaf, prev uint64, ref *leafRef) {
 	li := <-e.deleteQ
-	log := e.m.deleteLog(li)
-	log.setA(scm.PPtr{ArenaID: e.pool.ID(), Offset: leaf})
-	e.cc.lockNode(&e.headLock)
-	isHead := e.m.headLeaf().Offset == leaf
-	if isHead {
-		e.m.setHeadLeaf(e.leafNext(leaf))
-	}
-	e.cc.unlockNodeNoBump(&e.headLock)
-	if !isHead {
-		log.setB(scm.PPtr{ArenaID: e.pool.ID(), Offset: prev})
-		e.setLeafNext(prev, e.leafNext(leaf))
-	}
-	if ref != nil {
-		ref.dead.Store(true) // handle stays locked forever; stale readers bounce
-	}
-	e.releaseLeaf(log)
-	log.reset()
+	e.leafList.unlink(e.m.deleteLog(li), leaf, prev, func(log scm.MicroLog) {
+		if ref != nil {
+			ref.dead.Store(true) // handle stays locked forever; stale readers bounce
+		}
+		e.releaseLeaf(log)
+	})
 	e.deleteQ <- li
 }
 
-// releaseLeaf hands the unlinked leaf in log.a back to its owner: the leaf
+// releaseLeaf hands the unlinked leaf in log's cell 0 back to its owner: the leaf
 // groups, or the persistent allocator via the micro-log cell (which nulls
 // it). During micro-log replay the group bookkeeping is still volatile-empty,
 // so a grouped leaf is simply left for rebuildFreeVector to reclassify as
 // free (it is no longer reachable from the leaf list).
-func (e *engine[K, V]) releaseLeaf(log mlog) {
+func (e *engine[K, V]) releaseLeaf(log scm.MicroLog) {
 	if e.groups.enabled() {
 		if !e.recovering {
-			e.groups.freeLeaf(log.a().Offset)
+			e.groups.freeLeaf(log.P(0).Offset)
 		}
 		return
 	}
-	e.pool.Free(log.aOff(), e.sh.size)
+	e.pool.Free(log.Off(0), e.sh.size)
 }
 
 // --- recovery -----------------------------------------------------------------
 
 // recoverSplit is Algorithm 4.
-func (e *engine[K, V]) recoverSplit(log mlog) {
-	a, b := log.a(), log.b()
+func (e *engine[K, V]) recoverSplit(log scm.MicroLog) {
+	a, b := log.P(0), log.P(1)
 	if a.IsNull() || b.IsNull() {
 		// Crashed before the new leaf was durably obtained: the allocator
 		// intent has already been rolled back (or the group leaf stays in the
 		// free vector); discard.
 		if !a.IsNull() || !b.IsNull() {
-			log.reset()
+			log.Reset()
 		}
 		return
 	}
@@ -1030,37 +998,9 @@ func (e *engine[K, V]) recoverSplit(log mlog) {
 		// Crashed at or after line 11: recompute the idempotent tail.
 		e.persistLeafHeader(a.Offset, e.fullBitmap()&^e.leafBitmap(b.Offset))
 		e.cdc.afterSplitBitmaps(a.Offset, b.Offset)
-		e.setLeafNext(a.Offset, b)
+		e.leafList.setAfter(a.Offset, b)
 	}
-	log.reset()
-}
-
-// recoverDelete is Algorithm 7.
-func (e *engine[K, V]) recoverDelete(log mlog) {
-	a, b := log.a(), log.b()
-	if a.IsNull() {
-		if !b.IsNull() {
-			log.reset()
-		}
-		return
-	}
-	head := e.m.headLeaf()
-	switch {
-	case !b.IsNull():
-		// Crashed between the prev-link update and deallocation: redo both.
-		e.setLeafNext(b.Offset, e.leafNext(a.Offset))
-		e.releaseLeaf(log)
-	case a == head:
-		// Crashed before the head pointer moved.
-		e.m.setHeadLeaf(e.leafNext(a.Offset))
-		e.releaseLeaf(log)
-	case e.leafNext(a.Offset) == head:
-		// Head already moved; only the deallocation is missing.
-		e.releaseLeaf(log)
-	default:
-		// Only the micro-log itself was written: nothing durable changed.
-	}
-	log.reset()
+	log.Reset()
 }
 
 // rebuild reconstructs the DRAM inner nodes from the persistent leaf list
@@ -1076,7 +1016,7 @@ func (e *engine[K, V]) rebuild(workers int) {
 	e.groups.rebuildFreeVector(leaves)
 	e.sanitizeFreeLeaves()
 	if e.groups.enabled() {
-		for p := e.m.headGroup(); !p.IsNull(); p = e.groups.groupNext(p.Offset) {
+		for p := e.groups.list.first(); !p.IsNull(); p = e.groups.list.after(p.Offset) {
 			e.Ops.RecoveryGroups.Add(1)
 		}
 	}
@@ -1119,7 +1059,7 @@ func (e *engine[K, V]) CheckInvariants() error {
 	n := 0
 	owners := map[scm.PPtr]int{}
 	var hdr [MaxLeafCap + 16]byte
-	for p := e.m.headLeaf(); !p.IsNull(); p = e.leafNext(p.Offset) {
+	for p := e.leafList.first(); !p.IsNull(); p = e.leafList.after(p.Offset) {
 		leaf := p.Offset
 		bm := e.leafBitmap(leaf)
 		if e.sh.hasFP {
@@ -1171,7 +1111,7 @@ func (e *engine[K, V]) CheckInvariants() error {
 		return fmt.Errorf("size mismatch: list has %d keys, tree reports %d", n, e.Len())
 	}
 	// Every key reachable through the inner nodes.
-	for p := e.m.headLeaf(); !p.IsNull(); p = e.leafNext(p.Offset) {
+	for p := e.leafList.first(); !p.IsNull(); p = e.leafList.after(p.Offset) {
 		leaf := p.Offset
 		bm := e.leafBitmap(leaf)
 		for s := 0; s < e.sh.cap; s++ {
@@ -1193,10 +1133,10 @@ func (e *engine[K, V]) CheckInvariants() error {
 	// Both codecs share the check; recovery's free-leaf sweep enforces it.
 	if e.groups.enabled() {
 		linked := make(map[uint64]bool)
-		for p := e.m.headLeaf(); !p.IsNull(); p = e.leafNext(p.Offset) {
+		for p := e.leafList.first(); !p.IsNull(); p = e.leafList.after(p.Offset) {
 			linked[p.Offset] = true
 		}
-		for p := e.m.headGroup(); !p.IsNull(); p = e.groups.groupNext(p.Offset) {
+		for p := e.groups.list.first(); !p.IsNull(); p = e.groups.list.after(p.Offset) {
 			for _, leaf := range e.groups.leafOffsets(p.Offset) {
 				if linked[leaf] {
 					continue

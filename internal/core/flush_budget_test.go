@@ -190,7 +190,7 @@ func TestVarFlushBudget(t *testing.T) {
 			if err := tr.Insert(keys[0], val('0')); err != nil { // creates the leaf
 				t.Fatal(err)
 			}
-			leaf, lay := tr.m.headLeaf().Offset, tr.cdc.(*varCodec).lay
+			leaf, lay := tr.leafList.first().Offset, tr.cdc.(*varCodec).lay
 			// slotLines is what the layout predicts slot s costs: the lines
 			// from its cell through the value's last byte in the head, and
 			// those the rest of the value covers in the tail.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"fptree/internal/scm"
@@ -10,16 +11,17 @@ import (
 // and Appendix B: leaves are carved out of persistently linked groups of
 // GroupSize leaves, and a volatile vector tracks the leaves that are free.
 //
-// Persistent state: the group linked list (head/tail in the tree metadata,
-// next pointer in each group header) plus the getLeaf and freeLeaf
-// micro-logs. Volatile state: the free-leaf vector and per-group usage
-// counters, both rebuilt during recovery by comparing group membership with
-// the leaf list.
+// Persistent state: the group list, a stack whose top is the metadata
+// block's headGroup cell and whose links are each group's next pointer, plus
+// the freeLeaf micro-log. Volatile state: the free-leaf vector and per-group
+// usage counters, both rebuilt during recovery by comparing group membership
+// with the leaf list.
 //
 // Group block layout: next PPtr | pad to one cache line | GroupSize × leaf.
 type groupAlloc struct {
 	pool     *scm.Pool
 	m        meta
+	list     plist
 	leafSize uint64
 	size     int // leaves per group; 0 = groups disabled
 
@@ -28,8 +30,8 @@ type groupAlloc struct {
 	leafGroup map[uint64]uint64 // leaf offset -> its group offset
 }
 
-func (g *groupAlloc) init(pool *scm.Pool, m meta, leafSize uint64, size int) {
-	g.pool, g.m, g.leafSize, g.size = pool, m, leafSize, size
+func (g *groupAlloc) init(m meta, list plist, leafSize uint64, size int) {
+	g.pool, g.m, g.list, g.leafSize, g.size = m.pool, m, list, leafSize, size
 	if size > 0 {
 		g.used = make(map[uint64]int)
 		g.leafGroup = make(map[uint64]uint64)
@@ -50,25 +52,21 @@ func (g *groupAlloc) leafOffsets(group uint64) []uint64 {
 	return out
 }
 
-func (g *groupAlloc) groupNext(group uint64) scm.PPtr { return g.pool.ReadPPtr(group) }
-
-func (g *groupAlloc) setGroupNext(group uint64, p scm.PPtr) {
-	g.pool.WritePPtr(group, p)
-	g.pool.Persist(group, scm.PPtrSize)
-}
-
-// getLeaf pops a free leaf, allocating and linking a new group when the
-// vector is empty (Algorithm 10). The group allocation is staged in the
-// getLeaf micro-log so a crash can neither leak the group nor link it twice.
+// getLeaf pops a free leaf, pushing a new group when the vector is empty
+// (Algorithm 10). The push is one allocation into the headGroup cell whose
+// contents name the old top as the group's next: the allocator makes the
+// group durable, then publishes it, then retires its intent, so a crash
+// either rolls the group back to the free list or leaves it on the stack.
 func (g *groupAlloc) getLeaf() (uint64, error) {
 	if len(g.free) == 0 {
-		log := g.m.getLeafLog()
-		ptr, err := g.pool.Alloc(log.aOff(), g.groupBytes())
+		var next [scm.PPtrSize]byte
+		top := g.list.first()
+		binary.LittleEndian.PutUint64(next[:], top.ArenaID)
+		binary.LittleEndian.PutUint64(next[8:], top.Offset)
+		ptr, err := g.pool.AllocInit(g.list.head, g.groupBytes(), next[:])
 		if err != nil {
 			return 0, err
 		}
-		g.linkGroup(ptr)
-		log.reset()
 		g.used[ptr.Offset] = 0
 		for _, off := range g.leafOffsets(ptr.Offset) {
 			g.leafGroup[off] = ptr.Offset
@@ -81,46 +79,9 @@ func (g *groupAlloc) getLeaf() (uint64, error) {
 	return off, nil
 }
 
-// linkGroup appends the group to the persistent group list.
-func (g *groupAlloc) linkGroup(ptr scm.PPtr) {
-	if g.m.headGroup().IsNull() {
-		g.m.setHeadGroup(ptr)
-		g.m.setTailGroup(ptr)
-		return
-	}
-	tail := g.m.tailGroup()
-	g.setGroupNext(tail.Offset, ptr)
-	g.m.setTailGroup(ptr)
-}
-
-// linkGroupReplay is the recovery version of linkGroup: the crash may have
-// hit between any two of its steps, so the true list tail is re-derived by
-// walking the list instead of trusting the tail pointer.
-func (g *groupAlloc) linkGroupReplay(ptr scm.PPtr) {
-	head := g.m.headGroup()
-	if head.IsNull() {
-		g.m.setHeadGroup(ptr)
-		g.m.setTailGroup(ptr)
-		return
-	}
-	p := head
-	for {
-		if p == ptr {
-			// Already linked; only the tail update may be missing.
-			break
-		}
-		next := g.groupNext(p.Offset)
-		if next.IsNull() {
-			g.setGroupNext(p.Offset, ptr)
-			break
-		}
-		p = next
-	}
-	g.m.setTailGroup(ptr)
-}
-
 // freeLeaf returns a leaf to the vector; when its whole group becomes free
-// the group is unlinked and deallocated (Algorithm 12).
+// the group is unlinked under the freeLeaf micro-log and deallocated
+// (Algorithm 12).
 func (g *groupAlloc) freeLeaf(leaf uint64) {
 	group := g.leafGroup[leaf]
 	g.used[group]--
@@ -139,24 +100,11 @@ func (g *groupAlloc) freeLeaf(leaf uint64) {
 	}
 	g.free = kept
 
-	log := g.m.freeLeafLog()
-	gp := scm.PPtr{ArenaID: g.pool.ID(), Offset: group}
-	log.setA(gp)
-	if g.m.headGroup() == gp {
-		g.m.setHeadGroup(g.groupNext(group))
-		if g.m.tailGroup() == gp {
-			g.m.setTailGroup(scm.PPtr{})
-		}
-	} else {
-		prev := g.prevGroup(group)
-		log.setB(prev)
-		g.setGroupNext(prev.Offset, g.groupNext(group))
-		if g.m.tailGroup() == gp {
-			g.m.setTailGroup(prev)
-		}
+	var prev uint64
+	if g.list.first().Offset != group {
+		prev = g.prevGroup(group)
 	}
-	g.pool.Free(log.aOff(), g.groupBytes())
-	log.reset()
+	g.list.unlink(g.m.freeLeafLog(), group, prev, g.release)
 
 	for _, off := range g.leafOffsets(group) {
 		delete(g.leafGroup, off)
@@ -164,66 +112,29 @@ func (g *groupAlloc) freeLeaf(leaf uint64) {
 	delete(g.used, group)
 }
 
+// release deallocates the group log names, nulling its cell.
+func (g *groupAlloc) release(log scm.MicroLog) { g.pool.Free(log.Off(0), g.groupBytes()) }
+
 // prevGroup walks the persistent list for the predecessor of group. Group
 // deallocations are rare (a whole group must empty), so the walk is fine.
-func (g *groupAlloc) prevGroup(group uint64) scm.PPtr {
-	p := g.m.headGroup()
+func (g *groupAlloc) prevGroup(group uint64) uint64 {
+	p := g.list.first()
 	for !p.IsNull() {
-		next := g.groupNext(p.Offset)
+		next := g.list.after(p.Offset)
 		if next.Offset == group {
-			return p
+			return p.Offset
 		}
 		p = next
 	}
 	panic(fmt.Sprintf("fptree: group %#x not in group list", group))
 }
 
-// recover replays the two group micro-logs (Algorithms 11 and 13). It uses
-// only persistent state; the volatile vector is rebuilt afterwards.
+// recover replays the freeLeaf micro-log (Algorithm 13). It uses only
+// persistent state; the volatile vector is rebuilt afterwards. A push needs
+// no replay: the allocator's own recovery settles it.
 func (g *groupAlloc) recover() {
-	if !g.enabled() {
-		return
-	}
-	// RecoverGetLeaf: the staged group is linked or discarded. A null log.a
-	// means the allocator already rolled the allocation back.
-	log := g.m.getLeafLog()
-	if a := log.a(); !a.IsNull() {
-		g.linkGroupReplay(a)
-		log.reset()
-	}
-	// RecoverFreeLeaf: finish unlinking and deallocating the group.
-	flog := g.m.freeLeafLog()
-	a, b := flog.a(), flog.b()
-	switch {
-	case a.IsNull():
-		if !b.IsNull() {
-			flog.reset()
-		}
-	case !b.IsNull():
-		// Crashed between the prev-link update and deallocation: redo.
-		g.setGroupNext(b.Offset, g.groupNext(a.Offset))
-		if g.m.tailGroup() == a {
-			g.m.setTailGroup(b)
-		}
-		g.pool.Free(flog.aOff(), g.groupBytes())
-		flog.reset()
-	case g.m.headGroup() == a:
-		// Crashed before the head pointer moved.
-		g.m.setHeadGroup(g.groupNext(a.Offset))
-		if g.m.tailGroup() == a {
-			g.m.setTailGroup(scm.PPtr{})
-		}
-		g.pool.Free(flog.aOff(), g.groupBytes())
-		flog.reset()
-	case g.groupNext(a.Offset) == g.m.headGroup():
-		// Head already moved; only the deallocation is missing.
-		if g.m.tailGroup() == a {
-			g.m.setTailGroup(scm.PPtr{})
-		}
-		g.pool.Free(flog.aOff(), g.groupBytes())
-		flog.reset()
-	default:
-		flog.reset()
+	if g.enabled() {
+		g.list.recoverUnlink(g.m.freeLeafLog(), g.release)
 	}
 }
 
@@ -241,7 +152,7 @@ func (g *groupAlloc) rebuildFreeVector(inTree []uint64) {
 	for _, off := range inTree {
 		live[off] = true
 	}
-	for p := g.m.headGroup(); !p.IsNull(); p = g.groupNext(p.Offset) {
+	for p := g.list.first(); !p.IsNull(); p = g.list.after(p.Offset) {
 		g.used[p.Offset] = 0
 		for _, off := range g.leafOffsets(p.Offset) {
 			g.leafGroup[off] = p.Offset
@@ -261,13 +172,10 @@ func (g *groupAlloc) checkInvariants() error {
 		return nil
 	}
 	seen := 0
-	for p := g.m.headGroup(); !p.IsNull(); p = g.groupNext(p.Offset) {
+	for p := g.list.first(); !p.IsNull(); p = g.list.after(p.Offset) {
 		seen++
 		if _, ok := g.used[p.Offset]; !ok {
 			return fmt.Errorf("group %#x in persistent list but not tracked", p.Offset)
-		}
-		if tail := g.m.tailGroup(); g.groupNext(p.Offset).IsNull() && p != tail {
-			return fmt.Errorf("tail pointer %v does not match last group %v", tail, p)
 		}
 	}
 	if seen != len(g.used) {

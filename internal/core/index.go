@@ -138,10 +138,10 @@ func open[K, V any](pool *scm.Pool, cc concurrency, opts []RecoveryOptions) (*In
 }
 
 // Scan visits live pairs with key >= from in ascending key order until fn
-// returns false. The single-threaded tree follows the persistent next
-// pointers; the concurrent one seeks leaf by leaf through the inner nodes (a
-// concurrently freed leaf could be reused under the reader), using the
-// separators to find each leaf's upper bound.
+// returns false. It seeks leaf by leaf through the inner nodes, using the
+// separators to find each leaf's upper bound, on both controllers: a
+// persistent next pointer is never followed, since a concurrently freed leaf
+// could be reused under the reader.
 func (t *Index[K, V]) Scan(from K, fn func(k K, v V) bool) { t.engine.scan(from, fn) }
 
 // ScanN returns up to n pairs with key >= from (nil when n <= 0). The result

@@ -32,7 +32,7 @@ var varControllers = []struct {
 func checkNoLeak(e *VarTree) error {
 	c := e.cdc.(*varCodec)
 	owned := roundUp(metaSize(e.cfg.NumLogs), scm.LineSize)
-	for p := e.m.headLeaf(); !p.IsNull(); p = e.leafNext(p.Offset) {
+	for p := e.leafList.first(); !p.IsNull(); p = e.leafList.after(p.Offset) {
 		owned += roundUp(e.sh.size, scm.LineSize)
 		bm := e.leafBitmap(p.Offset)
 		for s := 0; s < e.sh.cap; s++ {

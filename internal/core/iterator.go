@@ -32,10 +32,10 @@ import (
 // The cursor steps to a neighbor leaf through the inner nodes, using the
 // separators its descent recorded (see separators): forward to the successor
 // of ub, backward to lb, which strictly decreases at every hop and so
-// guarantees termination. It must not follow the persistent next pointer
-// while writers run — a concurrently deallocated leaf could be reused under
-// the reader — so only the single-threaded engine takes that shortcut, and
-// only forward (sibling pointers do not go back).
+// guarantees termination. It never follows the persistent next pointer: a
+// concurrently deallocated leaf could be reused under the reader. Both
+// controllers run this one path; the single-threaded one bumps leaf versions
+// too (nopCC.unlockLeaf), so its cursors revalidate the same way.
 
 type kvPair[K, V any] struct {
 	k K
@@ -62,10 +62,8 @@ type leafCursor[K, V any] struct {
 	past  bool           // the current leaf holds a key beyond the window's far edge
 
 	haveLeaf bool
-	ref      *leafRef      // leaf handle the batch was read from (occ revalidation)
-	leafVer  uint64        // ref.ver at batch time (occ)
-	leafOff  uint64        // leaf offset at batch time (st sibling step)
-	mutSnap  uint64        // engine mutation counter at batch time (st revalidation)
+	ref      *leafRef      // leaf handle the batch was read from (revalidation)
+	leafVer  uint64        // ref.ver at batch time
 	sep      separators[K] // of the batch leaf's descent: the neighbor steps
 	done     bool
 }
@@ -104,14 +102,10 @@ func (c *leafCursor[K, V]) finish() {
 	c.batch = nil
 }
 
-// live reports whether the batch still matches the leaf it was read from: on
-// the single-threaded engine no mutation ran since the batch was taken; on
-// the concurrent engine the leaf is neither deleted nor was its version
-// bumped by a writer (occCC.unlockLeaf).
+// live reports whether the batch still matches the leaf it was read from: the
+// leaf is neither deleted nor was its version bumped by a writer
+// (unlockLeaf).
 func (c *leafCursor[K, V]) live() bool {
-	if c.e.st {
-		return c.mutSnap == c.e.mut
-	}
 	return !c.ref.dead.Load() && c.ref.ver.Load() == c.leafVer
 }
 
@@ -123,24 +117,12 @@ func (c *leafCursor[K, V]) step() bool {
 	if c.past {
 		return false
 	}
-	switch {
-	case c.reverse:
+	if c.reverse {
 		if !c.sep.lb.ok || (c.start.ok && e.cdc.less(c.sep.lb.key, c.start.key)) {
 			return false // leftmost leaf of the window done
 		}
 		t := c.sep.lb.key // copied: the descent overwrites c.sep
 		return c.seek(&t, false)
-	case e.st:
-		// Nothing mutated since the batch was read, so the persistent sibling
-		// pointer is current and its target cannot be reclaimed under us. This
-		// is the range reader's only controller-dependent branch.
-		next := e.leafNext(c.leafOff)
-		if next.IsNull() {
-			return false
-		}
-		c.fill(next.Offset)
-		c.haveLeaf = true
-		return true
 	}
 	if !c.sep.ub.ok {
 		return false // rightmost leaf done
@@ -191,7 +173,7 @@ func (c *leafCursor[K, V]) seek(target *K, rightmost bool) bool {
 		// Version and content form a consistent pair: writers bump ref.ver
 		// before releasing the exclusive lock, which cannot be held while we
 		// hold the shared lock.
-		c.ref, c.leafVer, c.mutSnap = ref, ref.ver.Load(), e.mut
+		c.ref, c.leafVer = ref, ref.ver.Load()
 		c.fill(ref.off)
 		e.cc.rUnlockLeaf(ref)
 		c.haveLeaf = true
@@ -207,7 +189,7 @@ func (c *leafCursor[K, V]) seek(target *K, rightmost bool) bool {
 // side, window edges otherwise) and puts them in emission order.
 func (c *leafCursor[K, V]) fill(leaf uint64) {
 	e := c.e
-	c.leafOff, c.past = leaf, false
+	c.past = false
 	if c.batch == nil {
 		c.batch = make([]kvPair[K, V], 0, e.sh.cap)
 	}
@@ -293,10 +275,6 @@ func (it *Iter[K, V]) Key() K { return it.c.last }
 
 // Value returns the value the iterator is positioned on.
 func (it *Iter[K, V]) Value() V { return it.v }
-
-// Domain returns the window the iterator was created with, in constructor
-// form (the zero value of an edge means unbounded).
-func (it *Iter[K, V]) Domain() (start, end K) { return it.c.start.key, it.c.end.key }
 
 // Next advances to the next key of the window and reports whether one
 // exists. The key is served from the cursor's batch only after the batch was

@@ -811,7 +811,7 @@ func rangeReadLines[K, V any](t *testing.T, e *engine[K, V], pool *scm.Pool, arr
 		return off / scm.LineSize, (off + size - 1) / scm.LineSize
 	}
 	var leaves []uint64
-	for p := e.m.headLeaf(); !p.IsNull(); p = e.leafNext(p.Offset) {
+	for p := e.leafList.first(); !p.IsNull(); p = e.leafList.after(p.Offset) {
 		leaves = append(leaves, p.Offset)
 	}
 	// The gap: every valid slot on the third line of a leaf's first array is
@@ -871,9 +871,6 @@ func rangeReadLines[K, V any](t *testing.T, e *engine[K, V], pool *scm.Pool, arr
 		wantMisses += uint64(len(touched))
 		maxLoads += 1 + runs
 	}
-	if e.st {
-		maxLoads += 2 * (visited - 1) // the two words of each sibling pointer stepped along
-	}
 	if split == 0 {
 		t.Fatal("no visited leaf has a split run of slot lines")
 	}
@@ -887,8 +884,8 @@ func rangeReadLines[K, V any](t *testing.T, e *engine[K, V], pool *scm.Pool, arr
 		return 0
 	})
 	// The window ends one key short of the last visited leaf's largest, so a
-	// pass learns in that leaf that the window is over; the single-threaded
-	// step would otherwise read the next leaf to find out.
+	// pass learns in that leaf that the window is over instead of reading
+	// the next leaf to find out.
 	n := len(keys) - 1
 	end, _ := e.cdc.nextAfter(keys[n-1])
 	read := func(name string, run func(emit func(K))) {

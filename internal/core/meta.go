@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"fptree/internal/htm"
 	"fptree/internal/scm"
 )
 
@@ -21,9 +22,9 @@ import (
 //	 40  valueSize  u64
 //	 48  numLogs    u64
 //	 64  headLeaf   PPtr  head of the linked list of leaves
-//	 80  headGroup  PPtr  head of the linked list of leaf groups
-//	 96  tailGroup  PPtr  tail of the linked list of leaf groups
-//	128  getLeafLog  (PNewGroup PPtr)              — own cache line
+//	 80  headGroup  PPtr  top of the stack of leaf groups
+//	 96  reserved   16 B  zero (v5: the group list's tail pointer)
+//	128  reserved   64 B  zero (v5: the getLeaf micro-log)
 //	192  freeLeafLog (PCurrentGroup, PPrevGroup)   — own cache line
 //	256  splitLogs   numLogs × 64B (PCurrentLeaf, PNewLeaf)
 //	...  deleteLogs  numLogs × 64B (PCurrentLeaf, PPrevLeaf)
@@ -43,12 +44,15 @@ import (
 // wider than a line into a line-aligned head (cell, length word, the value's
 // first 40 bytes) and a tail behind the head array (layout.go), where a
 // version-4 tree keeps each 152-byte slot whole — its cells would be read
-// from the middle of other slots. There is one reader: a tree of another
+// from the middle of other slots; version 6 keeps the leaf layout and makes
+// the group list a stack pushed by the allocator alone (groups.go), where a
+// version-5 tree may hold a half-linked group in its getLeaf log and a tail
+// pointer nothing maintains any more. There is one reader: a tree of another
 // version is refused at open.
 const (
 	metaMagicBase   = 0xF97B_0000_4EAF_0000
 	metaVersionMask = 0xFFFF
-	layoutVersion   = 5
+	layoutVersion   = 6
 	metaMagic       = metaMagicBase | layoutVersion
 	mOffMagic       = 0
 	mOffStatus      = 8
@@ -60,8 +64,6 @@ const (
 	mOffVariant     = 56
 	mOffHeadLeaf    = 64
 	mOffHeadGroup   = 80
-	mOffTailGroup   = 96
-	mOffGetLeafLog  = 128
 	mOffFreeLeafLog = 192
 	mOffLogs        = 256
 
@@ -159,70 +161,89 @@ func openMeta(pool *scm.Pool, wantKind uint64) (meta, Config, error) {
 	return m, cfg, nil
 }
 
-func (m meta) headLeaf() scm.PPtr  { return m.pool.ReadPPtr(m.base + mOffHeadLeaf) }
-func (m meta) headGroup() scm.PPtr { return m.pool.ReadPPtr(m.base + mOffHeadGroup) }
-func (m meta) tailGroup() scm.PPtr { return m.pool.ReadPPtr(m.base + mOffTailGroup) }
+// Micro-log accessors. Each log is a pair of persistent-pointer cells in one
+// cache line: cell 0 names the element an operation works on (PCurrentLeaf,
+// PCurrentGroup), cell 1 its partner (PNewLeaf, PPrevLeaf, PPrevGroup). Index
+// i < nLogs selects a split log, the delete logs follow.
 
-func (m meta) setHeadLeaf(p scm.PPtr) {
-	m.pool.WritePPtr(m.base+mOffHeadLeaf, p)
-	m.pool.Persist(m.base+mOffHeadLeaf, scm.PPtrSize)
+func (m meta) freeLeafLog() scm.MicroLog { return m.pool.MicroLog(m.base+mOffFreeLeafLog, 2) }
+func (m meta) splitLog(i int) scm.MicroLog {
+	return m.pool.MicroLog(m.base+mOffLogs+uint64(i)*scm.LineSize, 2)
+}
+func (m meta) deleteLog(i int) scm.MicroLog {
+	return m.pool.MicroLog(m.base+mOffLogs+uint64(m.nLogs+i)*scm.LineSize, 2)
 }
 
-func (m meta) setHeadGroup(p scm.PPtr) {
-	m.pool.WritePPtr(m.base+mOffHeadGroup, p)
-	m.pool.Persist(m.base+mOffHeadGroup, scm.PPtrSize)
-}
-
-func (m meta) setTailGroup(p scm.PPtr) {
-	m.pool.WritePPtr(m.base+mOffTailGroup, p)
-	m.pool.Persist(m.base+mOffTailGroup, scm.PPtrSize)
-}
-
-// Micro-log accessors. A micro-log is a pair of persistent-pointer cells in
-// one cache line; index i < nLogs selects a split log, the delete logs follow.
-
-func (m meta) splitLogOff(i int) uint64 {
-	return m.base + mOffLogs + uint64(i)*scm.LineSize
-}
-
-func (m meta) deleteLogOff(i int) uint64 {
-	return m.base + mOffLogs + uint64(m.nLogs+i)*scm.LineSize
-}
-
-// mlog is a generic two-pointer micro-log at a fixed SCM offset. Field A is
-// the first persistent pointer (PCurrentLeaf / PNewGroup / PCurrentGroup),
-// field B the second (PNewLeaf / PPrevLeaf / PPrevGroup).
-type mlog struct {
+// plist is a persistent singly linked list anchored in the metadata block:
+// the PPtr cell at head points at the first element, and every element keeps
+// its successor's PPtr at byte next. The leaves form one list, the leaf
+// groups another, and both leave it through unlink. Its head test runs under
+// lock, taken through cc.
+type plist struct {
 	pool *scm.Pool
-	off  uint64
+	head uint64 // offset of the head cell
+	next uint64 // offset of the next pointer within an element
+	cc   concurrency
+	lock *htm.VersionLock
 }
 
-func (l mlog) a() scm.PPtr { return l.pool.ReadPPtr(l.off) }
-func (l mlog) b() scm.PPtr { return l.pool.ReadPPtr(l.off + scm.PPtrSize) }
+func (l plist) first() scm.PPtr            { return l.pool.ReadPPtr(l.head) }
+func (l plist) after(elem uint64) scm.PPtr { return l.pool.ReadPPtr(elem + l.next) }
+func (l plist) ptr(elem uint64) scm.PPtr   { return scm.PPtr{ArenaID: l.pool.ID(), Offset: elem} }
 
-// aOff and bOff expose the cells themselves so they can serve as the
-// allocator's owning reference during Alloc/Free.
-func (l mlog) aOff() uint64 { return l.off }
-func (l mlog) bOff() uint64 { return l.off + scm.PPtrSize }
+func (l plist) setFirst(p scm.PPtr)              { l.set(l.head, p) }
+func (l plist) setAfter(elem uint64, p scm.PPtr) { l.set(elem+l.next, p) }
 
-func (l mlog) setA(p scm.PPtr) {
-	l.pool.WritePPtr(l.off, p)
-	l.pool.Persist(l.off, scm.PPtrSize)
+func (l plist) set(off uint64, p scm.PPtr) {
+	l.pool.WritePPtr(off, p)
+	l.pool.Persist(off, scm.PPtrSize)
 }
 
-func (l mlog) setB(p scm.PPtr) {
-	l.pool.WritePPtr(l.off+scm.PPtrSize, p)
-	l.pool.Persist(l.off+scm.PPtrSize, scm.PPtrSize)
+// unlink removes elem from the list under log and hands it to release
+// (Algorithms 6 and 12): log names elem, then either the head cell moves past
+// it or, once log also names prev, prev's next pointer does; release runs
+// before log is reset, so recoverUnlink can redo it. prev is ignored when
+// elem is the head.
+func (l plist) unlink(log scm.MicroLog, elem, prev uint64, release func(scm.MicroLog)) {
+	log.Set(0, l.ptr(elem))
+	l.cc.lockNode(l.lock)
+	isHead := l.first().Offset == elem
+	if isHead {
+		l.setFirst(l.after(elem))
+	}
+	l.cc.unlockNodeNoBump(l.lock)
+	if !isHead {
+		log.Set(1, l.ptr(prev))
+		l.setAfter(prev, l.after(elem))
+	}
+	release(log)
+	log.Reset()
 }
 
-// reset nulls both cells with a single flush — they share a cache line.
-func (l mlog) reset() {
-	l.pool.WritePPtr(l.off, scm.PPtr{})
-	l.pool.WritePPtr(l.off+scm.PPtrSize, scm.PPtr{})
-	l.pool.Persist(l.off, 2*scm.PPtrSize)
+// recoverUnlink finishes, from persistent state alone, an unlink a crash
+// interrupted (Algorithms 7 and 13).
+func (l plist) recoverUnlink(log scm.MicroLog, release func(scm.MicroLog)) {
+	a, b := log.P(0), log.P(1)
+	if a.IsNull() {
+		if !b.IsNull() {
+			log.Reset()
+		}
+		return
+	}
+	switch head := l.first(); {
+	case !b.IsNull():
+		// Crashed between the prev-link update and the release: redo both.
+		l.setAfter(b.Offset, l.after(a.Offset))
+		release(log)
+	case a == head:
+		// Crashed before the head pointer moved.
+		l.setFirst(l.after(a.Offset))
+		release(log)
+	case l.after(a.Offset) == head:
+		// Head already moved; only the release is missing.
+		release(log)
+	default:
+		// Only the micro-log itself was written: nothing durable changed.
+	}
+	log.Reset()
 }
-
-func (m meta) getLeafLog() mlog     { return mlog{m.pool, m.base + mOffGetLeafLog} }
-func (m meta) freeLeafLog() mlog    { return mlog{m.pool, m.base + mOffFreeLeafLog} }
-func (m meta) splitLog(i int) mlog  { return mlog{m.pool, m.splitLogOff(i)} }
-func (m meta) deleteLog(i int) mlog { return mlog{m.pool, m.deleteLogOff(i)} }

@@ -81,7 +81,7 @@ func (e *engine[K, V]) collectLeaves(workers int) (leaves []uint64, maxKeys []K,
 	}
 	var batches [][]scannedLeaf[K]
 	b := make([]scannedLeaf[K], 0, scanBatch)
-	for p := e.m.headLeaf(); !p.IsNull(); p = e.leafNext(p.Offset) {
+	for p := e.leafList.first(); !p.IsNull(); p = e.leafList.after(p.Offset) {
 		e.Ops.RecoveryLeaves.Add(1)
 		b = append(b, scannedLeaf[K]{leaf: p.Offset})
 		if len(b) == scanBatch {

@@ -48,7 +48,7 @@ func durableImage(t *testing.T, pool *scm.Pool) []byte {
 // list order.
 func leafListOffsets[K any, V any](e *engine[K, V]) []uint64 {
 	var offs []uint64
-	for p := e.m.headLeaf(); !p.IsNull(); p = e.leafNext(p.Offset) {
+	for p := e.leafList.first(); !p.IsNull(); p = e.leafList.after(p.Offset) {
 		offs = append(offs, p.Offset)
 	}
 	return offs
@@ -484,7 +484,7 @@ func TestRecoveryScanLines(t *testing.T) {
 		if tr.Height() != 1 || tr.sh.size != tc.leafBytes {
 			t.Fatalf("value field %d: height %d, leaf of %d bytes, want one leaf of %d", tc.valSize, tr.Height(), tr.sh.size, tc.leafBytes)
 		}
-		leaf := tr.m.headLeaf().Offset
+		leaf := tr.leafList.first().Offset
 		pool.Crash() // nothing is dirty: this only empties the simulated cache
 		m0 := pool.Stats().ReadMisses.Load()
 		k, n, leaks := tr.cdc.scanLeaf(leaf, &scanBuf{leaf: make([]byte, tr.sh.size)})
@@ -514,7 +514,7 @@ func TestScanLeafAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	leaf, sb := ft.m.headLeaf().Offset, &scanBuf{leaf: make([]byte, ft.sh.size)}
+	leaf, sb := ft.leafList.first().Offset, &scanBuf{leaf: make([]byte, ft.sh.size)}
 	if a := testing.AllocsPerRun(100, func() { ft.cdc.scanLeaf(leaf, sb) }); a != 0 {
 		t.Errorf("fixed scanLeaf: %v allocs per leaf, want 0", a)
 	}
@@ -536,7 +536,7 @@ func TestScanLeafAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		leaf, sb := vt.m.headLeaf().Offset, &scanBuf{leaf: make([]byte, vt.sh.size)}
+		leaf, sb := vt.leafList.first().Offset, &scanBuf{leaf: make([]byte, vt.sh.size)}
 		if a := testing.AllocsPerRun(100, func() { vt.cdc.scanLeaf(leaf, sb) }); a > 1 {
 			t.Errorf("var scanLeaf, value field %d, %d-byte keys: %v allocs per leaf, want <= 1 (the max key)",
 				tc.valSize, len(fmt.Sprintf(tc.key, 0)), a)

@@ -10,7 +10,8 @@
 //     Every failure report carries the crash Point (kind, step, torn seed)
 //     needed to reproduce it deterministically. Tears is the exhaustive
 //     form for one operation: every word-prefix combination of the lines
-//     dirty at every persist, not one draw.
+//     dirty at every persist, not one draw (TearsWide: a fixed set of
+//     combinations where a persist covers more lines than that can visit).
 //
 //   - Differential replay (oracle.go, iterator.go): generated operation
 //     traces applied in lockstep to a tree and a plain map oracle, with
@@ -29,6 +30,7 @@ package crashtest
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"fptree/internal/scm"
@@ -197,6 +199,23 @@ const maxTornLines = 3
 // operation completes without reaching. Returns the number of images checked.
 func Tears(tb testing.TB, base *scm.Pool, prepare func(*scm.Pool) (op func() error, err error), check func(img *scm.Pool) error) int {
 	tb.Helper()
+	return tears(tb, base, prepare, check, false)
+}
+
+// TearsWide is Tears for an operation that may dirty more than maxTornLines
+// lines at one persist, such as an allocation that fills a block of many
+// lines before its one persist. Where a step has that many, it checks, in
+// place of every combination, every uniform prefix (0 to 8 words of each
+// line) and, for each line, that line whole with the others dropped and
+// that line dropped with the others whole.
+func TearsWide(tb testing.TB, base *scm.Pool, prepare func(*scm.Pool) (op func() error, err error), check func(img *scm.Pool) error) int {
+	tb.Helper()
+	return tears(tb, base, prepare, check, true)
+}
+
+func tears(tb testing.TB, base *scm.Pool, prepare func(*scm.Pool) (op func() error, err error), check func(img *scm.Pool) error, wide bool) int {
+	tb.Helper()
+	const words = scm.LineSize / 8
 	images := 0
 	for step := int64(1); ; step++ {
 		crashed := base.Clone()
@@ -214,25 +233,40 @@ func Tears(tb testing.TB, base *scm.Pool, prepare func(*scm.Pool) (op func() err
 		}
 		var lines []uint64
 		crashed.Clone().CrashWords(func(l uint64) int { lines = append(lines, l); return 0 })
-		if len(lines) > maxTornLines {
-			tb.Fatalf("crashtest: %d lines dirty at persist step %d, exhaustive tearing covers %d", len(lines), step, maxTornLines)
+		var patterns [][]int // words kept of each dirty line, one image each
+		switch n := len(lines); {
+		case n <= maxTornLines:
+			keep := make([]int, n) // odometer over the per-line prefixes
+			for more := true; more; {
+				patterns = append(patterns, slices.Clone(keep))
+				more = false
+				for j := range keep {
+					if keep[j]++; keep[j] <= words {
+						more = true
+						break
+					}
+					keep[j] = 0
+				}
+			}
+		case !wide:
+			tb.Fatalf("crashtest: %d lines dirty at persist step %d, exhaustive tearing covers %d", n, step, maxTornLines)
+		default:
+			for k := 0; k <= words; k++ {
+				patterns = append(patterns, slices.Repeat([]int{k}, n))
+			}
+			for i := range lines {
+				one, others := make([]int, n), slices.Repeat([]int{words}, n)
+				one[i], others[i] = words, 0
+				patterns = append(patterns, one, others)
+			}
 		}
-		keep := make([]int, len(lines)) // odometer over the per-line prefixes
-		for more := true; more; {
+		for _, keep := range patterns {
 			img := crashed.Clone()
 			i := 0
 			img.CrashWords(func(uint64) int { i++; return keep[i-1] })
 			images++
 			if err := check(img); err != nil {
 				tb.Fatalf("crashtest: crash@persist[%d], lines %v keeping %v words: %v", step, lines, keep, err)
-			}
-			more = false
-			for j := range keep {
-				if keep[j]++; keep[j] <= scm.LineSize/8 {
-					more = true
-					break
-				}
-				keep[j] = 0
 			}
 		}
 	}

@@ -170,7 +170,7 @@ func fixedRigs() []rigSpec[uint64, uint64] {
 		coreSpec("ptree", pt, core.Create, core.Open),
 		spec[uint64, uint64]("nvtree", 8, 0,
 			func(p *scm.Pool) (*nvtree.Tree, error) { return nvtree.New(p, nvtree.Config{LeafCap: 8, InnerCap: 4}) },
-			noOpts(func(p *scm.Pool) (*nvtree.Tree, error) { return nvtree.Open(p, 4) })),
+			noOpts(func(p *scm.Pool) (*nvtree.Tree, error) { return nvtree.Open(p) })),
 		spec[uint64, uint64]("wbtree", 4, 0,
 			func(p *scm.Pool) (*wbtree.Tree, error) { return wbtree.New(p, wbtree.Config{InnerCap: 4, LeafCap: 4}) },
 			noOpts(wbtree.Open)),
@@ -192,7 +192,7 @@ func varRigs() []rigSpec[[]byte, []byte] {
 			func(p *scm.Pool) (*nvtree.VarTree, error) {
 				return nvtree.NewVar(p, nvtree.Config{LeafCap: 8, InnerCap: 4, ValueSize: varValLen})
 			},
-			noOpts(func(p *scm.Pool) (*nvtree.VarTree, error) { return nvtree.OpenVar(p, 4) })),
+			noOpts(func(p *scm.Pool) (*nvtree.VarTree, error) { return nvtree.OpenVar(p) })),
 		spec[[]byte, []byte]("wbtree", 4, varValLen,
 			func(p *scm.Pool) (wbVarTree, error) {
 				tr, err := wbtree.NewVar(p, wbtree.Config{InnerCap: 4, LeafCap: 4})

@@ -117,7 +117,7 @@ func TestStoresOversizedValueError(t *testing.T) {
 // which names both layout versions.
 func TestOpenStoreRefusesOldLeafLayout(t *testing.T) {
 	const magicV4 = 0xF97B_0000_4EAF_0004
-	const want = "tree has leaf layout v4, this build reads v5"
+	const want = "tree has leaf layout v4, this build reads v6"
 	for _, e := range Engines {
 		if e.Open == nil || e.Name == "nvtreec" { // only the core trees carry this metadata block
 			continue

@@ -238,7 +238,7 @@ var Engines = []Engine{
 			return nvTree{t}, err
 		},
 		func(p *scm.Pool) (nvTree, error) {
-			t, err := nvtree.COpenVar(p, 128)
+			t, err := nvtree.COpenVar(p)
 			return nvTree{t}, err
 		}),
 	{Name: "hashmap", Concurrent: true,

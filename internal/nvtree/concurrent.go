@@ -50,13 +50,13 @@ func wrap[K keycell.Key, V any](t *Index[K, V], err error) (*CIndex[K, V], error
 func CNew(pool *scm.Pool, cfg Config) (*CTree, error) { return wrap(New(pool, cfg)) }
 
 // COpen recovers a concurrent fixed-size-key NV-Tree.
-func COpen(pool *scm.Pool, innerCap int) (*CTree, error) { return wrap(Open(pool, innerCap)) }
+func COpen(pool *scm.Pool) (*CTree, error) { return wrap(Open(pool)) }
 
 // CNewVar formats a concurrent variable-size-key NV-Tree.
 func CNewVar(pool *scm.Pool, cfg Config) (*CVarTree, error) { return wrap(NewVar(pool, cfg)) }
 
 // COpenVar recovers a concurrent variable-size-key NV-Tree.
-func COpenVar(pool *scm.Pool, innerCap int) (*CVarTree, error) { return wrap(OpenVar(pool, innerCap)) }
+func COpenVar(pool *scm.Pool) (*CVarTree, error) { return wrap(OpenVar(pool)) }
 
 // Len returns the number of live keys.
 func (c *CIndex[K, V]) Len() int { return int(c.size.Load()) }

@@ -20,12 +20,12 @@ func (t *Index[K, V]) CheckInvariants() error {
 		return fmt.Errorf("nvtree: bad metadata magic")
 	}
 	for i := 0; i < 4; i++ {
-		if !t.splitLog().p(i).IsNull() {
+		if !t.splitLog().P(i).IsNull() {
 			return fmt.Errorf("nvtree: split log slot %d not reset", i)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if !t.delLog().p(i).IsNull() {
+		if !t.delLog().P(i).IsNull() {
 			return fmt.Errorf("nvtree: delete log slot %d not reset", i)
 		}
 	}

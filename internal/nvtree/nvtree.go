@@ -42,6 +42,7 @@ const (
 	mOffLeafCap  = 16
 	mOffValSize  = 24
 	mOffHead     = 32  // head leaf PPtr
+	mOffInnerCap = 48  // 0 in an image written before it was recorded: 128
 	mOffSplitLog = 64  // PCur, PNew1, PNew2, PPrev — one cache line
 	mOffDelLog   = 128 // PCur, PPrev
 	metaSize     = 192
@@ -55,7 +56,8 @@ type Config struct {
 	// database experiment uses 1024).
 	LeafCap int
 	// InnerCap is the number of leaf slots per last-level inner node (leaf
-	// parent) in DRAM.
+	// parent) in DRAM. The metadata block records it, so Open rebuilds with
+	// the same capacity.
 	InnerCap int
 	// ValueSize is the inline value size in bytes for variable-size keys.
 	ValueSize int
@@ -197,6 +199,7 @@ func create[K keycell.Key, V any](pool *scm.Pool, cfg Config) (*Index[K, V], err
 	pool.WriteU64(t.meta+mOffKeyMode, t.kc.Mode())
 	pool.WriteU64(t.meta+mOffLeafCap, uint64(cfg.LeafCap))
 	pool.WriteU64(t.meta+mOffValSize, uint64(cfg.ValueSize))
+	pool.WriteU64(t.meta+mOffInnerCap, uint64(cfg.InnerCap))
 	pool.Persist(t.meta, metaSize)
 	return t, nil
 }
@@ -212,15 +215,14 @@ func HasTree(pool *scm.Pool) bool {
 }
 
 // Open recovers a fixed-size-key NV-Tree: micro-log replay, then the full
-// inner-node rebuild from the leaf list.
-func Open(pool *scm.Pool, innerCap int) (*Tree, error) { return open[uint64, uint64](pool, innerCap) }
+// inner-node rebuild from the leaf list, with the InnerCap it was created
+// with.
+func Open(pool *scm.Pool) (*Tree, error) { return open[uint64, uint64](pool) }
 
 // OpenVar recovers a variable-size-key NV-Tree.
-func OpenVar(pool *scm.Pool, innerCap int) (*VarTree, error) {
-	return open[[]byte, []byte](pool, innerCap)
-}
+func OpenVar(pool *scm.Pool) (*VarTree, error) { return open[[]byte, []byte](pool) }
 
-func open[K keycell.Key, V any](pool *scm.Pool, innerCap int) (*Index[K, V], error) {
+func open[K keycell.Key, V any](pool *scm.Pool) (*Index[K, V], error) {
 	pool.Recover()
 	root := pool.Root()
 	if root.IsNull() {
@@ -233,6 +235,7 @@ func open[K keycell.Key, V any](pool *scm.Pool, innerCap int) (*Index[K, V], err
 	if pool.ReadU64(meta+mOffKeyMode) != keycell.For[K]().Mode() {
 		return nil, fmt.Errorf("nvtree: key mode mismatch")
 	}
+	innerCap := int(pool.ReadU64(meta + mOffInnerCap))
 	if innerCap == 0 {
 		innerCap = 128
 	}

@@ -138,6 +138,39 @@ func TestScan(t *testing.T) {
 	}
 }
 
+// TestOpenKeepsInnerCap checks that a reopened tree rebuilds its leaf
+// parents with the InnerCap it was created with, which the metadata block
+// records, and that a block written before the word was recorded (zero)
+// opens with the default of 128.
+func TestOpenKeepsInnerCap(t *testing.T) {
+	pool := scm.NewPool(4<<20, scm.LatencyConfig{CacheBytes: -1})
+	tr, err := New(pool, Config{LeafCap: 8, InnerCap: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 200; k++ {
+		if err := tr.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []int{8, 128} {
+		if want == 128 {
+			pool.WriteU64(tr.meta+mOffInnerCap, 0)
+			pool.Persist(tr.meta+mOffInnerCap, 8)
+		}
+		pool.Crash()
+		if tr, err = Open(pool); err != nil {
+			t.Fatal(err)
+		}
+		if tr.plnCap != want {
+			t.Fatalf("reopened with InnerCap %d, want %d", tr.plnCap, want)
+		}
+	}
+	if v, ok := tr.Find(200); !ok || v != 200 {
+		t.Fatalf("Find(200) = %d, %v", v, ok)
+	}
+}
+
 func TestRecovery(t *testing.T) {
 	pool := newPool()
 	tr, err := New(pool, Config{LeafCap: 8, InnerCap: 8})
@@ -156,7 +189,7 @@ func TestRecovery(t *testing.T) {
 		}
 	}
 	pool.Crash()
-	tr2, err := Open(pool, 8)
+	tr2, err := Open(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +243,7 @@ func TestCrashAtEveryFlush(t *testing.T) {
 		}
 		step++
 		pool.Crash()
-		tr, err = Open(pool, 8)
+		tr, err = Open(pool)
 		if err != nil {
 			t.Fatalf("op %d step %d: %v", op, step, err)
 		}
@@ -283,7 +316,7 @@ func TestVarTree(t *testing.T) {
 		}
 	}
 	pool.Crash()
-	tr2, err := OpenVar(pool, 8)
+	tr2, err := OpenVar(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,10 +347,10 @@ func TestWrongModeOpenFails(t *testing.T) {
 		name string
 		open func() error
 	}{
-		{"fixed image via OpenVar", func() error { _, err := OpenVar(fixed, 0); return err }},
-		{"fixed image via COpenVar", func() error { _, err := COpenVar(fixed, 0); return err }},
-		{"var image via Open", func() error { _, err := Open(vari, 0); return err }},
-		{"var image via COpen", func() error { _, err := COpen(vari, 0); return err }},
+		{"fixed image via OpenVar", func() error { _, err := OpenVar(fixed); return err }},
+		{"fixed image via COpenVar", func() error { _, err := COpenVar(fixed); return err }},
+		{"var image via Open", func() error { _, err := Open(vari); return err }},
+		{"var image via COpen", func() error { _, err := COpen(vari); return err }},
 	} {
 		if err := tc.open(); err == nil || !strings.Contains(err.Error(), "key mode mismatch") {
 			t.Errorf("%s: %v, want a key mode mismatch", tc.name, err)
@@ -426,7 +459,7 @@ func TestConcurrentRecovery(t *testing.T) {
 	}
 	wg.Wait()
 	pool.Crash()
-	ct2, err := COpen(pool, 16)
+	ct2, err := COpen(pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,28 +110,8 @@ func (t *Index[K, V]) replaceLeafInPLN(pi, li int, sep K, l1, l2 uint64) {
 
 // --- micro-logs -----------------------------------------------------------------
 
-type mcell struct {
-	pool *scm.Pool
-	off  uint64
-}
-
-func (c mcell) p(i int) scm.PPtr  { return c.pool.ReadPPtr(c.off + uint64(i)*scm.PPtrSize) }
-func (c mcell) pOff(i int) uint64 { return c.off + uint64(i)*scm.PPtrSize }
-
-func (c mcell) set(i int, v scm.PPtr) {
-	c.pool.WritePPtr(c.off+uint64(i)*scm.PPtrSize, v)
-	c.pool.Persist(c.off+uint64(i)*scm.PPtrSize, scm.PPtrSize)
-}
-
-func (c mcell) reset() {
-	for i := 0; i < 4; i++ {
-		c.pool.WritePPtr(c.off+uint64(i)*scm.PPtrSize, scm.PPtr{})
-	}
-	c.pool.Persist(c.off, 4*scm.PPtrSize)
-}
-
-func (t *Index[K, V]) splitLog() mcell { return mcell{t.pool, t.meta + mOffSplitLog} }
-func (t *Index[K, V]) delLog() mcell   { return mcell{t.pool, t.meta + mOffDelLog} }
+func (t *Index[K, V]) splitLog() scm.MicroLog { return t.pool.MicroLog(t.meta+mOffSplitLog, 4) }
+func (t *Index[K, V]) delLog() scm.MicroLog   { return t.pool.MicroLog(t.meta+mOffDelLog, 4) }
 
 // --- operations -------------------------------------------------------------------
 
@@ -190,16 +170,16 @@ func (t *Index[K, V]) splitLeaf(pi, li int, l uint64) error {
 		return t.compactLeaf(pi, li, l, live)
 	}
 	log := t.splitLog()
-	log.set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: l})
-	if _, err := t.pool.Alloc(log.pOff(1), t.leafSize()); err != nil {
-		log.reset()
+	log.Set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: l})
+	if _, err := t.pool.Alloc(log.Off(1), t.leafSize()); err != nil {
+		log.Reset()
 		return err
 	}
-	if _, err := t.pool.Alloc(log.pOff(2), t.leafSize()); err != nil {
+	if _, err := t.pool.Alloc(log.Off(2), t.leafSize()); err != nil {
 		t.abandonSplit(log)
 		return err
 	}
-	n1, n2 := log.p(1).Offset, log.p(2).Offset
+	n1, n2 := log.P(1).Offset, log.P(2).Offset
 	half := (len(live) + 1) / 2
 	t.fillLeaf(n1, l, live[:half], scm.PPtr{ArenaID: t.pool.ID(), Offset: n2})
 	t.fillLeaf(n2, l, live[half:], t.leafNext(l))
@@ -220,11 +200,11 @@ func (t *Index[K, V]) splitLeaf(pi, li int, l uint64) error {
 	if prev == 0 {
 		t.setHead(scm.PPtr{ArenaID: t.pool.ID(), Offset: n1})
 	} else {
-		log.set(3, scm.PPtr{ArenaID: t.pool.ID(), Offset: prev})
+		log.Set(3, scm.PPtr{ArenaID: t.pool.ID(), Offset: prev})
 		t.setLeafNext(prev, scm.PPtr{ArenaID: t.pool.ID(), Offset: n1})
 	}
-	t.pool.Free(log.pOff(0), t.leafSize())
-	log.reset()
+	t.pool.Free(log.Off(0), t.leafSize())
+	log.Reset()
 	t.replaceLeafInPLN(pi, li, sep, n1, n2)
 	return nil
 }
@@ -232,10 +212,10 @@ func (t *Index[K, V]) splitLeaf(pi, li int, l uint64) error {
 // abandonSplit frees the new leaves of an unlinked split and resets the log:
 // recovery's roll-back, run in place. The old leaf still owns every key
 // block the new leaves point at.
-func (t *Index[K, V]) abandonSplit(log mcell) {
-	t.pool.Free(log.pOff(1), t.leafSize())
-	t.pool.Free(log.pOff(2), t.leafSize())
-	log.reset()
+func (t *Index[K, V]) abandonSplit(log scm.MicroLog) {
+	t.pool.Free(log.Off(1), t.leafSize())
+	t.pool.Free(log.Off(2), t.leafSize())
+	log.Reset()
 }
 
 // fillLeaf copies the given live entries of src into the fresh leaf dst and
@@ -258,31 +238,31 @@ func (t *Index[K, V]) fillLeaf(dst, src uint64, idxs []int, next scm.PPtr) {
 // fresh leaf holding just that entry (1:1 replacement, no separator change).
 func (t *Index[K, V]) compactLeaf(pi, li int, l uint64, live []int) error {
 	log := t.splitLog()
-	log.set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: l})
-	if _, err := t.pool.Alloc(log.pOff(1), t.leafSize()); err != nil {
-		log.reset()
+	log.Set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: l})
+	if _, err := t.pool.Alloc(log.Off(1), t.leafSize()); err != nil {
+		log.Reset()
 		return err
 	}
-	n1 := log.p(1).Offset
+	n1 := log.P(1).Offset
 	t.fillLeaf(n1, l, live, t.leafNext(l))
 	t.kc.Copy(t.pool, n1+lOffBound, l+lOffBound)
 	prev := t.prevLeafOf(pi, li)
 	if prev == 0 {
 		t.setHead(scm.PPtr{ArenaID: t.pool.ID(), Offset: n1})
 	} else {
-		log.set(3, scm.PPtr{ArenaID: t.pool.ID(), Offset: prev})
+		log.Set(3, scm.PPtr{ArenaID: t.pool.ID(), Offset: prev})
 		t.setLeafNext(prev, scm.PPtr{ArenaID: t.pool.ID(), Offset: n1})
 	}
-	t.pool.Free(log.pOff(0), t.leafSize())
-	log.reset()
+	t.pool.Free(log.Off(0), t.leafSize())
+	log.Reset()
 	t.plns[pi].leaves[li] = n1
 	return nil
 }
 
 // recoverLogs replays the split and delete micro-logs.
 func (t *Index[K, V]) recoverLogs() {
-	if sl := t.splitLog(); !sl.p(0).IsNull() || !sl.p(1).IsNull() || !sl.p(2).IsNull() || !sl.p(3).IsNull() {
-		cur, n1p, n2p, prev := sl.p(0), sl.p(1), sl.p(2), sl.p(3)
+	if sl := t.splitLog(); !sl.P(0).IsNull() || !sl.P(1).IsNull() || !sl.P(2).IsNull() || !sl.P(3).IsNull() {
+		cur, n1p, n2p, prev := sl.P(0), sl.P(1), sl.P(2), sl.P(3)
 		linked := false
 		if !n1p.IsNull() {
 			if !prev.IsNull() {
@@ -299,19 +279,19 @@ func (t *Index[K, V]) recoverLogs() {
 			// Roll back: discard the half-built leaves; the old leaf is
 			// intact and still linked.
 			if !n1p.IsNull() {
-				t.pool.Free(sl.pOff(1), t.leafSize())
+				t.pool.Free(sl.Off(1), t.leafSize())
 			}
 			if !n2p.IsNull() {
-				t.pool.Free(sl.pOff(2), t.leafSize())
+				t.pool.Free(sl.Off(2), t.leafSize())
 			}
 		default:
 			// Linked: roll forward by freeing the old leaf.
-			t.pool.Free(sl.pOff(0), t.leafSize())
+			t.pool.Free(sl.Off(0), t.leafSize())
 		}
-		sl.reset()
+		sl.Reset()
 	}
-	if dl := t.delLog(); !dl.p(0).IsNull() || !dl.p(1).IsNull() {
-		cur, prev := dl.p(0), dl.p(1)
+	if dl := t.delLog(); !dl.P(0).IsNull() || !dl.P(1).IsNull() {
+		cur, prev := dl.P(0), dl.P(1)
 		if !cur.IsNull() {
 			unlinked := false
 			if !prev.IsNull() {
@@ -320,10 +300,10 @@ func (t *Index[K, V]) recoverLogs() {
 				unlinked = t.head() != cur
 			}
 			if unlinked {
-				t.pool.Free(dl.pOff(0), t.leafSize())
+				t.pool.Free(dl.Off(0), t.leafSize())
 			}
 		}
-		dl.reset()
+		dl.Reset()
 	}
 }
 

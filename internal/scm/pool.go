@@ -185,36 +185,6 @@ func (p *Pool) WriteU64(off, v uint64) {
 	binary.LittleEndian.PutUint64(p.mem[off:], v)
 }
 
-// ReadU32 loads a little-endian 4-byte word.
-func (p *Pool) ReadU32(off uint64) uint32 {
-	p.onAccess(off, 4, false)
-	return binary.LittleEndian.Uint32(p.mem[off:])
-}
-
-// WriteU32 stores a little-endian 4-byte word.
-func (p *Pool) WriteU32(off uint64, v uint32) {
-	p.onAccess(off, 4, true)
-	binary.LittleEndian.PutUint32(p.mem[off:], v)
-}
-
-// ReadU16 loads a little-endian 2-byte word.
-func (p *Pool) ReadU16(off uint64) uint16 {
-	p.onAccess(off, 2, false)
-	return binary.LittleEndian.Uint16(p.mem[off:])
-}
-
-// WriteU16 stores a little-endian 2-byte word.
-func (p *Pool) WriteU16(off uint64, v uint16) {
-	p.onAccess(off, 2, true)
-	binary.LittleEndian.PutUint16(p.mem[off:], v)
-}
-
-// ReadU8 loads one byte.
-func (p *Pool) ReadU8(off uint64) uint8 {
-	p.onAccess(off, 1, false)
-	return p.mem[off]
-}
-
 // WriteU8 stores one byte.
 func (p *Pool) WriteU8(off uint64, v uint8) {
 	p.onAccess(off, 1, true)
@@ -254,20 +224,6 @@ func (p *Pool) WriteBytes(off uint64, b []byte) {
 func (p *Pool) EqualBytes(off uint64, b []byte) bool {
 	p.onAccess(off, uint64(len(b)), false)
 	return string(p.mem[off:off+uint64(len(b))]) == string(b)
-}
-
-// CompareBytes three-way-compares the size bytes at off with b, like
-// bytes.Compare.
-func (p *Pool) CompareBytes(off, size uint64, b []byte) int {
-	p.onAccess(off, size, false)
-	a := p.mem[off : off+size]
-	if string(a) < string(b) {
-		return -1
-	}
-	if string(a) > string(b) {
-		return 1
-	}
-	return 0
 }
 
 // ReadPPtr loads a persistent pointer.

@@ -209,6 +209,3 @@ func (db *DB) Restart(recoverIdx func() (Index, error)) (time.Duration, error) {
 	elapsed := time.Since(start)
 	return elapsed, db.Verify(100)
 }
-
-// Subscribers returns the loaded subscriber count.
-func (db *DB) Subscribers() int { return db.n }

@@ -26,13 +26,13 @@ func (t *Index[K]) CheckInvariants() error {
 		return fmt.Errorf("wbtree: bad metadata magic")
 	}
 	for i := 0; i < 3; i++ {
-		if !t.splitLog().p(i).IsNull() {
+		if !t.splitLog().P(i).IsNull() {
 			return fmt.Errorf("wbtree: split log slot %d not reset", i)
 		}
-		if !t.rootLog().p(i).IsNull() {
+		if !t.rootLog().P(i).IsNull() {
 			return fmt.Errorf("wbtree: root log slot %d not reset", i)
 		}
-		if !t.delLog().p(i).IsNull() {
+		if !t.delLog().P(i).IsNull() {
 			return fmt.Errorf("wbtree: delete log slot %d not reset", i)
 		}
 	}

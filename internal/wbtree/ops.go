@@ -86,12 +86,12 @@ func (t *Index[K]) ensureRoot() error {
 		return nil
 	}
 	log := t.rootLog()
-	off, err := t.newNode(log.pOff(0), true)
+	off, err := t.newNode(log.Off(0), true)
 	if err != nil {
 		return err
 	}
 	t.setRootOff(off)
-	log.reset()
+	log.Reset()
 	return nil
 }
 
@@ -108,7 +108,7 @@ func (t *Index[K]) insertInfEntry(n uint64, child uint64) {
 func (t *Index[K]) growRoot() error {
 	log := t.rootLog()
 	old := t.rootOff()
-	off, err := t.newNode(log.pOff(0), false)
+	off, err := t.newNode(log.Off(0), false)
 	if err != nil {
 		return err
 	}
@@ -117,7 +117,7 @@ func (t *Index[K]) growRoot() error {
 	// key range from above.
 	t.insertInfEntry(off, old)
 	t.setRootOff(off)
-	log.reset()
+	log.Reset()
 	return nil
 }
 
@@ -128,14 +128,14 @@ func (t *Index[K]) growRoot() error {
 // the new node and resets the log, as recovery would, leaving n whole.
 func (t *Index[K]) splitNode(n, parent uint64, leaf bool) (sep K, newOff uint64, err error) {
 	log := t.splitLog()
-	log.set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: n})
-	log.set(2, scm.PPtr{ArenaID: t.pool.ID(), Offset: parent})
+	log.Set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: n})
+	log.Set(2, scm.PPtr{ArenaID: t.pool.ID(), Offset: parent})
 	capN := t.capOf(leaf)
-	if _, err = t.pool.Alloc(log.pOff(1), t.nodeSize(capN)); err != nil {
-		log.reset()
+	if _, err = t.pool.Alloc(log.Off(1), t.nodeSize(capN)); err != nil {
+		log.Reset()
 		return sep, 0, err
 	}
-	newOff = t.pool.ReadPPtr(log.pOff(1)).Offset
+	newOff = t.pool.ReadPPtr(log.Off(1)).Offset
 	// Copy flags + entries wholesale (same entry indexes in both nodes).
 	t.pool.WriteU64(newOff+nOffFlags, t.pool.ReadU64(n+nOffFlags))
 	t.pool.Persist(newOff+nOffFlags, 8)
@@ -167,12 +167,12 @@ func (t *Index[K]) splitNode(n, parent uint64, leaf bool) (sep K, newOff uint64,
 		_, err = t.insertEntry(parent, sep, newOff)
 	}
 	if err != nil {
-		t.pool.Free(log.pOff(1), t.nodeSize(capN))
-		log.reset()
+		t.pool.Free(log.Off(1), t.nodeSize(capN))
+		log.Reset()
 		return sep, 0, err
 	}
 	t.finishSplit(n, newOff)
-	log.reset()
+	log.Reset()
 	return sep, newOff, nil
 }
 
@@ -342,10 +342,10 @@ func (t *Index[K]) doDelete(k K) bool {
 // is the current root).
 func (t *Index[K]) freeDetached(n uint64) {
 	log := t.delLog()
-	log.set(2, scm.PPtr{ArenaID: t.pool.ID(), Offset: t.meta})
-	log.set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: n})
-	t.pool.Free(log.pOff(0), t.nodeSizeOf(n))
-	log.reset()
+	log.Set(2, scm.PPtr{ArenaID: t.pool.ID(), Offset: t.meta})
+	log.Set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: n})
+	t.pool.Free(log.Off(0), t.nodeSizeOf(n))
+	log.Reset()
 }
 
 // shrinkRoot replaces a single-child inner root by its child. The delete
@@ -354,11 +354,11 @@ func (t *Index[K]) freeDetached(n uint64) {
 // mistaken for a node removal (whose roll-forward test differs).
 func (t *Index[K]) shrinkRoot(root, child uint64) {
 	log := t.delLog()
-	log.set(2, scm.PPtr{ArenaID: t.pool.ID(), Offset: t.meta})
-	log.set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: root})
+	log.Set(2, scm.PPtr{ArenaID: t.pool.ID(), Offset: t.meta})
+	log.Set(0, scm.PPtr{ArenaID: t.pool.ID(), Offset: root})
 	t.setRootOff(child)
-	t.pool.Free(log.pOff(0), t.nodeSizeOf(root))
-	log.reset()
+	t.pool.Free(log.Off(0), t.nodeSizeOf(root))
+	log.Reset()
 }
 
 // nodeSizeOf computes the allocation size of an existing node from its kind.
@@ -379,36 +379,36 @@ func (t *Index[K]) nodeSizeOf(n uint64) uint64 {
 func (t *Index[K]) recover() {
 	// Root log: a staged root (first leaf or grown root) either became the
 	// root or is discarded.
-	if rl := t.rootLog(); !rl.p(0).IsNull() || !rl.p(1).IsNull() || !rl.p(2).IsNull() {
-		if !rl.p(0).IsNull() && t.rootOff() != rl.p(0).Offset {
-			t.pool.Free(rl.pOff(0), t.nodeSizeOf(rl.p(0).Offset))
+	if rl := t.rootLog(); !rl.P(0).IsNull() || !rl.P(1).IsNull() || !rl.P(2).IsNull() {
+		if !rl.P(0).IsNull() && t.rootOff() != rl.P(0).Offset {
+			t.pool.Free(rl.Off(0), t.nodeSizeOf(rl.P(0).Offset))
 		}
-		rl.reset()
+		rl.Reset()
 	}
 	// Split log: roll forward when the parent references the new node.
-	if sl := t.splitLog(); !sl.p(0).IsNull() || !sl.p(1).IsNull() || !sl.p(2).IsNull() {
-		if !sl.p(0).IsNull() {
-			cur, parent := sl.p(0).Offset, sl.p(2).Offset
-			if nw := sl.p(1); !nw.IsNull() {
+	if sl := t.splitLog(); !sl.P(0).IsNull() || !sl.P(1).IsNull() || !sl.P(2).IsNull() {
+		if !sl.P(0).IsNull() {
+			cur, parent := sl.P(0).Offset, sl.P(2).Offset
+			if nw := sl.P(1); !nw.IsNull() {
 				if parent != 0 && t.entryWithVal(parent, nw.Offset) >= 0 {
 					t.finishSplit(cur, nw.Offset)
 				} else {
-					t.pool.Free(sl.pOff(1), t.nodeSizeOf(nw.Offset))
+					t.pool.Free(sl.Off(1), t.nodeSizeOf(nw.Offset))
 				}
 			}
 		}
-		sl.reset()
+		sl.Reset()
 	}
 	// Delete log: the marker in p2 plus the node in p0 means "free this
 	// node unless it is the current root" — covering both root shrinks and
 	// detached-subtree frees. A log with only one cell set recorded no
 	// durable mutation.
-	if dl := t.delLog(); !dl.p(0).IsNull() || !dl.p(1).IsNull() || !dl.p(2).IsNull() {
-		p0, p2 := dl.p(0), dl.p(2)
+	if dl := t.delLog(); !dl.P(0).IsNull() || !dl.P(1).IsNull() || !dl.P(2).IsNull() {
+		p0, p2 := dl.P(0), dl.P(2)
 		if !p0.IsNull() && !p2.IsNull() && t.rootOff() != p0.Offset {
-			t.pool.Free(dl.pOff(0), t.nodeSizeOf(p0.Offset))
+			t.pool.Free(dl.Off(0), t.nodeSizeOf(p0.Offset))
 		}
-		dl.reset()
+		dl.Reset()
 	}
 }
 

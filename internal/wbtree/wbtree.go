@@ -346,30 +346,9 @@ func (t *Index[K]) newNode(refOff uint64, leaf bool) (uint64, error) {
 	return ptr.Offset, nil
 }
 
-func (t *Index[K]) splitLog() mcell { return mcell{t.pool, t.meta + mOffSplitLog} }
-func (t *Index[K]) delLog() mcell   { return mcell{t.pool, t.meta + mOffDelLog} }
-func (t *Index[K]) rootLog() mcell  { return mcell{t.pool, t.meta + mOffRootLog} }
-
-// mcell is a cache-line micro-log of up to three persistent pointers.
-type mcell struct {
-	pool *scm.Pool
-	off  uint64
-}
-
-func (c mcell) p(i int) scm.PPtr  { return c.pool.ReadPPtr(c.off + uint64(i)*scm.PPtrSize) }
-func (c mcell) pOff(i int) uint64 { return c.off + uint64(i)*scm.PPtrSize }
-
-func (c mcell) set(i int, v scm.PPtr) {
-	c.pool.WritePPtr(c.off+uint64(i)*scm.PPtrSize, v)
-	c.pool.Persist(c.off+uint64(i)*scm.PPtrSize, scm.PPtrSize)
-}
-
-func (c mcell) reset() {
-	for i := 0; i < 3; i++ {
-		c.pool.WritePPtr(c.off+uint64(i)*scm.PPtrSize, scm.PPtr{})
-	}
-	c.pool.Persist(c.off, 3*scm.PPtrSize)
-}
+func (t *Index[K]) splitLog() scm.MicroLog { return t.pool.MicroLog(t.meta+mOffSplitLog, 3) }
+func (t *Index[K]) delLog() scm.MicroLog   { return t.pool.MicroLog(t.meta+mOffDelLog, 3) }
+func (t *Index[K]) rootLog() scm.MicroLog  { return t.pool.MicroLog(t.meta+mOffRootLog, 3) }
 
 // Len returns the number of live keys.
 func (t *Index[K]) Len() int { return t.size }
