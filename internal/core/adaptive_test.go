@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,49 +176,22 @@ func TestWaiterDiesWithCrashedLockHolder(t *testing.T) {
 }
 
 // TestLeafLoserWaitsForHolder: a reader or a writer that finds its leaf
-// write-locked waits for the holder, not for a timer, so it finishes within
-// microseconds of the release. The holder keeps its CPU busy before and after
-// the release, as a second client does under load; beside it, a loser parked
-// on even a microsecond's sleep wakes only when the scheduler next polls its
-// timers, a hundred microseconds or more after the release on 2 vCPUs. Each
-// trial is paired with a control whose waiter only spins on the release: when
-// even that sees it late, the host is too busy to time a wait.
+// write-locked waits for the holder, turn by turn, not for a timer. The
+// holder keeps the leaf until the waiter has made many waitLeaf turns, and
+// the operation must not return before the release; once the leaf is
+// released, the waiter's next turn sees it and the operation returns without
+// another. Nothing here reads a clock, so a loaded host slows the test down
+// but cannot fail it.
 func TestLeafLoserWaitsForHolder(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("the busy holder needs a CPU of its own")
-	}
 	tr := newCTree(t, Config{LeafCap: 8, InnerFanout: 4})
 	for k := uint64(1); k <= 64; k++ {
 		if err := tr.Insert(k, k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// lagAfter runs wait on a goroutine of its own while this one stays busy
-	// for 2 ms, calls release, stays busy until wait returns, and reports how
-	// long after the release that was (a second at most).
-	lagAfter := func(wait, release func()) time.Duration {
-		var started atomic.Bool
-		var done atomic.Pointer[time.Time]
-		go func() {
-			started.Store(true)
-			wait()
-			now := time.Now()
-			done.Store(&now)
-		}()
-		for !started.Load() {
-		}
-		for hold := time.Now(); time.Since(hold) < 2*time.Millisecond; {
-		}
-		released := time.Now()
-		release()
-		for done.Load() == nil {
-			if time.Since(released) > time.Second {
-				return time.Since(released) // still waiting: far past any bound
-			}
-		}
-		return done.Load().Sub(released)
-	}
-	const key, trials = 30, 25
+	var turns atomic.Int64
+	tr.onWaitTurn = func() { turns.Add(1) }
+	const key, trials, held = 30, 5, 1000
 	for _, op := range []struct {
 		name string
 		run  func()
@@ -227,25 +199,31 @@ func TestLeafLoserWaitsForHolder(t *testing.T) {
 		{"find", func() { tr.Find(key) }},
 		{"update", func() { _, _ = tr.Update(key, 1) }},
 	} {
-		lag, control := make([]time.Duration, trials), make([]time.Duration, trials)
-		for i := range lag {
-			var flag atomic.Bool
-			control[i] = lagAfter(func() {
-				for !flag.Load() {
-				}
-			}, func() { flag.Store(true) })
+		for i := 0; i < trials; i++ {
 			ref := tr.findLeafRef(key) // an update may have split the leaf
 			tr.cc.lockLeaf(ref)
-			lag[i] = lagAfter(op.run, func() { tr.cc.unlockLeaf(ref) })
-		}
-		slices.Sort(lag)
-		slices.Sort(control)
-		if c := control[trials/2]; c > 20*time.Microsecond {
-			t.Skipf("a goroutine spinning on the release saw it a median %v late: the host is too busy", c)
-		}
-		if med := lag[trials/2]; med > 75*time.Microsecond {
-			t.Errorf("%s finished a median %v after the holder released its leaf (range %v..%v; control median %v)",
-				op.name, med, lag[0], lag[trials-1], control[trials/2])
+			turns.Store(0)
+			var done atomic.Bool
+			go func() {
+				op.run()
+				done.Store(true)
+			}()
+			for turns.Load() < held {
+				if done.Load() {
+					t.Fatalf("%s returned while the holder kept its leaf", op.name)
+				}
+				runtime.Gosched()
+			}
+			tr.cc.unlockLeaf(ref)
+			released := turns.Load()
+			for !done.Load() {
+				runtime.Gosched()
+			}
+			// A turn that began after the release sees it; one that began
+			// before may have read the lock still held.
+			if after := turns.Load() - released; after > 1 {
+				t.Errorf("%s waited %d more turns after the holder released its leaf, want at most 1", op.name, after)
+			}
 		}
 	}
 }

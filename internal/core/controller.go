@@ -89,6 +89,9 @@ func (e *engine[K, V]) lockLeafCC(ref *leafRef, fb *bool) bool {
 // go either.
 func (e *engine[K, V]) waitLeaf(ref *leafRef, fb *bool) bool {
 	for spins := 1; ; spins++ {
+		if e.onWaitTurn != nil {
+			e.onWaitTurn()
+		}
 		var gone bool
 		switch {
 		case fb == nil:

@@ -18,8 +18,10 @@ import (
 // line (kvserver's 122-byte field) has its head on a line of its own: cell,
 // length word and the value's first 40 bytes share it, and the tails follow
 // the heads without overlapping them or each other. It also pins the leaf
-// sizes: rounding offKV up, and splitting the wide slot, did not grow any
-// leaf.
+// sizes: rounding offKV up, splitting the wide slot and keeping the high key
+// behind the next pointer did not grow any served leaf, and the flags, the
+// next pointer and the high key share header line 1, which a split or an
+// unlink persists once and recovery reads once.
 func TestLeafLayoutAlignment(t *testing.T) {
 	sameLine := func(off, n uint64) bool { return off/scm.LineSize == (off+n-1)/scm.LineSize }
 	for _, v := range []Variant{VariantFPTree, VariantPTree} {
@@ -60,8 +62,20 @@ func TestLeafLayoutAlignment(t *testing.T) {
 		}
 	}
 	fl, vl, kv := newFixedLayoutV(56, VariantFPTree), newVarLayoutV(56, 8, VariantFPTree), newVarLayoutV(56, 122, VariantFPTree)
-	if fl.offKV != 96 || vl.offKV != 96 || kv.offKV != 128 {
-		t.Errorf("offKV at LeafCap 56: fixed %d, var %d, var/122 %d, want 96, 96 and 128", fl.offKV, vl.offKV, kv.offKV)
+	if fl.offKV != 96 || vl.offKV != 128 || kv.offKV != 128 {
+		t.Errorf("offKV at LeafCap 56: fixed %d, var %d, var/122 %d, want 96, 128 and 128", fl.offKV, vl.offKV, kv.offKV)
+	}
+	for _, l := range []struct {
+		name                  string
+		offLock, offNext, end uint64
+	}{
+		{"fixed", fl.offLock, fl.offNext, fl.offHigh + 8},
+		{"var", vl.offLock, vl.offNext, vl.offHigh + cellSize},
+		{"var/122", kv.offLock, kv.offNext, kv.offHigh + cellSize},
+	} {
+		if l.offLock != 64 || l.offNext != 72 || l.end > 2*scm.LineSize {
+			t.Errorf("%s header line 1 at LeafCap 56: lock %d, next %d, high key up to %d; want 64, 72 and one line", l.name, l.offLock, l.offNext, l.end)
+		}
 	}
 	if fl.size != 1024 || vl.size != 1920 || kv.size != 8640 {
 		t.Errorf("leaf sizes at LeafCap 56: fixed %d, var %d, var/122 %d, want 1024, 1920 and 8640", fl.size, vl.size, kv.size)

@@ -104,7 +104,7 @@ func (g *groupAlloc) freeLeaf(leaf uint64) {
 	if g.list.first().Offset != group {
 		prev = g.prevGroup(group)
 	}
-	g.list.unlink(g.m.freeLeafLog(), group, prev, g.release)
+	g.list.unlink(g.m.freeLeafLog(), group, prev, false, g.release)
 
 	for _, off := range g.leafOffsets(group) {
 		delete(g.leafGroup, off)

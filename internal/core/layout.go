@@ -116,15 +116,15 @@ func (c *Config) normalize() error {
 //
 // FPTree variant (fingerprints, interleaved slots):
 //
-//	fingerprints[m] | bitmap u64 | lock u8 | pad | next PPtr | pad to 16 | m × (key u64, value u64)
+//	fingerprints[m] | bitmap u64 | lock u8 | flags u8 | pad | next PPtr | high u64 | pad to 16 | m × (key u64, value u64)
 //
 // With m = 56:
 //
 //	  0  fingerprints[56]
 //	 56  bitmap          — last word of line 0
-//	 64  lock + pad
+//	 64  lock, flags, pad
 //	 72  next PPtr
-//	 88  pad
+//	 88  high key        — the greatest key the leaf may hold
 //	 96  slot 0 (key, value), slot s at 96 + 16·s
 //	992  end, rounded up to 1024
 //
@@ -132,17 +132,21 @@ func (c *Config) normalize() error {
 // and the slot array starts on a multiple of the 16-byte slot size, so no
 // slot straddles two lines: a Find touches one line for the filter and one
 // line for the matching key-value — the paper's "two SCM cache misses per
-// lookup" — and an insert flushes one slot line.
+// lookup" — and an insert flushes one slot line. Header line 1 holds the
+// flags, the next pointer and the high key, which a split and an unlink
+// write and persist together, and which recovery reads in one access
+// (recovery.go).
 //
 // PTree variant (no fingerprints, separate arrays):
 //
-//	bitmap u64 | lock u8 | pad | next PPtr | keys[m] u64 | values[m] u64
+//	bitmap u64 | lock u8 | flags u8 | pad | next PPtr | high u64 | pad to 16 | keys[m] u64 | values[m] u64
 type fixedLayout struct {
 	cap       int
 	hasFP     bool
 	offBitmap uint64
-	offLock   uint64
+	offLock   uint64 // the lock byte; the flags byte follows it
 	offNext   uint64
+	offHigh   uint64 // the high key, right behind next
 	offKV     uint64 // interleaved slots (FPTree) or key array (PTree)
 	offVals   uint64 // value array (PTree only)
 	size      uint64
@@ -157,7 +161,8 @@ func newFixedLayoutV(leafCap int, v Variant) fixedLayout {
 	}
 	l.offLock = l.offBitmap + 8
 	l.offNext = l.offLock + 8 // keep the PPtr 8-aligned
-	l.offKV = roundUp(l.offNext+scm.PPtrSize, 16)
+	l.offHigh = l.offNext + scm.PPtrSize
+	l.offKV = roundUp(l.offHigh+8, 16)
 	if l.hasFP {
 		l.size = l.offKV + uint64(leafCap)*16
 	} else {
@@ -192,15 +197,20 @@ func (l fixedLayout) valOff(leaf uint64, slot int) uint64 {
 //
 // A slot of at most a line is one block, slot s at offKV + slotSize·s:
 //
-//	fingerprints[m] | bitmap u64 | lock u8 | pad | next PPtr | pad to 32 |
+//	fingerprints[m] | bitmap u64 | lock u8 | flags u8 | pad | next PPtr |
+//	high (key [16]byte, klen u64) | pad to 32 |
 //	m × (pkey PPtr or key [16]byte, klen u32 | vlen u32, value [ValueSize]byte)
 //
-// With m = 56 the header is the fixed layout's (slots from byte 96) and a slot
-// is 32 bytes with 8-byte values (leaf 1888 → 1920). The slot array starts on
-// a multiple of 32, so whenever the slot size is a multiple of 32 every slot's
-// pkey is 16-byte aligned and its pkey|klen pair — for 32-byte slots the
-// whole slot — sits in one line: staging a slot dirties one line and one
-// persist flushes it. Other slot sizes keep the pair 8-byte aligned only.
+// The high key is the greatest key the leaf may hold, kept as an inline key
+// cell and its length; a length of 0 says the leaf stores no high key (its
+// split key was longer than a cell, and recovery scans the leaf for its max
+// key instead). With m = 56 the high key fills bytes 88-112 of header line 1,
+// slots start at byte 128 and a slot is 32 bytes with 8-byte values (leaf
+// 1920 bytes). The slot array starts on a multiple of 32, so whenever the
+// slot size is a multiple of 32 every slot's pkey is 16-byte aligned and its
+// pkey|klen pair — for 32-byte slots the whole slot — sits in one line:
+// staging a slot dirties one line and one persist flushes it. Other slot
+// sizes keep the pair 8-byte aligned only.
 //
 // A slot wider than a line (kvserver's 122-byte values, a 152-byte slot) is
 // split in two. Its head is one line, head s at offKV + 64·s with offKV
@@ -214,8 +224,9 @@ func (l fixedLayout) valOff(leaf uint64, slot int) uint64 {
 // With m = 56 the heads span bytes 128-3712 and the 88-byte tails 3712-8640,
 // the leaf's 8640 bytes whichever way it is cut. A value of at most 40 bytes
 // lives in its slot's head line alone: it is staged, flushed and read as one
-// line, and the recovery scan, which needs only cells, reads the header and
-// heads (58 lines) and never a tail.
+// line. Recovery reads the two header lines of a leaf and, only for a leaf
+// that may own key blocks or stores no high key, the heads too (58 lines),
+// never a tail.
 type varLayout struct {
 	cap       int
 	valSize   int
@@ -226,6 +237,7 @@ type varLayout struct {
 	offBitmap uint64
 	offLock   uint64
 	offNext   uint64
+	offHigh   uint64 // the high key's cell and length word, right behind next
 	offKV     uint64
 	offTail   uint64 // end of the slot (or head) array, where the tails start
 	size      uint64
@@ -239,13 +251,14 @@ func newVarLayoutV(leafCap, valueSize int, v Variant) varLayout {
 	}
 	l.offLock = l.offBitmap + 8
 	l.offNext = l.offLock + 8
+	l.offHigh = l.offNext + scm.PPtrSize
 	l.headSize = l.slotSize
 	align := uint64(32)
 	if l.slotSize > scm.LineSize {
 		l.headSize, align = scm.LineSize, scm.LineSize
 		l.tailSize = l.slotSize - scm.LineSize
 	}
-	l.offKV = roundUp(l.offNext+scm.PPtrSize, align)
+	l.offKV = roundUp(l.offHigh+cellSize, align)
 	l.offTail = l.offKV + uint64(leafCap)*l.headSize
 	l.size = roundUp(l.offTail+uint64(leafCap)*l.tailSize, scm.LineSize)
 	return l

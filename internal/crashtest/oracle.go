@@ -197,11 +197,13 @@ func (ks Keys[K, V]) samePairs(got, want []KV[K, V]) error {
 	return nil
 }
 
-// Oracle is the map model a tree is checked against.
+// Oracle is the map model a tree is checked against. Beside the map it keeps
+// the pairs sorted by key: put and del insert into and remove from the sorted
+// view by binary search, so a check that reads it never sorts.
 type Oracle[K, V any] struct {
 	ks     Keys[K, V]
 	m      map[string]KV[K, V]
-	sorted []KV[K, V] // cache of Sorted; nil after a change
+	sorted []KV[K, V]
 }
 
 // NewOracle returns an empty oracle over ks.
@@ -215,30 +217,32 @@ func (o *Oracle[K, V]) get(k K) (V, bool) {
 	return kv.V, ok
 }
 
+// find is k's position in the sorted view and whether it is there.
+func (o *Oracle[K, V]) find(k K) (int, bool) {
+	return slices.BinarySearchFunc(o.sorted, k, func(kv KV[K, V], k K) int { return o.ks.compare(kv.K, k) })
+}
+
 // put sets k to v in the model.
 func (o *Oracle[K, V]) put(k K, v V) {
 	o.m[o.ks.id(k)] = KV[K, V]{k, v}
-	o.sorted = nil
+	if i, ok := o.find(k); ok {
+		o.sorted[i].V = v
+	} else {
+		o.sorted = slices.Insert(o.sorted, i, KV[K, V]{k, v})
+	}
 }
 
 // del removes k from the model.
 func (o *Oracle[K, V]) del(k K) {
 	delete(o.m, o.ks.id(k))
-	o.sorted = nil
+	if i, ok := o.find(k); ok {
+		o.sorted = slices.Delete(o.sorted, i, i+1)
+	}
 }
 
-// Sorted returns the model's pairs in ascending key order. The slice is
-// shared until the next change; callers must not modify it.
-func (o *Oracle[K, V]) Sorted() []KV[K, V] {
-	if o.sorted == nil {
-		o.sorted = make([]KV[K, V], 0, len(o.m))
-		for _, kv := range o.m {
-			o.sorted = append(o.sorted, kv)
-		}
-		slices.SortFunc(o.sorted, func(a, b KV[K, V]) int { return o.ks.compare(a.K, b.K) })
-	}
-	return o.sorted
-}
+// Sorted returns the model's pairs in ascending key order. The slice is the
+// oracle's own and changes with it; callers must not modify it.
+func (o *Oracle[K, V]) Sorted() []KV[K, V] { return o.sorted }
 
 // scanWidth is how many pairs an OpScan reads.
 const scanWidth = 10
