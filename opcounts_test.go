@@ -38,10 +38,12 @@ type opCountRow struct {
 // 56, 122-byte value field) holding 100k of the same keys with the
 // benchmark's 32-byte values, through the adapter's 2-byte frame — an
 // overwriting SET, a GET, and what the recovery scan misses on per leaf.
-// Every row goes through the public API, and the rows share their state, so
-// they run in order and once per call of opCountRows.
+// The last row inserts 24-byte keys, which live in key blocks of their own,
+// into a CVarTree of 100k such keys. Every row goes through the public API,
+// and the rows share their state, so they run in order and once per call of
+// opCountRows.
 func opCountRows() []opCountRow {
-	const varKeys, fixedKeys, kvKeys = 300000, 1000000, 100000
+	const varKeys, fixedKeys, kvKeys, ptrKeys = 300000, 1000000, 100000, 100000
 	var (
 		buf     [16]byte
 		val     = []byte("12345678")
@@ -52,6 +54,8 @@ func opCountRows() []opCountRow {
 		ft      *CTree
 		next    = uint64(varKeys) // ids below next and not yet deleted are live
 		victim  uint64
+		pt      *CVarTree
+		nextPtr = uint64(ptrKeys)
 		rng     = rand.New(rand.NewSource(1))
 		scanRng = rand.New(rand.NewSource(2)) // the scan rows' start keys, apart from the other rows' streams
 	)
@@ -62,6 +66,7 @@ func opCountRows() []opCountRow {
 		return nil
 	}
 	vpool := func() *scm.Pool { return vt.Pool() }
+	ptrKey := func(id uint64) []byte { return append(scatteredKey(&buf, id), "-pointer"...) }
 	return []opCountRow{
 		{name: "var-insert", pool: vpool, prep: func() (err error) {
 			if vt, err = CreateConcurrentVar(Options{PoolSize: 128 << 20}); err != nil {
@@ -147,6 +152,20 @@ func opCountRows() []opCountRow {
 		}},
 		{name: "fixed-scan100", pool: func() *scm.Pool { return ft.Pool() }, op: func() error {
 			return missing("scan", len(ft.ScanN(uint64(scanRng.Intn(fixedKeys))*0x9E3779B97F4A7C15, 100)) > 0)
+		}},
+		{name: "var-ptr-insert", pool: func() *scm.Pool { return pt.Pool() }, prep: func() (err error) {
+			if pt, err = CreateConcurrentVar(Options{PoolSize: 64 << 20}); err != nil {
+				return err
+			}
+			for id := uint64(0); id < ptrKeys; id++ {
+				if err := pt.Insert(ptrKey(id), val); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, op: func() error {
+			nextPtr++
+			return pt.Insert(ptrKey(nextPtr-1), val)
 		}},
 	}
 }
