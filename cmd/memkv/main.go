@@ -160,7 +160,7 @@ func main() {
 			extra = map[string]http.Handler{"/debug/traces": trace.Handler(tracer)}
 		}
 
-		metricsSrv, metricsBound, err := obs.ServeWith(*metricsAddr, reg, ring, extra)
+		metricsSrv, metricsBound, err := obs.Serve(*metricsAddr, reg, ring, extra)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			srv.Close()

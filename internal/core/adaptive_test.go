@@ -231,14 +231,15 @@ func TestLeafLoserWaitsForHolder(t *testing.T) {
 // TestReaderConcurrentWithFallbackWriter is the race-enabled linearizability
 // check for Brown's refinement, where fast and fallback paths coexist. Under
 // AlwaysFallback every write goes through the global fallback lock; under a
-// budget of one a writer's second retry does, so optimistic writers, fallback
-// writers and readers interleave on the same leaves. Either way optimistic
-// readers must keep completing (they validate leaf versions against the
-// writer's publication point instead of stalling on the lock) and every key
-// must read as a register that never goes back: a writer's values for a key
-// only grow, and each update commits its leaf-version bump before the leaf
-// lock is released, so no reader can see a writer's older value after its
-// newer one.
+// budget of one a writer's second retry does, and the test makes every
+// writer's first update lose its budget (forceFallbacks), so optimistic
+// writers, fallback writers and readers interleave on the same leaves on any
+// number of CPUs. Either way optimistic readers must keep completing (they
+// validate leaf versions against the writer's publication point instead of
+// stalling on the lock) and every key must read as a register that never
+// goes back: a writer's values for a key only grow, and each update commits
+// its leaf-version bump before the leaf lock is released, so no reader can
+// see a writer's older value after its newer one.
 func TestReaderConcurrentWithFallbackWriter(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -265,9 +266,13 @@ func readersBesideFallbackWriters(t *testing.T, cfg htm.AdaptiveConfig, writers 
 			t.Fatal(err)
 		}
 	}
-	// A little flush latency holds each leaf lock long enough for the other
-	// writers to run out of a budget of one.
+	// A little flush latency holds each leaf lock long enough for writers
+	// to contend past their first, forced fallback entry.
 	ct.Pool().SetLatency(scm.LatencySpin, 0, 2*time.Microsecond)
+	var release func()
+	if !cfg.AlwaysFallback {
+		release = forceFallbacks(t, ct, hot[1], writers)
+	}
 
 	// The writers keep going until every reader has banked readsEach
 	// overlapping reads, at least minWrites updates were made and, where the
@@ -331,6 +336,9 @@ func readersBesideFallbackWriters(t *testing.T, cfg htm.AdaptiveConfig, writers 
 			}
 		}(w)
 	}
+	if release != nil {
+		release()
+	}
 	deadline := time.Now().Add(60 * time.Second)
 	for written.Load() < minWrites || int(readersDone.Load()) < readers || ct.Stats.Fallbacks.Load() == 0 {
 		if t.Failed() {
@@ -353,11 +361,51 @@ func readersBesideFallbackWriters(t *testing.T, cfg htm.AdaptiveConfig, writers 
 	if cfg.AlwaysFallback && fallbacks < writes {
 		t.Fatalf("fallback entries = %d, want >= %d (AlwaysFallback)", fallbacks, writes)
 	}
+	if fallbacks < uint64(writers) {
+		t.Fatalf("fallback entries = %d, want one per writer at least (%d)", fallbacks, writers)
+	}
 	for k, key := range hot {
 		v, ok := ct.Find(key)
 		if !ok || finals[v%uint64(writers)][k] != v {
 			t.Fatalf("final value of key %d = %d,%v: not the last write of the writer it names", key, v, ok)
 		}
+	}
+}
+
+// forceFallbacks makes the first update of each of writers goroutines, all
+// about to update key, lose a budget of one and queue for the fallback lock,
+// whatever the scheduler does. It takes the fallback lock and key's leaf
+// lock, and returns a function that waits for the writers and lets them go.
+// A writer's first attempt loses on the leaf lock. The wait then frees the
+// leaf only while it holds the leaf parent's lock: a writer that leaves its
+// wait re-descends once the leaf is held again, and one that took the leaf
+// meanwhile fails the parent's validation, so every second attempt loses
+// too. The writers' aborts sum to 2·writers exactly when each has lost two
+// and waits for the fallback lock; no update completes before, so readers
+// that wait for a first write add none.
+func forceFallbacks(t *testing.T, ct *CTree, key uint64, writers int) func() {
+	n, _, ref, ok := ct.descend(&key, false, nil)
+	if !ok || ref == nil {
+		t.Fatal("descent to the hot leaf failed")
+	}
+	ct.ctrl.EnterFallback()
+	ct.cc.lockLeaf(ref)
+	return func() {
+		deadline := time.Now().Add(30 * time.Second)
+		for ct.Stats.Aborts.Load() < 2*uint64(writers) {
+			if time.Now().After(deadline) {
+				t.Errorf("writers lost %d attempts, want %d", ct.Stats.Aborts.Load(), 2*writers)
+				break
+			}
+			ct.cc.lockNode(&n.lock)
+			ct.cc.unlockLeaf(ref)
+			runtime.Gosched() // waiters see the leaf free and re-descend
+			ct.cc.lockLeaf(ref)
+			ct.cc.unlockNodeNoBump(&n.lock)
+			runtime.Gosched()
+		}
+		ct.cc.unlockLeaf(ref)
+		ct.ctrl.ExitFallback()
 	}
 }
 

@@ -17,8 +17,7 @@ const DefaultBulkFill = 0.7
 // Bulk loading requires leaf groups and a single-threaded tree.
 //
 // Each leaf's high key is its max key, the separator the build puts right of
-// it, and its key-blocks flag says whether it took a pointer key. Crash
-// consistency: each leaf is made durable with its validity bitmap
+// it. Crash consistency: each leaf is made durable with its validity bitmap
 // still zero, then linked into the list, and only then is the bitmap
 // committed. The list is therefore a consistent prefix of the load at every
 // instant, and — crucially — a leaf that is not reachable from the list
@@ -60,7 +59,6 @@ func (e *engine[K, V]) bulkLoad(n int, fill float64, at func(int) (K, V)) error 
 	}
 	leaves := make([]uint64, 0, (n+per-1)/per)
 	bounds := make([]K, 0, (n+per-1)/per)
-	keyBlocks := make([]bool, 0, (n+per-1)/per)
 	prev := uint64(0)
 	for base := 0; base < n; base += per {
 		end := base + per
@@ -73,11 +71,10 @@ func (e *engine[K, V]) bulkLoad(n int, fill float64, at func(int) (K, V)) error 
 		}
 		var bm uint64
 		var maxK K
-		var flags uint8
 		for s := 0; s < end-base; s++ {
 			k, v := at(base + s)
 			if e.cdc.ownsBlock(k) {
-				flags = leafKeyBlocks
+				e.markKeyBlocks()
 			}
 			if err := e.cdc.writeSlot(leaf, s, k, v); err != nil {
 				return err
@@ -91,7 +88,6 @@ func (e *engine[K, V]) bulkLoad(n int, fill float64, at func(int) (K, V)) error 
 		var high [maxHighSize]byte
 		e.cdc.putHigh(maxK, high[:e.sh.highSize])
 		e.pool.WriteU64(leaf+e.sh.offBitmap, 0)
-		e.pool.WriteU8(leaf+e.sh.offLock+1, flags)
 		e.pool.WritePPtr(leaf+e.sh.offNext, scm.PPtr{})
 		e.pool.WriteBytes(leaf+e.sh.offHigh, high[:e.sh.highSize])
 		e.pool.Persist(leaf, e.sh.size)
@@ -104,9 +100,8 @@ func (e *engine[K, V]) bulkLoad(n int, fill float64, at func(int) (K, V)) error 
 		prev = leaf
 		leaves = append(leaves, leaf)
 		bounds = append(bounds, maxK)
-		keyBlocks = append(keyBlocks, flags != 0)
 		e.size.Add(int64(end - base))
 	}
-	e.root.Store(buildInnerW(leaves, bounds, keyBlocks, e.maxKids(), 1, e.cdc.prefix))
+	e.root.Store(buildInnerW(leaves, bounds, e.maxKids(), 1, e.cdc.prefix))
 	return nil
 }

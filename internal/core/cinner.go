@@ -51,10 +51,6 @@ type leafRef struct {
 	// later prove the cache is still current (see leafCursor.live) without
 	// re-reading SCM.
 	ver atomic.Uint64
-	// keyBlocks is set once the leaf's durable key-blocks flag is known to
-	// be set (leafKeyBlocks), so only its first key-block publish reads the
-	// flag's line (engine.markKeyBlocks).
-	keyBlocks atomic.Bool
 }
 
 func newCInner[K any](capacity int, leafParent bool) *cInner[K] {

@@ -14,29 +14,19 @@ import (
 // leafShape is the codec-independent geometry the engine needs for header
 // reads, bitmap commits, next-pointer chasing and the high key, plus
 // exactPfx: whether codec.prefix is the whole key, so inner-node searches
-// never break a prefix tie on the full key. The flags byte follows the lock
-// byte at offLock, and the high key's highSize bytes at offHigh follow the
-// next pointer, all in one line.
+// never break a prefix tie on the full key. The next pointer follows the
+// bitmap, and the high key's highSize bytes at offHigh follow the next
+// pointer, in one line.
 type leafShape struct {
 	cap       int
 	hasFP     bool
 	offBitmap uint64
-	offLock   uint64
 	offNext   uint64
 	offHigh   uint64
 	highSize  uint64
 	size      uint64
 	exactPfx  bool
 }
-
-// Leaf flags, the byte at offLock+1.
-const (
-	// leafKeyBlocks is set, durably, before a leaf first publishes a key-block
-	// pointer (engine.markKeyBlocks), and never cleared; a split's new leaf
-	// inherits it with the copy. Recovery runs the Algorithm 17 leak scan
-	// only over leaves that have it.
-	leafKeyBlocks = 1 << 0
-)
 
 // maxHighSize bounds leafShape.highSize: a var key cell and its length.
 const maxHighSize = cellSize
@@ -84,7 +74,7 @@ type codec[K, V any] interface {
 	leafPairs(leaf, bm uint64, dst []kvPair[K, V]) []kvPair[K, V]
 
 	// ownsBlock reports whether writeSlot stores k in a key block of its
-	// own: the caller sets the leaf's key-blocks flag first.
+	// own: the caller sets the tree's key-blocks word first.
 	ownsBlock(k K) bool
 	// writeSlot persists the key and value payload of a free slot. It does
 	// NOT touch the fingerprint or bitmap — engine.commitSlot owns those.
@@ -197,7 +187,7 @@ func newFixedCodec(pool *scm.Pool, cfg Config) *fixedCodec {
 }
 
 func (c *fixedCodec) shape() leafShape {
-	return leafShape{cap: c.lay.cap, hasFP: c.lay.hasFP, offBitmap: c.lay.offBitmap, offLock: c.lay.offLock,
+	return leafShape{cap: c.lay.cap, hasFP: c.lay.hasFP, offBitmap: c.lay.offBitmap,
 		offNext: c.lay.offNext, offHigh: c.lay.offHigh, highSize: 8, size: c.lay.size, exactPfx: true}
 }
 
@@ -386,7 +376,7 @@ func newVarCodec(pool *scm.Pool, cfg Config) *varCodec {
 }
 
 func (c *varCodec) shape() leafShape {
-	return leafShape{cap: c.lay.cap, hasFP: c.lay.hasFP, offBitmap: c.lay.offBitmap, offLock: c.lay.offLock,
+	return leafShape{cap: c.lay.cap, hasFP: c.lay.hasFP, offBitmap: c.lay.offBitmap,
 		offNext: c.lay.offNext, offHigh: c.lay.offHigh, highSize: cellSize, size: c.lay.size}
 }
 
@@ -539,8 +529,8 @@ func pairBytes(klen, vlen uint64) (k, v []byte) {
 // allocation; staging it before is crash-equivalent, because the slot stays
 // invisible until the bitmap commit and the only thing recovery reads from an
 // invalid slot — the length the leak scan frees the key block by — is durable
-// before the pointer is, as in the paper. The caller has made the leaf's
-// key-blocks flag durable before (ownsBlock), so recovery's leak scan covers
+// before the pointer is, as in the paper. The caller has made the tree's
+// key-blocks word durable before (ownsBlock), so recovery's leak scan covers
 // the leaf.
 func (c *varCodec) writeSlot(leaf uint64, slot int, k, v []byte) error {
 	if len(k) <= inlineKeyMax {

@@ -47,6 +47,8 @@ type engine[K, V any] struct {
 	// single-threaded trees and its waiters watch the crash flag. Recovery
 	// and the quiesced checks read the pointer without it.
 	headLock htm.VersionLock
+	// keyBlocks mirrors the metadata block's key-blocks word.
+	keyBlocks atomic.Bool
 
 	leafList plist    // the persistent leaf list, headed by meta's headLeaf
 	splitQ   chan int // free split micro-log indices
@@ -152,6 +154,7 @@ func openEngine[K, V any](pool *scm.Pool, cc concurrency, rec RecoveryOptions) (
 		e.leafList.recoverUnlink(m.deleteLog(i), e.releaseLeaf) // Algorithm 7
 	}
 	e.groups.recover()
+	e.keyBlocks.Store(m.keyBlocks())
 	e.rebuild(rec.workers())
 	e.recovering = false
 	return e, nil
@@ -292,7 +295,7 @@ func (e *engine[K, V]) findInLeaf(leaf uint64, key K) (int, uint64, bool) {
 func (e *engine[K, V]) insertIntoLeaf(ref *leafRef, bm uint64, key K, value V) error {
 	slot := bits.TrailingZeros64(^bm)
 	if e.cdc.ownsBlock(key) {
-		e.markKeyBlocks(ref)
+		e.markKeyBlocks()
 	}
 	if err := e.cdc.writeSlot(ref.off, slot, key, value); err != nil {
 		return err
@@ -301,22 +304,22 @@ func (e *engine[K, V]) insertIntoLeaf(ref *leafRef, bm uint64, key K, value V) e
 	return nil
 }
 
-// markKeyBlocks makes the key-blocks flag of ref's leaf durable unless ref
-// already knows it is: one read of the flag's line the first time the leaf
-// takes a pointer key, and one persist if the flag was unset, none after. A
-// pointer key moved within the leaf (moveSlot) finds it set.
-func (e *engine[K, V]) markKeyBlocks(ref *leafRef) {
-	if ref.keyBlocks.Load() {
+// markKeyBlocks makes the tree's key-blocks word durable before its first
+// key-block publish: one persist in the tree's life, and a load of one bool
+// on every later pointer-key write. The word shares the line of the list's
+// head pointer, so it is written under headLock, like every live write of
+// that line.
+func (e *engine[K, V]) markKeyBlocks() {
+	if e.keyBlocks.Load() {
 		return
 	}
-	off := ref.off + e.sh.offLock + 1
-	var f [1]byte
-	e.pool.ReadInto(off, f[:])
-	if f[0]&leafKeyBlocks == 0 {
-		e.pool.WriteU8(off, f[0]|leafKeyBlocks)
-		e.pool.Persist(off, 1)
+	e.cc.lockNode(&e.headLock)
+	if !e.keyBlocks.Load() {
+		e.pool.WriteU64(e.m.base+mOffKeyBlocks, 1)
+		e.pool.Persist(e.m.base+mOffKeyBlocks, 8)
+		e.keyBlocks.Store(true)
 	}
-	ref.keyBlocks.Store(true)
+	e.cc.unlockNodeNoBump(&e.headLock)
 }
 
 // --- optimistic descent -------------------------------------------------------
@@ -689,16 +692,15 @@ func (e *engine[K, V]) splitLeaf(ref *leafRef) (K, *leafRef, error) {
 	e.splitQ <- li
 	e.Ops.LeafSplits.Add(1)
 	newRef := &leafRef{off: newOff}
-	newRef.keyBlocks.Store(ref.keyBlocks.Load()) // the copy took the flag
 	e.cc.lockLeaf(newRef)
 	return splitKey, newRef, nil
 }
 
 // completeSplit performs lines 6-14 of Algorithm 3; recovery re-enters it.
 func (e *engine[K, V]) completeSplit(leaf, newLeaf uint64) K {
-	// Copy the full leaf content (including the next pointer, the high key
-	// and the flags: the new leaf becomes the right neighbor and inherits
-	// the leaf's upper bound).
+	// Copy the full leaf content (including the next pointer and the high
+	// key: the new leaf becomes the right neighbor and inherits the leaf's
+	// upper bound).
 	buf := e.pool.ReadBytes(leaf, e.sh.size)
 	e.pool.WriteBytes(newLeaf, buf)
 	e.pool.Persist(newLeaf, e.sh.size)
@@ -1061,9 +1063,9 @@ func (e *engine[K, V]) recoverSplit(log scm.MicroLog) {
 // separators for empty leaves would be meaningless.
 func (e *engine[K, V]) rebuild(workers int) {
 	start := time.Now()
-	leaves, bounds, keyBlocks, size := e.collectLeaves(workers)
+	leaves, bounds, size := e.collectLeaves(workers)
 	e.size.Store(int64(size))
-	e.root.Store(buildInnerW(leaves, bounds, keyBlocks, e.maxKids(), workers, e.cdc.prefix))
+	e.root.Store(buildInnerW(leaves, bounds, e.maxKids(), workers, e.cdc.prefix))
 	e.groups.rebuildFreeVector(leaves)
 	e.sanitizeFreeLeaves()
 	if e.groups.enabled() {
@@ -1158,6 +1160,10 @@ func (e *engine[K, V]) CheckInvariants() error {
 			return fmt.Errorf("key block %v has %d owners", pk, c)
 		}
 	}
+	kb := e.m.keyBlocks()
+	if len(owners) > 0 && !kb {
+		return fmt.Errorf("%d key blocks owned, key-blocks word unset", len(owners))
+	}
 	if n != e.Len() {
 		return fmt.Errorf("size mismatch: list has %d keys, tree reports %d", n, e.Len())
 	}
@@ -1178,7 +1184,7 @@ func (e *engine[K, V]) CheckInvariants() error {
 	if err := e.checkSepPrefixes(e.root.Load()); err != nil {
 		return err
 	}
-	if err := e.checkHighKeys(); err != nil {
+	if err := e.checkHighKeys(kb); err != nil {
 		return err
 	}
 	// A group leaf not linked in the leaf list must look freshly recycled:
@@ -1245,8 +1251,9 @@ func (e *engine[K, V]) leafSeps(n *cInner[K], right *K, out []leafSep[K]) []leaf
 // checkHighKeys checks what recovery's separators rest on: the inner nodes
 // hold the list's leaves in list order, and every linked leaf but the last
 // that stores a high key holds only keys in (the previous leaf's high key,
-// its own], and has that high key as the separator right of it.
-func (e *engine[K, V]) checkHighKeys() error {
+// its own], and has that high key as the separator right of it. Without the
+// key-blocks word (kb) every leaf but the last stores one.
+func (e *engine[K, V]) checkHighKeys(kb bool) error {
 	dram := e.leafSeps(e.root.Load(), nil, nil)
 	eq := func(a, b K) bool { return !e.cdc.less(a, b) && !e.cdc.less(b, a) }
 	var lower bound[K]
@@ -1257,7 +1264,11 @@ func (e *engine[K, V]) checkHighKeys() error {
 			return fmt.Errorf("leaf %#x: list position %d, where the inner nodes hold %d leaves", leaf, i, len(dram))
 		}
 		high, ok := e.leafHigh(leaf)
-		if !ok || e.leafList.after(leaf).IsNull() {
+		last := e.leafList.after(leaf).IsNull()
+		if !ok && !last && !kb {
+			return fmt.Errorf("leaf %#x stores no high key, key-blocks word unset", leaf)
+		}
+		if !ok || last {
 			lower = bound[K]{}
 			continue
 		}

@@ -19,9 +19,9 @@ import (
 // length word and the value's first 40 bytes share it, and the tails follow
 // the heads without overlapping them or each other. It also pins the leaf
 // sizes: rounding offKV up, splitting the wide slot and keeping the high key
-// behind the next pointer did not grow any served leaf, and the flags, the
-// next pointer and the high key share header line 1, which a split or an
-// unlink persists once and recovery reads once.
+// behind the next pointer did not grow any served leaf, and the next pointer,
+// right behind the bitmap at byte 64, and the high key share header line 1,
+// which a split or an unlink persists once and recovery reads once.
 func TestLeafLayoutAlignment(t *testing.T) {
 	sameLine := func(off, n uint64) bool { return off/scm.LineSize == (off+n-1)/scm.LineSize }
 	for _, v := range []Variant{VariantFPTree, VariantPTree} {
@@ -66,19 +66,22 @@ func TestLeafLayoutAlignment(t *testing.T) {
 		t.Errorf("offKV at LeafCap 56: fixed %d, var %d, var/122 %d, want 96, 128 and 128", fl.offKV, vl.offKV, kv.offKV)
 	}
 	for _, l := range []struct {
-		name                  string
-		offLock, offNext, end uint64
+		name         string
+		offNext, end uint64
 	}{
-		{"fixed", fl.offLock, fl.offNext, fl.offHigh + 8},
-		{"var", vl.offLock, vl.offNext, vl.offHigh + cellSize},
-		{"var/122", kv.offLock, kv.offNext, kv.offHigh + cellSize},
+		{"fixed", fl.offNext, fl.offHigh + 8},
+		{"var", vl.offNext, vl.offHigh + cellSize},
+		{"var/122", kv.offNext, kv.offHigh + cellSize},
 	} {
-		if l.offLock != 64 || l.offNext != 72 || l.end > 2*scm.LineSize {
-			t.Errorf("%s header line 1 at LeafCap 56: lock %d, next %d, high key up to %d; want 64, 72 and one line", l.name, l.offLock, l.offNext, l.end)
+		if l.offNext != 64 || l.end > 2*scm.LineSize {
+			t.Errorf("%s header line 1 at LeafCap 56: next %d, high key up to %d; want 64 and one line", l.name, l.offNext, l.end)
 		}
 	}
 	if fl.size != 1024 || vl.size != 1920 || kv.size != 8640 {
 		t.Errorf("leaf sizes at LeafCap 56: fixed %d, var %d, var/122 %d, want 1024, 1920 and 8640", fl.size, vl.size, kv.size)
+	}
+	if pt := newVarLayoutV(32, 122, VariantPTree); pt.offKV != scm.LineSize {
+		t.Errorf("kvserver's PTree leaf (LeafCap 32, 122-byte field): heads at %d, want %d", pt.offKV, scm.LineSize)
 	}
 }
 
@@ -399,9 +402,10 @@ func checkAfterTornUpdate(pool *scm.Pool, nKeys, src int) error {
 // TestOldLayoutRefused hand-builds the metadata block of a tree with an older
 // leaf layout — v1 (slot array at byte 88 of the leaf), v2 (every var key
 // behind a pointer, whatever its length) and v3 (every var value padded to
-// the slot, the length word's high half zero) — and checks that every open
-// path refuses it and names both versions, instead of reading its slots 8
-// bytes off, its short keys' pointers as key bytes or its values as empty.
+// the slot, the length word's high half zero), up to v7 (a lock and flags
+// word ahead of each leaf's next pointer) — and checks that every open path
+// refuses it and names both versions, instead of reading its slots 8 bytes
+// off, its short keys' pointers as key bytes or its values as empty.
 func TestOldLayoutRefused(t *testing.T) {
 	for old := uint64(1); old < layoutVersion; old++ {
 		want := fmt.Sprintf("tree has leaf layout v%d, this build reads v%d", old, layoutVersion)

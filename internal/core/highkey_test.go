@@ -32,19 +32,6 @@ func (r highKeyRig[K, V]) open(p *scm.Pool) (*Index[K, V], error) {
 	return open[K, V](p, r.cc(p), nil)
 }
 
-// openPacked opens p and rebuilds its inner nodes with the rig's fanout,
-// which the arena does not keep, so that the recovered tree has leaf parents
-// of the rig's width and an unlink can hand a high key left.
-func (r highKeyRig[K, V]) openPacked(p *scm.Pool) (*Index[K, V], error) {
-	tr, err := r.open(p)
-	if err != nil {
-		return nil, err
-	}
-	tr.cfg.InnerFanout = r.cfg.InnerFanout
-	tr.rebuild(1)
-	return tr, nil
-}
-
 // checkKeys finds every key of live in tr with its value.
 func (r highKeyRig[K, V]) checkKeys(tr *Index[K, V], live map[int]bool) error {
 	for n, ok := range live {
@@ -285,7 +272,7 @@ func highKeyTears[K, V any](t *testing.T, r highKeyRig[K, V]) {
 	// The operations run on trees recovered from base, whose inner nodes
 	// recovery packs anew: pick the victim in such a tree.
 	base.Crash()
-	if tr, err = r.openPacked(base); err != nil {
+	if tr, err = r.open(base); err != nil {
 		t.Fatal(err)
 	}
 	parents := leafParents(tr.root.Load(), nil)
@@ -311,7 +298,7 @@ func highKeyTears[K, V any](t *testing.T, r highKeyRig[K, V]) {
 	// Uncrashed, the unlink hands the victim's high key to prev.
 	high := base.ReadBytes(victim+tr.sh.offHigh, tr.sh.highSize)
 	done := base.Clone()
-	if e, err := r.openPacked(done); err != nil {
+	if e, err := r.open(done); err != nil {
 		t.Fatal(err)
 	} else if _, err := e.Delete(r.key(nums[0])); err != nil {
 		t.Fatal(err)
@@ -331,7 +318,7 @@ func highKeyTears[K, V any](t *testing.T, r highKeyRig[K, V]) {
 	} {
 		t.Run(op.name, func(t *testing.T) {
 			images := crashtest.TearsWide(t, base, func(p *scm.Pool) (func() error, error) {
-				e, err := r.openPacked(p)
+				e, err := r.open(p)
 				return func() error { return op.run(e) }, err
 			}, func(img *scm.Pool) error {
 				e, err := r.open(img)

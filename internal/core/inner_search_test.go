@@ -204,9 +204,9 @@ func TestInnerSearchMatchesLess(t *testing.T) {
 				for i := range leaves {
 					leaves[i] = uint64(i+1) * 256
 				}
-				root := buildInnerW(leaves[:len(vkeys)], vkeys, nil, maxKids, workers, vc.prefix)
+				root := buildInnerW(leaves[:len(vkeys)], vkeys, maxKids, workers, vc.prefix)
 				nodes := checkSearchMatchesLess(t, root, varProbes(vkeys), vc.prefix, false, vc.less)
-				froot := buildInnerW(leaves[:len(fkeys)], fkeys, nil, maxKids, workers, fc.prefix)
+				froot := buildInnerW(leaves[:len(fkeys)], fkeys, maxKids, workers, fc.prefix)
 				checkSearchMatchesLess(t, froot, fixedProbes(fkeys), fc.prefix, true, fc.less)
 				if nodes < 2 {
 					t.Fatalf("maxKids %d: built %d nodes, want a multi-level tree", maxKids, nodes)

@@ -116,15 +116,14 @@ func (c *Config) normalize() error {
 //
 // FPTree variant (fingerprints, interleaved slots):
 //
-//	fingerprints[m] | bitmap u64 | lock u8 | flags u8 | pad | next PPtr | high u64 | pad to 16 | m × (key u64, value u64)
+//	fingerprints[m] | bitmap u64 | next PPtr | high u64 | pad to 16 | m × (key u64, value u64)
 //
 // With m = 56:
 //
 //	  0  fingerprints[56]
 //	 56  bitmap          — last word of line 0
-//	 64  lock, flags, pad
-//	 72  next PPtr
-//	 88  high key        — the greatest key the leaf may hold
+//	 64  next PPtr
+//	 80  high key        — the greatest key the leaf may hold
 //	 96  slot 0 (key, value), slot s at 96 + 16·s
 //	992  end, rounded up to 1024
 //
@@ -133,19 +132,17 @@ func (c *Config) normalize() error {
 // slot straddles two lines: a Find touches one line for the filter and one
 // line for the matching key-value — the paper's "two SCM cache misses per
 // lookup" — and an insert flushes one slot line. Header line 1 holds the
-// flags, the next pointer and the high key, which a split and an unlink
-// write and persist together, and which recovery reads in one access
-// (recovery.go).
+// next pointer and the high key, which a split and an unlink write and
+// persist together, and which recovery reads in one access (recovery.go).
 //
 // PTree variant (no fingerprints, separate arrays):
 //
-//	bitmap u64 | lock u8 | flags u8 | pad | next PPtr | high u64 | pad to 16 | keys[m] u64 | values[m] u64
+//	bitmap u64 | next PPtr | high u64 | pad to 16 | keys[m] u64 | values[m] u64
 type fixedLayout struct {
 	cap       int
 	hasFP     bool
 	offBitmap uint64
-	offLock   uint64 // the lock byte; the flags byte follows it
-	offNext   uint64
+	offNext   uint64 // right behind the bitmap
 	offHigh   uint64 // the high key, right behind next
 	offKV     uint64 // interleaved slots (FPTree) or key array (PTree)
 	offVals   uint64 // value array (PTree only)
@@ -159,8 +156,7 @@ func newFixedLayoutV(leafCap int, v Variant) fixedLayout {
 	if l.hasFP {
 		l.offBitmap = roundUp(uint64(leafCap), 8)
 	}
-	l.offLock = l.offBitmap + 8
-	l.offNext = l.offLock + 8 // keep the PPtr 8-aligned
+	l.offNext = l.offBitmap + 8
 	l.offHigh = l.offNext + scm.PPtrSize
 	l.offKV = roundUp(l.offHigh+8, 16)
 	if l.hasFP {
@@ -197,14 +193,14 @@ func (l fixedLayout) valOff(leaf uint64, slot int) uint64 {
 //
 // A slot of at most a line is one block, slot s at offKV + slotSize·s:
 //
-//	fingerprints[m] | bitmap u64 | lock u8 | flags u8 | pad | next PPtr |
+//	fingerprints[m] | bitmap u64 | next PPtr |
 //	high (key [16]byte, klen u64) | pad to 32 |
 //	m × (pkey PPtr or key [16]byte, klen u32 | vlen u32, value [ValueSize]byte)
 //
 // The high key is the greatest key the leaf may hold, kept as an inline key
 // cell and its length; a length of 0 says the leaf stores no high key (its
 // split key was longer than a cell, and recovery scans the leaf for its max
-// key instead). With m = 56 the high key fills bytes 88-112 of header line 1,
+// key instead). With m = 56 the high key fills bytes 80-104 of header line 1,
 // slots start at byte 128 and a slot is 32 bytes with 8-byte values (leaf
 // 1920 bytes). The slot array starts on a multiple of 32, so whenever the
 // slot size is a multiple of 32 every slot's pkey is 16-byte aligned and its
@@ -224,9 +220,9 @@ func (l fixedLayout) valOff(leaf uint64, slot int) uint64 {
 // With m = 56 the heads span bytes 128-3712 and the 88-byte tails 3712-8640,
 // the leaf's 8640 bytes whichever way it is cut. A value of at most 40 bytes
 // lives in its slot's head line alone: it is staged, flushed and read as one
-// line. Recovery reads the two header lines of a leaf and, only for a leaf
-// that may own key blocks or stores no high key, the heads too (58 lines),
-// never a tail.
+// line. Recovery reads the two header lines of a leaf and, only in a tree
+// that has published a key block or for a leaf that stores no high key, the
+// heads too (58 lines), never a tail.
 type varLayout struct {
 	cap       int
 	valSize   int
@@ -235,8 +231,7 @@ type varLayout struct {
 	headSize  uint64 // a slot's bytes at slotOff: the whole slot, or its head line
 	tailSize  uint64 // 0 unless the slot is split
 	offBitmap uint64
-	offLock   uint64
-	offNext   uint64
+	offNext   uint64 // right behind the bitmap
 	offHigh   uint64 // the high key's cell and length word, right behind next
 	offKV     uint64
 	offTail   uint64 // end of the slot (or head) array, where the tails start
@@ -249,8 +244,7 @@ func newVarLayoutV(leafCap, valueSize int, v Variant) varLayout {
 	if l.hasFP {
 		l.offBitmap = roundUp(uint64(leafCap), 8)
 	}
-	l.offLock = l.offBitmap + 8
-	l.offNext = l.offLock + 8
+	l.offNext = l.offBitmap + 8
 	l.offHigh = l.offNext + scm.PPtrSize
 	l.headSize = l.slotSize
 	align := uint64(32)

@@ -23,7 +23,10 @@ import (
 //	 48  numLogs    u64
 //	 64  headLeaf   PPtr  head of the linked list of leaves
 //	 80  headGroup  PPtr  top of the stack of leaf groups
-//	 96  reserved   16 B  zero (v5: the group list's tail pointer)
+//	 96  fanout     u64   Config.InnerFanout, which recovery rebuilds with
+//	104  keyBlocks  u64   1 from before the first key-block publish on; it
+//	                      shares headLeaf's line (engine.markKeyBlocks)
+//	112  reserved   16 B  zero
 //	128  reserved   64 B  zero (v5: the getLeaf micro-log)
 //	192  freeLeafLog (PCurrentGroup, PPrevGroup)   — own cache line
 //	256  splitLogs   numLogs × 64B (PCurrentLeaf, PNewLeaf)
@@ -51,12 +54,14 @@ import (
 // behind its next pointer and a key-blocks flag beside its lock byte, and
 // recovery takes the separators from the high keys (layout.go,
 // recovery.go), where a version-6 leaf holds neither — its bytes there are
-// padding, or a var leaf's first slot. There is one reader: a tree of another
-// version is refused at open.
+// padding, or a var leaf's first slot; version 8 drops the leaf's lock and
+// flags word and keeps one key-blocks word per tree here, where a version-7
+// leaf keeps its next pointer 8 bytes further out. There is one reader: a
+// tree of another version is refused at open.
 const (
 	metaMagicBase   = 0xF97B_0000_4EAF_0000
 	metaVersionMask = 0xFFFF
-	layoutVersion   = 7
+	layoutVersion   = 8
 	metaMagic       = metaMagicBase | layoutVersion
 	mOffMagic       = 0
 	mOffStatus      = 8
@@ -68,6 +73,8 @@ const (
 	mOffVariant     = 56
 	mOffHeadLeaf    = 64
 	mOffHeadGroup   = 80
+	mOffInnerFanout = 96
+	mOffKeyBlocks   = 104
 	mOffFreeLeafLog = 192
 	mOffLogs        = 256
 
@@ -100,6 +107,7 @@ func createMeta(pool *scm.Pool, keyKind uint64, cfg Config) (meta, error) {
 	p.WriteU64(m.base+mOffValueSize, uint64(cfg.ValueSize))
 	p.WriteU64(m.base+mOffNumLogs, uint64(cfg.NumLogs))
 	p.WriteU64(m.base+mOffVariant, uint64(cfg.Variant))
+	p.WriteU64(m.base+mOffInnerFanout, uint64(cfg.InnerFanout))
 	p.Persist(m.base, mOffLogs)
 	p.WriteU64(m.base+mOffStatus, 1)
 	p.Persist(m.base+mOffStatus, 8)
@@ -155,15 +163,18 @@ func openMeta(pool *scm.Pool, wantKind uint64) (meta, Config, error) {
 		return meta{}, Config{}, fmt.Errorf("fptree: key kind mismatch: arena has %d, caller wants %d", got, wantKind)
 	}
 	cfg := Config{
-		Variant:   Variant(pool.ReadU64(m.base + mOffVariant)),
-		LeafCap:   int(pool.ReadU64(m.base + mOffLeafCap)),
-		GroupSize: int(pool.ReadU64(m.base + mOffGroupSize)),
-		ValueSize: int(pool.ReadU64(m.base + mOffValueSize)),
-		NumLogs:   int(pool.ReadU64(m.base + mOffNumLogs)),
+		Variant:     Variant(pool.ReadU64(m.base + mOffVariant)),
+		LeafCap:     int(pool.ReadU64(m.base + mOffLeafCap)),
+		InnerFanout: int(pool.ReadU64(m.base + mOffInnerFanout)),
+		GroupSize:   int(pool.ReadU64(m.base + mOffGroupSize)),
+		ValueSize:   int(pool.ReadU64(m.base + mOffValueSize)),
+		NumLogs:     int(pool.ReadU64(m.base + mOffNumLogs)),
 	}
 	m.nLogs = cfg.NumLogs
 	return m, cfg, nil
 }
+
+func (m meta) keyBlocks() bool { return m.pool.ReadU64(m.base+mOffKeyBlocks) != 0 }
 
 // Micro-log accessors. Each log is a pair of persistent-pointer cells in one
 // cache line: cell 0 names the element an operation works on (PCurrentLeaf,

@@ -14,12 +14,12 @@ import (
 //
 // The rebuild walks the persistent leaf list once, reading each leaf's next
 // pointer and high key. The walk hands batches of consecutive leaves to
-// Workers scanner goroutines, which read each leaf's validity bitmap and, for
-// a leaf that may own key blocks or stores no high key, its key cells: max
-// key and leaked key blocks. The scan is read-only and dominated by SCM
-// latency. One pass in list order then applies every durable repair (reclaiming leaked key
-// blocks, unlinking leaves emptied by an interrupted delete) and the inner
-// nodes are built. Every worker count reads the same lines and writes the
+// Workers scanner goroutines, which read each leaf's validity bitmap and, in
+// a tree that has published a key block or for a leaf that stores no high
+// key, its key cells: max key and leaked key blocks. The scan is read-only
+// and dominated by SCM latency. One pass in list order then applies every
+// durable repair (reclaiming leaked key blocks, unlinking leaves emptied by
+// an interrupted delete) and the inner nodes are built. Every worker count reads the same lines and writes the
 // same bytes, so the recovered arena is byte-identical whatever Workers is.
 type RecoveryOptions struct {
 	// Workers is the number of goroutines scanning persistent leaves during
@@ -52,35 +52,35 @@ const scanBatch = 64
 // separator to its right (the high key, or the max key when the leaf stores
 // none), the valid-slot count and the leak repairs Algorithm 17 detected (var
 // codec only), which the repair pass applies. scan marks a leaf whose cells
-// must be read: it may own key blocks, or it is not the last leaf and stores
-// no high key.
+// must be read: the tree has published a key block, or the leaf is not the
+// last and stores no high key.
 type scannedLeaf[K any] struct {
-	leaf      uint64
-	bound     K
-	high      bool // bound is the leaf's high key
-	keyBlocks bool // the leaf's key-blocks flag
-	scan      bool
-	count     int
-	leaks     []leakAction
+	leaf  uint64
+	bound K
+	high  bool // bound is the leaf's high key
+	scan  bool
+	count int
+	leaks []leakAction
 }
 
 // collectLeaves is the leaf pass of Algorithm 9, with each leaf's separator
 // taken from its high key instead of from a scan of its keys. The caller's
 // goroutine walks the persistent leaf list, reading of each leaf the header
-// line that holds its flags, next pointer and high key in one access, and
-// hands batches of consecutive leaves to workers goroutines. A worker reads a
-// leaf's bitmap, the one other line the leaf costs, for its count; only a
-// leaf whose flags say it may own key blocks, or that stores no high key,
-// has its key cells scanned (codec.scanLeaf), into scratch of the worker's
-// own (scanBuf). Then one pass in list order applies every durable repair — the
-// leak repairs of each leaf, the unlink of each leaf an interrupted delete
-// emptied — and returns the live leaves with their bounds and key-blocks
-// flags. Every worker count reads the lines one sequential walk reads.
+// line that holds its next pointer and high key in one access, and hands
+// batches of consecutive leaves to workers goroutines. A worker reads a
+// leaf's bitmap, the one other line the leaf costs, for its count. Only in a
+// tree whose key-blocks word is set, or for a non-last leaf that stores no
+// high key (which a tree of cell-sized keys has none of), are a leaf's key
+// cells scanned (codec.scanLeaf), into scratch of the worker's own
+// (scanBuf). Then one pass in list order applies
+// every durable repair — the leak repairs of each leaf, the unlink of each
+// leaf an interrupted delete emptied — and returns the live leaves with their
+// bounds. Every worker count reads the lines one sequential walk reads.
 //
 // An empty leaf leaves the list without touching its predecessor's high key:
 // its successor's keys lie above the empty leaf's bound, so above its
 // predecessor's, and the successor takes the range.
-func (e *engine[K, V]) collectLeaves(workers int) (leaves []uint64, bounds []K, keyBlocks []bool, size int) {
+func (e *engine[K, V]) collectLeaves(workers int) (leaves []uint64, bounds []K, size int) {
 	work := make(chan []scannedLeaf[K], workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -109,17 +109,16 @@ func (e *engine[K, V]) collectLeaves(workers int) (leaves []uint64, bounds []K, 
 	}
 	var batches [][]scannedLeaf[K]
 	b := make([]scannedLeaf[K], 0, scanBatch)
-	var line [8 + scm.PPtrSize + maxHighSize]byte // lock, flags, pad, next, high
-	hdr := line[:e.sh.offHigh+e.sh.highSize-e.sh.offLock]
-	nh := hdr[e.sh.offNext-e.sh.offLock:]
+	kb := e.keyBlocks.Load()
+	var line [scm.PPtrSize + maxHighSize]byte // next, high
+	nh := line[:e.sh.offHigh+e.sh.highSize-e.sh.offNext]
 	for p := e.leafList.first(); !p.IsNull(); {
 		e.Ops.RecoveryLeaves.Add(1)
-		e.pool.ReadInto(p.Offset+e.sh.offLock, hdr)
+		e.pool.ReadInto(p.Offset+e.sh.offNext, nh)
 		s := scannedLeaf[K]{leaf: p.Offset}
 		p = scm.PPtr{ArenaID: binary.LittleEndian.Uint64(nh), Offset: binary.LittleEndian.Uint64(nh[8:])}
 		s.bound, s.high = e.cdc.high(nh[scm.PPtrSize:])
-		s.keyBlocks = hdr[1]&leafKeyBlocks != 0
-		s.scan = s.keyBlocks || (!s.high && !p.IsNull())
+		s.scan = kb || (!s.high && !p.IsNull())
 		b = append(b, s)
 		if len(b) == scanBatch {
 			batches = append(batches, b)
@@ -144,25 +143,23 @@ func (e *engine[K, V]) collectLeaves(workers int) (leaves []uint64, bounds []K, 
 			}
 			leaves = append(leaves, s.leaf)
 			bounds = append(bounds, s.bound)
-			keyBlocks = append(keyBlocks, s.keyBlocks)
 			size += s.count
 			prev = s.leaf
 		}
 	}
-	return leaves, bounds, keyBlocks, size
+	return leaves, bounds, size
 }
 
 // buildInnerW bulk-builds the DRAM part from a leaf list and the leaves'
 // bounds (the separator right of each leaf but the last), packing nodes to at
-// most ~90% so the first inserts do not immediately split every node; a leaf
-// whose keyBlocks entry is set (nil: none) gets a handle that knows its
-// key-blocks flag is set, and prefix is the codec's separator prefix. With
+// most ~90% so the first inserts do not immediately split every node; prefix
+// is the codec's separator prefix. With
 // workers > 1 the leaf-parent level is filled in parallel: node boundaries
 // depend only on len(leaves), so workers fill disjoint, deterministic
 // node-index ranges and the resulting tree has exactly the shape the
 // sequential build produces. Upper levels shrink by ~width× per level and
 // are built sequentially.
-func buildInnerW[K any](leaves []uint64, bounds []K, keyBlocks []bool, maxKids, workers int, prefix func(K) uint64) *cInner[K] {
+func buildInnerW[K any](leaves []uint64, bounds []K, maxKids, workers int, prefix func(K) uint64) *cInner[K] {
 	width := maxKids * 9 / 10
 	if width < 2 {
 		width = 2
@@ -184,11 +181,7 @@ func buildInnerW[K any](leaves []uint64, bounds []K, keyBlocks []bool, maxKids, 
 		}
 		n := newCInner[K](maxKids, true)
 		for i := at; i < end; i++ {
-			ref := &leafRef{off: leaves[i]}
-			if keyBlocks != nil && keyBlocks[i] {
-				ref.keyBlocks.Store(true)
-			}
-			n.leaves[i-at].Store(ref)
+			n.leaves[i-at].Store(&leafRef{off: leaves[i]})
 			if i < end-1 {
 				k := bounds[i]
 				n.setSep(i-at, &k, prefix(k))

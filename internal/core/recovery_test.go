@@ -560,7 +560,7 @@ func checkLeafPass[K, V any](t *testing.T, e *engine[K, V], perLeaf uint64, n in
 	want := e.leafSeps(e.root.Load(), nil, nil)
 	e.pool.Crash() // nothing is dirty: this only empties the simulated cache
 	m0 := e.pool.Stats().ReadMisses.Load()
-	leaves, bounds, _, size := e.collectLeaves(2)
+	leaves, bounds, size := e.collectLeaves(2)
 	misses := e.pool.Stats().ReadMisses.Load() - m0
 	if size != n || len(leaves) != len(want) || len(leaves) < 4 {
 		t.Fatalf("leaf pass: %d keys in %d leaves, want %d in %d (4 or more)", size, len(leaves), n, len(want))
@@ -715,6 +715,64 @@ func TestRecoveryReadsSameLinesAtEveryWorkerCount(t *testing.T) {
 				if !bytes.Equal(im, img) {
 					t.Errorf("workers=%d: durable arena differs from workers=1", w)
 				}
+			}
+		})
+	}
+}
+
+// TestOpenKeepsInnerFanout: recovery rebuilds the inner nodes at the fanout
+// the tree was created with, which the metadata block keeps. BulkLoad builds
+// them as recovery does, so a bulk-loaded tree reopens with its own height
+// and leaf parents; a concurrent tree grown by inserts reopens at its fanout
+// too. At the default fanout both would come back one flat leaf parent.
+func TestOpenKeepsInnerFanout(t *testing.T) {
+	const n = 2000
+	for _, fanout := range []int{4, 64} {
+		t.Run(fmt.Sprint(fanout), func(t *testing.T) {
+			cfg := Config{LeafCap: 8, InnerFanout: fanout, GroupSize: 4}
+			kvs := make([]Pair[uint64, uint64], n)
+			for i := range kvs {
+				kvs[i] = Pair[uint64, uint64]{uint64(i), uint64(i)}
+			}
+			tr, err := Create(newPool(16), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.BulkLoad(kvs, 0); err != nil {
+				t.Fatal(err)
+			}
+			height, parents := tr.Height(), len(leafParents(tr.root.Load(), nil))
+			if parents < 2 {
+				t.Fatalf("fanout %d: %d leaf parents, want several", fanout, parents)
+			}
+			tr.Pool().Crash()
+			re, err := Open(tr.Pool())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h, p := re.Height(), len(leafParents(re.root.Load(), nil)); h != height || p != parents {
+				t.Errorf("fanout %d: reopened with height %d and %d leaf parents, created with %d and %d", fanout, h, p, height, parents)
+			}
+			if err := re.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+
+			ct, err := CCreate(newPool(16), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kv := range kvs {
+				if err := ct.Insert(kv.Key, kv.Value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ct.Pool().Crash()
+			cre, err := COpen(ct.Pool())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cre.cfg.InnerFanout; got != fanout {
+				t.Errorf("concurrent tree created at fanout %d reopened at %d", fanout, got)
 			}
 		})
 	}

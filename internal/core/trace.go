@@ -15,9 +15,6 @@ import (
 // synchronization on every operation.
 func (e *engine[K, V]) SetTracer(tr *trace.Tracer) { e.tr = tr }
 
-// Tracer returns the installed tracer (nil when tracing is disabled).
-func (e *engine[K, V]) Tracer() *trace.Tracer { return e.tr }
-
 // abortc records one optimistic-validation failure: the crash-injection
 // check every retry loop must make, the cause-tagged htm counters and the
 // (possibly nil) span of the operation that must now retry. It does not pace

@@ -110,14 +110,15 @@ func TestStoresOversizedValueError(t *testing.T) {
 }
 
 // TestOpenStoreRefusesOldLeafLayout rewrites a store's tree-metadata magic to
-// the layout-6 value (leaves without high keys, where this build takes the
-// separators recovery rebuilds from them — what a -data file written before
-// layout 7 holds; core.TestOldLayoutRefused hand-builds the whole block for
-// every old version) and checks that the store open paths pass on the
-// engine's refusal, which names both layout versions.
+// the layout-7 value (leaves with a lock and flags word ahead of the next
+// pointer, where this build keeps the next pointer right behind the bitmap —
+// what a -data file written before layout 8 holds; core.TestOldLayoutRefused
+// hand-builds the whole block for every old version) and checks that the
+// store open paths pass on the engine's refusal, which names both layout
+// versions.
 func TestOpenStoreRefusesOldLeafLayout(t *testing.T) {
-	const magicV6 = 0xF97B_0000_4EAF_0006
-	const want = "tree has leaf layout v6, this build reads v7"
+	const magicV7 = 0xF97B_0000_4EAF_0007
+	const want = "tree has leaf layout v7, this build reads v8"
 	for _, e := range Engines {
 		if e.Open == nil || e.Name == "nvtreec" { // only the core trees carry this metadata block
 			continue
@@ -134,10 +135,10 @@ func TestOpenStoreRefusesOldLeafLayout(t *testing.T) {
 			t.Fatalf("%s: reopening a current store: %v", e.Name, err)
 		}
 		magicOff := p.Root().Offset // the magic is the metadata block's first word
-		p.WriteU64(magicOff, magicV6)
+		p.WriteU64(magicOff, magicV7)
 		p.Persist(magicOff, 8)
 		if _, err := e.Open(p); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: open of a layout-4 store: %v, want %q", e.Name, err, want)
+			t.Errorf("%s: open of a layout-7 store: %v, want %q", e.Name, err, want)
 		}
 	}
 }

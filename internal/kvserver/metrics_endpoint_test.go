@@ -31,7 +31,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	srv.RegisterMetrics(reg)
-	httpSrv, httpAddr, err := obs.Serve("127.0.0.1:0", reg, ring)
+	httpSrv, httpAddr, err := obs.Serve("127.0.0.1:0", reg, ring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

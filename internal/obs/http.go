@@ -9,23 +9,21 @@ import (
 	"time"
 )
 
-// Handler returns an http.Handler exposing the registry and the standard
-// debug surfaces:
+// newMux builds the observability endpoint's routes:
 //
 //	/metrics        Prometheus text exposition of reg
 //	/debug/vars     expvar (Go runtime memstats, cmdline)
 //	/debug/pprof/   net/http/pprof profiles
 //	/debug/events   the event ring, oldest first (when ring is non-nil)
-func Handler(reg *Registry, ring *EventRing) http.Handler {
-	return HandlerWith(reg, ring, nil)
-}
-
-// HandlerWith is Handler plus caller-supplied routes (e.g. the tracing
-// layer's /debug/traces) mounted on the same mux. Extra paths must not
-// collide with the standard ones.
-func HandlerWith(reg *Registry, ring *EventRing, extra map[string]http.Handler) http.Handler {
+//
+// plus the caller's extra routes (e.g. the tracing layer's /debug/traces),
+// which must not collide with these.
+func newMux(reg *Registry, ring *EventRing, extra map[string]http.Handler) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", MetricsHandler(reg))
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w) //nolint:errcheck // client went away
+	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -47,33 +45,22 @@ func HandlerWith(reg *Registry, ring *EventRing, extra map[string]http.Handler) 
 	return mux
 }
 
-// MetricsHandler serves only the /metrics exposition of reg.
-func MetricsHandler(reg *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w) //nolint:errcheck // client went away
-	})
-}
-
 // HTTPServer is a running observability endpoint; Close shuts it down.
 type HTTPServer struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// Serve starts the observability endpoint on addr (e.g. "127.0.0.1:9100" or
-// ":0" for an ephemeral port) and returns the server and its bound address.
-func Serve(addr string, reg *Registry, ring *EventRing) (*HTTPServer, string, error) {
-	return ServeWith(addr, reg, ring, nil)
-}
-
-// ServeWith is Serve with extra routes mounted via HandlerWith.
-func ServeWith(addr string, reg *Registry, ring *EventRing, extra map[string]http.Handler) (*HTTPServer, string, error) {
+// Serve starts the observability endpoint (newMux) on addr (e.g.
+// "127.0.0.1:9100" or ":0" for an ephemeral port), with extra routes mounted
+// beside the standard ones (nil: none), and returns the server and its bound
+// address.
+func Serve(addr string, reg *Registry, ring *EventRing, extra map[string]http.Handler) (*HTTPServer, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Handler: HandlerWith(reg, ring, extra), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: newMux(reg, ring, extra), ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Close
 	return &HTTPServer{ln: ln, srv: srv}, ln.Addr().String(), nil
 }

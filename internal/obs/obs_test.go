@@ -280,7 +280,7 @@ func TestEventsEndpointDroppedHeader(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		ring.Record("k", "event %d", i)
 	}
-	srv := httptest.NewServer(Handler(NewRegistry(), ring))
+	srv := httptest.NewServer(newMux(NewRegistry(), ring, nil))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/events")
 	if err != nil {

@@ -185,7 +185,7 @@ func TestHTTPEndpointServesMetricsExpvarAndEvents(t *testing.T) {
 	reg.Counter("endpoint_test_total", "x").Add(7)
 	ring := NewEventRing(8)
 	ring.Record("test", "hello ring")
-	srv, addr, err := Serve("127.0.0.1:0", reg, ring)
+	srv, addr, err := Serve("127.0.0.1:0", reg, ring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
