@@ -76,7 +76,7 @@ func (e *engine[K, V]) bulkLoad(n int, fill float64, at func(int) (K, V)) error 
 			if e.cdc.ownsBlock(k) {
 				e.markKeyBlocks()
 			}
-			if err := e.cdc.writeSlot(leaf, s, k, v); err != nil {
+			if err := e.cdc.writeSlot(leaf, s, k, v, -1); err != nil {
 				return err
 			}
 			if e.sh.hasFP {

@@ -78,14 +78,18 @@ type codec[K, V any] interface {
 	ownsBlock(k K) bool
 	// writeSlot persists the key and value payload of a free slot. It does
 	// NOT touch the fingerprint or bitmap — engine.commitSlot owns those.
-	writeSlot(leaf uint64, slot int, k K, v V) error
-	// moveSlot restages an existing slot's key k with a new value into a free
-	// slot (update path). The var codec copies a key block's persistent
-	// pointer instead of re-allocating (Algorithm 16).
-	moveSlot(leaf uint64, slot, prev int, k K, v V)
-	// afterUpdate runs after the bitmap commit of an update of k; the var
-	// codec nulls the old slot's key pointer so the key block keeps exactly
-	// one owner.
+	// from is -1 for a key new to the leaf; an out-of-place update passes
+	// the slot that holds k now, and the var codec then copies a key block's
+	// persistent pointer from it instead of re-allocating (Algorithm 16).
+	writeSlot(leaf uint64, slot int, k K, v V, from int) error
+	// updateInPlace overwrites the value of the valid slot s with v when
+	// that is one p-atomic store: v's bytes lie in one aligned 8-byte word of
+	// the slot, and nothing else of the slot changes. It persists that word
+	// and reports true, or reports false and writes nothing.
+	updateInPlace(leaf uint64, s int, v V) bool
+	// afterUpdate runs after the bitmap commit of an out-of-place update of
+	// k; the var codec nulls the old slot's key pointer so the key block
+	// keeps exactly one owner.
 	afterUpdate(leaf uint64, prev int, k K)
 	// releaseSlotKey frees the storage slot holds for k after a delete's
 	// bitmap flip.
@@ -244,7 +248,7 @@ func (c *fixedCodec) leafPairs(leaf, bm uint64, dst []kvPair[uint64, uint64]) []
 
 func (c *fixedCodec) ownsBlock(uint64) bool { return false }
 
-func (c *fixedCodec) writeSlot(leaf uint64, slot int, k, v uint64) error {
+func (c *fixedCodec) writeSlot(leaf uint64, slot int, k, v uint64, _ int) error {
 	c.pool.WriteU64(c.lay.keyOff(leaf, slot), k)
 	c.pool.WriteU64(c.lay.valOff(leaf, slot), v)
 	if c.lay.hasFP {
@@ -260,8 +264,12 @@ func (c *fixedCodec) writeSlot(leaf uint64, slot int, k, v uint64) error {
 	return nil
 }
 
-func (c *fixedCodec) moveSlot(leaf uint64, slot, prev int, k, v uint64) {
-	c.writeSlot(leaf, slot, k, v) //nolint:errcheck // fixed writeSlot cannot fail
+// updateInPlace always succeeds: a fixed value is one aligned word, in the
+// slot's line or, for PTree, in the value array.
+func (c *fixedCodec) updateInPlace(leaf uint64, s int, v uint64) bool {
+	c.pool.WriteU64(c.lay.valOff(leaf, s), v)
+	c.pool.Persist(c.lay.valOff(leaf, s), 8)
+	return true
 }
 
 func (c *fixedCodec) afterUpdate(uint64, int, uint64)    {}
@@ -520,8 +528,12 @@ func pairBytes(klen, vlen uint64) (k, v []byte) {
 }
 
 // writeSlot stages a free slot. A key of at most inlineKeyMax bytes goes into
-// the slot itself (stageInline). A longer key performs lines 12-18 of
-// Algorithm 14 with each line flushed once: the length word and the value are
+// the slot itself (stageInline), on an update too. A longer key moved by an
+// update is not re-allocated: slot from's pointer is copied (Algorithm 16),
+// the new value is staged beside it and the slot is persisted once; after the
+// bitmap flip the key briefly has two owners, which afterUpdate repairs. A
+// new longer key performs lines 12-18 of Algorithm 14 with each line flushed
+// once: the length word and the value are
 // staged and persisted together, then the allocator fills the key block with
 // the key's bytes, makes it durable and durably publishes it in the slot's
 // pointer cell (so a crash can never leak it, and a published pointer never
@@ -532,13 +544,18 @@ func pairBytes(klen, vlen uint64) (k, v []byte) {
 // before the pointer is, as in the paper. The caller has made the tree's
 // key-blocks word durable before (ownsBlock), so recovery's leak scan covers
 // the leaf.
-func (c *varCodec) writeSlot(leaf uint64, slot int, k, v []byte) error {
+func (c *varCodec) writeSlot(leaf uint64, slot int, k, v []byte, from int) error {
 	if len(k) <= inlineKeyMax {
 		c.stageInline(leaf, slot, k, v)
 		return nil
 	}
 	c.nullStaleInlineCell(leaf, slot)
 	n := c.stageValue(leaf, slot, len(k), v)
+	if from >= 0 {
+		c.pool.WritePPtr(c.lay.pkeyOff(leaf, slot), c.pool.ReadPPtr(c.lay.pkeyOff(leaf, from)))
+		c.pool.Persist(c.lay.slotOff(leaf, slot), cellSize+n)
+		return nil
+	}
 	c.pool.Persist(c.lay.klenOff(leaf, slot), 8+n)
 	_, err := c.pool.AllocInit(c.lay.pkeyOff(leaf, slot), uint64(len(k)), k)
 	return err
@@ -607,20 +624,25 @@ func (c *varCodec) stageValue(leaf uint64, slot int, klen int, value []byte) uin
 	return head
 }
 
-// moveSlot restages the key of slot prev, which is k, beside a new value. An
-// inline key is simply written again. A pointer key is not re-allocated: the
-// previous slot's pointer and length are copied (Algorithm 16), the new value
-// is staged beside them and the slot is persisted once; after the bitmap flip
-// the key briefly has two owners, which afterUpdate repairs.
-func (c *varCodec) moveSlot(leaf uint64, slot, prev int, k, v []byte) {
-	if len(k) <= inlineKeyMax {
-		c.stageInline(leaf, slot, k, v)
-		return
+// updateInPlace stores v (truncated to the field, as stageValue does) over
+// slot s's value when it has the length the slot's length word records, so
+// the word is not rewritten, and its bytes lie in one aligned word, which the
+// slot's layout decides: the 8-byte-aligned field of a 32- or 40-byte slot or
+// of a split slot's head line holds any value of at most 8 bytes in its
+// first word. Exactly len(v) bytes are written, so a field narrower than a
+// word never spills into the next slot, and an empty value writes nothing.
+// The key cell, pointer key or inline, is not touched.
+func (c *varCodec) updateInPlace(leaf uint64, s int, v []byte) bool {
+	v = v[:min(len(v), c.valSize)]
+	off, n := c.lay.valOff(leaf, s), uint64(len(v))
+	if (n > 0 && off/8 != (off+n-1)/8) || c.pool.ReadU64(c.lay.klenOff(leaf, s))>>32 != n {
+		return false
 	}
-	c.nullStaleInlineCell(leaf, slot)
-	n := c.stageValue(leaf, slot, len(k), v)
-	c.pool.WritePPtr(c.lay.pkeyOff(leaf, slot), c.pool.ReadPPtr(c.lay.pkeyOff(leaf, prev)))
-	c.pool.Persist(c.lay.slotOff(leaf, slot), cellSize+n)
+	if n > 0 {
+		c.pool.WriteBytes(off, v)
+		c.pool.Persist(off, n)
+	}
+	return true
 }
 
 // afterUpdate resets the old slot's reference so a key block has exactly one

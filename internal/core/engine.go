@@ -297,7 +297,7 @@ func (e *engine[K, V]) insertIntoLeaf(ref *leafRef, bm uint64, key K, value V) e
 	if e.cdc.ownsBlock(key) {
 		e.markKeyBlocks()
 	}
-	if err := e.cdc.writeSlot(ref.off, slot, key, value); err != nil {
+	if err := e.cdc.writeSlot(ref.off, slot, key, value, -1); err != nil {
 		return err
 	}
 	e.commitSlot(ref.off, slot, key, bm|(1<<slot))
@@ -532,10 +532,12 @@ const (
 
 // putT is the one body of Insert, Update and Upsert: it takes key's leaf
 // exclusively once, decides under that lock whether the key is there, and
-// inserts or updates in place, splitting a full leaf first. Deciding and
-// writing under one acquisition is what keeps two racing upserts of a new
-// key from both inserting it. It reports whether the key was present (always
-// false for putInsert, which does not look).
+// inserts or updates. An update whose value the codec can store with one
+// p-atomic word store is done in its slot; any other goes out of place into
+// a free slot, and that, like an insert, splits a full leaf first. Deciding
+// and writing under one acquisition is what keeps two racing upserts of a
+// new key from both inserting it. It reports whether the key was present
+// (always false for putInsert, which does not look).
 func (e *engine[K, V]) putT(key K, value V, mode putMode, sp *trace.Span) (bool, error) {
 	if mode != putUpdate {
 		if err := e.cdc.validateKey(key); err != nil {
@@ -562,9 +564,9 @@ func (e *engine[K, V]) putT(key K, value V, mode putMode, sp *trace.Span) (bool,
 		bm = e.leafBitmap(ref.off)
 	} else {
 		prev, bm, found = e.findInLeaf(ref.off, key)
-		if !found && mode == putUpdate {
+		if (!found && mode == putUpdate) || (found && e.cdc.updateInPlace(ref.off, prev, value)) {
 			e.cc.unlockLeaf(ref)
-			return false, nil
+			return found, nil
 		}
 	}
 	target := ref
@@ -593,7 +595,7 @@ func (e *engine[K, V]) putT(key K, value V, mode putMode, sp *trace.Span) (bool,
 	var err error
 	if found {
 		slot := bits.TrailingZeros64(^bm)
-		e.cdc.moveSlot(target.off, slot, prev, key, value)
+		_ = e.cdc.writeSlot(target.off, slot, key, value, prev) // a moved key allocates nothing, so nothing can fail
 		e.commitSlot(target.off, slot, key, bm&^(1<<prev)|(1<<slot))
 		e.cdc.afterUpdate(target.off, prev, key)
 	} else {
@@ -663,11 +665,16 @@ func (e *engine[K, V]) firstLeaf(root *cInner[K]) error {
 // splitLeaf is Algorithm 3 under a split micro-log drawn from the free
 // queue, so RecoverSplit can finish or discard the operation from any crash
 // point. The new leaf comes from the leaf groups when enabled (§4.3,
-// single-threaded only) or straight from the persistent allocator. The new
+// single-threaded only) and is then filled by completeSplit. Otherwise it
+// comes straight from the persistent allocator, which fills it with the
+// split's image of it, final bitmap included, and persists it once before
+// the micro-log publishes it: lines 6-10 of Algorithm 3 cost one write of the
+// new leaf, where a zeroed block would be written and flushed twice. The new
 // leaf's handle is born write-locked; the caller publishes it to the parents
 // and unlocks both halves.
 func (e *engine[K, V]) splitLeaf(ref *leafRef) (K, *leafRef, error) {
-	var zero K
+	var zero, splitKey K
+	var newOff uint64
 	li := <-e.splitQ
 	log := e.m.splitLog(li)
 	log.Set(0, e.leafList.ptr(ref.off))
@@ -679,15 +686,22 @@ func (e *engine[K, V]) splitLeaf(ref *leafRef) (K, *leafRef, error) {
 			return zero, nil, gerr
 		}
 		log.Set(1, e.leafList.ptr(off))
+		newOff = off
+		splitKey = e.completeSplit(ref.off, newOff)
 	} else {
-		if _, aerr := e.pool.Alloc(log.Off(1), e.sh.size); aerr != nil {
+		img := e.pool.ReadBytes(ref.off, e.sh.size)
+		var newBm uint64
+		splitKey, newBm = e.findSplitKey(ref.off)
+		binary.LittleEndian.PutUint64(img[e.sh.offBitmap:], newBm)
+		ptr, aerr := e.pool.AllocInit(log.Off(1), e.sh.size, img)
+		if aerr != nil {
 			log.Reset()
 			e.splitQ <- li
 			return zero, nil, aerr
 		}
+		newOff = ptr.Offset
+		e.splitOldHalf(ref.off, newOff, splitKey, newBm)
 	}
-	newOff := log.P(1).Offset
-	splitKey := e.completeSplit(ref.off, newOff)
 	log.Reset()
 	e.splitQ <- li
 	e.Ops.LeafSplits.Add(1)
@@ -707,10 +721,17 @@ func (e *engine[K, V]) completeSplit(leaf, newLeaf uint64) K {
 
 	splitKey, newBm := e.findSplitKey(leaf)
 	e.persistLeafHeader(newLeaf, newBm)
+	e.splitOldHalf(leaf, newLeaf, splitKey, newBm)
+	return splitKey
+}
+
+// splitOldHalf is lines 11-14 of Algorithm 3, once newLeaf holds the slots
+// newBm marks durably: leaf keeps the others, and newLeaf becomes its
+// successor above splitKey.
+func (e *engine[K, V]) splitOldHalf(leaf, newLeaf uint64, splitKey K, newBm uint64) {
 	e.persistLeafHeader(leaf, e.fullBitmap()&^newBm)
 	e.cdc.afterSplitBitmaps(leaf, newLeaf)
 	e.setNextHigh(leaf, newLeaf, splitKey)
-	return splitKey
 }
 
 // setNextHigh is the split's last step: newLeaf becomes leaf's successor and
@@ -806,9 +827,14 @@ func (e *engine[K, V]) locate(n *cInner[K], key K, kp uint64) int {
 	return i
 }
 
-// Update is Algorithm 8 / 16: the new pair is written to a free slot and both
-// the removal of the old slot and the insertion of the new one commit with
-// one p-atomic bitmap write. Returns false if the key is absent.
+// Update replaces the value of a present key and returns false if the key is
+// absent. A value that fits one aligned word of its slot — every fixed
+// value, and a var value of at most 8 bytes and of the stored value's length
+// — is written over the old one with one p-atomic store and one flush: the
+// store is the commit, and the fingerprint, the bitmap and the slot stay.
+// Any other update is Algorithm 8 / 16: the new pair is written to a free
+// slot (splitting a full leaf first) and both the removal of the old slot
+// and the insertion of the new one commit with one p-atomic bitmap write.
 func (e *engine[K, V]) Update(key K, value V) (bool, error) {
 	sp := e.tr.Start(trace.OpUpdate)
 	ok, err := e.putT(key, value, putUpdate, sp)
@@ -816,8 +842,8 @@ func (e *engine[K, V]) Update(key K, value V) (bool, error) {
 	return ok, err
 }
 
-// Upsert inserts the pair or updates it in place when the key exists, both
-// decided under one hold of the leaf lock.
+// Upsert inserts the pair, or updates it as Update does when the key exists,
+// both decided under one hold of the leaf lock.
 func (e *engine[K, V]) Upsert(key K, value V) error {
 	sp := e.tr.Start(trace.OpUpsert)
 	_, err := e.putT(key, value, putUpsert, sp)

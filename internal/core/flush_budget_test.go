@@ -101,14 +101,17 @@ func distinctFP[K any](n int, mk func(int) K, fp func(K) byte) []K {
 
 // TestVarFlushBudget pins the write path's cost model in count mode, at the
 // benchmark's geometry (LeafCap 56, 8-byte values) and away from splits and
-// leaf deletes, for both key representations. A key that fits the slot's cell
+// leaf deletes, for both key representations. An update to a value of the
+// stored length, 8 bytes here, is one word stored in its slot: exactly 1
+// flush and 1 fence, whatever the key. A key that fits the slot's cell
 // (16 bytes, what the benchmark uses) costs what a fixed key costs: an insert
-// flushes 2 lines (slot, header commit), an update 2, a delete 1 (header),
-// and a find on a cold cache misses on 2 (header, slot). A key behind a
-// pointer (24 bytes) keeps Appendix C's costs: an insert flushes 7 lines
-// (slot staging, five in the allocator including the key's bytes, header
-// commit), an update 3 (slot, header, old pointer), a delete 6 (header, five
-// in the allocator), and a cold find misses on 3 (header, slot, key block).
+// flushes 2 lines (slot, header commit), an update that changes the value's
+// length 2, a delete 1 (header), and a find on a cold cache misses on 2
+// (header, slot). A key behind a pointer (24 bytes) keeps Appendix C's costs:
+// an insert flushes 7 lines (slot staging, five in the allocator including
+// the key's bytes, header commit), a length-changing update 3 (slot, header,
+// old pointer), a delete 6 (header, five in the allocator), and a cold find
+// misses on 3 (header, slot, key block).
 //
 // The kv rows are kvserver's tree (LeafCap 56, a 122-byte value field, so a
 // 152-byte slot split into a head line and an 88-byte tail) with the
@@ -142,16 +145,17 @@ func TestVarFlushBudget(t *testing.T) {
 			if err := tr.Insert(keys[0], []byte("v0000000")); err != nil { // creates the leaf
 				t.Fatal(err)
 			}
-			// check runs fn and holds it to maxFlushes flushes and fences and,
-			// when misses is non-zero, to exactly that many read misses.
-			check := func(op string, key []byte, maxFlushes, misses uint64, fn func()) {
+			// check runs fn and holds it to maxFlushes flushes and fences
+			// (exactly that many when exact is set) and, when misses is
+			// non-zero, to exactly that many read misses.
+			check := func(op string, key []byte, maxFlushes uint64, exact bool, misses uint64, fn func()) {
 				t.Helper()
 				st := pool.Stats()
 				f0, n0 := st.FlushFence()
 				m0 := st.ReadMisses.Load()
 				fn()
 				f1, n1 := st.FlushFence()
-				if f1-f0 > maxFlushes || n1-n0 > maxFlushes {
+				if f1-f0 > maxFlushes || n1-n0 > maxFlushes || (exact && (f1-f0 != maxFlushes || n1-n0 != maxFlushes)) {
 					t.Errorf("%s %q: %d flushes, %d fences, budget %d", op, key, f1-f0, n1-n0, maxFlushes)
 				}
 				if m := st.ReadMisses.Load() - m0; misses > 0 && m != misses {
@@ -159,29 +163,36 @@ func TestVarFlushBudget(t *testing.T) {
 				}
 			}
 			for _, k := range keys[1:] {
-				check("Insert", k, row.insert, 0, func() {
+				check("Insert", k, row.insert, false, 0, func() {
 					if err := tr.Insert(k, []byte("v1111111")); err != nil {
 						t.Fatal(err)
 					}
 				})
 			}
 			for _, k := range keys {
-				check("Update", k, row.update, 0, func() {
+				check("Update in place", k, 1, true, 0, func() {
 					if ok, err := tr.Update(k, []byte("v2222222")); !ok || err != nil {
 						t.Fatalf("Update(%q) = %v, %v", k, ok, err)
 					}
 				})
 			}
 			for _, k := range keys {
+				check("Update to another length", k, row.update, true, 0, func() {
+					if ok, err := tr.Update(k, []byte("v333")); !ok || err != nil {
+						t.Fatalf("Update(%q) = %v, %v", k, ok, err)
+					}
+				})
+			}
+			for _, k := range keys {
 				pool.Crash() // nothing is dirty between operations: this only empties the simulated cache
-				check("Find", k, 0, row.find, func() {
-					if v, ok := tr.Find(k); !ok || !bytes.Equal(v, []byte("v2222222")) {
+				check("Find", k, 0, false, row.find, func() {
+					if v, ok := tr.Find(k); !ok || !bytes.Equal(v, []byte("v333")) {
 						t.Fatalf("Find(%q) = %q, %v", k, v, ok)
 					}
 				})
 			}
 			for _, k := range keys[1:] { // keys[0] stays: emptying the leaf would unlink it
-				check("Delete", k, row.delete, 0, func() {
+				check("Delete", k, row.delete, false, 0, func() {
 					if ok, err := tr.Delete(k); !ok || err != nil {
 						t.Fatalf("Delete(%q) = %v, %v", k, ok, err)
 					}
@@ -325,7 +336,10 @@ func TestFixedFindTwoMisses(t *testing.T) {
 // beside {arena, X} in the live one. The leak scan compared whole PPtrs,
 // took the key for unshared and freed the live slot's key block. It sweeps
 // every crash point of the update, 64 torn seeds and every source slot of a
-// leaf, with line-aligned (32-byte) and unaligned (40-byte) slots.
+// leaf, with line-aligned (32-byte) and unaligned (40-byte) slots. The new
+// value is longer than the old, so the update moves the key to a free slot
+// (a value of the old length would be stored in place, and afterUpdate would
+// never run): the completed update is checked to have left its slot.
 func TestTornAfterUpdateKeepsLiveKey(t *testing.T) {
 	for _, cfg := range []Config{{LeafCap: 56, ValueSize: 8}, {LeafCap: 16, ValueSize: 16}} {
 		nKeys := cfg.LeafCap - 1 // one slot stays free for the update
@@ -349,13 +363,16 @@ func TestTornAfterUpdateKeepsLiveKey(t *testing.T) {
 				}
 				crashedPool.FailAfterFlushes(step)
 				crashed, err := crashtest.Crashes(func() error {
-					_, err := tr.Update(strKey(src), []byte("new"))
+					_, err := tr.Update(strKey(src), tornUpdateVal)
 					return err
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !crashed {
+					if s := slotOf(tr, strKey(src)); s == src {
+						t.Fatalf("%+v: the update of slot %d stayed in its slot", cfg, src)
+					}
 					break
 				}
 				for seed := int64(0); seed < 64; seed++ {
@@ -372,6 +389,19 @@ func TestTornAfterUpdateKeepsLiveKey(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tornUpdateVal is the value TestTornAfterUpdateKeepsLiveKey updates "old" to.
+var tornUpdateVal = []byte("newer")
+
+// slotOf returns the slot key occupies in its leaf, or -1.
+func slotOf[K, V any](e *Index[K, V], key K) int {
+	ref := e.findLeafRef(key)
+	if ref == nil {
+		return -1
+	}
+	s, _, _ := e.findInLeaf(ref.off, key)
+	return s
 }
 
 // checkAfterTornUpdate recovers the tree and checks that every key survived,
@@ -392,7 +422,7 @@ func checkAfterTornUpdate(pool *scm.Pool, nKeys, src int) error {
 		if !ok {
 			return fmt.Errorf("key %d lost", i)
 		}
-		if old, upd := bytes.Equal(v, []byte("old")), bytes.Equal(v, []byte("new")); !old && !(upd && i == src) {
+		if old, upd := bytes.Equal(v, []byte("old")), bytes.Equal(v, tornUpdateVal); !old && !(upd && i == src) {
 			return fmt.Errorf("key %d = %q", i, v)
 		}
 	}

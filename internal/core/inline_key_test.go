@@ -53,7 +53,9 @@ func checkNoLeak(e *VarTree) error {
 // TestTornAfterUpdateKeepsLiveKey, aimed at the one hazard inline keys add: a
 // slot that changes representation when it is reused. For each of the four
 // reuse cases (the free slot last held a short or a long key; a short or a
-// long key is staged into it) it crashes an insert, an update and a delete at
+// long key is staged into it) it crashes an insert, an update to a value of
+// another length — one of the old length would be stored in place, see
+// TestInPlaceUpdateTears — and a delete at
 // every flush step and recovers from every combination of word-prefixes of
 // the lines dirty at that step — aligned 32-byte slots, where a slot is one
 // line, and 40-byte slots, where cell, klen and value may fall on two. After
@@ -99,6 +101,15 @@ func TestTornSlotReuseExhaustive(t *testing.T) {
 					if ok, err := e.Delete(victim); !ok || err != nil {
 						t.Fatalf("Delete(%q) = %v, %v", victim, ok, err)
 					}
+					if e2, err := ctl.open(base.Clone()); err != nil {
+						t.Fatal(err)
+					} else if from := slotOf(e2, moved); from < 0 {
+						t.Fatalf("%q not found", moved)
+					} else if _, err := e2.Update(moved, []byte("newer")); err != nil {
+						t.Fatal(err)
+					} else if to := slotOf(e2, moved); to == from {
+						t.Fatalf("the update of %q stayed in slot %d", moved, from)
+					}
 					withFresh := base.Clone() // for the delete: fresh committed into the reused slot
 					if e2, err := ctl.open(withFresh); err != nil {
 						t.Fatal(err)
@@ -111,10 +122,11 @@ func TestTornSlotReuseExhaustive(t *testing.T) {
 						key     []byte
 						run     func(e *VarTree) error
 						present [2]bool // the key may be present before / after the op
+						val     []byte  // the key's value after the op
 					}{
-						{"insert", base, fresh, func(e *VarTree) error { return e.Insert(fresh, []byte("new")) }, [2]bool{false, true}},
-						{"update", base, moved, func(e *VarTree) error { _, err := e.Update(moved, []byte("new")); return err }, [2]bool{true, true}},
-						{"delete", withFresh, fresh, func(e *VarTree) error { _, err := e.Delete(fresh); return err }, [2]bool{true, false}},
+						{"insert", base, fresh, func(e *VarTree) error { return e.Insert(fresh, []byte("new")) }, [2]bool{false, true}, []byte("new")},
+						{"update", base, moved, func(e *VarTree) error { _, err := e.Update(moved, []byte("newer")); return err }, [2]bool{true, true}, []byte("newer")},
+						{"delete", withFresh, fresh, func(e *VarTree) error { _, err := e.Delete(fresh); return err }, [2]bool{true, false}, nil},
 					}
 					for _, op := range ops {
 						name := fmt.Sprintf("%s/value%d/%s-over-%s/%s", ctl.name, cfg.ValueSize, now.name, was.name, op.name)
@@ -147,7 +159,7 @@ func TestTornSlotReuseExhaustive(t *testing.T) {
 									}
 									v, ok := e.Find(op.key)
 									before := ok == op.present[0] && (!ok || bytes.Equal(v, []byte("old")))
-									after := ok == op.present[1] && (!ok || bytes.Equal(v, []byte("new")))
+									after := ok == op.present[1] && (!ok || bytes.Equal(v, op.val))
 									if !before && !after {
 										return fmt.Errorf("%s, %s: %q = %q, %v: neither before nor after the %s", name, when, op.key, v, ok, op.name)
 									}

@@ -38,7 +38,8 @@ type opCountRow struct {
 // 56, 122-byte value field) holding 100k of the same keys with the
 // benchmark's 32-byte values, through the adapter's 2-byte frame — an
 // overwriting SET, a GET, and what the recovery scan misses on per leaf.
-// The last row inserts 24-byte keys, which live in key blocks of their own,
+// fixed-update, behind the fixed rows' reads so it moves none of their
+// counts, overwrites a value of the CTree. The last row inserts 24-byte keys, which live in key blocks of their own,
 // into a CVarTree of 100k such keys. Every row goes through the public API,
 // and the rows share their state, so they run in order and once per call of
 // opCountRows.
@@ -152,6 +153,14 @@ func opCountRows() []opCountRow {
 		}},
 		{name: "fixed-scan100", pool: func() *scm.Pool { return ft.Pool() }, op: func() error {
 			return missing("scan", len(ft.ScanN(uint64(scanRng.Intn(fixedKeys))*0x9E3779B97F4A7C15, 100)) > 0)
+		}},
+		{name: "fixed-update", pool: func() *scm.Pool { return ft.Pool() }, op: func() error {
+			k := uint64(rng.Intn(fixedKeys))
+			ok, err := ft.Update(k*0x9E3779B97F4A7C15, k+1)
+			if err != nil {
+				return err
+			}
+			return missing("update", ok)
 		}},
 		{name: "var-ptr-insert", pool: func() *scm.Pool { return pt.Pool() }, prep: func() (err error) {
 			if pt, err = CreateConcurrentVar(Options{PoolSize: 64 << 20}); err != nil {
