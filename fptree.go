@@ -154,7 +154,7 @@ func Create(opts Options) (*Tree, error) { return create(opts, core.Create, core
 
 // CreateConcurrent formats a new concurrent FPTree in a fresh arena.
 func CreateConcurrent(opts Options) (*CTree, error) {
-	return create(opts.fanout(128), core.CCreate, core.COpen) // Table 1: FPTreeC
+	return create(opts.concurrent(128), core.CCreate, core.COpen) // Table 1: FPTreeC
 }
 
 // CreateVar formats a new single-threaded variable-size-key FPTree.
@@ -162,7 +162,7 @@ func CreateVar(opts Options) (*VarTree, error) { return create(opts, core.Create
 
 // CreateConcurrentVar formats a new concurrent variable-size-key FPTree.
 func CreateConcurrentVar(opts Options) (*CVarTree, error) {
-	return create(opts.fanout(64), core.CCreateVar, core.COpenVar) // Table 1: FPTreeCVar
+	return create(opts.concurrent(64), core.CCreateVar, core.COpenVar) // Table 1: FPTreeCVar
 }
 
 // Load opens an arena image written by Save and recovers the tree in it.
@@ -182,10 +182,13 @@ func LoadConcurrentVar(path string, opts Options) (*CVarTree, error) {
 	return load(path, opts, core.COpenVar)
 }
 
-func (o Options) fanout(def int) Options {
+// concurrent fills in a concurrent tree's defaults: the inner fanout def,
+// and no leaf groups.
+func (o Options) concurrent(def int) Options {
 	if o.InnerFanout == 0 {
 		o.InnerFanout = def
 	}
+	o.GroupSize = -1
 	return o
 }
 

@@ -94,10 +94,15 @@ type codec[K, V any] interface {
 	// releaseSlotKey frees the storage slot holds for k after a delete's
 	// bitmap flip.
 	releaseSlotKey(leaf uint64, slot int, k K)
-	// afterSplitBitmaps restores per-slot ownership invariants once the two
-	// halves' complementary bitmaps are durable (var: null the invalid
-	// slots' key pointers in both halves).
-	afterSplitBitmaps(leaf, newLeaf uint64)
+	// splitImage drops from img, a split's new leaf built in DRAM whose
+	// bitmap is bm, the references the new leaf must not own (var: the key
+	// pointers of the slots bm leaves out, which stay valid in the split
+	// leaf), so the new leaf is written once.
+	splitImage(img []byte, bm uint64)
+	// afterSplitBitmaps restores per-slot ownership invariants of a split
+	// leaf once its bitmap has dropped the slots the new leaf took (var:
+	// null the invalid slots' key pointers).
+	afterSplitBitmaps(leaf uint64)
 	// scanLeaf is the recovery read of a leaf whose header alone does not
 	// do (it may own key blocks, or stores no high key): the live max key,
 	// the live count, and the repairs the Algorithm 17 leak scan calls for,
@@ -274,7 +279,8 @@ func (c *fixedCodec) updateInPlace(leaf uint64, s int, v uint64) bool {
 
 func (c *fixedCodec) afterUpdate(uint64, int, uint64)    {}
 func (c *fixedCodec) releaseSlotKey(uint64, int, uint64) {}
-func (c *fixedCodec) afterSplitBitmaps(uint64, uint64)   {}
+func (c *fixedCodec) splitImage([]byte, uint64)          {}
+func (c *fixedCodec) afterSplitBitmaps(uint64)           {}
 func (c *fixedCodec) applyLeaks(uint64, []leakAction)    {}
 func (c *fixedCodec) checkInvalidSlot(uint64, int) error { return nil }
 
@@ -664,21 +670,32 @@ func (c *varCodec) releaseSlotKey(leaf uint64, slot int, k []byte) {
 	c.pool.Free(c.lay.pkeyOff(leaf, slot), uint64(len(k)))
 }
 
-// afterSplitBitmaps nulls the invalid slots' key pointers in both halves so
-// every key block has exactly one owning reference — otherwise the Algorithm
-// 17 leak scan could reclaim a key still referenced by the sibling leaf.
-func (c *varCodec) afterSplitBitmaps(leaf, newLeaf uint64) {
-	c.resetInvalidPKeys(leaf)
-	c.resetInvalidPKeys(newLeaf)
+// splitImage nulls, in the new leaf's image, the key pointers of the slots
+// the split leaf keeps, so every key block has exactly one owning reference
+// from the moment the new leaf is durable — otherwise the Algorithm 17 leak
+// scan could reclaim a key still referenced by the sibling leaf. Inline slots
+// are left as they are: the copy is a copy of bytes, not a second reference.
+func (c *varCodec) splitImage(img []byte, bm uint64) {
+	for s := 0; s < c.lay.cap; s++ {
+		if bm&(1<<s) != 0 {
+			continue
+		}
+		cell := img[c.lay.pkeyOff(0, s):]
+		if h := parseKeyCell(cell); h.ownsBlock() {
+			clear(cell[:scm.PPtrSize])
+		}
+	}
 }
 
-// resetInvalidPKeys writes every null first and then persists the slot array
-// once — the lines of one leaf are flushed once each, not once per moved
-// slot. The nulls are independent of each other and recovery redoes the whole
-// pass from the split micro-log, so which of them a crash keeps is immaterial.
-// Inline slots are left as they are: the copy in the other half is a copy of
-// bytes, not a second reference.
-func (c *varCodec) resetInvalidPKeys(leaf uint64) {
+// afterSplitBitmaps nulls the split leaf's invalid key pointers: the slots
+// the new leaf took over, which now own their key blocks there.
+//
+// It writes every null first and then persists the slot array once — the
+// lines of the leaf are flushed once each, not once per moved slot. The nulls
+// are independent of each other and recovery redoes the whole pass from the
+// split micro-log, so which of them a crash keeps is immaterial. Inline slots
+// are left as they are.
+func (c *varCodec) afterSplitBitmaps(leaf uint64) {
 	bm := c.pool.ReadU64(leaf + c.lay.offBitmap)
 	first, end := uint64(0), uint64(0) // the nulled cells span [first, end)
 	for s := 0; s < c.lay.cap; s++ {

@@ -43,9 +43,11 @@ type engine[K, V any] struct {
 	// pointer: a leaf delete tests it and may move it while other deletes
 	// test it, and the first insert into an empty tree sets it, which must
 	// wait for the delete that emptied the tree to finish unlinking the last
-	// leaf. It is taken through cc like a node lock, so it is free on the
-	// single-threaded trees and its waiters watch the crash flag. Recovery
-	// and the quiesced checks read the pointer without it.
+	// leaf. The group stack's top cell shares the pointer's line, so its
+	// live writes take it too (groups.go). It is taken through cc like a
+	// node lock, so it is free on the single-threaded trees and its waiters
+	// watch the crash flag. Recovery and the quiesced checks read the
+	// pointer without it.
 	headLock htm.VersionLock
 	// keyBlocks mirrors the metadata block's key-blocks word.
 	keyBlocks atomic.Bool
@@ -54,7 +56,7 @@ type engine[K, V any] struct {
 	splitQ   chan int // free split micro-log indices
 	deleteQ  chan int // free delete micro-log indices
 
-	groups     groupAlloc // leaf-group management (single-threaded only)
+	groups     groupAlloc // leaf groups (§4.3), when Config.GroupSize > 0
 	recovering bool       // true while micro-logs are being replayed
 
 	// Ops counts in-leaf search and structure-modification events (atomic, so
@@ -83,7 +85,7 @@ type engine[K, V any] struct {
 func newEngine[K, V any](pool *scm.Pool, cfg Config, m meta, cdc codec[K, V], cc concurrency) *engine[K, V] {
 	e := &engine[K, V]{pool: pool, cfg: cfg, m: m, cdc: cdc, cc: cc, st: !cc.concurrent(), sh: cdc.shape()}
 	e.leafList = plist{pool, m.base + mOffHeadLeaf, e.sh.offNext, e.sh.highSize, cc, &e.headLock}
-	e.groups.init(m, plist{pool, m.base + mOffHeadGroup, 0, 0, cc, &e.headLock}, e.sh.size, cfg.GroupSize)
+	e.groups.init(m, cc, &e.headLock, e.sh.size, cfg.GroupSize)
 	e.splitQ = make(chan int, cfg.NumLogs)
 	e.deleteQ = make(chan int, cfg.NumLogs)
 	for i := 0; i < cfg.NumLogs; i++ {
@@ -98,17 +100,11 @@ func newEngine[K, V any](pool *scm.Pool, cfg Config, m meta, cdc codec[K, V], cc
 }
 
 // checkConcurrentCfg rejects configurations the concurrent controller cannot
-// run: the PTree variant has no concurrent implementation, and leaf groups
-// are a central synchronization point that hinders scalability (§4.3), so
-// they are forced off.
-func checkConcurrentCfg(cc concurrency, cfg *Config) error {
-	if !cc.concurrent() {
-		return nil
-	}
-	if cfg.Variant != VariantFPTree {
+// run: the PTree variant has no concurrent implementation.
+func checkConcurrentCfg(cc concurrency, cfg Config) error {
+	if cc.concurrent() && cfg.Variant != VariantFPTree {
 		return fmt.Errorf("fptree: only the FPTree variant has a concurrent implementation")
 	}
-	cfg.GroupSize = 0
 	return nil
 }
 
@@ -116,7 +112,7 @@ func createEngine[K, V any](pool *scm.Pool, cfg Config, cc concurrency) (*engine
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if err := checkConcurrentCfg(cc, &cfg); err != nil {
+	if err := checkConcurrentCfg(cc, cfg); err != nil {
 		return nil, err
 	}
 	if !pool.Root().IsNull() {
@@ -144,7 +140,7 @@ func openEngine[K, V any](pool *scm.Pool, cc concurrency, rec RecoveryOptions) (
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if err := checkConcurrentCfg(cc, &cfg); err != nil {
+	if err := checkConcurrentCfg(cc, cfg); err != nil {
 		return nil, err
 	}
 	e := newEngine(pool, cfg, m, newCodec[K, V](pool, cfg), cc)
@@ -155,7 +151,7 @@ func openEngine[K, V any](pool *scm.Pool, cc concurrency, rec RecoveryOptions) (
 	}
 	e.groups.recover()
 	e.keyBlocks.Store(m.keyBlocks())
-	e.rebuild(rec.workers())
+	e.rebuild(rec)
 	e.recovering = false
 	return e, nil
 }
@@ -624,26 +620,40 @@ func (e *engine[K, V]) firstLeaf(root *cInner[K]) error {
 		e.cc.unlockNodeNoBump(&e.anchor)
 		return nil // someone else created it; retry the insert
 	}
+	// A group leaf is popped before headLock is taken: a pop takes the
+	// groups' mutex, which a whole-group release holds while it takes
+	// headLock.
+	var off uint64
+	if e.groups.enabled() {
+		o, err := e.groups.getLeaf()
+		if err != nil {
+			e.cc.unlockNodeNoBump(&r.lock)
+			e.cc.unlockNodeNoBump(&e.anchor)
+			return err
+		}
+		// A free group leaf has a zero bitmap, but it keeps the next
+		// pointer it had when it was unlinked. Concurrent deletes free
+		// leaves in any order, so the one popped here need not be the
+		// list's last: its stale successor must go before it heads the list.
+		if !e.leafList.after(o).IsNull() {
+			e.leafList.setAfter(o, scm.PPtr{})
+		}
+		off = o
+	}
 	e.cc.lockNode(&e.headLock)
 	if !e.leafList.first().IsNull() {
 		// The delete that emptied the tree has not unlinked its leaf yet.
 		e.cc.unlockNodeNoBump(&e.headLock)
+		if off != 0 {
+			e.groups.freeLeaf(off)
+		}
 		e.cc.unlockNodeNoBump(&r.lock)
 		e.cc.unlockNodeNoBump(&e.anchor)
 		runtime.Gosched()
 		return nil
 	}
-	var off uint64
-	if e.groups.enabled() {
-		o, err := e.groups.getLeaf()
-		if err != nil {
-			e.cc.unlockNodeNoBump(&e.headLock)
-			e.cc.unlockNodeNoBump(&r.lock)
-			e.cc.unlockNodeNoBump(&e.anchor)
-			return err
-		}
-		e.leafList.setFirst(e.leafList.ptr(o))
-		off = o
+	if off != 0 {
+		e.leafList.setFirst(e.leafList.ptr(off))
 	} else {
 		ptr, err := e.pool.Alloc(e.leafList.head, e.sh.size)
 		if err != nil {
@@ -664,20 +674,21 @@ func (e *engine[K, V]) firstLeaf(root *cInner[K]) error {
 
 // splitLeaf is Algorithm 3 under a split micro-log drawn from the free
 // queue, so RecoverSplit can finish or discard the operation from any crash
-// point. The new leaf comes from the leaf groups when enabled (§4.3,
-// single-threaded only) and is then filled by completeSplit. Otherwise it
-// comes straight from the persistent allocator, which fills it with the
-// split's image of it, final bitmap included, and persists it once before
-// the micro-log publishes it: lines 6-10 of Algorithm 3 cost one write of the
-// new leaf, where a zeroed block would be written and flushed twice. The new
-// leaf's handle is born write-locked; the caller publishes it to the parents
-// and unlocks both halves.
+// point. The new leaf's image, final bitmap included, is built in DRAM
+// (splitImage) and written once: a leaf popped from the leaf groups (§4.3)
+// takes it in one write and one persist once the micro-log names the leaf;
+// without groups, the persistent allocator fills the block with it and
+// persists it before the micro-log publishes it. Either way lines 6-10 of
+// Algorithm 3 cost one write of the new leaf. The new leaf's handle is born
+// write-locked; the caller publishes it to the parents and unlocks both
+// halves.
 func (e *engine[K, V]) splitLeaf(ref *leafRef) (K, *leafRef, error) {
-	var zero, splitKey K
+	var zero K
 	var newOff uint64
 	li := <-e.splitQ
 	log := e.m.splitLog(li)
 	log.Set(0, e.leafList.ptr(ref.off))
+	img, splitKey, newBm := e.splitImage(ref.off)
 	if e.groups.enabled() {
 		off, gerr := e.groups.getLeaf()
 		if gerr != nil {
@@ -686,13 +697,10 @@ func (e *engine[K, V]) splitLeaf(ref *leafRef) (K, *leafRef, error) {
 			return zero, nil, gerr
 		}
 		log.Set(1, e.leafList.ptr(off))
+		e.pool.WriteBytes(off, img)
+		e.pool.Persist(off, e.sh.size)
 		newOff = off
-		splitKey = e.completeSplit(ref.off, newOff)
 	} else {
-		img := e.pool.ReadBytes(ref.off, e.sh.size)
-		var newBm uint64
-		splitKey, newBm = e.findSplitKey(ref.off)
-		binary.LittleEndian.PutUint64(img[e.sh.offBitmap:], newBm)
 		ptr, aerr := e.pool.AllocInit(log.Off(1), e.sh.size, img)
 		if aerr != nil {
 			log.Reset()
@@ -700,8 +708,8 @@ func (e *engine[K, V]) splitLeaf(ref *leafRef) (K, *leafRef, error) {
 			return zero, nil, aerr
 		}
 		newOff = ptr.Offset
-		e.splitOldHalf(ref.off, newOff, splitKey, newBm)
 	}
+	e.splitOldHalf(ref.off, newOff, splitKey, newBm)
 	log.Reset()
 	e.splitQ <- li
 	e.Ops.LeafSplits.Add(1)
@@ -710,19 +718,18 @@ func (e *engine[K, V]) splitLeaf(ref *leafRef) (K, *leafRef, error) {
 	return splitKey, newRef, nil
 }
 
-// completeSplit performs lines 6-14 of Algorithm 3; recovery re-enters it.
-func (e *engine[K, V]) completeSplit(leaf, newLeaf uint64) K {
-	// Copy the full leaf content (including the next pointer and the high
-	// key: the new leaf becomes the right neighbor and inherits the leaf's
-	// upper bound).
-	buf := e.pool.ReadBytes(leaf, e.sh.size)
-	e.pool.WriteBytes(newLeaf, buf)
-	e.pool.Persist(newLeaf, e.sh.size)
-
-	splitKey, newBm := e.findSplitKey(leaf)
-	e.persistLeafHeader(newLeaf, newBm)
-	e.splitOldHalf(leaf, newLeaf, splitKey, newBm)
-	return splitKey
+// splitImage builds the new leaf of a split of the full leaf in DRAM (lines
+// 6-10 of Algorithm 3): a copy of leaf, next pointer and high key included,
+// since the new leaf becomes the right neighbor and inherits the leaf's
+// upper bound, with newBm, the upper half of the keys, as its bitmap and no
+// reference to a key block that stays in leaf (codec.splitImage). splitKey
+// is the greatest key leaf keeps.
+func (e *engine[K, V]) splitImage(leaf uint64) (img []byte, splitKey K, newBm uint64) {
+	img = e.pool.ReadBytes(leaf, e.sh.size)
+	splitKey, newBm = e.findSplitKey(leaf)
+	binary.LittleEndian.PutUint64(img[e.sh.offBitmap:], newBm)
+	e.cdc.splitImage(img, newBm)
+	return img, splitKey, newBm
 }
 
 // splitOldHalf is lines 11-14 of Algorithm 3, once newLeaf holds the slots
@@ -730,7 +737,7 @@ func (e *engine[K, V]) completeSplit(leaf, newLeaf uint64) K {
 // successor above splitKey.
 func (e *engine[K, V]) splitOldHalf(leaf, newLeaf uint64, splitKey K, newBm uint64) {
 	e.persistLeafHeader(leaf, e.fullBitmap()&^newBm)
-	e.cdc.afterSplitBitmaps(leaf, newLeaf)
+	e.cdc.afterSplitBitmaps(leaf)
 	e.setNextHigh(leaf, newLeaf, splitKey)
 }
 
@@ -1069,13 +1076,20 @@ func (e *engine[K, V]) recoverSplit(log scm.MicroLog) {
 	}
 	if e.leafBitmap(a.Offset) == e.fullBitmap() {
 		// Crashed before line 11 (the split leaf's bitmap update): redo the
-		// whole copy phase.
-		e.completeSplit(a.Offset, b.Offset)
+		// whole copy phase from the unchanged leaf.
+		img, splitKey, newBm := e.splitImage(a.Offset)
+		e.pool.WriteBytes(b.Offset, img)
+		e.pool.Persist(b.Offset, e.sh.size)
+		e.splitOldHalf(a.Offset, b.Offset, splitKey, newBm)
 	} else {
 		// Crashed at or after line 11: recompute the idempotent tail. The
-		// split key is the greatest key the split left in the leaf.
+		// split key is the greatest key the split left in the leaf. The new
+		// half's invalid slots are reset too, which writes nothing where
+		// splitImage built it, but completes a split an earlier build
+		// began by copying the leaf whole.
 		e.persistLeafHeader(a.Offset, e.fullBitmap()&^e.leafBitmap(b.Offset))
-		e.cdc.afterSplitBitmaps(a.Offset, b.Offset)
+		e.cdc.afterSplitBitmaps(a.Offset)
+		e.cdc.afterSplitBitmaps(b.Offset)
 		splitKey, _, _ := e.cdc.scanLeaf(a.Offset, &scanBuf{leaf: make([]byte, e.sh.size)})
 		e.setNextHigh(a.Offset, b.Offset, splitKey)
 	}
@@ -1083,21 +1097,27 @@ func (e *engine[K, V]) recoverSplit(log scm.MicroLog) {
 }
 
 // rebuild reconstructs the DRAM inner nodes from the persistent leaf list
-// (Algorithm 9, RebuildInnerNodes), scanning the leaves on workers
-// goroutines (recovery.go). Leaves emptied by an interrupted delete are
-// unlinked on the way — a crash can leave an empty leaf in the list, and
-// separators for empty leaves would be meaningless.
-func (e *engine[K, V]) rebuild(workers int) {
+// (Algorithm 9, RebuildInnerNodes), scanning the leaves on rec's workers
+// (recovery.go). Leaves emptied by an interrupted delete are unlinked on the
+// way — a crash can leave an empty leaf in the list, and separators for
+// empty leaves would be meaningless. A grouped tree enumerates its groups
+// once (readGroups): the leaf walk, the free vector and the free-leaf sweep
+// all read that table.
+func (e *engine[K, V]) rebuild(rec RecoveryOptions) {
 	start := time.Now()
-	leaves, bounds, size := e.collectLeaves(workers)
+	workers := rec.workers()
+	var t *groupTable
+	var gl groupLeaves[K]
+	if e.groups.enabled() {
+		t, gl = e.readGroups(workers)
+		t.listWalk = rec.listWalk
+	}
+	leaves, bounds, size := e.collectLeaves(workers, t, gl)
 	e.size.Store(int64(size))
 	e.root.Store(buildInnerW(leaves, bounds, e.maxKids(), workers, e.cdc.prefix))
-	e.groups.rebuildFreeVector(leaves)
-	e.sanitizeFreeLeaves()
-	if e.groups.enabled() {
-		for p := e.groups.list.first(); !p.IsNull(); p = e.groups.list.after(p.Offset) {
-			e.Ops.RecoveryGroups.Add(1)
-		}
+	if t != nil {
+		e.groups.rebuildFreeVector(t)
+		e.sanitizeFreeLeaves(t, gl)
 	}
 	e.Ops.InnerRebuilds.Add(1)
 	e.Ops.RecoveryNanos.Store(uint64(time.Since(start).Nanoseconds()))
@@ -1109,20 +1129,29 @@ func (e *engine[K, V]) rebuild(workers int) {
 // fills a carved leaf (var keys: durably publishing key-block pointers into
 // its slots) before linking it. Without the sweep, the free vector would
 // hand that leaf back to firstLeaf, whose stale nonzero bitmap would
-// resurrect the dead keys. The free vector is rebuilt in deterministic
-// group-walk order, so the sweep issues the same durable writes regardless
-// of the recovery worker count.
-func (e *engine[K, V]) sanitizeFreeLeaves() {
-	if !e.groups.enabled() {
-		return
-	}
-	sb := &scanBuf{leaf: make([]byte, e.sh.size)}
-	for _, leaf := range e.groups.free {
-		if e.leafBitmap(leaf) != 0 {
+// resurrect the dead keys. The counts come from what readGroups read of
+// the group table t, gl, and only a tree whose key-blocks word is set can
+// hold a key block, so only there are the free leaves' cells scanned. The
+// sweep visits the free leaves in the table's order, so it issues the same
+// durable writes regardless of the recovery worker count.
+func (e *engine[K, V]) sanitizeFreeLeaves(t *groupTable, gl groupLeaves[K]) {
+	kb := e.keyBlocks.Load()
+	var sb *scanBuf
+	for i, live := range t.live {
+		if live {
+			continue
+		}
+		leaf := t.leaf(i)
+		if gl.at(i).s.count != 0 {
 			e.persistLeafHeader(leaf, 0)
 		}
-		_, _, leaks := e.cdc.scanLeaf(leaf, sb)
-		e.cdc.applyLeaks(leaf, leaks)
+		if kb {
+			if sb == nil {
+				sb = &scanBuf{leaf: make([]byte, e.sh.size)}
+			}
+			_, _, leaks := e.cdc.scanLeaf(leaf, sb)
+			e.cdc.applyLeaks(leaf, leaks)
+		}
 	}
 }
 

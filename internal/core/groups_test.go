@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"fptree/internal/crashtest"
 	"fptree/internal/scm"
@@ -18,13 +20,25 @@ import (
 // allocator counts as owned are exactly the metadata block, the linked
 // groups and the live keys' blocks: a group is neither leaked nor both
 // linked and free. A push costs 5 persists, all of them the allocator's.
+// The protocol runs under both controllers; the concurrent one's scenarios
+// are prefixed "concurrent-".
 func TestGroupCrashProtocol(t *testing.T) {
-	cfg := Config{LeafCap: 4, InnerFanout: 4, GroupSize: 2, ValueSize: 8}
+	groupCrashProtocol(t, "", 4, CreateVar, OpenVar)
+	groupCrashProtocol(t, "concurrent-", 16, CCreateVar, COpenVar)
+}
+
+// groupCrashProtocol runs the protocol on trees of inner fanout fanout. The
+// concurrent tree takes all its leaves under one parent: its delete unlinks
+// a leaf only beside a left neighbor of the same parent (or at the head),
+// and a group is released only when its last leaf is unlinked.
+func groupCrashProtocol(t *testing.T, prefix string, fanout int, create func(*scm.Pool, Config) (*VarTree, error),
+	open func(*scm.Pool, ...RecoveryOptions) (*VarTree, error)) {
+	cfg := Config{LeafCap: 4, InnerFanout: fanout, GroupSize: 2, ValueSize: 8}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("group-protocol-key-%04d", i)) } // > 16 B: own block
 	val := func(i int) []byte { return []byte(fmt.Sprintf("v%07d", i)) }
 
 	pool := scm.NewPool(256<<10, scm.LatencyConfig{CacheBytes: -1})
-	tr, err := CreateVar(pool, cfg)
+	tr, err := create(pool, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +59,7 @@ func TestGroupCrashProtocol(t *testing.T) {
 		groups [2]int // group count before and after the operation
 	}
 	var scs []scenario
-	groupCount := func() int { return len(tr.groups.used) }
+	groupCount := func() int { return len(tr.groups.groups) }
 
 	// (a) and (b): the inserts that push the first and the second group.
 	for i := 0; groupCount() < 3; i++ {
@@ -59,7 +73,7 @@ func TestGroupCrashProtocol(t *testing.T) {
 			if before > 0 {
 				name = "push-nonempty"
 			}
-			scs = append(scs, scenario{name, base, acked, i, true, [2]int{before, after}})
+			scs = append(scs, scenario{prefix + name, base, acked, i, true, [2]int{before, after}})
 		}
 	}
 	// Groups from the top of the stack down; the leaf keys each holds.
@@ -77,7 +91,7 @@ func TestGroupCrashProtocol(t *testing.T) {
 	keysOf := func(group uint64) []int {
 		var ks []int
 		for p := tr.leafList.first(); !p.IsNull(); p = tr.leafList.after(p.Offset) {
-			if tr.groups.leafGroup[p.Offset] != group {
+			if k := tr.groups.group(p.Offset); k < 0 || tr.groups.groups[k] != group {
 				continue
 			}
 			bm := tr.leafBitmap(p.Offset)
@@ -94,13 +108,13 @@ func TestGroupCrashProtocol(t *testing.T) {
 	for _, u := range []struct {
 		name  string
 		group uint64
-	}{{"unlink-top", stack[0]}, {"unlink-middle", stack[1]}} {
+	}{{prefix + "unlink-top", stack[0]}, {prefix + "unlink-middle", stack[1]}} {
 		ks := keysOf(u.group)
 		if len(ks) == 0 {
 			t.Fatalf("%s: group %#x holds no key", u.name, u.group)
 		}
 		base := pool.Clone()
-		e, err := OpenVar(base)
+		e, err := open(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,24 +154,24 @@ func TestGroupCrashProtocol(t *testing.T) {
 				return err
 			}
 			// The operation runs whole, then once per crash point.
-			e, err := OpenVar(sc.base.Clone())
+			e, err := open(sc.base.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := len(e.groups.used); got != sc.groups[0] {
+			if got := len(e.groups.groups); got != sc.groups[0] {
 				t.Fatalf("%d groups before the operation, want %d", got, sc.groups[0])
 			}
 			if err := op(e); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(e.groups.used); got != sc.groups[1] {
+			if got := len(e.groups.groups); got != sc.groups[1] {
 				t.Fatalf("%d groups after the operation, want %d", got, sc.groups[1])
 			}
 			images := crashtest.TearsWide(t, sc.base, func(p *scm.Pool) (func() error, error) {
-				e, err := OpenVar(p)
+				e, err := open(p)
 				return func() error { return op(e) }, err
 			}, func(img *scm.Pool) error {
-				e, err := OpenVar(img)
+				e, err := open(img)
 				if err != nil {
 					return fmt.Errorf("recovery: %v", err)
 				}
@@ -185,7 +199,7 @@ func TestGroupCrashProtocol(t *testing.T) {
 	// A push onto an empty and onto a non-empty stack is the allocator's one
 	// AllocInit: 5 persists, and the new top links the old one.
 	for _, sc := range scs[:2] {
-		e, err := OpenVar(sc.base.Clone())
+		e, err := open(sc.base.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,6 +217,89 @@ func TestGroupCrashProtocol(t *testing.T) {
 		if next := e.groups.list.after(e.groups.list.first().Offset); next != top {
 			t.Errorf("%s: pushed group links %v, want the old top %v", sc.name, next, top)
 		}
+	}
+}
+
+// TestFirstLeafRacesGroupRelease races the creation of a concurrent grouped
+// tree's first leaf against whole-group releases. A release unlinks its
+// group holding the group allocator's mutex and takes the leaf list's
+// headLock inside it, for the line the two lists' head cells share, so
+// firstLeaf must pop its leaf before it takes headLock: popping under
+// headLock, it would wait for the mutex while the release waits for
+// headLock, and a pop that pushes a group would wait for the headLock it
+// holds itself. One goroutine inserts and deletes one key, so every insert
+// creates the first leaf of an empty tree and every delete frees it; the
+// other pops and frees leaves of the allocator itself while it holds one
+// more. With one leaf per group, each of its frees releases a whole group. A
+// deadlock is ended by an injected crash, which every lock wait watches, and
+// fails the test.
+func TestFirstLeafRacesGroupRelease(t *testing.T) {
+	pool := newPool(16)
+	tr, err := CCreate(pool, Config{LeafCap: 4, InnerFanout: 4, GroupSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3000
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	run := func(f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil && r != scm.ErrInjectedCrash {
+					panic(r)
+				}
+			}()
+			errs <- f()
+		}()
+	}
+	run(func() error {
+		for i := uint64(0); i < rounds; i++ {
+			if err := tr.Insert(7, i); err != nil {
+				return err
+			}
+			if ok, err := tr.Delete(7); !ok || err != nil {
+				return fmt.Errorf("Delete(7) = %v, %v", ok, err)
+			}
+		}
+		return nil
+	})
+	// The leaf held throughout keeps a second group standing.
+	if _, err := tr.groups.getLeaf(); err != nil {
+		t.Fatal(err)
+	}
+	run(func() error {
+		for i := 0; i < rounds; i++ {
+			off, err := tr.groups.getLeaf()
+			if err != nil {
+				return err
+			}
+			tr.groups.freeLeaf(off)
+		}
+		return nil
+	})
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		func() {
+			defer func() { recover() }() //nolint:errcheck // the crash this arms
+			pool.FailAfterFlushes(1)
+			pool.Persist(0, 8)
+		}()
+		<-done
+		t.Fatal("first-leaf creation and group releases deadlocked")
+	}
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

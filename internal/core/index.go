@@ -27,8 +27,11 @@ import (
 //     an HTM transaction — while the SCM leaves are protected by fine-grained
 //     leaf locks, and every persistence primitive executes outside the
 //     optimistic region, as in Figure 6. Structure modifications re-descend
-//     pessimistically with lock crabbing. Leaf groups are not used: they are
-//     a central synchronization point that hinders scalability.
+//     pessimistically with lock crabbing. Leaf groups are used when
+//     Config.GroupSize asks for them, unlike the paper's concurrent tree,
+//     which drops them as a central synchronization point: a split holds
+//     the groups' mutex for a DRAM pop, and a group push once per group
+//     (groups.go), and recovery gets an address for every leaf.
 //
 // Its point operations are the engine's (engine.go), promoted through the
 // one embedded pointer; the range reads and BulkLoad are written once below.

@@ -66,8 +66,9 @@ type Config struct {
 	// InnerFanout is the maximum number of keys per DRAM inner node.
 	InnerFanout int
 	// GroupSize enables amortized persistent allocations: leaves are carved
-	// out of groups of GroupSize leaves (Section 4.3). 0 disables groups
-	// (the concurrent variant never uses them).
+	// out of groups of GroupSize leaves (Section 4.3), under the controller
+	// of either kind, and recovery reads every leaf of the groups in
+	// parallel and follows the leaf list in DRAM. 0 disables groups.
 	GroupSize int
 	// ValueSize is the size in bytes of the inline value field of
 	// variable-size-key trees (Appendix A's payload sweep): the longest value

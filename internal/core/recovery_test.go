@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -460,7 +461,9 @@ func TestBulkLoadCrashRecoveryBothCodecs(t *testing.T) {
 // walker's read of line 1 (next pointer, high key, flags) and the worker's
 // read of the bitmap in line 0 — for the fixed leaf (16 lines), the
 // benchmark's 32-byte-slot var leaf (30 lines) and kvserver's 8640-byte leaf
-// (135 lines) alike — plus the one read of the list head. A leaf that may own
+// (135 lines) alike — plus the one read of the list head. A tree with leaf
+// groups reads the same two lines of every leaf of its groups, in use or
+// free, in one access, and the header line of each group. A leaf that may own
 // key blocks is still scanned for them: scanLeaf reads the whole slot array of
 // a leaf whose slots are no larger than a line (30 lines for the 1920-byte
 // leaf), and of kvserver's leaf the two header lines and the 56 head lines
@@ -481,6 +484,10 @@ func TestRecoveryScanLines(t *testing.T) {
 		}, "scan-key-%07d", 2},
 		{"kvserver", func(p *scm.Pool) (*engine[[]byte, []byte], error) {
 			tr, err := CCreateVar(p, Config{LeafCap: 56, ValueSize: 122})
+			return tr.engine, err
+		}, "scan-key-%07d", 2},
+		{"kvserver-grouped", func(p *scm.Pool) (*engine[[]byte, []byte], error) {
+			tr, err := CCreateVar(p, Config{LeafCap: 56, ValueSize: 122, GroupSize: 8})
 			return tr.engine, err
 		}, "scan-key-%07d", 2},
 		{"var-32B-slot-pointer-keys", func(p *scm.Pool) (*engine[[]byte, []byte], error) {
@@ -560,7 +567,12 @@ func checkLeafPass[K, V any](t *testing.T, e *engine[K, V], perLeaf uint64, n in
 	want := e.leafSeps(e.root.Load(), nil, nil)
 	e.pool.Crash() // nothing is dirty: this only empties the simulated cache
 	m0 := e.pool.Stats().ReadMisses.Load()
-	leaves, bounds, size := e.collectLeaves(2)
+	var tbl *groupTable
+	var gl groupLeaves[K]
+	if e.groups.enabled() {
+		tbl, gl = e.readGroups(2)
+	}
+	leaves, bounds, size := e.collectLeaves(2, tbl, gl)
 	misses := e.pool.Stats().ReadMisses.Load() - m0
 	if size != n || len(leaves) != len(want) || len(leaves) < 4 {
 		t.Fatalf("leaf pass: %d keys in %d leaves, want %d in %d (4 or more)", size, len(leaves), n, len(want))
@@ -570,14 +582,20 @@ func checkLeafPass[K, V any](t *testing.T, e *engine[K, V], perLeaf uint64, n in
 			t.Fatalf("leaf %d: %#x bounded by %v, the inner nodes hold %#x bounded by %v", i, leaves[i], b, want[i].off, *want[i].sep)
 		}
 	}
-	l := uint64(len(leaves))
+	// A grouped tree reads every leaf of its groups, the free ones too, and
+	// the header line of each group; the list head shares the metadata line
+	// of the group stack's top.
+	l, read, extra := uint64(len(leaves)), uint64(len(leaves)), uint64(1)
+	if tbl != nil {
+		read, extra = uint64(len(tbl.live)), uint64(len(tbl.groups))+1
+	}
 	switch lines := e.sh.size / scm.LineSize; {
 	case perLeaf == 0 && misses < lines*l:
 		t.Errorf("leaf pass over %d leaves that own key blocks: %d misses (%.2f per leaf), want a scan of each leaf's %d lines",
 			l, misses, float64(misses)/float64(l), lines)
-	case perLeaf > 0 && misses != perLeaf*l+1:
-		t.Errorf("leaf pass over %d leaves: %d misses (%.2f per leaf), want %d per leaf plus 1",
-			l, misses, float64(misses)/float64(l), perLeaf)
+	case perLeaf > 0 && misses != perLeaf*read+extra:
+		t.Errorf("leaf pass over %d leaves (%d read): %d misses (%.2f per leaf), want %d per leaf read plus %d",
+			l, read, misses, float64(misses)/float64(l), perLeaf, extra)
 	}
 }
 
@@ -775,5 +793,191 @@ func TestOpenKeepsInnerFanout(t *testing.T) {
 				t.Errorf("concurrent tree created at fanout %d reopened at %d", fanout, got)
 			}
 		})
+	}
+}
+
+// TestTableWalkMatchesListWalk holds a grouped tree's leaf walk through the
+// group table to the walk of the persistent list in SCM. On crash images of
+// fixed- and var-key trees under both controllers, one recovery at each
+// of two worker counts walks through the table and one of a clone walks
+// the list;
+// they must keep the same leaves with the same bounds, build the same inner
+// nodes and free vector, and leave byte-identical arenas. The table walk
+// reads SCM once per group, the list walk once more per list leaf.
+func TestTableWalkMatchesListWalk(t *testing.T) {
+	type opener func(*scm.Pool, RecoveryOptions) (*engine[uint64, uint64], *engine[[]byte, []byte], error)
+	fixedOpen := func(open func(*scm.Pool, ...RecoveryOptions) (*Tree, error)) opener {
+		return func(p *scm.Pool, o RecoveryOptions) (*engine[uint64, uint64], *engine[[]byte, []byte], error) {
+			tr, err := open(p, o)
+			if err != nil {
+				return nil, nil, err
+			}
+			return tr.engine, nil, nil
+		}
+	}
+	varOpen := func(open func(*scm.Pool, ...RecoveryOptions) (*VarTree, error)) opener {
+		return func(p *scm.Pool, o RecoveryOptions) (*engine[uint64, uint64], *engine[[]byte, []byte], error) {
+			tr, err := open(p, o)
+			if err != nil {
+				return nil, nil, err
+			}
+			return nil, tr.engine, nil
+		}
+	}
+	g4 := Config{LeafCap: 8, InnerFanout: 4, GroupSize: 4}
+	kv := Config{LeafCap: 8, InnerFanout: 4, GroupSize: 8, ValueSize: 122}
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		concurrent bool
+		fixed      bool
+		open       opener
+	}{
+		{"fixed", g4, false, true, fixedOpen(Open)},
+		{"fixed-concurrent", g4, true, true, fixedOpen(COpen)},
+		{"var", g4, false, false, varOpen(OpenVar)},
+		{"var-concurrent", g4, true, false, varOpen(COpenVar)},
+		{"kv122-concurrent", kv, true, false, varOpen(COpenVar)},
+	} {
+		for _, failAt := range recoveryFailPoints {
+			t.Run(fmt.Sprintf("%s/fail%d", tc.name, failAt), func(t *testing.T) {
+				pool := newPool(4)
+				if tc.fixed {
+					fixedCrashTrace(t, pool, tc.cfg, tc.concurrent, 42, failAt)
+				} else {
+					varCrashTrace(t, pool, tc.cfg, tc.concurrent, 43, failAt)
+				}
+				for _, w := range []int{1, 3} {
+					tf, tv, err := tc.open(pool.Clone(), RecoveryOptions{Workers: w})
+					if err != nil {
+						t.Fatalf("workers=%d, table walk: %v", w, err)
+					}
+					lf, lv, err := tc.open(pool.Clone(), RecoveryOptions{Workers: w, listWalk: true})
+					if err != nil {
+						t.Fatalf("workers=%d, list walk: %v", w, err)
+					}
+					if tc.fixed {
+						checkSameRecovery(t, tf, lf)
+					} else {
+						checkSameRecovery(t, tv, lv)
+					}
+				}
+			})
+		}
+	}
+}
+
+// checkSameRecovery asserts that the table walk tw and the list walk lw
+// recovered the same tree from one image, and that each made the dependent
+// reads its walk makes.
+func checkSameRecovery[K, V any](t *testing.T, tw, lw *engine[K, V]) {
+	t.Helper()
+	checkRecoveredEqual(t, lw, tw)
+	if tw.Height() != lw.Height() {
+		t.Fatalf("height: table walk %d, list walk %d", tw.Height(), lw.Height())
+	}
+	ts, ls := tw.leafSeps(tw.root.Load(), nil, nil), lw.leafSeps(lw.root.Load(), nil, nil)
+	if len(ts) != len(ls) {
+		t.Fatalf("inner nodes: table walk %d leaves, list walk %d", len(ts), len(ls))
+	}
+	for i := range ts {
+		a, b := ts[i], ls[i]
+		if a.off != b.off || (a.sep == nil) != (b.sep == nil) ||
+			(a.sep != nil && (tw.cdc.less(*a.sep, *b.sep) || tw.cdc.less(*b.sep, *a.sep))) {
+			t.Fatalf("inner leaf %d: table walk %#x bounded by %v, list walk %#x bounded by %v", i, a.off, a.sep, b.off, b.sep)
+		}
+	}
+	if !slices.Equal(tw.groups.free, lw.groups.free) || !slices.Equal(tw.groups.groups, lw.groups.groups) ||
+		!slices.Equal(tw.groups.used, lw.groups.used) {
+		t.Fatalf("free vector: table walk %v (groups %v used %v), list walk %v (groups %v used %v)",
+			tw.groups.free, tw.groups.groups, tw.groups.used, lw.groups.free, lw.groups.groups, lw.groups.used)
+	}
+	groups, leaves := tw.Ops.RecoveryGroups.Load(), tw.Ops.RecoveryLeaves.Load()
+	if r := tw.Ops.RecoveryChainReads.Load(); r != groups {
+		t.Errorf("table walk: %d dependent reads over %d groups and %d list leaves, want one per group", r, groups, leaves)
+	}
+	if r := lw.Ops.RecoveryChainReads.Load(); r != groups+leaves {
+		t.Errorf("list walk: %d dependent reads over %d groups and %d list leaves, want one per group and per leaf", r, groups, leaves)
+	}
+}
+
+// TestRecoveryChainReads pins the recovery leaf pass's dependent SCM reads,
+// each at an address only the read before it gave: a grouped tree reads the
+// group stack, one per group, and follows its leaf list through the group
+// table; a tree without groups reads one per leaf. Both are kvserver-sized
+// trees of the concurrent controller, reopened after a clean crash.
+func TestRecoveryChainReads(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		groupSize int
+	}{{"grouped", 8}, {"ungrouped", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := scm.NewPool(32<<20, scm.LatencyConfig{})
+			tr, err := CCreateVar(pool, Config{LeafCap: 56, InnerFanout: 64, GroupSize: tc.groupSize, ValueSize: 122})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range rand.New(rand.NewSource(1)).Perm(5000) {
+				if err := tr.Insert([]byte(fmt.Sprintf("chain-key-%07d", i)), []byte("value")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			groups := 0
+			for p := tr.groups.list.first(); !p.IsNull(); p = tr.groups.list.after(p.Offset) {
+				groups++
+			}
+			leaves := len(leafListOffsets(tr.engine))
+			pool.Crash()
+			re, err := COpenVar(pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(leaves)
+			if tc.groupSize > 0 {
+				want = uint64(groups)
+				if groups < 2 || groups*tc.groupSize < leaves {
+					t.Fatalf("%d groups of %d for %d leaves", groups, tc.groupSize, leaves)
+				}
+			}
+			if got := re.Ops.RecoveryChainReads.Load(); got != want || leaves < 50 {
+				t.Errorf("%d dependent reads over %d leaves in %d groups, want %d", got, leaves, groups, want)
+			}
+			if err := re.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestReadGroupsMoreChunksThanQueue recovers, on one worker, a tree with
+// more chunks of groupBatch groups than the group walk's queue holds: with
+// no other goroutine to drain the queue, the walk reads the chunks that do
+// not fit itself.
+func TestReadGroupsMoreChunksThanQueue(t *testing.T) {
+	pool := newPool(32)
+	tr, err := CCreate(pool, Config{LeafCap: 4, InnerFanout: 16, GroupSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	const n = 60000
+	for i := 0; i < n; i++ {
+		if err := tr.Insert(rng.Uint64(), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool.Crash()
+	re, err := COpen(pool, RecoveryOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := re.Ops.RecoveryGroups.Load(); g <= 1024*groupBatch {
+		t.Fatalf("%d groups, want more than %d chunks of %d", g, 1024, groupBatch)
+	}
+	if re.Len() != n {
+		t.Fatalf("recovered %d keys, want %d", re.Len(), n)
+	}
+	if err := re.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -31,7 +31,11 @@ type OpStats struct {
 	InnerRebuilds    atomic.Uint64      // DRAM inner-node reconstructions (recovery)
 	RecoveryLeaves   atomic.Uint64      // leaves on the persistent leaf list scanned during recovery
 	RecoveryGroups   atomic.Uint64      // leaf groups walked during recovery
-	RecoveryNanos    atomic.Uint64      // wall-clock ns of the last inner rebuild
+	// RecoveryChainReads counts the leaf pass's dependent SCM reads, each
+	// at an address only the read before it gave: one per group of the
+	// group stack, one per list leaf the group table does not hold.
+	RecoveryChainReads atomic.Uint64
+	RecoveryNanos      atomic.Uint64 // wall-clock ns of the last inner rebuild
 }
 
 // noteSearch batches one search of leaf into the shared counters: one atomic
@@ -94,6 +98,8 @@ func (o *OpStats) RegisterMetrics(reg *obs.Registry, prefix string) {
 		"leaves on the persistent leaf list scanned while rebuilding inner nodes (free group leaves are not counted)", o.RecoveryLeaves.Load)
 	reg.CounterFunc(prefix+"_recovery_groups_total",
 		"leaf groups walked while rebuilding inner nodes", o.RecoveryGroups.Load)
+	reg.CounterFunc(prefix+"_recovery_chain_reads_total",
+		"dependent SCM reads of the recovery leaf walk: one per leaf group, one per list leaf outside the groups", o.RecoveryChainReads.Load)
 	reg.GaugeFunc(prefix+"_recovery_rebuild_seconds",
 		"wall-clock duration of the last inner-node rebuild", func() float64 {
 			return float64(o.RecoveryNanos.Load()) / 1e9

@@ -45,11 +45,17 @@ func crashUnderController(t *testing.T, cfg htm.AdaptiveConfig) {
 	if !cfg.AlwaysFallback && runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("workers that run one at a time never conflict, so no write falls back")
 	}
+	for _, g := range historyGroupSizes {
+		t.Run(g.name, func(t *testing.T) { crashUnderControllerGroups(t, cfg, g.size) })
+	}
+}
+
+func crashUnderControllerGroups(t *testing.T, cfg htm.AdaptiveConfig, groupSize int) {
 	// A history with no conflict is not the history under test: run a fresh
 	// one until the controller sent some write through the fallback lock.
 	for round := 1; ; round++ {
 		pool := newTestPool()
-		tr, err := core.CCreate(pool, core.Config{LeafCap: 16, InnerFanout: 8, GroupSize: 4})
+		tr, err := core.CCreate(pool, core.Config{LeafCap: 16, InnerFanout: 8, GroupSize: groupSize})
 		if err != nil {
 			t.Fatal(err)
 		}

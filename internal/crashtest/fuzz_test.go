@@ -109,11 +109,13 @@ func fuzzTrees[K, V any](t *testing.T, ks Keys[K, V], specs []rigSpec[K, V], dat
 func FuzzTreeOpsFixed(f *testing.F) {
 	fuzzSeeds(f)
 	c := core.Config{LeafCap: 8, InnerFanout: 4}
-	pt := c
+	pt, g := c, c
 	pt.Variant = core.VariantPTree
+	g.GroupSize = 4
 	specs := []rigSpec[uint64, uint64]{
 		coreSpec("fptree", c, core.Create, core.Open),
 		coreSpec("fptreec", c, core.CCreate, core.COpen),
+		coreSpec("fptreec-group", g, core.CCreate, core.COpen),
 		coreSpec("ptree", pt, core.Create, core.Open),
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -124,12 +126,14 @@ func FuzzTreeOpsFixed(f *testing.F) {
 func FuzzTreeOpsVar(f *testing.F) {
 	fuzzSeeds(f)
 	c := core.Config{LeafCap: 8, InnerFanout: 4, ValueSize: varValLen}
-	kv := c
+	kv, g := c, c
 	kv.ValueSize = kvValSize
+	g.GroupSize = 4
 	specs := []rigSpec[[]byte, []byte]{
 		coreSpec("fptree", c, core.CreateVar, core.OpenVar),
 		coreSpec("fptree-kv", kv, core.CreateVar, core.OpenVar),
 		coreSpec("fptreec", c, core.CCreateVar, core.COpenVar),
+		coreSpec("fptreec-group", g, core.CCreateVar, core.COpenVar),
 		coreSpec("fptreec-kv", kv, core.CCreateVar, core.COpenVar),
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

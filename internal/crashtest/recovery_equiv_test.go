@@ -5,8 +5,9 @@ package crashtest
 // tests sample. This file re-runs the crash-point enumeration for the FPTree
 // rigs and, at every enumerated image, recovers a clone of the crashed pool
 // with RecoveryOptions{Workers: 3} and diffs it against a one-scanner reopen
-// of the original pool. The single-threaded rigs have leaf groups, the
-// concurrent ones have none; both recover through the one leaf-list scan.
+// of the original pool. The single-threaded rigs and the concurrent
+// "fptreec-group" rig have leaf groups, whose recovery walks the leaf list
+// through the group table; the "fptreec" rig has none and walks it in SCM.
 
 import (
 	"fmt"
@@ -66,16 +67,18 @@ func equivGrid[K, V any](t *testing.T, ks Keys[K, V], least int, ops func(valSiz
 func TestParallelRecoveryEquivEnumFixed(t *testing.T) {
 	rigs := fixedRigs()
 	equivGrid(t, Fixed, 48, func(int) []Op[uint64, uint64] { return workload(Fixed, 3, 24, 40, 28, 0) },
-		rigNamed(rigs, "fptree"), rigNamed(rigs, "fptreec"))
+		rigNamed(rigs, "fptree"), rigNamed(rigs, "fptreec"), rigNamed(rigs, "fptreec-group"))
 }
 
 // TestParallelRecoveryEquivEnumVar runs the 8-byte-value rig through every
 // pass; kvserver's 122-byte field with values of mixed lengths — where the
 // scan reads each slot's key cell on its own and skips the value lines — and
-// the concurrent rig run the first clean and the first torn one.
+// the concurrent rigs, without and with leaf groups, run the first clean and
+// the first torn one.
 func TestParallelRecoveryEquivEnumVar(t *testing.T) {
 	rigs := varRigs()
 	kv := core.Config{LeafCap: 8, InnerFanout: 4, GroupSize: 4, ValueSize: kvValSize}
 	equivGrid(t, Var, 32, func(valSize int) []Op[[]byte, []byte] { return workload(Var, 4, 16, 30, 24, valSize) },
-		rigNamed(rigs, "fptree"), coreSpec("kv", kv, core.CreateVar, core.OpenVar), rigNamed(rigs, "fptreec"))
+		rigNamed(rigs, "fptree"), coreSpec("kv", kv, core.CreateVar, core.OpenVar), rigNamed(rigs, "fptreec"),
+		rigNamed(rigs, "fptreec-group"))
 }

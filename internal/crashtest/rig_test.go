@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"fptree/internal/core"
+	"fptree/internal/kvserver"
 	"fptree/internal/nvtree"
 	"fptree/internal/scm"
 	"fptree/internal/wbtree"
@@ -167,6 +168,7 @@ func fixedRigs() []rigSpec[uint64, uint64] {
 	return []rigSpec[uint64, uint64]{
 		coreSpec("fptree", fp, core.Create, core.Open),
 		coreSpec("fptreec", c, core.CCreate, core.COpen),
+		coreSpec("fptreec-group", fp, core.CCreate, core.COpen),
 		coreSpec("ptree", pt, core.Create, core.Open),
 		spec[uint64, uint64]("nvtree", 8, 0,
 			func(p *scm.Pool) (*nvtree.Tree, error) { return nvtree.New(p, nvtree.Config{LeafCap: 8, InnerCap: 4}) },
@@ -183,9 +185,11 @@ func varRigs() []rigSpec[[]byte, []byte] {
 	fp.GroupSize = 4
 	pt.Variant = core.VariantPTree
 	kv.ValueSize = kvValSize
+	kv.GroupSize = kvserver.GroupSize
 	return []rigSpec[[]byte, []byte]{
 		coreSpec("fptree", fp, core.CreateVar, core.OpenVar),
 		coreSpec("fptreec", c, core.CCreateVar, core.COpenVar),
+		coreSpec("fptreec-group", fp, core.CCreateVar, core.COpenVar),
 		coreSpec("fptreec-kv", kv, core.CCreateVar, core.COpenVar),
 		coreSpec("ptree", pt, core.CreateVar, core.OpenVar),
 		spec[[]byte, []byte]("nvtree", 8, varValLen,

@@ -217,9 +217,16 @@ func createVar(cfg core.Config) func(*scm.Pool) (*core.VarTree, error) {
 
 func openVar(p *scm.Pool) (*core.VarTree, error) { return core.OpenVar(p) }
 
+// GroupSize is the leaves per leaf group (§4.3) of both FPTree engines. A
+// group of the served 8640-byte leaves is 69 KiB, above the allocator's
+// largest size class, so a tree keeps its empty groups for its next splits.
+// Recovery reads the group stack, one dependent read per group, and then
+// every leaf of it in parallel.
+const GroupSize = 8
+
 var fptreeC = treeEngine("fptreec", "FPTreeC", true, core.HasTree,
 	func(p *scm.Pool) (*core.CVarTree, error) {
-		return core.CCreateVar(p, core.Config{LeafCap: 56, InnerFanout: 64, ValueSize: slotSize})
+		return core.CCreateVar(p, core.Config{LeafCap: 56, InnerFanout: 64, GroupSize: GroupSize, ValueSize: slotSize})
 	},
 	func(p *scm.Pool) (*core.CVarTree, error) { return core.COpenVar(p) })
 
@@ -229,7 +236,7 @@ var fptreeC = treeEngine("fptreec", "FPTreeC", true, core.HasTree,
 var Engines = []Engine{
 	fptreeC,
 	treeEngine("fptree", "FPTree", false, core.HasTree,
-		createVar(core.Config{LeafCap: 56, InnerFanout: 2048, GroupSize: 8, ValueSize: slotSize}), openVar),
+		createVar(core.Config{LeafCap: 56, InnerFanout: 2048, GroupSize: GroupSize, ValueSize: slotSize}), openVar),
 	treeEngine("ptree", "PTree", false, core.HasTree,
 		createVar(core.Config{Variant: core.VariantPTree, LeafCap: 32, InnerFanout: 256, ValueSize: slotSize}), openVar),
 	treeEngine("nvtreec", "NV-TreeC", true, nvtree.HasTree,

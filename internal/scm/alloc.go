@@ -462,6 +462,10 @@ func (p *Pool) recoverFree(s int, refOff, size, blk uint64) {
 	p.Persist(refOff, PPtrSize)
 }
 
+// Reusable reports whether a freed block of size bytes goes back on a free
+// list. A larger block is dropped (LargeFrees): its bytes are not reused.
+func Reusable(size uint64) bool { return sizeClass(size) >= 0 }
+
 // LargeFrees reports how many freed blocks were too large for the free-list
 // classes and were therefore dropped rather than reused.
 func (p *Pool) LargeFrees() uint64 { return p.alloc.largeFrees.Load() }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"fptree/internal/core"
 	"fptree/internal/kvserver"
 	"fptree/internal/obs"
 	"fptree/internal/scm"
@@ -16,14 +17,15 @@ import (
 
 // opCountRow is one row of the OpCounts table. prep, when set, builds the
 // tree this row and the rows after it run on. A row counts op over n calls,
-// except kv-scan, whose once measures one recovery whatever n. maxN bounds n
-// where the row runs out of keys (0: no bound).
+// except kv-scan and the split rows, whose once measures one recovery or one
+// fill of a fresh tree whatever n. maxN bounds n where the row runs out of
+// keys (0: no bound).
 type opCountRow struct {
 	name string
 	prep func() error
 	pool func() *scm.Pool
 	op   func() error
-	once func() (float64, error)
+	once func() ([]opCountMetric, error)
 	maxN int
 }
 
@@ -39,10 +41,11 @@ type opCountRow struct {
 // benchmark's 32-byte values, through the adapter's 2-byte frame — an
 // overwriting SET, a GET, and what the recovery scan misses on per leaf.
 // fixed-update, behind the fixed rows' reads so it moves none of their
-// counts, overwrites a value of the CTree. The last row inserts 24-byte keys, which live in key blocks of their own,
-// into a CVarTree of 100k such keys. Every row goes through the public API,
-// and the rows share their state, so they run in order and once per call of
-// opCountRows.
+// counts, overwrites a value of the CTree. var-ptr-insert inserts 24-byte
+// keys, which live in key blocks of their own, into a CVarTree of 100k such
+// keys. The split rows, last, fill fresh trees (splitRows). Every row goes
+// through the public API, and the rows share their state, so they run in
+// order and once per call of opCountRows.
 func opCountRows() []opCountRow {
 	const varKeys, fixedKeys, kvKeys, ptrKeys = 300000, 1000000, 100000, 100000
 	var (
@@ -68,7 +71,7 @@ func opCountRows() []opCountRow {
 	}
 	vpool := func() *scm.Pool { return vt.Pool() }
 	ptrKey := func(id uint64) []byte { return append(scatteredKey(&buf, id), "-pointer"...) }
-	return []opCountRow{
+	return append([]opCountRow{
 		{name: "var-insert", pool: vpool, prep: func() (err error) {
 			if vt, err = CreateConcurrentVar(Options{PoolSize: 128 << 20}); err != nil {
 				return err
@@ -125,17 +128,17 @@ func opCountRows() []opCountRow {
 		}},
 		// The misses of reopening the store on a cold cache, over the leaves
 		// its scan visited.
-		{name: "kv-scan", once: func() (float64, error) {
+		{name: "kv-scan", once: func() ([]opCountMetric, error) {
 			kvPool.Crash() // nothing is dirty: this only empties the simulated cache
 			m0 := kvPool.Stats().ReadMisses.Load()
 			var err error
 			if kv, err = kvserver.OpenFPTreeCStore(kvPool, 1); err != nil {
-				return 0, err
+				return nil, err
 			}
 			misses := kvPool.Stats().ReadMisses.Load() - m0
 			reg := obs.NewRegistry()
 			kv.RegisterMetrics(reg)
-			return float64(misses) / reg.Snapshot()["fptree_recovery_leaves_scanned_total"], nil
+			return []opCountMetric{{"misses/leaf", float64(misses) / reg.Snapshot()["fptree_recovery_leaves_scanned_total"]}}, nil
 		}},
 		{name: "fixed-find", pool: func() *scm.Pool { return ft.Pool() }, prep: func() (err error) {
 			if ft, err = CreateConcurrent(Options{PoolSize: 128 << 20}); err != nil {
@@ -176,7 +179,88 @@ func opCountRows() []opCountRow {
 			nextPtr++
 			return pt.Insert(ptrKey(nextPtr-1), val)
 		}},
+	}, splitRows()...)
+}
+
+// splitKeys is how many keys a split row inserts into its fresh tree.
+const splitKeys = 20000
+
+// splitRows are the per-split rows: each fills a fresh concurrent tree with
+// splitKeys keys in scattered order and reports, over the inserts that split
+// a leaf, the line flushes, fences and lines' worth of bytes persisted
+// (BytesFlushed/LineSize) per split — the split, the insert that triggered
+// it, and a share of each group push. There is a row for each leaf kind,
+// without leaf groups and, "-group", with kvserver's groups: fixed keys,
+// 16-byte inline var keys with 8-byte values, 24-byte pointer keys (one key
+// block each), and kvserver's leaf (56 slots, 122-byte value field) holding
+// the adapter's 34-byte frames of 32-byte values. The public concurrent
+// trees carve no groups, so the rows create their trees through core with
+// the configurations CreateConcurrent and CreateConcurrentVar pass it.
+func splitRows() []opCountRow {
+	var buf [16]byte
+	val, frame := []byte("12345678"), bytes.Repeat([]byte("f"), 34)
+	varKey := func(i int) []byte { return scatteredKey(&buf, uint64(i)) }
+	ptrKey := func(i int) []byte { return append(scatteredKey(&buf, uint64(i)), "-pointer"...) }
+	pool := func() *scm.Pool { return scm.NewPool(32<<20, Options{}.latencyConfig()) }
+	fixed := func(cfg core.Config) func() ([]opCountMetric, error) {
+		return func() ([]opCountMetric, error) {
+			t, err := core.CCreate(pool(), cfg)
+			if err != nil {
+				return nil, err
+			}
+			return perSplit(t, func(i int) (uint64, uint64) { return uint64(i) * 0x9E3779B97F4A7C15, uint64(i) })
+		}
 	}
+	vars := func(cfg core.Config, key func(int) []byte, v []byte) func() ([]opCountMetric, error) {
+		return func() ([]opCountMetric, error) {
+			t, err := core.CCreateVar(pool(), cfg)
+			if err != nil {
+				return nil, err
+			}
+			return perSplit(t, func(i int) ([]byte, []byte) { return key(i), v })
+		}
+	}
+	var rows []opCountRow
+	for _, g := range []struct {
+		suffix string
+		size   int
+	}{{"", 0}, {"-group", kvserver.GroupSize}} {
+		fc := core.Config{InnerFanout: 128, GroupSize: g.size}
+		vc := core.Config{InnerFanout: 64, GroupSize: g.size}
+		kv := vc
+		kv.ValueSize = kvserver.MaxValueSize + 2
+		rows = append(rows,
+			opCountRow{name: "split-fixed" + g.suffix, once: fixed(fc)},
+			opCountRow{name: "split-var" + g.suffix, once: vars(vc, varKey, val)},
+			opCountRow{name: "split-var-ptr" + g.suffix, once: vars(vc, ptrKey, val)},
+			opCountRow{name: "split-kv" + g.suffix, once: vars(kv, varKey, frame)})
+	}
+	return rows
+}
+
+// perSplit inserts splitKeys pairs of kv into t one at a time and sums the
+// counts of the inserts that split, per split.
+func perSplit[K, V any](t *core.Index[K, V], kv func(int) (K, V)) ([]opCountMetric, error) {
+	st := t.Pool().Stats()
+	var flushes, fences, bytes, splits uint64
+	for i := 0; i < splitKeys; i++ {
+		k, v := kv(i)
+		s0, b0 := t.Ops.LeafSplits.Load(), st.BytesFlushed.Load()
+		f0, n0 := st.FlushFence()
+		if err := t.Insert(k, v); err != nil {
+			return nil, err
+		}
+		if s := t.Ops.LeafSplits.Load() - s0; s > 0 {
+			f, n := st.FlushFence()
+			flushes, fences, bytes, splits = flushes+f-f0, fences+n-n0, bytes+st.BytesFlushed.Load()-b0, splits+s
+		}
+	}
+	if splits == 0 {
+		return nil, fmt.Errorf("%d inserts split no leaf", splitKeys)
+	}
+	per := func(a uint64) float64 { return float64(a) / float64(splits) }
+	return []opCountMetric{{"flushes/split", per(flushes)}, {"fences/split", per(fences)},
+		{"lines/split", per(bytes) / scm.LineSize}}, nil
 }
 
 // poolCounts is a snapshot of the pool counters the OpCounts table reports.
@@ -220,11 +304,13 @@ func BenchmarkOpCounts(b *testing.B) {
 		}
 		b.Run(r.name, func(b *testing.B) {
 			if r.once != nil {
-				v, err := r.once()
+				ms, err := r.once()
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(v, "misses/leaf")
+				for _, m := range ms {
+					b.ReportMetric(m.v, m.unit)
+				}
 				return
 			}
 			if r.maxN > 0 && b.N > r.maxN {
@@ -256,9 +342,9 @@ const opCountsN = 5000
 
 // TestOpCountsGolden is the counted equivalence gate: every OpCounts row at
 // opCountsN operations, its flushes, fences, misses and loads per operation
-// (kv-scan: misses per leaf), must match testdata/opcounts.golden exactly. A
-// change that moves a count on purpose regenerates the file with -update and
-// says why. The counts do not depend on the race detector, which slows the
+// (kv-scan: misses per leaf; the split rows: counts per split), must match
+// testdata/opcounts.golden exactly. A change that moves a count on purpose
+// regenerates the file with -update and says why. The counts do not depend on the race detector, which slows the
 // trees' 1.4M inserts about 30-fold, so the test skips under it; CI runs it
 // in a step of its own.
 func TestOpCountsGolden(t *testing.T) {
@@ -273,22 +359,23 @@ func TestOpCountsGolden(t *testing.T) {
 			}
 		}
 		fmt.Fprint(&out, r.name)
+		var ms []opCountMetric
 		if r.once != nil {
-			v, err := r.once()
-			if err != nil {
+			var err error
+			if ms, err = r.once(); err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&out, " misses/leaf=%.6g\n", v)
-			continue
-		}
-		pool := r.pool()
-		c0 := readCounts(pool)
-		for i := 0; i < opCountsN; i++ {
-			if err := r.op(); err != nil {
-				t.Fatalf("%s op %d: %v", r.name, i, err)
+		} else {
+			pool := r.pool()
+			c0 := readCounts(pool)
+			for i := 0; i < opCountsN; i++ {
+				if err := r.op(); err != nil {
+					t.Fatalf("%s op %d: %v", r.name, i, err)
+				}
 			}
+			ms = readCounts(pool).perOp(c0, opCountsN)
 		}
-		for _, m := range readCounts(pool).perOp(c0, opCountsN) {
+		for _, m := range ms {
 			fmt.Fprintf(&out, " %s=%.6g", m.unit, m.v)
 		}
 		out.WriteByte('\n')
